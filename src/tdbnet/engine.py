@@ -19,12 +19,20 @@ Semantics in brief:
   and the firing time within the delay window from a seeded generator.
 
 Traces replay exactly: folding the recorded events over the initial
-snapshot reproduces every intermediate and the final snapshot.
+snapshot reproduces every intermediate and the final snapshot.  ``replay``
+binds each event from the tokens it recorded as consumed, without
+enumerating candidates.  It verifies a compliant initial instance, events
+in step and time order, consumed tokens present in the marking and
+matching the input arcs in order, the recorded binding, and the guard at
+the event's time.  It does not verify delay windows, which the eager
+policy anchors at the onset of enablement and the random policy at the
+clock.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -575,30 +583,69 @@ def _random_step(net: Net, snap: Snapshot, rng: random.Random, until: Optional[i
     return ("advance", min_flip)
 
 
+def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent) -> Optional[_Cand]:
+    """The candidate an event recorded, bound from its consumed tokens, or
+    None unless it is enabled at ``ev.time``: the tokens lie on the
+    transition's input places in arc order and are present in the marking
+    (as many copies as are consumed), the patterns match, the binding is
+    the recorded one, and the guard holds."""
+    if len(ev.consumed) != len(t.inputs):
+        return None
+    env: Optional[dict] = {}
+    matches = []
+    ages = {}
+    for arc, (pid, tok) in zip(t.inputs, ev.consumed):
+        if pid != arc.place:
+            return None
+        env = match_pattern(arc.pattern, tok.value, env)
+        if env is None:
+            return None
+        is_view = net.place(pid).kind == "view"
+        if not is_view:
+            for v in pattern_vars(arc.pattern):
+                ages[v] = tok.created_at
+        matches.append((pid, tok, is_view))
+    for (pid, tok), copies in Counter(ev.consumed).items():
+        if not snapshot.marking.holds(pid, tok, copies):
+            return None
+    cand = _Cand(t, env, tuple(matches), ages)
+    if cand.binding_items() != ev.binding or not _guard_true(net, snapshot, cand, ev.time):
+        return None
+    return cand
+
+
 def replay(net: Net, trace: Trace, *, verify: bool = True) -> Snapshot:
     """Fold the recorded events over the initial snapshot.
 
-    With verify=True (default) every recomputed event and the final snapshot
-    must match the recording exactly.
+    Each event is bound from the tokens it recorded as consumed, without
+    enumerating candidates.  Replay verifies that the initial instance is
+    compliant, that events are numbered in order and never go back in time,
+    and that each event's tokens are present, match its transition's input
+    arcs and give its recorded binding, under which the guard holds at the
+    event's time.  With verify=True (default) every recomputed event and
+    the final snapshot must also match the recording exactly.  Replay does
+    not check that an event's time lies in its transition's delay window:
+    the two policies anchor that window differently.
     """
     _ensure_valid(net)
+    bad = check_compliance(trace.initial.instance)
+    if bad:
+        raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
+    by_id = {t.id: t for t in net.transitions}
     snap = trace.initial
-    for ev in trace.events:
-        t = next((tr for tr in net.transitions if tr.id == ev.transition), None)
+    for i, ev in enumerate(trace.events):
+        t = by_id.get(ev.transition)
         if t is None:
             raise DefinitionError(f"trace names unknown transition {ev.transition!r}")
+        if ev.step != i:
+            raise FiringError(f"replay: event {i} is recorded as step {ev.step}")
+        if ev.time < snap.clock:
+            raise FiringError(
+                f"replay: event {ev.step} at time {ev.time} precedes the clock {snap.clock}"
+            )
         if ev.time > snap.clock:
             snap = snap.advanced(ev.time)
-        match = None
-        for cand in sorted(_enumerate(net, snap, t), key=_Cand.bkey):
-            consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
-            if (
-                cand.binding_items() == ev.binding
-                and consumed == ev.consumed
-                and _guard_true(net, snap, cand, ev.time)
-            ):
-                match = cand
-                break
+        match = _recorded_cand(net, snap, t, ev)
         if match is None:
             raise FiringError(
                 f"replay: event {ev.step} ({ev.transition!r}) is not enabled under its binding"

@@ -9,6 +9,7 @@ committed firing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from typing import Iterable, Mapping, Optional
@@ -136,11 +137,15 @@ class Net:
         return cached
 
 
+def _token_order(t: Token) -> tuple:
+    return (t.value, t.created_at)
+
+
 def _token_sort(tokens: Iterable[Token]) -> tuple[Token, ...]:
     toks = list(tokens)
     try:
         # one place holds one color, so natural ordering matches value_key
-        toks.sort(key=lambda t: (t.value, t.created_at))
+        toks.sort(key=_token_order)
     except TypeError:
         toks.sort(key=lambda t: (value_key(t.value), t.created_at))
     return tuple(toks)
@@ -159,6 +164,17 @@ class Marking:
 
     def tokens(self, pid: str) -> tuple[Token, ...]:
         return self._tokens.get(pid, ())
+
+    def holds(self, pid: str, tok: Token, copies: int = 1) -> bool:
+        """Whether place ``pid`` holds at least ``copies`` tokens equal to
+        ``tok``.  A binary search finds them in a pool of conforming values;
+        counting the whole pool settles every other case."""
+        pool = self.tokens(pid)
+        try:
+            i = bisect_left(pool, _token_order(tok), key=_token_order)
+        except TypeError:
+            return pool.count(tok) >= copies
+        return pool[i : i + copies] == (tok,) * copies or pool.count(tok) >= copies
 
     def place_ids(self) -> list[str]:
         return sorted(pid for pid, toks in self._tokens.items() if toks)

@@ -8,18 +8,17 @@ ConstraintViolation value describing why the change was rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exprs import (
     Const,
     DbCount,
     DefinitionError,
-    EvalError,
     Param,
     Var,
     Wild,
-    eval_expr,
     resolve_term,
 )
 from .values import ColorType, SCALAR_KINDS, conforms, value_key
@@ -80,12 +79,6 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class Fact:
-    relation: str
-    values: tuple
-
-
-@dataclass(frozen=True)
 class ConstraintViolation:
     """Why an instance (or an attempted change) is not compliant.
 
@@ -116,10 +109,13 @@ class Instance:
 
     Rows are (values, inserted_at) pairs kept in canonical order.  Lookup
     caches are built lazily per object; since instances never change after
-    construction this is safe.
+    construction this is safe.  The per-relation key index (key tuple ->
+    row) is one of them; an instance derived by apply_action_delta starts
+    from its parent's indexes, copying only those of the relations it
+    changes.
     """
 
-    __slots__ = ("schema", "_rows", "_count_cache")
+    __slots__ = ("schema", "_rows", "_count_cache", "_key_index")
 
     def __init__(self, schema: Schema, rows: Mapping[str, Iterable[tuple]] | None = None):
         self.schema = schema
@@ -131,6 +127,7 @@ class Instance:
                 store[rel] = _row_sort(rs)
         self._rows = store
         self._count_cache: dict = {}
+        self._key_index: dict[str, dict] = {}
 
     @classmethod
     def empty(cls, schema: Schema) -> "Instance":
@@ -189,8 +186,21 @@ class Instance:
             self._count_cache[key] = hit
         return hit
 
-    def contains(self, relation: str, values: tuple) -> bool:
-        return any(v == values for v, _ in self.rows(relation))
+    def key_index(self, rel: Relation) -> dict:
+        """Map from key tuple to row for one relation; built on first use.
+        Callers must not mutate it.  Raises DefinitionError when two rows
+        share a key, since the map can hold only one of them."""
+        index = self._key_index.get(rel.name)
+        if index is None:
+            kidx = rel.key_indexes()
+            rows = self.rows(rel.name)
+            index = {tuple(row[0][i] for i in kidx): row for row in rows}
+            if len(index) != len(rows):
+                raise DefinitionError(
+                    f"relation {rel.name!r} holds duplicate keys; actions need a compliant instance"
+                )
+            self._key_index[rel.name] = index
+        return index
 
     def __eq__(self, other) -> bool:
         return (
@@ -439,13 +449,43 @@ def _typecheck_row(rel: Relation, values: tuple) -> Optional[str]:
     return None
 
 
+def _matches(pattern: list, values: tuple) -> bool:
+    return all(p is None or p == v for p, v in zip(pattern, values))
+
+
+def _insert_row(rows: list, row: tuple) -> None:
+    """Insert into rows kept in _row_sort order."""
+    try:
+        insort(rows, row)
+    except TypeError:
+        rows[:] = _row_sort(rows + [row])
+
+
+def _remove_row(rows: list, row: tuple) -> None:
+    try:
+        i = bisect_left(rows, row)
+    except TypeError:
+        i = len(rows)
+    if i == len(rows) or rows[i] != row:
+        i = rows.index(row)
+    del rows[i]
+
+
 def apply_action_delta(
     instance: Instance, action: Action, args: Sequence, at: int
 ):
     """Core of apply_action; also reports the net change.
 
     Returns (new_instance, added, deleted) with added/deleted lists of
-    (relation, values, at) rows, or a ConstraintViolation.
+    (relation, values, at) rows, or a ConstraintViolation.  A type violation
+    of any addition is reported first; otherwise the first key clash of the
+    first relation added to.
+
+    ``instance`` must be compliant (see check_compliance): keys are checked
+    and deletions looked up through the relation's key index, which holds
+    one row per key.  A deletion whose template binds every key column
+    costs one lookup; one with a wildcard in a key column scans the
+    relation.
     """
     schema = instance.schema
     _action_check(schema, action)
@@ -459,25 +499,39 @@ def apply_action_delta(
             raise DefinitionError(f"action {action.name!r}: argument {pname!r} has wrong type")
         arg_env[pname] = a
 
-    work: dict[str, list] = {}  # only relations the action touches
+    # working copies of the relations the action touches, and of their
+    # key indexes
+    rows: dict[str, list] = {}
+    indexes: dict[str, dict] = {}
 
-    def bucket(rel_name: str) -> list:
-        if rel_name not in work:
-            work[rel_name] = list(instance.rows(rel_name))
-        return work[rel_name]
+    def touch(rel: Relation) -> tuple[list, dict]:
+        if rel.name not in rows:
+            rows[rel.name] = list(instance.rows(rel.name))
+            indexes[rel.name] = dict(instance.key_index(rel))
+        return rows[rel.name], indexes[rel.name]
 
     deleted: list[tuple] = []
     for tmpl in action.dels:
+        rel = schema.relation(tmpl.relation)
+        kidx = rel.key_indexes()
         pattern = [None if isinstance(t, Wild) else resolve_term(t, {}, arg_env) for t in tmpl.terms]
-        keep = []
-        for values, ts in bucket(tmpl.relation):
-            if all(p is None or p == v for p, v in zip(pattern, values)):
-                deleted.append((tmpl.relation, values, ts))
-            else:
-                keep.append((values, ts))
-        work[tmpl.relation] = keep
+        bucket, index = touch(rel)
+        if all(pattern[i] is not None for i in kidx):
+            row = index.get(tuple(pattern[i] for i in kidx))
+            hits = [row] if row is not None and _matches(pattern, row[0]) else []
+            if hits:
+                _remove_row(bucket, row)
+        else:
+            hits, keep = [], []
+            for row in bucket:
+                (hits if _matches(pattern, row[0]) else keep).append(row)
+            rows[rel.name] = keep
+        for values, ts in hits:
+            del index[tuple(values[i] for i in kidx)]
+            deleted.append((rel.name, values, ts))
 
     added: list[tuple] = []
+    clashes: dict[str, Optional[ConstraintViolation]] = {}  # in order of first addition
     for tmpl in action.adds:
         rel = schema.relation(tmpl.relation)
         values = tuple(resolve_term(t, {}, arg_env) for t in tmpl.terms)
@@ -490,33 +544,35 @@ def apply_action_delta(
                 witnesses=((values, at),),
                 message=f"type constraint on {tmpl.relation!r}: {err}",
             )
-        bucket(tmpl.relation).append((values, at))
-        added.append((tmpl.relation, values, at))
-
-    # key check only where something was added
-    for relname in {a[0] for a in added}:
-        rel = schema.relation(relname)
-        kidx = rel.key_indexes()
-        seen: dict[tuple, tuple] = {}
-        for values, ts in work[relname]:
-            k = tuple(values[i] for i in kidx)
-            if k in seen:
-                return ConstraintViolation(
-                    relation=relname,
+        bucket, index = touch(rel)
+        k = tuple(values[i] for i in rel.key_indexes())
+        row = (values, at)
+        prior = index.setdefault(k, row)
+        clashes.setdefault(rel.name, None)
+        if prior is not row:
+            if clashes[rel.name] is None:
+                clashes[rel.name] = ConstraintViolation(
+                    relation=rel.name,
                     kind="key",
                     key=k,
-                    witnesses=(seen[k], (values, ts)),
-                    message=f"duplicate key {k!r} in relation {relname!r}",
+                    witnesses=(prior, row),
+                    message=f"duplicate key {k!r} in relation {rel.name!r}",
                 )
-            seen[k] = (values, ts)
+            continue
+        _insert_row(bucket, row)
+        added.append((rel.name, values, at))
+    for clash in clashes.values():
+        if clash is not None:
+            return clash
 
     store = dict(instance._rows)
-    for rel_name, rows in work.items():
-        store[rel_name] = _row_sort(rows)
+    for rel_name, bucket in rows.items():
+        store[rel_name] = tuple(bucket)
     new = Instance.__new__(Instance)
     new.schema = schema
     new._rows = store
     new._count_cache = {}
+    new._key_index = {**instance._key_index, **indexes}
     return new, added, deleted
 
 

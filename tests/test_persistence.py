@@ -9,7 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdbnet.exprs import Const, DbCount, DefinitionError, Param, Var, Wild
+from tdbnet.exprs import Const, DbCount, DefinitionError, Param, Var, Wild, resolve_term
 from tdbnet.persistence import (
     Action,
     Atom,
@@ -21,7 +21,11 @@ from tdbnet.persistence import (
     Query,
     Relation,
     Schema,
+    _action_check,
+    _row_sort,
+    _typecheck_row,
     apply_action,
+    apply_action_delta,
     check_compliance,
     eval_query,
 )
@@ -348,3 +352,148 @@ def test_single_atom_scan_matches_oracle(r_rows):
     inst = Instance(RS, {"R": [(row, 0) for row in r_rows]})
     q = Query("scan", atoms=(Atom("R", (Var("a"), Var("b"))),), output=("a", "b"))
     assert eval_query(inst, q) == brute_force(inst, q)
+
+
+# ---------------------------------------------------------------------------
+# apply_action_delta against the copy-sort-rescan reference
+
+
+def reference_apply_action_delta(instance, action, args, at):
+    """Copy every touched relation, delete by scanning it, append the
+    additions, rescan it for duplicate keys and sort it again.  Relations
+    are key-checked in order of first addition."""
+    schema = instance.schema
+    _action_check(schema, action)
+    arg_env = {pname: a for (pname, _), a in zip(action.params, args)}
+
+    work = {}
+
+    def bucket(rel_name):
+        if rel_name not in work:
+            work[rel_name] = list(instance.rows(rel_name))
+        return work[rel_name]
+
+    deleted = []
+    for tmpl in action.dels:
+        pattern = [None if isinstance(t, Wild) else resolve_term(t, {}, arg_env) for t in tmpl.terms]
+        keep = []
+        for values, ts in bucket(tmpl.relation):
+            if all(p is None or p == v for p, v in zip(pattern, values)):
+                deleted.append((tmpl.relation, values, ts))
+            else:
+                keep.append((values, ts))
+        work[tmpl.relation] = keep
+
+    added = []
+    for tmpl in action.adds:
+        rel = schema.relation(tmpl.relation)
+        values = tuple(resolve_term(t, {}, arg_env) for t in tmpl.terms)
+        err = _typecheck_row(rel, values)
+        if err is not None:
+            return ConstraintViolation(
+                relation=tmpl.relation,
+                kind="type",
+                key=values,
+                witnesses=((values, at),),
+                message=f"type constraint on {tmpl.relation!r}: {err}",
+            )
+        bucket(tmpl.relation).append((values, at))
+        added.append((tmpl.relation, values, at))
+
+    for relname in dict.fromkeys(a[0] for a in added):
+        kidx = schema.relation(relname).key_indexes()
+        seen = {}
+        for values, ts in work[relname]:
+            k = tuple(values[i] for i in kidx)
+            if k in seen:
+                return ConstraintViolation(
+                    relation=relname,
+                    kind="key",
+                    key=k,
+                    witnesses=(seen[k], (values, ts)),
+                    message=f"duplicate key {k!r} in relation {relname!r}",
+                )
+            seen[k] = (values, ts)
+
+    store = {rel.name: instance.rows(rel.name) for rel in schema.relations}
+    for rel_name, rows in work.items():
+        store[rel_name] = _row_sort(rows)
+    return Instance(schema, store), added, deleted
+
+
+# small domains, so that additions collide with rows and with each other
+COLUMN_VALUES = {
+    "Endpoints": (st.sampled_from(["e1", "e2", "e3"]), st.integers(0, 2)),
+    # the int body makes some additions type violations
+    "MessageSequences": (st.sampled_from(["s1", "s2"]), st.integers(0, 2), st.sampled_from(["a", "b", 7])),
+}
+
+
+def _template(relation, wild):
+    term = lambda values: st.one_of(st.just(Wild()), values.map(Const)) if wild else values.map(Const)
+    columns = COLUMN_VALUES[relation]
+    return st.tuples(*(term(v) for v in columns)).map(lambda terms: FactTemplate(relation, terms))
+
+
+def _templates(wild):
+    return st.lists(st.one_of(*(_template(rel, wild) for rel in COLUMN_VALUES)), max_size=3)
+
+
+actions = st.builds(lambda dels, adds: Action("act", dels=tuple(dels), adds=tuple(adds)), _templates(True), _templates(False))
+stamps = st.integers(0, 3)
+compliant_instances = st.builds(
+    lambda eps, seqs: Instance(
+        SCHEMA,
+        {
+            "Endpoints": [((ep, n), at) for ep, (n, at) in eps.items()],
+            "MessageSequences": [((s, o, b), at) for (s, o), (b, at) in seqs.items()],
+        },
+    ),
+    st.dictionaries(COLUMN_VALUES["Endpoints"][0], st.tuples(st.integers(0, 2), stamps)),
+    st.dictionaries(
+        st.tuples(*COLUMN_VALUES["MessageSequences"][:2]), st.tuples(st.sampled_from(["a", "b"]), stamps)
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(compliant_instances, st.lists(actions, min_size=1, max_size=8))
+def test_apply_action_delta_matches_reference(start, steps):
+    got_inst = want_inst = start
+    for i, action in enumerate(steps):
+        at = 10 + i
+        got = apply_action_delta(got_inst, action, (), at)
+        want = reference_apply_action_delta(want_inst, action, (), at)
+        if isinstance(want, ConstraintViolation):
+            assert got == want
+            continue
+        assert got[1:] == want[1:]  # added, deleted
+        got_inst, want_inst = got[0], want[0]
+        for rel in SCHEMA.relations:
+            assert got_inst.rows(rel.name) == want_inst.rows(rel.name)
+        assert got_inst == want_inst
+    for rel in SCHEMA.relations:
+        fresh = Instance(SCHEMA, {rel.name: got_inst.rows(rel.name)})
+        assert got_inst.key_index(rel) == fresh.key_index(rel)
+
+
+def test_key_index_rejects_duplicate_keys():
+    inst = Instance(SCHEMA, {"MessageSequences": [(("s", 1, "a"), 0), (("s", 1, "b"), 3)]})
+    with pytest.raises(DefinitionError, match="duplicate keys"):
+        apply_action(inst, ADD_SEQ, ("s", 2, "c"), at=5)
+
+
+def test_mixed_type_column_falls_back_to_value_key_order():
+    # "x" breaks column a's type, so natural row comparison raises and the
+    # rows stay in value_key order; keys (column b) are still unique
+    rel = Relation("M", (Column("a", INT), Column("b", INT)), ("b",))
+    schema = Schema((rel,))
+    inst = Instance(schema, {"M": [((1, 5), 0), (("x", 6), 0), ((3, 8), 0)]})
+    swap = Action(
+        "swap",
+        dels=(FactTemplate("M", (Wild(), Const(5))),),
+        adds=(FactTemplate("M", (Const(2), Const(7))),),
+    )
+    got = apply_action_delta(inst, swap, (), 9)
+    assert got[1:] == reference_apply_action_delta(inst, swap, (), 9)[1:]
+    assert got[0].rows("M") == (((2, 7), 9), ((3, 8), 0), (("x", 6), 0))
