@@ -11,12 +11,25 @@ Semantics in brief:
   produces tokens along the rollback arcs (outcome ``rolled_back``, instance
   reverted) or, absent rollback arcs, freezes the run at the last committed
   instance (outcome ``halted``).
-* ``run`` is a discrete-event loop.  Delay windows are anchored at the
-  moment a specific binding became enabled, which the loop tracks by
-  visiting every instant at which a time-dependent guard flips.  The eager
-  policy fires, among the candidates due earliest, the first by transition
-  id then canonical binding order; the seeded-random policy draws the pair
-  and the firing time within the delay window from a seeded generator.
+* ``run`` is a discrete-event loop.  Each step makes one query per
+  candidate to the guard's exact truth-set solver: the eager policy asks
+  for the first instant from the clock at which the guard holds
+  (``guard_flip_time``), which is the clock itself when it holds now; the
+  random policy asks for the truth set (``guard_truth``).  The loop visits
+  every instant at which a guard flips.  ``enabled``, ``fire`` and
+  ``replay`` ask the same solver whether a guard holds at one instant.
+* The eager policy anchors delay windows at the moment a specific binding
+  became enabled, and fires, among the candidates due earliest, the first
+  by transition id then canonical binding order.
+* The seeded-random policy anchors the window ``[clock + lo, clock + hi]``
+  at the clock.  A candidate can fire when its guard holds now and at some
+  instant of that window.  The policy draws one such candidate with
+  ``randrange``, then the firing time with one more ``randrange`` over
+  the window's instants at which the guard holds, counted in time order.
+  When the guard holds on the whole window, that draw is
+  ``clock + randint(lo, hi)``.  Every drawn firing therefore satisfies
+  its guard, and the trace replays.  When no candidate can fire, the
+  clock advances to the first instant at which one can.
 
 Traces replay exactly: folding the recorded events over the initial
 snapshot reproduces every intermediate and the final snapshot.  ``replay``
@@ -39,11 +52,14 @@ from typing import Iterable, Mapping, Optional
 from .exprs import (
     DefinitionError,
     Var,
-    depends_on_time,
     eval_expr,
+    first_true,
     guard_flip_time,
+    guard_truth,
+    intersect,
     match_pattern,
     pattern_vars,
+    window_starts,
 )
 from .net import Marking, Net, Place, Snapshot, Token, Transition, refresh_views, validate_net, view_tokens
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
@@ -121,6 +137,12 @@ def _cand_sorted(cands: list["_Cand"]) -> list["_Cand"]:
         return sorted(cands, key=_Cand.binding_items)
     except TypeError:
         return sorted(cands, key=_Cand.bkey)
+
+
+def _require_compliant(snapshot: Snapshot) -> None:
+    bad = check_compliance(snapshot.instance)
+    if bad:
+        raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
 
 
 def _ensure_valid(net: Net) -> None:
@@ -233,35 +255,20 @@ def _transitions_by_id(net: Net) -> tuple[Transition, ...]:
     return cached
 
 
-def _guard_time_dep(t: Transition) -> bool:
-    """Whether clock progress alone can change the guard's truth; cached.
-    A time-independent guard that fails now keeps failing until the next
-    firing changes the snapshot, so flip-time solving is pointless."""
-    dep = getattr(t, "_time_dep", None)
-    if dep is None:
-        dep = depends_on_time(t.guard)
-        object.__setattr__(t, "_time_dep", dep)
-    return dep
-
-
-def _flip_time(t: Transition, snap: Snapshot, cand: _Cand, from_time: int) -> Optional[int]:
-    if not _guard_time_dep(t):
-        return None
+def _flip(snapshot: Snapshot, cand: _Cand, from_time: int) -> Optional[int]:
+    """The first instant >= from_time at which the candidate's guard holds,
+    which is from_time itself when it holds now; None if it never will."""
     return guard_flip_time(
-        t.guard, cand.env, instance=snap.instance, ages=cand.ages, from_time=from_time
+        cand.transition.guard,
+        cand.env,
+        instance=snapshot.instance,
+        ages=cand.ages,
+        from_time=from_time,
     )
 
 
-def _guard_true(net: Net, snapshot: Snapshot, cand: _Cand, now: int) -> bool:
-    return bool(
-        eval_expr(
-            cand.transition.guard,
-            cand.env,
-            instance=snapshot.instance,
-            now=now,
-            ages=cand.ages,
-        )
-    )
+def _guard_true(net: Net, snapshot: Snapshot, cand: _Cand, at: int) -> bool:
+    return _flip(snapshot, cand, at) == at
 
 
 def enabled(net: Net, snapshot: Snapshot) -> list[tuple[str, dict, int]]:
@@ -290,12 +297,9 @@ def advance_clock(net: Net, snapshot: Snapshot) -> Optional[int]:
     best: Optional[int] = None
     for t in net.transitions:
         for cand in _enumerate(net, snapshot, t):
-            if _guard_true(net, snapshot, cand, snapshot.clock):
-                u = snapshot.clock
-            else:
-                u = _flip_time(t, snapshot, cand, snapshot.clock)
-                if u is None:
-                    continue
+            u = _flip(snapshot, cand, snapshot.clock)
+            if u is None:
+                continue
             ft = u + t.delay[0]
             if best is None or ft < best:
                 best = ft
@@ -388,6 +392,7 @@ def fire(
 ) -> tuple[Snapshot, FiringEvent]:
     """Fire one enabled pair at time ``at``.
 
+    The snapshot's instance must be compliant, as for run() and replay().
     ``at`` must lie in the delay window anchored at the snapshot clock.  Use
     run() for multi-step execution, where windows anchor at the moment of
     enablement instead.
@@ -396,6 +401,7 @@ def fire(
     t = next((tr for tr in net.transitions if tr.id == transition), None)
     if t is None:
         raise DefinitionError(f"unknown transition {transition!r}")
+    _require_compliant(snapshot)
     items = tuple(sorted(binding.items()))
     cands = [
         c
@@ -440,9 +446,7 @@ def run(
     """Execute until quiescence, halt, max_steps events, or the clock passing
     ``until``.  Deterministic for a fixed (net, initial, policy, seed)."""
     _ensure_valid(net)
-    bad = check_compliance(initial.instance)
-    if bad:
-        raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
+    _require_compliant(initial)
     if policy not in ("eager", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed if seed is not None else 0) if policy == "random" else None
@@ -501,16 +505,17 @@ def _eager_step(net: Net, snap: Snapshot, onsets: dict, until: Optional[int]):
             # first passing candidate in canonical order wins; flip times of
             # candidates after it are irrelevant because we fire immediately
             for cand in _cand_sorted(_enumerate(net, snap, t)):
-                if _guard_true(net, snap, cand, clock):
+                u = _flip(snap, cand, clock)
+                if u == clock:
                     best_instant = cand
                     best_instant_key = (t.id, cand.binding_items())
                     break
-                u = _flip_time(t, snap, cand, clock + 1)
                 if u is not None and (min_flip is None or u < min_flip):
                     min_flip = u
             continue
         for cand in _enumerate(net, snap, t):
-            if _guard_true(net, snap, cand, clock):
+            u = _flip(snap, cand, clock)
+            if u == clock:
                 key = cand.onset_key()
                 onset = onsets.get(key, clock)
                 new_onsets[key] = onset
@@ -521,10 +526,8 @@ def _eager_step(net: Net, snap: Snapshot, onsets: dict, until: Optional[int]):
                         best_instant_key = (t.id, cand.binding_items())
                 elif best_fire is None or (ft, t.id, cand.binding_items()) < best_fire[:3]:
                     best_fire = (ft, t.id, cand.binding_items(), cand)
-            else:
-                u = _flip_time(t, snap, cand, clock + 1)
-                if u is not None and (min_flip is None or u < min_flip):
-                    min_flip = u
+            elif u is not None and (min_flip is None or u < min_flip):
+                min_flip = u
 
     onsets.clear()
     onsets.update(new_onsets)
@@ -554,25 +557,32 @@ def _eager_step(net: Net, snap: Snapshot, onsets: dict, until: Optional[int]):
 
 
 def _random_step(net: Net, snap: Snapshot, rng: random.Random, until: Optional[int]):
+    """Pick the next action for the random policy: a uniformly drawn pair
+    among those that can fire now, at a drawn time in its delay window at
+    which its guard holds.  Returns ("fire", (cand, at)), ("advance",
+    clock), or None at quiescence."""
     clock = snap.clock
-    cands = []
+    cands = []  # (cand, truth set of its guard), first of each binding
     seen = set()
     min_flip: Optional[int] = None
     for t in _transitions_by_id(net):
+        lo, hi = t.delay
         for cand in _cand_sorted(_enumerate(net, snap, t)):
-            if _guard_true(net, snap, cand, clock):
+            truth = guard_truth(t.guard, cand.env, instance=snap.instance, ages=cand.ages)
+            # instants at which the guard holds and the window anchored there
+            # meets the truth set; a window starting at its anchor always does
+            ready = truth if lo == 0 else intersect(truth, window_starts(truth, lo, hi))
+            u = first_true(ready, clock)
+            if u == clock:
                 key = (t.id, cand.binding_items())
                 if key not in seen:
                     seen.add(key)
-                    cands.append(cand)
-            else:
-                u = _flip_time(t, snap, cand, clock + 1)
-                if u is not None and (min_flip is None or u < min_flip):
-                    min_flip = u
+                    cands.append((cand, truth))
+            elif u is not None and (min_flip is None or u < min_flip):
+                min_flip = u
     if cands:
-        cand = cands[rng.randrange(len(cands))]
-        lo, hi = cand.transition.delay
-        at = clock + rng.randint(lo, hi)
+        cand, truth = cands[rng.randrange(len(cands))]
+        at = _draw_time(rng, truth, clock, cand.transition.delay)
         if until is not None and at > until:
             return None
         return ("fire", (cand, at))
@@ -581,6 +591,19 @@ def _random_step(net: Net, snap: Snapshot, rng: random.Random, until: Optional[i
     if until is not None and min_flip > until:
         return None
     return ("advance", min_flip)
+
+
+def _draw_time(rng: random.Random, truth: tuple, clock: int, delay: tuple) -> int:
+    """A time drawn uniformly from the instants of the window
+    [clock + lo, clock + hi] at which the guard holds."""
+    lo, hi = delay
+    window = intersect(truth, ((clock + lo, clock + hi),))
+    r = rng.randrange(sum(b - a + 1 for a, b in window))
+    for a, b in window:
+        if r <= b - a:
+            return a + r
+        r -= b - a + 1
+    raise AssertionError("unreachable: r < total count")
 
 
 def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent) -> Optional[_Cand]:
@@ -628,9 +651,7 @@ def replay(net: Net, trace: Trace, *, verify: bool = True) -> Snapshot:
     the two policies anchor that window differently.
     """
     _ensure_valid(net)
-    bad = check_compliance(trace.initial.instance)
-    if bad:
-        raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
+    _require_compliant(trace.initial)
     by_id = {t.id: t for t in net.transitions}
     snap = trace.initial
     for i, ev in enumerate(trace.events):

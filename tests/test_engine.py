@@ -1,5 +1,7 @@
 """Control layer: enablement, firing, clock advancement, runs, replay."""
 
+import random
+
 import pytest
 
 from tdbnet.engine import (
@@ -11,7 +13,8 @@ from tdbnet.engine import (
     replay,
     run,
 )
-from tdbnet.exprs import Const, DefinitionError, Op, Param, Var
+from tdbnet import engine
+from tdbnet.exprs import Age, Const, DefinitionError, Now, Op, Param, Var
 from tdbnet.formats import serialize_trace
 from tdbnet.net import (
     ActionCall,
@@ -25,7 +28,7 @@ from tdbnet.net import (
     initial_snapshot,
 )
 from tdbnet.persistence import Action, Column, FactTemplate, Relation, Schema
-from tdbnet.patterns import build_throttler, with_workload
+from tdbnet.patterns import build_delayer, build_throttler, with_workload
 from tdbnet.scenarios import halting_bundle
 from tdbnet.values import INT, TEXT
 from tdbnet.workloads import parse_workload
@@ -262,6 +265,153 @@ def test_run_rejects_non_compliant_initial_instance():
     with pytest.raises(DefinitionError):
         run(bundle.net, Snapshot(broken, bundle.initial.marking, 0))
     assert kv.key == ("k",)
+
+
+def test_fire_rejects_non_compliant_snapshot():
+    bundle = halting_bundle()
+    from tdbnet.persistence import Instance
+
+    broken = Instance(bundle.net.schema, {"kv": [((1,), 0), ((1,), 5)]})
+    snap = Snapshot(broken, bundle.initial.marking, 0)
+    with pytest.raises(DefinitionError, match="violates constraints"):
+        fire(bundle.net, snap, "write", {"k": 1}, at=0)
+    # also for a transition whose actions never touch the broken relation
+    kv = bundle.net.schema.relation("kv")
+    net = Net(
+        places=(Place("p", INT),),
+        transitions=(Transition("t", inputs=(InputArc("p", Var("x")),)),),
+        schema=Schema((kv,)),
+    )
+    marked = initial_snapshot(net, tokens={"p": [1]})
+    fire(net, marked, "t", {"x": 1}, at=0)
+    with pytest.raises(DefinitionError, match="violates constraints"):
+        fire(net, Snapshot(broken, marked.marking, 0), "t", {"x": 1}, at=0)
+
+
+# ---------------------------------------------------------------------------
+# guard solving in runs
+
+
+def _guarded_net(guard, delay):
+    return Net(
+        places=(Place("p", INT), Place("q", INT)),
+        transitions=(
+            Transition(
+                "t",
+                inputs=(InputArc("p", Var("m")),),
+                guard=guard,
+                delay=delay,
+                outputs=(OutputArc("q", Var("m")),),
+            ),
+        ),
+        schema=Schema(()),
+    )
+
+
+def test_random_policy_fires_only_where_the_guard_holds():
+    # Known bug A: the random policy drew the firing time from the whole
+    # delay window, past the guard's deadline, so replay rejected the trace.
+    net = _guarded_net(Op("<", (Age("m"), Const(10))), (0, 50))
+    snap = initial_snapshot(net, tokens={"p": [1, 2, 3, 4, 5]})
+    for seed in range(20):
+        tr = run(net, snap, policy="random", seed=seed)
+        assert len(tr.events) == 5
+        assert all(ev.time < 10 for ev in tr.events)
+        replay(net, tr)
+
+
+def test_random_draw_covers_the_windows_true_points():
+    # one candidate: the pair draw is randrange(1), then the time draw is
+    # clock + randint(lo, hi) when the guard holds on the whole window
+    always = _guarded_net(Const(True), (0, 3))
+    snap = initial_snapshot(always, tokens={"p": [1]})
+    for seed in range(20):
+        rng = random.Random(seed)
+        rng.randrange(1)
+        tr = run(always, snap, policy="random", seed=seed)
+        assert [ev.time for ev in tr.events] == [rng.randint(0, 3)]
+    # true on the window's points 0, 2 and 3: the draw ranges over them all
+    gap = _guarded_net(Op("!=", (Age("m"), Const(1))), (0, 3))
+    snap = initial_snapshot(gap, tokens={"p": [1]})
+    times = {run(gap, snap, policy="random", seed=seed).events[0].time for seed in range(40)}
+    assert times == {0, 2, 3}
+
+
+def test_random_policy_waits_until_the_window_meets_the_guard():
+    # true on [.., 15] and [30, ..]: from clock 0 the window [20, 25] misses
+    # both, from clock 5 on it reaches 30
+    guard = Op("or", (Op("<=", (Now(), Const(15))), Op(">=", (Now(), Const(30)))))
+    net = _guarded_net(guard, (20, 25))
+    snap = initial_snapshot(net, tokens={"p": [1]})
+    for seed in range(5):
+        tr = run(net, snap, policy="random", seed=seed)
+        assert [ev.time for ev in tr.events] == [30]
+        replay(net, tr)
+    # a window that can never meet the guard leaves the run quiescent
+    never = _guarded_net(Op("<", (Age("m"), Const(10))), (20, 30))
+    tr = run(never, initial_snapshot(never, tokens={"p": [1]}), policy="random", seed=0)
+    assert tr.events == ()
+
+
+def test_truth_value_operand_is_solved_under_both_policies():
+    # a validated guard that compares a time-dependent truth value
+    fresh = Op("<", (Age("m"), Const(10)))
+    net = _guarded_net(Op("=", (fresh, Const(True))), (0, 50))
+    snap = initial_snapshot(net, tokens={"p": [1, 2, 3, 4, 5]})
+    eager = run(net, snap)
+    assert [ev.time for ev in eager.events] == [0] * 5
+    replay(net, eager)
+    for seed in range(5):
+        tr = run(net, snap, policy="random", seed=seed)
+        assert len(tr.events) == 5 and all(ev.time < 10 for ev in tr.events)
+        replay(net, tr)
+
+
+BIG = 2**60
+
+
+def test_flip_time_exact_at_large_clock_in_runs():
+    # Known bug C: float breakpoints lost the flip at this clock, and the run
+    # ended quiescent with nothing fired.
+    net = _guarded_net(Op(">=", (Now(), Op("+", (Var("m"), Const(3))))), (0, 0))
+    snap = initial_snapshot(net, tokens={"p": [Token(BIG, BIG)]}, clock=BIG)
+    assert advance_clock(net, snap) == BIG + 3
+    for policy in ("eager", "random"):
+        tr = run(net, snap, policy=policy, seed=0)
+        assert [ev.time for ev in tr.events] == [BIG + 3]
+        replay(net, tr)
+
+
+def test_guards_are_solved_once_per_candidate():
+    # A deterministic counter gate: guards go only through the truth-set
+    # query, once per enumerated candidate, never through eval_expr.
+    bundle = build_delayer(250)
+    snap = with_workload(bundle, parse_workload("delayer", "steady:50:every:10@0"))
+    guards = {id(t.guard) for t in bundle.net.transitions}
+    counts = {"candidates": 0, "flips": 0, "guard_evals": 0}
+    originals = (engine._enumerate, engine.guard_flip_time, engine.eval_expr)
+
+    def enumerate_(*a, **kw):
+        out = originals[0](*a, **kw)
+        counts["candidates"] += len(out)
+        return out
+
+    def flip(*a, **kw):
+        counts["flips"] += 1
+        return originals[1](*a, **kw)
+
+    def evaluate(e, *a, **kw):
+        counts["guard_evals"] += id(e) in guards
+        return originals[2](e, *a, **kw)
+
+    engine._enumerate, engine.guard_flip_time, engine.eval_expr = enumerate_, flip, evaluate
+    try:
+        tr = run(bundle.net, snap)
+    finally:
+        engine._enumerate, engine.guard_flip_time, engine.eval_expr = originals
+    assert len(tr.events) == 100
+    assert counts["guard_evals"] == 0
+    assert 0 < counts["flips"] <= counts["candidates"]
 
 
 # ---------------------------------------------------------------------------

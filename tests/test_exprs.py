@@ -1,6 +1,7 @@
 """Expression evaluation, pattern matching, and guard flip-time solving."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdbnet.exprs import (
     Age,
@@ -17,6 +18,7 @@ from tdbnet.exprs import (
     depends_on_time,
     eval_expr,
     guard_flip_time,
+    guard_truth,
     match_pattern,
     pattern_vars,
     validate_time_usage,
@@ -181,3 +183,282 @@ def test_time_usage_rejects_multiplication():
 def test_time_usage_rejects_time_inside_db_patterns():
     with pytest.raises(DefinitionError):
         validate_time_usage(DbCount("msgs", (Now(), Wild(), Wild())), "here")
+
+
+def test_and_or_raise_errors_of_every_argument():
+    with pytest.raises(EvalError, match="unbound variable 'missing'"):
+        eval_expr(Op("and", (Const(False), Op(">", (Var("missing"), Const(1))))), {})
+    with pytest.raises(EvalError, match="unbound variable 'missing'"):
+        eval_expr(Op("or", (Const(True), Var("missing"))), {})
+    with pytest.raises(EvalError, match="unbound variable 'missing'"):
+        guard_flip_time(Op("and", (Const(False), Var("missing"))), {}, from_time=0)
+    # the same when the guard depends on time and is solved as a truth set
+    never = Op("<", (Now(), Now()))
+    with pytest.raises(EvalError, match="unbound variable 'missing'"):
+        guard_flip_time(Op("and", (never, Op(">=", (Now(), Var("missing"))))), {}, from_time=0)
+
+
+def test_eval_reports_bad_nodes():
+    with pytest.raises(EvalError, match="unknown operator 'pow'"):
+        eval_expr(Op("pow", (Const(2), Const(3))), {})
+    with pytest.raises(EvalError, match="not an expression: Wild()"):
+        eval_expr(Wild(), {})
+    with pytest.raises(EvalError, match="not an expression: 5"):
+        eval_expr(5, {})
+    with pytest.raises(EvalError, match="unbound variable 'x'"):
+        eval_expr(Op("pow", (Var("x"), Const(3))), {})
+
+
+def test_truth_solver_is_cached_on_the_node():
+    g = Op(">=", (Age("m"), Const(250)))
+    assert guard_flip_time(g, {}, ages={"m": 0}, from_time=0) == 250
+    fn = g._truth
+    assert guard_flip_time(g, {}, ages={"m": 10}, from_time=0) == 260 and g._truth is fn
+    # the cache is not part of the node's value
+    assert g == Op(">=", (Age("m"), Const(250))) and "_truth" not in repr(g)
+
+
+# ---------------------------------------------------------------------------
+# truth sets
+
+
+INF = float("inf")
+
+
+def test_truth_sets_of_comparisons_and_connectives():
+    ge = Op(">=", (Age("m"), Const(250)))
+    assert guard_truth(ge, {}, ages={"m": 100}) == ((350, INF),)
+    lt = Op("<", (Now(), Const(10)))
+    assert guard_truth(lt, {}) == ((-INF, 9),)
+    eq = Op("=", (Op("+", (Now(), Now())), Const(7)))
+    assert guard_truth(eq, {}) == ()  # 2*now = 7 has no integer solution
+    ne = Op("!=", (Op("+", (Now(), Now())), Const(8)))
+    assert guard_truth(ne, {}) == ((-INF, 3), (5, INF))
+    both = Op("and", (Op(">=", (Now(), Const(5))), lt))
+    assert guard_truth(both, {}) == ((5, 9),)
+    either = Op("or", (Op(">=", (Now(), Const(11))), lt))
+    assert guard_truth(either, {}) == ((-INF, 9), (11, INF))
+    adjacent = Op("or", (Op(">=", (Now(), Const(10))), lt))
+    assert guard_truth(adjacent, {}) == ((-INF, INF),)
+    assert guard_truth(Op("not", (both,)), {}) == ((-INF, 4), (10, INF))
+    # negative coefficients mirror the comparison
+    assert guard_truth(Op(">", (Const(3), Op("-", (Const(0), Now())))), {}) == ((-2, INF),)
+
+
+def test_time_independent_guards_are_always_or_never():
+    assert guard_truth(Op(">", (Var("x"), Const(5))), {"x": 6}) == ((-INF, INF),)
+    assert guard_truth(Op(">", (Var("x"), Const(5))), {"x": 5}) == ()
+    assert guard_flip_time(Op(">", (Var("x"), Const(5))), {"x": 5}, from_time=3) is None
+
+
+def test_non_integer_affine_operand():
+    g = Op(">=", (Now(), Var("a")))
+    # raised whether or not the guard holds at from_time, by every query
+    for a in (2.5, "x", None):
+        for from_time in (0, 3):
+            with pytest.raises(EvalError, match="integer valued"):
+                guard_flip_time(g, {"a": a}, from_time=from_time)
+        with pytest.raises(EvalError, match="integer valued"):
+            guard_truth(g, {"a": a})
+    # a bool is the integer 0 or 1, as in Python arithmetic
+    assert guard_truth(g, {"a": True}) == ((1, INF),)
+    assert guard_flip_time(Op("+", (Now(), Const(False))), {}, from_time=0) == 1
+
+
+def test_time_dependent_truth_values_as_operands():
+    fresh = Op("<", (Age("m"), Const(10)))
+    ages = {"m": 0}
+    assert guard_truth(Op("=", (fresh, Const(True))), {}, ages=ages) == ((-INF, 9),)
+    assert guard_truth(Op("!=", (fresh, Const(True))), {}, ages=ages) == ((10, INF),)
+    assert guard_truth(Op("=", (fresh, Const(1))), {}, ages=ages) == ((-INF, 9),)
+    assert guard_truth(Op("=", (fresh, Const(2))), {}, ages=ages) == ()
+    late = Op(">=", (Now(), Const(5)))
+    # equality of two truth values: both true or both false
+    assert guard_truth(Op("=", (fresh, late)), {}, ages=ages) == ((5, 9),)
+    assert guard_truth(Op("<", (fresh, late)), {}, ages=ages) == ((10, INF),)
+    # a truth value under + is 1 on its truth set and 0 elsewhere
+    stepped = Op(">=", (Op("+", (late, Now())), Const(7)))
+    assert guard_truth(stepped, {}) == ((6, INF),)
+    # and a number used as a truth value is true where it is nonzero
+    assert guard_truth(Op("and", (Op("-", (Now(), late)),)), {}) == ((-INF, -1), (1, INF))
+    with pytest.raises(EvalError, match="integer valued"):
+        guard_truth(Op("=", (fresh, Const("yes"))), {}, ages=ages)
+
+
+def test_unsolvable_time_dependence_raises():
+    with pytest.raises(EvalError, match="cannot be solved under '\\*'"):
+        guard_truth(Op(">=", (Op("*", (Now(), Const(2))), Const(7))), {})
+
+
+# Known bug C: the float breakpoints of the reference solver lose the flip
+# time when the clock is large.
+BIG = 2**60
+
+
+def test_flip_time_exact_at_large_clock():
+    g = Op(">=", (Now(), Op("+", (Var("m"), Const(3)))))
+    assert guard_flip_time(g, {"m": BIG}, from_time=BIG) == BIG + 3
+    assert reference_guard_flip_time(g, {"m": BIG}, from_time=BIG) is None
+
+
+def test_aggregator_timeout_exact_at_large_clock():
+    expired = Op(">=", (Op("-", (Now(), Var("cr"))), Const(100)))
+    assert guard_flip_time(expired, {"cr": BIG}, from_time=BIG) == BIG + 100
+    fresh = Op("<", (Op("-", (Now(), Var("cr"))), Const(100)))
+    assert guard_truth(fresh, {"cr": BIG}) == ((-INF, BIG + 99),)
+
+
+# The float-breakpoint solver that compiled truth sets replaced, kept as a
+# differential oracle.  It is exact while -dc/dk is representable.
+
+
+def _reference_affine(e, env, instance, ages, args):
+    if isinstance(e, Now):
+        return (1, 0)
+    if isinstance(e, Age):
+        if ages is None or e.var not in ages:
+            raise EvalError(f"age() of variable {e.var!r} not bound by a normal place")
+        return (1, -ages[e.var])
+    if isinstance(e, Op) and e.op in ("+", "-") and depends_on_time(e):
+        k, c = _reference_affine(e.args[0], env, instance, ages, args)
+        for a in e.args[1:]:
+            k2, c2 = _reference_affine(a, env, instance, ages, args)
+            if e.op == "+":
+                k, c = k + k2, c + c2
+            else:
+                k, c = k - k2, c - c2
+        return (k, c)
+    v = eval_expr(e, env, instance=instance, now=0, ages=ages, args=args)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise EvalError("time-affine expression must be integer valued")
+    return (0, v)
+
+
+def _reference_breakpoints(e, env, instance, ages, args, out):
+    if isinstance(e, Op):
+        if e.op in ("=", "!=", "<", "<=", ">", ">=") and depends_on_time(e):
+            ka, ca = _reference_affine(e.args[0], env, instance, ages, args)
+            kb, cb = _reference_affine(e.args[1], env, instance, ages, args)
+            dk, dc = ka - kb, ca - cb
+            if dk != 0:
+                q = -dc / dk
+                base = int(q // 1)
+                out.update((base - 1, base, base + 1, base + 2))
+        else:
+            for a in e.args:
+                _reference_breakpoints(a, env, instance, ages, args, out)
+
+
+def reference_guard_flip_time(guard, env, *, instance=None, ages=None, args=None, from_time=0):
+    def truth(u):
+        return bool(eval_expr(guard, env, instance=instance, now=u, ages=ages, args=args))
+
+    if truth(from_time):
+        return from_time
+    pts = set()
+    _reference_breakpoints(guard, env, instance, ages, args, pts)
+    for u in sorted(p for p in pts if p > from_time):
+        if truth(u):
+            return u
+    return None
+
+
+_CMPS = ("=", "!=", "<", "<=", ">", ">=")
+_AGE_VARS = ("m", "n")
+
+
+def _guards(consts, nested=None):
+    """Guards over now, age, +/-, the six comparisons and and/or/not.  With
+    ``nested``, comparison operands may also be such guards, or bools."""
+    leaf = st.one_of(
+        st.just(Now()), st.sampled_from([Age(v) for v in _AGE_VARS]), consts.map(Const)
+    )
+    if nested is not None:
+        leaf = st.one_of(leaf, st.booleans().map(Const), nested)
+    term = st.recursive(
+        leaf,
+        lambda sub: st.builds(
+            lambda op, args: Op(op, tuple(args)),
+            st.sampled_from(["+", "-"]),
+            st.lists(sub, min_size=2, max_size=3),
+        ),
+        max_leaves=4,
+    )
+    cmp = st.builds(lambda op, a, b: Op(op, (a, b)), st.sampled_from(_CMPS), term, term)
+    return st.recursive(
+        cmp,
+        lambda sub: st.one_of(
+            st.builds(
+                lambda op, args: Op(op, tuple(args)),
+                st.sampled_from(["and", "or"]),
+                st.lists(sub, min_size=2, max_size=3),
+            ),
+            sub.map(lambda g: Op("not", (g,))),
+        ),
+        max_leaves=4,
+    )
+
+
+def _problems(bound, nested=False):
+    consts = st.integers(-bound, bound)
+    guards = _guards(consts, _guards(consts) if nested else None)
+    return st.tuples(guards, st.fixed_dictionaries({v: consts for v in _AGE_VARS}), consts)
+
+
+def _magnitude(e, ages) -> int:
+    """Sum of |constant| and |birth time| over the leaves, plus one per
+    operator for the 0 or 1 of a nested truth value: beyond it, every
+    comparison of the guard has a fixed truth value."""
+    if isinstance(e, Const):
+        return abs(e.value)
+    if isinstance(e, Age):
+        return abs(ages[e.var])
+    if isinstance(e, Op):
+        return 1 + sum(_magnitude(a, ages) for a in e.args)
+    return 0
+
+
+def _holds(g, ages, u) -> bool:
+    return bool(eval_expr(g, {}, now=u, ages=ages))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems(40))
+def test_solver_agrees_with_reference_and_brute_force(problem):
+    g, ages, from_time = problem
+    got = guard_flip_time(g, {}, ages=ages, from_time=from_time)
+    assert got == reference_guard_flip_time(g, {}, ages=ages, from_time=from_time)
+    last = max(from_time, _magnitude(g, ages) + 1)
+    brute = next((u for u in range(from_time, last + 1) if _holds(g, ages, u)), None)
+    assert got == brute
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems(2**40))
+def test_solver_agrees_with_reference_and_point_evaluation_at_scale(problem):
+    g, ages, from_time = problem
+    got = guard_flip_time(g, {}, ages=ages, from_time=from_time)
+    assert got == reference_guard_flip_time(g, {}, ages=ages, from_time=from_time)
+    truth = guard_truth(g, {}, ages=ages)
+    # every interval end is true and every point just outside it false
+    for lo, hi in truth:
+        for end, outside in ((lo, lo - 1), (hi, hi + 1)):
+            if abs(end) != INF:
+                assert _holds(g, ages, end) and not _holds(g, ages, outside)
+    if got is not None and got > from_time:
+        assert _holds(g, ages, got) and not _holds(g, ages, got - 1)
+    assert _holds(g, ages, from_time) == (got == from_time)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems(40, nested=True))
+def test_solver_agrees_with_brute_force_on_nested_truth_values(problem):
+    # the reference solver rejects these guards whenever they are false
+    g, ages, from_time = problem
+    got = guard_flip_time(g, {}, ages=ages, from_time=from_time)
+    last = max(from_time, _magnitude(g, ages) + 1)
+    assert got == next((u for u in range(from_time, last + 1) if _holds(g, ages, u)), None)
+    for lo, hi in guard_truth(g, {}, ages=ages):
+        for end, outside in ((lo, lo - 1), (hi, hi + 1)):
+            if abs(end) != INF:
+                assert _holds(g, ages, end) and not _holds(g, ages, outside)
