@@ -2,6 +2,19 @@
 
 Semantics in brief:
 
+* One enumerator, ``_enumerate``, answers every scheduler query
+  (``enabled``, ``advance_clock``, ``fire`` and both policies' steps).  It
+  binds a transition's input arcs to distinct tokens through one compiled
+  binder per arc and returns the candidates in canonical binding order;
+  the sort is stable, so candidates with equal bindings keep pool order.
+  Pools are sorted, so equal tokens are adjacent, and each arc tries one
+  token of every run of equal ones, so no two candidates consume equal
+  tokens arc for arc.  ``replay`` binds recorded tokens through the same
+  binders.
+* Snapshots are color-checked: ``initial_snapshot``, ``run``, ``fire``,
+  ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
+  naming the place and the token when a token does not fit its place's
+  color, so the values of one pool always compare with each other.
 * ``enabled`` lists (transition, binding) pairs whose input patterns match
   distinct tokens and whose guard holds at the snapshot clock; the earliest
   firing time of a freshly enabled pair is ``clock + delay_min``.
@@ -47,7 +60,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .exprs import (
     DefinitionError,
@@ -61,9 +74,9 @@ from .exprs import (
     pattern_vars,
     window_starts,
 )
-from .net import Marking, Net, Place, Snapshot, Token, Transition, refresh_views, validate_net, view_tokens
+from .net import Net, Snapshot, Token, Transition, check_marking, refresh_views, validate_net, view_tokens
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
-from .values import conforms, value_key
+from .values import conforms
 
 
 class FiringError(ValueError):
@@ -118,11 +131,9 @@ class _Cand:
 
     def binding_items(self) -> tuple:
         if self._items is None:
-            self._items = tuple(sorted(self.env.items(), key=lambda kv: kv[0]))
+            # variable names are distinct, so values are never compared
+            self._items = tuple(sorted(self.env.items()))
         return self._items
-
-    def bkey(self) -> tuple:
-        return tuple((k, value_key(v)) for k, v in self.binding_items())
 
     def onset_key(self) -> tuple:
         # identity only (dict key / dedup); values are hashable as-is
@@ -130,19 +141,11 @@ class _Cand:
         return (self.transition.id, self.binding_items(), sig)
 
 
-def _cand_sorted(cands: list["_Cand"]) -> list["_Cand"]:
-    """Canonical binding order; natural comparison with a value_key
-    fallback for pools mixing value types."""
-    try:
-        return sorted(cands, key=_Cand.binding_items)
-    except TypeError:
-        return sorted(cands, key=_Cand.bkey)
-
-
-def _require_compliant(snapshot: Snapshot) -> None:
+def _require_compliant(net: Net, snapshot: Snapshot) -> None:
     bad = check_compliance(snapshot.instance)
     if bad:
         raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
+    check_marking(net, snapshot.marking)
 
 
 def _ensure_valid(net: Net) -> None:
@@ -151,99 +154,71 @@ def _ensure_valid(net: Net) -> None:
         object.__setattr__(net, "_validated", True)
 
 
-_NO_FAST = object()
-
-
-def _arc_fast(arc):
-    """(var names, binding-items layout) for an all-variable pattern, else
-    None; cached on the arc."""
-    info = getattr(arc, "_fast", _NO_FAST)
-    if info is not _NO_FAST:
-        return info
-    p = arc.pattern
-    info = None
-    if type(p) is Var:
-        info = ((p.name,), ((p.name, None),))
-    elif type(p) is tuple and all(type(term) is Var for term in p):
-        names = tuple(term.name for term in p)
-        if len(set(names)) == len(names):
-            layout = tuple(
-                (name, idx) for name, idx in sorted((n, i) for i, n in enumerate(names))
-            )
-            info = (names, layout)
-    object.__setattr__(arc, "_fast", info)
-    return info
-
-
-def _enumerate_fast(t: Transition, arc, pool, is_view: bool) -> list[_Cand]:
-    names, layout = arc._fast
-    single = layout[0][1] is None
+def _binder(pattern, bound: set):
+    """``bind(value, env)`` for one input-arc pattern: env extended by the
+    pattern's variables, or None when the value does not match.  Distinct
+    variables that no earlier arc binds bind by position; any other pattern
+    goes through ``match_pattern``, looked up at call time."""
+    terms = pattern if isinstance(pattern, tuple) else (pattern,)
+    names = pattern_vars(pattern)
+    if any(type(term) is not Var for term in terms) or len(set(names) - bound) != len(names):
+        return lambda value, env: match_pattern(pattern, value, env)
+    if not isinstance(pattern, tuple):
+        name = pattern.name
+        return lambda value, env: {**env, name: value}
     width = len(names)
-    out: list[_Cand] = []
-    prev = None
-    for tok in pool:
-        if tok == prev:  # pool is sorted, duplicates are adjacent
-            continue
-        prev = tok
-        v = tok.value
-        if single:
-            env = {names[0]: v}
-            items = ((names[0], v),)
-        else:
-            if type(v) is not tuple or len(v) != width:
-                continue
-            env = dict(zip(names, v))
-            items = tuple((name, v[idx]) for name, idx in layout)
-        ages = {} if is_view else dict.fromkeys(names, tok.created_at)
-        cand = _Cand(t, env, ((arc.place, tok, is_view),), ages)
-        cand._items = items
-        out.append(cand)
-    return out
+
+    def bind(value, env):
+        if not isinstance(value, tuple) or len(value) != width:
+            return None
+        new = dict(env)
+        new.update(zip(names, value))
+        return new
+
+    return bind
+
+
+def _binders(net: Net, t: Transition) -> tuple:
+    """(place id, is_view, bind, names that take the token's age) per input
+    arc of ``t``, in arc order; built once per net."""
+    cached = getattr(net, "_binders", None)
+    if cached is None:
+        cached = {}
+        for tr in net.transitions:
+            arcs, bound = [], set()
+            for arc in tr.inputs:
+                is_view = net.place(arc.place).kind == "view"
+                names = pattern_vars(arc.pattern)
+                arcs.append((arc.place, is_view, _binder(arc.pattern, bound), () if is_view else tuple(names)))
+                bound.update(names)
+            cached[tr.id] = tuple(arcs)
+        object.__setattr__(net, "_binders", cached)
+    return cached[t.id]
 
 
 def _enumerate(net: Net, snapshot: Snapshot, t: Transition) -> list[_Cand]:
-    """All distinct-token matches of a transition's input arcs, in pool
-    order.  Guards are not evaluated here."""
-    if len(t.inputs) == 1:
-        arc = t.inputs[0]
-        if _arc_fast(arc) is not None:
-            place = net.place(arc.place)
-            return _enumerate_fast(
-                t, arc, snapshot.marking.tokens(place.id), place.kind == "view"
-            )
-    partial: list[tuple[dict, dict, list]] = [({}, {}, [])]  # env, used, matches
-    for arc in t.inputs:
-        place = net.place(arc.place)
-        pool = snapshot.marking.tokens(place.id)
-        is_view = place.kind == "view"
-        grown: list[tuple[dict, dict, list]] = []
-        for env, used, matches in partial:
-            taken = used.get(place.id, ())
-            for idx, tok in enumerate(pool):
-                if idx in taken:
+    """All matches of a transition's input arcs to distinct tokens, in
+    canonical binding order; candidates with equal bindings keep pool
+    order.  Equal tokens are tried once per arc, so no two candidates
+    consume equal tokens arc for arc.  Guards are not evaluated here."""
+    partial = [({}, {}, (), ())]  # env, ages, matches, pool index per arc
+    for place, is_view, bind, names in _binders(net, t):
+        pool = snapshot.marking.tokens(place)
+        grown = []
+        for env, ages, matches, used in partial:
+            taken = {i for (pid, _, _), i in zip(matches, used) if pid == place}
+            prev = None
+            for i, tok in enumerate(pool):
+                if i in taken or tok == prev:  # pools are sorted: equal tokens are adjacent
                     continue
-                env2 = match_pattern(arc.pattern, tok.value, env)
-                if env2 is None:
-                    continue
-                used2 = dict(used)
-                used2[place.id] = taken + (idx,)
-                grown.append((env2, used2, matches + [(place.id, tok, is_view)]))
+                prev = tok
+                env2 = bind(tok.value, env)
+                if env2 is not None:
+                    ages2 = {**ages, **dict.fromkeys(names, tok.created_at)} if names else ages
+                    grown.append((env2, ages2, matches + ((place, tok, is_view),), used + (i,)))
         partial = grown
-        if not partial:
-            return []
-    out = []
-    seen = set()
-    for env, _, matches in partial:
-        ages = {}
-        for arc, (pid, tok, is_view) in zip(t.inputs, matches):
-            if not is_view:
-                for v in pattern_vars(arc.pattern):
-                    ages[v] = tok.created_at
-        cand = _Cand(t, env, tuple(matches), ages)
-        key = cand.onset_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
+    out = [_Cand(t, env, matches, ages) for env, ages, matches, _ in partial]
+    out.sort(key=_Cand.binding_items)
     return out
 
 
@@ -267,20 +242,17 @@ def _flip(snapshot: Snapshot, cand: _Cand, from_time: int) -> Optional[int]:
     )
 
 
-def _guard_true(net: Net, snapshot: Snapshot, cand: _Cand, at: int) -> bool:
-    return _flip(snapshot, cand, at) == at
-
-
 def enabled(net: Net, snapshot: Snapshot) -> list[tuple[str, dict, int]]:
     """Currently enabled (transition id, binding, earliest firing time)
     triples, deterministically ordered by transition id then canonical
     binding order."""
     _ensure_valid(net)
+    _require_compliant(net, snapshot)
     out = []
     seen = set()
     for t in _transitions_by_id(net):
-        for cand in _cand_sorted(_enumerate(net, snapshot, t)):
-            if not _guard_true(net, snapshot, cand, snapshot.clock):
+        for cand in _enumerate(net, snapshot, t):
+            if _flip(snapshot, cand, snapshot.clock) != snapshot.clock:
                 continue
             key = (t.id, cand.binding_items())
             if key in seen:
@@ -294,6 +266,7 @@ def advance_clock(net: Net, snapshot: Snapshot) -> Optional[int]:
     """Minimum earliest firing time over everything that is enabled now or
     will become enabled by clock progress alone; None when quiescent."""
     _ensure_valid(net)
+    _require_compliant(net, snapshot)
     best: Optional[int] = None
     for t in net.transitions:
         for cand in _enumerate(net, snapshot, t):
@@ -401,21 +374,24 @@ def fire(
     t = next((tr for tr in net.transitions if tr.id == transition), None)
     if t is None:
         raise DefinitionError(f"unknown transition {transition!r}")
-    _require_compliant(snapshot)
+    _require_compliant(net, snapshot)
     items = tuple(sorted(binding.items()))
-    cands = [
-        c
-        for c in sorted(_enumerate(net, snapshot, t), key=_Cand.bkey)
-        if c.binding_items() == items and _guard_true(net, snapshot, c, snapshot.clock)
-    ]
-    if not cands:
+    cand = next(
+        (
+            c
+            for c in _enumerate(net, snapshot, t)
+            if c.binding_items() == items and _flip(snapshot, c, snapshot.clock) == snapshot.clock
+        ),
+        None,
+    )
+    if cand is None:
         raise FiringError(f"transition {transition!r} is not enabled under binding {dict(binding)!r}")
     lo, hi = snapshot.clock + t.delay[0], snapshot.clock + t.delay[1]
     if not (lo <= at <= hi):
         raise FiringError(
             f"firing time {at} outside delay window [{lo}, {hi}] of transition {transition!r}"
         )
-    return _execute(net, snapshot, cands[0], at, step)
+    return _execute(net, snapshot, cand, at, step)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +422,7 @@ def run(
     """Execute until quiescence, halt, max_steps events, or the clock passing
     ``until``.  Deterministic for a fixed (net, initial, policy, seed)."""
     _ensure_valid(net)
-    _require_compliant(initial)
+    _require_compliant(net, initial)
     if policy not in ("eager", "random"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed if seed is not None else 0) if policy == "random" else None
@@ -491,69 +467,48 @@ def _eager_step(net: Net, snap: Snapshot, onsets: dict, until: Optional[int]):
     enablement began (tracked only where the delay window needs it).
     """
     clock = snap.clock
-    best_instant: Optional[_Cand] = None
-    best_instant_key = None
-    best_fire = None  # (ft, tid, bkey, cand)
+    best = None  # least (ft, tid, binding, cand) among candidates holding now
     min_flip: Optional[int] = None
     new_onsets: dict = {}
 
     for t in _transitions_by_id(net):
         dmin = t.delay[0]
-        if dmin == 0:
-            if best_instant is not None:
-                continue  # cannot beat the tie-break and needs no onset tracking
-            # first passing candidate in canonical order wins; flip times of
-            # candidates after it are irrelevant because we fire immediately
-            for cand in _cand_sorted(_enumerate(net, snap, t)):
-                u = _flip(snap, cand, clock)
-                if u == clock:
-                    best_instant = cand
-                    best_instant_key = (t.id, cand.binding_items())
-                    break
-                if u is not None and (min_flip is None or u < min_flip):
-                    min_flip = u
-            continue
+        if dmin == 0 and best is not None and best[0] == clock:
+            continue  # cannot beat the tie-break and needs no onset tracking
         for cand in _enumerate(net, snap, t):
             u = _flip(snap, cand, clock)
-            if u == clock:
+            if u != clock:
+                if u is not None and (min_flip is None or u < min_flip):
+                    min_flip = u
+                continue
+            ft = clock
+            if dmin:
                 key = cand.onset_key()
-                onset = onsets.get(key, clock)
-                new_onsets[key] = onset
+                onset = new_onsets[key] = onsets.get(key, clock)
                 ft = max(onset + dmin, clock)
-                if ft == clock:
-                    if best_instant is None or (t.id, cand.binding_items()) < best_instant_key:
-                        best_instant = cand
-                        best_instant_key = (t.id, cand.binding_items())
-                elif best_fire is None or (ft, t.id, cand.binding_items()) < best_fire[:3]:
-                    best_fire = (ft, t.id, cand.binding_items(), cand)
-            elif u is not None and (min_flip is None or u < min_flip):
-                min_flip = u
+            if best is None or (ft, t.id, cand.binding_items()) < best[:3]:
+                best = (ft, t.id, cand.binding_items(), cand)
+            if not dmin:
+                # the first candidate in canonical order fires now; flip
+                # times of the candidates after it are irrelevant
+                break
 
     onsets.clear()
     onsets.update(new_onsets)
 
-    if best_instant is not None:
-        if until is not None and clock > until:
-            return None
-        return ("fire", (best_instant, clock))
-    choices = []
-    if best_fire is not None:
-        choices.append(best_fire[0])
-    if min_flip is not None:
-        choices.append(min_flip)
-    if not choices:
+    due = None if best is None else best[0]
+    if min_flip is not None and (due is None or min_flip < due):
+        due, best = min_flip, None
+    if due is None or (until is not None and due > until):
         return None
-    target = min(choices)
-    if until is not None and target > until:
-        return None
-    if min_flip is not None and (best_fire is None or min_flip < best_fire[0]):
-        return ("advance", min_flip)
-    ft, _, _, cand = best_fire
-    if not _guard_true(net, snap, cand, ft):
+    if best is None:
+        return ("advance", due)
+    cand = best[3]
+    if due != clock and _flip(snap, cand, due) != due:
         # the guard held at enablement but lapsed before the window opened;
         # let time pass and reschedule from there
-        return ("advance", ft)
-    return ("fire", (cand, ft))
+        return ("advance", due)
+    return ("fire", (cand, due))
 
 
 def _random_step(net: Net, snap: Snapshot, rng: random.Random, until: Optional[int]):
@@ -567,7 +522,7 @@ def _random_step(net: Net, snap: Snapshot, rng: random.Random, until: Optional[i
     min_flip: Optional[int] = None
     for t in _transitions_by_id(net):
         lo, hi = t.delay
-        for cand in _cand_sorted(_enumerate(net, snap, t)):
+        for cand in _enumerate(net, snap, t):
             truth = guard_truth(t.guard, cand.env, instance=snap.instance, ages=cand.ages)
             # instants at which the guard holds and the window anchored there
             # meets the truth set; a window starting at its anchor always does
@@ -615,24 +570,21 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
     if len(ev.consumed) != len(t.inputs):
         return None
     env: Optional[dict] = {}
+    ages: dict = {}
     matches = []
-    ages = {}
-    for arc, (pid, tok) in zip(t.inputs, ev.consumed):
-        if pid != arc.place:
+    for (place, is_view, bind, names), (pid, tok) in zip(_binders(net, t), ev.consumed):
+        if pid != place:
             return None
-        env = match_pattern(arc.pattern, tok.value, env)
+        env = bind(tok.value, env)
         if env is None:
             return None
-        is_view = net.place(pid).kind == "view"
-        if not is_view:
-            for v in pattern_vars(arc.pattern):
-                ages[v] = tok.created_at
+        ages.update(dict.fromkeys(names, tok.created_at))
         matches.append((pid, tok, is_view))
     for (pid, tok), copies in Counter(ev.consumed).items():
         if not snapshot.marking.holds(pid, tok, copies):
             return None
     cand = _Cand(t, env, tuple(matches), ages)
-    if cand.binding_items() != ev.binding or not _guard_true(net, snapshot, cand, ev.time):
+    if cand.binding_items() != ev.binding or _flip(snapshot, cand, ev.time) != ev.time:
         return None
     return cand
 
@@ -651,7 +603,7 @@ def replay(net: Net, trace: Trace, *, verify: bool = True) -> Snapshot:
     the two policies anchor that window differently.
     """
     _ensure_valid(net)
-    _require_compliant(trace.initial)
+    _require_compliant(net, trace.initial)
     by_id = {t.id: t for t in net.transitions}
     snap = trace.initial
     for i, ev in enumerate(trace.events):

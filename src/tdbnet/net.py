@@ -292,8 +292,19 @@ def initial_snapshot(
     for pid in wrapped:
         if net.place(pid).kind == "view":
             raise DefinitionError(f"place {pid!r} is a view place; its marking is derived")
+    check_marking(net, marking)
     marking = refresh_views(net, instance, marking)
     return Snapshot(instance, marking, clock)
+
+
+def check_marking(net: Net, marking: Marking) -> None:
+    """Raise DefinitionError unless every token lies on a place of the net
+    and fits that place's color."""
+    for pid in marking.place_ids():
+        color = net.place(pid).color
+        for tok in marking.tokens(pid):
+            if not conforms(tok.value, color):
+                raise DefinitionError(f"place {pid!r}: token {tok!r} does not fit its color")
 
 
 # ---------------------------------------------------------------------------

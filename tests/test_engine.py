@@ -1,11 +1,14 @@
 """Control layer: enablement, firing, clock advancement, runs, replay."""
 
+import json
 import random
 
 import pytest
 
 from tdbnet.engine import (
     FiringError,
+    Trace,
+    TraceMeta,
     ViewConsistencyError,
     advance_clock,
     enabled,
@@ -15,10 +18,11 @@ from tdbnet.engine import (
 )
 from tdbnet import engine
 from tdbnet.exprs import Age, Const, DefinitionError, Now, Op, Param, Var
-from tdbnet.formats import serialize_trace
+from tdbnet.formats import DocumentError, parse_net, parse_trace, serialize_net, serialize_trace
 from tdbnet.net import (
     ActionCall,
     InputArc,
+    Marking,
     Net,
     OutputArc,
     Place,
@@ -288,6 +292,64 @@ def test_fire_rejects_non_compliant_snapshot():
         fire(net, Snapshot(broken, marked.marking, 0), "t", {"x": 1}, at=0)
 
 
+def _int_place_net():
+    return Net(
+        places=(Place("p", INT), Place("q", INT)),
+        transitions=(
+            Transition(
+                "t",
+                inputs=(InputArc("p", Var("x")),),
+                delay=(5, 5),
+                outputs=(OutputArc("q", Var("x")),),
+            ),
+        ),
+        schema=Schema(()),
+    )
+
+
+def _mixed_colors(net):
+    # a str token on an INT place; unchecked, the eager step compares it
+    # with the int and dies with a bare TypeError
+    good = initial_snapshot(net, tokens={"p": [1]})
+    return Snapshot(good.instance, Marking({"p": [Token(1, 0), Token("a", 0)]}), 0)
+
+
+def _replay_parsed(net):
+    snap = _mixed_colors(net)
+    text = serialize_trace(Trace(TraceMeta(net.fingerprint(), "eager", None), snap, (), snap))
+    replay(net, parse_trace(text))
+
+
+def _parse_net_doc(net):
+    doc = json.loads(serialize_net(net, initial_snapshot(net, tokens={"p": [1]})))
+    doc["initial_marking"]["p"].append({"value": "a", "at": 0})
+    parse_net(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "entry,error",
+    [
+        (lambda net: initial_snapshot(net, tokens={"p": [1, "a"]}), DefinitionError),
+        (_parse_net_doc, DocumentError),
+        (lambda net: run(net, _mixed_colors(net)), DefinitionError),
+        (lambda net: fire(net, _mixed_colors(net), "t", {"x": 1}, at=5), DefinitionError),
+        (
+            lambda net: replay(
+                net, Trace(TraceMeta(net.fingerprint(), "eager", None), _mixed_colors(net), (), _mixed_colors(net))
+            ),
+            DefinitionError,
+        ),
+        (_replay_parsed, DefinitionError),
+        (lambda net: enabled(net, _mixed_colors(net)), DefinitionError),
+        (lambda net: advance_clock(net, _mixed_colors(net)), DefinitionError),
+    ],
+    ids=["initial_snapshot", "parse_net", "run", "fire", "replay", "replay_parsed", "enabled", "advance_clock"],
+)
+def test_token_of_the_wrong_color_is_rejected(entry, error):
+    with pytest.raises(error, match=r"place 'p': token Token\(value='a', created_at=0\) does not fit"):
+        entry(_int_place_net())
+
+
 # ---------------------------------------------------------------------------
 # guard solving in runs
 
@@ -412,6 +474,39 @@ def test_guards_are_solved_once_per_candidate():
     assert len(tr.events) == 100
     assert counts["guard_evals"] == 0
     assert 0 < counts["flips"] <= counts["candidates"]
+
+
+@pytest.mark.parametrize(
+    "build,kind,spec,candidates",
+    [
+        (lambda: build_throttler(5), "throttler", "burst:200@0", 40_400),
+        (lambda: build_delayer(250), "delayer", "steady:200:every:10@0", 65_100),
+    ],
+    ids=["throttler", "delayer"],
+)
+def test_candidate_and_match_counts_are_fixed(monkeypatch, build, kind, spec, candidates):
+    # A deterministic counter gate: the enumerator returns exactly the
+    # candidates that the full-rescan scheduler returned on these runs, and
+    # every arc of both nets binds distinct fresh variables by position.
+    bundle = build()
+    snap = with_workload(bundle, parse_workload(kind, spec))
+    counts = {"candidates": 0, "matches": 0}
+    enumerate_, match = engine._enumerate, engine.match_pattern
+
+    def counted_enumerate(*a, **kw):
+        out = enumerate_(*a, **kw)
+        counts["candidates"] += len(out)
+        return out
+
+    def counted_match(*a, **kw):
+        counts["matches"] += 1
+        return match(*a, **kw)
+
+    monkeypatch.setattr(engine, "_enumerate", counted_enumerate)
+    monkeypatch.setattr(engine, "match_pattern", counted_match)
+    run(bundle.net, snap)
+    assert counts["candidates"] == candidates
+    assert counts["matches"] == 0
 
 
 # ---------------------------------------------------------------------------

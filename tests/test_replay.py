@@ -1,7 +1,8 @@
 """Replay binds each event from the tokens it recorded as consumed.
 
 The differential tests compare it against ``reference_replay``, the
-enumerating matcher it replaced, on every catalog pattern under the eager
+enumerating matcher it replaced (over the frozen enumerator of
+``reference_engine``), on every catalog pattern under the eager
 policy and five random-policy seeds, and on traces mutated so that an event
 is no longer enabled.
 """
@@ -10,6 +11,7 @@ import dataclasses
 
 import pytest
 
+import reference_engine
 from tdbnet import engine
 from tdbnet.engine import FiringError, Trace, TraceMeta, fire, replay, run
 from tdbnet.exprs import Age, Const, DefinitionError, Op, Var
@@ -45,12 +47,12 @@ def reference_replay(net, trace, *, verify=True):
         if ev.time > snap.clock:
             snap = snap.advanced(ev.time)
         match = None
-        for cand in sorted(engine._enumerate(net, snap, t), key=engine._Cand.bkey):
+        for cand in sorted(reference_engine._enumerate(net, snap, t), key=reference_engine._Cand.bkey):
             consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
             if (
                 cand.binding_items() == ev.binding
                 and consumed == ev.consumed
-                and engine._guard_true(net, snap, cand, ev.time)
+                and reference_engine._guard_true(net, snap, cand, ev.time)
             ):
                 match = cand
                 break
