@@ -2,15 +2,24 @@
 
 Semantics in brief:
 
-* One enumerator, ``_enumerate``, answers every scheduler query
-  (``enabled``, ``advance_clock``, ``fire`` and both policies' steps).  It
-  binds a transition's input arcs to distinct tokens through one compiled
-  binder per arc and returns the candidates in canonical binding order;
-  the sort is stable, so candidates with equal bindings keep pool order.
-  Pools are sorted, so equal tokens are adjacent, and each arc tries one
-  token of every run of equal ones, so no two candidates consume equal
-  tokens arc for arc.  ``replay`` binds recorded tokens through the same
-  binders.
+* One ``Agenda`` answers every scheduler query.  ``run`` builds it from
+  the initial snapshot and keeps it across steps; ``enabled``,
+  ``advance_clock`` and ``fire`` build a one-shot agenda from their
+  snapshot.  Per transition it holds the candidates, matches of the input
+  arcs to distinct tokens, in canonical order: by binding, then by each
+  arc's token.  Pools are sorted, so equal tokens are adjacent, and each
+  arc tries one token of every run of equal ones, so no two candidates
+  consume equal tokens arc for arc.  Every arc binds through one compiled
+  binder, and ``replay`` binds recorded tokens through the same binders.
+* Each candidate keeps its guard's truth set over ``now``, stamped with
+  the row tuples of the relations the guard reads through ``count`` and
+  ``merge_text``.  A truth set is solved again only when one of those
+  relations is replaced; a clock advance solves nothing.  A firing
+  changes only the candidates of transitions whose input places changed:
+  candidates whose tokens are gone are dropped, and the new tokens are
+  bound, one bind per new token on a single arc and a delta join (new
+  tokens on one arc, whole pools on the others) on several.  A transition
+  catches up when a step next asks about it.
 * Snapshots are color-checked: ``initial_snapshot``, ``run``, ``fire``,
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
   naming the place and the token when a token does not fit its place's
@@ -24,16 +33,24 @@ Semantics in brief:
   produces tokens along the rollback arcs (outcome ``rolled_back``, instance
   reverted) or, absent rollback arcs, freezes the run at the last committed
   instance (outcome ``halted``).
-* ``run`` is a discrete-event loop.  Each step makes one query per
-  candidate to the guard's exact truth-set solver: the eager policy asks
-  for the first instant from the clock at which the guard holds
-  (``guard_flip_time``), which is the clock itself when it holds now; the
-  random policy asks for the truth set (``guard_truth``).  The loop visits
-  every instant at which a guard flips.  ``enabled``, ``fire`` and
-  ``replay`` ask the same solver whether a guard holds at one instant.
-* The eager policy anchors delay windows at the moment a specific binding
-  became enabled, and fires, among the candidates due earliest, the first
-  by transition id then canonical binding order.
+* ``run`` is a discrete-event loop; every guard question, including
+  ``replay``'s, is answered by the guard's exact truth-set solver
+  (``guard_truth``, and ``guard_flip_time`` for one instant).
+* The eager policy anchors the delay window of a candidate at its onset,
+  the first step of the run of steps at which its guard held: a step at
+  which the guard does not hold resets it, a lapse between two steps does
+  not.  Heaps order the candidates by the instant their guard starts to
+  hold, by the instant after it stops, and by onset plus least delay.  A
+  step fires, from the first transition by id that has one, the first
+  candidate in canonical order that holds and is due at the clock.
+  Delay-0 transitions after that one are not asked, while delayed ones
+  are, to keep their onsets.  Otherwise the next event is the earlier of
+  the least due time (ties to the first transition by id, then canonical
+  order) and the first instant at which a guard that does not hold starts
+  to hold; a tie goes to the due candidate.  So a guard that starts to
+  hold at t competes only once the clock stands at t: a candidate due at
+  t fires first, whatever the transition ids.  A due candidate whose
+  guard lapsed before its window opened makes the clock advance instead.
 * The seeded-random policy anchors the window ``[clock + lo, clock + hi]``
   at the clock.  A candidate can fire when its guard holds now and at some
   instant of that window.  The policy draws one such candidate with
@@ -57,9 +74,13 @@ clock.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import inf
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from .exprs import (
@@ -72,9 +93,20 @@ from .exprs import (
     intersect,
     match_pattern,
     pattern_vars,
+    relations_read,
     window_starts,
 )
-from .net import Net, Snapshot, Token, Transition, check_marking, refresh_views, validate_net, view_tokens
+from .net import (
+    Marking,
+    Net,
+    Snapshot,
+    Token,
+    Transition,
+    check_marking,
+    refresh_views,
+    validate_net,
+    view_tokens,
+)
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
 from .values import conforms
 
@@ -117,17 +149,32 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# candidate enumeration
+# candidates and the agenda
 
 class _Cand:
-    __slots__ = ("transition", "env", "matches", "ages", "_items")
+    """One match of a transition's input arcs to distinct tokens, with the
+    truth set of the transition's guard under it.  ``key`` is the
+    ``(value, created_at)`` of each arc's token: equal tokens are one key.
+    Under the eager policy a candidate also carries the instant its
+    enablement began (``onset``, None while its guard does not hold),
+    whether it holds and is due (``live``), and a version that its heap
+    entries must match to count."""
+
+    __slots__ = (
+        "transition", "env", "matches", "ages", "key", "truth", "onset", "live", "ver", "_items", "_rank", "_window"
+    )
 
     def __init__(self, transition: Transition, env: dict, matches: tuple, ages: dict):
         self.transition = transition
         self.env = env
         self.matches = matches  # ((place_id, Token, is_view), ...)
         self.ages = ages
-        self._items = None
+        self.key = tuple((tok.value, tok.created_at) for _, tok, _ in matches)
+        self.truth: tuple = ()
+        self.onset: Optional[int] = None
+        self.live = False
+        self.ver = 0
+        self._items = self._rank = self._window = None
 
     def binding_items(self) -> tuple:
         if self._items is None:
@@ -135,10 +182,25 @@ class _Cand:
             self._items = tuple(sorted(self.env.items()))
         return self._items
 
-    def onset_key(self) -> tuple:
-        # identity only (dict key / dedup); values are hashable as-is
-        sig = tuple((pid, tok.value, tok.created_at) for pid, tok, _ in self.matches)
-        return (self.transition.id, self.binding_items(), sig)
+    def rank(self) -> tuple:
+        """Canonical order within a transition: the binding, then each
+        arc's token (the order of the sorted pools)."""
+        if self._rank is None:
+            self._rank = (self.binding_items(), self.key)
+        return self._rank
+
+    def holds(self, at: int) -> bool:
+        return first_true(self.truth, at) == at
+
+    def pickable(self) -> tuple:
+        """The instants at which the random policy may pick the candidate:
+        its guard holds and the delay window anchored there meets the truth
+        set (a window starting at its anchor always does)."""
+        if self._window is None:
+            lo, hi = self.transition.delay
+            truth = self.truth
+            self._window = truth if lo == 0 else intersect(truth, window_starts(truth, lo, hi))
+        return self._window
 
 
 def _require_compliant(net: Net, snapshot: Snapshot) -> None:
@@ -196,29 +258,45 @@ def _binders(net: Net, t: Transition) -> tuple:
     return cached[t.id]
 
 
-def _enumerate(net: Net, snapshot: Snapshot, t: Transition) -> list[_Cand]:
-    """All matches of a transition's input arcs to distinct tokens, in
-    canonical binding order; candidates with equal bindings keep pool
-    order.  Equal tokens are tried once per arc, so no two candidates
-    consume equal tokens arc for arc.  Guards are not evaluated here."""
+def _join(net: Net, marking: Marking, t: Transition, focus: Optional[tuple] = None) -> list[_Cand]:
+    """Matches of a transition's input arcs to distinct tokens, in pool
+    order arc by arc.  Pools are sorted, so equal tokens are adjacent, and
+    each arc tries one token of every run of equal ones: no two matches
+    consume equal tokens arc for arc.  With ``focus = (i, keys)``, arc
+    ``i`` tries only the runs of the tokens with those ``(value,
+    created_at)`` keys (a delta join).  Guards are not evaluated here."""
     partial = [({}, {}, (), ())]  # env, ages, matches, pool index per arc
-    for place, is_view, bind, names in _binders(net, t):
-        pool = snapshot.marking.tokens(place)
+    arcs = _binders(net, t)
+    for k, (place, is_view, bind, names) in enumerate(arcs):
+        pool = marking.tokens(place)
+        if focus and focus[0] == k:
+            runs = [marking.span(place, Token(*key)) for key in focus[1]]
+        else:
+            runs = (range(len(pool)),)
+        shares = any(arc[0] == place for arc in arcs[:k])
         grown = []
         for env, ages, matches, used in partial:
-            taken = {i for (pid, _, _), i in zip(matches, used) if pid == place}
-            prev = None
-            for i, tok in enumerate(pool):
-                if i in taken or tok == prev:  # pools are sorted: equal tokens are adjacent
-                    continue
-                prev = tok
-                env2 = bind(tok.value, env)
-                if env2 is not None:
-                    ages2 = {**ages, **dict.fromkeys(names, tok.created_at)} if names else ages
-                    grown.append((env2, ages2, matches + ((place, tok, is_view),), used + (i,)))
+            taken = {i for (pid, _, _), i in zip(matches, used) if pid == place} if shares else ()
+            for run in runs:
+                prev = None
+                for i in run:
+                    tok = pool[i]
+                    if i in taken or tok == prev:
+                        continue
+                    prev = tok
+                    env2 = bind(tok.value, env)
+                    if env2 is not None:
+                        ages2 = {**ages, **dict.fromkeys(names, tok.created_at)} if names else ages
+                        grown.append((env2, ages2, matches + ((place, tok, is_view),), used + (i,)))
         partial = grown
-    out = [_Cand(t, env, matches, ages) for env, ages, matches, _ in partial]
-    out.sort(key=_Cand.binding_items)
+    return [_Cand(t, env, matches, ages) for env, ages, matches, _ in partial]
+
+
+def _enumerate(net: Net, snapshot: Snapshot, t: Transition) -> list[_Cand]:
+    """All matches of a transition's input arcs to distinct tokens, in
+    canonical order (``_Cand.rank``)."""
+    out = _join(net, snapshot.marking, t)
+    out.sort(key=_Cand.rank)
     return out
 
 
@@ -228,6 +306,314 @@ def _transitions_by_id(net: Net) -> tuple[Transition, ...]:
         cached = tuple(sorted(net.transitions, key=lambda tr: tr.id))
         object.__setattr__(net, "_by_id", cached)
     return cached
+
+
+_token_key = attrgetter("value", "created_at")
+
+
+def _stamp(instance, relations: tuple) -> tuple:
+    return tuple(instance.rows(rel) for rel in relations)
+
+
+def _lost(c: _Cand, places: list[str], left: list[dict]) -> bool:
+    """Whether fewer copies of one of the candidate's tokens are left than
+    it matches on that token's place."""
+    for i, key in enumerate(c.key):
+        copies = left[i].get(key)
+        if copies == 0 or copies is not None and copies < sum(
+            1 for j, other in enumerate(c.key) if other == key and places[j] == places[i]
+        ):
+            return True
+    return False
+
+
+class _Slot:
+    """One transition's candidates, kept in canonical order (``order``) and
+    by token key (``cands``) from step to step.
+
+    ``pending`` collects the net token changes of the transition's input
+    places since the slot last caught up (``sync``).  ``stamp`` holds the
+    row tuples of the relations the guard reads, as of the last solve; the
+    truth sets are solved again only when one of them is replaced.
+
+    Under the eager policy three heaps index the candidates by time:
+    ``wait`` by the first instant at which a candidate that does not hold
+    starts to hold, ``hold`` by the instant after the truth interval of a
+    holding candidate ends, and ``due`` by a holding candidate's onset plus
+    the transition's least delay.  An entry counts while it carries its
+    candidate's version; the heaps are rebuilt without the others once
+    these outnumber the candidates.  ``fresh`` lists the candidates bound
+    or solved since the last step, and ``live`` counts the candidates that
+    hold and are due.
+    """
+
+    def __init__(self, net: Net, snapshot: Snapshot, t: Transition, eager: bool):
+        self.t = t
+        self.delay = t.delay[0]
+        self.reads = relations_read(t.guard)
+        self.pending: dict[str, Counter] = {}
+        self.fresh: Optional[list] = [] if eager else None
+        self.wait: list = []
+        self.hold: list = []
+        self.due: list = []
+        self.live = 0
+        self.seq = itertools.count()
+        self.stamp = _stamp(snapshot.instance, self.reads)
+        self.order = _enumerate(net, snapshot, t)
+        self.cands = {c.key: c for c in self.order}
+        self._solve(self.order, snapshot.instance)
+
+    def sync(self, net: Net, snapshot: Snapshot) -> None:
+        """Catch up with the snapshot: drop the candidates whose tokens are
+        gone, bind the new tokens, and solve the truth sets again when a
+        relation the guard reads was replaced."""
+        new = self._rebind(net, snapshot.marking) if self.pending else []
+        stamp = _stamp(snapshot.instance, self.reads)
+        if any(a is not b for a, b in zip(stamp, self.stamp)):
+            self.stamp = stamp
+            self._solve(self.order, snapshot.instance)
+        if new:
+            self._solve(new, snapshot.instance)
+            self.order += new
+            self.order.sort(key=_Cand.rank)
+
+    def _rebind(self, net: Net, marking: Marking) -> list[_Cand]:
+        pending, self.pending = self.pending, {}
+        places = [place for place, *_ in _binders(net, self.t)]
+        # copies left of each token whose count fell, per arc
+        left = [
+            {key: len(marking.span(place, Token(*key))) for key, n in pending.get(place, {}).items() if n < 0}
+            for place in places
+        ]
+        if any(left):
+            if len(places) == 1:
+                # a candidate's key is its one token's, so only the
+                # candidates of the tokens that fell are visited
+                suspects = [c for c in map(self.cands.get, ((key,) for key in left[0])) if c is not None]
+            else:
+                suspects = self.cands.values()
+            gone = [c for c in suspects if _lost(c, places, left)]
+            for c in gone:
+                del self.cands[c.key]
+                c.ver += 1
+                self.live -= c.live
+                c.live = False
+            if gone:
+                self.order = [c for c in self.order if self.cands.get(c.key) is c]
+        new = []
+        for k, place in enumerate(places):
+            gained = [key for key, n in pending.get(place, {}).items() if n > 0]
+            if gained:
+                for c in _join(net, marking, self.t, (k, gained)):
+                    if self.cands.setdefault(c.key, c) is c:
+                        new.append(c)
+        return new
+
+    def _solve(self, cands: list[_Cand], instance) -> None:
+        guard = self.t.guard
+        for c in cands:
+            c.truth = guard_truth(guard, c.env, instance=instance, ages=c.ages)
+            c._window = None
+        if self.fresh is not None:
+            for c in cands:
+                c.ver += 1
+            self.fresh += cands
+
+    # eager state
+
+    def observe(self, at: int) -> None:
+        """Bring every candidate's eager state to a step at ``at``.  A
+        candidate holds when ``at`` lies in its truth set; its onset is the
+        first step of the run of steps at which it held, so a lapse between
+        two steps goes unnoticed."""
+        fresh, self.fresh = self.fresh, []
+        for c in fresh:
+            if self.cands.get(c.key) is c:
+                self._settle(c, at)
+        for heap in (self.hold, self.wait):
+            while heap and heap[0][0] <= at:
+                _, _, c, ver = heappop(heap)
+                if ver == c.ver:
+                    self._settle(c, at)
+        due = self.due
+        while due and due[0][0] <= at:
+            _, _, _, c, ver = heappop(due)
+            if ver == c.ver:
+                c.live = True
+                self.live += 1
+        heaps = (self.wait, self.hold, self.due)
+        if sum(map(len, heaps)) > 4 * len(self.order) + 64:
+            # a candidate has at most two entries that count
+            for heap in heaps:
+                heap[:] = [e for e in heap if e[-1] == e[-2].ver]
+                heapify(heap)
+
+    def _settle(self, c: _Cand, at: int) -> None:
+        c.ver += 1
+        self.live -= c.live
+        c.live = False
+        n = next(self.seq)
+        lo, hi = next(((lo, hi) for lo, hi in c.truth if hi >= at), (None, None))
+        if lo is None or lo > at:
+            c.onset = None
+            if lo is not None:
+                heappush(self.wait, (lo, n, c, c.ver))
+            return
+        if c.onset is None:
+            c.onset = at
+        if hi != inf:
+            heappush(self.hold, (hi + 1, n, c, c.ver))
+        if c.onset + self.delay <= at:
+            c.live = True
+            self.live += 1
+        else:
+            heappush(self.due, (c.onset + self.delay, c.rank(), n, c, c.ver))
+
+    @staticmethod
+    def _top(heap: list):
+        while heap and heap[0][-1] != heap[0][-2].ver:
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def first_ready(self) -> Optional[_Cand]:
+        """The first candidate in canonical order that holds and is due."""
+        return next(c for c in self.order if c.live) if self.live else None
+
+    def next_due(self) -> Optional[tuple]:
+        """(due time, candidate) of the holding candidate due first, ties
+        broken by canonical order."""
+        top = self._top(self.due)
+        return None if top is None else (top[0], top[3])
+
+    def next_flip(self) -> Optional[int]:
+        """The first instant at which a candidate that does not hold now
+        starts to hold."""
+        top = self._top(self.wait)
+        return None if top is None else top[0]
+
+
+class Agenda:
+    """The candidates of every transition, kept across the steps of a run.
+
+    Slots are built on first use from the current snapshot.  ``commit``
+    takes the snapshot after a firing and hands its token changes to the
+    slots of the transitions whose input places changed: the tokens the
+    event consumed and produced, and the difference between the old and
+    new pool of every view place that was refreshed.  A slot catches up
+    when it is next asked (``slot``), so a transition that no step asks
+    about binds nothing.  With ``eager``, slots also keep the onsets and
+    heaps of the eager policy.
+    """
+
+    def __init__(self, net: Net, snapshot: Snapshot, eager: bool = False):
+        self.net = net
+        self.snap = snapshot
+        self.eager = eager
+        self.slots: dict[str, _Slot] = {}
+        self.readers: dict[str, list[_Slot]] = {}  # place id -> slots it feeds
+        self.views = tuple(p.id for p in net.places if p.kind == "view")
+
+    def slot(self, t: Transition) -> _Slot:
+        slot = self.slots.get(t.id)
+        if slot is None:
+            slot = self.slots[t.id] = _Slot(self.net, self.snap, t, self.eager)
+            for place in dict.fromkeys(arc.place for arc in t.inputs):
+                self.readers.setdefault(place, []).append(slot)
+        else:
+            slot.sync(self.net, self.snap)
+        return slot
+
+    def commit(self, snapshot: Snapshot, event: FiringEvent) -> None:
+        delta: dict[str, Counter] = {}  # place id -> token key -> net change
+        if event.outcome != "halted":
+            for sign, pairs in ((-1, event.consumed), (1, event.produced)):
+                for pid, tok in pairs:
+                    if self.net.place(pid).kind == "normal":
+                        delta.setdefault(pid, Counter())[tok.value, tok.created_at] += sign
+            for pid in self.views:
+                old, new = self.snap.marking.tokens(pid), snapshot.marking.tokens(pid)
+                if new is not old:
+                    # a view holds distinct rows
+                    old, new = set(map(_token_key, old)), set(map(_token_key, new))
+                    delta[pid] = Counter(new - old)
+                    delta[pid].subtract(old - new)
+        for pid, counts in delta.items():
+            for slot in self.readers.get(pid, ()):
+                slot.pending.setdefault(pid, Counter()).update(counts)
+        self.snap = snapshot
+
+    def eager_step(self, until: Optional[int]):
+        """The eager policy's next move: ("fire", (cand, at)), ("advance",
+        clock), or None at quiescence.
+
+        The first transition by id with a candidate that holds now and is
+        due fires its first such candidate in canonical order.  Delay-0
+        transitions after it are not asked; delayed ones are, every step,
+        to keep their onsets.  Otherwise the earliest of the least due time
+        (ties to the first transition by id, then canonical order) and the
+        first flip of a candidate that does not hold is next.
+        """
+        clock = self.snap.clock
+        best = None
+        asked = []
+        for t in _transitions_by_id(self.net):
+            if best is not None and not t.delay[0]:
+                continue  # cannot beat the tie-break and keeps no onsets
+            slot = self.slot(t)
+            slot.observe(clock)
+            asked.append(slot)
+            if best is None:
+                best = slot.first_ready()
+        if best is not None:
+            return None if until is not None and clock > until else ("fire", (best, clock))
+        due: Optional[int] = None
+        min_flip: Optional[int] = None
+        for slot in asked:
+            head = slot.next_due()
+            if head is not None and (due is None or head[0] < due):
+                due, best = head
+            flip = slot.next_flip()
+            if flip is not None and (min_flip is None or flip < min_flip):
+                min_flip = flip
+        if min_flip is not None and (due is None or min_flip < due):
+            due, best = min_flip, None
+        if due is None or (until is not None and due > until):
+            return None
+        if best is None or not best.holds(due):
+            # nothing is due before the flip, or the guard held at
+            # enablement but lapsed before the window opened: let time pass
+            # and reschedule from there
+            return ("advance", due)
+        return ("fire", (best, due))
+
+    def random_step(self, rng: random.Random, until: Optional[int]):
+        """The random policy's next move: a uniformly drawn pair among
+        those that can fire now, at a drawn time in its delay window at
+        which its guard holds.  Returns ("fire", (cand, at)), ("advance",
+        clock), or None at quiescence."""
+        clock = self.snap.clock
+        cands = []  # the first candidate of each binding that can fire now
+        seen = set()
+        min_flip: Optional[int] = None
+        for t in _transitions_by_id(self.net):
+            for cand in self.slot(t).order:
+                u = first_true(cand.pickable(), clock)
+                if u == clock:
+                    key = (t.id, cand.binding_items())
+                    if key not in seen:
+                        seen.add(key)
+                        cands.append(cand)
+                elif u is not None and (min_flip is None or u < min_flip):
+                    min_flip = u
+        if cands:
+            cand = cands[rng.randrange(len(cands))]
+            at = _draw_time(rng, cand.truth, clock, cand.transition.delay)
+            if until is not None and at > until:
+                return None
+            return ("fire", (cand, at))
+        if min_flip is None or (until is not None and min_flip > until):
+            return None
+        return ("advance", min_flip)
 
 
 def _flip(snapshot: Snapshot, cand: _Cand, from_time: int) -> Optional[int]:
@@ -248,17 +634,16 @@ def enabled(net: Net, snapshot: Snapshot) -> list[tuple[str, dict, int]]:
     binding order."""
     _ensure_valid(net)
     _require_compliant(net, snapshot)
+    agenda = Agenda(net, snapshot)
+    clock = snapshot.clock
     out = []
     seen = set()
     for t in _transitions_by_id(net):
-        for cand in _enumerate(net, snapshot, t):
-            if _flip(snapshot, cand, snapshot.clock) != snapshot.clock:
-                continue
+        for cand in agenda.slot(t).order:
             key = (t.id, cand.binding_items())
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((t.id, dict(cand.env), snapshot.clock + t.delay[0]))
+            if cand.holds(clock) and key not in seen:
+                seen.add(key)
+                out.append((t.id, dict(cand.env), clock + t.delay[0]))
     return out
 
 
@@ -267,15 +652,13 @@ def advance_clock(net: Net, snapshot: Snapshot) -> Optional[int]:
     will become enabled by clock progress alone; None when quiescent."""
     _ensure_valid(net)
     _require_compliant(net, snapshot)
+    agenda = Agenda(net, snapshot)
     best: Optional[int] = None
     for t in net.transitions:
-        for cand in _enumerate(net, snapshot, t):
-            u = _flip(snapshot, cand, snapshot.clock)
-            if u is None:
-                continue
-            ft = u + t.delay[0]
-            if best is None or ft < best:
-                best = ft
+        for cand in agenda.slot(t).order:
+            u = first_true(cand.truth, snapshot.clock)
+            if u is not None and (best is None or u + t.delay[0] < best):
+                best = u + t.delay[0]
     return best
 
 
@@ -377,11 +760,7 @@ def fire(
     _require_compliant(net, snapshot)
     items = tuple(sorted(binding.items()))
     cand = next(
-        (
-            c
-            for c in _enumerate(net, snapshot, t)
-            if c.binding_items() == items and _flip(snapshot, c, snapshot.clock) == snapshot.clock
-        ),
+        (c for c in Agenda(net, snapshot).slot(t).order if c.binding_items() == items and c.holds(snapshot.clock)),
         None,
     )
     if cand is None:
@@ -429,26 +808,26 @@ def run(
 
     meta = TraceMeta(net.fingerprint(), policy, seed if policy == "random" else None)
     events: list[FiringEvent] = []
-    snap = initial
     final = initial  # snapshot after the last event; clock advances between
     # events are cursor movement only, so traces replay exactly
     if check_views:
-        _check_view_consistency(net, snap)
-    onsets: dict = {}
+        _check_view_consistency(net, initial)
+    agenda = Agenda(net, initial, eager=policy == "eager")
 
     while len(events) < max_steps:
         if policy == "eager":
-            step_result = _eager_step(net, snap, onsets, until)
+            step_result = agenda.eager_step(until)
         else:
-            step_result = _random_step(net, snap, rng, until)
+            step_result = agenda.random_step(rng, until)
         if step_result is None:
             break
         kind, payload = step_result
         if kind == "advance":
-            snap = snap.advanced(payload)
+            agenda.snap = agenda.snap.advanced(payload)
             continue
         cand, at = payload
-        snap, event = _execute(net, snap, cand, at, len(events))
+        snap, event = _execute(net, agenda.snap, cand, at, len(events))
+        agenda.commit(snap, event)
         final = snap
         events.append(event)
         if check_views and event.outcome == "committed":
@@ -457,95 +836,6 @@ def run(
             break
 
     return Trace(meta, initial, tuple(events), final)
-
-
-def _eager_step(net: Net, snap: Snapshot, onsets: dict, until: Optional[int]):
-    """Pick the next action for the eager policy.
-
-    Returns ("fire", (cand, at)), ("advance", clock), or None at quiescence.
-    Mutates ``onsets``, the map from candidate identity to the time its
-    enablement began (tracked only where the delay window needs it).
-    """
-    clock = snap.clock
-    best = None  # least (ft, tid, binding, cand) among candidates holding now
-    min_flip: Optional[int] = None
-    new_onsets: dict = {}
-
-    for t in _transitions_by_id(net):
-        dmin = t.delay[0]
-        if dmin == 0 and best is not None and best[0] == clock:
-            continue  # cannot beat the tie-break and needs no onset tracking
-        for cand in _enumerate(net, snap, t):
-            u = _flip(snap, cand, clock)
-            if u != clock:
-                if u is not None and (min_flip is None or u < min_flip):
-                    min_flip = u
-                continue
-            ft = clock
-            if dmin:
-                key = cand.onset_key()
-                onset = new_onsets[key] = onsets.get(key, clock)
-                ft = max(onset + dmin, clock)
-            if best is None or (ft, t.id, cand.binding_items()) < best[:3]:
-                best = (ft, t.id, cand.binding_items(), cand)
-            if not dmin:
-                # the first candidate in canonical order fires now; flip
-                # times of the candidates after it are irrelevant
-                break
-
-    onsets.clear()
-    onsets.update(new_onsets)
-
-    due = None if best is None else best[0]
-    if min_flip is not None and (due is None or min_flip < due):
-        due, best = min_flip, None
-    if due is None or (until is not None and due > until):
-        return None
-    if best is None:
-        return ("advance", due)
-    cand = best[3]
-    if due != clock and _flip(snap, cand, due) != due:
-        # the guard held at enablement but lapsed before the window opened;
-        # let time pass and reschedule from there
-        return ("advance", due)
-    return ("fire", (cand, due))
-
-
-def _random_step(net: Net, snap: Snapshot, rng: random.Random, until: Optional[int]):
-    """Pick the next action for the random policy: a uniformly drawn pair
-    among those that can fire now, at a drawn time in its delay window at
-    which its guard holds.  Returns ("fire", (cand, at)), ("advance",
-    clock), or None at quiescence."""
-    clock = snap.clock
-    cands = []  # (cand, truth set of its guard), first of each binding
-    seen = set()
-    min_flip: Optional[int] = None
-    for t in _transitions_by_id(net):
-        lo, hi = t.delay
-        for cand in _enumerate(net, snap, t):
-            truth = guard_truth(t.guard, cand.env, instance=snap.instance, ages=cand.ages)
-            # instants at which the guard holds and the window anchored there
-            # meets the truth set; a window starting at its anchor always does
-            ready = truth if lo == 0 else intersect(truth, window_starts(truth, lo, hi))
-            u = first_true(ready, clock)
-            if u == clock:
-                key = (t.id, cand.binding_items())
-                if key not in seen:
-                    seen.add(key)
-                    cands.append((cand, truth))
-            elif u is not None and (min_flip is None or u < min_flip):
-                min_flip = u
-    if cands:
-        cand, truth = cands[rng.randrange(len(cands))]
-        at = _draw_time(rng, truth, clock, cand.transition.delay)
-        if until is not None and at > until:
-            return None
-        return ("fire", (cand, at))
-    if min_flip is None:
-        return None
-    if until is not None and min_flip > until:
-        return None
-    return ("advance", min_flip)
 
 
 def _draw_time(rng: random.Random, truth: tuple, clock: int, delay: tuple) -> int:

@@ -509,6 +509,23 @@ def _truth(e):
     return fn
 
 
+def relations_read(e) -> tuple[str, ...]:
+    """The relations an expression reads through ``count`` and
+    ``merge_text``, sorted; found once per node and cached on it."""
+    rels = getattr(e, "_reads", None)
+    if rels is None:
+        t = type(e)
+        if t is DbCount or t is DbMergeText:
+            rels = (e.relation,)
+        elif t is Op:
+            rels = tuple(sorted({r for a in e.args for r in relations_read(a)}))
+        else:
+            rels = ()
+        if t in _NODES:
+            object.__setattr__(e, "_reads", rels)
+    return rels
+
+
 def guard_truth(
     guard,
     env: Mapping[str, object],

@@ -9,7 +9,7 @@ committed firing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from typing import Iterable, Mapping, Optional
@@ -151,6 +151,19 @@ def _token_sort(tokens: Iterable[Token]) -> tuple[Token, ...]:
     return tuple(toks)
 
 
+def _span(pool: tuple[Token, ...], tok: Token) -> range:
+    """The positions of the tokens equal to ``tok`` in a sorted pool: a
+    binary search in a pool of conforming values, a scan when values do not
+    compare."""
+    try:
+        key = _token_order(tok)
+        lo = bisect_left(pool, key, key=_token_order)
+        return range(lo, bisect_right(pool, key, lo, key=_token_order))
+    except TypeError:
+        at = [i for i, t in enumerate(pool) if t == tok]
+        return range(at[0], at[-1] + 1) if at else range(0)
+
+
 class Marking:
     """Multiset of tokens per place, kept canonically ordered."""
 
@@ -167,14 +180,8 @@ class Marking:
 
     def holds(self, pid: str, tok: Token, copies: int = 1) -> bool:
         """Whether place ``pid`` holds at least ``copies`` tokens equal to
-        ``tok``.  A binary search finds them in a pool of conforming values;
-        counting the whole pool settles every other case."""
-        pool = self.tokens(pid)
-        try:
-            i = bisect_left(pool, _token_order(tok), key=_token_order)
-        except TypeError:
-            return pool.count(tok) >= copies
-        return pool[i : i + copies] == (tok,) * copies or pool.count(tok) >= copies
+        ``tok``."""
+        return len(self.span(pid, tok)) >= copies
 
     def place_ids(self) -> list[str]:
         return sorted(pid for pid, toks in self._tokens.items() if toks)
@@ -182,27 +189,41 @@ class Marking:
     def size(self) -> int:
         return sum(len(t) for t in self._tokens.values())
 
+    def span(self, pid: str, tok: Token) -> range:
+        """The positions of the tokens equal to ``tok`` in place ``pid``'s
+        pool, which are adjacent because the pool is sorted."""
+        return _span(self.tokens(pid), tok)
+
     def updated(
         self,
         remove: Iterable[tuple[str, Token]] = (),
         add: Iterable[tuple[str, Token]] = (),
         views: Mapping[str, Iterable[Token]] | None = None,
     ) -> "Marking":
+        """A new marking without ``remove`` (one copy each, ValueError when
+        absent), with ``add``, and with the pools of ``views`` replaced.
+        Removals and additions find their position by binary search; pools
+        whose values do not compare fall back to a scan and a full sort."""
         new = dict(self._tokens)
-        touched: set[str] = set()
         for pid, tok in remove:
-            pool = list(new.get(pid, ()))
-            pool.remove(tok)  # removal from a sorted tuple stays sorted
-            new[pid] = tuple(pool)
+            pool = new.get(pid, ())
+            at = _span(pool, tok)
+            i = at.start if at else pool.index(tok)  # ValueError when absent
+            new[pid] = pool[:i] + pool[i + 1 :]
+        grown: dict[str, list] = {}
         for pid, tok in add:
-            new[pid] = new.get(pid, ()) + (tok,)
-            touched.add(pid)
+            grown.setdefault(pid, []).append(tok)
+        for pid, toks in grown.items():
+            pool = list(new.get(pid, ()))
+            try:
+                for tok in toks:
+                    insort(pool, tok, key=_token_order)
+            except TypeError:
+                pool = _token_sort(new.get(pid, ()) + tuple(toks))
+            new[pid] = tuple(pool)
         if views:
             for pid, toks in views.items():
-                new[pid] = tuple(toks)
-                touched.add(pid)
-        for pid in touched:
-            new[pid] = _token_sort(new[pid])
+                new[pid] = _token_sort(toks)
         m = Marking.__new__(Marking)
         m._tokens = new
         return m

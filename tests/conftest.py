@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from tdbnet.exprs import Const, Op, Var
 from tdbnet.net import InputArc, Net, OutputArc, Place, Transition
 from tdbnet.persistence import Atom, Column, Query, Relation, Schema
 from tdbnet.values import INT, TEXT, product
+
+# ``--hypothesis-profile=ci`` runs the Hypothesis tests that leave their
+# example count to the profile (the generated-net differential in
+# test_scheduler_oracle.py) ten times deeper than the default 100.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdbnet.engine import (
     FiringError,
@@ -444,69 +446,81 @@ def test_flip_time_exact_at_large_clock_in_runs():
         replay(net, tr)
 
 
-def test_guards_are_solved_once_per_candidate():
-    # A deterministic counter gate: guards go only through the truth-set
-    # query, once per enumerated candidate, never through eval_expr.
-    bundle = build_delayer(250)
-    snap = with_workload(bundle, parse_workload("delayer", "steady:50:every:10@0"))
+def _scheduler_counts(monkeypatch, bundle, kind, spec):
+    """An eager run of a pattern workload, with the engine's candidates
+    bound, guard truth sets solved, guards that reached ``eval_expr`` and
+    ``match_pattern`` calls counted."""
+    counts = dict.fromkeys(("candidates", "solves", "guard_evals", "matches"), 0)
     guards = {id(t.guard) for t in bundle.net.transitions}
-    counts = {"candidates": 0, "flips": 0, "guard_evals": 0}
-    originals = (engine._enumerate, engine.guard_flip_time, engine.eval_expr)
+    cand, solve, evaluate, match = engine._Cand, engine.guard_truth, engine.eval_expr, engine.match_pattern
 
-    def enumerate_(*a, **kw):
-        out = originals[0](*a, **kw)
-        counts["candidates"] += len(out)
-        return out
+    class Counted(cand):
+        __slots__ = ()
 
-    def flip(*a, **kw):
-        counts["flips"] += 1
-        return originals[1](*a, **kw)
+        def __init__(self, *a):
+            counts["candidates"] += 1
+            super().__init__(*a)
 
-    def evaluate(e, *a, **kw):
+    def counted_solve(*a, **kw):
+        counts["solves"] += 1
+        return solve(*a, **kw)
+
+    def counted_eval(e, *a, **kw):
         counts["guard_evals"] += id(e) in guards
-        return originals[2](e, *a, **kw)
-
-    engine._enumerate, engine.guard_flip_time, engine.eval_expr = enumerate_, flip, evaluate
-    try:
-        tr = run(bundle.net, snap)
-    finally:
-        engine._enumerate, engine.guard_flip_time, engine.eval_expr = originals
-    assert len(tr.events) == 100
-    assert counts["guard_evals"] == 0
-    assert 0 < counts["flips"] <= counts["candidates"]
-
-
-@pytest.mark.parametrize(
-    "build,kind,spec,candidates",
-    [
-        (lambda: build_throttler(5), "throttler", "burst:200@0", 40_400),
-        (lambda: build_delayer(250), "delayer", "steady:200:every:10@0", 65_100),
-    ],
-    ids=["throttler", "delayer"],
-)
-def test_candidate_and_match_counts_are_fixed(monkeypatch, build, kind, spec, candidates):
-    # A deterministic counter gate: the enumerator returns exactly the
-    # candidates that the full-rescan scheduler returned on these runs, and
-    # every arc of both nets binds distinct fresh variables by position.
-    bundle = build()
-    snap = with_workload(bundle, parse_workload(kind, spec))
-    counts = {"candidates": 0, "matches": 0}
-    enumerate_, match = engine._enumerate, engine.match_pattern
-
-    def counted_enumerate(*a, **kw):
-        out = enumerate_(*a, **kw)
-        counts["candidates"] += len(out)
-        return out
+        return evaluate(e, *a, **kw)
 
     def counted_match(*a, **kw):
         counts["matches"] += 1
         return match(*a, **kw)
 
-    monkeypatch.setattr(engine, "_enumerate", counted_enumerate)
+    monkeypatch.setattr(engine, "_Cand", Counted)
+    monkeypatch.setattr(engine, "guard_truth", counted_solve)
+    monkeypatch.setattr(engine, "eval_expr", counted_eval)
     monkeypatch.setattr(engine, "match_pattern", counted_match)
-    run(bundle.net, snap)
-    assert counts["candidates"] == candidates
+    trace = run(bundle.net, with_workload(bundle, parse_workload(kind, spec)))
+    return trace, counts
+
+
+def test_guards_are_solved_once_per_candidate(monkeypatch):
+    # A deterministic counter gate: no delayer guard reads a relation, so
+    # each candidate's truth set is solved once, when it is bound, and no
+    # guard reaches eval_expr.
+    tr, counts = _scheduler_counts(monkeypatch, build_delayer(250), "delayer", "steady:50:every:10@0")
+    assert len(tr.events) == 100
+    assert counts["guard_evals"] == 0
+    assert counts["solves"] == counts["candidates"] == 100
+
+
+@pytest.mark.parametrize(
+    "build,kind,spec,candidates,solves",
+    [
+        (lambda: build_throttler(5), "throttler", "burst:200@0", 20_500, 20_500),
+        (lambda: build_delayer(250), "delayer", "steady:200:every:10@0", 400, 400),
+        (lambda: build_throttler(5), "throttler", "burst:400@0", 81_000, 81_000),
+        (lambda: build_delayer(250), "delayer", "steady:400:every:10@0", 800, 800),
+    ],
+    ids=["throttler", "delayer", "throttler-400", "delayer-400"],
+)
+def test_candidate_and_match_counts_are_fixed(monkeypatch, build, kind, spec, candidates, solves):
+    # A deterministic counter gate on the agenda: candidates are bound once
+    # per new token (the throttler's two-arc t_admit joins each returned
+    # capacity token with the waiting messages), no guard of either net reads
+    # a relation, so each truth set is solved once, when its candidate is
+    # bound; every arc binds distinct fresh variables by position.
+    _, counts = _scheduler_counts(monkeypatch, build(), kind, spec)
+    assert (counts["candidates"], counts["solves"]) == (candidates, solves)
     assert counts["matches"] == 0
+    assert counts["guard_evals"] == 0
+
+
+def test_guard_solves_scale_linearly(monkeypatch):
+    # Twice the messages cost at most 2.2 times the truth-set solves (the
+    # full-rescan scheduler solved 40,525 at N=200 and 160,725 at N=400).
+    solves = []
+    for n in (200, 400):
+        _, counts = _scheduler_counts(monkeypatch, build_delayer(250), "delayer", f"steady:{n}:every:10@0")
+        solves.append(counts["solves"])
+    assert solves[1] <= 2.2 * solves[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +542,53 @@ def test_initial_snapshot_rejects_tokens_on_view_places(trip_net):
 def test_initial_snapshot_rejects_bad_facts(trip_net):
     with pytest.raises(DefinitionError):
         initial_snapshot(trip_net, facts=[("Endpoints", ("ep1",), 0)])
+
+
+def reference_updated(marking, remove=(), add=(), views=None):
+    """``Marking.updated`` as it was before removals and additions found
+    their place by binary search: list removal, then a full sort of every
+    touched pool."""
+    new = {pid: marking.tokens(pid) for pid in marking.place_ids()}
+    touched = set()
+    for pid, tok in remove:
+        pool = list(new.get(pid, ()))
+        pool.remove(tok)  # removal from a sorted tuple stays sorted
+        new[pid] = tuple(pool)
+    for pid, tok in add:
+        new[pid] = new.get(pid, ()) + (tok,)
+        touched.add(pid)
+    if views:
+        for pid, toks in views.items():
+            new[pid] = tuple(toks)
+            touched.add(pid)
+    for pid in touched:
+        new[pid] = tuple(sorted(new[pid], key=lambda t: (t.value, t.created_at)))
+    return new
+
+
+SMALL_TOKENS = st.builds(Token, st.integers(0, 3), st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from("pq"), st.lists(SMALL_TOKENS, max_size=6), max_size=2),
+    st.data(),
+)
+def test_marking_updated_equals_the_reference(pools, data):
+    # duplicates, equal values created at different times, and removal of
+    # the last copy of a token
+    marking = Marking(pools)
+    present = [(pid, tok) for pid in marking.place_ids() for tok in marking.tokens(pid)]
+    removals = st.lists(st.sampled_from(present), unique_by=lambda pair: id(pair[1])) if present else st.just([])
+    remove = data.draw(removals)
+    add = data.draw(st.lists(st.tuples(st.sampled_from("pqr"), SMALL_TOKENS), max_size=4))
+    views = data.draw(st.one_of(st.none(), st.dictionaries(st.just("v"), st.lists(SMALL_TOKENS, max_size=4))))
+    got = marking.updated(remove=remove, add=add, views=views)
+    want = reference_updated(marking, remove, add, views)
+    assert {pid: got.tokens(pid) for pid in got.place_ids()} == {pid: toks for pid, toks in want.items() if toks}
+    absent = Token(9, 9)
+    with pytest.raises(ValueError):
+        marking.updated(remove=[("p", absent)])
 
 
 def test_view_consistency_error_is_an_assertion():

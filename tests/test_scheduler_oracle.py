@@ -1,25 +1,27 @@
-"""The engine's single candidate enumerator against the frozen full-rescan
-scheduler in ``reference_engine``.
+"""The engine's agenda against the frozen full-rescan scheduler in
+``reference_engine``.
 
 Runs must serialize to the same bytes under the eager policy and five
 random-policy seeds, ``enabled`` and ``advance_clock`` must agree at every
-snapshot a run passes through, and on generated transitions the enumerator
-must return the oracle's sorted candidates, each of which replay's
-``_recorded_cand`` binds back to itself.
+snapshot a run passes through, on the catalog and on generated nets (whose
+example count the ``ci`` Hypothesis profile raises); on generated
+transitions the enumerator must return the oracle's sorted candidates,
+each of which replay's ``_recorded_cand`` binds back to itself, and the
+agenda must reach the same candidates from a delta of tokens.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
 from test_replay import CATALOG, POLICIES
 from tdbnet import engine
 from tdbnet.engine import FiringEvent
-from tdbnet.exprs import Age, Const, Op, Var, Wild
+from tdbnet.exprs import Age, Const, DbCount, Now, Op, Param, Var, Wild
 from tdbnet.formats import serialize_trace
-from tdbnet.net import InputArc, Net, OutputArc, Place, Token, Transition, initial_snapshot
-from tdbnet.persistence import Atom, Column, Query, Relation, Schema
+from tdbnet.net import ActionCall, InputArc, Net, OutputArc, Place, Snapshot, Token, Transition, initial_snapshot
+from tdbnet.persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema
 from tdbnet.values import INT, product
 
 
@@ -52,8 +54,90 @@ def _tie(request):
     return net, initial_snapshot(net, tokens={"a_in": [1], "b_in": [2]})
 
 
+# a keyed relation that actions write and guards count
+R = Relation("R", (Column("a", INT), Column("b", INT)), ("a",))
+PUT = Action("put", params=(("k", INT), ("v", INT)), adds=(FactTemplate("R", (Param("k"), Param("v"))),))
+DROP = Action("drop", params=(("k", INT),), dels=(FactTemplate("R", (Param("k"), Wild())),))
+ROWS = DbCount("R", (Wild(), Wild()))
+
+
+def _lapse(request):
+    """``t``'s guard holds while a token is younger than 2 or at least 6
+    old, and its window opens 3 after enablement.  The token created at 3
+    lapses before its window opens at 6, so its onset moves to 9 and it
+    fires at 12; the token created at 0 starts to hold at 6 and fires at
+    9, when the first one's guard holds again."""
+    lapsing = Op("or", (Op("<", (Age("x"), Const(2))), Op(">=", (Age("x"), Const(6)))))
+    t = Transition(
+        "t", inputs=(InputArc("p", Var("x")),), guard=lapsing, delay=(3, 3), outputs=(OutputArc("out", Var("x")),)
+    )
+    net = Net(places=(Place("p", INT), Place("out", INT)), transitions=(t,), schema=Schema(()))
+    return net, initial_snapshot(net, tokens={"p": [Token(1, 3), Token(2, 0)]}, clock=3)
+
+
+def _rewrite(request):
+    """``wait``'s guard reads R, which ``put`` writes at 1 while ``wait``
+    sits in its delay window: the truth set is solved again, and the onset
+    stays at 0."""
+    net = Net(
+        places=(Place("p", INT), Place("q", INT), Place("out", INT)),
+        transitions=(
+            Transition(
+                "put",
+                inputs=(InputArc("q", Var("k")),),
+                delay=(1, 1),
+                actions=(ActionCall("put", (Var("k"), Const(1))),),
+            ),
+            Transition(
+                "wait",
+                inputs=(InputArc("p", Var("x")),),
+                guard=Op("<=", (ROWS, Const(1))),
+                delay=(4, 4),
+                outputs=(OutputArc("out", Var("x")),),
+            ),
+        ),
+        schema=Schema((R,)),
+        actions=(PUT,),
+    )
+    return net, initial_snapshot(net, tokens={"p": [1], "q": [5]})
+
+
+def _toggle(request):
+    """At 2, ``a_put`` writes R and ``b_drop`` deletes it again: ``z_wait``
+    stops holding for the one step between them, although a transition
+    that sorts first fires in that step, so its onset moves from 0 to 2."""
+    after = Op(">=", (Now(), Const(2)))
+    net = Net(
+        places=(Place("p", INT), Place("q", INT), Place("r", INT), Place("out", INT)),
+        transitions=(
+            Transition(
+                "a_put",
+                inputs=(InputArc("q", Var("k")),),
+                guard=after,
+                actions=(ActionCall("put", (Var("k"), Const(1))),),
+            ),
+            Transition(
+                "b_drop",
+                inputs=(InputArc("r", Var("k")),),
+                guard=Op("and", (after, Op(">=", (ROWS, Const(1))))),
+                actions=(ActionCall("drop", (Var("k"),)),),
+            ),
+            Transition(
+                "z_wait",
+                inputs=(InputArc("p", Var("x")),),
+                guard=Op("=", (ROWS, Const(0))),
+                delay=(3, 3),
+                outputs=(OutputArc("out", Var("x")),),
+            ),
+        ),
+        schema=Schema((R,)),
+        actions=(PUT, DROP),
+    )
+    return net, initial_snapshot(net, tokens={"p": [1], "q": [7], "r": [7]})
+
+
 NETS = {name: (lambda request, make=make: make()) for name, make in CATALOG.items()}
-NETS.update(timer=_timer, trip=_trip, tie=_tie)
+NETS.update(timer=_timer, trip=_trip, tie=_tie, lapse=_lapse, rewrite=_rewrite, toggle=_toggle)
 
 
 def _snapshots(net, trace):
@@ -71,17 +155,86 @@ def _snapshots(net, trace):
         yield snap
 
 
+def _agree(net, initial, policy, seed, max_steps):
+    got = engine.run(net, initial, policy=policy, seed=seed, max_steps=max_steps)
+    want = ref.run(net, initial, policy=policy, seed=seed, max_steps=max_steps)
+    assert serialize_trace(got) == serialize_trace(want)
+    for snap in _snapshots(net, got):
+        assert engine.enabled(net, snap) == ref.enabled(net, snap)
+        assert engine.advance_clock(net, snap) == ref.advance_clock(net, snap)
+    return got
+
+
 @pytest.mark.parametrize("policy,seed", POLICIES)
 @pytest.mark.parametrize("name", sorted(NETS))
 def test_runs_and_queries_equal_the_oracle(request, name, policy, seed):
     net, initial = NETS[name](request)
     # trip reads a view place without consuming it, so it never stops
-    got = engine.run(net, initial, policy=policy, seed=seed, max_steps=100)
-    want = ref.run(net, initial, policy=policy, seed=seed, max_steps=100)
-    assert serialize_trace(got) == serialize_trace(want)
-    for snap in _snapshots(net, got):
-        assert engine.enabled(net, snap) == ref.enabled(net, snap)
-        assert engine.advance_clock(net, snap) == ref.advance_clock(net, snap)
+    _agree(net, initial, policy, seed, 100)
+
+
+def test_delayed_candidate_due_at_a_flip_fires_first(request):
+    # The eager policy compares the least due time with the first flip of
+    # a guard: a delayed candidate due at t fires at t before a delay-0
+    # candidate whose guard starts to hold at t, whatever their ids; the
+    # latter competes only once the clock stands at t.
+    net, initial = _tie(request)
+    tr = engine.run(net, initial)
+    assert [(ev.transition, ev.time) for ev in tr.events] == [("b", 5), ("a", 5)]
+
+
+@pytest.mark.parametrize(
+    "name,fired",
+    [
+        ("lapse", [("t", 9), ("t", 12)]),
+        ("rewrite", [("put", 1), ("wait", 4)]),
+        ("toggle", [("a_put", 2), ("b_drop", 2), ("z_wait", 5)]),
+    ],
+)
+def test_onsets_follow_the_steps(request, name, fired):
+    # an onset survives only while its candidate holds at every step
+    net, initial = NETS[name](request)
+    tr = engine.run(net, initial)
+    assert [(ev.transition, ev.time) for ev in tr.events] == fired
+
+
+@pytest.mark.parametrize("puts", range(60, 64))
+def test_heaps_stay_bounded_when_a_read_relation_changes_every_step(monkeypatch, puts):
+    # ``a_put`` writes R at each of the first steps at clock 20, so the 20
+    # candidates of the delayed ``b_wait``, whose guard reads R, are solved
+    # and settled again at every step, each pushing a ``wait`` entry (at
+    # times that fall in canonical order); without reclaiming the outdated
+    # ones the heaps grow by 20 entries per step, and then by 40 while the
+    # candidates hold and wait for their window.  Four run lengths let the
+    # last write meet a rebuild.
+    aged = Op("and", (Op(">=", (Age("x"), Const(25))), Op("<", (Now(), Const(10**6)))))
+    waiting = Op("and", (Op(">=", (ROWS, Const(0))), aged))
+    net = Net(
+        places=(Place("p", INT), Place("q", INT), Place("out", INT)),
+        transitions=(
+            Transition("a_put", inputs=(InputArc("q", Var("k")),), actions=(ActionCall("put", (Var("k"), Const(1))),)),
+            Transition(
+                "b_wait", inputs=(InputArc("p", Var("x")),), guard=waiting, delay=(5, 5), outputs=(OutputArc("out", Var("x")),)
+            ),
+        ),
+        schema=Schema((R,)),
+        actions=(PUT,),
+    )
+    born = [Token(i, 19 - i) for i in range(20)]
+    initial = initial_snapshot(net, tokens={"p": born, "q": list(range(puts))}, clock=20)
+    entries = []
+    observe = engine._Slot.observe
+
+    def counted_observe(slot, at):
+        observe(slot, at)
+        if slot.t.id == "b_wait":
+            entries.append(len(slot.wait) + len(slot.hold) + len(slot.due))
+
+    monkeypatch.setattr(engine._Slot, "observe", counted_observe)
+    tr = engine.run(net, initial)
+    assert [ev.transition for ev in tr.events] == ["a_put"] * puts + ["b_wait"] * 20
+    assert len(entries) >= puts and max(entries) <= 4 * 20 + 64
+    assert serialize_trace(tr) == serialize_trace(ref.run(net, initial))
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +286,125 @@ def _key(cand):
     return (cand.transition.id, cand.binding_items(), cand.matches, cand.ages)
 
 
+def _oracle(net, snap, t):
+    return [_key(c) for c in ref._cand_sorted(ref._enumerate(net, snap, t))]
+
+
 @settings(max_examples=400, deadline=None)
-@given(_cases())
-def test_enumerator_equals_the_oracle(case):
+@given(_cases(), st.data())
+def test_enumerator_equals_the_oracle(case, data):
     net, snap = case
     engine._ensure_valid(net)
     (t,) = net.transitions
     got = engine._enumerate(net, snap, t)
-    assert [_key(c) for c in got] == [_key(c) for c in ref._cand_sorted(ref._enumerate(net, snap, t))]
+    assert [_key(c) for c in got] == _oracle(net, snap, t)
     for cand in got:
         consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
         ev = FiringEvent(0, snap.clock, t.id, cand.binding_items(), consumed, (), (), (), "committed")
         assert _key(engine._recorded_cand(net, snap, t, ev)) == _key(cand)
+    # the agenda reaches the same candidates from a delta: some tokens
+    # produced into a snapshot without them, or consumed from this one
+    pool = [(pid, tok) for pid in "pr" for tok in snap.marking.tokens(pid)]
+    picked = data.draw(st.sets(st.integers(0, len(pool) - 1))) if pool else set()
+    moved = tuple(pool[i] for i in sorted(picked))
+    less = Snapshot(snap.instance, snap.marking.updated(remove=moved), snap.clock)
+    for before, after, consumed, produced in ((less, snap, (), moved), (snap, less, moved, ())):
+        agenda = engine.Agenda(net, before)
+        agenda.slot(t)
+        agenda.commit(after, FiringEvent(0, snap.clock, t.id, (), consumed, produced, (), (), "committed"))
+        assert [_key(c) for c in agenda.slot(t).order] == _oracle(net, after, t)
+
+
+# ---------------------------------------------------------------------------
+# generated nets
+
+Q_R = Query("q_r", atoms=(Atom("R", (Var("a"), Var("b"))),), output=("a", "b"))
+NAMES = ("x", "y", "z", "w")
+DELAYS = st.one_of(
+    st.just((0, 0)),
+    st.integers(1, 4).map(lambda d: (d, d)),
+    st.tuples(st.integers(0, 2), st.integers(0, 3)).map(lambda lw: (lw[0], lw[0] + lw[1])),
+)
+
+
+@st.composite
+def _guards(draw, normal, bound):
+    """A guard over the bound variables: now(), age() of a variable bound
+    by a normal place (``age(x) < c`` lapses), and a count over R, which
+    ``put`` and ``drop`` write."""
+    atoms = [st.just(Const(True)), st.integers(0, 12).map(lambda c: Op(">=", (Now(), Const(c))))]
+    if normal:
+        var = st.sampled_from(normal)
+        ages = st.tuples(var, st.sampled_from((">=", "<")), st.integers(0, 6))
+        atoms += [ages.map(lambda v: Op(v[1], (Age(v[0]), Const(v[2]))))] * 2  # twice as likely
+    key = st.sampled_from(bound).map(Var) if bound else st.just(Wild())
+    atoms.append(
+        st.tuples(st.one_of(key, st.just(Wild())), st.sampled_from(("=", ">=", "<=")), st.integers(0, 2)).map(
+            lambda v: Op(v[1], (DbCount("R", (v[0], Wild())), Const(v[2])))
+        )
+    )
+    atom = st.one_of(*atoms)
+    return draw(st.one_of(atom, st.tuples(st.sampled_from(("and", "or")), atom, atom).map(lambda v: Op(v[0], v[1:]))))
+
+
+@st.composite
+def _transitions(draw, tid):
+    arcs, normal, bound = [], [], []
+    for place in draw(st.lists(st.sampled_from(("p", "p", "q", "v")), min_size=1, max_size=2)):
+        fresh = [n for n in NAMES if n not in bound]
+        if place == "v":
+            a, b = fresh[:2]
+            second = draw(st.sampled_from((Var(b), Wild())))
+            arcs.append(InputArc("v", (Var(a), second)))
+            bound += [a] + ([b] if type(second) is Var else [])
+        elif bound and draw(st.booleans()) and draw(st.booleans()):
+            arcs.append(InputArc(place, draw(st.one_of(st.sampled_from(bound).map(Var), SMALL.map(Const)))))
+        else:
+            arcs.append(InputArc(place, Var(fresh[0])))
+            bound.append(fresh[0])
+            normal.append(fresh[0])
+    term = st.one_of(st.sampled_from(bound).map(Var), SMALL.map(Const)) if bound else SMALL.map(Const)
+    outputs = tuple(OutputArc(place, draw(term)) for place in draw(st.lists(st.sampled_from("pq"), max_size=2)))
+    actions, rollbacks = (), ()
+    action = draw(st.sampled_from((None, "put", "drop")))
+    if action is not None:
+        args = (draw(term), draw(term)) if action == "put" else (draw(term),)
+        actions = (ActionCall(action, args),)
+        if draw(st.booleans()):
+            rollbacks = (OutputArc("q", Const(2)),)
+    return Transition(
+        tid,
+        inputs=tuple(arcs),
+        guard=draw(_guards(normal, bound)),
+        delay=draw(DELAYS),
+        outputs=outputs,
+        rollbacks=rollbacks,
+        actions=actions,
+    )
+
+
+@st.composite
+def _nets(draw):
+    count = draw(st.integers(1, 3))
+    net = Net(
+        places=(Place("p", INT), Place("q", INT), Place("v", PAIR, kind="view", query="q_r")),
+        transitions=tuple(draw(_transitions(f"t{i}")) for i in range(count)),
+        schema=Schema((R,)),
+        queries=(Q_R,),
+        actions=(PUT, DROP),
+    )
+    token = st.builds(Token, SMALL, st.integers(0, 3))
+    tokens = {place: draw(st.lists(token, min_size=place == "p", max_size=4)) for place in "pq"}
+    rows = draw(st.dictionaries(SMALL, SMALL, max_size=3))
+    return net, initial_snapshot(net, facts=[("R", row, 0) for row in sorted(rows.items())], tokens=tokens, clock=3)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_nets())
+def test_generated_runs_equal_the_oracle(case):
+    # shared input places, a view over a relation that actions write,
+    # guards on now(), age() and count(), delays whose window can open
+    # after the guard lapsed, key collisions and rollback arcs
+    net, initial = case
+    for policy, seed in [("eager", None)] + [("random", seed) for seed in range(3)]:
+        _agree(net, initial, policy, seed, 20)
