@@ -23,13 +23,19 @@ Semantics in brief:
 * Snapshots are color-checked: ``initial_snapshot``, ``run``, ``fire``,
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
   naming the place and the token when a token does not fit its place's
-  color, so the values of one pool always compare with each other.
+  color, so the values of one pool always compare with each other.  The
+  snapshots given to the others must also hold, on each view place that
+  copies a relation, exactly the tokens of its rows, because firings
+  patch such a view from row deltas.
 * ``enabled`` lists (transition, binding) pairs whose input patterns match
   distinct tokens and whose guard holds at the snapshot clock; the earliest
   firing time of a freshly enabled pair is ``clock + delay_min``.
 * ``fire`` consumes the matched tokens, evaluates action arguments against
-  the pre-firing instance, applies the actions atomically, produces output
-  tokens, and refreshes every view place.  A constraint violation either
+  the pre-firing instance, applies the actions atomically, and produces
+  output tokens.  The view places then follow the rows the actions added
+  and deleted: a view that copies one relation gains and loses the tokens
+  of exactly those rows, and any other view is evaluated again when a
+  relation it reads changed.  A constraint violation either
   produces tokens along the rollback arcs (outcome ``rolled_back``, instance
   reverted) or, absent rollback arcs, freezes the run at the last committed
   instance (outcome ``halted``).
@@ -102,9 +108,12 @@ from .net import (
     Snapshot,
     Token,
     Transition,
+    check_copied_views,
     check_marking,
     refresh_views,
     validate_net,
+    view_delta,
+    view_places,
     view_tokens,
 )
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
@@ -208,6 +217,7 @@ def _require_compliant(net: Net, snapshot: Snapshot) -> None:
     if bad:
         raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
     check_marking(net, snapshot.marking)
+    check_copied_views(net, snapshot)
 
 
 def _ensure_valid(net: Net) -> None:
@@ -498,11 +508,13 @@ class Agenda:
     Slots are built on first use from the current snapshot.  ``commit``
     takes the snapshot after a firing and hands its token changes to the
     slots of the transitions whose input places changed: the tokens the
-    event consumed and produced, and the difference between the old and
-    new pool of every view place that was refreshed.  A slot catches up
-    when it is next asked (``slot``), so a transition that no step asks
-    about binds nothing.  With ``eager``, slots also keep the onsets and
-    heaps of the eager policy.
+    event consumed and produced, the tokens of the rows it added to and
+    deleted from a relation that a view place copies (``view_delta``, as
+    ``refresh_views`` applies them), and the difference between the old
+    and new pool of every other view place that was evaluated again.  A
+    slot catches up when it is next asked (``slot``), so a transition that
+    no step asks about binds nothing.  With ``eager``, slots also keep the
+    onsets and heaps of the eager policy.
     """
 
     def __init__(self, net: Net, snapshot: Snapshot, eager: bool = False):
@@ -511,7 +523,6 @@ class Agenda:
         self.eager = eager
         self.slots: dict[str, _Slot] = {}
         self.readers: dict[str, list[_Slot]] = {}  # place id -> slots it feeds
-        self.views = tuple(p.id for p in net.places if p.kind == "view")
 
     def slot(self, t: Transition) -> _Slot:
         slot = self.slots.get(t.id)
@@ -530,13 +541,21 @@ class Agenda:
                 for pid, tok in pairs:
                     if self.net.place(pid).kind == "normal":
                         delta.setdefault(pid, Counter())[tok.value, tok.created_at] += sign
-            for pid in self.views:
-                old, new = self.snap.marking.tokens(pid), snapshot.marking.tokens(pid)
-                if new is not old:
+            for place, source, _ in view_places(self.net):
+                pid = place.id
+                if source is not None:
+                    lose, gain = view_delta(place, source, event.added, event.deleted)
+                    lost, gained = [_token_key(tok) for _, tok in lose], [_token_key(tok) for _, tok in gain]
+                else:
+                    old, new = self.snap.marking.tokens(pid), snapshot.marking.tokens(pid)
+                    if new is old:
+                        continue
                     # a view holds distinct rows
                     old, new = set(map(_token_key, old)), set(map(_token_key, new))
-                    delta[pid] = Counter(new - old)
-                    delta[pid].subtract(old - new)
+                    lost, gained = old - new, new - old
+                if lost or gained:
+                    delta[pid] = Counter(gained)
+                    delta[pid].subtract(lost)
         for pid, counts in delta.items():
             for slot in self.readers.get(pid, ()):
                 slot.pending.setdefault(pid, Counter()).update(counts)
@@ -725,9 +744,8 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
         return snap2, event
 
     produced = _produce(net, t.outputs, cand, pre, at)
-    changed = {rel for rel, _, _ in added} | {rel for rel, _, _ in deleted}
     marking = snapshot.marking.updated(remove=removals, add=produced)
-    marking = refresh_views(net, work, marking, changed)
+    marking = refresh_views(net, work, marking, (added, deleted))
     snap2 = Snapshot(work, marking, at)
     event = FiringEvent(
         step,

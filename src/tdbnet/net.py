@@ -3,8 +3,11 @@ with guards, delays, output and rollback arcs, markings, and snapshots.
 
 A snapshot bundles the relational instance, the marking, and the integer
 clock.  View places never store tokens of their own; their marking is the
-bound query evaluated on the current instance, recomputed after every
-committed firing.
+bound query evaluated on the current instance.  After a committed firing
+the views are brought up to date from the rows its actions added and
+deleted: a view whose query copies one relation gains and loses the tokens
+of exactly those rows, and any other view is evaluated again when a
+relation it reads changed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .exprs import (
     validate_time_usage,
     variables,
 )
-from .persistence import Action, Instance, Query, Schema, check_compliance, eval_query
+from .persistence import Action, Instance, Query, Schema, check_compliance, copied_relation, eval_query
 from .values import ColorType, conforms, value_key
 
 
@@ -252,41 +255,94 @@ class Snapshot:
         return replace(self, clock=clock)
 
 
-def view_tokens(net: Net, place: Place, instance: Instance) -> tuple[Token, ...]:
-    query = net.query(place.query)
-    rows = eval_query(instance, query)
+def _row_tokens(place: Place, rows: Iterable[tuple]) -> list[Token]:
+    """A view place's tokens for query result rows: the whole row on a
+    product-colored place, else its one column, created at 0."""
     if place.color.kind == "product":
-        return tuple(Token(row, 0) for row in rows)
-    return tuple(Token(row[0], 0) for row in rows)
+        return [Token(row, 0) for row in rows]
+    return [Token(row[0], 0) for row in rows]
+
+
+def view_tokens(net: Net, place: Place, instance: Instance) -> tuple[Token, ...]:
+    return tuple(_row_tokens(place, eval_query(instance, net.query(place.query))))
+
+
+def view_places(net: Net) -> tuple[tuple[Place, Optional[str], frozenset], ...]:
+    """(place, copied relation, relations read) per view place, built once
+    per net.  The copied relation is the one its query copies whole
+    (``copied_relation``), or None; the relations read are those of the
+    query's atoms and counts."""
+    cached = getattr(net, "_views", None)
+    if cached is None:
+        cached = []
+        for place in net.places:
+            if place.kind == "view":
+                query = net.query(place.query)
+                reads = {a.relation for a in query.atoms} | {
+                    side.relation for f in query.filters for side in (f.lhs, f.rhs) if isinstance(side, DbCount)
+                }
+                cached.append((place, copied_relation(query), frozenset(reads)))
+        cached = tuple(cached)
+        object.__setattr__(net, "_views", cached)
+    return cached
+
+
+def view_delta(place: Place, relation: str, added, deleted) -> tuple[list, list]:
+    """The ``(place id, Token)`` pairs a view place that copies ``relation``
+    loses and gains when the ``(relation, values, at)`` rows ``deleted`` and
+    ``added`` leave and enter the store.  A view token does not carry the
+    row's insertion time, so a row deleted and added again in one firing
+    changes nothing."""
+    change: dict[tuple, int] = {}
+    for sign, rows in ((-1, deleted), (1, added)):
+        for rel, values, _ in rows:
+            if rel == relation:
+                change[values] = change.get(values, 0) + sign
+    lose = _row_tokens(place, [values for values, n in change.items() if n < 0])
+    gain = _row_tokens(place, [values for values, n in change.items() if n > 0])
+    return [(place.id, tok) for tok in lose], [(place.id, tok) for tok in gain]
+
+
+def check_copied_views(net: Net, snapshot: "Snapshot") -> None:
+    """Raise DefinitionError unless every view place that copies a relation
+    holds the tokens of exactly that relation's rows: firings patch such a
+    view from row deltas, so it must start out right."""
+    for place, source, _ in view_places(net):
+        if source is not None:
+            rows = tuple(_row_tokens(place, (values for values, _ in snapshot.instance.rows(source))))
+            if snapshot.marking.tokens(place.id) != rows:
+                raise DefinitionError(f"view place {place.id!r}: its tokens are not the rows of {source!r}")
 
 
 def refresh_views(
     net: Net,
     instance: Instance,
     marking: Marking,
-    changed_relations: set[str] | None = None,
+    delta: Optional[tuple[Iterable, Iterable]] = None,
 ) -> Marking:
-    """Recompute view-place markings from the instance.
+    """Bring the view places of ``marking`` up to date with ``instance``.
 
-    When changed_relations is given, only views whose bound query mentions
-    one of those relations are recomputed (the others cannot have changed).
+    Without ``delta`` every view is evaluated from its query.  With
+    ``delta = (added, deleted)``, the ``(relation, values, at)`` rows that
+    turned ``marking``'s instance into ``instance``, a view whose query
+    copies one relation gains and loses the tokens of exactly those rows
+    (``view_delta``), by binary search in its sorted pool; any other view is
+    evaluated again, and only when it reads a relation that changed.
     """
-    views: dict[str, tuple[Token, ...]] = {}
-    for place in net.places:
-        if place.kind != "view":
-            continue
-        if changed_relations is not None:
-            query = net.query(place.query)
-            if not any(a.relation in changed_relations for a in query.atoms) and not any(
-                isinstance(side, DbCount) and side.relation in changed_relations
-                for f in query.filters
-                for side in (f.lhs, f.rhs)
-            ):
-                continue
-        views[place.id] = view_tokens(net, place, instance)
-    if not views:
-        return marking
-    return marking.updated(views=views)
+    if delta is None:
+        views = {place.id: view_tokens(net, place, instance) for place, _, _ in view_places(net)}
+        return marking.updated(views=views) if views else marking
+    added, deleted = delta
+    changed = {rel for rel, _, _ in added} | {rel for rel, _, _ in deleted}
+    lose, gain, views = [], [], {}
+    for place, source, reads in view_places(net):
+        if source is not None:
+            out, into = view_delta(place, source, added, deleted)
+            lose += out
+            gain += into
+        elif not reads.isdisjoint(changed):
+            views[place.id] = view_tokens(net, place, instance)
+    return marking.updated(remove=lose, add=gain, views=views) if lose or gain or views else marking
 
 
 def initial_snapshot(
@@ -313,19 +369,22 @@ def initial_snapshot(
     for pid in wrapped:
         if net.place(pid).kind == "view":
             raise DefinitionError(f"place {pid!r} is a view place; its marking is derived")
-    check_marking(net, marking)
+    check_marking(net, marking, clock)
     marking = refresh_views(net, instance, marking)
     return Snapshot(instance, marking, clock)
 
 
-def check_marking(net: Net, marking: Marking) -> None:
+def check_marking(net: Net, marking: Marking, clock: Optional[int] = None) -> None:
     """Raise DefinitionError unless every token lies on a place of the net
-    and fits that place's color."""
+    and fits that place's color, and, given a clock, was not created after
+    it (its age would start out negative)."""
     for pid in marking.place_ids():
         color = net.place(pid).color
         for tok in marking.tokens(pid):
             if not conforms(tok.value, color):
                 raise DefinitionError(f"place {pid!r}: token {tok!r} does not fit its color")
+            if clock is not None and tok.created_at > clock:
+                raise DefinitionError(f"place {pid!r}: token {tok!r} is created after the snapshot clock {clock}")
 
 
 # ---------------------------------------------------------------------------

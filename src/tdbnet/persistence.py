@@ -8,7 +8,7 @@ ConstraintViolation value describing why the change was rejected.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -93,39 +93,50 @@ class ConstraintViolation:
     message: str
 
 
-def _row_sort(rows: Iterable[tuple]) -> tuple:
+def _row_sort(rows: Iterable[tuple]) -> tuple[tuple, bool]:
+    """The rows in canonical order, and whether that is their natural order.
+    Columns are homogeneously typed, so natural ordering agrees with the
+    value_key ordering and is much cheaper; only values that do not compare
+    (a non-compliant instance) fall back to value_key order."""
     rows = list(rows)
     try:
-        # columns are homogeneously typed, so natural ordering agrees with
-        # the value_key ordering and is much cheaper
         rows.sort(key=lambda r: (r[0], r[1]))
+        natural = True
     except TypeError:
         rows.sort(key=lambda r: (value_key(r[0]), r[1]))
-    return tuple(rows)
+        natural = False
+    return tuple(rows), natural
 
 
 class Instance:
     """Immutable set of timestamped facts grouped by relation.
 
-    Rows are (values, inserted_at) pairs kept in canonical order.  Lookup
-    caches are built lazily per object; since instances never change after
-    construction this is safe.  The per-relation key index (key tuple ->
-    row) is one of them; an instance derived by apply_action_delta starts
-    from its parent's indexes, copying only those of the relations it
-    changes.
+    Rows are (values, inserted_at) pairs kept in canonical order, which is
+    their natural order except in the relations listed in ``_mixed``, whose
+    values do not compare and which are kept in value_key order.  Lookups
+    bisect the natural order on a pattern's leading bound columns and scan
+    the others.  Lookup caches are built lazily per object; since instances
+    never change after construction this is safe.  The per-relation key
+    index (key tuple -> row) is one of them; an instance derived by
+    apply_action_delta starts from its parent's indexes, copying only those
+    of the relations it changes.
     """
 
-    __slots__ = ("schema", "_rows", "_count_cache", "_key_index")
+    __slots__ = ("schema", "_rows", "_mixed", "_count_cache", "_key_index")
 
     def __init__(self, schema: Schema, rows: Mapping[str, Iterable[tuple]] | None = None):
         self.schema = schema
         store: dict[str, tuple] = {r.name: () for r in schema.relations}
+        mixed = set()
         if rows:
             for rel, rs in rows.items():
                 if not schema.has_relation(rel):
                     raise DefinitionError(f"unknown relation {rel!r}")
-                store[rel] = _row_sort(rs)
+                store[rel], natural = _row_sort(rs)
+                if not natural:
+                    mixed.add(rel)
         self._rows = store
+        self._mixed = frozenset(mixed)
         self._count_cache: dict = {}
         self._key_index: dict[str, dict] = {}
 
@@ -159,30 +170,66 @@ class Instance:
     def relation_sizes(self) -> dict[str, int]:
         return {rel: len(rows) for rel, rows in sorted(self._rows.items())}
 
-    def match_rows(self, relation: str, pattern: Optional[Sequence]) -> list[tuple]:
-        """Rows whose values agree with pattern (None entries are wildcards;
-        a pattern of None matches everything)."""
+    def _range(self, relation: str, pattern: Optional[Sequence]) -> tuple[tuple, int, int, tuple]:
+        """``(rows, lo, hi, rest)`` for a pattern over one relation (None
+        entries are wildcards; a pattern of None matches everything).
+        ``rows[lo:hi]`` are the rows whose leading bound columns equal the
+        pattern's, found by bisecting the canonical row order; ``rest`` holds
+        the ``(column, value)`` pairs of the other bound columns, which those
+        rows must still match.  The range is the whole relation when its rows
+        are in value_key order or a bound value does not compare with its
+        column."""
         rel = self.schema.relation(relation)
+        rows = self.rows(relation)
         if pattern is None:
-            pattern = (None,) * rel.arity
+            return rows, 0, len(rows), ()
         if len(pattern) != rel.arity:
             raise DefinitionError(
                 f"pattern arity {len(pattern)} does not match relation {relation!r} arity {rel.arity}"
             )
-        out = []
-        for values, at in self.rows(relation):
-            if all(p is None or p == v for p, v in zip(pattern, values)):
-                out.append((values, at))
-        return out
+        lo, hi, k = 0, len(rows), 0
+        if relation not in self._mixed:
+            while k < len(pattern) and pattern[k] is not None:
+                k += 1
+            if k:
+                prefix = tuple(pattern[:k])
+                lead = lambda row: row[0][:k]
+                try:
+                    lo = bisect_left(rows, prefix, key=lead)
+                    hi = bisect_right(rows, prefix, lo, key=lead)
+                except TypeError:
+                    lo, hi, k = 0, len(rows), 0
+        return rows, lo, hi, tuple((i, p) for i, p in enumerate(pattern) if i >= k and p is not None)
+
+    def _candidates(self, relation: str, pattern: Optional[Sequence]) -> tuple[tuple, tuple]:
+        """``(rows, rest)``: the rows of a pattern's range (see ``_range``),
+        which every row lookup inspects, and the bound columns left to
+        check."""
+        rows, lo, hi, rest = self._range(relation, pattern)
+        return rows[lo:hi], rest
+
+    def match_rows(self, relation: str, pattern: Optional[Sequence]) -> list[tuple]:
+        """Rows whose values agree with pattern (None entries are wildcards;
+        a pattern of None matches everything), in canonical order.  Only the
+        rows whose leading bound columns match are inspected: they form one
+        range of the canonical order, found by binary search."""
+        rows, rest = self._candidates(relation, pattern)
+        if not rest:
+            return list(rows)
+        return [row for row in rows if all(row[0][i] == p for i, p in rest)]
 
     def match_values(self, relation: str, pattern: Optional[Sequence]) -> list[tuple]:
         return [values for values, _ in self.match_rows(relation, pattern)]
 
     def count_matching(self, relation: str, pattern: Optional[Sequence]) -> int:
+        """The number of rows ``match_rows`` returns, cached per pattern.  A
+        pattern that binds only leading columns is answered by the length
+        of its range, without visiting the rows."""
         key = (relation, tuple(pattern) if pattern is not None else None)
         hit = self._count_cache.get(key)
         if hit is None:
-            hit = len(self.match_rows(relation, pattern))
+            _, lo, hi, rest = self._range(relation, pattern)
+            hit = hi - lo if not rest else len(self.match_rows(relation, pattern))
             self._count_cache[key] = hit
         return hit
 
@@ -298,6 +345,21 @@ def _filter_params(side) -> list[str]:
     return []
 
 
+def copied_relation(query: Query) -> Optional[str]:
+    """The relation a query copies whole, or None: a query of one atom of
+    distinct variables, output in atom order, with no filter, parameter or
+    ordering returns that relation's rows as they are, in canonical order
+    (keys make them distinct).  ``eval_query`` returns such rows directly,
+    and view places over such a query are maintained from row deltas."""
+    if query.filters or query.params or query.order_by or len(query.atoms) != 1:
+        return None
+    atom = query.atoms[0]
+    names = tuple(t.name for t in atom.terms if type(t) is Var)
+    if len(names) == len(atom.terms) == len(set(names)) and tuple(query.output) == names:
+        return atom.relation
+    return None
+
+
 def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
     """Evaluate a conjunctive query with comparison/count filters.
 
@@ -310,22 +372,9 @@ def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
         raise DefinitionError(
             f"query {query.name!r} expects {len(query.params)} args, got {len(args)}"
         )
-    if (
-        not query.filters
-        and not query.params
-        and not query.order_by
-        and len(query.atoms) == 1
-    ):
-        # whole-relation scan projected to the atom's own variables, in the
-        # relation's canonical row order: return rows directly
-        atom = query.atoms[0]
-        terms = atom.terms
-        if (
-            all(type(t) is Var for t in terms)
-            and len({t.name for t in terms}) == len(terms)
-            and tuple(query.output) == tuple(t.name for t in terms)
-        ):
-            return tuple(v for v, _ in instance.rows(atom.relation))
+    source = copied_relation(query)
+    if source is not None:
+        return tuple(v for v, _ in instance.rows(source))
     arg_env: dict[str, object] = {}
     for (pname, pcolor), a in zip(query.params, args):
         if not conforms(a, pcolor):
@@ -453,12 +502,17 @@ def _matches(pattern: list, values: tuple) -> bool:
     return all(p is None or p == v for p, v in zip(pattern, values))
 
 
-def _insert_row(rows: list, row: tuple) -> None:
-    """Insert into rows kept in _row_sort order."""
-    try:
-        insort(rows, row)
-    except TypeError:
-        rows[:] = _row_sort(rows + [row])
+def _insert_row(rows: list, row: tuple, natural: bool) -> bool:
+    """Insert into rows kept in _row_sort order, natural or not; returns
+    whether the rows are in natural order afterwards."""
+    if natural:
+        try:
+            insort(rows, row)
+            return True
+        except TypeError:
+            pass
+    rows[:], natural = _row_sort(rows + [row])
+    return natural
 
 
 def _remove_row(rows: list, row: tuple) -> None:
@@ -503,11 +557,13 @@ def apply_action_delta(
     # key indexes
     rows: dict[str, list] = {}
     indexes: dict[str, dict] = {}
+    natural: dict[str, bool] = {}
 
     def touch(rel: Relation) -> tuple[list, dict]:
         if rel.name not in rows:
             rows[rel.name] = list(instance.rows(rel.name))
             indexes[rel.name] = dict(instance.key_index(rel))
+            natural[rel.name] = rel.name not in instance._mixed
         return rows[rel.name], indexes[rel.name]
 
     deleted: list[tuple] = []
@@ -559,7 +615,7 @@ def apply_action_delta(
                     message=f"duplicate key {k!r} in relation {rel.name!r}",
                 )
             continue
-        _insert_row(bucket, row)
+        natural[rel.name] = _insert_row(bucket, row, natural[rel.name])
         added.append((rel.name, values, at))
     for clash in clashes.values():
         if clash is not None:
@@ -571,6 +627,7 @@ def apply_action_delta(
     new = Instance.__new__(Instance)
     new.schema = schema
     new._rows = store
+    new._mixed = instance._mixed.difference(natural).union(rel for rel, n in natural.items() if not n)
     new._count_cache = {}
     new._key_index = {**instance._key_index, **indexes}
     return new, added, deleted

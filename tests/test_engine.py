@@ -19,6 +19,7 @@ from tdbnet.engine import (
     run,
 )
 from tdbnet import engine
+from tdbnet import net as net_module
 from tdbnet.exprs import Age, Const, DefinitionError, Now, Op, Param, Var
 from tdbnet.formats import DocumentError, parse_net, parse_trace, serialize_net, serialize_trace
 from tdbnet.net import (
@@ -33,8 +34,8 @@ from tdbnet.net import (
     Transition,
     initial_snapshot,
 )
-from tdbnet.persistence import Action, Column, FactTemplate, Relation, Schema
-from tdbnet.patterns import build_delayer, build_throttler, with_workload
+from tdbnet.persistence import Action, Atom, Column, FactTemplate, Instance, Query, Relation, Schema
+from tdbnet.patterns import build_delayer, build_resequencer, build_throttler, with_workload
 from tdbnet.scenarios import halting_bundle
 from tdbnet.values import INT, TEXT
 from tdbnet.workloads import parse_workload
@@ -294,6 +295,25 @@ def test_fire_rejects_non_compliant_snapshot():
         fire(net, Snapshot(broken, marked.marking, 0), "t", {"x": 1}, at=0)
 
 
+def test_copied_view_out_of_step_with_its_relation_is_rejected():
+    # firings patch v from row deltas, so v missing R's row would make the
+    # deletion of that row fail; every entry point rejects it up front
+    drop = Action("drop", params=(("k", INT),), dels=(FactTemplate("R", (Param("k"),)),))
+    net = Net(
+        places=(Place("p", INT), Place("v", INT, kind="view", query="q")),
+        transitions=(Transition("t", inputs=(InputArc("p", Var("x")),), actions=(ActionCall("drop", (Var("x"),)),)),),
+        schema=Schema((Relation("R", (Column("k", INT),), ("k",)),)),
+        queries=(Query("q", atoms=(Atom("R", (Var("k"),)),), output=("k",)),),
+        actions=(drop,),
+    )
+    good = initial_snapshot(net, facts=[("R", (1,), 0)], tokens={"p": [1]})
+    assert [ev.deleted for ev in run(net, good).events] == [(("R", (1,), 0),)]
+    stale = Snapshot(good.instance, Marking({"p": [Token(1, 0)]}), 0)
+    for entry in (run, enabled, advance_clock, lambda net, snap: fire(net, snap, "t", {"x": 1}, at=0)):
+        with pytest.raises(DefinitionError, match="view place 'v': its tokens are not the rows of 'R'"):
+            entry(net, stale)
+
+
 def _int_place_net():
     return Net(
         places=(Place("p", INT), Place("q", INT)),
@@ -523,6 +543,50 @@ def test_guard_solves_scale_linearly(monkeypatch):
     assert solves[1] <= 2.2 * solves[0]
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_copied_views_follow_row_deltas_without_queries(monkeypatch, n):
+    # v_inbox copies the inbox relation, so each inject patches it with the
+    # one row it deletes: neither run nor replay evaluates a query (the
+    # full refresh evaluated q_inbox once per inject)
+    bundle = build_delayer(250)
+    initial = with_workload(bundle, parse_workload("delayer", f"steady:{n}:every:10@0"))
+    calls = []
+    evaluate = net_module.eval_query
+    monkeypatch.setattr(net_module, "eval_query", lambda *a, **kw: calls.append(a) or evaluate(*a, **kw))
+    tr = run(bundle.net, initial)
+    replay(bundle.net, tr)
+    assert len(tr.events) == 2 * n
+    assert calls == []
+
+
+def _rows_inspected(monkeypatch, n):
+    """Rows the store inspects during an eager resequencer run of the
+    reversed permutation n..1, counted where lookups take their candidate
+    rows."""
+    bundle = build_resequencer()
+    initial = with_workload(bundle, parse_workload("resequencer", f"perm:{','.join(map(str, range(n, 0, -1)))}@0"))
+    inspected = []
+    candidates = Instance._candidates
+
+    def counted(self, relation, pattern):
+        rows, rest = candidates(self, relation, pattern)
+        inspected.append(len(rows))
+        return rows, rest
+
+    monkeypatch.setattr(Instance, "_candidates", counted)
+    tr = run(bundle.net, initial)
+    assert len(tr.events) == 3 * n
+    return sum(inspected)
+
+
+def test_store_lookups_scale_linearly(monkeypatch):
+    # q_emit joins seqs with msgs on (seq, next) and counts msgs of a seq:
+    # range lookups inspect only the matching rows, so twice the messages
+    # cost at most 2.2 times the rows (a full scan per lookup grows as N^2)
+    small, large = (_rows_inspected(monkeypatch, n) for n in (150, 300))
+    assert large <= 2.2 * small
+
+
 # ---------------------------------------------------------------------------
 # snapshots and markings
 
@@ -542,6 +606,27 @@ def test_initial_snapshot_rejects_tokens_on_view_places(trip_net):
 def test_initial_snapshot_rejects_bad_facts(trip_net):
     with pytest.raises(DefinitionError):
         initial_snapshot(trip_net, facts=[("Endpoints", ("ep1",), 0)])
+
+
+def _future_token_doc(net):
+    doc = json.loads(serialize_net(net, initial_snapshot(net, tokens={"p": [Token(1, 3)]}, clock=3)))
+    doc["initial_marking"]["p"].append({"value": 2, "at": 6})
+    parse_net(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "entry,error,where",
+    [
+        (lambda net: initial_snapshot(net, tokens={"p": [Token(1, 3), Token(2, 6)]}, clock=3), DefinitionError, ""),
+        (_future_token_doc, DocumentError, "initial_instance: "),
+    ],
+    ids=["initial_snapshot", "parse_net"],
+)
+def test_token_created_after_the_clock_is_rejected(entry, error, where):
+    # its age would start out negative
+    message = rf"^{where}place 'p': token Token\(value=2, created_at=6\) is created after the snapshot clock 3"
+    with pytest.raises(error, match=message):
+        entry(_int_place_net())
 
 
 def reference_updated(marking, remove=(), add=(), views=None):

@@ -75,6 +75,83 @@ def test_match_rows_wildcards():
 
 
 # ---------------------------------------------------------------------------
+# range lookups against the full scan
+
+T = Relation("T", (Column("a", INT), Column("b", INT), Column("c", TEXT)), ("a", "b", "c"))
+TSCHEMA = Schema((T,))
+# delete the rows of one leading value, then add a row: an instance derived
+# from a mixed-type one may leave value_key order or stay in it
+SWAP = Action(
+    "swap",
+    params=(("d", INT), ("a", INT), ("b", INT)),
+    dels=(FactTemplate("T", (Param("d"), Wild(), Wild())),),
+    adds=(FactTemplate("T", (Param("a"), Param("b"), Const("x"))),),
+)
+
+
+def reference_match_rows(instance, relation, pattern):
+    """The full scan: every row of the relation, kept when each bound
+    column equals the pattern's."""
+    if pattern is None:
+        pattern = (None,) * instance.schema.relation(relation).arity
+    return [
+        (values, at)
+        for values, at in instance.rows(relation)
+        if all(p is None or p == v for p, v in zip(pattern, values))
+    ]
+
+
+def _derived(instance, d, a, b):
+    res = apply_action_delta(instance, SWAP, (d, a, b), 9)
+    return instance if isinstance(res, ConstraintViolation) else res[0]
+
+
+LEADING = st.integers(0, 2)  # few values, so leading columns repeat
+TEXTS = st.sampled_from(["x", "y"])
+stamped = lambda values: st.dictionaries(values, st.integers(0, 2), max_size=8)
+lookup_instances = st.one_of(
+    stamped(st.tuples(LEADING, LEADING, TEXTS)),
+    # column a mixes bool, int and a str: a non-compliant instance, whose
+    # rows fall back to value_key order, bools first, strs last
+    stamped(st.tuples(st.one_of(LEADING, st.booleans()), LEADING, TEXTS)).map(lambda rows: {**rows, ("x", 0, "x"): 0}),
+).map(lambda rows: Instance(TSCHEMA, {"T": list(rows.items())}))
+lookup_instances = st.one_of(
+    lookup_instances, st.builds(_derived, lookup_instances, LEADING, LEADING, LEADING)
+)
+# bound values of every column's type, of the wrong type (str against INT,
+# int against TEXT) and bools, which equal 0 and 1
+lookup_patterns = st.one_of(
+    st.none(),
+    st.tuples(*[st.one_of(st.none(), LEADING, TEXTS, st.booleans())] * 3),
+)
+
+
+@settings(deadline=None)
+@given(lookup_instances, lookup_patterns)
+def test_lookups_equal_the_full_scan(instance, pattern):
+    want = reference_match_rows(instance, "T", pattern)
+    assert instance.match_rows("T", pattern) == want
+    assert instance.match_values("T", pattern) == [values for values, _ in want]
+    assert instance.count_matching("T", pattern) == len(want)
+
+
+def test_lookups_on_rows_in_value_key_order():
+    # "x" does not compare with ints, so the rows are in value_key order,
+    # which puts bools first; a binary search for 1 on column a would raise
+    # no error and miss the row of True, which equals 1
+    inst = Instance(TSCHEMA, {"T": [((2, 0, "x"), 0), (("x", 0, "x"), 0), ((0, 1, "y"), 0), ((True, 1, "x"), 0)]})
+    assert [values[0] for values, _ in inst.rows("T")] == [True, 0, 2, "x"]
+    # so is an instance derived from it while the str row stays
+    derived = _derived(inst, 2, 2, 1)
+    assert [values for values, _ in derived.rows("T")][2] == (2, 1, "x")
+    for pattern in [(1, None, None), ("x", None, None), (2, 0, "x"), (None, 1, None), (False, None, None)]:
+        for instance in (inst, derived):
+            want = reference_match_rows(instance, "T", pattern)
+            assert instance.match_rows("T", pattern) == want
+            assert instance.count_matching("T", pattern) == len(want)
+
+
+# ---------------------------------------------------------------------------
 # eval_query
 
 
@@ -417,7 +494,7 @@ def reference_apply_action_delta(instance, action, args, at):
 
     store = {rel.name: instance.rows(rel.name) for rel in schema.relations}
     for rel_name, rows in work.items():
-        store[rel_name] = _row_sort(rows)
+        store[rel_name] = _row_sort(rows)[0]
     return Instance(schema, store), added, deleted
 
 
