@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 completed/all checks passed, 1 usage or
 parse problem, 2 run ended halted on a constraint violation, 3 validation
-failure.
+failure, 4 run stopped at ``--max-steps`` events.
 
 `run` executes a catalog pattern (or a net document) under a workload and
 writes a trace file; `validate` replays checks against a stored trace and
@@ -52,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HALTED = 2
 EXIT_FAILED = 3
+EXIT_MAX_STEPS = 4
 
 PATTERNS = ("throttler", "delayer", "resequencer", "aggregator", "circuit-breaker", "router")
 
@@ -169,6 +170,9 @@ def cmd_run(args, out) -> int:
     if trace.events and trace.events[-1].outcome == "halted":
         print("run halted on a constraint violation", file=out)
         return EXIT_HALTED
+    if len(trace.events) >= args.max_steps:
+        print(f"run stopped at --max-steps {args.max_steps}", file=out)
+        return EXIT_MAX_STEPS
     return EXIT_OK
 
 

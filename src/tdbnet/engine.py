@@ -11,15 +11,25 @@ Semantics in brief:
   arc tries one token of every run of equal ones, so no two candidates
   consume equal tokens arc for arc.  Every arc binds through one compiled
   binder, and ``replay`` binds recorded tokens through the same binders.
+* Under the eager policy, a transition with no least delay and several
+  input arcs that bind disjoint variables keeps an alpha memory per arc
+  instead: the distinct tokens the arc accepts, bound alone and sorted by
+  the arc's share of the canonical order.  Its candidates are the product
+  of the memories, and a step builds them lazily, in canonical order, only
+  up to the first that holds (LEAPS lazy matching); the walk builds them
+  all only when none holds.  A throttler's admission, which joins each
+  waiting message with the one capacity token, so binds one candidate per
+  return of that token.
 * Each candidate keeps its guard's truth set over ``now``, stamped with
   the row tuples of the relations the guard reads through ``count`` and
   ``merge_text``.  A truth set is solved again only when one of those
   relations is replaced; a clock advance solves nothing.  A firing
   changes only the candidates of transitions whose input places changed:
-  candidates whose tokens are gone are dropped, and the new tokens are
-  bound, one bind per new token on a single arc and a delta join (new
-  tokens on one arc, whole pools on the others) on several.  A transition
-  catches up when a step next asks about it.
+  candidates whose tokens are gone are dropped, each by bisection on its
+  rank, and the new tokens are bound, one bind per new token on a single
+  arc or an alpha memory and a delta join (new tokens on one arc, whole
+  pools on the others) on other transitions of several arcs.  A
+  transition catches up when a step next asks about it.
 * Snapshots are color-checked: ``initial_snapshot``, ``run``, ``fire``,
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
   naming the place and the token when a token does not fit its place's
@@ -82,6 +92,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -302,14 +313,6 @@ def _join(net: Net, marking: Marking, t: Transition, focus: Optional[tuple] = No
     return [_Cand(t, env, matches, ages) for env, ages, matches, _ in partial]
 
 
-def _enumerate(net: Net, snapshot: Snapshot, t: Transition) -> list[_Cand]:
-    """All matches of a transition's input arcs to distinct tokens, in
-    canonical order (``_Cand.rank``)."""
-    out = _join(net, snapshot.marking, t)
-    out.sort(key=_Cand.rank)
-    return out
-
-
 def _transitions_by_id(net: Net) -> tuple[Transition, ...]:
     cached = getattr(net, "_by_id", None)
     if cached is None:
@@ -337,6 +340,37 @@ def _lost(c: _Cand, places: list[str], left: list[dict]) -> bool:
     return False
 
 
+class _Entry:
+    """One distinct token on an input arc, bound by that arc alone: an entry
+    of the arc's alpha memory.  ``share`` is the arc's part of
+    ``_Cand.rank``: the values of the arc's variables in name order, then
+    the token's ``(value, created_at)``.  ``copies`` counts the tokens equal
+    to it on the arc's place."""
+
+    __slots__ = ("share", "token", "env", "ages", "copies")
+
+    def __init__(self, share: tuple, token: Token, env: dict, ages: dict, copies: int):
+        self.share = share
+        self.token = token
+        self.env = env
+        self.ages = ages
+        self.copies = copies
+
+
+_share = attrgetter("share")
+
+
+def _walk_plan(t: Transition) -> Optional[tuple]:
+    """(variables per arc in name order, (arc, position) of each variable
+    in name order) for a transition of two or more input arcs that bind
+    pairwise disjoint variables; None for any other."""
+    names = [sorted(set(pattern_vars(arc.pattern))) for arc in t.inputs]
+    flat = sorted(n for arc_names in names for n in arc_names)
+    if len(names) < 2 or len(set(flat)) != len(flat):
+        return None
+    return names, tuple((k, arc_names.index(n)) for n in flat for k, arc_names in enumerate(names) if n in arc_names)
+
+
 class _Slot:
     """One transition's candidates, kept in canonical order (``order``) and
     by token key (``cands``) from step to step.
@@ -345,6 +379,21 @@ class _Slot:
     places since the slot last caught up (``sync``).  ``stamp`` holds the
     row tuples of the relations the guard reads, as of the last solve; the
     truth sets are solved again only when one of them is replaced.
+
+    A slot of the eager policy whose transition has no least delay and two
+    or more input arcs that bind pairwise disjoint variables builds its
+    candidates lazily (LEAPS: Miranker et al., AAAI 1990).  It keeps one
+    alpha memory per arc (``mems``): an entry per distinct token the arc
+    accepts, sorted by the arc's share of the rank, and updated from
+    ``pending`` with one bind per new token and a bisect per token that
+    falls.  As the arcs are independent, the canonical order of the
+    candidates is the product order of the memories, and ``first_ready``
+    walks it best-first from the product of the memories' minima, building
+    each candidate it reaches, up to the first that holds.  ``complete``
+    says that every candidate is built: a walk that finds none sets it, a
+    new token clears it.  Every other slot binds all its candidates, each
+    new token on a single arc and by a delta join (new tokens on one arc,
+    whole pools on the others) on several, and is always complete.
 
     Under the eager policy three heaps index the candidates by time:
     ``wait`` by the first instant at which a candidate that does not hold
@@ -361,6 +410,7 @@ class _Slot:
         self.t = t
         self.delay = t.delay[0]
         self.reads = relations_read(t.guard)
+        self.arcs = _binders(net, t)
         self.pending: dict[str, Counter] = {}
         self.fresh: Optional[list] = [] if eager else None
         self.wait: list = []
@@ -369,7 +419,24 @@ class _Slot:
         self.live = 0
         self.seq = itertools.count()
         self.stamp = _stamp(snapshot.instance, self.reads)
-        self.order = _enumerate(net, snapshot, t)
+        plan = _walk_plan(t) if eager and not self.delay else None
+        self.mems: Optional[list[list[_Entry]]] = None
+        self.complete = plan is None
+        if plan is None:
+            self.order = _join(net, snapshot.marking, t)
+            self.order.sort(key=_Cand.rank)
+        else:
+            self.names, self.layout = plan
+            places = [place for place, *_ in self.arcs]
+            # arcs that draw from one place, which must not take more copies
+            # of a token than it holds
+            groups = (tuple(k for k, p in enumerate(places) if p == place) for place in dict.fromkeys(places))
+            self.shared = [group for group in groups if len(group) > 1]
+            self.mems = [[] for _ in places]
+            self.index = [{} for _ in places]
+            pools = {place: Counter(map(_token_key, snapshot.marking.tokens(place))) for place in places}
+            self._remember(snapshot.marking, pools)
+            self.order = []
         self.cands = {c.key: c for c in self.order}
         self._solve(self.order, snapshot.instance)
 
@@ -384,12 +451,12 @@ class _Slot:
             self._solve(self.order, snapshot.instance)
         if new:
             self._solve(new, snapshot.instance)
-            self.order += new
-            self.order.sort(key=_Cand.rank)
+            for c in new:
+                insort(self.order, c, key=_Cand.rank)
 
     def _rebind(self, net: Net, marking: Marking) -> list[_Cand]:
         pending, self.pending = self.pending, {}
-        places = [place for place, *_ in _binders(net, self.t)]
+        places = [place for place, *_ in self.arcs]
         # copies left of each token whose count fell, per arc
         left = [
             {key: len(marking.span(place, Token(*key))) for key, n in pending.get(place, {}).items() if n < 0}
@@ -402,14 +469,15 @@ class _Slot:
                 suspects = [c for c in map(self.cands.get, ((key,) for key in left[0])) if c is not None]
             else:
                 suspects = self.cands.values()
-            gone = [c for c in suspects if _lost(c, places, left)]
-            for c in gone:
+            for c in [c for c in suspects if _lost(c, places, left)]:
                 del self.cands[c.key]
+                del self.order[bisect_left(self.order, c.rank(), key=_Cand.rank)]
                 c.ver += 1
                 self.live -= c.live
                 c.live = False
-            if gone:
-                self.order = [c for c in self.order if self.cands.get(c.key) is c]
+        if self.mems is not None:
+            self._remember(marking, pending)
+            return []
         new = []
         for k, place in enumerate(places):
             gained = [key for key, n in pending.get(place, {}).items() if n > 0]
@@ -428,6 +496,89 @@ class _Slot:
             for c in cands:
                 c.ver += 1
             self.fresh += cands
+
+    # alpha memories and the walk
+
+    def _remember(self, marking: Marking, pending: dict) -> None:
+        """Bring the alpha memories up to the pending token changes: bind
+        each new token by its arc alone, drop each token left with no
+        copy."""
+        for (place, _, bind, names), arc_names, mem, index in zip(self.arcs, self.names, self.mems, self.index):
+            for key, n in pending.get(place, {}).items():
+                if not n:
+                    continue
+                tok = Token(*key)
+                copies = len(marking.span(place, tok))
+                e = index.get(key)
+                if e is None:
+                    # a token the arc rejected is bound again only when
+                    # another copy of it arrives
+                    env = bind(tok.value, {}) if n > 0 else None
+                    if env is not None:
+                        share = (tuple(env[name] for name in arc_names), key)
+                        e = index[key] = _Entry(share, tok, env, dict.fromkeys(names, tok.created_at), copies)
+                        insort(mem, e, key=_share)
+                elif copies:
+                    e.copies = copies
+                else:
+                    del index[key]
+                    del mem[bisect_left(mem, e.share, key=_share)]
+                if n > 0:
+                    self.complete = False
+
+    def _combo(self, at: tuple) -> tuple:
+        """(rank, memory indices, entries) of the product's combination
+        ``at``; the rank orders as ``_Cand.rank`` does."""
+        entries = [mem[i] for mem, i in zip(self.mems, at)]
+        values = tuple(entries[k].share[0][j] for k, j in self.layout)
+        return (values, tuple(e.share[1] for e in entries)), at, entries
+
+    def _fits(self, entries: list[_Entry]) -> bool:
+        """Whether a combination takes no more copies of a token than its
+        place holds."""
+        for group in self.shared:
+            keys = [entries[k].share[1] for k in group]
+            if any(keys.count(entries[k].share[1]) > entries[k].copies for k in group):
+                return False
+        return True
+
+    def _walk(self, snapshot: Snapshot) -> Optional[_Cand]:
+        """Visit the product of the alpha memories in canonical order, best
+        first, building and settling each combination not yet built, up to
+        the first candidate that holds at the clock.  The rank grows with
+        each memory index, so a combination is reached from the one that
+        has its last non-zero index one lower, and only that one."""
+        mems = self.mems
+        if all(mems):
+            heap = [self._combo((0,) * len(mems))]
+            while heap:
+                rank, at, entries = heappop(heap)
+                if self._fits(entries):
+                    c = self.cands.get(rank[1])
+                    if c is None:
+                        c = self._build(entries, snapshot)
+                    if c.live:
+                        return c
+                last = max((k for k, i in enumerate(at) if i), default=0)
+                for k in range(last, len(mems)):
+                    if at[k] + 1 < len(mems[k]):
+                        heappush(heap, self._combo(at[:k] + (at[k] + 1,) + at[k + 1 :]))
+        self.complete = True
+        return None
+
+    def _build(self, entries: list[_Entry], snapshot: Snapshot) -> _Cand:
+        env: dict = {}
+        ages: dict = {}
+        for e in entries:
+            env.update(e.env)
+            ages.update(e.ages)
+        matches = tuple((place, e.token, is_view) for (place, is_view, *_), e in zip(self.arcs, entries))
+        c = _Cand(self.t, env, matches, ages)
+        c.truth = guard_truth(self.t.guard, env, instance=snapshot.instance, ages=ages)
+        self.cands[c.key] = c
+        insort(self.order, c, key=_Cand.rank)
+        self._settle(c, snapshot.clock)
+        return c
 
     # eager state
 
@@ -485,8 +636,11 @@ class _Slot:
             heappop(heap)
         return heap[0] if heap else None
 
-    def first_ready(self) -> Optional[_Cand]:
-        """The first candidate in canonical order that holds and is due."""
+    def first_ready(self, snapshot: Snapshot) -> Optional[_Cand]:
+        """The first candidate in canonical order that holds and is due at
+        the snapshot's clock; a slot that is not complete walks to it."""
+        if not self.complete:
+            return self._walk(snapshot)
         return next(c for c in self.order if c.live) if self.live else None
 
     def next_due(self) -> Optional[tuple]:
@@ -497,7 +651,7 @@ class _Slot:
 
     def next_flip(self) -> Optional[int]:
         """The first instant at which a candidate that does not hold now
-        starts to hold."""
+        starts to hold; exact once the slot is complete."""
         top = self._top(self.wait)
         return None if top is None else top[0]
 
@@ -514,7 +668,12 @@ class Agenda:
     and new pool of every other view place that was evaluated again.  A
     slot catches up when it is next asked (``slot``), so a transition that
     no step asks about binds nothing.  With ``eager``, slots also keep the
-    onsets and heaps of the eager policy.
+    onsets and heaps of the eager policy, and the slots of delay-0
+    transitions whose arcs bind disjoint variables build their candidates
+    lazily, walking their alpha memories only as far as a step asks.
+    ``random_step`` and the one-shot agendas of ``enabled``,
+    ``advance_clock`` and ``fire`` are not eager, so every slot they read
+    holds all its candidates.
     """
 
     def __init__(self, net: Net, snapshot: Snapshot, eager: bool = False):
@@ -582,7 +741,7 @@ class Agenda:
             slot.observe(clock)
             asked.append(slot)
             if best is None:
-                best = slot.first_ready()
+                best = slot.first_ready(self.snap)
         if best is not None:
             return None if until is not None and clock > until else ("fire", (best, clock))
         due: Optional[int] = None

@@ -256,7 +256,7 @@ def test_replay_never_enumerates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("replay enumerated candidates")
 
-    monkeypatch.setattr(engine, "_enumerate", refuse)
+    monkeypatch.setattr(engine, "_join", refuse)
     final = replay(bundle.net, tr)
     assert final.instance == tr.final.instance and final.marking == tr.final.marking
 

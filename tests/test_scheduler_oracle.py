@@ -7,8 +7,13 @@ snapshot a run passes through, on the catalog and on generated nets (whose
 example count the ``ci`` Hypothesis profile raises); on generated
 transitions the enumerator must return the oracle's sorted candidates,
 each of which replay's ``_recorded_cand`` binds back to itself, and the
-agenda must reach the same candidates from a delta of tokens.
+agenda must reach the same candidates from a delta of tokens.  Where the
+eager agenda matches lazily (delay-0 transitions whose arcs bind disjoint
+variables), its walk must build the oracle's candidates in the oracle's
+order, and stop at the first that holds.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -136,8 +141,80 @@ def _toggle(request):
     return net, initial_snapshot(net, tokens={"p": [1], "q": [7], "r": [7]})
 
 
+# Two-arc delay-0 transitions whose arcs bind disjoint variables: the eager
+# agenda builds their candidates lazily, walking the product of the arcs'
+# alpha memories in canonical order up to the first that holds.
+
+PAIR = product(INT, INT)
+
+
+def _interleave(request):
+    """``t`` binds ``a`` and ``z`` on ``p`` and ``m`` on ``q``, so canonical
+    order (by a, then m, then z) is not arc-major: the first candidate that
+    holds takes ``(0, 5)`` and ``1``, where arc-major order would take
+    ``(0, 1)`` and ``2``."""
+    t = Transition(
+        "t",
+        inputs=(InputArc("p", (Var("a"), Var("z"))), InputArc("q", Var("m"))),
+        guard=Op("!=", (Op("+", (Var("m"), Var("z"))), Const(2))),
+        outputs=(OutputArc("out", Op("tuple", (Var("a"), Var("m")))),),
+    )
+    net = Net(places=(Place("p", PAIR), Place("q", INT), Place("out", PAIR)), transitions=(t,), schema=Schema(()))
+    return net, initial_snapshot(net, tokens={"p": [(0, 5), (0, 1), (1, 0), (0, 1)], "q": [2, 1, 1, 3]})
+
+
+def _twins(request):
+    """Both arcs of ``t`` take from ``p``, which holds two copies of some
+    tokens and one of others: a pair of equal tokens needs two copies."""
+    t = Transition(
+        "t",
+        inputs=(InputArc("p", Var("x")), InputArc("p", Var("y"))),
+        guard=Op("<=", (Var("x"), Var("y"))),
+        outputs=(OutputArc("out", Op("tuple", (Var("x"), Var("y")))),),
+    )
+    net = Net(places=(Place("p", INT), Place("out", PAIR)), transitions=(t,), schema=Schema(()))
+    born = [Token(1, 0), Token(1, 0), Token(2, 0), Token(2, 1), Token(3, 0), Token(3, 0), Token(4, 2)]
+    return net, initial_snapshot(net, tokens={"p": born}, clock=2)
+
+
+def _late_count(request):
+    """``b_pair`` holds only for an ``x`` that R counts, which at first is
+    only the last ``x`` in canonical order; ``a_put`` writes a row for
+    ``x = 0`` at 3, and the candidates of 0 then hold."""
+    net = Net(
+        places=(Place("p", INT), Place("q", INT), Place("s", INT), Place("out", INT)),
+        transitions=(
+            Transition("a_put", inputs=(InputArc("s", Var("k")),), delay=(3, 3), actions=(ActionCall("put", (Var("k"), Const(1))),)),
+            Transition(
+                "b_pair",
+                inputs=(InputArc("p", Var("x")), InputArc("q", Var("y"))),
+                guard=Op(">=", (DbCount("R", (Var("x"), Wild())), Const(1))),
+                outputs=(OutputArc("out", Var("y")),),
+            ),
+        ),
+        schema=Schema((R,)),
+        actions=(PUT,),
+    )
+    return net, initial_snapshot(net, facts=[("R", (2, 1), 0)], tokens={"p": [0, 1, 2], "q": [5, 6, 7], "s": [0]})
+
+
+def _late_now(request):
+    """``t`` holds once ``now() + x >= 4``, so at 0 only the last ``x`` in
+    canonical order holds and the others follow as the clock passes; each
+    firing returns its ``y`` to ``q`` as a new token."""
+    t = Transition(
+        "t",
+        inputs=(InputArc("p", Var("x")), InputArc("q", Var("y"))),
+        guard=Op(">=", (Op("+", (Now(), Var("x"))), Const(4))),
+        outputs=(OutputArc("q", Var("y")), OutputArc("out", Var("x"))),
+    )
+    net = Net(places=(Place("p", INT), Place("q", INT), Place("out", INT)), transitions=(t,), schema=Schema(()))
+    return net, initial_snapshot(net, tokens={"p": [1, 2, 4, 1], "q": [1, 2, 3]})
+
+
 NETS = {name: (lambda request, make=make: make()) for name, make in CATALOG.items()}
 NETS.update(timer=_timer, trip=_trip, tie=_tie, lapse=_lapse, rewrite=_rewrite, toggle=_toggle)
+NETS.update(interleave=_interleave, twins=_twins, late_count=_late_count, late_now=_late_now)
 
 
 def _snapshots(net, trace):
@@ -200,6 +277,28 @@ def test_onsets_follow_the_steps(request, name, fired):
     assert [(ev.transition, ev.time) for ev in tr.events] == fired
 
 
+@pytest.mark.parametrize("name,built", [("interleave", 5), ("twins", 3), ("late_count", 7), ("late_now", 9)])
+def test_the_walk_builds_candidates_up_to_the_first_that_holds(monkeypatch, request, name, built):
+    # The eager agenda walks these transitions' alpha memories and builds
+    # only the candidates it reaches, where joining the initial pools binds
+    # 9, 22, 9 and 9: interleave and twins build one or two per firing,
+    # late_count builds 7 in its first step (the two others lose their
+    # token to that firing), and late_now 9 in all, over tokens that its
+    # firings return to q.
+    net, initial = NETS[name](request)
+    count = []
+    build = engine._Slot._build
+
+    def counted(slot, entries, snapshot):
+        count.append(slot.t.id)
+        return build(slot, entries, snapshot)
+
+    monkeypatch.setattr(engine._Slot, "_build", counted)
+    tr = engine.run(net, initial)
+    assert len(count) == built
+    assert serialize_trace(tr) == serialize_trace(ref.run(net, initial))
+
+
 @pytest.mark.parametrize("puts", range(60, 64))
 def test_heaps_stay_bounded_when_a_read_relation_changes_every_step(monkeypatch, puts):
     # ``a_put`` writes R at each of the first steps at clock 20, so the 20
@@ -242,7 +341,6 @@ def test_heaps_stay_bounded_when_a_read_relation_changes_every_step(monkeypatch,
 # ---------------------------------------------------------------------------
 # generated transitions
 
-PAIR = product(INT, INT)
 SMALL = st.integers(0, 2)
 VARS = st.sampled_from(("x", "y", "z", "w")).map(Var)
 TERMS = st.one_of(VARS, st.one_of(SMALL.map(Const), st.just(Wild())))
@@ -298,7 +396,7 @@ def test_enumerator_equals_the_oracle(case, data):
     net, snap = case
     engine._ensure_valid(net)
     (t,) = net.transitions
-    got = engine._enumerate(net, snap, t)
+    got = engine.Agenda(net, snap).slot(t).order
     assert [_key(c) for c in got] == _oracle(net, snap, t)
     for cand in got:
         consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
@@ -315,6 +413,56 @@ def test_enumerator_equals_the_oracle(case, data):
         agenda.slot(t)
         agenda.commit(after, FiringEvent(0, snap.clock, t.id, (), consumed, produced, (), (), "committed"))
         assert [_key(c) for c in agenda.slot(t).order] == _oracle(net, after, t)
+
+
+def _walked(slot, snap):
+    """The slot's first candidate that holds at the snapshot clock, and the
+    candidates its walk built on the way, in the order it built them."""
+    built = []
+    build = slot._build
+    slot._build = lambda entries, snapshot: built.append(build(entries, snapshot)) or built[-1]
+    slot.observe(snap.clock)
+    first = slot.first_ready(snap)
+    del slot._build
+    return first, [_key(c) for c in built]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cases(), st.data())
+def test_the_walk_equals_the_oracle(case, data):
+    # Under the eager policy a delay-0 transition whose arcs bind disjoint
+    # variables walks its alpha memories: under a guard that always holds
+    # it builds the oracle's first candidate and stops; under one that
+    # never holds it builds every candidate in the oracle's order, and
+    # then again only the new ones after a delta of tokens.
+    net, snap = case
+    (t,) = net.transitions
+    walks = engine._walk_plan(t) is not None
+    pool = [(pid, tok) for pid in "pr" for tok in snap.marking.tokens(pid)]
+    picked = data.draw(st.sets(st.integers(0, len(pool) - 1))) if pool else set()
+    moved = tuple(pool[i] for i in sorted(picked))
+    less = Snapshot(snap.instance, snap.marking.updated(remove=moved), snap.clock)
+    for holds in (True, False):
+        t2 = replace(t, guard=Const(holds))
+        net2 = Net(places=net.places, transitions=(t2,), schema=net.schema, queries=net.queries)
+        for before, after, consumed, produced in ((less, snap, (), moved), (snap, less, moved, ())):
+            agenda = engine.Agenda(net2, before, eager=True)
+            slot = agenda.slot(t2)
+            assert (slot.mems is not None) == walks
+            first, built = _walked(slot, before)
+            want = _oracle(net2, before, t2)
+            assert (first and _key(first)) == (want[0] if holds and want else None)
+            if walks:
+                assert built == (want[:1] if holds else want)
+            agenda.commit(after, FiringEvent(0, snap.clock, t2.id, (), consumed, produced, (), (), "committed"))
+            slot = agenda.slot(t2)
+            first, built = _walked(slot, after)
+            want = _oracle(net2, after, t2)
+            assert (first and _key(first)) == (want[0] if holds and want else None)
+            if not holds:
+                assert slot.complete and [_key(c) for c in slot.order] == want
+                if walks:
+                    assert built == [key for key in want if key not in _oracle(net2, before, t2)]
 
 
 # ---------------------------------------------------------------------------
