@@ -7,29 +7,37 @@ Semantics in brief:
   ``advance_clock`` and ``fire`` build a one-shot agenda from their
   snapshot.  Per transition it holds the candidates, matches of the input
   arcs to distinct tokens, in canonical order: by binding, then by each
-  arc's token.  Pools are sorted, so equal tokens are adjacent, and each
-  arc tries one token of every run of equal ones, so no two candidates
-  consume equal tokens arc for arc.  Every arc binds through one compiled
-  binder, and ``replay`` binds recorded tokens through the same binders.
-* Under the eager policy, a transition with no least delay and several
-  input arcs that bind disjoint variables keeps an alpha memory per arc
-  instead: the distinct tokens the arc accepts, bound alone and sorted by
-  the arc's share of the canonical order.  Its candidates are the product
-  of the memories, and a step builds them lazily, in canonical order, only
-  up to the first that holds (LEAPS lazy matching); the walk builds them
-  all only when none holds.  A throttler's admission, which joins each
-  waiting message with the one capacity token, so binds one candidate per
-  return of that token.
+  arc's token.
+* Every input arc keeps an alpha memory: one entry per distinct token the
+  arc accepts, bound by that arc alone through one compiled binder, with
+  the number of copies on its place.  A candidate takes one entry per arc,
+  so no two candidates consume equal tokens arc for arc.  It is built by
+  merging the arcs' bindings, where a variable bound on two arcs must get
+  equal values and the later arc sets its age, and only while each place
+  holds as many copies of a token as it takes.  ``replay`` binds recorded
+  tokens through the same binders and merges them by the same rule.
+* A slot builds its candidates fully or lazily.  A full build binds every
+  candidate: first the product of the memories (one candidate that binds
+  nothing for a transition without input arcs), then the entries that
+  grew on one arc with every entry of the others (a delta join, as TREAT
+  joins on demand).  Under the eager
+  policy, a transition with no least delay and several input arcs that
+  bind disjoint variables builds lazily instead: its memories are sorted
+  by each arc's share of the canonical order, their product is in
+  canonical order, and a step builds candidates only up to the first that
+  holds (LEAPS lazy matching); the walk builds them all only when none
+  holds.  A throttler's admission, which joins each waiting message with
+  the one capacity token, so binds one candidate per return of that token.
 * Each candidate keeps its guard's truth set over ``now``, stamped with
   the row tuples of the relations the guard reads through ``count`` and
   ``merge_text``.  A truth set is solved again only when one of those
   relations is replaced; a clock advance solves nothing.  A firing
-  changes only the candidates of transitions whose input places changed:
-  candidates whose tokens are gone are dropped, each by bisection on its
-  rank, and the new tokens are bound, one bind per new token on a single
-  arc or an alpha memory and a delta join (new tokens on one arc, whole
-  pools on the others) on other transitions of several arcs.  A
-  transition catches up when a step next asks about it.
+  changes only the candidates of transitions whose input places changed.
+  Each entry keeps the reverse set of the candidates built on it, so a
+  token that falls drops only those of its candidates left without enough
+  copies, each by bisection on its rank; the new tokens enter the
+  memories and are built on as above.  A transition catches up when a
+  step next asks about it.
 * Snapshots are color-checked: ``initial_snapshot``, ``run``, ``fire``,
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
   naming the place and the token when a token does not fit its place's
@@ -173,23 +181,25 @@ class Trace:
 
 class _Cand:
     """One match of a transition's input arcs to distinct tokens, with the
-    truth set of the transition's guard under it.  ``key`` is the
-    ``(value, created_at)`` of each arc's token: equal tokens are one key.
-    Under the eager policy a candidate also carries the instant its
-    enablement began (``onset``, None while its guard does not hold),
-    whether it holds and is due (``live``), and a version that its heap
-    entries must match to count."""
+    truth set of the transition's guard under it.  ``entries`` holds the
+    entry it takes on each arc, and ``key`` the ``(value, created_at)`` of
+    each arc's token: equal tokens are one key.  Under the eager policy a
+    candidate also carries the instant its enablement began (``onset``,
+    None while its guard does not hold), whether it holds and is due
+    (``live``), and a version that its heap entries must match to count."""
 
     __slots__ = (
-        "transition", "env", "matches", "ages", "key", "truth", "onset", "live", "ver", "_items", "_rank", "_window"
+        "transition", "env", "matches", "ages", "entries", "key", "truth", "onset", "live", "ver", "_items", "_rank",
+        "_window",
     )
 
-    def __init__(self, transition: Transition, env: dict, matches: tuple, ages: dict):
+    def __init__(self, transition: Transition, env: dict, matches: tuple, ages: dict, entries: tuple):
         self.transition = transition
         self.env = env
         self.matches = matches  # ((place_id, Token, is_view), ...)
         self.ages = ages
-        self.key = tuple((tok.value, tok.created_at) for _, tok, _ in matches)
+        self.entries = entries
+        self.key = tuple([e.key for e in entries])
         self.truth: tuple = ()
         self.onset: Optional[int] = None
         self.live = False
@@ -237,26 +247,25 @@ def _ensure_valid(net: Net) -> None:
         object.__setattr__(net, "_validated", True)
 
 
-def _binder(pattern, bound: set):
-    """``bind(value, env)`` for one input-arc pattern: env extended by the
-    pattern's variables, or None when the value does not match.  Distinct
-    variables that no earlier arc binds bind by position; any other pattern
-    goes through ``match_pattern``, looked up at call time."""
+def _binder(pattern):
+    """``bind(value)`` for one input-arc pattern: the pattern's variables
+    bound by the value alone, or None when the value does not match.
+    Distinct variables bind by position; a pattern with constants,
+    wildcards or a variable repeated within it goes through
+    ``match_pattern``, looked up at call time."""
     terms = pattern if isinstance(pattern, tuple) else (pattern,)
     names = pattern_vars(pattern)
-    if any(type(term) is not Var for term in terms) or len(set(names) - bound) != len(names):
-        return lambda value, env: match_pattern(pattern, value, env)
+    if any(type(term) is not Var for term in terms) or len(set(names)) != len(names):
+        return lambda value: match_pattern(pattern, value, {})
     if not isinstance(pattern, tuple):
         name = pattern.name
-        return lambda value, env: {**env, name: value}
+        return lambda value: {name: value}
     width = len(names)
 
-    def bind(value, env):
+    def bind(value):
         if not isinstance(value, tuple) or len(value) != width:
             return None
-        new = dict(env)
-        new.update(zip(names, value))
-        return new
+        return dict(zip(names, value))
 
     return bind
 
@@ -268,49 +277,14 @@ def _binders(net: Net, t: Transition) -> tuple:
     if cached is None:
         cached = {}
         for tr in net.transitions:
-            arcs, bound = [], set()
+            arcs = []
             for arc in tr.inputs:
                 is_view = net.place(arc.place).kind == "view"
-                names = pattern_vars(arc.pattern)
-                arcs.append((arc.place, is_view, _binder(arc.pattern, bound), () if is_view else tuple(names)))
-                bound.update(names)
+                names = () if is_view else tuple(pattern_vars(arc.pattern))
+                arcs.append((arc.place, is_view, _binder(arc.pattern), names))
             cached[tr.id] = tuple(arcs)
         object.__setattr__(net, "_binders", cached)
     return cached[t.id]
-
-
-def _join(net: Net, marking: Marking, t: Transition, focus: Optional[tuple] = None) -> list[_Cand]:
-    """Matches of a transition's input arcs to distinct tokens, in pool
-    order arc by arc.  Pools are sorted, so equal tokens are adjacent, and
-    each arc tries one token of every run of equal ones: no two matches
-    consume equal tokens arc for arc.  With ``focus = (i, keys)``, arc
-    ``i`` tries only the runs of the tokens with those ``(value,
-    created_at)`` keys (a delta join).  Guards are not evaluated here."""
-    partial = [({}, {}, (), ())]  # env, ages, matches, pool index per arc
-    arcs = _binders(net, t)
-    for k, (place, is_view, bind, names) in enumerate(arcs):
-        pool = marking.tokens(place)
-        if focus and focus[0] == k:
-            runs = [marking.span(place, Token(*key)) for key in focus[1]]
-        else:
-            runs = (range(len(pool)),)
-        shares = any(arc[0] == place for arc in arcs[:k])
-        grown = []
-        for env, ages, matches, used in partial:
-            taken = {i for (pid, _, _), i in zip(matches, used) if pid == place} if shares else ()
-            for run in runs:
-                prev = None
-                for i in run:
-                    tok = pool[i]
-                    if i in taken or tok == prev:
-                        continue
-                    prev = tok
-                    env2 = bind(tok.value, env)
-                    if env2 is not None:
-                        ages2 = {**ages, **dict.fromkeys(names, tok.created_at)} if names else ages
-                        grown.append((env2, ages2, matches + ((place, tok, is_view),), used + (i,)))
-        partial = grown
-    return [_Cand(t, env, matches, ages) for env, ages, matches, _ in partial]
 
 
 def _transitions_by_id(net: Net) -> tuple[Transition, ...]:
@@ -328,36 +302,52 @@ def _stamp(instance, relations: tuple) -> tuple:
     return tuple(instance.rows(rel) for rel in relations)
 
 
-def _lost(c: _Cand, places: list[str], left: list[dict]) -> bool:
-    """Whether fewer copies of one of the candidate's tokens are left than
-    it matches on that token's place."""
-    for i, key in enumerate(c.key):
-        copies = left[i].get(key)
-        if copies == 0 or copies is not None and copies < sum(
-            1 for j, other in enumerate(c.key) if other == key and places[j] == places[i]
-        ):
-            return True
-    return False
-
-
 class _Entry:
     """One distinct token on an input arc, bound by that arc alone: an entry
-    of the arc's alpha memory.  ``share`` is the arc's part of
-    ``_Cand.rank``: the values of the arc's variables in name order, then
-    the token's ``(value, created_at)``.  ``copies`` counts the tokens equal
-    to it on the arc's place."""
+    of the arc's alpha memory.  ``copies`` counts the tokens equal to it on
+    the arc's place, and ``cands`` is its reverse set: the keys of the
+    candidates built on it (keys, not candidates, so that entries and
+    candidates form no reference cycle).  In a lazy slot, ``share`` is the
+    arc's part of ``_Cand.rank``: the values of the arc's variables in name
+    order, then the token's ``(value, created_at)``."""
 
-    __slots__ = ("share", "token", "env", "ages", "copies")
+    __slots__ = ("key", "token", "env", "ages", "copies", "cands", "share")
 
-    def __init__(self, share: tuple, token: Token, env: dict, ages: dict, copies: int):
-        self.share = share
+    def __init__(self, token: Token, env: dict, ages: dict):
+        self.key = (token.value, token.created_at)
         self.token = token
         self.env = env
         self.ages = ages
-        self.copies = copies
+        self.copies = 0
+        self.cands: set = set()
+        self.share: Optional[tuple] = None
 
 
 _share = attrgetter("share")
+
+
+def _entry(arc: tuple, token: Token) -> Optional[_Entry]:
+    """``token`` bound by one input arc alone; None when the arc rejects
+    it."""
+    _, _, bind, names = arc
+    env = bind(token.value)
+    return None if env is None else _Entry(token, env, dict.fromkeys(names, token.created_at))
+
+
+def _merge(t: Transition, arcs: tuple, entries: tuple) -> Optional[_Cand]:
+    """The candidate of one entry per input arc of ``t``, in arc order, or
+    None when a variable bound on two arcs gets unequal values.  The later
+    arc sets the age of a variable bound on two."""
+    env: dict = {}
+    ages: dict = {}
+    for e in entries:
+        for name, value in e.env.items():
+            prior = env.setdefault(name, value)
+            if prior is not value and prior != value:
+                return None
+        ages.update(e.ages)
+    matches = tuple([(arc[0], e.token, arc[1]) for arc, e in zip(arcs, entries)])
+    return _Cand(t, env, matches, ages, entries)
 
 
 def _walk_plan(t: Transition) -> Optional[tuple]:
@@ -375,25 +365,29 @@ class _Slot:
     """One transition's candidates, kept in canonical order (``order``) and
     by token key (``cands``) from step to step.
 
-    ``pending`` collects the net token changes of the transition's input
-    places since the slot last caught up (``sync``).  ``stamp`` holds the
-    row tuples of the relations the guard reads, as of the last solve; the
-    truth sets are solved again only when one of them is replaced.
+    Each input arc has an alpha memory (``index``, by token key): an
+    ``_Entry`` per distinct token the arc accepts.  ``pending`` collects
+    the net token changes of the transition's input places since the slot
+    last caught up (``sync``); catching up binds each new token by its arc
+    alone, and drops, through the reverse set of each entry whose token
+    fell, the candidates left without enough copies (``_lose``).  Every
+    candidate is bound through ``_bind``.  ``stamp`` holds the row tuples
+    of the relations the guard reads, as of the last solve; the truth sets
+    are solved again only when one of them is replaced.
 
-    A slot of the eager policy whose transition has no least delay and two
-    or more input arcs that bind pairwise disjoint variables builds its
-    candidates lazily (LEAPS: Miranker et al., AAAI 1990).  It keeps one
-    alpha memory per arc (``mems``): an entry per distinct token the arc
-    accepts, sorted by the arc's share of the rank, and updated from
-    ``pending`` with one bind per new token and a bisect per token that
-    falls.  As the arcs are independent, the canonical order of the
-    candidates is the product order of the memories, and ``first_ready``
-    walks it best-first from the product of the memories' minima, building
-    each candidate it reaches, up to the first that holds.  ``complete``
-    says that every candidate is built: a walk that finds none sets it, a
-    new token clears it.  Every other slot binds all its candidates, each
-    new token on a single arc and by a delta join (new tokens on one arc,
-    whole pools on the others) on several, and is always complete.
+    A full slot binds every candidate: the product of its memories at
+    first, then on each arc the entries that grew with every entry of the
+    other arcs (``_extend``).  A slot of the eager
+    policy whose transition has no least delay and two or more input arcs
+    that bind pairwise disjoint variables is ``lazy`` instead (LEAPS:
+    Miranker et al., AAAI 1990).  It also keeps each memory sorted by the
+    arc's share of the rank (``mems``).  As the arcs are independent, the
+    canonical order of the candidates is the product order of the
+    memories, and ``first_ready`` walks it best-first from the product of
+    the memories' minima, building each candidate it reaches, up to the
+    first that holds.  ``complete`` says that every candidate is built: a
+    walk that finds none sets it, a new entry clears it.  A full slot is
+    always complete.
 
     Under the eager policy three heaps index the candidates by time:
     ``wait`` by the first instant at which a candidate that does not hold
@@ -419,32 +413,39 @@ class _Slot:
         self.live = 0
         self.seq = itertools.count()
         self.stamp = _stamp(snapshot.instance, self.reads)
+        places = [place for place, *_ in self.arcs]
+        # arcs that draw from one place, which must not take more copies of
+        # a token than it holds
+        groups = (tuple(k for k, p in enumerate(places) if p == place) for place in dict.fromkeys(places))
+        self.shared = [group for group in groups if len(group) > 1]
         plan = _walk_plan(t) if eager and not self.delay else None
-        self.mems: Optional[list[list[_Entry]]] = None
-        self.complete = plan is None
-        if plan is None:
-            self.order = _join(net, snapshot.marking, t)
-            self.order.sort(key=_Cand.rank)
-        else:
+        self.lazy = plan is not None
+        if self.lazy:
             self.names, self.layout = plan
-            places = [place for place, *_ in self.arcs]
-            # arcs that draw from one place, which must not take more copies
-            # of a token than it holds
-            groups = (tuple(k for k, p in enumerate(places) if p == place) for place in dict.fromkeys(places))
-            self.shared = [group for group in groups if len(group) > 1]
-            self.mems = [[] for _ in places]
-            self.index = [{} for _ in places]
-            pools = {place: Counter(map(_token_key, snapshot.marking.tokens(place))) for place in places}
-            self._remember(snapshot.marking, pools)
-            self.order = []
-        self.cands = {c.key: c for c in self.order}
-        self._solve(self.order, snapshot.instance)
+            self.mems: list[list[_Entry]] = [[] for _ in places]
+        self.index: list[dict] = [{} for _ in places]
+        self.cands: dict = {}
+        self.order: list[_Cand] = []
+        self.complete = True
+        pools = {place: Counter(map(_token_key, snapshot.marking.tokens(place))) for place in places}
+        self._remember(snapshot.marking, pools)
+        if not self.lazy:
+            # every entry is new, so the product of the memories is every
+            # candidate: one with no entries for a transition without arcs
+            combos = itertools.product(*(index.values() for index in self.index))
+            self.order = sorted(filter(None, map(self._bind, combos)), key=_Cand.rank)
+            self._solve(self.order, snapshot.instance)
 
-    def sync(self, net: Net, snapshot: Snapshot) -> None:
+    def sync(self, snapshot: Snapshot) -> None:
         """Catch up with the snapshot: drop the candidates whose tokens are
         gone, bind the new tokens, and solve the truth sets again when a
         relation the guard reads was replaced."""
-        new = self._rebind(net, snapshot.marking) if self.pending else []
+        new = []
+        if self.pending:
+            pending, self.pending = self.pending, {}
+            grown = self._remember(snapshot.marking, pending)
+            if not self.lazy:
+                new = self._extend(grown)
         stamp = _stamp(snapshot.instance, self.reads)
         if any(a is not b for a, b in zip(stamp, self.stamp)):
             self.stamp = stamp
@@ -453,39 +454,6 @@ class _Slot:
             self._solve(new, snapshot.instance)
             for c in new:
                 insort(self.order, c, key=_Cand.rank)
-
-    def _rebind(self, net: Net, marking: Marking) -> list[_Cand]:
-        pending, self.pending = self.pending, {}
-        places = [place for place, *_ in self.arcs]
-        # copies left of each token whose count fell, per arc
-        left = [
-            {key: len(marking.span(place, Token(*key))) for key, n in pending.get(place, {}).items() if n < 0}
-            for place in places
-        ]
-        if any(left):
-            if len(places) == 1:
-                # a candidate's key is its one token's, so only the
-                # candidates of the tokens that fell are visited
-                suspects = [c for c in map(self.cands.get, ((key,) for key in left[0])) if c is not None]
-            else:
-                suspects = self.cands.values()
-            for c in [c for c in suspects if _lost(c, places, left)]:
-                del self.cands[c.key]
-                del self.order[bisect_left(self.order, c.rank(), key=_Cand.rank)]
-                c.ver += 1
-                self.live -= c.live
-                c.live = False
-        if self.mems is not None:
-            self._remember(marking, pending)
-            return []
-        new = []
-        for k, place in enumerate(places):
-            gained = [key for key, n in pending.get(place, {}).items() if n > 0]
-            if gained:
-                for c in _join(net, marking, self.t, (k, gained)):
-                    if self.cands.setdefault(c.key, c) is c:
-                        new.append(c)
-        return new
 
     def _solve(self, cands: list[_Cand], instance) -> None:
         guard = self.t.guard
@@ -497,50 +465,99 @@ class _Slot:
                 c.ver += 1
             self.fresh += cands
 
-    # alpha memories and the walk
+    # alpha memories and candidates
 
-    def _remember(self, marking: Marking, pending: dict) -> None:
+    def _remember(self, marking: Marking, pending: dict) -> list[list[_Entry]]:
         """Bring the alpha memories up to the pending token changes: bind
-        each new token by its arc alone, drop each token left with no
-        copy."""
-        for (place, _, bind, names), arc_names, mem, index in zip(self.arcs, self.names, self.mems, self.index):
-            for key, n in pending.get(place, {}).items():
-                if not n:
-                    continue
-                tok = Token(*key)
-                copies = len(marking.span(place, tok))
+        each new token by its arc alone, recount the copies of each token
+        whose count changed, and drop the entries left with none and the
+        candidates left without enough copies.  Returns the entries that
+        grew, per arc."""
+        grown = []
+        for k, arc in enumerate(self.arcs):
+            index, up = self.index[k], []
+            for key, n in pending.get(arc[0], {}).items():
                 e = index.get(key)
                 if e is None:
                     # a token the arc rejected is bound again only when
                     # another copy of it arrives
-                    env = bind(tok.value, {}) if n > 0 else None
-                    if env is not None:
-                        share = (tuple(env[name] for name in arc_names), key)
-                        e = index[key] = _Entry(share, tok, env, dict.fromkeys(names, tok.created_at), copies)
-                        insort(mem, e, key=_share)
-                elif copies:
-                    e.copies = copies
-                else:
-                    del index[key]
-                    del mem[bisect_left(mem, e.share, key=_share)]
+                    if n <= 0 or (e := _entry(arc, Token(*key))) is None:
+                        continue
+                    index[key] = e
+                    if self.lazy:
+                        e.share = (tuple(e.env[name] for name in self.names[k]), key)
+                        insort(self.mems[k], e, key=_share)
+                elif not n:
+                    continue
+                e.copies = len(marking.span(arc[0], e.token))
                 if n > 0:
-                    self.complete = False
+                    up.append(e)
+                    continue
+                if not e.copies:
+                    del index[key]
+                    if self.lazy:
+                        del self.mems[k][bisect_left(self.mems[k], e.share, key=_share)]
+                self._lose(e)
+            grown.append(up)
+        if self.lazy and any(grown):
+            self.complete = False
+        return grown
+
+    def _lose(self, e: _Entry) -> None:
+        """Drop the candidates built on ``e`` that take more copies of its
+        token than are left: all of them once none is."""
+        for c in [c for c in map(self.cands.get, e.cands) if not (e.copies and self._fits(c.entries))]:
+            del self.cands[c.key]
+            del self.order[bisect_left(self.order, c.rank(), key=_Cand.rank)]
+            for other in c.entries:
+                other.cands.remove(c.key)
+            c.ver += 1
+            self.live -= c.live
+            c.live = False
+
+    def _extend(self, grown: list[list[_Entry]]) -> list[_Cand]:
+        """The candidates not yet bound that take a grown entry: on each arc
+        in turn, its grown entries with every entry of the other arcs (a
+        delta join)."""
+        new = []
+        for k, entries in enumerate(grown):
+            if entries:
+                pools = [entries if j == k else index.values() for j, index in enumerate(self.index)]
+                for combo in itertools.product(*pools):
+                    if tuple([e.key for e in combo]) not in self.cands:
+                        c = self._bind(combo)
+                        if c is not None:
+                            new.append(c)
+        return new
+
+    def _bind(self, entries: tuple) -> Optional[_Cand]:
+        """The candidate of one entry per arc, entered in ``cands`` and in
+        its entries' reverse sets; None when it takes more copies of a token
+        than its place holds, or binds a variable two ways."""
+        if not self._fits(entries):
+            return None
+        c = _merge(self.t, self.arcs, entries)
+        if c is not None:
+            self.cands[c.key] = c
+            for e in entries:
+                e.cands.add(c.key)
+        return c
+
+    def _fits(self, entries: tuple) -> bool:
+        """Whether a combination takes no more copies of a token than its
+        place holds."""
+        for group in self.shared:
+            keys = [entries[k].key for k in group]
+            if any(keys.count(entries[k].key) > entries[k].copies for k in group):
+                return False
+        return True
 
     def _combo(self, at: tuple) -> tuple:
         """(rank, memory indices, entries) of the product's combination
         ``at``; the rank orders as ``_Cand.rank`` does."""
-        entries = [mem[i] for mem, i in zip(self.mems, at)]
+        entries = tuple(mem[i] for mem, i in zip(self.mems, at))
         values = tuple(entries[k].share[0][j] for k, j in self.layout)
-        return (values, tuple(e.share[1] for e in entries)), at, entries
-
-    def _fits(self, entries: list[_Entry]) -> bool:
-        """Whether a combination takes no more copies of a token than its
-        place holds."""
-        for group in self.shared:
-            keys = [entries[k].share[1] for k in group]
-            if any(keys.count(entries[k].share[1]) > entries[k].copies for k in group):
-                return False
-        return True
+        return (values, tuple(e.key for e in entries)), at, entries
 
     def _walk(self, snapshot: Snapshot) -> Optional[_Cand]:
         """Visit the product of the alpha memories in canonical order, best
@@ -553,12 +570,11 @@ class _Slot:
             heap = [self._combo((0,) * len(mems))]
             while heap:
                 rank, at, entries = heappop(heap)
-                if self._fits(entries):
-                    c = self.cands.get(rank[1])
-                    if c is None:
-                        c = self._build(entries, snapshot)
-                    if c.live:
-                        return c
+                c = self.cands.get(rank[1])
+                if c is None and (c := self._bind(entries)) is not None:
+                    self._build(c, snapshot)
+                if c is not None and c.live:
+                    return c
                 last = max((k for k, i in enumerate(at) if i), default=0)
                 for k in range(last, len(mems)):
                     if at[k] + 1 < len(mems[k]):
@@ -566,16 +582,10 @@ class _Slot:
         self.complete = True
         return None
 
-    def _build(self, entries: list[_Entry], snapshot: Snapshot) -> _Cand:
-        env: dict = {}
-        ages: dict = {}
-        for e in entries:
-            env.update(e.env)
-            ages.update(e.ages)
-        matches = tuple((place, e.token, is_view) for (place, is_view, *_), e in zip(self.arcs, entries))
-        c = _Cand(self.t, env, matches, ages)
-        c.truth = guard_truth(self.t.guard, env, instance=snapshot.instance, ages=ages)
-        self.cands[c.key] = c
+    def _build(self, c: _Cand, snapshot: Snapshot) -> _Cand:
+        """Finish a candidate the walk bound: solve its truth set, put it in
+        order and settle it at the clock."""
+        c.truth = guard_truth(self.t.guard, c.env, instance=snapshot.instance, ages=c.ages)
         insort(self.order, c, key=_Cand.rank)
         self._settle(c, snapshot.clock)
         return c
@@ -667,11 +677,12 @@ class Agenda:
     ``refresh_views`` applies them), and the difference between the old
     and new pool of every other view place that was evaluated again.  A
     slot catches up when it is next asked (``slot``), so a transition that
-    no step asks about binds nothing.  With ``eager``, slots also keep the
-    onsets and heaps of the eager policy, and the slots of delay-0
-    transitions whose arcs bind disjoint variables build their candidates
-    lazily, walking their alpha memories only as far as a step asks.
-    ``random_step`` and the one-shot agendas of ``enabled``,
+    no step asks about binds nothing.  Every slot binds from one alpha
+    memory per input arc.  With ``eager``, slots also keep the onsets and
+    heaps of the eager policy, and the slots of delay-0 transitions whose
+    arcs bind disjoint variables build their candidates lazily, walking
+    their memories only as far as a step asks; every other slot builds
+    them fully.  ``random_step`` and the one-shot agendas of ``enabled``,
     ``advance_clock`` and ``fire`` are not eager, so every slot they read
     holds all its candidates.
     """
@@ -690,7 +701,7 @@ class Agenda:
             for place in dict.fromkeys(arc.place for arc in t.inputs):
                 self.readers.setdefault(place, []).append(slot)
         else:
-            slot.sync(self.net, self.snap)
+            slot.sync(self.snap)
         return slot
 
     def commit(self, snapshot: Snapshot, event: FiringEvent) -> None:
@@ -792,18 +803,6 @@ class Agenda:
         if min_flip is None or (until is not None and min_flip > until):
             return None
         return ("advance", min_flip)
-
-
-def _flip(snapshot: Snapshot, cand: _Cand, from_time: int) -> Optional[int]:
-    """The first instant >= from_time at which the candidate's guard holds,
-    which is from_time itself when it holds now; None if it never will."""
-    return guard_flip_time(
-        cand.transition.guard,
-        cand.env,
-        instance=snapshot.instance,
-        ages=cand.ages,
-        from_time=from_time,
-    )
 
 
 def enabled(net: Net, snapshot: Snapshot) -> list[tuple[str, dict, int]]:
@@ -1036,24 +1035,21 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
     the recorded one, and the guard holds."""
     if len(ev.consumed) != len(t.inputs):
         return None
-    env: Optional[dict] = {}
-    ages: dict = {}
-    matches = []
-    for (place, is_view, bind, names), (pid, tok) in zip(_binders(net, t), ev.consumed):
-        if pid != place:
+    arcs = _binders(net, t)
+    entries = []
+    for arc, (pid, tok) in zip(arcs, ev.consumed):
+        e = _entry(arc, tok) if pid == arc[0] else None
+        if e is None:
             return None
-        env = bind(tok.value, env)
-        if env is None:
-            return None
-        ages.update(dict.fromkeys(names, tok.created_at))
-        matches.append((pid, tok, is_view))
+        entries.append(e)
     for (pid, tok), copies in Counter(ev.consumed).items():
         if not snapshot.marking.holds(pid, tok, copies):
             return None
-    cand = _Cand(t, env, tuple(matches), ages)
-    if cand.binding_items() != ev.binding or _flip(snapshot, cand, ev.time) != ev.time:
+    cand = _merge(t, arcs, tuple(entries))
+    if cand is None or cand.binding_items() != ev.binding:
         return None
-    return cand
+    at = guard_flip_time(t.guard, cand.env, instance=snapshot.instance, ages=cand.ages, from_time=ev.time)
+    return cand if at == ev.time else None
 
 
 def replay(net: Net, trace: Trace, *, verify: bool = True) -> Snapshot:

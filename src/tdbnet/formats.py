@@ -89,10 +89,16 @@ def value_to_json(v):
     return v
 
 
-def json_to_value(v):
-    if isinstance(v, list):
-        return tuple(json_to_value(x) for x in v)
-    return v
+def json_to_value(v, path: str):
+    """The value a JSON value stands for: an int, a string or a bool, or a
+    list of them as a tuple.  Anything else (a float, null, an object) is
+    a DocumentError located at ``path``."""
+    t = type(v)
+    if t is list:
+        return tuple([json_to_value(x, path) for x in v])
+    if t is int or t is str or t is bool:
+        return v
+    raise DocumentError([f"{path}: {json.dumps(v)} is not a value (an int, a string, a bool or a list of them)"])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def expr_from_json(node, path: str):
 
     if op == "const":
         arity(1)
-        return Const(json_to_value(args[0]))
+        return Const(json_to_value(args[0], path))
     if op == "var":
         arity(1)
         return Var(args[0])
@@ -530,13 +536,15 @@ def parse_net(text: str) -> tuple[Net, Snapshot]:
         raise DocumentError([f"net: {e}"]) from None
 
     inst = doc["initial_instance"]
+    clock = inst.get("clock", 0)
+    if type(clock) is not int:
+        diags.append(f"initial_instance.clock: {json.dumps(clock)} is not an integer")
     facts = []
     for i, row in enumerate(inst.get("facts", ())):
-        path = f"initial_instance.facts[{i}]"
-        if not (isinstance(row, list) and len(row) == 3):
-            diags.append(f"{path}: expected [relation, values, at]")
-            continue
-        facts.append((row[0], json_to_value(row[1]), row[2]))
+        try:
+            facts.append(fact_from_json(row, f"initial_instance.facts[{i}]"))
+        except DocumentError as e:
+            diags.extend(e.diagnostics)
     tokens = {}
     for pid, toks in sorted(doc["initial_marking"].items()):
         path = f"initial_marking.{pid}"
@@ -547,7 +555,7 @@ def parse_net(text: str) -> tuple[Net, Snapshot]:
     if diags:
         raise DocumentError(diags)
     try:
-        snap = initial_snapshot(net, facts=facts, tokens=tokens, clock=inst.get("clock", 0))
+        snap = initial_snapshot(net, facts=facts, tokens=tokens, clock=clock)
     except DefinitionError as e:
         raise DocumentError([f"initial_instance: {e}"]) from None
     return net, snap
@@ -562,9 +570,23 @@ def token_to_json(tok: Token):
 
 
 def token_from_json(node, path: str) -> Token:
-    if not isinstance(node, dict) or "value" not in node or "at" not in node:
-        raise DocumentError([f"{path}: expected a token object with value/at"])
-    return Token(json_to_value(node["value"]), node["at"])
+    if not isinstance(node, dict) or "value" not in node or type(node.get("at")) is not int:
+        raise DocumentError([f"{path}: expected a token object with a value and an integer at"])
+    return Token(json_to_value(node["value"], path), node["at"])
+
+
+def fact_from_json(node, path: str) -> tuple:
+    if not (isinstance(node, list) and len(node) == 3 and isinstance(node[1], list) and type(node[2]) is int):
+        raise DocumentError([f"{path}: expected [relation, values, at] with an integer at"])
+    return node[0], json_to_value(node[1], path), node[2]
+
+
+def _integer(node, key: str, path: str) -> int:
+    """``node[key]``, which must be an int."""
+    value = node[key]
+    if type(value) is not int:
+        raise DocumentError([f"{path}.{key}: {json.dumps(value)} is not an integer"])
+    return value
 
 
 def _schema_to_json(schema: Schema):
@@ -608,7 +630,7 @@ def snapshot_to_json(snap: Snapshot):
 
 def snapshot_from_json(node, schema: Schema, path: str) -> Snapshot:
     try:
-        facts = [(rel, json_to_value(values), at) for rel, values, at in node["facts"]]
+        facts = [fact_from_json(row, f"{path}.facts[{i}]") for i, row in enumerate(node["facts"])]
         instance = Instance.from_facts(schema, facts)
         marking = Marking(
             {
@@ -616,7 +638,7 @@ def snapshot_from_json(node, schema: Schema, path: str) -> Snapshot:
                 for pid, toks in node["marking"].items()
             }
         )
-        return Snapshot(instance, marking, node["clock"])
+        return Snapshot(instance, marking, _integer(node, "clock", path))
     except DocumentError:
         raise
     except (DefinitionError, KeyError, TypeError, ValueError) as e:
@@ -651,14 +673,14 @@ def event_to_json(ev: FiringEvent):
 def event_from_json(node, path: str) -> FiringEvent:
     try:
         return FiringEvent(
-            step=node["step"],
-            time=node["time"],
+            step=_integer(node, "step", path),
+            time=_integer(node, "time", path),
             transition=node["transition"],
-            binding=tuple((k, json_to_value(v)) for k, v in node["binding"]),
+            binding=tuple((k, json_to_value(v, path)) for k, v in node["binding"]),
             consumed=_pairs_from_json(node["consumed"], f"{path}.consumed"),
             produced=_pairs_from_json(node["produced"], f"{path}.produced"),
-            added=tuple((rel, json_to_value(v), at) for rel, v, at in node["added"]),
-            deleted=tuple((rel, json_to_value(v), at) for rel, v, at in node["deleted"]),
+            added=tuple(fact_from_json(row, f"{path}.added[{i}]") for i, row in enumerate(node["added"])),
+            deleted=tuple(fact_from_json(row, f"{path}.deleted[{i}]") for i, row in enumerate(node["deleted"])),
             outcome=node["outcome"],
         )
     except DocumentError:

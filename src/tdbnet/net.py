@@ -32,7 +32,7 @@ from .exprs import (
     validate_time_usage,
     variables,
 )
-from .persistence import Action, Instance, Query, Schema, check_compliance, copied_relation, eval_query
+from .persistence import Action, Instance, Query, Schema, copied_relation, eval_query, key_violations, type_violations
 from .values import ColorType, conforms, value_key
 
 
@@ -353,9 +353,14 @@ def initial_snapshot(
 ) -> Snapshot:
     """Build a snapshot from raw facts (relation, values, at) and tokens for
     normal places; view places are computed.  Bare values are wrapped as
-    tokens created at ``clock``."""
-    instance = Instance.from_facts(net.schema, facts)
-    bad = check_compliance(instance, net.schema)
+    tokens created at ``clock``.  Facts and tokens are type-checked before
+    they are sorted, so a value of no colour (a float, None) fails with a
+    DefinitionError that names it."""
+    facts = list(facts)
+    bad = type_violations(net.schema, facts)
+    if not bad:
+        instance = Instance.from_facts(net.schema, facts)
+        bad = key_violations(instance)
     if bad:
         raise DefinitionError(
             "initial facts violate schema constraints: "
@@ -365,12 +370,11 @@ def initial_snapshot(
         pid: [t if isinstance(t, Token) else Token(t, clock) for t in toks]
         for pid, toks in (tokens or {}).items()
     }
-    marking = Marking(wrapped)
-    for pid in wrapped:
+    for pid, toks in sorted(wrapped.items()):
         if net.place(pid).kind == "view":
             raise DefinitionError(f"place {pid!r} is a view place; its marking is derived")
-    check_marking(net, marking, clock)
-    marking = refresh_views(net, instance, marking)
+        _check_pool(net, pid, toks, clock)
+    marking = refresh_views(net, instance, Marking(wrapped))
     return Snapshot(instance, marking, clock)
 
 
@@ -379,12 +383,16 @@ def check_marking(net: Net, marking: Marking, clock: Optional[int] = None) -> No
     and fits that place's color, and, given a clock, was not created after
     it (its age would start out negative)."""
     for pid in marking.place_ids():
-        color = net.place(pid).color
-        for tok in marking.tokens(pid):
-            if not conforms(tok.value, color):
-                raise DefinitionError(f"place {pid!r}: token {tok!r} does not fit its color")
-            if clock is not None and tok.created_at > clock:
-                raise DefinitionError(f"place {pid!r}: token {tok!r} is created after the snapshot clock {clock}")
+        _check_pool(net, pid, marking.tokens(pid), clock)
+
+
+def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: Optional[int]) -> None:
+    color = net.place(pid).color
+    for tok in tokens:
+        if not conforms(tok.value, color):
+            raise DefinitionError(f"place {pid!r}: token {tok!r} does not fit its color")
+        if clock is not None and tok.created_at > clock:
+            raise DefinitionError(f"place {pid!r}: token {tok!r} is created after the snapshot clock {clock}")
 
 
 # ---------------------------------------------------------------------------

@@ -591,15 +591,9 @@ def apply_action_delta(
     for tmpl in action.adds:
         rel = schema.relation(tmpl.relation)
         values = tuple(resolve_term(t, {}, arg_env) for t in tmpl.terms)
-        err = _typecheck_row(rel, values)
-        if err is not None:
-            return ConstraintViolation(
-                relation=tmpl.relation,
-                kind="type",
-                key=values,
-                witnesses=((values, at),),
-                message=f"type constraint on {tmpl.relation!r}: {err}",
-            )
+        bad = _type_violation(rel, values, at)
+        if bad is not None:
+            return bad
         bucket, index = touch(rel)
         k = tuple(values[i] for i in rel.key_indexes())
         row = (values, at)
@@ -642,28 +636,51 @@ def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
     return res[0]
 
 
+def _type_violation(rel: Relation, values: tuple, ts) -> Optional[ConstraintViolation]:
+    err = _typecheck_row(rel, values)
+    if err is None:
+        return None
+    return ConstraintViolation(rel.name, "type", values, ((values, ts),), f"type constraint on {rel.name!r}: {err}")
+
+
+def type_violations(schema: Schema, facts: Iterable[tuple]) -> list[ConstraintViolation]:
+    """The type violations among raw (relation, values, at) facts, in their
+    order.  Check facts with it before they are sorted into an Instance:
+    a value that is no token value (a float, None) does not sort."""
+    found = (_type_violation(schema.relation(rel), tuple(values), at) for rel, values, at in facts)
+    return [bad for bad in found if bad is not None]
+
+
+def _key_violations(rel: Relation, rows: Iterable[tuple]) -> list[ConstraintViolation]:
+    kidx = rel.key_indexes()
+    groups: dict[tuple, list] = {}
+    for values, ts in rows:
+        groups.setdefault(tuple(values[i] for i in kidx), []).append((values, ts))
+    return [
+        ConstraintViolation(rel.name, "key", k, tuple(groups[k]), f"duplicate key {k!r} in relation {rel.name!r}")
+        for k in sorted(groups, key=lambda kk: tuple(value_key(v) for v in kk))
+        if len(groups[k]) > 1
+    ]
+
+
+def key_violations(instance: Instance) -> list[ConstraintViolation]:
+    """The key violations of an instance whose rows pass the type check
+    (see type_violations), in deterministic order."""
+    return [bad for rel in instance.schema.relations for bad in _key_violations(rel, instance.rows(rel.name))]
+
+
 def check_compliance(instance: Instance, schema: Schema | None = None) -> list[ConstraintViolation]:
-    """All key and type violations in an instance, in deterministic order."""
+    """All key and type violations in an instance, in deterministic order.
+    Keys are compared only among the rows that pass the type check."""
     schema = schema or instance.schema
     out: list[ConstraintViolation] = []
     for rel in schema.relations:
-        rows = instance.rows(rel.name)
-        for values, ts in rows:
-            err = _typecheck_row(rel, values)
-            if err is not None:
-                out.append(
-                    ConstraintViolation(rel.name, "type", values, ((values, ts),), f"type constraint on {rel.name!r}: {err}")
-                )
-        kidx = rel.key_indexes()
-        groups: dict[tuple, list] = {}
-        for values, ts in rows:
-            if len(values) != rel.arity:
-                continue
-            groups.setdefault(tuple(values[i] for i in kidx), []).append((values, ts))
-        for k in sorted(groups, key=lambda kk: tuple(value_key(v) for v in kk)):
-            members = groups[k]
-            if len(members) > 1:
-                out.append(
-                    ConstraintViolation(rel.name, "key", k, tuple(members), f"duplicate key {k!r} in relation {rel.name!r}")
-                )
+        typed = []
+        for values, ts in instance.rows(rel.name):
+            bad = _type_violation(rel, values, ts)
+            if bad is None:
+                typed.append((values, ts))
+            else:
+                out.append(bad)
+        out += _key_violations(rel, typed)
     return out

@@ -54,19 +54,20 @@ def product(*components: ColorType, labels=()) -> ColorType:
 
 
 def conforms(value: object, color: ColorType) -> bool:
-    """True if ``value`` inhabits ``color``.  bool is checked before int
-    because bool is an int subclass in Python."""
+    """True if ``value`` inhabits ``color``.  Types are exact: a bool is not
+    an int, and no subclass (an ``IntEnum``, a ``str`` subclass) is a
+    value."""
     kind = color.kind
     t = type(value)
     if kind == "int" or kind == "ts":
-        return t is int or (isinstance(value, int) and not isinstance(value, bool))
+        return t is int
     if kind == "text":
-        return t is str or isinstance(value, str)
+        return t is str
     if kind == "bool":
-        return t is bool or isinstance(value, bool)
+        return t is bool
     if kind == "product":
         return (
-            isinstance(value, tuple)
+            t is tuple
             and len(value) == len(color.components)
             and all(conforms(v, c) for v, c in zip(value, color.components))
         )
@@ -77,7 +78,9 @@ def value_key(value: object):
     """Total ordering key usable across mixed value types.
 
     Orders by a type tag first, so heterogeneous collections still sort
-    deterministically (bool < int < str < tuple).
+    deterministically (bool < int < str < tuple).  Tokens and rows are
+    checked against exact-type colours before they are sorted, so no
+    subclass of these types reaches it.
     """
     t = type(value)
     if t is int:
@@ -87,13 +90,5 @@ def value_key(value: object):
     if t is bool:
         return (0, int(value))
     if t is tuple:
-        return (3, tuple(value_key(v) for v in value))
-    if isinstance(value, bool):
-        return (0, int(value))
-    if isinstance(value, int):
-        return (1, value)
-    if isinstance(value, str):
-        return (2, value)
-    if isinstance(value, tuple):
         return (3, tuple(value_key(v) for v in value))
     raise TypeError(f"not a token value: {value!r}")

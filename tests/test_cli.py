@@ -1,5 +1,7 @@
 """Command line: exit codes and the files ``run`` writes."""
 
+import json
+
 from tdbnet import cli
 from tdbnet.engine import run
 from tdbnet.formats import serialize_trace
@@ -34,3 +36,23 @@ def test_unknown_check_is_a_usage_error(tmp_path, capsys):
     _run(tmp_path)
     assert cli.main(["validate", str(tmp_path / "t.trace.jsonl"), "--check", "speed:1"]) == cli.EXIT_USAGE
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_a_net_with_a_float_fact_is_a_located_error(tmp_path, capsys):
+    doc = {
+        "colorsets": {},
+        "relations": [{"name": "R", "columns": [{"name": "a", "type": "int"}], "key": ["a"]}],
+        "queries": [],
+        "actions": [],
+        "places": [],
+        "transitions": [],
+        "initial_marking": {},
+        "initial_instance": {"clock": 0, "facts": [["R", [1.5], 0]]},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["run", "--net", str(path), "--out", str(tmp_path / "t.trace.jsonl")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE == 1
+    assert err.startswith("error: initial_instance.facts[0]: 1.5 is not a value")
+    assert "Traceback" not in err

@@ -2,6 +2,8 @@
 
 import json
 import random
+from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -381,6 +383,58 @@ def test_token_of_the_wrong_color_is_rejected(entry, error):
         entry(_int_place_net())
 
 
+class _Level(IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+def _subclassed(kind):
+    """A snapshot of ``_int_place_net`` over a ``names`` relation that
+    holds an ``IntEnum`` token or a ``str``-subclass fact."""
+    net = replace(_int_place_net(), schema=Schema((Relation("names", (Column("n", TEXT),), ("n",)),)))
+    if kind == "token":
+        return net, Snapshot(Instance.empty(net.schema), Marking({"p": [Token(_Level.LOW, 0)]}), 0)
+    return net, Snapshot(Instance(net.schema, {"names": [((_Name("a"),), 0)]}), Marking({"p": [Token(1, 0)]}), 0)
+
+
+def _replay_snapshot(net, snap):
+    replay(net, Trace(TraceMeta(net.fingerprint(), "eager", None), snap, (), snap))
+
+
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("token", r"place 'p': token Token\(value=<_Level.LOW: 1>, created_at=0\) does not fit its color"),
+        ("fact", r"type constraint on 'names': column 'n' expects text, got 'a'"),
+    ],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda net, snap: initial_snapshot(
+            net,
+            facts=[("names", values, at) for _, values, at in snap.instance.all_rows()],
+            tokens={"p": snap.marking.tokens("p")},
+        ),
+        lambda net, snap: run(net, snap),
+        lambda net, snap: fire(net, snap, "t", {"x": 1}, at=5),
+        _replay_snapshot,
+        enabled,
+        advance_clock,
+    ],
+    ids=["initial_snapshot", "run", "fire", "replay", "enabled", "advance_clock"],
+)
+def test_subclass_values_are_rejected(entry, kind, message):
+    # colours are exact types: an IntEnum is no int value and a str
+    # subclass no text value, though isinstance accepts both
+    net, snap = _subclassed(kind)
+    with pytest.raises(DefinitionError, match=message):
+        entry(net, snap)
+
+
 # ---------------------------------------------------------------------------
 # guard solving in runs
 
@@ -478,10 +532,12 @@ def test_flip_time_exact_at_large_clock_in_runs():
 def _scheduler_counts(monkeypatch, bundle, kind, spec, policy="eager"):
     """A run of a pattern workload (seed 1 under the random policy), with
     the engine's candidates bound, guard truth sets solved, guards that
-    reached ``eval_expr`` and ``match_pattern`` calls counted."""
-    counts = dict.fromkeys(("candidates", "solves", "guard_evals", "matches"), 0)
+    reached ``eval_expr``, ``match_pattern`` calls and the candidates that
+    loss detection visited counted."""
+    counts = dict.fromkeys(("candidates", "solves", "guard_evals", "matches", "losses"), 0)
     guards = {id(t.guard) for t in bundle.net.transitions}
     cand, solve, evaluate, match = engine._Cand, engine.guard_truth, engine.eval_expr, engine.match_pattern
+    lose = engine._Slot._lose
 
     class Counted(cand):
         __slots__ = ()
@@ -502,10 +558,15 @@ def _scheduler_counts(monkeypatch, bundle, kind, spec, policy="eager"):
         counts["matches"] += 1
         return match(*a, **kw)
 
+    def counted_lose(slot, entry):
+        counts["losses"] += len(entry.cands)
+        return lose(slot, entry)
+
     monkeypatch.setattr(engine, "_Cand", Counted)
     monkeypatch.setattr(engine, "guard_truth", counted_solve)
     monkeypatch.setattr(engine, "eval_expr", counted_eval)
     monkeypatch.setattr(engine, "match_pattern", counted_match)
+    monkeypatch.setattr(engine._Slot, "_lose", counted_lose)
     trace = run(bundle.net, with_workload(bundle, parse_workload(kind, spec)), policy=policy, seed=1)
     return trace, counts
 
@@ -574,16 +635,19 @@ def _rev(n):
     ids=["delayer", "throttler", "resequencer", "aggregator", "aggregator-random", "circuit-breaker", "router"],
 )
 def test_guard_solves_scale_linearly(monkeypatch, build, kind, spec, n, policy):
-    # Twice the messages cost at most 2.2 times the candidates bound and the
-    # truth-set solves.  The full-rescan scheduler solved 40,525 delayer
-    # guards at N=200 and 160,725 at N=400; joining each returned capacity
-    # token of the throttler with every waiting message bound 3.95 times the
-    # candidates at burst:400 as at burst:200.
+    # Twice the messages cost at most 2.2 times the candidates bound, the
+    # truth-set solves and the candidates that loss detection visits.  The
+    # full-rescan scheduler solved 40,525 delayer guards at N=200 and
+    # 160,725 at N=400; joining each returned capacity token of the
+    # throttler with every waiting message bound 3.95 times the candidates
+    # at burst:400 as at burst:200; checking every candidate of a slot
+    # that lost a token visited 5,152 and 20,302 aggregator candidates
+    # (3.9 times) at rev(100) and rev(200).
     counts = []
     for size in (n, 2 * n):
         workload = _rev(size) if spec == "rev" else spec.format(n=size, vals=",".join(map(str, range(size))))
         counts.append(_scheduler_counts(monkeypatch, build(), kind, workload, policy)[1])
-    for counter in ("candidates", "solves"):
+    for counter in ("candidates", "solves", "losses"):
         assert counts[1][counter] <= 2.2 * counts[0][counter], counter
 
 

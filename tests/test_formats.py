@@ -110,6 +110,45 @@ class TestParseNet:
         assert len(exc.value.diagnostics) >= 2
 
 
+    @pytest.mark.parametrize(
+        "section,entry,diagnostic",
+        [
+            ("facts", ["R", [1.5, "x"], 0], "initial_instance.facts[0]: 1.5 is not a value"),
+            ("facts", ["R", [None, "x"], 0], "initial_instance.facts[0]: null is not a value"),
+            ("facts", ["R", [1, {"b": "x"}], 0], 'initial_instance.facts[0]: {"b": "x"} is not a value'),
+            ("marking", [{"value": 1.5, "at": 0}, {"value": "x", "at": 0}], "initial_marking.p0[0]: 1.5 is not a value"),
+            ("marking", [{"value": None, "at": 0}], "initial_marking.p0[0]: null is not a value"),
+            ("facts", ["R", [1, "x"], 0.5], "initial_instance.facts[0]: expected [relation, values, at] with an integer at"),
+            ("marking", [{"value": "x", "at": 0.5}], "initial_marking.p0[0]: expected a token object with a value and an integer at"),
+            ("marking", [{"value": "x", "at": None}], "initial_marking.p0[0]: expected a token object with a value and an integer at"),
+            ("clock", 1.5, "initial_instance.clock: 1.5 is not an integer"),
+        ],
+        ids=[
+            "float-fact", "null-fact", "object-fact", "mixed-tokens", "null-token",
+            "float-fact-time", "float-token-time", "null-token-time", "float-clock",
+        ],
+    )
+    def test_non_value_is_located(self, section, entry, diagnostic):
+        # JSON floats, nulls and objects are no token values, and times are
+        # integers: unchecked, the key check or the pool sort died on a
+        # non-value with a bare TypeError, a float creation time led to
+        # firing times like 3.0, and a null one died comparing with the clock
+        doc = json.loads(MINIMAL)
+        doc["relations"] = [
+            {"name": "R", "columns": [{"name": "a", "type": "int"}, {"name": "b", "type": "text"}], "key": ["a"]}
+        ]
+        if section == "facts":
+            doc["initial_instance"]["facts"] = [entry]
+        elif section == "marking":
+            doc["initial_marking"]["p0"] = entry
+        else:
+            doc["initial_instance"]["clock"] = entry
+        with pytest.raises(DocumentError) as exc:
+            parse_net(json.dumps(doc))
+        suffix = " (an int, a string, a bool or a list of them)" if diagnostic.endswith("not a value") else ""
+        assert exc.value.diagnostics == [diagnostic + suffix]
+
+
 class TestNetRoundTrip:
     @pytest.mark.parametrize("bundle", catalog_bundles(), ids=lambda b: b.name)
     def test_serialize_parse_serialize_is_stable(self, bundle):
@@ -180,6 +219,31 @@ class TestTraceRoundTrip:
         with pytest.raises(DocumentError) as exc:
             parse_trace("\n".join(lines) + "\n")
         assert "digest" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line,edit,diagnostic",
+        [
+            (0, lambda r: r["initial"]["facts"][0].__setitem__(2, 0.5), "header.initial.facts[0]: expected [relation, values, at] with an integer at"),
+            (0, lambda r: r["initial"].__setitem__("clock", 1.5), "header.initial.clock: 1.5 is not an integer"),
+            (-1, lambda r: r["final"].__setitem__("clock", 1.5), "footer.final.clock: 1.5 is not an integer"),
+            (1, lambda r: r.__setitem__("time", 0.0), "line 2.time: 0.0 is not an integer"),
+            (1, lambda r: r.__setitem__("step", None), "line 2.step: null is not an integer"),
+            (1, lambda r: r["added"][0].__setitem__(2, 0.5), "line 2.added[0]: expected [relation, values, at] with an integer at"),
+        ],
+        ids=["float-fact-time", "float-clock", "float-final-clock", "float-event-time", "null-step", "float-row-time"],
+    )
+    def test_non_integer_time_is_located(self, line, edit, diagnostic):
+        # a float time in a trace led to float firing times on replay, as
+        # in a net document
+        b = build_throttler(5)
+        tr = run(b.net, with_workload(b, [(0, ("a",)), (0, ("b",))]))
+        lines = serialize_trace(tr).splitlines()
+        record = json.loads(lines[line])
+        edit(record)
+        lines[line] = canonical_json(record)
+        with pytest.raises(DocumentError) as exc:
+            parse_trace("\n".join(lines) + "\n")
+        assert exc.value.diagnostics == [diagnostic]
 
 
 class TestCanonicalJson:

@@ -256,7 +256,7 @@ def test_replay_never_enumerates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("replay enumerated candidates")
 
-    monkeypatch.setattr(engine, "_join", refuse)
+    monkeypatch.setattr(engine, "_Slot", refuse)
     final = replay(bundle.net, tr)
     assert final.instance == tr.final.instance and final.marking == tr.final.marking
 

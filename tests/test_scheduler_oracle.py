@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
-from test_replay import CATALOG, POLICIES
+from test_replay import CATALOG, POLICIES, reference_replay
 from tdbnet import engine
 from tdbnet.engine import FiringEvent
 from tdbnet.exprs import Age, Const, DbCount, Now, Op, Param, Var, Wild
@@ -212,9 +212,35 @@ def _late_now(request):
     return net, initial_snapshot(net, tokens={"p": [1, 2, 4, 1], "q": [1, 2, 3]})
 
 
+def _source(request):
+    """``tick`` has no input arcs: its one candidate binds nothing, and it
+    fires while R counts fewer than three rows, keying each new row by that
+    count; ``take`` consumes what it emits, two time units later."""
+    net = Net(
+        places=(Place("out", INT),),
+        transitions=(
+            Transition(
+                "take",
+                inputs=(InputArc("out", Var("x")),),
+                delay=(2, 2),
+                guard=Op(">=", (Age("x"), Const(2))),
+            ),
+            Transition(
+                "tick",
+                guard=Op("<", (ROWS, Const(3))),
+                actions=(ActionCall("put", (ROWS, Const(1))),),
+                outputs=(OutputArc("out", ROWS),),
+            ),
+        ),
+        schema=Schema((R,)),
+        actions=(PUT,),
+    )
+    return net, initial_snapshot(net)
+
+
 NETS = {name: (lambda request, make=make: make()) for name, make in CATALOG.items()}
 NETS.update(timer=_timer, trip=_trip, tie=_tie, lapse=_lapse, rewrite=_rewrite, toggle=_toggle)
-NETS.update(interleave=_interleave, twins=_twins, late_count=_late_count, late_now=_late_now)
+NETS.update(interleave=_interleave, twins=_twins, late_count=_late_count, late_now=_late_now, source=_source)
 
 
 def _snapshots(net, trace):
@@ -250,6 +276,17 @@ def test_runs_and_queries_equal_the_oracle(request, name, policy, seed):
     net, initial = NETS[name](request)
     # trip reads a view place without consuming it, so it never stops
     _agree(net, initial, policy, seed, 100)
+
+
+@pytest.mark.parametrize("policy,seed", POLICIES)
+def test_a_transition_without_inputs_fires_and_replays(request, policy, seed):
+    net, initial = _source(request)
+    tr = _agree(net, initial, policy, seed, 100)
+    assert [ev.transition for ev in tr.events].count("tick") == 3
+    assert all(ev.binding == () and ev.consumed == () for ev in tr.events if ev.transition == "tick")
+    final = engine.replay(net, tr)
+    assert final.instance == tr.final.instance and final.marking == tr.final.marking
+    assert reference_replay(net, tr).instance == tr.final.instance
 
 
 def test_delayed_candidate_due_at_a_flip_fires_first(request):
@@ -448,7 +485,7 @@ def test_the_walk_equals_the_oracle(case, data):
         for before, after, consumed, produced in ((less, snap, (), moved), (snap, less, moved, ())):
             agenda = engine.Agenda(net2, before, eager=True)
             slot = agenda.slot(t2)
-            assert (slot.mems is not None) == walks
+            assert slot.lazy == walks
             first, built = _walked(slot, before)
             want = _oracle(net2, before, t2)
             assert (first and _key(first)) == (want[0] if holds and want else None)
@@ -471,7 +508,8 @@ def test_the_walk_equals_the_oracle(case, data):
 Q_R = Query("q_r", atoms=(Atom("R", (Var("a"), Var("b"))),), output=("a", "b"))
 # a projection, not a copy of R: evaluated again whenever R changes
 Q_A = Query("q_a", atoms=(Atom("R", (Var("a"), Wild())),), output=("a",))
-NAMES = ("x", "y", "z", "w")
+# a view arc binds two fresh names, so three arcs never run out
+NAMES = ("x", "y", "z", "w", "m", "n")
 DELAYS = st.one_of(
     st.just((0, 0)),
     st.integers(1, 4).map(lambda d: (d, d)),
@@ -502,7 +540,7 @@ def _guards(draw, normal, bound):
 @st.composite
 def _transitions(draw, tid):
     arcs, normal, bound = [], [], []
-    for place in draw(st.lists(st.sampled_from(("p", "p", "q", "v", "u")), min_size=1, max_size=2)):
+    for place in draw(st.lists(st.sampled_from(("p", "p", "q", "v", "u")), max_size=3)):
         fresh = [n for n in NAMES if n not in bound]
         if place == "u":
             arcs.append(InputArc("u", Var(fresh[0])))
@@ -562,10 +600,12 @@ def _nets(draw):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(_nets())
 def test_generated_runs_equal_the_oracle(case):
-    # shared input places, two views over a relation that actions write
-    # (a copy, maintained from row deltas, and a projection, evaluated
-    # again), guards on now(), age() and count(), delays whose window can open
-    # after the guard lapsed, key collisions and rollback arcs
+    # no input arcs or up to three (three-way joins, and a joined arc
+    # beside two arcs on one place), shared input places, two views over a relation
+    # that actions write (a copy, maintained from row deltas, and a
+    # projection, evaluated again), guards on now(), age() and count(),
+    # delays whose window can open after the guard lapsed, key collisions
+    # and rollback arcs
     net, initial = case
     for policy, seed in [("eager", None)] + [("random", seed) for seed in range(3)]:
         _agree(net, initial, policy, seed, 20)
