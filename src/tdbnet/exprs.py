@@ -46,8 +46,6 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .values import value_key
-
 
 class DefinitionError(ValueError):
     """A net, query, or action is malformed."""
@@ -188,7 +186,7 @@ def eval_expr(
         if instance is None:
             raise EvalError("merge_text() needs a persistence instance")
         rows = instance.match_values(e.relation, tuple(resolve_term(term, env, args) for term in e.terms))
-        rows = sorted(rows, key=lambda vs: value_key(vs[e.order_col]))
+        rows = sorted(rows, key=operator.itemgetter(e.order_col))
         return e.sep.join(str(vs[e.text_col]) for vs in rows)
     if t is Op:
         if e.op in ("and", "or"):

@@ -346,14 +346,6 @@ def serialize_net(net: Net, initial: Snapshot) -> str:
     return canonical_json(net_to_json(net, initial)) + "\n"
 
 
-def _require(doc: dict, key: str, kind, path: str, diags: list):
-    v = doc.get(key)
-    if not isinstance(v, kind):
-        diags.append(f"{path}: expected {kind.__name__} under {key!r}")
-        return None
-    return v
-
-
 def parse_net(text: str) -> tuple[Net, Snapshot]:
     try:
         doc = json.loads(text)

@@ -32,8 +32,8 @@ from .exprs import (
     validate_time_usage,
     variables,
 )
-from .persistence import Action, Instance, Query, Schema, copied_relation, eval_query, key_violations, type_violations
-from .values import ColorType, conforms, value_key
+from .persistence import Action, Instance, Query, Schema, check_compliance, copied_relation, eval_query
+from .values import ColorType, conforms
 
 
 @dataclass(frozen=True)
@@ -145,38 +145,37 @@ def _token_order(t: Token) -> tuple:
 
 
 def _token_sort(tokens: Iterable[Token]) -> tuple[Token, ...]:
-    toks = list(tokens)
-    try:
-        # one place holds one color, so natural ordering matches value_key
-        toks.sort(key=_token_order)
-    except TypeError:
-        toks.sort(key=lambda t: (value_key(t.value), t.created_at))
-    return tuple(toks)
+    return tuple(sorted(tokens, key=_token_order))
 
 
 def _span(pool: tuple[Token, ...], tok: Token) -> range:
-    """The positions of the tokens equal to ``tok`` in a sorted pool: a
-    binary search in a pool of conforming values, a scan when values do not
-    compare."""
+    """The positions of the tokens equal to ``tok`` in a sorted pool, found
+    by binary search.  A token whose value does not compare with the pool's
+    gets ``range(0)``: no token of another type equals it."""
+    key = _token_order(tok)
     try:
-        key = _token_order(tok)
         lo = bisect_left(pool, key, key=_token_order)
-        return range(lo, bisect_right(pool, key, lo, key=_token_order))
     except TypeError:
-        at = [i for i, t in enumerate(pool) if t == tok]
-        return range(at[0], at[-1] + 1) if at else range(0)
+        return range(0)
+    return range(lo, bisect_right(pool, key, lo, key=_token_order))
 
 
 class Marking:
-    """Multiset of tokens per place, kept canonically ordered."""
+    """Multiset of tokens per place.  A place holds values of one colour,
+    which compare, so each pool is kept in its natural order, the canonical
+    one; the constructor rejects a pool whose values do not compare with a
+    DefinitionError that names the place.  Whether the values fit the
+    place's colour is checked against a net (``check_marking``)."""
 
     __slots__ = ("_tokens",)
 
     def __init__(self, tokens: Mapping[str, Iterable[Token]] | None = None):
         self._tokens: dict[str, tuple[Token, ...]] = {}
-        if tokens:
-            for pid, toks in tokens.items():
+        for pid, toks in (tokens or {}).items():
+            try:
                 self._tokens[pid] = _token_sort(toks)
+            except TypeError as e:
+                raise DefinitionError(f"place {pid!r}: its token values do not compare ({e})") from None
 
     def tokens(self, pid: str) -> tuple[Token, ...]:
         return self._tokens.get(pid, ())
@@ -205,24 +204,20 @@ class Marking:
     ) -> "Marking":
         """A new marking without ``remove`` (one copy each, ValueError when
         absent), with ``add``, and with the pools of ``views`` replaced.
-        Removals and additions find their position by binary search; pools
-        whose values do not compare fall back to a scan and a full sort."""
+        Removals and additions find their position by binary search."""
         new = dict(self._tokens)
         for pid, tok in remove:
             pool = new.get(pid, ())
             at = _span(pool, tok)
-            i = at.start if at else pool.index(tok)  # ValueError when absent
-            new[pid] = pool[:i] + pool[i + 1 :]
+            if not at:
+                raise ValueError(f"place {pid!r} holds no {tok!r}")
+            new[pid] = pool[: at.start] + pool[at.start + 1 :]
         grown: dict[str, list] = {}
         for pid, tok in add:
-            grown.setdefault(pid, []).append(tok)
-        for pid, toks in grown.items():
-            pool = list(new.get(pid, ()))
-            try:
-                for tok in toks:
-                    insort(pool, tok, key=_token_order)
-            except TypeError:
-                pool = _token_sort(new.get(pid, ()) + tuple(toks))
+            if pid not in grown:
+                grown[pid] = list(new.get(pid, ()))
+            insort(grown[pid], tok, key=_token_order)
+        for pid, pool in grown.items():
             new[pid] = tuple(pool)
         if views:
             for pid, toks in views.items():
@@ -355,12 +350,9 @@ def initial_snapshot(
     normal places; view places are computed.  Bare values are wrapped as
     tokens created at ``clock``.  Facts and tokens are type-checked before
     they are sorted, so a value of no colour (a float, None) fails with a
-    DefinitionError that names it."""
-    facts = list(facts)
-    bad = type_violations(net.schema, facts)
-    if not bad:
-        instance = Instance.from_facts(net.schema, facts)
-        bad = key_violations(instance)
+    DefinitionError that names it, as does a key that two facts share."""
+    instance = Instance.from_facts(net.schema, facts)
+    bad = check_compliance(instance)
     if bad:
         raise DefinitionError(
             "initial facts violate schema constraints: "

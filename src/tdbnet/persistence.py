@@ -2,7 +2,9 @@
 instances with per-fact insert timestamps, conjunctive queries, and atomic
 parameterized actions.
 
-An Instance never mutates; apply_action returns either a new Instance or a
+Every column has one type, so the values of a column always compare and an
+instance keeps each relation's rows in their natural order.  An Instance
+never mutates; apply_action returns either a new Instance or a
 ConstraintViolation value describing why the change was rejected.
 """
 
@@ -10,9 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exprs import (
+    _CMP,
     Const,
     DbCount,
     DefinitionError,
@@ -21,7 +25,7 @@ from .exprs import (
     Wild,
     resolve_term,
 )
-from .values import ColorType, SCALAR_KINDS, conforms, value_key
+from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType, conforms
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,11 @@ class Relation:
         names = [c.name for c in self.columns]
         return tuple(names.index(k) for k in self.key)
 
+    @cached_property
+    def types(self) -> tuple[type, ...]:
+        """The exact Python type of each column's values."""
+        return tuple(SCALAR_TYPES[c.color.kind] for c in self.columns)
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -73,9 +82,6 @@ class Schema:
             if r.name == name:
                 return r
         raise DefinitionError(f"unknown relation {name!r}")
-
-    def has_relation(self, name: str) -> bool:
-        return any(r.name == name for r in self.relations)
 
 
 @dataclass(frozen=True)
@@ -93,50 +99,35 @@ class ConstraintViolation:
     message: str
 
 
-def _row_sort(rows: Iterable[tuple]) -> tuple[tuple, bool]:
-    """The rows in canonical order, and whether that is their natural order.
-    Columns are homogeneously typed, so natural ordering agrees with the
-    value_key ordering and is much cheaper; only values that do not compare
-    (a non-compliant instance) fall back to value_key order."""
-    rows = list(rows)
-    try:
-        rows.sort(key=lambda r: (r[0], r[1]))
-        natural = True
-    except TypeError:
-        rows.sort(key=lambda r: (value_key(r[0]), r[1]))
-        natural = False
-    return tuple(rows), natural
-
-
 class Instance:
     """Immutable set of timestamped facts grouped by relation.
 
-    Rows are (values, inserted_at) pairs kept in canonical order, which is
-    their natural order except in the relations listed in ``_mixed``, whose
-    values do not compare and which are kept in value_key order.  Lookups
-    bisect the natural order on a pattern's leading bound columns and scan
-    the others.  Lookup caches are built lazily per object; since instances
-    never change after construction this is safe.  The per-relation key
-    index (key tuple -> row) is one of them; an instance derived by
-    apply_action_delta starts from its parent's indexes, copying only those
-    of the relations it changes.
+    Rows are (values, inserted_at) pairs.  The constructor rejects a row
+    that does not fit its relation's column types with a DefinitionError,
+    and apply_action_delta rejects such an addition, so every instance
+    holds values that compare within each column and keeps its rows in
+    their natural order, the canonical one.  Lookups bisect that order on a
+    pattern's leading bound columns and scan the others.  Lookup caches are
+    built lazily per object; since instances never change after
+    construction this is safe.  The per-relation key index (key tuple ->
+    row) is one of them; an instance derived by apply_action_delta starts
+    from its parent's indexes, copying only those of the relations it
+    changes.  Keys are not checked here: see check_compliance.
     """
 
-    __slots__ = ("schema", "_rows", "_mixed", "_count_cache", "_key_index")
+    __slots__ = ("schema", "_rows", "_count_cache", "_key_index")
 
     def __init__(self, schema: Schema, rows: Mapping[str, Iterable[tuple]] | None = None):
         self.schema = schema
         store: dict[str, tuple] = {r.name: () for r in schema.relations}
-        mixed = set()
-        if rows:
-            for rel, rs in rows.items():
-                if not schema.has_relation(rel):
-                    raise DefinitionError(f"unknown relation {rel!r}")
-                store[rel], natural = _row_sort(rs)
-                if not natural:
-                    mixed.add(rel)
+        for name, rs in (rows or {}).items():
+            rel = schema.relation(name)
+            rs = tuple(rs)
+            for values, at in rs:
+                if tuple(map(type, values)) != rel.types:
+                    raise DefinitionError(_type_violation(rel, values, at).message)
+            store[name] = tuple(sorted(rs))
         self._rows = store
-        self._mixed = frozenset(mixed)
         self._count_cache: dict = {}
         self._key_index: dict[str, dict] = {}
 
@@ -146,8 +137,9 @@ class Instance:
 
     @classmethod
     def from_facts(cls, schema: Schema, facts: Iterable[tuple]) -> "Instance":
-        """facts: iterable of (relation, values, at).  No constraint check is
-        performed here; use check_compliance for that."""
+        """facts: iterable of (relation, values, at).  Each fact's values are
+        type-checked as the constructor does; keys are not checked, use
+        check_compliance for that."""
         grouped: dict[str, list] = {}
         for rel, values, at in facts:
             grouped.setdefault(rel, []).append((tuple(values), at))
@@ -176,9 +168,9 @@ class Instance:
         ``rows[lo:hi]`` are the rows whose leading bound columns equal the
         pattern's, found by bisecting the canonical row order; ``rest`` holds
         the ``(column, value)`` pairs of the other bound columns, which those
-        rows must still match.  The range is the whole relation when its rows
-        are in value_key order or a bound value does not compare with its
-        column."""
+        rows must still match.  The range is the whole relation when a bound
+        value does not compare with its column (a ``str`` looked up in an
+        ``int`` column): no row equals it, and the scan finds none."""
         rel = self.schema.relation(relation)
         rows = self.rows(relation)
         if pattern is None:
@@ -188,17 +180,16 @@ class Instance:
                 f"pattern arity {len(pattern)} does not match relation {relation!r} arity {rel.arity}"
             )
         lo, hi, k = 0, len(rows), 0
-        if relation not in self._mixed:
-            while k < len(pattern) and pattern[k] is not None:
-                k += 1
-            if k:
-                prefix = tuple(pattern[:k])
-                lead = lambda row: row[0][:k]
-                try:
-                    lo = bisect_left(rows, prefix, key=lead)
-                    hi = bisect_right(rows, prefix, lo, key=lead)
-                except TypeError:
-                    lo, hi, k = 0, len(rows), 0
+        while k < len(pattern) and pattern[k] is not None:
+            k += 1
+        if k:
+            prefix = tuple(pattern[:k])
+            lead = lambda row: row[0][:k]
+            try:
+                lo = bisect_left(rows, prefix, key=lead)
+                hi = bisect_right(rows, prefix, lo, key=lead)
+            except TypeError:
+                lo, hi, k = 0, len(rows), 0
         return rows, lo, hi, tuple((i, p) for i, p in enumerate(pattern) if i >= k and p is not None)
 
     def _candidates(self, relation: str, pattern: Optional[Sequence]) -> tuple[tuple, tuple]:
@@ -426,8 +417,6 @@ def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
             return instance.count_matching(side.relation, pattern)
         return resolve_term(side, env, arg_env)
 
-    from .exprs import _CMP  # comparison table shared with guards
-
     kept = []
     for env in envs:
         ok = True
@@ -438,9 +427,9 @@ def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
         if ok:
             kept.append(tuple(env[v] for v in query.output))
 
-    rows = sorted(set(kept), key=lambda r: tuple(value_key(v) for v in r))
+    rows = sorted(set(kept))
     if query.order_by is not None:
-        rows.sort(key=lambda r: tuple(value_key(r[i]) for i in query.order_by))
+        rows.sort(key=lambda r: tuple(r[i] for i in query.order_by))
     return tuple(rows)
 
 
@@ -502,29 +491,6 @@ def _matches(pattern: list, values: tuple) -> bool:
     return all(p is None or p == v for p, v in zip(pattern, values))
 
 
-def _insert_row(rows: list, row: tuple, natural: bool) -> bool:
-    """Insert into rows kept in _row_sort order, natural or not; returns
-    whether the rows are in natural order afterwards."""
-    if natural:
-        try:
-            insort(rows, row)
-            return True
-        except TypeError:
-            pass
-    rows[:], natural = _row_sort(rows + [row])
-    return natural
-
-
-def _remove_row(rows: list, row: tuple) -> None:
-    try:
-        i = bisect_left(rows, row)
-    except TypeError:
-        i = len(rows)
-    if i == len(rows) or rows[i] != row:
-        i = rows.index(row)
-    del rows[i]
-
-
 def apply_action_delta(
     instance: Instance, action: Action, args: Sequence, at: int
 ):
@@ -557,13 +523,11 @@ def apply_action_delta(
     # key indexes
     rows: dict[str, list] = {}
     indexes: dict[str, dict] = {}
-    natural: dict[str, bool] = {}
 
     def touch(rel: Relation) -> tuple[list, dict]:
         if rel.name not in rows:
             rows[rel.name] = list(instance.rows(rel.name))
             indexes[rel.name] = dict(instance.key_index(rel))
-            natural[rel.name] = rel.name not in instance._mixed
         return rows[rel.name], indexes[rel.name]
 
     deleted: list[tuple] = []
@@ -576,7 +540,7 @@ def apply_action_delta(
             row = index.get(tuple(pattern[i] for i in kidx))
             hits = [row] if row is not None and _matches(pattern, row[0]) else []
             if hits:
-                _remove_row(bucket, row)
+                del bucket[bisect_left(bucket, row)]
         else:
             hits, keep = [], []
             for row in bucket:
@@ -609,7 +573,7 @@ def apply_action_delta(
                     message=f"duplicate key {k!r} in relation {rel.name!r}",
                 )
             continue
-        natural[rel.name] = _insert_row(bucket, row, natural[rel.name])
+        insort(bucket, row)
         added.append((rel.name, values, at))
     for clash in clashes.values():
         if clash is not None:
@@ -621,7 +585,6 @@ def apply_action_delta(
     new = Instance.__new__(Instance)
     new.schema = schema
     new._rows = store
-    new._mixed = instance._mixed.difference(natural).union(rel for rel, n in natural.items() if not n)
     new._count_cache = {}
     new._key_index = {**instance._key_index, **indexes}
     return new, added, deleted
@@ -643,44 +606,19 @@ def _type_violation(rel: Relation, values: tuple, ts) -> Optional[ConstraintViol
     return ConstraintViolation(rel.name, "type", values, ((values, ts),), f"type constraint on {rel.name!r}: {err}")
 
 
-def type_violations(schema: Schema, facts: Iterable[tuple]) -> list[ConstraintViolation]:
-    """The type violations among raw (relation, values, at) facts, in their
-    order.  Check facts with it before they are sorted into an Instance:
-    a value that is no token value (a float, None) does not sort."""
-    found = (_type_violation(schema.relation(rel), tuple(values), at) for rel, values, at in facts)
-    return [bad for bad in found if bad is not None]
-
-
-def _key_violations(rel: Relation, rows: Iterable[tuple]) -> list[ConstraintViolation]:
-    kidx = rel.key_indexes()
-    groups: dict[tuple, list] = {}
-    for values, ts in rows:
-        groups.setdefault(tuple(values[i] for i in kidx), []).append((values, ts))
-    return [
-        ConstraintViolation(rel.name, "key", k, tuple(groups[k]), f"duplicate key {k!r} in relation {rel.name!r}")
-        for k in sorted(groups, key=lambda kk: tuple(value_key(v) for v in kk))
-        if len(groups[k]) > 1
-    ]
-
-
-def key_violations(instance: Instance) -> list[ConstraintViolation]:
-    """The key violations of an instance whose rows pass the type check
-    (see type_violations), in deterministic order."""
-    return [bad for rel in instance.schema.relations for bad in _key_violations(rel, instance.rows(rel.name))]
-
-
 def check_compliance(instance: Instance, schema: Schema | None = None) -> list[ConstraintViolation]:
-    """All key and type violations in an instance, in deterministic order.
-    Keys are compared only among the rows that pass the type check."""
+    """The key violations of an instance: relation by relation, in schema
+    order, and by key within one.  Types need no check here, since an
+    Instance holds only rows that fit their columns."""
     schema = schema or instance.schema
     out: list[ConstraintViolation] = []
     for rel in schema.relations:
-        typed = []
+        kidx = rel.key_indexes()
+        groups: dict[tuple, list] = {}
         for values, ts in instance.rows(rel.name):
-            bad = _type_violation(rel, values, ts)
-            if bad is None:
-                typed.append((values, ts))
-            else:
-                out.append(bad)
-        out += _key_violations(rel, typed)
+            groups.setdefault(tuple(values[i] for i in kidx), []).append((values, ts))
+        out += [
+            ConstraintViolation(rel.name, "key", k, tuple(groups[k]), f"duplicate key {k!r} in relation {rel.name!r}")
+            for k in sorted(k for k, rows in groups.items() if len(rows) > 1)
+        ]
     return out

@@ -1,15 +1,19 @@
-"""Color types and canonical ordering for the values carried by tokens and facts.
+"""Color types for the values carried by tokens and facts.
 
 A value is an int, a str, a bool, a timestamp (an int counted in engine time
 units), or a flat tuple of those.  Color types describe which values a place
-or a relation column accepts.
+or a relation column accepts.  Types are exact, so the values of one color
+always compare, and their natural order is the canonical order of a place's
+tokens and of a relation's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-SCALAR_KINDS = ("int", "text", "bool", "ts")
+# the exact Python type of each scalar kind's values
+SCALAR_TYPES = {"int": int, "text": str, "bool": bool, "ts": int}
+SCALAR_KINDS = tuple(SCALAR_TYPES)
 
 
 @dataclass(frozen=True)
@@ -57,38 +61,11 @@ def conforms(value: object, color: ColorType) -> bool:
     """True if ``value`` inhabits ``color``.  Types are exact: a bool is not
     an int, and no subclass (an ``IntEnum``, a ``str`` subclass) is a
     value."""
-    kind = color.kind
-    t = type(value)
-    if kind == "int" or kind == "ts":
-        return t is int
-    if kind == "text":
-        return t is str
-    if kind == "bool":
-        return t is bool
-    if kind == "product":
+    if color.kind == "product":
         return (
-            t is tuple
+            type(value) is tuple
             and len(value) == len(color.components)
             and all(conforms(v, c) for v, c in zip(value, color.components))
         )
-    return False
+    return type(value) is SCALAR_TYPES[color.kind]
 
-
-def value_key(value: object):
-    """Total ordering key usable across mixed value types.
-
-    Orders by a type tag first, so heterogeneous collections still sort
-    deterministically (bool < int < str < tuple).  Tokens and rows are
-    checked against exact-type colours before they are sorted, so no
-    subclass of these types reaches it.
-    """
-    t = type(value)
-    if t is int:
-        return (1, value)
-    if t is str:
-        return (2, value)
-    if t is bool:
-        return (0, int(value))
-    if t is tuple:
-        return (3, tuple(value_key(v) for v in value))
-    raise TypeError(f"not a token value: {value!r}")

@@ -3,7 +3,7 @@ differential oracle for ``tdbnet.engine``.
 
 Frozen copies of the full-rescan enumerator (with its single-arc fast path
 and the onset-key deduplication), the canonical sort with its ``value_key``
-fallback, ``enabled``, ``advance_clock``, both policies' step functions and
+fallback (``value_key`` itself is copied here too), ``enabled``, ``advance_clock``, both policies' step functions and
 the run loop.  Firing, validation and view checks are the engine's own
 (``_execute``, ``_ensure_valid``, ``_require_compliant``,
 ``_check_view_consistency``), so a difference between ``run`` here and in
@@ -35,7 +35,26 @@ from tdbnet.exprs import (
     window_starts,
 )
 from tdbnet.net import Net, Snapshot, Transition
-from tdbnet.values import value_key
+
+
+def value_key(value: object):
+    """Total ordering key usable across mixed value types.
+
+    Orders by a type tag first, so heterogeneous collections still sort
+    deterministically (bool < int < str < tuple).  Tokens and rows are
+    checked against exact-type colours before they are sorted, so no
+    subclass of these types reaches it.
+    """
+    t = type(value)
+    if t is int:
+        return (1, value)
+    if t is str:
+        return (2, value)
+    if t is bool:
+        return (0, int(value))
+    if t is tuple:
+        return (3, tuple(value_key(v) for v in value))
+    raise TypeError(f"not a token value: {value!r}")
 
 
 class _Cand:

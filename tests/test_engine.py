@@ -341,10 +341,10 @@ def _int_place_net():
 
 
 def _mixed_colors(net):
-    # a str token on an INT place; unchecked, the eager step compares it
-    # with the int and dies with a bare TypeError
+    # a bool token on an INT place: it compares with the int, so the
+    # marking holds it, and only the colour check rejects it
     good = initial_snapshot(net, tokens={"p": [1]})
-    return Snapshot(good.instance, Marking({"p": [Token(1, 0), Token("a", 0)]}), 0)
+    return Snapshot(good.instance, Marking({"p": [Token(1, 0), Token(True, 0)]}), 0)
 
 
 def _replay_parsed(net):
@@ -355,14 +355,14 @@ def _replay_parsed(net):
 
 def _parse_net_doc(net):
     doc = json.loads(serialize_net(net, initial_snapshot(net, tokens={"p": [1]})))
-    doc["initial_marking"]["p"].append({"value": "a", "at": 0})
+    doc["initial_marking"]["p"].append({"value": True, "at": 0})
     parse_net(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
     "entry,error",
     [
-        (lambda net: initial_snapshot(net, tokens={"p": [1, "a"]}), DefinitionError),
+        (lambda net: initial_snapshot(net, tokens={"p": [1, True]}), DefinitionError),
         (_parse_net_doc, DocumentError),
         (lambda net: run(net, _mixed_colors(net)), DefinitionError),
         (lambda net: fire(net, _mixed_colors(net), "t", {"x": 1}, at=5), DefinitionError),
@@ -379,7 +379,7 @@ def _parse_net_doc(net):
     ids=["initial_snapshot", "parse_net", "run", "fire", "replay", "replay_parsed", "enabled", "advance_clock"],
 )
 def test_token_of_the_wrong_color_is_rejected(entry, error):
-    with pytest.raises(error, match=r"place 'p': token Token\(value='a', created_at=0\) does not fit"):
+    with pytest.raises(error, match=r"place 'p': token Token\(value=True, created_at=0\) does not fit"):
         entry(_int_place_net())
 
 
@@ -430,9 +430,8 @@ def _replay_snapshot(net, snap):
 def test_subclass_values_are_rejected(entry, kind, message):
     # colours are exact types: an IntEnum is no int value and a str
     # subclass no text value, though isinstance accepts both
-    net, snap = _subclassed(kind)
     with pytest.raises(DefinitionError, match=message):
-        entry(net, snap)
+        entry(*_subclassed(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +811,12 @@ def test_marking_updated_equals_the_reference(pools, data):
     absent = Token(9, 9)
     with pytest.raises(ValueError):
         marking.updated(remove=[("p", absent)])
+
+
+def test_marking_rejects_values_that_do_not_compare():
+    # a pool has no canonical order unless its values compare
+    with pytest.raises(DefinitionError, match=r"^place 'p': its token values do not compare"):
+        Marking({"p": [Token(1, 0), Token("a", 0)]})
 
 
 def test_view_consistency_error_is_an_assertion():

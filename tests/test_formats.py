@@ -246,6 +246,35 @@ class TestTraceRoundTrip:
         assert exc.value.diagnostics == [diagnostic]
 
 
+    @pytest.mark.parametrize(
+        "edit,diagnostic",
+        [
+            (
+                lambda snap: snap["marking"]["cap"].append({"value": "x", "at": 0}),
+                "header.initial: place 'cap': its token values do not compare",
+            ),
+            (
+                lambda snap: snap["facts"].append(["inbox", [2, 0, 7], 0]),
+                "header.initial: type constraint on 'inbox': column 'body' expects text, got 7",
+            ),
+        ],
+        ids=["mixed-pool", "mistyped-fact"],
+    )
+    def test_values_that_do_not_fit_are_located(self, edit, diagnostic):
+        # a pool of values that do not compare has no canonical order, and
+        # a fact must fit its relation's column types
+        b = build_throttler(5)
+        tr = run(b.net, with_workload(b, [(0, ("a",)), (0, ("b",))]))
+        lines = serialize_trace(tr).splitlines()
+        header = json.loads(lines[0])
+        edit(header["initial"])
+        lines[0] = canonical_json(header)
+        with pytest.raises(DocumentError) as exc:
+            parse_trace("\n".join(lines) + "\n")
+        assert len(exc.value.diagnostics) == 1
+        assert exc.value.diagnostics[0].startswith(diagnostic)
+
+
 class TestCanonicalJson:
     def test_key_order_and_spacing_are_fixed(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'

@@ -22,14 +22,13 @@ from tdbnet.persistence import (
     Relation,
     Schema,
     _action_check,
-    _row_sort,
     _typecheck_row,
     apply_action,
     apply_action_delta,
     check_compliance,
     eval_query,
 )
-from tdbnet.values import INT, TEXT, value_key
+from tdbnet.values import INT, TEXT
 
 ENDPOINTS = Relation("Endpoints", (Column("epid", TEXT), Column("nexc", INT)), ("epid",))
 SEQS = Relation(
@@ -79,8 +78,7 @@ def test_match_rows_wildcards():
 
 T = Relation("T", (Column("a", INT), Column("b", INT), Column("c", TEXT)), ("a", "b", "c"))
 TSCHEMA = Schema((T,))
-# delete the rows of one leading value, then add a row: an instance derived
-# from a mixed-type one may leave value_key order or stay in it
+# delete the rows of one leading value, then add a row
 SWAP = Action(
     "swap",
     params=(("d", INT), ("a", INT), ("b", INT)),
@@ -109,12 +107,9 @@ def _derived(instance, d, a, b):
 LEADING = st.integers(0, 2)  # few values, so leading columns repeat
 TEXTS = st.sampled_from(["x", "y"])
 stamped = lambda values: st.dictionaries(values, st.integers(0, 2), max_size=8)
-lookup_instances = st.one_of(
-    stamped(st.tuples(LEADING, LEADING, TEXTS)),
-    # column a mixes bool, int and a str: a non-compliant instance, whose
-    # rows fall back to value_key order, bools first, strs last
-    stamped(st.tuples(st.one_of(LEADING, st.booleans()), LEADING, TEXTS)).map(lambda rows: {**rows, ("x", 0, "x"): 0}),
-).map(lambda rows: Instance(TSCHEMA, {"T": list(rows.items())}))
+lookup_instances = stamped(st.tuples(LEADING, LEADING, TEXTS)).map(
+    lambda rows: Instance(TSCHEMA, {"T": list(rows.items())})
+)
 lookup_instances = st.one_of(
     lookup_instances, st.builds(_derived, lookup_instances, LEADING, LEADING, LEADING)
 )
@@ -133,22 +128,6 @@ def test_lookups_equal_the_full_scan(instance, pattern):
     assert instance.match_rows("T", pattern) == want
     assert instance.match_values("T", pattern) == [values for values, _ in want]
     assert instance.count_matching("T", pattern) == len(want)
-
-
-def test_lookups_on_rows_in_value_key_order():
-    # "x" does not compare with ints, so the rows are in value_key order,
-    # which puts bools first; a binary search for 1 on column a would raise
-    # no error and miss the row of True, which equals 1
-    inst = Instance(TSCHEMA, {"T": [((2, 0, "x"), 0), (("x", 0, "x"), 0), ((0, 1, "y"), 0), ((True, 1, "x"), 0)]})
-    assert [values[0] for values, _ in inst.rows("T")] == [True, 0, 2, "x"]
-    # so is an instance derived from it while the str row stays
-    derived = _derived(inst, 2, 2, 1)
-    assert [values for values, _ in derived.rows("T")][2] == (2, 1, "x")
-    for pattern in [(1, None, None), ("x", None, None), (2, 0, "x"), (None, 1, None), (False, None, None)]:
-        for instance in (inst, derived):
-            want = reference_match_rows(instance, "T", pattern)
-            assert instance.match_rows("T", pattern) == want
-            assert instance.count_matching("T", pattern) == len(want)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +313,29 @@ def test_compliance_key_violation_lists_both_witnesses():
 
 
 def test_compliance_type_violation_names_column():
-    inst = Instance(SCHEMA, {"Endpoints": [(("ep1", "six"), 0)]})
-    bad = check_compliance(inst)
-    assert len(bad) == 1
-    assert bad[0].kind == "type"
-    assert "nexc" in bad[0].message
+    with pytest.raises(DefinitionError, match="type constraint on 'Endpoints': column 'nexc' expects int, got 'six'"):
+        Instance(SCHEMA, {"Endpoints": [(("ep1", "six"), 0)]})
+
+
+ONE_INT = Relation("R", (Column("a", INT),), ("a",))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([((None,), 0), ((1,), 0)], "type constraint on 'R': column 'a' expects int, got None"),
+        ([((1,), 0), (("x",), 0)], "type constraint on 'R': column 'a' expects int, got 'x'"),
+        ([((1, 2), 0)], "type constraint on 'R': arity 2 != 1"),
+    ],
+    ids=["none", "str", "arity"],
+)
+def test_instance_rejects_rows_that_do_not_fit(rows, message):
+    # rows are kept in their natural order, so every value must fit its
+    # column's type: a None or a str does not compare with an int
+    with pytest.raises(DefinitionError, match=f"^{message}$"):
+        Instance(Schema((ONE_INT,)), {"R": rows})
+    with pytest.raises(DefinitionError, match=f"^{message}$"):
+        Instance.from_facts(Schema((ONE_INT,)), [("R", values, at) for values, at in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +390,7 @@ def brute_force(instance, query):
                 break
         if passed:
             results.add(tuple(env[v] for v in query.output))
-    return tuple(sorted(results, key=lambda r: tuple(value_key(v) for v in r)))
+    return tuple(sorted(results))
 
 
 @settings(deadline=None, max_examples=150)
@@ -494,7 +491,7 @@ def reference_apply_action_delta(instance, action, args, at):
 
     store = {rel.name: instance.rows(rel.name) for rel in schema.relations}
     for rel_name, rows in work.items():
-        store[rel_name] = _row_sort(rows)[0]
+        store[rel_name] = sorted(rows)
     return Instance(schema, store), added, deleted
 
 
@@ -559,18 +556,3 @@ def test_key_index_rejects_duplicate_keys():
     with pytest.raises(DefinitionError, match="duplicate keys"):
         apply_action(inst, ADD_SEQ, ("s", 2, "c"), at=5)
 
-
-def test_mixed_type_column_falls_back_to_value_key_order():
-    # "x" breaks column a's type, so natural row comparison raises and the
-    # rows stay in value_key order; keys (column b) are still unique
-    rel = Relation("M", (Column("a", INT), Column("b", INT)), ("b",))
-    schema = Schema((rel,))
-    inst = Instance(schema, {"M": [((1, 5), 0), (("x", 6), 0), ((3, 8), 0)]})
-    swap = Action(
-        "swap",
-        dels=(FactTemplate("M", (Wild(), Const(5))),),
-        adds=(FactTemplate("M", (Const(2), Const(7))),),
-    )
-    got = apply_action_delta(inst, swap, (), 9)
-    assert got[1:] == reference_apply_action_delta(inst, swap, (), 9)[1:]
-    assert got[0].rows("M") == (((2, 7), 9), ((3, 8), 0), (("x", 6), 0))

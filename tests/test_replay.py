@@ -8,6 +8,7 @@ is no longer enabled.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -156,6 +157,95 @@ def test_replay_equals_reference(name, policy, seed):
     assert got.clock == want.clock
 
 
+# sha256 of serialize_trace(run(...)) per CATALOG entry, one digest per
+# POLICIES entry in order.  Trace bytes are the behaviour contract; the
+# differential above fires through the engine's own store and marking, so
+# only these digests notice a change in their order.
+GOLDEN = {
+    "aggregator_rollback": (
+        "3a49ccf36515bc9353b17cf78f74d2ba41dd992da364792bf3c755f7754ef062",
+        "65300a19424656b135f49c0e23e2ac0437f6e008dc5e1880423ebc7e8dd61800",
+        "2bd708d9d31ee3b29998bda179d0d3e00a3df4f7916ef36c107a27397ae71c96",
+        "546e2da65cd66a252243c29a74e81487c9a32a28fe123bb30c3c67955149a902",
+        "67074ef668e92a4a8303ee88d4499dbbcc9e247a2b5dc1f2ec69a8a6209f0344",
+        "9689061979e53dc550e53bb900a1087957e3a40adcb3ef1eedc86248da6b9e8c",
+    ),
+    "circuit_breaker": (
+        "a81499fb2e43e05e5b8eb06e73fae6d7bf12127d7e2b96f3be7c1c937ae45f56",
+        "40ad7e768e1792a263b617892cf004b788ebf07adbcb1c0940b940b11302329b",
+        "85580323db217152b664cec77717fdc693f85df975f99e891008a318b5aa27c8",
+        "a8bf15a4a6cc1c285e9a37f0e621298a6b1e96db8e97d00aa19cda8ec8376860",
+        "8c5857923c155e1d433e9d9e2a1c4dc074117c9eaa9266f226f8ef59298fee28",
+        "c794c105b8d2ed15b8ba15e1e1961ba15c89c6079680ea99b7da5ac4070012cd",
+    ),
+    "delayer": (
+        "62e30e09161b95421d1528689071685bc8a2ec9c6a2c2cf9517db9e7f1aad9ae",
+        "12dfddf7afe6d116f4a82be1dd58b4bbb9084a548f31d48f4d9709d5842d9a3b",
+        "32c9003d748d25379afdd4265f76c68feb505be349691dc3d666baa86df03287",
+        "d17c1a01b0c1a7dba0a68cf058f45966ec30be10c2c64d759576ee6fa07c2eac",
+        "57e6d998c40fcd3fddb2550c160b82b67625876e5c44707902b682411ebb247d",
+        "ace39952eba9426950f40a84e456391c96db007c43e1b9d17af7dde67b7dad8c",
+    ),
+    "halting": (
+        "c12e0cb4a0e925b71a44791beb36fdb97014f27095aa67163b1e0eb1f4efa2e8",
+        "d8c26df0cfa324786ee21ec94b19d7bd45f9c1044f84e94c030834de312f192f",
+        "618f2d5b5a037b78df77e781b6382e366e2206e2574bbc27cd013c0625db8634",
+        "c4bd26fbac52ddad123d15df6dec6dcce6f10b125316815e38b497468d7a68b0",
+        "8bd3d7e8df5555591e985e37f7e3e4bacc1345ae1babb5e4d518eb3ea5fed3a4",
+        "f34b52b4a0425dcb577d0097789dc216b4326caa0cd05bba9b855fd9ad199e14",
+    ),
+    "resequencer": (
+        "57735eca23a94024ddc86d09245f9d79c82ddf7902d29170ee7a3411b12d16bf",
+        "f15d87f5ab74a2d1aeaae2d88166b7f2373aae7b07949c4383fea4a4b4e3553f",
+        "07c4c43ef7c412f880738702aeeb317ad1a1a5823ce84f50306633ea06c6d3cb",
+        "6109dd177d911a83b1048a9e325edcb7705f110f880d4687c850b480e7d0501d",
+        "97f734aa61257dac2279ed704d12780c398d961c8f654c01db589159d76e41ae",
+        "2c3266454e8ddae75b22e59d3d4f2f4bafc7e25dc88d6ff3290e99fe4ea863f1",
+    ),
+    "router_correct": (
+        "45e1cef08f3807998ca84f7b0377d185392cab36c546d2e64a3d172bd4810b9e",
+        "68b86ffc8e89c22340f7f0dd8682a2579c4cab87ca44779765b54c5a55d7ec24",
+        "5cca65832afab464976eb54a245d5724d79e662baf579edcc721af44ccc7648c",
+        "7ce7cc824670a1f570e2eadf69f5bb048523bf5ba9195523dcd3264868309355",
+        "ebc9fef703dae7b99143e9c155d41b7271887be4d2a701e2a58b3ddfdc0a9424",
+        "f094aebb1e75ceb7ba66648cb035dfa6c140ca940fdfb36af4282b239471014d",
+    ),
+    "router_flawed": (
+        "9c0a104bc3ff0f6e5cc263f76e5c6e0b4e3c627bbfae7e1e37b049329c53ed2b",
+        "47f157e1f2af696d72df8cabc1e46e7e49d4a1dcc4589433bc9ed28e9e04a529",
+        "5b00801d477f5d7f2516223c5adf36a3e61fdef3bcf6e055f6e47b03c0898f37",
+        "3fd42e7b124dbcb6051f1698d444001d8038b0f8cd0f79be4ff7c8563312f3a7",
+        "cab4dd22a1bc3f770badaa124dc307ca118f16f8db669f6513aaec73481147df",
+        "ccbc506a4b83d9ca85cac1c3d9b809c4d0765abd5cdfa2dfa45a160e8cf4088b",
+    ),
+    "throttler": (
+        "93abd718b84a8ac60fe0948bb1f50ac5d14020e396aa893c9cd51e5fe5b500ca",
+        "e09756df6a27b2b3e8c445b0f5aed8c287d216062c46a442b0c78475fe389d1e",
+        "a8a635d20556aaafba69b2beba2c224a7de2521795f561b6e2ce32a2147c829e",
+        "170243e6bd2edf735c80f050443c36b9fff9383baa0cdd73a40f24d2c41d4689",
+        "164aedf038ac9addc50bf008b4b455e1ae0510fafb7ed762ac740f185858a198",
+        "c8523b77bdaa4871319d8cd2f8b422846a3a11172ccf9b487dfb8322382bbba2",
+    ),
+    "two_arcs": (
+        "283fe7373c4041e96e06892de004d4309d377abea798ad71bc48947727e1b7bd",
+        "d98012d83966914c0fd4cb17c2cff09f24837bc9126deec326238bdcf612d1bc",
+        "f71882dcaa9a4302e93de916f854b6467ebcd8854c15f05c4aea9a632f3e2f99",
+        "f1049a087656f4313d995ade210309cb3fe7d28f87af6f408f4e7a72a63dd119",
+        "c0db74a9504ac22302309ed2b07fc64a940825ef5418f9c90facf5a1bc2a5933",
+        "69ba5bb42fc36a5862db3a650cb7fd3a08883ab130999c8fd267e818dd47ec2a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_trace_bytes_are_pinned(name):
+    digests = []
+    for policy, seed in POLICIES:
+        net, initial = CATALOG[name]()
+        digests.append(hashlib.sha256(serialize_trace(run(net, initial, policy=policy, seed=seed)).encode()).hexdigest())
+    assert tuple(digests) == GOLDEN[name]
+
+
 def test_catalog_covers_rollback_and_halt():
     outcomes = {
         ev.outcome
@@ -220,6 +310,17 @@ def _altered_binding():
     return net, _mutated(tr, ev.step, binding=binding)
 
 
+def _consumed_token_of_wrong_type():
+    # the capacity token recorded as a str: it does not compare with the
+    # int tokens of its pool, so the marking does not hold it
+    net, tr = _parsed_run("throttler")
+    ev = _first(tr, "t_admit")
+    msg, (pid, tok) = ev.consumed
+    binding = tuple((k, str(v) if k == "u" else v) for k, v in ev.binding)
+    wrong = (pid, Token(str(tok.value), tok.created_at))
+    return net, _mutated(tr, ev.step, consumed=(msg, wrong), binding=binding)
+
+
 def _guard_false():
     net, tr = _parsed_run("delayer")
     ev = _first(tr, "t_forward")  # guard age(m) >= 250
@@ -236,6 +337,7 @@ def _guard_false():
         _consumed_pair_dropped,
         _consumed_pair_added,
         _altered_binding,
+        _consumed_token_of_wrong_type,
         _guard_false,
     ],
 )

@@ -26,7 +26,7 @@ from tdbnet.engine import FiringEvent
 from tdbnet.exprs import Age, Const, DbCount, Now, Op, Param, Var, Wild
 from tdbnet.formats import serialize_trace
 from tdbnet.net import ActionCall, InputArc, Net, OutputArc, Place, Snapshot, Token, Transition, initial_snapshot
-from tdbnet.persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema
+from tdbnet.persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema, check_compliance
 from tdbnet.values import INT, product
 
 
@@ -264,7 +264,12 @@ def _agree(net, initial, policy, seed, max_steps):
     got = engine.run(net, initial, policy=policy, seed=seed, max_steps=max_steps, check_views=True)
     want = ref.run(net, initial, policy=policy, seed=seed, max_steps=max_steps)
     assert serialize_trace(got) == serialize_trace(want)
+    clock = initial.clock
     for snap in _snapshots(net, got):
+        # every snapshot keeps its keys, and time never runs backwards
+        assert check_compliance(snap.instance) == []
+        assert snap.clock >= clock
+        clock = snap.clock
         assert engine.enabled(net, snap) == ref.enabled(net, snap)
         assert engine.advance_clock(net, snap) == ref.advance_clock(net, snap)
     return got

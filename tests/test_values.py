@@ -1,7 +1,6 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from tdbnet.values import BOOL, INT, TEXT, TS, ColorType, conforms, product, value_key
+from tdbnet.values import BOOL, INT, TEXT, TS, ColorType, conforms, product
 
 
 def test_scalar_conformance():
@@ -50,24 +49,3 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         ColorType("product")  # products need components
 
-
-def test_value_key_orders_across_types():
-    mixed = ["b", 2, True, (1, "x"), False, 1, "a", (1, "a")]
-    ordered = sorted(mixed, key=value_key)
-    assert ordered == [False, True, 1, 2, "a", "b", (1, "a"), (1, "x")]
-
-
-def test_value_key_rejects_non_values():
-    with pytest.raises(TypeError):
-        value_key(1.5)
-    with pytest.raises(TypeError):
-        value_key(None)
-
-
-@given(st.lists(st.one_of(st.integers(), st.text(), st.booleans()), max_size=30))
-def test_value_key_is_a_total_order(vals):
-    ordered = sorted(vals, key=value_key)
-    keys = [value_key(v) for v in ordered]
-    assert keys == sorted(keys)
-    # sorting again changes nothing
-    assert sorted(ordered, key=value_key) == ordered
