@@ -83,7 +83,11 @@ Semantics in brief:
   When the guard holds on the whole window, that draw is
   ``clock + randint(lo, hi)``.  Every drawn firing therefore satisfies
   its guard, and the trace replays.  When no candidate can fire, the
-  clock advances to the first instant at which one can.
+  clock advances to the first instant at which one can.  A binding is
+  drawn once, through its first candidate in canonical order that can
+  fire.  Each slot keeps these first candidates in a sorted ready list,
+  settled by the same heaps as the eager policy's, so a step draws an
+  index into the lists and looks only at the candidates that changed.
 
 Traces replay exactly: folding the recorded events over the initial
 snapshot reproduces every intermediate and the final snapshot.  ``replay``
@@ -186,7 +190,8 @@ class _Cand:
     each arc's token: equal tokens are one key.  Under the eager policy a
     candidate also carries the instant its enablement began (``onset``,
     None while its guard does not hold), whether it holds and is due
-    (``live``), and a version that its heap entries must match to count."""
+    (``live``), and a version that its heap entries must match to count.
+    Under the random policy ``live`` says that it is pickable now."""
 
     __slots__ = (
         "transition", "env", "matches", "ages", "entries", "key", "truth", "onset", "live", "ver", "_items", "_rank",
@@ -398,19 +403,28 @@ class _Slot:
     these outnumber the candidates.  ``fresh`` lists the candidates bound
     or solved since the last step, and ``live`` counts the candidates that
     hold and are due.
+
+    Under the random policy ``wait`` and ``hold`` follow the instants at
+    which a candidate is pickable (``_Cand.pickable``) instead, and there
+    is no onset and no ``due``.  A candidate pickable now is live and in
+    the group of its binding (``groups``: binding -> pickable candidates in
+    canonical order), and the first of each group is in ``ready``, in
+    canonical order: the candidates a random step can draw.
     """
 
-    def __init__(self, net: Net, snapshot: Snapshot, t: Transition, eager: bool):
+    def __init__(self, net: Net, snapshot: Snapshot, t: Transition, policy: Optional[str]):
         self.t = t
         self.delay = t.delay[0]
         self.reads = relations_read(t.guard)
         self.arcs = _binders(net, t)
         self.pending: dict[str, Counter] = {}
-        self.fresh: Optional[list] = [] if eager else None
+        self.fresh: Optional[list] = [] if policy else None
         self.wait: list = []
         self.hold: list = []
         self.due: list = []
         self.live = 0
+        self.groups: Optional[dict] = {} if policy == "random" else None
+        self.ready: list[_Cand] = []
         self.seq = itertools.count()
         self.stamp = _stamp(snapshot.instance, self.reads)
         places = [place for place, *_ in self.arcs]
@@ -418,7 +432,7 @@ class _Slot:
         # a token than it holds
         groups = (tuple(k for k, p in enumerate(places) if p == place) for place in dict.fromkeys(places))
         self.shared = [group for group in groups if len(group) > 1]
-        plan = _walk_plan(t) if eager and not self.delay else None
+        plan = _walk_plan(t) if policy == "eager" and not self.delay else None
         self.lazy = plan is not None
         if self.lazy:
             self.names, self.layout = plan
@@ -512,8 +526,7 @@ class _Slot:
             for other in c.entries:
                 other.cands.remove(c.key)
             c.ver += 1
-            self.live -= c.live
-            c.live = False
+            self._drop(c)
 
     def _extend(self, grown: list[list[_Entry]]) -> list[_Cand]:
         """The candidates not yet bound that take a grown entry: on each arc
@@ -620,25 +633,63 @@ class _Slot:
                 heapify(heap)
 
     def _settle(self, c: _Cand, at: int) -> None:
+        """Settle a candidate at ``at`` from its truth set, or under the
+        random policy from the instants at which it is pickable."""
         c.ver += 1
-        self.live -= c.live
-        c.live = False
+        self._drop(c)
         n = next(self.seq)
-        lo, hi = next(((lo, hi) for lo, hi in c.truth if hi >= at), (None, None))
+        spans = c.truth if self.groups is None else c.pickable()
+        lo, hi = next(((lo, hi) for lo, hi in spans if hi >= at), (None, None))
         if lo is None or lo > at:
             c.onset = None
             if lo is not None:
                 heappush(self.wait, (lo, n, c, c.ver))
             return
-        if c.onset is None:
-            c.onset = at
         if hi != inf:
             heappush(self.hold, (hi + 1, n, c, c.ver))
+        if self.groups is not None:
+            self._pick(c)
+            return
+        if c.onset is None:
+            c.onset = at
         if c.onset + self.delay <= at:
             c.live = True
             self.live += 1
         else:
             heappush(self.due, (c.onset + self.delay, c.rank(), n, c, c.ver))
+
+    def _pick(self, c: _Cand) -> None:
+        """Enter a candidate pickable now in its binding's group; the first
+        of the group is its entry in ``ready``."""
+        c.live = True
+        self.live += 1
+        group = self.groups.setdefault(c.binding_items(), [])
+        i = bisect_left(group, c.rank(), key=_Cand.rank)
+        group.insert(i, c)
+        if not i:
+            if len(group) > 1:
+                # bindings lead the rank, so a new first takes the old one's place
+                self.ready[bisect_left(self.ready, group[1].rank(), key=_Cand.rank)] = c
+            else:
+                insort(self.ready, c, key=_Cand.rank)
+
+    def _drop(self, c: _Cand) -> None:
+        """Take a candidate out of the live ones and out of its group; the
+        next of the group moves up when the first leaves."""
+        if c.live and self.groups is not None:
+            items = c.binding_items()
+            group = self.groups[items]
+            i = bisect_left(group, c.rank(), key=_Cand.rank)
+            del group[i]
+            if not i:
+                j = bisect_left(self.ready, c.rank(), key=_Cand.rank)
+                if group:
+                    self.ready[j] = group[0]
+                else:
+                    del self.ready[j]
+                    del self.groups[items]
+        self.live -= c.live
+        c.live = False
 
     @staticmethod
     def _top(heap: list):
@@ -678,26 +729,27 @@ class Agenda:
     and new pool of every other view place that was evaluated again.  A
     slot catches up when it is next asked (``slot``), so a transition that
     no step asks about binds nothing.  Every slot binds from one alpha
-    memory per input arc.  With ``eager``, slots also keep the onsets and
-    heaps of the eager policy, and the slots of delay-0 transitions whose
-    arcs bind disjoint variables build their candidates lazily, walking
-    their memories only as far as a step asks; every other slot builds
-    them fully.  ``random_step`` and the one-shot agendas of ``enabled``,
-    ``advance_clock`` and ``fire`` are not eager, so every slot they read
-    holds all its candidates.
+    memory per input arc.  ``policy`` is the run's.  Under "eager", slots
+    also keep the eager policy's onsets and heaps, and the slots of
+    delay-0 transitions whose arcs bind disjoint variables build their
+    candidates lazily, walking their memories only as far as a step asks.
+    Under "random", slots keep the random policy's heaps and ready lists.
+    Every other slot builds its candidates fully; the one-shot agendas of
+    ``enabled``, ``advance_clock`` and ``fire``, whose policy is None,
+    keep no heaps.
     """
 
-    def __init__(self, net: Net, snapshot: Snapshot, eager: bool = False):
+    def __init__(self, net: Net, snapshot: Snapshot, policy: Optional[str] = None):
         self.net = net
         self.snap = snapshot
-        self.eager = eager
+        self.policy = policy
         self.slots: dict[str, _Slot] = {}
         self.readers: dict[str, list[_Slot]] = {}  # place id -> slots it feeds
 
     def slot(self, t: Transition) -> _Slot:
         slot = self.slots.get(t.id)
         if slot is None:
-            slot = self.slots[t.id] = _Slot(self.net, self.snap, t, self.eager)
+            slot = self.slots[t.id] = _Slot(self.net, self.snap, t, self.policy)
             for place in dict.fromkeys(arc.place for arc in t.inputs):
                 self.readers.setdefault(place, []).append(slot)
         else:
@@ -779,27 +831,30 @@ class Agenda:
         """The random policy's next move: a uniformly drawn pair among
         those that can fire now, at a drawn time in its delay window at
         which its guard holds.  Returns ("fire", (cand, at)), ("advance",
-        clock), or None at quiescence."""
+        clock), or None at quiescence.
+
+        The pairs are the ready lists of the slots, in transition-id order:
+        the draw indexes them.  When none is ready, the clock advances to
+        the least instant at which a candidate becomes pickable."""
         clock = self.snap.clock
-        cands = []  # the first candidate of each binding that can fire now
-        seen = set()
-        min_flip: Optional[int] = None
+        slots = []
         for t in _transitions_by_id(self.net):
-            for cand in self.slot(t).order:
-                u = first_true(cand.pickable(), clock)
-                if u == clock:
-                    key = (t.id, cand.binding_items())
-                    if key not in seen:
-                        seen.add(key)
-                        cands.append(cand)
-                elif u is not None and (min_flip is None or u < min_flip):
-                    min_flip = u
-        if cands:
-            cand = cands[rng.randrange(len(cands))]
+            slot = self.slot(t)
+            slot.observe(clock)
+            slots.append(slot)
+        k = sum(len(slot.ready) for slot in slots)
+        if k:
+            k = rng.randrange(k)
+            for slot in slots:
+                if k < len(slot.ready):
+                    break
+                k -= len(slot.ready)
+            cand = slot.ready[k]
             at = _draw_time(rng, cand.truth, clock, cand.transition.delay)
             if until is not None and at > until:
                 return None
             return ("fire", (cand, at))
+        min_flip = min((flip for flip in map(_Slot.next_flip, slots) if flip is not None), default=None)
         if min_flip is None or (until is not None and min_flip > until):
             return None
         return ("advance", min_flip)
@@ -988,7 +1043,7 @@ def run(
     # events are cursor movement only, so traces replay exactly
     if check_views:
         _check_view_consistency(net, initial)
-    agenda = Agenda(net, initial, eager=policy == "eager")
+    agenda = Agenda(net, initial, policy)
 
     while len(events) < max_steps:
         if policy == "eager":

@@ -103,7 +103,8 @@ class Instance:
     """Immutable set of timestamped facts grouped by relation.
 
     Rows are (values, inserted_at) pairs.  The constructor rejects a row
-    that does not fit its relation's column types with a DefinitionError,
+    that does not fit its relation's column types, or whose insertion time
+    is not an int, with a DefinitionError,
     and apply_action_delta rejects such an addition, so every instance
     holds values that compare within each column and keeps its rows in
     their natural order, the canonical one.  Lookups bisect that order on a
@@ -126,6 +127,8 @@ class Instance:
             for values, at in rs:
                 if tuple(map(type, values)) != rel.types:
                     raise DefinitionError(_type_violation(rel, values, at).message)
+                if type(at) is not int:
+                    raise DefinitionError(f"relation {name!r}: row {values!r} has insertion time {at!r}, not an int")
             store[name] = tuple(sorted(rs))
         self._rows = store
         self._count_cache: dict = {}

@@ -531,9 +531,10 @@ def test_flip_time_exact_at_large_clock_in_runs():
 def _scheduler_counts(monkeypatch, bundle, kind, spec, policy="eager"):
     """A run of a pattern workload (seed 1 under the random policy), with
     the engine's candidates bound, guard truth sets solved, guards that
-    reached ``eval_expr``, ``match_pattern`` calls and the candidates that
-    loss detection visited counted."""
-    counts = dict.fromkeys(("candidates", "solves", "guard_evals", "matches", "losses"), 0)
+    reached ``eval_expr``, ``match_pattern`` calls, the candidates that
+    loss detection visited and the random policy's ``pickable`` asks
+    counted."""
+    counts = dict.fromkeys(("candidates", "solves", "guard_evals", "matches", "losses", "pickable"), 0)
     guards = {id(t.guard) for t in bundle.net.transitions}
     cand, solve, evaluate, match = engine._Cand, engine.guard_truth, engine.eval_expr, engine.match_pattern
     lose = engine._Slot._lose
@@ -544,6 +545,10 @@ def _scheduler_counts(monkeypatch, bundle, kind, spec, policy="eager"):
         def __init__(self, *a):
             counts["candidates"] += 1
             super().__init__(*a)
+
+        def pickable(self):
+            counts["pickable"] += 1
+            return super().pickable()
 
     def counted_solve(*a, **kw):
         counts["solves"] += 1
@@ -641,12 +646,15 @@ def test_guard_solves_scale_linearly(monkeypatch, build, kind, spec, n, policy):
     # throttler with every waiting message bound 3.95 times the candidates
     # at burst:400 as at burst:200; checking every candidate of a slot
     # that lost a token visited 5,152 and 20,302 aggregator candidates
-    # (3.9 times) at rev(100) and rev(200).
+    # (3.9 times) at rev(100) and rev(200).  Under the random policy a
+    # candidate is asked whether it is pickable once each time it is
+    # settled; asking every candidate at every step asked 21,580 and 94,160
+    # times (4.36 times).
     counts = []
     for size in (n, 2 * n):
         workload = _rev(size) if spec == "rev" else spec.format(n=size, vals=",".join(map(str, range(size))))
         counts.append(_scheduler_counts(monkeypatch, build(), kind, workload, policy)[1])
-    for counter in ("candidates", "solves", "losses"):
+    for counter in ("candidates", "solves", "losses") + (("pickable",) if policy == "random" else ()):
         assert counts[1][counter] <= 2.2 * counts[0][counter], counter
 
 

@@ -338,6 +338,17 @@ def test_instance_rejects_rows_that_do_not_fit(rows, message):
         Instance.from_facts(Schema((ONE_INT,)), [("R", values, at) for values, at in rows])
 
 
+@pytest.mark.parametrize("at", [None, 0.5, True], ids=["none", "float", "bool"])
+def test_instance_rejects_an_insertion_time_that_is_not_an_int(at):
+    # rows sort by (values, time), so a None time does not compare with an
+    # int one, and a float or a bool would be kept as a time
+    message = f"^relation 'R': row \\(1,\\) has insertion time {at!r}, not an int$"
+    with pytest.raises(DefinitionError, match=message):
+        Instance(Schema((ONE_INT,)), {"R": [((1,), 0), ((1,), at)]})
+    with pytest.raises(DefinitionError, match=message):
+        Instance.from_facts(Schema((ONE_INT,)), [("R", (1,), at), ("R", (2,), 0)])
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence property
 

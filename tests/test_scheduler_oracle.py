@@ -238,9 +238,35 @@ def _source(request):
     return net, initial_snapshot(net)
 
 
+def _shared(request):
+    """``t``'s two tokens on ``p`` share the binding ``x = 1``.  Its guard
+    holds while a token is 5 to 9 or at least 11 old, and its window opens
+    1 after the clock, so the token created at 0 is pickable on [5, 8] and
+    from 11 on, the one created at 3 on [8, 11] and from 14 on.  ``tick``
+    lets time pass one instant per firing, and its 16 bindings make a draw
+    of ``t`` rare."""
+    aged = Op("or", (Op("<", (Age("x"), Const(10))), Op(">=", (Age("x"), Const(11)))))
+    net = Net(
+        places=(Place("p", INT), Place("q", INT), Place("out", INT)),
+        transitions=(
+            Transition("tick", inputs=(InputArc("q", Var("k")),), delay=(1, 1)),
+            Transition(
+                "t",
+                inputs=(InputArc("p", Var("x")),),
+                guard=Op("and", (Op(">=", (Age("x"), Const(5))), aged)),
+                delay=(1, 1),
+                outputs=(OutputArc("out", Var("x")),),
+            ),
+        ),
+        schema=Schema(()),
+    )
+    return net, initial_snapshot(net, tokens={"p": [Token(1, 0), Token(1, 3)], "q": list(range(16))}, clock=3)
+
+
 NETS = {name: (lambda request, make=make: make()) for name, make in CATALOG.items()}
 NETS.update(timer=_timer, trip=_trip, tie=_tie, lapse=_lapse, rewrite=_rewrite, toggle=_toggle)
 NETS.update(interleave=_interleave, twins=_twins, late_count=_late_count, late_now=_late_now, source=_source)
+NETS.update(shared=_shared)
 
 
 def _snapshots(net, trace):
@@ -302,6 +328,32 @@ def test_delayed_candidate_due_at_a_flip_fires_first(request):
     net, initial = _tie(request)
     tr = engine.run(net, initial)
     assert [(ev.transition, ev.time) for ev in tr.events] == [("b", 5), ("a", 5)]
+
+
+def test_a_shared_binding_passes_its_first_between_tokens(request):
+    # Under the random policy a binding is drawn once, through the first of
+    # its candidates that is pickable.  The token created at 0 leads until
+    # it stops being pickable at 9, the one created at 3 then moves up, and
+    # at 11 the first returns and takes its place again.  The pickable sets
+    # differ from the truth sets (the first token's guard still holds at
+    # 9), and the runs first draw ``t`` at each stage.
+    net, initial = _shared(request)
+    agenda = engine.Agenda(net, initial, "random")
+    (t,) = [tr for tr in net.transitions if tr.id == "t"]
+    firsts = []
+    for clock in range(3, 16):
+        agenda.snap = initial.advanced(clock)
+        slot = agenda.slot(t)
+        slot.observe(clock)
+        firsts.append([c.matches[0][1].created_at for c in slot.ready])
+    assert firsts == [[]] * 2 + [[0]] * 4 + [[3]] * 2 + [[0]] * 5
+    stages = set()
+    for seed in range(12):
+        got = engine.run(net, initial, policy="random", seed=seed)
+        assert serialize_trace(got) == serialize_trace(ref.run(net, initial, policy="random", seed=seed))
+        first = next(ev for ev in got.events if ev.transition == "t")
+        stages.add((first.consumed[0][1].created_at, first.time >= 12))
+    assert stages == {(0, False), (3, False), (0, True)}
 
 
 @pytest.mark.parametrize(
@@ -488,7 +540,7 @@ def test_the_walk_equals_the_oracle(case, data):
         t2 = replace(t, guard=Const(holds))
         net2 = Net(places=net.places, transitions=(t2,), schema=net.schema, queries=net.queries)
         for before, after, consumed, produced in ((less, snap, (), moved), (snap, less, moved, ())):
-            agenda = engine.Agenda(net2, before, eager=True)
+            agenda = engine.Agenda(net2, before, policy="eager")
             slot = agenda.slot(t2)
             assert slot.lazy == walks
             first, built = _walked(slot, before)
