@@ -64,7 +64,6 @@ TRACE_SUFFIX = ".trace.jsonl"
 REPORT_SUFFIX = ".report.json"
 
 _SCALARS = {"int": INT, "text": TEXT, "bool": BOOL, "ts": TS}
-_SCALAR_NAMES = {id(c): n for n, c in _SCALARS.items()}
 
 
 class DocumentError(ValueError):
@@ -202,9 +201,7 @@ def pattern_from_json(node, path: str):
 
 
 def _color_to_json(color: ColorType, names: dict):
-    if color.kind != "product":
-        return _SCALAR_NAMES[id(_SCALARS[color.kind])] if color.kind in _SCALARS else color.kind
-    return names[color]
+    return names[color] if color.kind == "product" else color.kind
 
 
 def _color_def(color: ColorType):
@@ -241,14 +238,6 @@ def _color_from_json(ref, colorsets: dict, path: str) -> ColorType:
 def net_to_json(net: Net, initial: Snapshot) -> dict:
     names = _collect_colorsets(net)
     colorsets = {name: _color_def(color) for color, name in names.items()}
-    relations = [
-        {
-            "name": r.name,
-            "columns": [{"name": c.name, "type": c.color.kind} for c in r.columns],
-            "key": list(r.key),
-        }
-        for r in net.schema.relations
-    ]
     queries = [
         {
             "name": q.name,
@@ -332,7 +321,7 @@ def net_to_json(net: Net, initial: Snapshot) -> dict:
     }
     return {
         "colorsets": colorsets,
-        "relations": relations,
+        "relations": _schema_to_json(net.schema),
         "queries": queries,
         "actions": actions,
         "places": places,

@@ -99,6 +99,28 @@ class ConstraintViolation:
     message: str
 
 
+def bisect_range(rows: Sequence, pattern: Sequence) -> tuple[int, int, tuple]:
+    """``(lo, hi, rest)`` for a pattern (None entries are wildcards) over
+    rows of ``(values, at)`` sorted by values.  ``rows[lo:hi]`` are the rows
+    whose leading bound columns equal the pattern's, found by bisection;
+    ``rest`` holds the ``(column, value)`` pairs of the other bound columns,
+    which those rows must still match.  The range is all of ``rows`` when a
+    bound value does not compare with its column (a ``str`` looked up in an
+    ``int`` column): no row equals it, and the scan finds none."""
+    lo, hi, k = 0, len(rows), 0
+    while k < len(pattern) and pattern[k] is not None:
+        k += 1
+    if k:
+        prefix = tuple(pattern[:k])
+        lead = lambda row: row[0][:k]
+        try:
+            lo = bisect_left(rows, prefix, key=lead)
+            hi = bisect_right(rows, prefix, lo, key=lead)
+        except TypeError:
+            lo, hi, k = 0, len(rows), 0
+    return lo, hi, tuple((i, p) for i, p in enumerate(pattern) if i >= k and p is not None)
+
+
 class Instance:
     """Immutable set of timestamped facts grouped by relation.
 
@@ -108,15 +130,13 @@ class Instance:
     and apply_action_delta rejects such an addition, so every instance
     holds values that compare within each column and keeps its rows in
     their natural order, the canonical one.  Lookups bisect that order on a
-    pattern's leading bound columns and scan the others.  Lookup caches are
-    built lazily per object; since instances never change after
-    construction this is safe.  The per-relation key index (key tuple ->
-    row) is one of them; an instance derived by apply_action_delta starts
-    from its parent's indexes, copying only those of the relations it
-    changes.  Keys are not checked here: see check_compliance.
+    pattern's leading bound columns and scan the others (see
+    ``bisect_range``).  Counts are cached lazily per object; since instances
+    never change after construction this is safe.  Keys are not checked
+    here: see check_compliance.
     """
 
-    __slots__ = ("schema", "_rows", "_count_cache", "_key_index")
+    __slots__ = ("schema", "_rows", "_count_cache")
 
     def __init__(self, schema: Schema, rows: Mapping[str, Iterable[tuple]] | None = None):
         self.schema = schema
@@ -132,7 +152,6 @@ class Instance:
             store[name] = tuple(sorted(rs))
         self._rows = store
         self._count_cache: dict = {}
-        self._key_index: dict[str, dict] = {}
 
     @classmethod
     def empty(cls, schema: Schema) -> "Instance":
@@ -167,33 +186,15 @@ class Instance:
 
     def _range(self, relation: str, pattern: Optional[Sequence]) -> tuple[tuple, int, int, tuple]:
         """``(rows, lo, hi, rest)`` for a pattern over one relation (None
-        entries are wildcards; a pattern of None matches everything).
-        ``rows[lo:hi]`` are the rows whose leading bound columns equal the
-        pattern's, found by bisecting the canonical row order; ``rest`` holds
-        the ``(column, value)`` pairs of the other bound columns, which those
-        rows must still match.  The range is the whole relation when a bound
-        value does not compare with its column (a ``str`` looked up in an
-        ``int`` column): no row equals it, and the scan finds none."""
-        rel = self.schema.relation(relation)
+        entries are wildcards; a pattern of None matches everything): the
+        relation's rows and ``bisect_range`` of them."""
         rows = self.rows(relation)
         if pattern is None:
             return rows, 0, len(rows), ()
-        if len(pattern) != rel.arity:
-            raise DefinitionError(
-                f"pattern arity {len(pattern)} does not match relation {relation!r} arity {rel.arity}"
-            )
-        lo, hi, k = 0, len(rows), 0
-        while k < len(pattern) and pattern[k] is not None:
-            k += 1
-        if k:
-            prefix = tuple(pattern[:k])
-            lead = lambda row: row[0][:k]
-            try:
-                lo = bisect_left(rows, prefix, key=lead)
-                hi = bisect_right(rows, prefix, lo, key=lead)
-            except TypeError:
-                lo, hi, k = 0, len(rows), 0
-        return rows, lo, hi, tuple((i, p) for i, p in enumerate(pattern) if i >= k and p is not None)
+        arity = self.schema.relation(relation).arity
+        if len(pattern) != arity:
+            raise DefinitionError(f"pattern arity {len(pattern)} does not match relation {relation!r} arity {arity}")
+        return (rows, *bisect_range(rows, pattern))
 
     def _candidates(self, relation: str, pattern: Optional[Sequence]) -> tuple[tuple, tuple]:
         """``(rows, rest)``: the rows of a pattern's range (see ``_range``),
@@ -226,22 +227,6 @@ class Instance:
             hit = hi - lo if not rest else len(self.match_rows(relation, pattern))
             self._count_cache[key] = hit
         return hit
-
-    def key_index(self, rel: Relation) -> dict:
-        """Map from key tuple to row for one relation; built on first use.
-        Callers must not mutate it.  Raises DefinitionError when two rows
-        share a key, since the map can hold only one of them."""
-        index = self._key_index.get(rel.name)
-        if index is None:
-            kidx = rel.key_indexes()
-            rows = self.rows(rel.name)
-            index = {tuple(row[0][i] for i in kidx): row for row in rows}
-            if len(index) != len(rows):
-                raise DefinitionError(
-                    f"relation {rel.name!r} holds duplicate keys; actions need a compliant instance"
-                )
-            self._key_index[rel.name] = index
-        return index
 
     def __eq__(self, other) -> bool:
         return (
@@ -490,10 +475,6 @@ def _typecheck_row(rel: Relation, values: tuple) -> Optional[str]:
     return None
 
 
-def _matches(pattern: list, values: tuple) -> bool:
-    return all(p is None or p == v for p, v in zip(pattern, values))
-
-
 def apply_action_delta(
     instance: Instance, action: Action, args: Sequence, at: int
 ):
@@ -504,11 +485,11 @@ def apply_action_delta(
     of any addition is reported first; otherwise the first key clash of the
     first relation added to.
 
-    ``instance`` must be compliant (see check_compliance): keys are checked
-    and deletions looked up through the relation's key index, which holds
-    one row per key.  A deletion whose template binds every key column
-    costs one lookup; one with a wildcard in a key column scans the
-    relation.
+    ``instance`` must be compliant (see check_compliance).  Deletions and
+    key checks look rows up with ``bisect_range`` in a working copy of each
+    touched relation's sorted rows: a template that binds the leading
+    columns, as a key that is a prefix of the columns does, costs a
+    bisection; other bound columns are scanned within the range.
     """
     schema = instance.schema
     _action_check(schema, action)
@@ -522,52 +503,43 @@ def apply_action_delta(
             raise DefinitionError(f"action {action.name!r}: argument {pname!r} has wrong type")
         arg_env[pname] = a
 
-    # working copies of the relations the action touches, and of their
-    # key indexes
+    # working copies of the relations the action touches
     rows: dict[str, list] = {}
-    indexes: dict[str, dict] = {}
 
-    def touch(rel: Relation) -> tuple[list, dict]:
-        if rel.name not in rows:
-            rows[rel.name] = list(instance.rows(rel.name))
-            indexes[rel.name] = dict(instance.key_index(rel))
-        return rows[rel.name], indexes[rel.name]
+    def touch(name: str) -> list:
+        if name not in rows:
+            rows[name] = list(instance.rows(name))
+        return rows[name]
 
     deleted: list[tuple] = []
     for tmpl in action.dels:
-        rel = schema.relation(tmpl.relation)
-        kidx = rel.key_indexes()
         pattern = [None if isinstance(t, Wild) else resolve_term(t, {}, arg_env) for t in tmpl.terms]
-        bucket, index = touch(rel)
-        if all(pattern[i] is not None for i in kidx):
-            row = index.get(tuple(pattern[i] for i in kidx))
-            hits = [row] if row is not None and _matches(pattern, row[0]) else []
-            if hits:
-                del bucket[bisect_left(bucket, row)]
-        else:
-            hits, keep = [], []
-            for row in bucket:
-                (hits if _matches(pattern, row[0]) else keep).append(row)
-            rows[rel.name] = keep
-        for values, ts in hits:
-            del index[tuple(values[i] for i in kidx)]
-            deleted.append((rel.name, values, ts))
+        bucket = touch(tmpl.relation)
+        lo, hi, rest = bisect_range(bucket, pattern)
+        keep = []
+        for row in bucket[lo:hi]:
+            if any(row[0][i] != p for i, p in rest):
+                keep.append(row)
+            else:
+                deleted.append((tmpl.relation, *row))
+        bucket[lo:hi] = keep
 
     added: list[tuple] = []
     clashes: dict[str, Optional[ConstraintViolation]] = {}  # in order of first addition
     for tmpl in action.adds:
         rel = schema.relation(tmpl.relation)
         values = tuple(resolve_term(t, {}, arg_env) for t in tmpl.terms)
-        bad = _type_violation(rel, values, at)
-        if bad is not None:
-            return bad
-        bucket, index = touch(rel)
-        k = tuple(values[i] for i in rel.key_indexes())
+        if tuple(map(type, values)) != rel.types:
+            return _type_violation(rel, values, at)
+        bucket = touch(rel.name)
+        kidx = rel.key_indexes()
+        lo, hi, rest = bisect_range(bucket, [v if i in kidx else None for i, v in enumerate(values)])
+        prior = next((r for r in bucket[lo:hi] if all(r[0][i] == p for i, p in rest)), None)
         row = (values, at)
-        prior = index.setdefault(k, row)
         clashes.setdefault(rel.name, None)
-        if prior is not row:
+        if prior is not None:
             if clashes[rel.name] is None:
+                k = tuple(values[i] for i in kidx)
                 clashes[rel.name] = ConstraintViolation(
                     relation=rel.name,
                     kind="key",
@@ -589,13 +561,20 @@ def apply_action_delta(
     new.schema = schema
     new._rows = store
     new._count_cache = {}
-    new._key_index = {**instance._key_index, **indexes}
     return new, added, deleted
 
 
 def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
     """Apply an action atomically.  Returns the new Instance, or a
-    ConstraintViolation leaving the original untouched."""
+    ConstraintViolation leaving the original untouched.  Raises
+    DefinitionError when a relation the action touches holds duplicate
+    keys, since actions need a compliant instance."""
+    schema = instance.schema
+    _action_check(schema, action)
+    touched = dict.fromkeys(t.relation for t in action.dels + action.adds)
+    bad = check_compliance(instance, Schema(tuple(schema.relation(n) for n in touched)))
+    if bad:
+        raise DefinitionError(f"relation {bad[0].relation!r} holds duplicate keys; actions need a compliant instance")
     res = apply_action_delta(instance, action, args, at)
     if isinstance(res, ConstraintViolation):
         return res

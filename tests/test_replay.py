@@ -16,7 +16,7 @@ import reference_engine
 from tdbnet import engine
 from tdbnet.engine import FiringError, Trace, TraceMeta, fire, replay, run
 from tdbnet.exprs import Age, Const, DefinitionError, Op, Var
-from tdbnet.formats import parse_trace, serialize_trace
+from tdbnet.formats import parse_trace, serialize_net, serialize_trace
 from tdbnet.net import InputArc, Net, OutputArc, Place, Snapshot, Token, Transition, initial_snapshot
 from tdbnet.patterns import (
     EndpointStub,
@@ -244,6 +244,27 @@ def test_trace_bytes_are_pinned(name):
         net, initial = CATALOG[name]()
         digests.append(hashlib.sha256(serialize_trace(run(net, initial, policy=policy, seed=seed)).encode()).hexdigest())
     assert tuple(digests) == GOLDEN[name]
+
+
+# sha256 of serialize_net(net, initial) per CATALOG entry: net-document bytes
+# are pinned as trace bytes are
+GOLDEN_NETS = {
+    "aggregator_rollback": "579247ccc707e890cf39d9f5f7f0272b34dd8764281529867d60540a7add9bf6",
+    "circuit_breaker": "e30dfa7f42fc4729552d6a678343940c3af44c27c6a08bc3d4698fcd4bb895dd",
+    "delayer": "61f13460cdfd10a7bab55ca4c9719f4e6c73b4a2094567e006f89f7aac997b86",
+    "halting": "3d4d361952af6650c0cf9c4d50217a43ae3fc745462c8fe29de7533ea21d6bd7",
+    "resequencer": "06f22479b18ffc9cd0e9964e3d766b417d63b8c511ca1cccc24871ab4b3c8d3f",
+    "router_correct": "b30d024af0295cd13cb64328d58ca28c46cf4170e4dd1ba5f41d441b0e8a025a",
+    "router_flawed": "bc81a19a65b49acb60011ee5e1000d1e0e5859a5f5d3a01a3d627997ba2a8fd4",
+    "throttler": "67e548de5a41ac3ac24e218c1ebb544d5f0b21cfad2dcbdaa5acf3486966ab87",
+    "two_arcs": "f8db3fa54483e316333f4fc5ae9fe4b80b1bf94483d56422d807e54342c37d21",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_net_bytes_are_pinned(name):
+    net, initial = CATALOG[name]()
+    assert hashlib.sha256(serialize_net(net, initial).encode()).hexdigest() == GOLDEN_NETS[name]
 
 
 def test_catalog_covers_rollback_and_halt():
