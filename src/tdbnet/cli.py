@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes are a stable contract: 0 completed/all checks passed, 1 usage or
-parse problem, 2 run ended halted on a constraint violation, 3 validation
-failure, 4 run stopped at ``--max-steps`` events.
+parse problem, or standard output closed before everything was written, 2
+run ended halted on a constraint violation, 3 validation failure, 4 run
+stopped at ``--max-steps`` events.
 
 `run` executes a catalog pattern (or a net document) under a workload and
 writes a trace file; `validate` replays checks against a stored trace and
@@ -214,8 +215,6 @@ def cmd_validate(args, out) -> int:
     verdicts: list[Verdict] = []
     for spec, fn in checks:
         verdicts.append(fn(trace))
-    for v in verdicts:
-        print(v.line(), file=out)
     report_path = Path(args.report) if args.report else Path(args.trace).with_suffix("").with_suffix("")
     if not args.report:
         report_path = Path(str(report_path) + REPORT_SUFFIX)
@@ -223,6 +222,10 @@ def cmd_validate(args, out) -> int:
         serialize_report(verdicts, {"trace": str(args.trace), "checks": list(args.check)}),
         encoding="utf-8",
     )
+    # the report is written before anything is printed, so that it exists
+    # even when the reader of stdout has gone
+    for v in verdicts:
+        print(v.line(), file=out)
     print(f"report written to {report_path}", file=out)
     return EXIT_OK if all(v.ok for v in verdicts) else EXIT_FAILED
 
@@ -303,7 +306,17 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, sys.stdout)
+        code = args.fn(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head -1``): send whatever is
+        # still buffered to devnull, so that the flush at exit cannot fail
+        # again, and exit 1 without a traceback, as the signal module's
+        # documentation advises
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

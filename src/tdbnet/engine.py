@@ -140,7 +140,6 @@ from .net import (
     view_tokens,
 )
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
-from .values import conforms
 
 
 class FiringError(ValueError):
@@ -906,7 +905,7 @@ def _produce(net: Net, arcs, cand: _Cand, instance, at: int) -> list[tuple[str, 
                 continue
         value = eval_expr(arc.expr, cand.env, instance=instance, now=at, ages=cand.ages)
         place = net.place(arc.place)
-        if not conforms(value, place.color):
+        if not place.color.fits(value):
             raise DefinitionError(
                 f"transition {cand.transition.id!r}: value {value!r} does not fit place {place.id!r}"
             )

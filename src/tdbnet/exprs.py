@@ -12,25 +12,36 @@ Expressions are immutable prefix trees.  They may read:
 * ``merge_text(rel, pattern, order_col, text_col)``, the concatenation of a
   text column over the matching facts, ordered by another column.
 
-``eval_expr`` evaluates an expression at one instant.  ``and`` and ``or``
-evaluate every argument, so an error in any conjunct is raised.
+Every node is compiled once, on first use, into a closure
+``fn(env, instance, now, ages, args)`` that is cached on the node as
+``_eval`` (``compiled``); ``eval_expr`` is the call of that closure.  A
+constant becomes its value, a variable a lookup in ``env``, and an
+operator node calls its arguments' closures.  Errors are raised when the
+closure runs, never when it is built: an unbound variable, parameter or
+age, ``count()`` or ``merge_text()`` without an instance, an unknown
+operator (after its arguments), and ``not an expression`` for anything
+that is not a node.  ``and`` and ``or`` evaluate every argument, so an
+error in any conjunct is raised.  The terms of a db pattern compile the
+same way (``compiled_pattern``), and the persistence layer compiles its
+queries' patterns and filters and its actions' templates from them.
 
-Guards are also compiled, once per node and cached on it, into truth-set
-solvers.  ``guard_truth`` returns the set of integer instants ``now`` at
-which a guard holds, under an otherwise fixed environment, as sorted
-disjoint inclusive intervals ``(lo, hi)``; ``lo`` may be ``-inf`` and
-``hi`` may be ``inf``.  A solver evaluates the time-independent subterms
-(variables, constants, ``count``, ``merge_text`` and arithmetic over them)
-with ``eval_expr``, once per query.  It reduces each time-dependent
-comparison to ``k*now + c <op> 0`` with integer ``k`` and ``c``, solves it
-with integer floor division, and combines the results by interval
-intersection (``and``), union (``or``) and complement (``not``).  A
-time-dependent truth value used as a number (``(age(m) < 10) = True``)
-is 1 on its truth set and 0 elsewhere, as in Python, so such a comparison
-is solved piece by piece.  No float is involved, so the answer is exact at
-every clock value.  ``guard_flip_time`` is the first point of the truth
-set from a given time.  The engine asks every guard question through these
-two queries, so runs, ``fire`` and replay agree on where a guard holds.
+Guards are also compiled, once per node and cached on it as ``_truth``,
+into truth-set solvers.  ``guard_truth`` returns the set of integer
+instants ``now`` at which a guard holds, under an otherwise fixed
+environment, as sorted disjoint inclusive intervals ``(lo, hi)``; ``lo``
+may be ``-inf`` and ``hi`` may be ``inf``.  A solver evaluates the
+time-independent subterms (variables, constants, ``count``,
+``merge_text`` and arithmetic over them) through their compiled closures,
+once per query.  It reduces each time-dependent comparison to
+``k*now + c <op> 0`` with integer ``k`` and ``c``, solves it with integer
+floor division, and combines the results by interval intersection
+(``and``), union (``or``) and complement (``not``).  A time-dependent
+truth value used as a number (``(age(m) < 10) = True``) is 1 on its truth
+set and 0 elsewhere, as in Python, so such a comparison is solved piece by
+piece.  No float is involved, so the answer is exact at every clock value.
+``guard_flip_time`` is the first point of the truth set from a given time.
+The engine asks every guard question through these two queries, so runs,
+``fire`` and replay agree on where a guard holds.
 
 ``validate_time_usage`` guarantees the shape the solver needs: ``now()``
 and ``age()`` occur only under ``+``, ``-``, comparisons, ``and``, ``or``
@@ -134,21 +145,49 @@ _ARITH = {
 }
 
 
-def resolve_term(term, env: Mapping[str, object], args: Mapping[str, object] | None = None):
-    """Resolve a pattern term to a concrete value, or None for a wildcard."""
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise EvalError(f"unbound variable {term.name!r}")
-        return env[term.name]
-    if isinstance(term, Param):
-        if args is None or term.name not in args:
-            raise EvalError(f"unbound parameter {term.name!r}")
-        return args[term.name]
-    if isinstance(term, Wild):
-        return None
-    raise EvalError(f"not a pattern term: {term!r}")
+def compiled(e):
+    """The closure ``fn(env, instance, now, ages, args)`` that evaluates
+    ``e``, compiled once per node and cached on it as ``_eval``.  Equal
+    nodes share one closure, keyed by the node's type and fields (see
+    ``_shape``), so nets built alike compile once.  Anything that is not
+    a node compiles to a closure that raises ``EvalError``."""
+    try:
+        return e._eval
+    except AttributeError:
+        pass
+    t = type(e)
+    if t not in _NODES:
+        return _compile(e)
+    key = (t, *[_shape(getattr(e, f)) for f in t.__dataclass_fields__])
+    try:
+        fn = _SHARED.get(key)
+    except TypeError:  # an unhashable constant: not shared
+        key = fn = None
+    if fn is None:
+        fn = _compile(e)
+        if key is not None:
+            if len(_SHARED) >= 4096:
+                _SHARED.clear()
+            _SHARED[key] = fn
+    object.__setattr__(e, "_eval", fn)
+    return fn
+
+
+def _shape(v):
+    """A field's part of the key under which equal nodes share a closure:
+    a node by its own shared closure (a node without fields, such as a
+    wildcard, by its type), a tuple by its items' shapes, and any other
+    value by itself beside its exact type, so that ``1`` and ``True``
+    differ."""
+    t = type(v)
+    if t in _NODES:
+        return compiled(v) if t.__dataclass_fields__ else (t,)
+    if t is tuple:
+        return (t, *map(_shape, v))
+    return (t, v)
+
+
+_SHARED: dict = {}  # node shape -> its compiled closure
 
 
 def eval_expr(
@@ -160,52 +199,153 @@ def eval_expr(
     ages: Mapping[str, int] | None = None,
     args: Mapping[str, object] | None = None,
 ):
+    """``e`` evaluated at the instant ``now``: the call of its compiled
+    closure (see the module docstring)."""
+    try:
+        fn = e._eval
+    except AttributeError:
+        fn = compiled(e)
+    return fn(env, instance, now, ages, args)
+
+
+def _fails(exc: type, message: str):
+    def fail(env, inst, now, ages, args):
+        raise exc(message)
+
+    return fail
+
+
+def _compile(e):
     t = type(e)
     if t is Const:
-        return e.value
+        value = e.value
+        return lambda env, inst, now, ages, args: value
     if t is Var:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
+        name = e.name
+
+        def var(env, inst, now, ages, args):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+
+        return var
     if t is Param:
-        if args is None or e.name not in args:
-            raise EvalError(f"unbound parameter {e.name!r}")
-        return args[e.name]
+        name = e.name
+
+        def param(env, inst, now, ages, args):
+            if args is None or name not in args:
+                raise EvalError(f"unbound parameter {name!r}")
+            return args[name]
+
+        return param
     if t is Now:
-        return now
+        return lambda env, inst, now, ages, args: now
     if t is Age:
-        if ages is None or e.var not in ages:
-            raise _unbound_age(e.var)
-        return now - ages[e.var]
-    if t is DbCount:
-        if instance is None:
-            raise EvalError("count() needs a persistence instance")
-        return instance.count_matching(e.relation, tuple(resolve_term(term, env, args) for term in e.terms))
-    if t is DbMergeText:
-        if instance is None:
-            raise EvalError("merge_text() needs a persistence instance")
-        rows = instance.match_values(e.relation, tuple(resolve_term(term, env, args) for term in e.terms))
-        rows = sorted(rows, key=operator.itemgetter(e.order_col))
-        return e.sep.join(str(vs[e.text_col]) for vs in rows)
+        var_name = e.var
+
+        def age(env, inst, now, ages, args):
+            if ages is None or var_name not in ages:
+                raise _unbound_age(var_name)
+            return now - ages[var_name]
+
+        return age
+    if t is DbCount or t is DbMergeText:
+        return _compile_db(e)
     if t is Op:
-        if e.op in ("and", "or"):
-            vals = [eval_expr(a, env, instance=instance, now=now, ages=ages, args=args) for a in e.args]
-            return all(vals) if e.op == "and" else any(vals)
-        if e.op == "not":
-            return not eval_expr(e.args[0], env, instance=instance, now=now, ages=ages, args=args)
-        if e.op == "tuple":
-            return tuple(eval_expr(a, env, instance=instance, now=now, ages=ages, args=args) for a in e.args)
-        vals = [eval_expr(a, env, instance=instance, now=now, ages=ages, args=args) for a in e.args]
-        if e.op in _CMP:
-            return _CMP[e.op](vals[0], vals[1])
-        if e.op in _ARITH:
-            out = vals[0]
-            for v in vals[1:]:
-                out = _ARITH[e.op](out, v)
-            return out
-        raise EvalError(f"unknown operator {e.op!r}")
-    raise EvalError(f"not an expression: {e!r}")
+        return _compile_op(e)
+    return _fails(EvalError, f"not an expression: {e!r}")
+
+
+def compiled_term(term):
+    """The closure of a pattern or template term, called as an
+    expression's: a constant, variable or parameter compiles as an
+    expression, a wildcard to None, and anything else to a closure that
+    raises ``EvalError``."""
+    t = type(term)
+    if t is Const or t is Var or t is Param:
+        return compiled(term)
+    if t is Wild:
+        return lambda env, inst, now, ages, args: None
+    return _fails(EvalError, f"not a pattern term: {term!r}")
+
+
+def compiled_pattern(terms):
+    """``fn(env, args)`` -> the tuple of ``terms`` resolved as by
+    ``compiled_term``; constants and wildcards are placed once, here."""
+    terms = tuple(terms)
+    base = [term.value if type(term) is Const else None for term in terms]
+    slots = tuple((i, compiled_term(term)) for i, term in enumerate(terms) if type(term) not in (Const, Wild))
+
+    def pattern(env, args):
+        out = base.copy()
+        for i, get in slots:
+            out[i] = get(env, None, 0, None, args)
+        return tuple(out)
+
+    return pattern
+
+
+def _compile_db(e):
+    relation, pattern = e.relation, compiled_pattern(e.terms)
+    if type(e) is DbCount:
+
+        def count(env, inst, now, ages, args):
+            if inst is None:
+                raise EvalError("count() needs a persistence instance")
+            return inst.count_matching(relation, pattern(env, args))
+
+        return count
+    order, col, sep = operator.itemgetter(e.order_col), e.text_col, e.sep
+
+    def merge_text(env, inst, now, ages, args):
+        if inst is None:
+            raise EvalError("merge_text() needs a persistence instance")
+        rows = sorted(inst.match_values(relation, pattern(env, args)), key=order)
+        return sep.join(str(vs[col]) for vs in rows)
+
+    return merge_text
+
+
+def _compile_op(e):
+    """An operator node: every argument is evaluated, in order, before the
+    operator applies (``not`` evaluates its first only), so an error in
+    any argument is raised, and an unknown operator after them."""
+    op, subs = e.op, tuple(compiled(a) for a in e.args)
+    if op in ("and", "or"):
+        fold = all if op == "and" else any
+        return lambda env, inst, now, ages, args: fold([f(env, inst, now, ages, args) for f in subs])
+    if op == "not":
+        if not subs:
+            return _fails(IndexError, "tuple index out of range")
+        first = subs[0]
+        return lambda env, inst, now, ages, args: not first(env, inst, now, ages, args)
+    if op == "tuple":
+        return lambda env, inst, now, ages, args: tuple([f(env, inst, now, ages, args) for f in subs])
+    fn = _CMP.get(op) or _ARITH.get(op)
+    if fn is None:
+
+        def unknown(env, inst, now, ages, args):
+            for f in subs:
+                f(env, inst, now, ages, args)
+            raise EvalError(f"unknown operator {op!r}")
+
+        return unknown
+    if len(subs) == 2:
+        a, b = subs
+        return lambda env, inst, now, ages, args: fn(a(env, inst, now, ages, args), b(env, inst, now, ages, args))
+    compare = op in _CMP
+
+    def apply(env, inst, now, ages, args):
+        vals = [f(env, inst, now, ages, args) for f in subs]
+        if compare:
+            return fn(vals[0], vals[1])
+        out = vals[0]
+        for v in vals[1:]:
+            out = fn(out, v)
+        return out
+
+    return apply
 
 
 def _unbound_age(var: str) -> EvalError:
@@ -383,10 +523,8 @@ def _linear(e):
         if t is Const and isinstance(e.value, int):
             form = (0, int(e.value))
             return lambda env, inst, ages, args: form
-        return lambda env, inst, ages, args: (
-            0,
-            _time_int(eval_expr(e, env, instance=inst, ages=ages, args=args)),
-        )
+        value = compiled(e)
+        return lambda env, inst, ages, args: (0, _time_int(value(env, inst, 0, ages, args)))
     if t is Op and e.op in ("+", "-"):
         subs = tuple(_linear(a) for a in e.args)
         sign = 1 if e.op == "+" else -1
@@ -446,9 +584,8 @@ def _pieces(e):
 
 def _compile_truth(e):
     if not depends_on_time(e):
-        return lambda env, inst, ages, args: (
-            ALWAYS if eval_expr(e, env, instance=inst, ages=ages, args=args) else NEVER
-        )
+        value = compiled(e)
+        return lambda env, inst, ages, args: ALWAYS if value(env, inst, 0, ages, args) else NEVER
     op = e.op if type(e) is Op else None
     if op in ("and", "or"):
         subs = tuple(_truth(a) for a in e.args)

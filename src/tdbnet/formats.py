@@ -12,7 +12,7 @@ Serialization is canonical: equal in-memory values produce identical bytes
 problem raises :class:`DocumentError` carrying path-addressed diagnostics.
 
 Expressions are stored as prefix trees ``{"op": ..., "args": [...]}``; value
-tuples map to JSON arrays.
+tuples map to JSON arrays, as ``json`` writes any tuple.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ def canonical_json(obj) -> str:
 # values
 
 
-def value_to_json(v):
-    if isinstance(v, tuple):
-        return [value_to_json(x) for x in v]
-    return v
-
-
 def json_to_value(v, path: str):
     """The value a JSON value stands for: an int, a string or a bool, or a
     list of them as a tuple.  Anything else (a float, null, an object) is
@@ -106,7 +100,7 @@ def json_to_value(v, path: str):
 
 def expr_to_json(e):
     if isinstance(e, Const):
-        return {"op": "const", "args": [value_to_json(e.value)]}
+        return {"op": "const", "args": [e.value]}
     if isinstance(e, Var):
         return {"op": "var", "args": [e.name]}
     if isinstance(e, Param):
@@ -315,9 +309,7 @@ def net_to_json(net: Net, initial: Snapshot) -> dict:
     }
     instance = {
         "clock": initial.clock,
-        "facts": [
-            [rel, value_to_json(values), at] for rel, values, at in initial.instance.all_rows()
-        ],
+        "facts": list(initial.instance.all_rows()),
     }
     return {
         "colorsets": colorsets,
@@ -547,7 +539,7 @@ def parse_net(text: str) -> tuple[Net, Snapshot]:
 
 
 def token_to_json(tok: Token):
-    return {"value": value_to_json(tok.value), "at": tok.created_at}
+    return {"value": tok.value, "at": tok.created_at}
 
 
 def token_from_json(node, path: str) -> Token:
@@ -600,7 +592,7 @@ def _schema_from_json(node, path: str) -> Schema:
 def snapshot_to_json(snap: Snapshot):
     return {
         "clock": snap.clock,
-        "facts": [[rel, value_to_json(values), at] for rel, values, at in snap.instance.all_rows()],
+        "facts": list(snap.instance.all_rows()),
         "marking": {
             pid: [token_to_json(t) for t in snap.marking.tokens(pid)]
             for pid in snap.marking.place_ids()
@@ -642,11 +634,11 @@ def event_to_json(ev: FiringEvent):
         "step": ev.step,
         "time": ev.time,
         "transition": ev.transition,
-        "binding": [[k, value_to_json(v)] for k, v in ev.binding],
+        "binding": ev.binding,
         "consumed": _pairs_to_json(ev.consumed),
         "produced": _pairs_to_json(ev.produced),
-        "added": [[rel, value_to_json(values), at] for rel, values, at in ev.added],
-        "deleted": [[rel, value_to_json(values), at] for rel, values, at in ev.deleted],
+        "added": ev.added,
+        "deleted": ev.deleted,
         "outcome": ev.outcome,
     }
 
@@ -671,7 +663,11 @@ def event_from_json(node, path: str) -> FiringEvent:
 
 
 def snapshot_digest(snap: Snapshot) -> str:
-    return hashlib.sha256(canonical_json(snapshot_to_json(snap)).encode()).hexdigest()
+    return _digest(snapshot_to_json(snap))
+
+
+def _digest(snapshot_json) -> str:
+    return hashlib.sha256(canonical_json(snapshot_json).encode()).hexdigest()
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -685,12 +681,8 @@ def serialize_trace(trace: Trace) -> str:
     }
     lines = [canonical_json(header)]
     lines.extend(canonical_json(event_to_json(ev)) for ev in trace.events)
-    footer = {
-        "kind": "footer",
-        "events": len(trace.events),
-        "final": snapshot_to_json(trace.final),
-        "digest": snapshot_digest(trace.final),
-    }
+    final = snapshot_to_json(trace.final)
+    footer = {"kind": "footer", "events": len(trace.events), "final": final, "digest": _digest(final)}
     lines.append(canonical_json(footer))
     return "\n".join(lines) + "\n"
 

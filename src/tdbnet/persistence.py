@@ -6,13 +6,20 @@ Every column has one type, so the values of a column always compare and an
 instance keeps each relation's rows in their natural order.  An Instance
 never mutates; apply_action returns either a new Instance or a
 ConstraintViolation value describing why the change was rejected.
+
+A query or an action is checked against a schema and compiled once per
+schema object, on first use, and the schema keeps the plan: its terms
+become argument indexes, constants, wildcards or variable lookups, and its
+argument types one exact-type test, so that evaluating it interprets no
+template.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exprs import (
@@ -23,9 +30,10 @@ from .exprs import (
     Param,
     Var,
     Wild,
-    resolve_term,
+    compiled,
+    compiled_term,
 )
-from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType, conforms
+from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType
 
 
 @dataclass(frozen=True)
@@ -73,15 +81,18 @@ class Schema:
     relations: tuple[Relation, ...]
 
     def __post_init__(self) -> None:
-        names = [r.name for r in self.relations]
-        if len(set(names)) != len(names):
+        by_name = {r.name: r for r in self.relations}
+        if len(by_name) != len(self.relations):
             raise DefinitionError("duplicate relation names in schema")
+        object.__setattr__(self, "_by_name", by_name)
+        # the queries and actions compiled against this schema (see _plan)
+        object.__setattr__(self, "_plans", {})
 
     def relation(self, name: str) -> Relation:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise DefinitionError(f"unknown relation {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise DefinitionError(f"unknown relation {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -99,26 +110,76 @@ class ConstraintViolation:
     message: str
 
 
+class _Top:
+    """Greater than every value: the upper probe of a prefix range."""
+
+    __slots__ = ()
+
+    def __gt__(self, other) -> bool:
+        return True
+
+    def __lt__(self, other) -> bool:
+        return False
+
+
+TOP = _Top()
+
+
 def bisect_range(rows: Sequence, pattern: Sequence) -> tuple[int, int, tuple]:
     """``(lo, hi, rest)`` for a pattern (None entries are wildcards) over
     rows of ``(values, at)`` sorted by values.  ``rows[lo:hi]`` are the rows
-    whose leading bound columns equal the pattern's, found by bisection;
+    whose leading bound columns equal the pattern's, found by bisection
+    with the probes ``(prefix,)`` and ``(prefix + (TOP,),)``, which compare
+    with whole rows: a row that starts with the prefix lies between them.
     ``rest`` holds the ``(column, value)`` pairs of the other bound columns,
     which those rows must still match.  The range is all of ``rows`` when a
     bound value does not compare with its column (a ``str`` looked up in an
     ``int`` column): no row equals it, and the scan finds none."""
-    lo, hi, k = 0, len(rows), 0
-    while k < len(pattern) and pattern[k] is not None:
+    lo, hi, k, n = 0, len(rows), 0, len(pattern)
+    while k < n and pattern[k] is not None:
         k += 1
     if k:
         prefix = tuple(pattern[:k])
-        lead = lambda row: row[0][:k]
         try:
-            lo = bisect_left(rows, prefix, key=lead)
-            hi = bisect_right(rows, prefix, lo, key=lead)
+            lo = bisect_left(rows, (prefix,))
+            hi = bisect_left(rows, (prefix + (TOP,),), lo)
         except TypeError:
             lo, hi, k = 0, len(rows), 0
-    return lo, hi, tuple((i, p) for i, p in enumerate(pattern) if i >= k and p is not None)
+    if k == n:
+        return lo, hi, ()
+    return lo, hi, tuple([(i, p) for i, p in enumerate(pattern) if i >= k and p is not None])
+
+
+@lru_cache(maxsize=1024)
+def _picker(idx: tuple):
+    """``pick(seq)``: the tuple of ``seq[i]`` for each ``i`` of ``idx``;
+    shared by every plan that picks the same items."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    if not idx:
+        return lambda seq: ()
+    return itemgetter(*idx)
+
+
+@lru_cache(maxsize=1024)
+def _arg_check(what: str, name: str, params: tuple):
+    """``check(args)`` for the parameters of a query or an action: it
+    raises DefinitionError on a wrong number of arguments, or naming the
+    first argument of a wrong type.  Scalar parameters are checked at once
+    by their exact types, product ones with their color's test."""
+    colors = tuple(color for _, color in params)
+    types = tuple(SCALAR_TYPES.get(c.kind, tuple) for c in colors)
+    products = tuple(i for i, c in enumerate(colors) if c.kind == "product")
+
+    def check(args: Sequence) -> None:
+        if len(args) != len(params):
+            raise DefinitionError(f"{what} {name!r} expects {len(params)} args, got {len(args)}")
+        if tuple(map(type, args)) != types or (products and not all(colors[i].fits(args[i]) for i in products)):
+            bad = next(p for (p, c), a in zip(params, args) if not c.fits(a))
+            raise DefinitionError(f"{what} {name!r}: argument {bad!r} has wrong type")
+
+    return check
 
 
 class Instance:
@@ -274,10 +335,24 @@ class Query:
 _FILTER_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
 
-def _query_check(schema: Schema, query: Query) -> None:
-    if getattr(query, "_checked_against", None) is schema:
-        return
+def _plan(schema: Schema, obj, compile):
+    """The plan of a query or an action, ``compile(schema, obj)``, made
+    once per schema object and kept in the schema's ``_plans`` by the
+    identity of ``obj`` (the entry holds ``obj``, so its id is not reused
+    while the entry lasts).  Another schema object, even an equal one,
+    checks and compiles ``obj`` again; a schema's plans go with it."""
+    plans = schema._plans
+    entry = plans.get(id(obj))
+    if entry is None:
+        entry = plans[id(obj)] = (obj, compile(schema, obj))
+    return entry[1]
+
+
+def _compile_query(schema: Schema, query: Query):
+    """``evaluate(instance, args)`` for a query checked against a schema
+    (see ``_query_plan``)."""
     bound: set[str] = set()
+    param_names = {p[0] for p in query.params}
     for i, atom in enumerate(query.atoms):
         rel = schema.relation(atom.relation)
         if len(atom.terms) != rel.arity:
@@ -285,9 +360,12 @@ def _query_check(schema: Schema, query: Query) -> None:
                 f"query {query.name!r} atom {i}: arity {len(atom.terms)} != {rel.arity}"
             )
         for t in atom.terms:
-            if isinstance(t, Var):
+            if type(t) is Var:
                 bound.add(t.name)
-    param_names = {p[0] for p in query.params}
+            elif type(t) is Param and t.name not in param_names:
+                raise DefinitionError(f"query {query.name!r}: unknown parameter {t.name!r}")
+            elif type(t) not in (Const, Wild, Param):
+                raise DefinitionError(f"query {query.name!r}: bad atom term {t!r}")
     for f in query.filters:
         if f.op not in _FILTER_OPS:
             raise DefinitionError(f"query {query.name!r}: bad filter op {f.op!r}")
@@ -305,7 +383,7 @@ def _query_check(schema: Schema, query: Query) -> None:
         for idx in query.order_by:
             if not (0 <= idx < len(query.output)):
                 raise DefinitionError(f"query {query.name!r}: order_by index {idx} out of range")
-    object.__setattr__(query, "_checked_against", schema)
+    return _query_plan(query)
 
 
 def _filter_vars(side) -> list[str]:
@@ -339,86 +417,112 @@ def copied_relation(query: Query) -> Optional[str]:
     return None
 
 
+def _query_plan(query: Query):
+    """The compiled evaluation of a checked query (see ``eval_query``).
+
+    Each atom's terms become sources: an index into ``ext``, the call's
+    arguments followed by the query's constants (None, a wildcard, first),
+    or a variable an earlier atom bound, read from the environment.  A
+    variable no earlier atom bound is free: the atom's rows bind it, and a
+    variable free twice in one atom must get equal values.  Filter sides
+    are compiled expressions (see ``exprs.compiled``)."""
+    check = _arg_check("query", query.name, query.params)
+    source = copied_relation(query)
+    if source is not None:
+
+        def copy(instance: Instance, args: Sequence) -> tuple:
+            check(args)
+            return tuple([values for values, _ in instance._rows[source]])
+
+        return copy
+    npar = len(query.params)
+    pindex = {p: i for i, (p, _) in enumerate(query.params)}
+    consts: list = [None]
+    bound: set[str] = set()
+    atoms = []
+    for atom in query.atoms:
+        idx, env_slots, free = [], [], []
+        for i, t in enumerate(atom.terms):
+            kind = type(t)
+            if kind is Var and t.name in bound:
+                env_slots.append((i, t.name))
+                idx.append(npar)
+            elif kind is Var or kind is Wild:
+                if kind is Var:
+                    free.append((i, t.name))
+                idx.append(npar)
+            elif kind is Param:
+                idx.append(pindex[t.name])
+            else:
+                idx.append(npar + len(consts))
+                consts.append(t.value)
+        bound.update(name for _, name in free)
+        atoms.append((atom.relation, _picker(tuple(idx)), tuple(env_slots), tuple(free)))
+    filters = tuple((_CMP[f.op], _side(f.lhs), _side(f.rhs)) for f in query.filters)
+    output = _picker(tuple(query.output))
+    order = _picker(tuple(query.order_by)) if query.order_by is not None else None
+    pnames = tuple(p for p, _ in query.params)
+    consts = tuple(consts)
+
+    def evaluate(instance: Instance, args: Sequence) -> tuple:
+        check(args)
+        ext = (*args, *consts)
+        store = instance._rows
+        envs: list[dict] = [{}]
+        for relation, pick, env_slots, free in atoms:
+            rows, base, found = store[relation], pick(ext), []
+            for env in envs:
+                pattern = base
+                if env_slots:
+                    pattern = list(base)
+                    for i, name in env_slots:
+                        pattern[i] = env[name]
+                lo, hi, rest = bisect_range(rows, pattern)
+                for values, _ in rows[lo:hi]:
+                    if rest and not all(values[i] == p for i, p in rest):
+                        continue
+                    if not free:
+                        found.append(env)
+                        break
+                    env2 = env.copy()
+                    for i, name in free:
+                        if env2.setdefault(name, values[i]) != values[i]:
+                            break
+                    else:
+                        found.append(env2)
+            envs = found
+            if not envs:
+                break
+        argmap = dict(zip(pnames, args))
+        kept = []
+        for env in envs:
+            for cmp, lhs, rhs in filters:
+                if not cmp(lhs(env, instance, 0, None, argmap), rhs(env, instance, 0, None, argmap)):
+                    break
+            else:
+                kept.append(output(env))
+        rows = sorted(set(kept))
+        if order is not None:
+            rows.sort(key=order)
+        return tuple(rows)
+
+    return evaluate
+
+
+def _side(side):
+    """A filter side as a compiled expression: a count, or a term (see
+    ``exprs.compiled_term``)."""
+    return compiled(side) if type(side) is DbCount else compiled_term(side)
+
+
 def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
     """Evaluate a conjunctive query with comparison/count filters.
 
     Returns a tuple of result rows (each a tuple), de-duplicated and in
-    canonical lexicographic order unless order_by overrides it.
+    canonical lexicographic order unless order_by overrides it.  The query
+    is compiled once per schema (see ``_query_plan``).
     """
-    schema = instance.schema
-    _query_check(schema, query)
-    if len(args) != len(query.params):
-        raise DefinitionError(
-            f"query {query.name!r} expects {len(query.params)} args, got {len(args)}"
-        )
-    source = copied_relation(query)
-    if source is not None:
-        return tuple(v for v, _ in instance.rows(source))
-    arg_env: dict[str, object] = {}
-    for (pname, pcolor), a in zip(query.params, args):
-        if not conforms(a, pcolor):
-            raise DefinitionError(f"query {query.name!r}: argument {pname!r} has wrong type")
-        arg_env[pname] = a
-
-    envs: list[dict] = [{}]
-    for atom in query.atoms:
-        next_envs: list[dict] = []
-        for env in envs:
-            pattern = []
-            free: list[tuple[int, str]] = []
-            for idx, t in enumerate(atom.terms):
-                if isinstance(t, Wild):
-                    pattern.append(None)
-                elif isinstance(t, Const):
-                    pattern.append(t.value)
-                elif isinstance(t, Param):
-                    pattern.append(arg_env[t.name])
-                elif isinstance(t, Var):
-                    if t.name in env:
-                        pattern.append(env[t.name])
-                    else:
-                        pattern.append(None)
-                        free.append((idx, t.name))
-                else:
-                    raise DefinitionError(f"query {query.name!r}: bad atom term {t!r}")
-            for values, _at in instance.match_rows(atom.relation, pattern):
-                env2 = env
-                ok = True
-                for idx, name in free:
-                    if env2 is env:
-                        env2 = dict(env)
-                    if name in env2 and env2[name] != values[idx]:
-                        ok = False
-                        break
-                    env2[name] = values[idx]
-                if ok:
-                    next_envs.append(env2 if env2 is not env else dict(env))
-        envs = next_envs
-        if not envs:
-            break
-
-    def side_value(side, env):
-        if isinstance(side, DbCount):
-            pattern = tuple(
-                None if isinstance(t, Wild) else resolve_term(t, env, arg_env) for t in side.terms
-            )
-            return instance.count_matching(side.relation, pattern)
-        return resolve_term(side, env, arg_env)
-
-    kept = []
-    for env in envs:
-        ok = True
-        for f in query.filters:
-            if not _CMP[f.op](side_value(f.lhs, env), side_value(f.rhs, env)):
-                ok = False
-                break
-        if ok:
-            kept.append(tuple(env[v] for v in query.output))
-
-    rows = sorted(set(kept))
-    if query.order_by is not None:
-        rows.sort(key=lambda r: tuple(r[i] for i in query.order_by))
-    return tuple(rows)
+    return _plan(instance.schema, query, _compile_query)(instance, args)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +545,20 @@ class Action:
     dels: tuple = ()
 
 
-def _action_check(schema: Schema, action: Action) -> None:
-    if getattr(action, "_checked_against", None) is schema:
-        return
-    param_names = {p[0] for p in action.params}
+def _compile_action(schema: Schema, action: Action) -> tuple:
+    """``(check, consts, dels, adds)`` for an action checked against a
+    schema.
+
+    ``check(args)`` tests the arguments.  Every template term is an index
+    into ``ext``, the arguments followed by ``consts`` (None, a wildcard,
+    first).  ``dels`` holds ``(relation, pick)`` per deletion and ``adds``
+    ``(relation, pick, pick_key, key positions)`` per addition, where
+    ``pick(ext)`` is the template's values and ``pick_key(ext)`` the
+    pattern of its key columns (see ``bisect_range``)."""
+    npar = len(action.params)
+    pindex = {p: i for i, (p, _) in enumerate(action.params)}
+    consts: list = [None]
+    picks = []
     for tmpl in action.adds + action.dels:
         rel = schema.relation(tmpl.relation)
         if len(tmpl.terms) != rel.arity:
@@ -452,27 +566,33 @@ def _action_check(schema: Schema, action: Action) -> None:
                 f"action {action.name!r}: template for {tmpl.relation!r} has wrong arity"
             )
         allow_wild = tmpl in action.dels
+        idx = []
         for t in tmpl.terms:
             if isinstance(t, Wild):
                 if not allow_wild:
                     raise DefinitionError(
                         f"action {action.name!r}: wildcard not allowed in additions"
                     )
+                idx.append(npar)
             elif isinstance(t, Param):
-                if t.name not in param_names:
+                if t.name not in pindex:
                     raise DefinitionError(f"action {action.name!r}: unknown parameter {t.name!r}")
-            elif not isinstance(t, Const):
+                idx.append(pindex[t.name])
+            elif isinstance(t, Const):
+                idx.append(npar + len(consts))
+                consts.append(t.value)
+            else:
                 raise DefinitionError(f"action {action.name!r}: bad template term {t!r}")
-    object.__setattr__(action, "_checked_against", schema)
-
-
-def _typecheck_row(rel: Relation, values: tuple) -> Optional[str]:
-    if len(values) != rel.arity:
-        return f"arity {len(values)} != {rel.arity}"
-    for col, v in zip(rel.columns, values):
-        if not conforms(v, col.color):
-            return f"column {col.name!r} expects {col.color.kind}, got {v!r}"
-    return None
+        picks.append((rel, idx))
+    dels = tuple((rel.name, _picker(tuple(idx))) for rel, idx in picks[len(action.adds):])
+    adds = []
+    for rel, idx in picks[: len(action.adds)]:
+        kidx = rel.key_indexes()
+        # the pattern of the key columns, up to the last: a key that is a
+        # leading prefix of the columns is looked up by bisection alone
+        key = tuple(idx[pos] if pos in kidx else npar for pos in range(max(kidx) + 1))
+        adds.append((rel, _picker(tuple(idx)), _picker(key), kidx))
+    return _arg_check("action", action.name, action.params), tuple(consts), dels, tuple(adds)
 
 
 def apply_action_delta(
@@ -485,55 +605,45 @@ def apply_action_delta(
     of any addition is reported first; otherwise the first key clash of the
     first relation added to.
 
-    ``instance`` must be compliant (see check_compliance).  Deletions and
-    key checks look rows up with ``bisect_range`` in a working copy of each
+    ``instance`` must be compliant (see check_compliance).  The action is
+    compiled once per schema (see ``_compile_action``).  Deletions and key
+    checks look rows up with ``bisect_range`` in a working copy of each
     touched relation's sorted rows: a template that binds the leading
     columns, as a key that is a prefix of the columns does, costs a
     bisection; other bound columns are scanned within the range.
     """
-    schema = instance.schema
-    _action_check(schema, action)
-    if len(args) != len(action.params):
-        raise DefinitionError(
-            f"action {action.name!r} expects {len(action.params)} args, got {len(args)}"
-        )
-    arg_env: dict[str, object] = {}
-    for (pname, pcolor), a in zip(action.params, args):
-        if not conforms(a, pcolor):
-            raise DefinitionError(f"action {action.name!r}: argument {pname!r} has wrong type")
-        arg_env[pname] = a
+    check, consts, dels, adds = _plan(instance.schema, action, _compile_action)
+    check(args)
+    ext = (*args, *consts)
 
     # working copies of the relations the action touches
     rows: dict[str, list] = {}
 
     def touch(name: str) -> list:
         if name not in rows:
-            rows[name] = list(instance.rows(name))
+            rows[name] = list(instance._rows[name])
         return rows[name]
 
     deleted: list[tuple] = []
-    for tmpl in action.dels:
-        pattern = [None if isinstance(t, Wild) else resolve_term(t, {}, arg_env) for t in tmpl.terms]
-        bucket = touch(tmpl.relation)
-        lo, hi, rest = bisect_range(bucket, pattern)
+    for relation, pick in dels:
+        bucket = touch(relation)
+        lo, hi, rest = bisect_range(bucket, pick(ext))
         keep = []
         for row in bucket[lo:hi]:
             if any(row[0][i] != p for i, p in rest):
                 keep.append(row)
             else:
-                deleted.append((tmpl.relation, *row))
+                deleted.append((relation, *row))
         bucket[lo:hi] = keep
 
     added: list[tuple] = []
     clashes: dict[str, Optional[ConstraintViolation]] = {}  # in order of first addition
-    for tmpl in action.adds:
-        rel = schema.relation(tmpl.relation)
-        values = tuple(resolve_term(t, {}, arg_env) for t in tmpl.terms)
+    for rel, pick, pick_key, kidx in adds:
+        values = pick(ext)
         if tuple(map(type, values)) != rel.types:
             return _type_violation(rel, values, at)
         bucket = touch(rel.name)
-        kidx = rel.key_indexes()
-        lo, hi, rest = bisect_range(bucket, [v if i in kidx else None for i, v in enumerate(values)])
+        lo, hi, rest = bisect_range(bucket, pick_key(ext))
         prior = next((r for r in bucket[lo:hi] if all(r[0][i] == p for i, p in rest)), None)
         row = (values, at)
         clashes.setdefault(rel.name, None)
@@ -558,7 +668,7 @@ def apply_action_delta(
     for rel_name, bucket in rows.items():
         store[rel_name] = tuple(bucket)
     new = Instance.__new__(Instance)
-    new.schema = schema
+    new.schema = instance.schema
     new._rows = store
     new._count_cache = {}
     return new, added, deleted
@@ -570,7 +680,7 @@ def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
     DefinitionError when a relation the action touches holds duplicate
     keys, since actions need a compliant instance."""
     schema = instance.schema
-    _action_check(schema, action)
+    _plan(schema, action, _compile_action)
     touched = dict.fromkeys(t.relation for t in action.dels + action.adds)
     bad = check_compliance(instance, Schema(tuple(schema.relation(n) for n in touched)))
     if bad:
@@ -581,10 +691,14 @@ def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
     return res[0]
 
 
-def _type_violation(rel: Relation, values: tuple, ts) -> Optional[ConstraintViolation]:
-    err = _typecheck_row(rel, values)
-    if err is None:
-        return None
+def _type_violation(rel: Relation, values: tuple, ts) -> ConstraintViolation:
+    """The violation of a row whose values do not fit its relation's
+    column types (their count, or the first column whose type differs)."""
+    if len(values) != rel.arity:
+        err = f"arity {len(values)} != {rel.arity}"
+    else:
+        col, v = next((c, v) for c, v, t in zip(rel.columns, values, rel.types) if type(v) is not t)
+        err = f"column {col.name!r} expects {col.color.kind}, got {v!r}"
     return ConstraintViolation(rel.name, "type", values, ((values, ts),), f"type constraint on {rel.name!r}: {err}")
 
 

@@ -10,6 +10,7 @@ tokens and of a relation's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 # the exact Python type of each scalar kind's values
 SCALAR_TYPES = {"int": int, "text": str, "bool": bool, "ts": int}
@@ -40,6 +41,16 @@ class ColorType:
         elif self.kind not in SCALAR_KINDS:
             raise ValueError(f"unknown color kind {self.kind!r}")
 
+    @cached_property
+    def fits(self):
+        """``fits(value)``: whether ``value`` inhabits this color, as
+        ``conforms`` says; compiled once per color into an exact-type test
+        of the value, or of a tuple's items."""
+        if self.kind != "product":
+            scalar = SCALAR_TYPES[self.kind]
+            return lambda value: type(value) is scalar
+        return _tuple_test(tuple(SCALAR_TYPES[c.kind] for c in self.components))
+
     def field_index(self, name: str) -> int:
         try:
             return self.labels.index(name)
@@ -57,15 +68,16 @@ def product(*components: ColorType, labels=()) -> ColorType:
     return ColorType("product", tuple(components), tuple(labels) if labels else ())
 
 
+@lru_cache(maxsize=256)
+def _tuple_test(types: tuple):
+    """The test for tuples whose items have exactly ``types``, shared by
+    every product color of those kinds."""
+    return lambda value: type(value) is tuple and tuple(map(type, value)) == types
+
+
 def conforms(value: object, color: ColorType) -> bool:
     """True if ``value`` inhabits ``color``.  Types are exact: a bool is not
     an int, and no subclass (an ``IntEnum``, a ``str`` subclass) is a
     value."""
-    if color.kind == "product":
-        return (
-            type(value) is tuple
-            and len(value) == len(color.components)
-            and all(conforms(v, c) for v, c in zip(value, color.components))
-        )
-    return type(value) is SCALAR_TYPES[color.kind]
+    return color.fits(value)
 

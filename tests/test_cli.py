@@ -1,7 +1,12 @@
 """Command line: exit codes and the files ``run`` writes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import tdbnet
 from tdbnet import cli
 from tdbnet.engine import run
 from tdbnet.formats import serialize_trace
@@ -56,3 +61,30 @@ def test_a_net_with_a_float_fact_is_a_located_error(tmp_path, capsys):
     assert code == cli.EXIT_USAGE == 1
     assert err.startswith("error: initial_instance.facts[0]: 1.5 is not a value")
     assert "Traceback" not in err
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # as `tdbnet run ... | head -0`: the reader is gone before anything is
+    # written; unbuffered, the first print fails, buffered, the last flush
+    src = str(Path(tdbnet.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    for unbuffered in ("1", ""):
+        trace = tmp_path / f"t{unbuffered}.trace.jsonl"
+        for argv in (
+            ["run", "--pattern", "throttler", "--workload", "burst:4@0", "--out", str(trace)],
+            ["validate", str(trace), "--check", "rate:out_log:5:1000"],
+        ):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tdbnet", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=dict(base, PYTHONUNBUFFERED=unbuffered),
+            )
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert proc.wait() == cli.EXIT_USAGE == 1, err
+            assert err == ""
+        # the files are written before anything is printed
+        assert trace.exists() and (tmp_path / f"t{unbuffered}.report.json").exists()

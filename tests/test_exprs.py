@@ -1,7 +1,14 @@
-"""Expression evaluation, pattern matching, and guard flip-time solving."""
+"""Expression evaluation, pattern matching, and guard flip-time solving.
+
+The compiled evaluator is checked against the frozen interpreter in
+``reference_exprs``, and the truth solver against point evaluation by that
+interpreter, so neither is checked against code it shares.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import reference_exprs as frozen
 
 from tdbnet.exprs import (
     Age,
@@ -328,7 +335,7 @@ def _reference_affine(e, env, instance, ages, args):
             else:
                 k, c = k - k2, c - c2
         return (k, c)
-    v = eval_expr(e, env, instance=instance, now=0, ages=ages, args=args)
+    v = frozen.eval_expr(e, env, instance=instance, now=0, ages=ages, args=args)
     if not isinstance(v, int) or isinstance(v, bool):
         raise EvalError("time-affine expression must be integer valued")
     return (0, v)
@@ -351,7 +358,7 @@ def _reference_breakpoints(e, env, instance, ages, args, out):
 
 def reference_guard_flip_time(guard, env, *, instance=None, ages=None, args=None, from_time=0):
     def truth(u):
-        return bool(eval_expr(guard, env, instance=instance, now=u, ages=ages, args=args))
+        return bool(frozen.eval_expr(guard, env, instance=instance, now=u, ages=ages, args=args))
 
     if truth(from_time):
         return from_time
@@ -419,7 +426,7 @@ def _magnitude(e, ages) -> int:
 
 
 def _holds(g, ages, u) -> bool:
-    return bool(eval_expr(g, {}, now=u, ages=ages))
+    return bool(frozen.eval_expr(g, {}, now=u, ages=ages))
 
 
 @settings(max_examples=200, deadline=None)
@@ -462,3 +469,109 @@ def test_solver_agrees_with_brute_force_on_nested_truth_values(problem):
         for end, outside in ((lo, lo - 1), (hi, hi + 1)):
             if abs(end) != INF:
                 assert _holds(g, ages, end) and not _holds(g, ages, outside)
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against the frozen interpreter
+
+_OPS = ("+", "-", "*", "min", "max", "=", "!=", "<", "<=", ">", ">=", "and", "or", "not", "tuple", "pow")
+_NAMES = ("x", "y", "p", "m")
+_RELS = Schema(
+    (
+        Relation("R", (Column("a", INT), Column("b", INT), Column("t", TEXT)), ("a", "b")),
+        Relation("S", (Column("k", TEXT),), ("k",)),
+    )
+)
+
+_values = st.one_of(st.integers(-3, 3), st.booleans(), st.sampled_from(["", "a", "b"]))
+_pattern_terms = st.one_of(
+    _values.map(Const),
+    st.sampled_from(_NAMES).map(Var),
+    st.sampled_from(_NAMES).map(Param),
+    st.just(Wild()),
+    st.just(Now()),  # not a pattern term
+)
+_db_nodes = st.one_of(
+    st.builds(DbCount, st.sampled_from(["R", "S"]), st.lists(_pattern_terms, min_size=1, max_size=3).map(tuple)),
+    st.builds(
+        DbMergeText,
+        st.sampled_from(["R", "S"]),
+        st.lists(_pattern_terms, min_size=1, max_size=3).map(tuple),
+        st.integers(0, 2),
+        st.integers(0, 3),
+        st.sampled_from(["", "|"]),
+    ),
+)
+_leaves = st.one_of(
+    _values.map(Const),
+    st.sampled_from(_NAMES).map(Var),
+    st.sampled_from(_NAMES).map(Param),
+    st.just(Now()),
+    st.sampled_from(_NAMES).map(Age),
+    st.just(Wild()),
+    _db_nodes,
+    st.sampled_from([5, None, "x", (Const(1),)]),  # not nodes
+)
+_exprs = st.recursive(
+    _leaves,
+    lambda sub: st.builds(
+        lambda op, args: Op(op, tuple(args)), st.sampled_from(_OPS), st.lists(sub, min_size=0, max_size=3)
+    ),
+    max_leaves=8,
+)
+_bindings = st.dictionaries(st.sampled_from(_NAMES), _values, max_size=4)
+_instances = st.builds(
+    lambda r, s: Instance(_RELS, {"R": [(k + (t,), at) for k, (t, at) in r.items()], "S": [((k,), 0) for k in s]}),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 5)), max_size=5),
+    st.sets(st.sampled_from(["", "a", "b"])),
+)
+
+
+def _outcome(evaluate, e, env, **kw):
+    try:
+        value = evaluate(e, env, **kw)
+    except Exception as exc:  # compared by type and message
+        return ("raised", type(exc), str(exc))
+    return ("value", type(value), value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _exprs,
+    _bindings,
+    st.one_of(st.none(), _instances),
+    st.integers(-5, 5),
+    st.one_of(st.none(), st.dictionaries(st.sampled_from(_NAMES), st.integers(-5, 5), max_size=3)),
+    st.one_of(st.none(), _bindings),
+)
+def test_compiled_evaluator_agrees_with_frozen_interpreter(e, env, instance, now, ages, args):
+    kw = dict(instance=instance, now=now, ages=ages, args=args)
+    want = _outcome(frozen.eval_expr, e, env, **kw)
+    assert _outcome(eval_expr, e, env, **kw) == want
+    # a second evaluation runs the closure cached on the node
+    assert _outcome(eval_expr, e, env, **kw) == want
+
+
+def test_compiled_closure_is_cached_on_the_node_and_errors_wait_for_evaluation():
+    e = Op("+", (Var("x"), Param("p")))
+    assert eval_expr(e, {"x": 1}, args={"p": 2}) == 3
+    fn = e._eval
+    with pytest.raises(EvalError, match="unbound parameter 'p'"):
+        eval_expr(e, {"x": 1})
+    assert e._eval is fn and e.args[0]._eval is not None
+    # an equal node built apart shares the closure; 1 and True, though
+    # equal, do not, nor do tuples that differ so
+    twin = Op("+", (Var("x"), Param("p")))
+    assert eval_expr(twin, {"x": 2}, args={"p": 2}) == 4 and twin._eval is fn
+    assert eval_expr(Const(1), {}) == 1 and eval_expr(Const(True), {}) is True
+    assert [type(v) for v in eval_expr(Const((1, True)), {}) + eval_expr(Const((1, 1)), {})] == [int, bool, int, int]
+    assert eval_expr(Op("=", (Var("x"), Const(True))), {"x": True}) is True
+    assert eval_expr(Op("tuple", (Const(1),)), {}) == (1,) and type(eval_expr(Op("tuple", (Const(False),)), {})[0]) is bool
+    # compiling a node that cannot be evaluated raises nothing until it runs
+    bad = Op("and", (Const(True), Op("pow", (Var("x"), 5))))
+    with pytest.raises(EvalError, match="unbound variable 'x'"):
+        eval_expr(bad, {})
+    with pytest.raises(EvalError, match="not an expression: 5"):
+        eval_expr(bad, {"x": 1})
+    with pytest.raises(EvalError, match="count\\(\\) needs a persistence instance"):
+        eval_expr(DbCount("R", (Var("missing"),)), {})

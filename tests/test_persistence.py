@@ -5,11 +5,13 @@ brute-force oracle that enumerates every assignment row by row.
 """
 
 import itertools
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdbnet.exprs import Const, DbCount, DefinitionError, Param, Var, Wild, resolve_term
+from reference_exprs import resolve_term
+from tdbnet.exprs import Const, DbCount, DefinitionError, Param, Var, Wild
 from tdbnet.persistence import (
     Action,
     Atom,
@@ -21,14 +23,13 @@ from tdbnet.persistence import (
     Query,
     Relation,
     Schema,
-    _action_check,
-    _typecheck_row,
     apply_action,
     apply_action_delta,
+    bisect_range,
     check_compliance,
     eval_query,
 )
-from tdbnet.values import INT, TEXT
+from tdbnet.values import INT, SCALAR_TYPES, TEXT, ColorType
 
 ENDPOINTS = Relation("Endpoints", (Column("epid", TEXT), Column("nexc", INT)), ("epid",))
 SEQS = Relation(
@@ -128,6 +129,61 @@ def test_lookups_equal_the_full_scan(instance, pattern):
     assert instance.match_rows("T", pattern) == want
     assert instance.match_values("T", pattern) == [values for values, _ in want]
     assert instance.count_matching("T", pattern) == len(want)
+
+
+# rows of T, sorted, with the leading values 0 and 2 at either end
+BISECT_ROWS = tuple(
+    sorted(
+        [((0, 0, "x"), 1), ((0, 1, "y"), 0), ((1, 0, "x"), 2), ((1, 1, "x"), 0), ((1, 1, "y"), 5), ((2, 2, "y"), 0)]
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "pattern, want",
+    [
+        ((0, None, None), (0, 2, ())),  # a prefix at the low end
+        ((2, None, None), (5, 6, ())),  # a prefix at the high end
+        ((-1, None, None), (0, 0, ())),  # below every row
+        ((3, None, None), (6, 6, ())),  # above every row
+        ((1, 1, None), (3, 5, ())),
+        ((1, 1, "y"), (4, 5, ())),  # k = arity: one row, whatever its time
+        ((1, 1, "z"), (5, 5, ())),
+        ((1, None, "x"), (2, 5, ((2, "x"),))),  # a bound column after a wildcard
+        ((None, 1, None), (0, 6, ((1, 1),))),
+        (("a", None, None), (0, 6, ((0, "a"),))),  # does not compare with the int column
+        ((1, "a", None), (0, 6, ((0, 1), (1, "a")))),  # the same after an equal lead
+    ],
+)
+def test_bisect_range(pattern, want):
+    lo, hi, rest = bisect_range(BISECT_ROWS, pattern)
+    assert (lo, hi, rest) == want
+    assert [r for r in BISECT_ROWS[lo:hi] if all(r[0][i] == p for i, p in rest)] == [
+        r for r in BISECT_ROWS if all(p is None or p == v for p, v in zip(pattern, r[0]))
+    ]
+
+
+def test_a_second_schema_object_compiles_actions_and_queries_again():
+    q = Query("q", atoms=(Atom("T", (Var("a"), Var("b"), Wild())),), filters=(Filter(">", Var("b"), Const(0)),), output=("a",))
+    inst = Instance(TSCHEMA, {"T": [((1, 1, "x"), 0), ((2, 0, "x"), 0)]})
+    assert eval_query(inst, q) == ((1,),)
+    assert apply_action_delta(inst, SWAP, (2, 3, 4), 9)[1] == [("T", (3, 4, "x"), 9)]
+    plans = TSCHEMA._plans[id(q)], TSCHEMA._plans[id(SWAP)]
+    assert plans[0][0] is q and plans[1][0] is SWAP
+    # an equal schema, but another object: both are checked and compiled again
+    other = Schema((T,))
+    inst2 = Instance(other, {"T": [((1, 1, "x"), 0)]})
+    assert eval_query(inst2, q) == ((1,),)
+    assert apply_action_delta(inst2, SWAP, (1, 1, 1), 9)[2] == [("T", (1, 1, "x"), 0)]
+    assert other._plans[id(q)][1] is not plans[0][1] and other._plans[id(SWAP)][1] is not plans[1][1]
+    # and the first schema keeps its own
+    assert TSCHEMA._plans[id(q)] is plans[0] and eval_query(inst, q) == ((1,),)
+    # a schema the action does not fit is rejected when it is compiled
+    narrow = Schema((Relation("T", (Column("a", INT),), ("a",)),))
+    with pytest.raises(DefinitionError, match="wrong arity"):
+        apply_action_delta(Instance(narrow), SWAP, (1, 1, 1), 9)
+    with pytest.raises(DefinitionError, match="arity 3 != 1"):
+        eval_query(Instance(narrow), q)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +497,55 @@ def test_single_atom_scan_matches_oracle(r_rows):
 
 # ---------------------------------------------------------------------------
 # apply_action_delta against the copy-sort-rescan reference
+
+
+# Frozen copies of the template check and the row type check that
+# apply_action_delta ran on every call before actions were compiled, and
+# of the color test the row check used.
+
+
+def _action_check(schema: Schema, action: Action) -> None:
+    param_names = {p[0] for p in action.params}
+    for tmpl in action.adds + action.dels:
+        rel = schema.relation(tmpl.relation)
+        if len(tmpl.terms) != rel.arity:
+            raise DefinitionError(
+                f"action {action.name!r}: template for {tmpl.relation!r} has wrong arity"
+            )
+        allow_wild = tmpl in action.dels
+        for t in tmpl.terms:
+            if isinstance(t, Wild):
+                if not allow_wild:
+                    raise DefinitionError(
+                        f"action {action.name!r}: wildcard not allowed in additions"
+                    )
+            elif isinstance(t, Param):
+                if t.name not in param_names:
+                    raise DefinitionError(f"action {action.name!r}: unknown parameter {t.name!r}")
+            elif not isinstance(t, Const):
+                raise DefinitionError(f"action {action.name!r}: bad template term {t!r}")
+
+
+def conforms(value: object, color: ColorType) -> bool:
+    """True if ``value`` inhabits ``color``.  Types are exact: a bool is not
+    an int, and no subclass (an ``IntEnum``, a ``str`` subclass) is a
+    value."""
+    if color.kind == "product":
+        return (
+            type(value) is tuple
+            and len(value) == len(color.components)
+            and all(conforms(v, c) for v, c in zip(value, color.components))
+        )
+    return type(value) is SCALAR_TYPES[color.kind]
+
+
+def _typecheck_row(rel: Relation, values: tuple) -> Optional[str]:
+    if len(values) != rel.arity:
+        return f"arity {len(values)} != {rel.arity}"
+    for col, v in zip(rel.columns, values):
+        if not conforms(v, col.color):
+            return f"column {col.name!r} expects {col.color.kind}, got {v!r}"
+    return None
 
 
 def reference_apply_action_delta(instance, action, args, at):
