@@ -105,12 +105,11 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import inf
 from operator import attrgetter
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .exprs import (
     DefinitionError,
@@ -151,8 +150,11 @@ class ViewConsistencyError(AssertionError):
     """A view place diverged from its bound query (debug validator)."""
 
 
-@dataclass(frozen=True)
-class FiringEvent:
+class FiringEvent(NamedTuple):
+    """One firing as recorded in a trace.  An event is a tuple, so
+    replay's comparison of a recomputed event with the recorded one is the
+    tuple's."""
+
     step: int
     time: int
     transition: str
@@ -185,8 +187,8 @@ class Trace:
 class _Cand:
     """One match of a transition's input arcs to distinct tokens, with the
     truth set of the transition's guard under it.  ``entries`` holds the
-    entry it takes on each arc, and ``key`` the ``(value, created_at)`` of
-    each arc's token: equal tokens are one key.  Under the eager policy a
+    entry it takes on each arc, and ``key`` each arc's token, which is its
+    own key: equal tokens are one key.  Under the eager policy a
     candidate also carries the instant its enablement began (``onset``,
     None while its guard does not hold), whether it holds and is due
     (``live``), and a version that its heap entries must match to count.
@@ -299,27 +301,23 @@ def _transitions_by_id(net: Net) -> tuple[Transition, ...]:
     return cached
 
 
-_token_key = attrgetter("value", "created_at")
-
-
 def _stamp(instance, relations: tuple) -> tuple:
     return tuple(instance.rows(rel) for rel in relations)
 
 
 class _Entry:
     """One distinct token on an input arc, bound by that arc alone: an entry
-    of the arc's alpha memory.  ``copies`` counts the tokens equal to it on
-    the arc's place, and ``cands`` is its reverse set: the keys of the
-    candidates built on it (keys, not candidates, so that entries and
-    candidates form no reference cycle).  In a lazy slot, ``share`` is the
-    arc's part of ``_Cand.rank``: the values of the arc's variables in name
-    order, then the token's ``(value, created_at)``."""
+    of the arc's alpha memory.  ``key`` is the token, which is its own key.
+    ``copies`` counts the tokens equal to it on the arc's place, and
+    ``cands`` is its reverse set: the keys of the candidates built on it
+    (keys, not candidates, so that entries and candidates form no reference
+    cycle).  In a lazy slot, ``share`` is the arc's part of ``_Cand.rank``:
+    the values of the arc's variables in name order, then the token."""
 
-    __slots__ = ("key", "token", "env", "ages", "copies", "cands", "share")
+    __slots__ = ("key", "env", "ages", "copies", "cands", "share")
 
     def __init__(self, token: Token, env: dict, ages: dict):
-        self.key = (token.value, token.created_at)
-        self.token = token
+        self.key = token
         self.env = env
         self.ages = ages
         self.copies = 0
@@ -334,8 +332,9 @@ def _entry(arc: tuple, token: Token) -> Optional[_Entry]:
     """``token`` bound by one input arc alone; None when the arc rejects
     it."""
     _, _, bind, names = arc
-    env = bind(token.value)
-    return None if env is None else _Entry(token, env, dict.fromkeys(names, token.created_at))
+    value, at = token
+    env = bind(value)
+    return None if env is None else _Entry(token, env, dict.fromkeys(names, at))
 
 
 def _merge(t: Transition, arcs: tuple, entries: tuple) -> Optional[_Cand]:
@@ -350,7 +349,7 @@ def _merge(t: Transition, arcs: tuple, entries: tuple) -> Optional[_Cand]:
             if prior is not value and prior != value:
                 return None
         ages.update(e.ages)
-    matches = tuple([(arc[0], e.token, arc[1]) for arc, e in zip(arcs, entries)])
+    matches = tuple([(arc[0], e.key, arc[1]) for arc, e in zip(arcs, entries)])
     return _Cand(t, env, matches, ages, entries)
 
 
@@ -367,9 +366,10 @@ def _walk_plan(t: Transition) -> Optional[tuple]:
 
 class _Slot:
     """One transition's candidates, kept in canonical order (``order``) and
-    by token key (``cands``) from step to step.
+    by their tokens (``cands``, keyed by the tuple of each arc's token) from
+    step to step.
 
-    Each input arc has an alpha memory (``index``, by token key): an
+    Each input arc has an alpha memory (``index``, keyed by the token): an
     ``_Entry`` per distinct token the arc accepts.  ``pending`` collects
     the net token changes of the transition's input places since the slot
     last caught up (``sync``); catching up binds each new token by its arc
@@ -416,7 +416,7 @@ class _Slot:
         self.delay = t.delay[0]
         self.reads = relations_read(t.guard)
         self.arcs = _binders(net, t)
-        self.pending: dict[str, Counter] = {}
+        self.pending: dict[str, dict] = {}  # place id -> token -> net change
         self.fresh: Optional[list] = [] if policy else None
         self.wait: list = []
         self.hold: list = []
@@ -440,8 +440,8 @@ class _Slot:
         self.cands: dict = {}
         self.order: list[_Cand] = []
         self.complete = True
-        pools = {place: Counter(map(_token_key, snapshot.marking.tokens(place))) for place in places}
-        self._remember(snapshot.marking, pools)
+        # every token is new; _remember counts its copies in the pool
+        self._remember(snapshot.marking, {place: dict.fromkeys(snapshot.marking.tokens(place), 1) for place in places})
         if not self.lazy:
             # every entry is new, so the product of the memories is every
             # candidate: one with no entries for a transition without arcs
@@ -489,25 +489,25 @@ class _Slot:
         grown = []
         for k, arc in enumerate(self.arcs):
             index, up = self.index[k], []
-            for key, n in pending.get(arc[0], {}).items():
-                e = index.get(key)
+            for tok, n in pending.get(arc[0], {}).items():
+                e = index.get(tok)
                 if e is None:
                     # a token the arc rejected is bound again only when
                     # another copy of it arrives
-                    if n <= 0 or (e := _entry(arc, Token(*key))) is None:
+                    if n <= 0 or (e := _entry(arc, tok)) is None:
                         continue
-                    index[key] = e
+                    index[tok] = e
                     if self.lazy:
-                        e.share = (tuple(e.env[name] for name in self.names[k]), key)
+                        e.share = (tuple(e.env[name] for name in self.names[k]), tok)
                         insort(self.mems[k], e, key=_share)
                 elif not n:
                     continue
-                e.copies = len(marking.span(arc[0], e.token))
+                e.copies = len(marking.span(arc[0], tok))
                 if n > 0:
                     up.append(e)
                     continue
                 if not e.copies:
-                    del index[key]
+                    del index[tok]
                     if self.lazy:
                         del self.mems[k][bisect_left(self.mems[k], e.share, key=_share)]
                 self._lose(e)
@@ -756,30 +756,33 @@ class Agenda:
         return slot
 
     def commit(self, snapshot: Snapshot, event: FiringEvent) -> None:
-        delta: dict[str, Counter] = {}  # place id -> token key -> net change
+        """Take the snapshot after ``event`` and add each token change of an
+        input place to the pending changes of the slots it feeds, keyed by
+        the token itself."""
+        changes = []  # (place id, token, +1 or -1)
         if event.outcome != "halted":
             for sign, pairs in ((-1, event.consumed), (1, event.produced)):
-                for pid, tok in pairs:
-                    if self.net.place(pid).kind == "normal":
-                        delta.setdefault(pid, Counter())[tok.value, tok.created_at] += sign
+                changes += [(pid, tok, sign) for pid, tok in pairs if self.net.place(pid).kind == "normal"]
+            changed = {rel for rel, _, _ in event.added} | {rel for rel, _, _ in event.deleted}
             for place, source, _ in view_places(self.net):
                 pid = place.id
                 if source is not None:
+                    if source not in changed:
+                        continue
                     lose, gain = view_delta(place, source, event.added, event.deleted)
-                    lost, gained = [_token_key(tok) for _, tok in lose], [_token_key(tok) for _, tok in gain]
+                    lost, gained = [tok for _, tok in lose], [tok for _, tok in gain]
                 else:
                     old, new = self.snap.marking.tokens(pid), snapshot.marking.tokens(pid)
                     if new is old:
                         continue
                     # a view holds distinct rows
-                    old, new = set(map(_token_key, old)), set(map(_token_key, new))
+                    old, new = set(old), set(new)
                     lost, gained = old - new, new - old
-                if lost or gained:
-                    delta[pid] = Counter(gained)
-                    delta[pid].subtract(lost)
-        for pid, counts in delta.items():
+                changes += [(pid, tok, 1) for tok in gained] + [(pid, tok, -1) for tok in lost]
+        for pid, tok, sign in changes:
             for slot in self.readers.get(pid, ()):
-                slot.pending.setdefault(pid, Counter()).update(counts)
+                pending = slot.pending.setdefault(pid, {})
+                pending[tok] = pending.get(tok, 0) + sign
         self.snap = snapshot
 
     def eager_step(self, until: Optional[int]):
@@ -1096,8 +1099,8 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
         if e is None:
             return None
         entries.append(e)
-    for (pid, tok), copies in Counter(ev.consumed).items():
-        if not snapshot.marking.holds(pid, tok, copies):
+    for pair in ev.consumed:
+        if not snapshot.marking.holds(*pair, ev.consumed.count(pair)):
             return None
     cand = _merge(t, arcs, tuple(entries))
     if cand is None or cand.binding_items() != ev.binding:

@@ -74,8 +74,13 @@ class DocumentError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
+# json.dumps builds a new JSONEncoder on every call that passes options; one
+# shared encoder writes the same bytes without that cost per trace line
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +544,8 @@ def parse_net(text: str) -> tuple[Net, Snapshot]:
 
 
 def token_to_json(tok: Token):
-    return {"value": tok.value, "at": tok.created_at}
+    value, at = tok
+    return {"value": value, "at": at}
 
 
 def token_from_json(node, path: str) -> Token:
@@ -629,17 +635,18 @@ def _pairs_from_json(node, path: str):
 
 
 def event_to_json(ev: FiringEvent):
+    step, time, transition, binding, consumed, produced, added, deleted, outcome = ev
     return {
         "kind": "event",
-        "step": ev.step,
-        "time": ev.time,
-        "transition": ev.transition,
-        "binding": ev.binding,
-        "consumed": _pairs_to_json(ev.consumed),
-        "produced": _pairs_to_json(ev.produced),
-        "added": ev.added,
-        "deleted": ev.deleted,
-        "outcome": ev.outcome,
+        "step": step,
+        "time": time,
+        "transition": transition,
+        "binding": binding,
+        "consumed": _pairs_to_json(consumed),
+        "produced": _pairs_to_json(produced),
+        "added": added,
+        "deleted": deleted,
+        "outcome": outcome,
     }
 
 

@@ -13,9 +13,9 @@ relation it reads changed.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .exprs import (
     Age,
@@ -36,8 +36,11 @@ from .persistence import Action, Instance, Query, Schema, check_compliance, copi
 from .values import ColorType, conforms
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A coloured value with its creation time.  A token is a tuple, so
+    equality, hashing and the canonical order (by value, then by creation
+    time) are the tuple's: a token is its own sort and dictionary key."""
+
     value: object
     created_at: int = 0
 
@@ -140,24 +143,15 @@ class Net:
         return cached
 
 
-def _token_order(t: Token) -> tuple:
-    return (t.value, t.created_at)
-
-
-def _token_sort(tokens: Iterable[Token]) -> tuple[Token, ...]:
-    return tuple(sorted(tokens, key=_token_order))
-
-
 def _span(pool: tuple[Token, ...], tok: Token) -> range:
     """The positions of the tokens equal to ``tok`` in a sorted pool, found
     by binary search.  A token whose value does not compare with the pool's
     gets ``range(0)``: no token of another type equals it."""
-    key = _token_order(tok)
     try:
-        lo = bisect_left(pool, key, key=_token_order)
+        lo = bisect_left(pool, tok)
     except TypeError:
         return range(0)
-    return range(lo, bisect_right(pool, key, lo, key=_token_order))
+    return range(lo, bisect_right(pool, tok, lo))
 
 
 class Marking:
@@ -173,7 +167,7 @@ class Marking:
         self._tokens: dict[str, tuple[Token, ...]] = {}
         for pid, toks in (tokens or {}).items():
             try:
-                self._tokens[pid] = _token_sort(toks)
+                self._tokens[pid] = tuple(sorted(toks))
             except TypeError as e:
                 raise DefinitionError(f"place {pid!r}: its token values do not compare ({e})") from None
 
@@ -216,12 +210,12 @@ class Marking:
         for pid, tok in add:
             if pid not in grown:
                 grown[pid] = list(new.get(pid, ()))
-            insort(grown[pid], tok, key=_token_order)
+            insort(grown[pid], tok)
         for pid, pool in grown.items():
             new[pid] = tuple(pool)
         if views:
             for pid, toks in views.items():
-                new[pid] = _token_sort(toks)
+                new[pid] = tuple(sorted(toks))
         m = Marking.__new__(Marking)
         m._tokens = new
         return m
@@ -247,7 +241,7 @@ class Snapshot:
     def advanced(self, clock: int) -> "Snapshot":
         if clock < self.clock:
             raise ValueError("clock never moves backwards")
-        return replace(self, clock=clock)
+        return Snapshot(self.instance, self.marking, clock)
 
 
 def _row_tokens(place: Place, rows: Iterable[tuple]) -> list[Token]:
@@ -321,8 +315,9 @@ def refresh_views(
     ``delta = (added, deleted)``, the ``(relation, values, at)`` rows that
     turned ``marking``'s instance into ``instance``, a view whose query
     copies one relation gains and loses the tokens of exactly those rows
-    (``view_delta``), by binary search in its sorted pool; any other view is
-    evaluated again, and only when it reads a relation that changed.
+    (``view_delta``, skipped when no row of that relation changed), by
+    binary search in its sorted pool; any other view is evaluated again,
+    and only when it reads a relation that changed.
     """
     if delta is None:
         views = {place.id: view_tokens(net, place, instance) for place, _, _ in view_places(net)}
@@ -332,9 +327,10 @@ def refresh_views(
     lose, gain, views = [], [], {}
     for place, source, reads in view_places(net):
         if source is not None:
-            out, into = view_delta(place, source, added, deleted)
-            lose += out
-            gain += into
+            if source in changed:
+                out, into = view_delta(place, source, added, deleted)
+                lose += out
+                gain += into
         elif not reads.isdisjoint(changed):
             views[place.id] = view_tokens(net, place, instance)
     return marking.updated(remove=lose, add=gain, views=views) if lose or gain or views else marking

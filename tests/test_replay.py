@@ -278,7 +278,7 @@ def test_catalog_covers_rollback_and_halt():
 
 def _mutated(trace, index, **changes):
     events = list(trace.events)
-    events[index] = dataclasses.replace(events[index], **changes)
+    events[index] = events[index]._replace(**changes)
     return dataclasses.replace(trace, events=tuple(events))
 
 
