@@ -289,7 +289,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="run checks against a stored trace")
     pv.add_argument("trace")
-    pv.add_argument("--check", action="append", default=[],
+    # a validation that runs no check passes any trace that parses
+    pv.add_argument("--check", action="append", required=True,
                     help="delay:IN:OUT:D | rate:REL:LIMIT:BUCKET | order:REL:COL[:SEQ] | final:rel=empty,...")
     pv.add_argument("--report")
     pv.set_defaults(fn=cmd_validate)

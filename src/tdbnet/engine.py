@@ -51,9 +51,9 @@ Semantics in brief:
 * ``fire`` consumes the matched tokens, evaluates action arguments against
   the pre-firing instance, applies the actions atomically, and produces
   output tokens.  The view places then follow the rows the actions added
-  and deleted: a view that copies one relation gains and loses the tokens
-  of exactly those rows, and any other view is evaluated again when a
-  relation it reads changed.  A constraint violation either
+  and deleted (``refresh_views``), and the tokens they lose and gain join
+  the consumed and produced ones in one token delta, which updates the
+  marking and, in ``run``, the agenda.  A constraint violation either
   produces tokens along the rollback arcs (outcome ``rolled_back``, instance
   reverted) or, absent rollback arcs, freezes the run at the last committed
   instance (outcome ``halted``).
@@ -134,8 +134,6 @@ from .net import (
     check_marking,
     refresh_views,
     validate_net,
-    view_delta,
-    view_places,
     view_tokens,
 )
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
@@ -720,14 +718,12 @@ class Agenda:
     """The candidates of every transition, kept across the steps of a run.
 
     Slots are built on first use from the current snapshot.  ``commit``
-    takes the snapshot after a firing and hands its token changes to the
-    slots of the transitions whose input places changed: the tokens the
-    event consumed and produced, the tokens of the rows it added to and
-    deleted from a relation that a view place copies (``view_delta``, as
-    ``refresh_views`` applies them), and the difference between the old
-    and new pool of every other view place that was evaluated again.  A
-    slot catches up when it is next asked (``slot``), so a transition that
-    no step asks about binds nothing.  Every slot binds from one alpha
+    takes the snapshot after a firing with the token delta that
+    ``_execute`` applied to the marking: the tokens removed from normal
+    places and lost by views, and the tokens produced and gained by views.
+    It hands each change to the slots of the transitions whose input places
+    it touches.  A slot catches up when it is next asked (``slot``), so a
+    transition that no step asks about binds nothing.  Every slot binds from one alpha
     memory per input arc.  ``policy`` is the run's.  Under "eager", slots
     also keep the eager policy's onsets and heaps, and the slots of
     delay-0 transitions whose arcs bind disjoint variables build their
@@ -755,34 +751,15 @@ class Agenda:
             slot.sync(self.snap)
         return slot
 
-    def commit(self, snapshot: Snapshot, event: FiringEvent) -> None:
-        """Take the snapshot after ``event`` and add each token change of an
-        input place to the pending changes of the slots it feeds, keyed by
-        the token itself."""
-        changes = []  # (place id, token, +1 or -1)
-        if event.outcome != "halted":
-            for sign, pairs in ((-1, event.consumed), (1, event.produced)):
-                changes += [(pid, tok, sign) for pid, tok in pairs if self.net.place(pid).kind == "normal"]
-            changed = {rel for rel, _, _ in event.added} | {rel for rel, _, _ in event.deleted}
-            for place, source, _ in view_places(self.net):
-                pid = place.id
-                if source is not None:
-                    if source not in changed:
-                        continue
-                    lose, gain = view_delta(place, source, event.added, event.deleted)
-                    lost, gained = [tok for _, tok in lose], [tok for _, tok in gain]
-                else:
-                    old, new = self.snap.marking.tokens(pid), snapshot.marking.tokens(pid)
-                    if new is old:
-                        continue
-                    # a view holds distinct rows
-                    old, new = set(old), set(new)
-                    lost, gained = old - new, new - old
-                changes += [(pid, tok, 1) for tok in gained] + [(pid, tok, -1) for tok in lost]
-        for pid, tok, sign in changes:
-            for slot in self.readers.get(pid, ()):
-                pending = slot.pending.setdefault(pid, {})
-                pending[tok] = pending.get(tok, 0) + sign
+    def commit(self, snapshot: Snapshot, removed, added) -> None:
+        """Take the snapshot after a firing and add each ``(place id,
+        token)`` pair it ``removed`` and ``added`` to the pending changes of
+        the slots that the place feeds, keyed by the token itself."""
+        for sign, pairs in ((-1, removed), (1, added)):
+            for pid, tok in pairs:
+                for slot in self.readers.get(pid, ()):
+                    pending = slot.pending.setdefault(pid, {})
+                    pending[tok] = pending.get(tok, 0) + sign
         self.snap = snapshot
 
     def eager_step(self, until: Optional[int]):
@@ -916,7 +893,15 @@ def _produce(net: Net, arcs, cand: _Cand, instance, at: int) -> list[tuple[str, 
     return out
 
 
-def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> tuple[Snapshot, FiringEvent]:
+def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> tuple[Snapshot, FiringEvent, tuple]:
+    """Fire ``cand`` at ``at``: the snapshot after it, its event, and its
+    token delta ``(removed, added)`` of ``(place id, Token)`` pairs.  A
+    committed firing removes the tokens it consumed from normal places and
+    the tokens its view places lose, and adds the tokens it produced and
+    those its view places gain (``refresh_views``); a rolled-back one
+    removes the consumed tokens and adds those of its rollback arcs, and a
+    halted one changes nothing.  One ``Marking.updated`` call applies the
+    delta, and ``run`` hands the same delta to its agenda."""
     t = cand.transition
     consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
     removals = [(pid, tok) for pid, tok, is_view in cand.matches if not is_view]
@@ -946,21 +931,23 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
     if violation is not None:
         if t.rollbacks:
             produced = _produce(net, t.rollbacks, cand, pre, at)
-            marking = snapshot.marking.updated(remove=removals, add=produced)
-            snap2 = Snapshot(pre, marking, at)
+            delta = (removals, produced)
+            snap2 = Snapshot(pre, snapshot.marking.updated(*delta), at)
             outcome = "rolled_back"
         else:
             produced = []
+            delta = ((), ())
             snap2 = Snapshot(pre, snapshot.marking, at)
             outcome = "halted"
         event = FiringEvent(
             step, at, t.id, cand.binding_items(), consumed, tuple(produced), (), (), outcome
         )
-        return snap2, event
+        return snap2, event, delta
 
     produced = _produce(net, t.outputs, cand, pre, at)
-    marking = snapshot.marking.updated(remove=removals, add=produced)
-    marking = refresh_views(net, work, marking, (added, deleted))
+    lose, gain = refresh_views(net, work, snapshot.marking, added, deleted)
+    delta = (removals + lose, produced + gain)
+    marking = snapshot.marking.updated(*delta)
     snap2 = Snapshot(work, marking, at)
     event = FiringEvent(
         step,
@@ -973,7 +960,7 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
         tuple(deleted),
         "committed",
     )
-    return snap2, event
+    return snap2, event, delta
 
 
 def fire(
@@ -1003,7 +990,7 @@ def fire(
         raise FiringError(
             f"firing time {at} outside delay window [{lo}, {hi}] of transition {transition!r}"
         )
-    return _execute(net, snapshot, cand, at, step)
+    return _execute(net, snapshot, cand, at, step)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -1059,8 +1046,8 @@ def run(
             agenda.snap = agenda.snap.advanced(payload)
             continue
         cand, at = payload
-        snap, event = _execute(net, agenda.snap, cand, at, len(events))
-        agenda.commit(snap, event)
+        snap, event, (removed, added) = _execute(net, agenda.snap, cand, at, len(events))
+        agenda.commit(snap, removed, added)
         final = snap
         events.append(event)
         if check_views and event.outcome == "committed":
@@ -1143,7 +1130,7 @@ def replay(net: Net, trace: Trace, *, verify: bool = True) -> Snapshot:
             raise FiringError(
                 f"replay: event {ev.step} ({ev.transition!r}) is not enabled under its binding"
             )
-        snap, got = _execute(net, snap, match, ev.time, ev.step)
+        snap, got, _ = _execute(net, snap, match, ev.time, ev.step)
         if verify and got != ev:
             raise FiringError(f"replay: event {ev.step} diverged: {got!r} != {ev!r}")
     if verify and not (

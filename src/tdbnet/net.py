@@ -3,11 +3,14 @@ with guards, delays, output and rollback arcs, markings, and snapshots.
 
 A snapshot bundles the relational instance, the marking, and the integer
 clock.  View places never store tokens of their own; their marking is the
-bound query evaluated on the current instance.  After a committed firing
-the views are brought up to date from the rows its actions added and
-deleted: a view whose query copies one relation gains and loses the tokens
-of exactly those rows, and any other view is evaluated again when a
-relation it reads changed.
+bound query evaluated on the current instance.  ``refresh_views`` is the
+one place that knows how views follow rows: from the rows a committed
+firing's actions added and deleted it works out the tokens each view place
+loses and gains.  A view whose query copies one relation loses and gains
+the tokens of exactly those rows, and any other view is evaluated again
+when a relation it reads changed.  The engine applies those pairs with the
+firing's own token changes as one delta, to the marking and to its agenda
+alike.
 """
 
 from __future__ import annotations
@@ -194,11 +197,10 @@ class Marking:
         self,
         remove: Iterable[tuple[str, Token]] = (),
         add: Iterable[tuple[str, Token]] = (),
-        views: Mapping[str, Iterable[Token]] | None = None,
     ) -> "Marking":
         """A new marking without ``remove`` (one copy each, ValueError when
-        absent), with ``add``, and with the pools of ``views`` replaced.
-        Removals and additions find their position by binary search."""
+        absent) and with ``add``.  Removals and additions find their
+        position by binary search."""
         new = dict(self._tokens)
         for pid, tok in remove:
             pool = new.get(pid, ())
@@ -213,9 +215,6 @@ class Marking:
             insort(grown[pid], tok)
         for pid, pool in grown.items():
             new[pid] = tuple(pool)
-        if views:
-            for pid, toks in views.items():
-                new[pid] = tuple(sorted(toks))
         m = Marking.__new__(Marking)
         m._tokens = new
         return m
@@ -303,28 +302,19 @@ def check_copied_views(net: Net, snapshot: "Snapshot") -> None:
                 raise DefinitionError(f"view place {place.id!r}: its tokens are not the rows of {source!r}")
 
 
-def refresh_views(
-    net: Net,
-    instance: Instance,
-    marking: Marking,
-    delta: Optional[tuple[Iterable, Iterable]] = None,
-) -> Marking:
-    """Bring the view places of ``marking`` up to date with ``instance``.
+def refresh_views(net: Net, instance: Instance, marking: Marking, added, deleted) -> tuple[list, list]:
+    """The ``(place id, Token)`` pairs that the view places of ``marking``
+    lose and gain when the ``(relation, values, at)`` rows ``added`` and
+    ``deleted`` turn its instance into ``instance``.
 
-    Without ``delta`` every view is evaluated from its query.  With
-    ``delta = (added, deleted)``, the ``(relation, values, at)`` rows that
-    turned ``marking``'s instance into ``instance``, a view whose query
-    copies one relation gains and loses the tokens of exactly those rows
-    (``view_delta``, skipped when no row of that relation changed), by
-    binary search in its sorted pool; any other view is evaluated again,
-    and only when it reads a relation that changed.
+    A view whose query copies one relation loses and gains the tokens of
+    exactly those rows (``view_delta``, skipped when no row of that relation
+    changed).  Any other view is evaluated again, and only when it reads a
+    relation that changed; it loses the tokens of its pool that the new
+    result lacks and gains the others.
     """
-    if delta is None:
-        views = {place.id: view_tokens(net, place, instance) for place, _, _ in view_places(net)}
-        return marking.updated(views=views) if views else marking
-    added, deleted = delta
     changed = {rel for rel, _, _ in added} | {rel for rel, _, _ in deleted}
-    lose, gain, views = [], [], {}
+    lose, gain = [], []
     for place, source, reads in view_places(net):
         if source is not None:
             if source in changed:
@@ -332,8 +322,13 @@ def refresh_views(
                 lose += out
                 gain += into
         elif not reads.isdisjoint(changed):
-            views[place.id] = view_tokens(net, place, instance)
-    return marking.updated(remove=lose, add=gain, views=views) if lose or gain or views else marking
+            # a view holds distinct rows; the changes keep the pools'
+            # order, not a set's
+            old, new = marking.tokens(place.id), view_tokens(net, place, instance)
+            in_old, in_new = set(old), set(new)
+            lose += [(place.id, tok) for tok in old if tok not in in_new]
+            gain += [(place.id, tok) for tok in new if tok not in in_old]
+    return lose, gain
 
 
 def initial_snapshot(
@@ -362,8 +357,8 @@ def initial_snapshot(
         if net.place(pid).kind == "view":
             raise DefinitionError(f"place {pid!r} is a view place; its marking is derived")
         _check_pool(net, pid, toks, clock)
-    marking = refresh_views(net, instance, Marking(wrapped))
-    return Snapshot(instance, marking, clock)
+    views = {place.id: view_tokens(net, place, instance) for place, _, _ in view_places(net)}
+    return Snapshot(instance, Marking({**wrapped, **views}), clock)
 
 
 def check_marking(net: Net, marking: Marking, clock: Optional[int] = None) -> None:
@@ -388,8 +383,9 @@ def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: Optional[int
 
 def validate_net(net: Net) -> None:
     """Check structural sanity: references resolve, variables are bound,
-    age() only touches normal-place variables, time usage is affine, and
-    rollback arcs only appear on transitions that write the database."""
+    age() only touches normal-place variables, time usage is affine, output
+    and rollback arcs produce only on normal places, and rollback arcs only
+    appear on transitions that write the database."""
     for place in net.places:
         if place.kind == "view":
             query = net.query(place.query)
@@ -434,7 +430,10 @@ def validate_net(net: Net) -> None:
         validate_time_usage(t.guard, f"transition {t.id!r} guard")
         _check_ages(t.guard, normal_bound, t.id)
         for arc in t.outputs + t.rollbacks:
-            resolve(arc.place)
+            if resolve(arc.place).kind == "view":
+                raise DefinitionError(
+                    f"transition {t.id!r}: arc to view place {arc.place!r}, whose tokens are its query's rows"
+                )
             need(variables(arc.expr), f"arc to {arc.place!r}")
             if arc.when is not None:
                 need(variables(arc.when), f"arc condition on {arc.place!r}")

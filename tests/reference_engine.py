@@ -287,7 +287,7 @@ def run(
             snap = snap.advanced(payload)
             continue
         cand, at = payload
-        snap, event = _execute(net, snap, cand, at, len(events))
+        snap, event, _ = _execute(net, snap, cand, at, len(events))
         final = snap
         events.append(event)
         if check_views and event.outcome == "committed":

@@ -43,6 +43,14 @@ def test_unknown_check_is_a_usage_error(tmp_path, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+def test_validate_without_a_check_is_a_usage_error(tmp_path, capsys):
+    # it would pass any trace that parses
+    _run(tmp_path)
+    assert cli.main(["validate", str(tmp_path / "t.trace.jsonl")]) == cli.EXIT_USAGE
+    assert "--check" in capsys.readouterr().err
+    assert not (tmp_path / "t.report.json").exists()
+
+
 def test_a_net_with_a_float_fact_is_a_located_error(tmp_path, capsys):
     doc = {
         "colorsets": {},

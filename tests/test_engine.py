@@ -707,29 +707,45 @@ def test_copied_views_follow_row_deltas_without_queries(monkeypatch, n):
 def test_copied_views_skip_firings_that_leave_their_relation(monkeypatch):
     # each of the breaker's five copied views (v_inbox and the four
     # endpoint views) is patched only by a firing that adds or deletes a row
-    # of its relation: once in refresh_views and once in Agenda.commit
-    # during run, once more in replay (calling view_delta for every copied
-    # view on every firing made 15,000 calls per caller)
+    # of its relation: once in refresh_views during run, once more in
+    # replay (calling view_delta for every copied view on every firing made
+    # 15,000 calls per pass)
     bundle = build_circuit_breaker(5, 30, EndpointStub.healthy())
     initial = with_workload(bundle, parse_workload("circuit_breaker", "steady:1000:every:1@0"))
-    calls = dict.fromkeys(("refresh", "commit"), 0)
-    for module, caller in ((net_module, "refresh"), (engine, "commit")):
-        delta = module.view_delta
-
-        def counted(*a, delta=delta, caller=caller):
-            calls[caller] += 1
-            return delta(*a)
-
-        monkeypatch.setattr(module, "view_delta", counted)
+    calls = []
+    delta = net_module.view_delta
+    monkeypatch.setattr(net_module, "view_delta", lambda *a: calls.append(a) or delta(*a))
     tr = run(bundle.net, initial, max_steps=40_000)
     sources = {source for _, source, _ in net_module.view_places(bundle.net) if source is not None}
     touched = sum(
         len(sources & {rel for rel, _, _ in ev.added + ev.deleted}) for ev in tr.events if ev.outcome == "committed"
     )
     assert len(tr.events) == touched == 3_000
-    assert calls == {"refresh": touched, "commit": touched}
+    assert len(calls) == touched
     replay(bundle.net, parse_trace(serialize_trace(tr)))
-    assert calls == {"refresh": 2 * touched, "commit": touched}
+    assert len(calls) == 2 * touched
+
+
+@pytest.mark.parametrize(
+    "build,pattern,workload,calls",
+    [
+        (build_resequencer, "resequencer", _rev(150), 900),
+        (lambda: build_throttler(5), "throttler", "burst:200@0", 1_200),
+    ],
+    ids=["resequencer", "throttler"],
+)
+def test_one_marking_update_per_firing(monkeypatch, build, pattern, workload, calls):
+    # the tokens a firing consumes and produces and the view tokens it
+    # loses and gains are one delta, applied to the marking in one call,
+    # in run and in replay alike (patching the views took a second call)
+    bundle = build()
+    initial = with_workload(bundle, parse_workload(pattern, workload))
+    counted = []
+    updated = Marking.updated
+    monkeypatch.setattr(Marking, "updated", lambda self, *a, **kw: counted.append(a) or updated(self, *a, **kw))
+    tr = run(bundle.net, initial)
+    replay(bundle.net, tr)
+    assert len(counted) == 2 * len(tr.events) == calls
 
 
 def _rows_inspected(monkeypatch, n):
@@ -776,6 +792,41 @@ def test_initial_snapshot_rejects_tokens_on_view_places(trip_net):
         initial_snapshot(trip_net, tokens={"v_endpoints": [("ep1", 6)]})
 
 
+def _view_arc_net(rollback):
+    """t: p -> v, where v copies relation r, along an output arc or, with
+    ``rollback``, a rollback arc; and u: v -> o."""
+    r = Relation("r", (Column("a", INT),), ("a",))
+    put = Action("put", params=(("a", INT),), adds=(FactTemplate("r", (Param("a"),)),))
+    arc = (OutputArc("v", Var("x")),)
+    t = Transition(
+        "t",
+        inputs=(InputArc("p", Var("x")),),
+        outputs=() if rollback else arc,
+        rollbacks=arc if rollback else (),
+        actions=(ActionCall("put", (Var("x"),)),) if rollback else (),
+    )
+    return Net(
+        places=(Place("p", INT), Place("v", INT, kind="view", query="q_r"), Place("o", INT)),
+        transitions=(t, Transition("u", inputs=(InputArc("v", Var("y")),), outputs=(OutputArc("o", Var("y")),))),
+        schema=Schema((r,)),
+        queries=(Query("q_r", atoms=(Atom("r", (Var("a"),)),), output=("a",)),),
+        actions=(put,),
+    )
+
+
+@pytest.mark.parametrize("rollback", [False, True], ids=["output", "rollback"])
+def test_arcs_into_view_places_are_rejected(rollback):
+    # a token put on a view place is no row of its query; u would consume
+    # it or not depending on when its candidates were built
+    net = _view_arc_net(rollback)
+    initial = initial_snapshot(net, facts=[("r", (1,), 0)], tokens={"p": [1, 2]})
+    message = "transition 't': arc to view place 'v'"
+    with pytest.raises(DefinitionError, match=f"^{message}"):
+        run(net, initial, max_steps=5)
+    with pytest.raises(DocumentError, match=f"^net: {message}"):
+        parse_net(serialize_net(net, initial))
+
+
 def test_initial_snapshot_rejects_bad_facts(trip_net):
     with pytest.raises(DefinitionError):
         initial_snapshot(trip_net, facts=[("Endpoints", ("ep1",), 0)])
@@ -802,7 +853,7 @@ def test_token_created_after_the_clock_is_rejected(entry, error, where):
         entry(_int_place_net())
 
 
-def reference_updated(marking, remove=(), add=(), views=None):
+def reference_updated(marking, remove=(), add=()):
     """``Marking.updated`` as it was before removals and additions found
     their place by binary search: list removal, then a full sort of every
     touched pool."""
@@ -815,10 +866,6 @@ def reference_updated(marking, remove=(), add=(), views=None):
     for pid, tok in add:
         new[pid] = new.get(pid, ()) + (tok,)
         touched.add(pid)
-    if views:
-        for pid, toks in views.items():
-            new[pid] = tuple(toks)
-            touched.add(pid)
     for pid in touched:
         new[pid] = tuple(sorted(new[pid], key=lambda t: (t.value, t.created_at)))
     return new
@@ -840,9 +887,8 @@ def test_marking_updated_equals_the_reference(pools, data):
     removals = st.lists(st.sampled_from(present), unique_by=lambda pair: id(pair[1])) if present else st.just([])
     remove = data.draw(removals)
     add = data.draw(st.lists(st.tuples(st.sampled_from("pqr"), SMALL_TOKENS), max_size=4))
-    views = data.draw(st.one_of(st.none(), st.dictionaries(st.just("v"), st.lists(SMALL_TOKENS, max_size=4))))
-    got = marking.updated(remove=remove, add=add, views=views)
-    want = reference_updated(marking, remove, add, views)
+    got = marking.updated(remove=remove, add=add)
+    want = reference_updated(marking, remove, add)
     assert {pid: got.tokens(pid) for pid in got.place_ids()} == {pid: toks for pid, toks in want.items() if toks}
     absent = Token(9, 9)
     with pytest.raises(ValueError):

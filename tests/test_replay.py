@@ -61,7 +61,7 @@ def reference_replay(net, trace, *, verify=True):
             raise FiringError(
                 f"replay: event {ev.step} ({ev.transition!r}) is not enabled under its binding"
             )
-        snap, got = engine._execute(net, snap, match, ev.time, ev.step)
+        snap, got, _ = engine._execute(net, snap, match, ev.time, ev.step)
         if verify and got != ev:
             raise FiringError(f"replay: event {ev.step} diverged: {got!r} != {ev!r}")
     if verify and not (

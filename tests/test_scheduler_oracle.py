@@ -280,7 +280,7 @@ def _snapshots(net, trace):
             snap = snap.advanced(ev.time)
             yield snap
         cand = engine._recorded_cand(net, snap, by_id[ev.transition], ev)
-        snap, _ = engine._execute(net, snap, cand, ev.time, ev.step)
+        snap, _, _ = engine._execute(net, snap, cand, ev.time, ev.step)
         yield snap
 
 
@@ -505,7 +505,7 @@ def test_enumerator_equals_the_oracle(case, data):
     for before, after, consumed, produced in ((less, snap, (), moved), (snap, less, moved, ())):
         agenda = engine.Agenda(net, before)
         agenda.slot(t)
-        agenda.commit(after, FiringEvent(0, snap.clock, t.id, (), consumed, produced, (), (), "committed"))
+        agenda.commit(after, consumed, produced)
         assert [_key(c) for c in agenda.slot(t).order] == _oracle(net, after, t)
 
 
@@ -548,7 +548,7 @@ def test_the_walk_equals_the_oracle(case, data):
             assert (first and _key(first)) == (want[0] if holds and want else None)
             if walks:
                 assert built == (want[:1] if holds else want)
-            agenda.commit(after, FiringEvent(0, snap.clock, t2.id, (), consumed, produced, (), (), "committed"))
+            agenda.commit(after, consumed, produced)
             slot = agenda.slot(t2)
             first, built = _walked(slot, after)
             want = _oracle(net2, after, t2)
