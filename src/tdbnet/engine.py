@@ -42,9 +42,10 @@ Semantics in brief:
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
   naming the place and the token when a token does not fit its place's
   color, so the values of one pool always compare with each other.  The
-  snapshots given to the others must also hold, on each view place that
-  copies a relation, exactly the tokens of its rows, because firings
-  patch such a view from row deltas.
+  snapshots given to the others must also hold, on each view place,
+  exactly the tokens of its query's rows, because firings patch a view
+  from row deltas or evaluate it again only when a relation it reads
+  changes.
 * ``enabled`` lists (transition, binding) pairs whose input patterns match
   distinct tokens and whose guard holds at the snapshot clock; the earliest
   firing time of a freshly enabled pair is ``clock + delay_min``.
@@ -130,11 +131,10 @@ from .net import (
     Snapshot,
     Token,
     Transition,
-    check_copied_views,
     check_marking,
+    check_views,
     refresh_views,
     validate_net,
-    view_tokens,
 )
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
 
@@ -242,7 +242,7 @@ def _require_compliant(net: Net, snapshot: Snapshot) -> None:
     if bad:
         raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
     check_marking(net, snapshot.marking)
-    check_copied_views(net, snapshot)
+    check_views(net, snapshot)
 
 
 def _ensure_valid(net: Net) -> None:
@@ -997,15 +997,10 @@ def fire(
 # runs
 
 def _check_view_consistency(net: Net, snapshot: Snapshot) -> None:
-    for place in net.places:
-        if place.kind != "view":
-            continue
-        expect = view_tokens(net, place, snapshot.instance)
-        got = snapshot.marking.tokens(place.id)
-        if expect != got:
-            raise ViewConsistencyError(
-                f"view place {place.id!r}: marking {got!r} != query result {expect!r}"
-            )
+    try:
+        check_views(net, snapshot)
+    except DefinitionError as e:
+        raise ViewConsistencyError(str(e)) from None
 
 
 def run(
@@ -1030,8 +1025,6 @@ def run(
     events: list[FiringEvent] = []
     final = initial  # snapshot after the last event; clock advances between
     # events are cursor movement only, so traces replay exactly
-    if check_views:
-        _check_view_consistency(net, initial)
     agenda = Agenda(net, initial, policy)
 
     while len(events) < max_steps:

@@ -11,15 +11,37 @@ Serialization is canonical: equal in-memory values produce identical bytes
 (sorted keys, minimal separators).  Parsers never partially succeed; any
 problem raises :class:`DocumentError` carrying path-addressed diagnostics.
 
-Expressions are stored as prefix trees ``{"op": ..., "args": [...]}``; value
-tuples map to JSON arrays, as ``json`` writes any tuple.
+Each node kind of a net document is described once, as a codec: a
+``(dump, load)`` pair whose ``load(node, path)`` raises a DocumentError
+located at ``path``.  ``net_to_json`` and ``parse_net`` walk the same
+section codecs, so a malformed shape anywhere in a document (an object
+where a list belongs, a missing field, a float delay) is a located error.
+The codecs are built from a few primitives:
+
+==================  ========================================================
+``_STR``, ``_INT``  a string, an integer; ``_VALUE`` a token value
+``_optional(c)``    ``c`` or null for None; a record may omit it
+``_list(c)``        a list of ``c``, with the diagnostics of every item
+``_items(*cs)``     a list with one codec per position (a pair, the args
+                    of an expression); ``_mapping(c)`` an object of ``c``
+``_record(make)``   an object of fields, each read by its own codec
+``_EXPR``           ``{"op": ..., "args": [...]}``; ``_EXPRS`` maps an op
+                    to its node class and the codec of its args, and any
+                    other op is an ``Op`` over expressions
+==================  ========================================================
+
+The relations of a net document and of a trace header share one codec.
+Value tuples map to JSON arrays, as ``json`` writes any tuple.  Trace
+events are read by the hand-written ``event_from_json``, which runs once
+per event; a trace's header and footer go through codecs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple, Optional
 
 from .engine import FiringEvent, Trace, TraceMeta
 from .exprs import (
@@ -51,13 +73,14 @@ from .persistence import (
     Action,
     Atom,
     Column,
+    FactTemplate,
     Filter,
     Instance,
     Query,
     Relation,
     Schema,
 )
-from .values import BOOL, INT, TEXT, TS, ColorType, product
+from .values import BOOL, INT, TEXT, TS, product
 
 NET_SUFFIX = ".tdbnet.json"
 TRACE_SUFFIX = ".trace.jsonl"
@@ -100,447 +123,199 @@ def json_to_value(v, path: str):
 
 
 # ---------------------------------------------------------------------------
-# expressions
+# codecs
 
 
-def expr_to_json(e):
-    if isinstance(e, Const):
-        return {"op": "const", "args": [e.value]}
-    if isinstance(e, Var):
-        return {"op": "var", "args": [e.name]}
-    if isinstance(e, Param):
-        return {"op": "param", "args": [e.name]}
-    if isinstance(e, Wild):
-        return {"op": "wild", "args": []}
-    if isinstance(e, Now):
-        return {"op": "now", "args": []}
-    if isinstance(e, Age):
-        return {"op": "age", "args": [e.var]}
-    if isinstance(e, DbCount):
-        return {"op": "count", "args": [e.relation, [expr_to_json(t) for t in e.terms]]}
-    if isinstance(e, DbMergeText):
-        return {
-            "op": "merge_text",
-            "args": [
-                e.relation,
-                [expr_to_json(t) for t in e.terms],
-                e.order_col,
-                e.text_col,
-                e.sep,
-            ],
-        }
-    if isinstance(e, Op):
-        return {"op": e.op, "args": [expr_to_json(a) for a in e.args]}
-    raise DefinitionError(f"cannot serialize expression node {e!r}")
+@dataclass(frozen=True)
+class _Codec:
+    dump: Callable  # in-memory value -> JSON value
+    load: Callable  # (JSON value, path) -> in-memory value, or DocumentError
+    optional: bool = False  # a record may omit the field, which keeps its default
 
 
-def expr_from_json(node, path: str):
-    if not isinstance(node, dict) or "op" not in node:
-        raise DocumentError([f"{path}: expected an expression object with 'op'"])
-    op = node["op"]
-    args = node.get("args", [])
-    if not isinstance(args, list):
-        raise DocumentError([f"{path}.args: expected a list"])
+def _same(x):
+    return x
 
-    def arity(n):
-        if len(args) != n:
-            raise DocumentError([f"{path}: operator {op!r} takes {n} args, found {len(args)}"])
 
-    if op == "const":
-        arity(1)
-        return Const(json_to_value(args[0], path))
-    if op == "var":
-        arity(1)
-        return Var(args[0])
-    if op == "param":
-        arity(1)
-        return Param(args[0])
-    if op == "wild":
-        arity(0)
-        return Wild()
-    if op == "now":
-        arity(0)
-        return Now()
-    if op == "age":
-        arity(1)
-        return Age(args[0])
-    if op == "count":
-        arity(2)
-        terms = tuple(
-            expr_from_json(t, f"{path}.args[1][{i}]") for i, t in enumerate(args[1])
-        )
-        return DbCount(args[0], terms)
-    if op == "merge_text":
-        arity(5)
-        terms = tuple(
-            expr_from_json(t, f"{path}.args[1][{i}]") for i, t in enumerate(args[1])
-        )
-        return DbMergeText(args[0], terms, order_col=args[2], text_col=args[3], sep=args[4])
+def _scalar(kind: type, what: str) -> _Codec:
+    def load(node, path):
+        if type(node) is not kind:
+            raise DocumentError([f"{path}: {json.dumps(node)} is not {what}"])
+        return node
+
+    return _Codec(_same, load)
+
+
+_STR = _scalar(str, "a string")
+_INT = _scalar(int, "an integer")
+_VALUE = _Codec(_same, json_to_value)
+
+
+def _expect(node, kind: type, path: str) -> None:
+    if type(node) is not kind:
+        raise DocumentError([f"{path}: expected {'a list' if kind is list else 'an object'}"])
+
+
+def _collect(items) -> list:
+    """``[load(node, path) for load, node, path in items]``, or one
+    DocumentError with the diagnostics of every item that fails."""
+    out, diags = [], []
+    for load, node, path in items:
+        try:
+            out.append(load(node, path))
+        except DocumentError as e:
+            diags.extend(e.diagnostics)
+    if diags:
+        raise DocumentError(diags)
+    return out
+
+
+def _made(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the DefinitionError (or other
+    ValueError) that it raises located at ``path``."""
     try:
-        sub = tuple(expr_from_json(a, f"{path}.args[{i}]") for i, a in enumerate(args))
-        return Op(op, sub)
-    except DefinitionError as e:
+        return make(*args, **kwargs)
+    except ValueError as e:
         raise DocumentError([f"{path}: {e}"]) from None
 
 
-def pattern_to_json(pattern):
-    if isinstance(pattern, tuple):
-        return [expr_to_json(t) for t in pattern]
-    return expr_to_json(pattern)
+def _optional(codec: _Codec) -> _Codec:
+    """``codec``, or null for None.  An empty tuple (the labels of a color
+    that has none) is written as null, and an empty list is read as None."""
+    return _Codec(
+        lambda x: None if x is None or x == () else codec.dump(x),
+        lambda node, path: None if node is None or node == [] else codec.load(node, path),
+        optional=True,
+    )
 
 
-def pattern_from_json(node, path: str):
-    if isinstance(node, list):
-        return tuple(expr_from_json(t, f"{path}[{i}]") for i, t in enumerate(node))
-    return expr_from_json(node, path)
+def _list(item: _Codec) -> _Codec:
+    def load(node, path):
+        _expect(node, list, path)
+        return tuple(_collect((item.load, x, f"{path}[{i}]") for i, x in enumerate(node)))
+
+    return _Codec(lambda xs: [item.dump(x) for x in xs], load)
 
 
-# ---------------------------------------------------------------------------
-# colors
+def _items(*codecs: _Codec) -> _Codec:
+    """A list of ``len(codecs)`` items, read as a tuple, one codec per
+    position."""
+
+    def load(node, path):
+        _expect(node, list, path)
+        if len(node) != len(codecs):
+            raise DocumentError([f"{path}: expected a list of length {len(codecs)}, found {len(node)}"])
+        return tuple(_collect((c.load, x, f"{path}[{i}]") for i, (c, x) in enumerate(zip(codecs, node))))
+
+    return _Codec(lambda xs: [c.dump(x) for c, x in zip(codecs, xs)], load)
 
 
-def _color_to_json(color: ColorType, names: dict):
-    return names[color] if color.kind == "product" else color.kind
+def _mapping(codec: _Codec) -> _Codec:
+    """An object whose values are ``codec``, read in key order."""
+
+    def load(node, path):
+        _expect(node, dict, path)
+        keys = sorted(node)
+        return dict(zip(keys, _collect((codec.load, node[k], f"{path}.{k}") for k in keys)))
+
+    return _Codec(lambda m: {k: codec.dump(v) for k, v in m.items()}, load)
 
 
-def _color_def(color: ColorType):
-    return {
-        "components": [c.kind for c in color.components],
-        "labels": list(color.labels) if color.labels else None,
-    }
+def _record(make, **codecs) -> _Codec:
+    """An object with one key per keyword, read and written by the codec
+    given for it.  The key names the attribute it stands for, unless the
+    keyword gives ``(attribute, codec)``.  ``make(**attributes)`` builds
+    the value; what it rejects is located at the object."""
+    spec = [(key, *(c if type(c) is tuple else (key, c))) for key, c in codecs.items()]
 
+    def load(node, path):
+        _expect(node, dict, path)
+        values, diags = {}, []
+        for key, attr, codec in spec:
+            if key not in node:
+                if not codec.optional:
+                    diags.append(f"{path}: missing field {key!r}")
+                continue
+            try:
+                values[attr] = codec.load(node[key], f"{path}.{key}")
+            except DocumentError as e:
+                diags.extend(e.diagnostics)
+        if diags:
+            raise DocumentError(diags)
+        return _made(path, make, **values)
 
-def _collect_colorsets(net: Net) -> dict:
-    found = {}
-    for place in net.places:
-        c = place.color
-        if c.kind == "product" and c not in found:
-            found[c] = None
-    ordered = sorted(found, key=lambda c: canonical_json(_color_def(c)))
-    return {c: f"cs{i}" for i, c in enumerate(ordered)}
-
-
-def _color_from_json(ref, colorsets: dict, path: str) -> ColorType:
-    if isinstance(ref, str):
-        if ref in _SCALARS:
-            return _SCALARS[ref]
-        if ref in colorsets:
-            return colorsets[ref]
-        raise DocumentError([f"{path}: unknown color {ref!r}"])
-    raise DocumentError([f"{path}: color must be a name"])
-
-
-# ---------------------------------------------------------------------------
-# net documents
-
-
-def net_to_json(net: Net, initial: Snapshot) -> dict:
-    names = _collect_colorsets(net)
-    colorsets = {name: _color_def(color) for color, name in names.items()}
-    queries = [
-        {
-            "name": q.name,
-            "params": [[n, c.kind] for n, c in q.params],
-            "atoms": [
-                {"relation": a.relation, "terms": [expr_to_json(t) for t in a.terms]}
-                for a in q.atoms
-            ],
-            "filters": [
-                {"op": f.op, "lhs": expr_to_json(f.lhs), "rhs": expr_to_json(f.rhs)}
-                for f in q.filters
-            ],
-            "output": list(q.output),
-            "order_by": list(q.order_by) if q.order_by else None,
-        }
-        for q in net.queries
-    ]
-    actions = [
-        {
-            "name": a.name,
-            "params": [[n, c.kind] for n, c in a.params],
-            "adds": [
-                {"relation": t.relation, "terms": [expr_to_json(x) for x in t.terms]}
-                for t in a.adds
-            ],
-            "dels": [
-                {"relation": t.relation, "terms": [expr_to_json(x) for x in t.terms]}
-                for t in a.dels
-            ],
-        }
-        for a in net.actions
-    ]
-    places = [
-        {
-            "id": p.id,
-            "color": _color_to_json(p.color, names),
-            "kind": p.kind,
-            "query": p.query,
-        }
-        for p in net.places
-    ]
-    transitions = [
-        {
-            "id": t.id,
-            "inputs": [{"place": a.place, "pattern": pattern_to_json(a.pattern)} for a in t.inputs],
-            "guard": expr_to_json(t.guard),
-            "delay": list(t.delay),
-            "outputs": [
-                {
-                    "place": a.place,
-                    "expr": expr_to_json(a.expr),
-                    "when": expr_to_json(a.when) if a.when is not None else None,
-                }
-                for a in t.outputs
-            ],
-            "rollbacks": [
-                {
-                    "place": a.place,
-                    "expr": expr_to_json(a.expr),
-                    "when": expr_to_json(a.when) if a.when is not None else None,
-                }
-                for a in t.rollbacks
-            ],
-            "actions": [
-                {"action": c.action, "args": [expr_to_json(x) for x in c.args]}
-                for c in t.actions
-            ],
-        }
-        for t in net.transitions
-    ]
-    marking = {
-        p.id: [token_to_json(tok) for tok in initial.marking.tokens(p.id)]
-        for p in net.places
-        if p.kind == "normal" and initial.marking.tokens(p.id)
-    }
-    instance = {
-        "clock": initial.clock,
-        "facts": list(initial.instance.all_rows()),
-    }
-    return {
-        "colorsets": colorsets,
-        "relations": _schema_to_json(net.schema),
-        "queries": queries,
-        "actions": actions,
-        "places": places,
-        "transitions": transitions,
-        "initial_marking": marking,
-        "initial_instance": instance,
-    }
-
-
-def serialize_net(net: Net, initial: Snapshot) -> str:
-    return canonical_json(net_to_json(net, initial)) + "\n"
-
-
-def parse_net(text: str) -> tuple[Net, Snapshot]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError([f"line {e.lineno}, column {e.colno}: {e.msg}"]) from None
-    if not isinstance(doc, dict):
-        raise DocumentError(["document root must be an object"])
-    diags: list[str] = []
-    for key in (
-        "colorsets",
-        "relations",
-        "queries",
-        "actions",
-        "places",
-        "transitions",
-        "initial_marking",
-        "initial_instance",
-    ):
-        if key not in doc:
-            diags.append(f"missing section {key!r}")
-    if diags:
-        raise DocumentError(diags)
-
-    colorsets: dict[str, ColorType] = {}
-    for name, cdef in sorted(doc["colorsets"].items()):
-        try:
-            comps = tuple(_SCALARS[k] for k in cdef["components"])
-            labels = tuple(cdef["labels"]) if cdef.get("labels") else None
-            colorsets[name] = product(*comps, labels=labels)
-        except (KeyError, TypeError, ValueError) as e:
-            diags.append(f"colorsets.{name}: {e}")
-    relations = []
-    for i, r in enumerate(doc["relations"]):
-        path = f"relations[{i}]"
-        try:
-            cols = tuple(
-                Column(c["name"], _SCALARS[c["type"]]) for c in r["columns"]
-            )
-            relations.append(Relation(r["name"], cols, tuple(r["key"])))
-        except KeyError as e:
-            diags.append(f"{path}: unknown column type or missing field {e}")
-        except (DefinitionError, ValueError, TypeError) as e:
-            diags.append(f"{path}: {e}")
-    if diags:
-        raise DocumentError(diags)
-    try:
-        schema = Schema(tuple(relations))
-    except DefinitionError as e:
-        raise DocumentError([f"relations: {e}"]) from None
-
-    queries = []
-    for i, q in enumerate(doc["queries"]):
-        path = f"queries[{i}]"
-        try:
-            atoms = tuple(
-                Atom(
-                    a["relation"],
-                    tuple(
-                        expr_from_json(t, f"{path}.atoms[{j}].terms[{k}]")
-                        for k, t in enumerate(a["terms"])
-                    ),
-                )
-                for j, a in enumerate(q["atoms"])
-            )
-            filters = tuple(
-                Filter(
-                    f["op"],
-                    expr_from_json(f["lhs"], f"{path}.filters[{j}].lhs"),
-                    expr_from_json(f["rhs"], f"{path}.filters[{j}].rhs"),
-                )
-                for j, f in enumerate(q["filters"])
-            )
-            params = tuple((n, _SCALARS[k]) for n, k in q["params"])
-            order_by = tuple(q["order_by"]) if q.get("order_by") else None
-            queries.append(
-                Query(q["name"], params=params, atoms=atoms, filters=filters,
-                      output=tuple(q["output"]), order_by=order_by)
-            )
-        except DocumentError as e:
-            diags.extend(e.diagnostics)
-        except (DefinitionError, KeyError, TypeError, ValueError) as e:
-            diags.append(f"{path}: {e}")
-    actions = []
-    for i, a in enumerate(doc["actions"]):
-        path = f"actions[{i}]"
-        try:
-            def templates(kind):
-                from .persistence import FactTemplate
-
-                return tuple(
-                    FactTemplate(
-                        t["relation"],
-                        tuple(
-                            expr_from_json(x, f"{path}.{kind}[{j}].terms[{k}]")
-                            for k, x in enumerate(t["terms"])
-                        ),
-                    )
-                    for j, t in enumerate(a[kind])
-                )
-
-            params = tuple((n, _SCALARS[k]) for n, k in a["params"])
-            actions.append(
-                Action(a["name"], params=params, adds=templates("adds"), dels=templates("dels"))
-            )
-        except DocumentError as e:
-            diags.extend(e.diagnostics)
-        except (DefinitionError, KeyError, TypeError, ValueError) as e:
-            diags.append(f"{path}: {e}")
-    places = []
-    for i, p in enumerate(doc["places"]):
-        path = f"places[{i}]"
-        try:
-            color = _color_from_json(p["color"], colorsets, f"{path}.color")
-            places.append(Place(p["id"], color, kind=p["kind"], query=p.get("query")))
-        except DocumentError as e:
-            diags.extend(e.diagnostics)
-        except (DefinitionError, KeyError, TypeError, ValueError) as e:
-            diags.append(f"{path}: {e}")
-    transitions = []
-    for i, t in enumerate(doc["transitions"]):
-        path = f"transitions[{i}]"
-        try:
-            inputs = tuple(
-                InputArc(a["place"], pattern_from_json(a["pattern"], f"{path}.inputs[{j}].pattern"))
-                for j, a in enumerate(t["inputs"])
-            )
-
-            def arcs(kind):
-                return tuple(
-                    OutputArc(
-                        a["place"],
-                        expr_from_json(a["expr"], f"{path}.{kind}[{j}].expr"),
-                        when=(
-                            expr_from_json(a["when"], f"{path}.{kind}[{j}].when")
-                            if a.get("when") is not None
-                            else None
-                        ),
-                    )
-                    for j, a in enumerate(t[kind])
-                )
-
-            calls = tuple(
-                ActionCall(
-                    c["action"],
-                    tuple(
-                        expr_from_json(x, f"{path}.actions[{j}].args[{k}]")
-                        for k, x in enumerate(c["args"])
-                    ),
-                )
-                for j, c in enumerate(t["actions"])
-            )
-            transitions.append(
-                Transition(
-                    t["id"],
-                    inputs=inputs,
-                    guard=expr_from_json(t["guard"], f"{path}.guard"),
-                    delay=tuple(t["delay"]),
-                    outputs=arcs("outputs"),
-                    rollbacks=arcs("rollbacks"),
-                    actions=calls,
-                )
-            )
-        except DocumentError as e:
-            diags.extend(e.diagnostics)
-        except (DefinitionError, KeyError, TypeError, ValueError) as e:
-            diags.append(f"{path}: {e}")
-    if diags:
-        raise DocumentError(diags)
-
-    try:
-        net = Net(
-            places=tuple(places),
-            transitions=tuple(transitions),
-            schema=schema,
-            queries=tuple(queries),
-            actions=tuple(actions),
-        )
-        validate_net(net)
-    except DefinitionError as e:
-        raise DocumentError([f"net: {e}"]) from None
-
-    inst = doc["initial_instance"]
-    clock = inst.get("clock", 0)
-    if type(clock) is not int:
-        diags.append(f"initial_instance.clock: {json.dumps(clock)} is not an integer")
-    facts = []
-    for i, row in enumerate(inst.get("facts", ())):
-        try:
-            facts.append(fact_from_json(row, f"initial_instance.facts[{i}]"))
-        except DocumentError as e:
-            diags.extend(e.diagnostics)
-    tokens = {}
-    for pid, toks in sorted(doc["initial_marking"].items()):
-        path = f"initial_marking.{pid}"
-        try:
-            tokens[pid] = [token_from_json(tok, f"{path}[{j}]") for j, tok in enumerate(toks)]
-        except DocumentError as e:
-            diags.extend(e.diagnostics)
-    if diags:
-        raise DocumentError(diags)
-    try:
-        snap = initial_snapshot(net, facts=facts, tokens=tokens, clock=clock)
-    except DefinitionError as e:
-        raise DocumentError([f"initial_instance: {e}"]) from None
-    return net, snap
+    return _Codec(lambda x: {key: codec.dump(getattr(x, attr)) for key, attr, codec in spec}, load)
 
 
 # ---------------------------------------------------------------------------
-# snapshots and traces
+# colors and expressions
+
+
+def _colors(table: dict) -> _Codec:
+    """A color stored as its name in ``table``."""
+    names = {color: name for name, color in table.items()}
+
+    def load(node, path):
+        name = _STR.load(node, path)
+        if name not in table:
+            raise DocumentError([f"{path}: unknown color {name!r}"])
+        return table[name]
+
+    return _Codec(names.__getitem__, load)
+
+
+_SCALAR = _colors(_SCALARS)
+_COLORSET = _record(
+    lambda components, labels=None: product(*components, labels=labels),
+    components=_list(_SCALAR),
+    labels=_optional(_list(_STR)),
+)
+_COLORSETS = _mapping(_COLORSET)
+
+
+def _dump_expr(e):
+    if type(e) is Op:
+        return {"op": e.op, "args": _TERMS.dump(e.args)}
+    if type(e) not in _OPS:
+        raise DefinitionError(f"cannot serialize expression node {e!r}")
+    op = _OPS[type(e)]
+    return {"op": op, "args": _EXPRS[op][1].dump([getattr(e, f.name) for f in fields(e)])}
+
+
+def _load_expr(node, path):
+    if type(node) is not dict or "op" not in node:
+        raise DocumentError([f"{path}: expected an expression object with 'op'"])
+    op = _STR.load(node["op"], f"{path}.op")
+    args = node.get("args", [])
+    if op not in _EXPRS:
+        return Op(op, _TERMS.load(args, f"{path}.args"))
+    make, codec = _EXPRS[op]
+    return make(*codec.load(args, f"{path}.args"))
+
+
+_EXPR = _Codec(_dump_expr, _load_expr)
+_TERMS = _list(_EXPR)
+# op -> (node class, the codec of its fields as the op's args)
+_EXPRS = {
+    "const": (Const, _items(_VALUE)),
+    "var": (Var, _items(_STR)),
+    "param": (Param, _items(_STR)),
+    "wild": (Wild, _items()),
+    "now": (Now, _items()),
+    "age": (Age, _items(_STR)),
+    "count": (DbCount, _items(_STR, _TERMS)),
+    "merge_text": (DbMergeText, _items(_STR, _TERMS, _INT, _INT, _STR)),
+}
+_OPS = {make: op for op, (make, _) in _EXPRS.items()}
+# an input arc's pattern: a term, or a tuple of terms as a list
+_PATTERN = _Codec(
+    lambda p: _TERMS.dump(p) if type(p) is tuple else _EXPR.dump(p),
+    lambda node, path: _TERMS.load(node, path) if type(node) is list else _EXPR.load(node, path),
+)
+
+
+# ---------------------------------------------------------------------------
+# tokens and facts
 
 
 def token_to_json(tok: Token):
@@ -560,39 +335,146 @@ def fact_from_json(node, path: str) -> tuple:
     return node[0], json_to_value(node[1], path), node[2]
 
 
+def _stored_fact(node, path: str) -> tuple:
+    """``fact_from_json`` with its relation's name checked, for an Instance."""
+    fact = fact_from_json(node, path)
+    _STR.load(fact[0], f"{path}[0]")
+    return fact
+
+
+class _Parts(NamedTuple):
+    """A snapshot as stored; a net document's ``initial_instance`` holds
+    the clock and the facts, and its marking is a section of its own."""
+
+    clock: int = 0
+    facts: tuple = ()
+    marking: Optional[dict] = None
+
+
+_FACTS = _list(_Codec(_same, _stored_fact))
+_MARKING = _mapping(_list(_Codec(token_to_json, token_from_json)))
+_SNAPSHOT = _record(_Parts, clock=_INT, facts=_FACTS, marking=_MARKING)
+
+
+# ---------------------------------------------------------------------------
+# net documents
+
+_RELATIONS = _list(
+    _record(
+        Relation,
+        name=_STR,
+        columns=_list(_record(Column, name=_STR, type=("color", _SCALAR))),
+        key=_list(_STR),
+    )
+)
+# the relations of a net document and of a trace header
+_SCHEMA = _Codec(
+    lambda schema: _RELATIONS.dump(schema.relations),
+    lambda node, path: _made(path, Schema, _RELATIONS.load(node, path)),
+)
+_PARAMS = _list(_items(_STR, _SCALAR))
+_TEMPLATES = _list(_record(FactTemplate, relation=_STR, terms=_TERMS))
+_QUERIES = _list(
+    _record(
+        Query,
+        name=_STR,
+        params=_PARAMS,
+        atoms=_list(_record(Atom, relation=_STR, terms=_TERMS)),
+        filters=_list(_record(Filter, op=_STR, lhs=_EXPR, rhs=_EXPR)),
+        output=_list(_STR),
+        order_by=_optional(_list(_INT)),
+    )
+)
+_ACTIONS = _list(_record(Action, name=_STR, params=_PARAMS, adds=_TEMPLATES, dels=_TEMPLATES))
+_ARCS = _list(_record(OutputArc, place=_STR, expr=_EXPR, when=_optional(_EXPR)))
+_TRANSITIONS = _list(
+    _record(
+        Transition,
+        id=_STR,
+        inputs=_list(_record(InputArc, place=_STR, pattern=_PATTERN)),
+        guard=_EXPR,
+        delay=_items(_INT, _INT),
+        outputs=_ARCS,
+        rollbacks=_ARCS,
+        actions=_list(_record(ActionCall, action=_STR, args=_TERMS)),
+    )
+)
+# the clock and the facts may be left out, for 0 and none
+_INSTANCE = _record(_Parts, clock=replace(_INT, optional=True), facts=replace(_FACTS, optional=True))
+_SECTIONS = "colorsets relations queries actions places transitions initial_marking initial_instance".split()
+
+
+def _places(colorsets: dict) -> _Codec:
+    """The places of a document whose product colors are ``colorsets``."""
+    color = _colors({**_SCALARS, **colorsets})
+    return _list(_record(Place, id=_STR, color=color, kind=_STR, query=_optional(_STR)))
+
+
+def _collect_colorsets(net: Net) -> dict:
+    """The product colors of the net's places, named ``cs0``, ``cs1``, ...
+    in the order of their stored definitions."""
+    found = {p.color for p in net.places if p.color.kind == "product"}
+    ordered = sorted(found, key=lambda c: canonical_json(_COLORSET.dump(c)))
+    return {f"cs{i}": c for i, c in enumerate(ordered)}
+
+
+def net_to_json(net: Net, initial: Snapshot) -> dict:
+    colorsets = _collect_colorsets(net)
+    tokens = initial.marking.tokens
+    marking = {p.id: tokens(p.id) for p in net.places if p.kind == "normal" and tokens(p.id)}
+    return {
+        "colorsets": _COLORSETS.dump(colorsets),
+        "relations": _SCHEMA.dump(net.schema),
+        "queries": _QUERIES.dump(net.queries),
+        "actions": _ACTIONS.dump(net.actions),
+        "places": _places(colorsets).dump(net.places),
+        "transitions": _TRANSITIONS.dump(net.transitions),
+        "initial_marking": _MARKING.dump(marking),
+        "initial_instance": _INSTANCE.dump(_Parts(initial.clock, initial.instance.all_rows())),
+    }
+
+
+def serialize_net(net: Net, initial: Snapshot) -> str:
+    return canonical_json(net_to_json(net, initial)) + "\n"
+
+
+def _read(doc: dict, **sections: _Codec) -> list:
+    """The named sections of a net document, each read by its codec, or one
+    DocumentError with the diagnostics of every section that fails."""
+    return _collect((codec.load, doc[key], key) for key, codec in sections.items())
+
+
+def parse_net(text: str) -> tuple[Net, Snapshot]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentError([f"line {e.lineno}, column {e.colno}: {e.msg}"]) from None
+    if not isinstance(doc, dict):
+        raise DocumentError(["document root must be an object"])
+    missing = [f"missing section {key!r}" for key in _SECTIONS if key not in doc]
+    if missing:
+        raise DocumentError(missing)
+    colorsets, schema = _read(doc, colorsets=_COLORSETS, relations=_SCHEMA)
+    queries, actions, places, transitions = _read(
+        doc, queries=_QUERIES, actions=_ACTIONS, places=_places(colorsets), transitions=_TRANSITIONS
+    )
+    net = _made("net", Net, places=places, transitions=transitions, schema=schema, queries=queries, actions=actions)
+    _made("net", validate_net, net)
+    tokens, start = _read(doc, initial_marking=_MARKING, initial_instance=_INSTANCE)
+    snap = _made("initial_instance", initial_snapshot, net, facts=start.facts, tokens=tokens, clock=start.clock)
+    return net, snap
+
+
+# ---------------------------------------------------------------------------
+# snapshots and traces
+
+
 def _integer(node, key: str, path: str) -> int:
     """``node[key]``, which must be an int."""
     value = node[key]
     if type(value) is not int:
         raise DocumentError([f"{path}.{key}: {json.dumps(value)} is not an integer"])
     return value
-
-
-def _schema_to_json(schema: Schema):
-    return [
-        {
-            "name": r.name,
-            "columns": [{"name": c.name, "type": c.color.kind} for c in r.columns],
-            "key": list(r.key),
-        }
-        for r in schema.relations
-    ]
-
-
-def _schema_from_json(node, path: str) -> Schema:
-    try:
-        return Schema(
-            tuple(
-                Relation(
-                    r["name"],
-                    tuple(Column(c["name"], _SCALARS[c["type"]]) for c in r["columns"]),
-                    tuple(r["key"]),
-                )
-                for r in node
-            )
-        )
-    except (DefinitionError, KeyError, TypeError, ValueError) as e:
-        raise DocumentError([f"{path}: {e}"]) from None
 
 
 def snapshot_to_json(snap: Snapshot):
@@ -608,20 +490,8 @@ def snapshot_to_json(snap: Snapshot):
 
 
 def snapshot_from_json(node, schema: Schema, path: str) -> Snapshot:
-    try:
-        facts = [fact_from_json(row, f"{path}.facts[{i}]") for i, row in enumerate(node["facts"])]
-        instance = Instance.from_facts(schema, facts)
-        marking = Marking(
-            {
-                pid: [token_from_json(t, f"{path}.marking.{pid}[{i}]") for i, t in enumerate(toks)]
-                for pid, toks in node["marking"].items()
-            }
-        )
-        return Snapshot(instance, marking, _integer(node, "clock", path))
-    except DocumentError:
-        raise
-    except (DefinitionError, KeyError, TypeError, ValueError) as e:
-        raise DocumentError([f"{path}: {e}"]) from None
+    clock, facts, marking = _SNAPSHOT.load(node, path)
+    return _made(path, lambda: Snapshot(Instance.from_facts(schema, facts), Marking(marking), clock))
 
 
 def _pairs_to_json(pairs):
@@ -683,7 +553,7 @@ def serialize_trace(trace: Trace) -> str:
         "net": trace.meta.net_hash,
         "policy": trace.meta.policy,
         "seed": trace.meta.seed,
-        "schema": _schema_to_json(trace.initial.instance.schema),
+        "schema": _SCHEMA.dump(trace.initial.instance.schema),
         "initial": snapshot_to_json(trace.initial),
     }
     lines = [canonical_json(header)]
@@ -713,12 +583,15 @@ def parse_trace(text: str) -> Trace:
     lineno, header = records[0]
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise DocumentError([f"line {lineno}: expected header record"])
-    if records[-1][1].get("kind") != "footer":
+    _, footer = records[-1]
+    if not isinstance(footer, dict) or footer.get("kind") != "footer":
         raise DocumentError(
             [f"truncated trace: no footer; last complete record: {last_ok}"]
         )
-    _, footer = records[-1]
-    schema = _schema_from_json(header.get("schema", []), "header.schema")
+    for record, name, key in ((header, "header", "initial"), (footer, "footer", "final")):
+        if key not in record:
+            raise DocumentError([f"{name}: missing field {key!r}"])
+    schema = _SCHEMA.load(header.get("schema", []), "header.schema")
     initial = snapshot_from_json(header["initial"], schema, "header.initial")
     events = []
     for lineno, node in records[1:-1]:

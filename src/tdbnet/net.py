@@ -95,7 +95,8 @@ class Transition:
 
     def __post_init__(self) -> None:
         lo, hi = self.delay
-        if lo < 0 or hi < lo:
+        # times are integers, as colours are exact: a bool is no bound
+        if type(lo) is not int or type(hi) is not int or lo < 0 or hi < lo:
             raise DefinitionError(f"transition {self.id!r}: bad delay window {self.delay!r}")
 
 
@@ -291,15 +292,19 @@ def view_delta(place: Place, relation: str, added, deleted) -> tuple[list, list]
     return [(place.id, tok) for tok in lose], [(place.id, tok) for tok in gain]
 
 
-def check_copied_views(net: Net, snapshot: "Snapshot") -> None:
-    """Raise DefinitionError unless every view place that copies a relation
-    holds the tokens of exactly that relation's rows: firings patch such a
-    view from row deltas, so it must start out right."""
+def check_views(net: Net, snapshot: "Snapshot") -> None:
+    """Raise DefinitionError unless every view place holds exactly its
+    query's rows: firings patch a view from row deltas, or evaluate it again
+    only when a relation it reads changes, so it must start out right.  A
+    view that copies a relation is read from its rows, without a query."""
     for place, source, _ in view_places(net):
-        if source is not None:
-            rows = tuple(_row_tokens(place, (values for values, _ in snapshot.instance.rows(source))))
-            if snapshot.marking.tokens(place.id) != rows:
-                raise DefinitionError(f"view place {place.id!r}: its tokens are not the rows of {source!r}")
+        if source is None:
+            want, rows = view_tokens(net, place, snapshot.instance), f"rows of its query {place.query!r}"
+        else:
+            want = tuple(_row_tokens(place, (values for values, _ in snapshot.instance.rows(source))))
+            rows = f"rows of {source!r}"
+        if snapshot.marking.tokens(place.id) != want:
+            raise DefinitionError(f"view place {place.id!r}: its tokens are not the {rows}")
 
 
 def refresh_views(net: Net, instance: Instance, marking: Marking, added, deleted) -> tuple[list, list]:

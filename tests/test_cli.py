@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tdbnet
 from tdbnet import cli
 from tdbnet.engine import run
@@ -51,7 +53,15 @@ def test_validate_without_a_check_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "t.report.json").exists()
 
 
-def test_a_net_with_a_float_fact_is_a_located_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "instance,diagnostic",
+    [
+        ({"clock": 0, "facts": [["R", [1.5], 0]]}, "initial_instance.facts[0]: 1.5 is not a value"),
+        ([], "initial_instance: expected an object"),
+    ],
+    ids=["float-fact", "instance-list"],
+)
+def test_a_net_with_a_float_fact_is_a_located_error(tmp_path, capsys, instance, diagnostic):
     doc = {
         "colorsets": {},
         "relations": [{"name": "R", "columns": [{"name": "a", "type": "int"}], "key": ["a"]}],
@@ -60,14 +70,14 @@ def test_a_net_with_a_float_fact_is_a_located_error(tmp_path, capsys):
         "places": [],
         "transitions": [],
         "initial_marking": {},
-        "initial_instance": {"clock": 0, "facts": [["R", [1.5], 0]]},
+        "initial_instance": instance,
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = cli.main(["run", "--net", str(path), "--out", str(tmp_path / "t.trace.jsonl")])
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE == 1
-    assert err.startswith("error: initial_instance.facts[0]: 1.5 is not a value")
+    assert err.startswith(f"error: {diagnostic}")
     assert "Traceback" not in err
 
 

@@ -22,7 +22,7 @@ from tdbnet.engine import (
 )
 from tdbnet import engine
 from tdbnet import net as net_module
-from tdbnet.exprs import Age, Const, DefinitionError, Now, Op, Param, Var
+from tdbnet.exprs import Age, Const, DefinitionError, Now, Op, Param, Var, Wild
 from tdbnet.formats import DocumentError, parse_net, parse_trace, serialize_net, serialize_trace
 from tdbnet.net import (
     ActionCall,
@@ -323,6 +323,39 @@ def test_copied_view_out_of_step_with_its_relation_is_rejected():
     for entry in (run, enabled, advance_clock, lambda net, snap: fire(net, snap, "t", {"x": 1}, at=0)):
         with pytest.raises(DefinitionError, match="view place 'v': its tokens are not the rows of 'R'"):
             entry(net, stale)
+
+
+def test_a_phantom_token_on_a_projection_view_is_rejected():
+    # u projects r, so it is evaluated again when r changes, not patched;
+    # a token on it that is no row of its query was fired from, three times
+    # over, by a run bounded at three steps
+    net = Net(
+        places=(Place("u", INT, kind="view", query="q_a"), Place("o", INT)),
+        transitions=(Transition("t", inputs=(InputArc("u", Var("y")),), outputs=(OutputArc("o", Var("y")),)),),
+        schema=Schema((Relation("r", (Column("a", INT), Column("b", INT)), ("a",)),)),
+        queries=(Query("q_a", atoms=(Atom("r", (Var("a"), Wild())),), output=("a",)),),
+    )
+    empty = initial_snapshot(net)
+    phantom = Snapshot(empty.instance, Marking({"u": [Token(5, 0)]}), 0)
+    entries = (
+        lambda snap: run(net, snap, max_steps=3),
+        lambda snap: enabled(net, snap),
+        lambda snap: advance_clock(net, snap),
+        lambda snap: fire(net, snap, "t", {"y": 5}, at=0),
+        lambda snap: replay(net, Trace(TraceMeta(net.fingerprint(), "eager", None), snap, (), snap)),
+    )
+    for entry in entries:
+        with pytest.raises(DefinitionError, match="^view place 'u': its tokens are not the rows of its query 'q_a'$"):
+            entry(phantom)
+    assert run(net, empty).events == ()
+
+
+@pytest.mark.parametrize("delay", [(0.5, 1), (True, 1), (0, 1.0)], ids=["float-low", "bool-low", "float-high"])
+def test_a_delay_bound_that_is_not_an_int_is_rejected(delay):
+    # a float bound made the eager run fire at 0.5, in a trace its own
+    # parser rejects, and the random policy die in randrange
+    with pytest.raises(DefinitionError, match=r"^transition 't': bad delay window"):
+        Transition("t", delay=delay)
 
 
 def _int_place_net():

@@ -148,6 +148,50 @@ class TestParseNet:
         suffix = " (an int, a string, a bool or a list of them)" if diagnostic.endswith("not a value") else ""
         assert exc.value.diagnostics == [diagnostic + suffix]
 
+    @pytest.mark.parametrize(
+        "edit,diagnostic",
+        [
+            (lambda d: d.__setitem__("initial_instance", []), "initial_instance: expected an object"),
+            (lambda d: d.__setitem__("colorsets", []), "colorsets: expected an object"),
+            (lambda d: d.__setitem__("initial_marking", []), "initial_marking: expected an object"),
+            (lambda d: d["initial_marking"].__setitem__("p0", 5), "initial_marking.p0: expected a list"),
+            (lambda d: d["initial_instance"].__setitem__("facts", 5), "initial_instance.facts: expected a list"),
+            (
+                lambda d: d["transitions"][0]["inputs"][0].__setitem__("pattern", {"op": "var", "args": [5]}),
+                "transitions[0].inputs[0].pattern.args[0]: 5 is not a string",
+            ),
+            (lambda d: d["places"][0].__setitem__("id", 5), "places[0].id: 5 is not a string"),
+            (lambda d: d["transitions"][0].__setitem__("delay", [0.5, 1]), "transitions[0].delay[0]: 0.5 is not an integer"),
+            (lambda d: d["transitions"][0].__setitem__("delay", [0, True]), "transitions[0].delay[1]: true is not an integer"),
+            (lambda d: d["transitions"][0].pop("inputs"), "transitions[0]: missing field 'inputs'"),
+            (
+                lambda d: d["transitions"][0].__setitem__("guard", {"op": 5, "args": []}),
+                "transitions[0].guard.op: 5 is not a string",
+            ),
+            (
+                lambda d: d["initial_instance"].__setitem__("facts", [[["R"], [1, "x"], 0]]),
+                'initial_instance.facts[0][0]: ["R"] is not a string',
+            ),
+        ],
+        ids=[
+            "instance-list", "colorsets-list", "marking-list", "pool-int", "facts-int", "var-name-int",
+            "place-id-int", "float-delay", "bool-delay", "missing-inputs", "op-int", "relation-name-list",
+        ],
+    )
+    def test_malformed_shape_is_located(self, edit, diagnostic):
+        # the first five crashed with an AttributeError or a TypeError, the
+        # float and bool delays and the int op were accepted, and the
+        # others were reported only as a net error or by a bare key
+        doc = json.loads(MINIMAL)
+        doc["relations"] = [
+            {"name": "R", "columns": [{"name": "a", "type": "int"}, {"name": "b", "type": "text"}], "key": ["a"]}
+        ]
+        doc["transitions"] = [transition_stanza("t0", "p0")]
+        edit(doc)
+        with pytest.raises(DocumentError) as exc:
+            parse_net(json.dumps(doc))
+        assert exc.value.diagnostics == [diagnostic]
+
 
 class TestNetRoundTrip:
     @pytest.mark.parametrize("bundle", catalog_bundles(), ids=lambda b: b.name)
@@ -241,6 +285,26 @@ class TestTraceRoundTrip:
         record = json.loads(lines[line])
         edit(record)
         lines[line] = canonical_json(record)
+        with pytest.raises(DocumentError) as exc:
+            parse_trace("\n".join(lines) + "\n")
+        assert exc.value.diagnostics == [diagnostic]
+
+    @pytest.mark.parametrize(
+        "line,edit,diagnostic",
+        [
+            (0, lambda r: {k: v for k, v in r.items() if k != "initial"}, "header: missing field 'initial'"),
+            (-1, lambda r: [r], "truncated trace: no footer; last complete record: unknown at line 8"),
+            (-1, lambda r: {k: v for k, v in r.items() if k != "final"}, "footer: missing field 'final'"),
+            (0, lambda r: {**r, "initial": {**r["initial"], "marking": []}}, "header.initial.marking: expected an object"),
+        ],
+        ids=["no-initial", "footer-list", "no-final", "marking-list"],
+    )
+    def test_malformed_header_or_footer_is_located(self, line, edit, diagnostic):
+        # each crashed with a KeyError or an AttributeError
+        b = build_throttler(5)
+        tr = run(b.net, with_workload(b, [(0, ("a",)), (0, ("b",))]))
+        lines = serialize_trace(tr).splitlines()
+        lines[line] = canonical_json(edit(json.loads(lines[line])))
         with pytest.raises(DocumentError) as exc:
             parse_trace("\n".join(lines) + "\n")
         assert exc.value.diagnostics == [diagnostic]

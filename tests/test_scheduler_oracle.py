@@ -24,7 +24,7 @@ from test_replay import CATALOG, POLICIES, reference_replay
 from tdbnet import engine
 from tdbnet.engine import FiringEvent
 from tdbnet.exprs import Age, Const, DbCount, Now, Op, Param, Var, Wild
-from tdbnet.formats import serialize_trace
+from tdbnet.formats import parse_net, serialize_net, serialize_trace
 from tdbnet.net import ActionCall, InputArc, Net, OutputArc, Place, Snapshot, Token, Transition, initial_snapshot
 from tdbnet.persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema, check_compliance
 from tdbnet.values import INT, product
@@ -652,6 +652,19 @@ def _nets(draw):
     tokens = {place: draw(st.lists(token, min_size=place == "p", max_size=4)) for place in "pq"}
     rows = draw(st.dictionaries(SMALL, SMALL, max_size=3))
     return net, initial_snapshot(net, facts=[("R", row, 0) for row in sorted(rows.items())], tokens=tokens, clock=3)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_nets())
+def test_generated_nets_round_trip_through_their_document(case):
+    # every node kind the generator draws (patterns of terms and tuples,
+    # age, now and count guards, delays, output and rollback arcs, action
+    # calls, a copied and a projected view) is written and read by one codec
+    net, initial = case
+    text = serialize_net(net, initial)
+    net2, initial2 = parse_net(text)
+    assert net2 == net and initial2 == initial
+    assert serialize_net(net2, initial2) == text
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
