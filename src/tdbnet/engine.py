@@ -15,7 +15,7 @@ Semantics in brief:
   merging the arcs' bindings, where a variable bound on two arcs must get
   equal values and the later arc sets its age, and only while each place
   holds as many copies of a token as it takes.  ``replay`` binds recorded
-  tokens through the same binders and merges them by the same rule.
+  tokens through the same binders, by the same rule, into one binding.
 * A slot builds its candidates fully or lazily.  A full build binds every
   candidate: first the product of the memories (one candidate that binds
   nothing for a transition without input arcs), then the entries that
@@ -92,7 +92,7 @@ Semantics in brief:
 
 Traces replay exactly: folding the recorded events over the initial
 snapshot reproduces every intermediate and the final snapshot.  ``replay``
-binds each event from the tokens it recorded as consumed, without
+binds each event from the tokens and the binding it recorded, without
 enumerating candidates.  It verifies a compliant initial instance, events
 in step and time order, consumed tokens present in the marking and
 matching the input arcs in order, the recorded binding, and the guard at
@@ -326,31 +326,6 @@ class _Entry:
 _share = attrgetter("share")
 
 
-def _entry(arc: tuple, token: Token) -> Optional[_Entry]:
-    """``token`` bound by one input arc alone; None when the arc rejects
-    it."""
-    _, _, bind, names = arc
-    value, at = token
-    env = bind(value)
-    return None if env is None else _Entry(token, env, dict.fromkeys(names, at))
-
-
-def _merge(t: Transition, arcs: tuple, entries: tuple) -> Optional[_Cand]:
-    """The candidate of one entry per input arc of ``t``, in arc order, or
-    None when a variable bound on two arcs gets unequal values.  The later
-    arc sets the age of a variable bound on two."""
-    env: dict = {}
-    ages: dict = {}
-    for e in entries:
-        for name, value in e.env.items():
-            prior = env.setdefault(name, value)
-            if prior is not value and prior != value:
-                return None
-        ages.update(e.ages)
-    matches = tuple([(arc[0], e.key, arc[1]) for arc, e in zip(arcs, entries)])
-    return _Cand(t, env, matches, ages, entries)
-
-
 def _walk_plan(t: Transition) -> Optional[tuple]:
     """(variables per arc in name order, (arc, position) of each variable
     in name order) for a transition of two or more input arcs that bind
@@ -485,22 +460,22 @@ class _Slot:
         candidates left without enough copies.  Returns the entries that
         grew, per arc."""
         grown = []
-        for k, arc in enumerate(self.arcs):
+        for k, (place, _, bind, aged) in enumerate(self.arcs):
             index, up = self.index[k], []
-            for tok, n in pending.get(arc[0], {}).items():
+            for tok, n in pending.get(place, {}).items():
                 e = index.get(tok)
                 if e is None:
                     # a token the arc rejected is bound again only when
                     # another copy of it arrives
-                    if n <= 0 or (e := _entry(arc, tok)) is None:
+                    if n <= 0 or (env := bind(tok[0])) is None:
                         continue
-                    index[tok] = e
+                    e = index[tok] = _Entry(tok, env, dict.fromkeys(aged, tok[1]))
                     if self.lazy:
                         e.share = (tuple(e.env[name] for name in self.names[k]), tok)
                         insort(self.mems[k], e, key=_share)
                 elif not n:
                     continue
-                e.copies = len(marking.span(arc[0], tok))
+                e.copies = len(marking.span(place, tok))
                 if n > 0:
                     up.append(e)
                     continue
@@ -543,14 +518,22 @@ class _Slot:
     def _bind(self, entries: tuple) -> Optional[_Cand]:
         """The candidate of one entry per arc, entered in ``cands`` and in
         its entries' reverse sets; None when it takes more copies of a token
-        than its place holds, or binds a variable two ways."""
+        than its place holds, or binds a variable two ways: a variable bound
+        on two arcs must get equal values, and the later arc sets its age."""
         if not self._fits(entries):
             return None
-        c = _merge(self.t, self.arcs, entries)
-        if c is not None:
-            self.cands[c.key] = c
-            for e in entries:
-                e.cands.add(c.key)
+        env: dict = {}
+        ages: dict = {}
+        for e in entries:
+            for name, value in e.env.items():
+                prior = env.setdefault(name, value)
+                if prior is not value and prior != value:
+                    return None
+            ages.update(e.ages)
+        c = _Cand(self.t, env, tuple([(arc[0], e.key, arc[1]) for arc, e in zip(self.arcs, entries)]), ages, entries)
+        self.cands[c.key] = c
+        for e in entries:
+            e.cands.add(c.key)
         return c
 
     def _fits(self, entries: tuple) -> bool:
@@ -1065,42 +1048,58 @@ def _draw_time(rng: random.Random, truth: tuple, clock: int, delay: tuple) -> in
 
 
 def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent) -> Optional[_Cand]:
-    """The candidate an event recorded, bound from its consumed tokens, or
-    None unless it is enabled at ``ev.time``: the tokens lie on the
-    transition's input places in arc order and are present in the marking
-    (as many copies as are consumed), the patterns match, the binding is
-    the recorded one, and the guard holds."""
-    if len(ev.consumed) != len(t.inputs):
+    """The candidate an event recorded, or None unless it is enabled at
+    ``ev.time``: the tokens lie on the input places in arc order, the
+    patterns match, the tokens are present (as many copies as consumed),
+    the binding is exactly the recorded one, and the guard holds.  Tokens
+    bind through the arcs' binders straight into one binding, by the rule
+    of ``_Slot._bind``, and the candidate keeps the recorded items."""
+    consumed = ev.consumed
+    if len(consumed) != len(t.inputs):
         return None
-    arcs = _binders(net, t)
-    entries = []
-    for arc, (pid, tok) in zip(arcs, ev.consumed):
-        e = _entry(arc, tok) if pid == arc[0] else None
-        if e is None:
+    env: dict = {}
+    ages: dict = {}
+    matches = []
+    for (place, is_view, bind, names), (pid, tok) in zip(_binders(net, t), consumed):
+        value, at = tok
+        bound = bind(value) if pid == place else None
+        if bound is None:
             return None
-        entries.append(e)
-    for pair in ev.consumed:
-        if not snapshot.marking.holds(*pair, ev.consumed.count(pair)):
+        if not env:
+            env = bound
+        else:
+            for name, v in bound.items():
+                prior = env.setdefault(name, v)
+                if prior is not v and prior != v:
+                    return None  # no binding can be the recorded one
+        for name in names:
+            ages[name] = at
+        matches.append((pid, tok, is_view))
+    for pair in consumed:
+        if not snapshot.marking.holds(*pair, consumed.count(pair)):
             return None
-    cand = _merge(t, arcs, tuple(entries))
-    if cand is None or cand.binding_items() != ev.binding:
+    if tuple(sorted(env.items())) != ev.binding:
         return None
-    at = guard_flip_time(t.guard, cand.env, instance=snapshot.instance, ages=cand.ages, from_time=ev.time)
-    return cand if at == ev.time else None
+    if guard_flip_time(t.guard, env, instance=snapshot.instance, ages=ages, from_time=ev.time) != ev.time:
+        return None
+    cand = _Cand(t, env, tuple(matches), ages, ())
+    cand._items = ev.binding
+    return cand
 
 
 def replay(net: Net, trace: Trace, *, verify: bool = True) -> Snapshot:
     """Fold the recorded events over the initial snapshot.
 
-    Each event is bound from the tokens it recorded as consumed, without
-    enumerating candidates.  Replay verifies that the initial instance is
-    compliant, that events are numbered in order and never go back in time,
-    and that each event's tokens are present, match its transition's input
-    arcs and give its recorded binding, under which the guard holds at the
-    event's time.  With verify=True (default) every recomputed event and
-    the final snapshot must also match the recording exactly.  Replay does
-    not check that an event's time lies in its transition's delay window:
-    the two policies anchor that window differently.
+    Each event is bound from the tokens and the binding it recorded,
+    without enumerating candidates (see ``_recorded_cand``).  Replay
+    verifies that the initial instance is compliant, that events are
+    numbered in order and never go back in time, and that each event's
+    tokens are present, match its transition's input arcs and give exactly
+    its recorded binding, under which the guard holds at the event's time.
+    With verify=True (default) every recomputed event and the final
+    snapshot must also match the recording exactly.  Replay does not check
+    that an event's time lies in its transition's delay window: the two
+    policies anchor that window differently.
     """
     _ensure_valid(net)
     _require_compliant(net, trace.initial)

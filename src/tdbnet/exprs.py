@@ -143,6 +143,8 @@ _ARITH = {
     "min": min,
     "max": max,
 }
+# the operators an ``Op`` node may name
+OPERATORS = frozenset({"and", "or", "not", "tuple", *_CMP, *_ARITH})
 
 
 def compiled(e):

@@ -52,6 +52,7 @@ from .exprs import (
     DefinitionError,
     Now,
     Op,
+    OPERATORS,
     Param,
     Var,
     Wild,
@@ -288,6 +289,8 @@ def _load_expr(node, path):
     op = _STR.load(node["op"], f"{path}.op")
     args = node.get("args", [])
     if op not in _EXPRS:
+        if op not in OPERATORS:
+            raise DocumentError([f"{path}.op: unknown operator {op!r}"])
         return Op(op, _TERMS.load(args, f"{path}.args"))
     make, codec = _EXPRS[op]
     return make(*codec.load(args, f"{path}.args"))

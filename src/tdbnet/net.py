@@ -27,6 +27,7 @@ from .exprs import (
     DbMergeText,
     DefinitionError,
     Op,
+    OPERATORS,
     TRUE,
     Var,
     Wild,
@@ -35,7 +36,7 @@ from .exprs import (
     validate_time_usage,
     variables,
 )
-from .persistence import Action, Instance, Query, Schema, check_compliance, copied_relation, eval_query
+from .persistence import Action, Instance, Query, Schema, check_compliance, check_query, copied_relation, eval_query
 from .values import ColorType, conforms
 
 
@@ -389,8 +390,12 @@ def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: Optional[int
 def validate_net(net: Net) -> None:
     """Check structural sanity: references resolve, variables are bound,
     age() only touches normal-place variables, time usage is affine, output
-    and rollback arcs produce only on normal places, and rollback arcs only
-    appear on transitions that write the database."""
+    and rollback arcs produce only on normal places, rollback arcs only
+    appear on transitions that write the database, and every operator is
+    one that expressions evaluate.  Every query is checked against the
+    schema, whether or not a view binds it."""
+    for query in net.queries:
+        check_query(net.schema, query)
     for place in net.places:
         if place.kind == "view":
             query = net.query(place.query)
@@ -433,7 +438,7 @@ def validate_net(net: Net) -> None:
 
         need(variables(t.guard), "guard")
         validate_time_usage(t.guard, f"transition {t.id!r} guard")
-        _check_ages(t.guard, normal_bound, t.id)
+        _check_expr(t.guard, normal_bound, t.id)
         for arc in t.outputs + t.rollbacks:
             if resolve(arc.place).kind == "view":
                 raise DefinitionError(
@@ -442,8 +447,8 @@ def validate_net(net: Net) -> None:
             need(variables(arc.expr), f"arc to {arc.place!r}")
             if arc.when is not None:
                 need(variables(arc.when), f"arc condition on {arc.place!r}")
-                _check_ages(arc.when, normal_bound, t.id)
-            _check_ages(arc.expr, normal_bound, t.id)
+                _check_expr(arc.when, normal_bound, t.id)
+            _check_expr(arc.expr, normal_bound, t.id)
         if t.rollbacks and not t.actions:
             raise DefinitionError(
                 f"transition {t.id!r}: rollback arcs without database actions can never fire them"
@@ -457,15 +462,19 @@ def validate_net(net: Net) -> None:
             for a in call.args:
                 need(variables(a), f"action {call.action!r} argument")
                 validate_time_usage(a, f"transition {t.id!r} action argument")
-                _check_ages(a, normal_bound, t.id)
+                _check_expr(a, normal_bound, t.id)
 
 
-def _check_ages(e, normal_bound: set[str], tid: str) -> None:
+def _check_expr(e, normal_bound: set[str], tid: str) -> None:
+    """Every ``age()`` in ``e`` reads a variable bound by a normal place,
+    and every operator is one that expressions evaluate."""
     if isinstance(e, Age):
         if e.var not in normal_bound:
             raise DefinitionError(
                 f"transition {tid!r}: age({e.var!r}) needs a variable bound by a normal place"
             )
     elif isinstance(e, Op):
+        if e.op not in OPERATORS:
+            raise DefinitionError(f"transition {tid!r}: unknown operator {e.op!r}")
         for a in e.args:
-            _check_ages(a, normal_bound, tid)
+            _check_expr(a, normal_bound, tid)

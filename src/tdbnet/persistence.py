@@ -354,7 +354,10 @@ def _compile_query(schema: Schema, query: Query):
     bound: set[str] = set()
     param_names = {p[0] for p in query.params}
     for i, atom in enumerate(query.atoms):
-        rel = schema.relation(atom.relation)
+        try:
+            rel = schema.relation(atom.relation)
+        except DefinitionError as e:
+            raise DefinitionError(f"query {query.name!r} atom {i}: {e}") from None
         if len(atom.terms) != rel.arity:
             raise DefinitionError(
                 f"query {query.name!r} atom {i}: arity {len(atom.terms)} != {rel.arity}"
@@ -515,6 +518,14 @@ def _side(side):
     return compiled(side) if type(side) is DbCount else compiled_term(side)
 
 
+def check_query(schema: Schema, query: Query) -> None:
+    """Check ``query`` against ``schema`` and keep its plan, as its first
+    evaluation would: a DefinitionError names the query when a relation is
+    unknown, an arity is wrong, a variable or parameter is unbound, or an
+    ``order_by`` index is out of range."""
+    _plan(schema, query, _compile_query)
+
+
 def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
     """Evaluate a conjunctive query with comparison/count filters.
 
@@ -610,7 +621,9 @@ def apply_action_delta(
     checks look rows up with ``bisect_range`` in a working copy of each
     touched relation's sorted rows: a template that binds the leading
     columns, as a key that is a prefix of the columns does, costs a
-    bisection; other bound columns are scanned within the range.
+    bisection; other bound columns are scanned within the range.  Such a
+    key clashes when its range is not empty, and otherwise the range's
+    start is where the added row goes.
     """
     check, consts, dels, adds = _plan(instance.schema, action, _compile_action)
     check(args)
@@ -619,15 +632,16 @@ def apply_action_delta(
     # working copies of the relations the action touches
     rows: dict[str, list] = {}
 
-    def touch(name: str) -> list:
-        if name not in rows:
-            rows[name] = list(instance._rows[name])
-        return rows[name]
-
     deleted: list[tuple] = []
     for relation, pick in dels:
-        bucket = touch(relation)
+        bucket = rows.get(relation)
+        if bucket is None:
+            bucket = rows[relation] = list(instance._rows[relation])
         lo, hi, rest = bisect_range(bucket, pick(ext))
+        if not rest:
+            deleted += [(relation, values, t) for values, t in bucket[lo:hi]]
+            del bucket[lo:hi]
+            continue
         keep = []
         for row in bucket[lo:hi]:
             if any(row[0][i] != p for i, p in rest):
@@ -637,32 +651,41 @@ def apply_action_delta(
         bucket[lo:hi] = keep
 
     added: list[tuple] = []
-    clashes: dict[str, Optional[ConstraintViolation]] = {}  # in order of first addition
+    clashes: Optional[dict] = None  # relation -> its first clash, once one occurs
     for rel, pick, pick_key, kidx in adds:
         values = pick(ext)
         if tuple(map(type, values)) != rel.types:
             return _type_violation(rel, values, at)
-        bucket = touch(rel.name)
+        name = rel.name
+        bucket = rows.get(name)
+        if bucket is None:
+            bucket = rows[name] = list(instance._rows[name])
         lo, hi, rest = bisect_range(bucket, pick_key(ext))
-        prior = next((r for r in bucket[lo:hi] if all(r[0][i] == p for i, p in rest)), None)
+        if rest:
+            lo = next((i for i in range(lo, hi) if all(bucket[i][0][j] == p for j, p in rest)), hi)
         row = (values, at)
-        clashes.setdefault(rel.name, None)
-        if prior is not None:
-            if clashes[rel.name] is None:
-                k = tuple(values[i] for i in kidx)
-                clashes[rel.name] = ConstraintViolation(
-                    relation=rel.name,
+        if lo < hi:
+            if clashes is None:
+                # reported in order of first addition
+                clashes = dict.fromkeys([add[0].name for add in adds])
+            if clashes[name] is None:
+                k = tuple([values[i] for i in kidx])
+                clashes[name] = ConstraintViolation(
+                    relation=name,
                     kind="key",
                     key=k,
-                    witnesses=(prior, row),
-                    message=f"duplicate key {k!r} in relation {rel.name!r}",
+                    witnesses=(bucket[lo], row),
+                    message=f"duplicate key {k!r} in relation {name!r}",
                 )
             continue
-        insort(bucket, row)
-        added.append((rel.name, values, at))
-    for clash in clashes.values():
-        if clash is not None:
-            return clash
+        if rest:
+            insort(bucket, row)
+        else:
+            # a key that leads the columns bisected to where the row belongs
+            bucket.insert(lo, row)
+        added.append((name, values, at))
+    if clashes is not None:
+        return next(clash for clash in clashes.values() if clash is not None)
 
     store = dict(instance._rows)
     for rel_name, bucket in rows.items():

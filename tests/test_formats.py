@@ -1,10 +1,12 @@
 """Round-trip and diagnostic tests for the net and trace file formats."""
 
+import dataclasses
 import json
 
 import pytest
 
 from tdbnet.engine import run, replay
+from tdbnet.exprs import DefinitionError, Op
 from tdbnet.formats import (
     DocumentError,
     canonical_json,
@@ -15,6 +17,7 @@ from tdbnet.formats import (
     serialize_report,
     serialize_trace,
 )
+from tdbnet.net import validate_net
 from tdbnet.patterns import (
     EndpointStub,
     build_aggregator,
@@ -191,6 +194,45 @@ class TestParseNet:
         with pytest.raises(DocumentError) as exc:
             parse_net(json.dumps(doc))
         assert exc.value.diagnostics == [diagnostic]
+
+    def test_unknown_operator_is_located(self):
+        # an operator that no expression evaluates passed parse_net and
+        # validate_net, and the run died with a bare EvalError
+        bundle = build_delayer(250)
+        doc = json.loads(serialize_net(bundle.net, bundle.initial))
+        k = next(k for k, t in enumerate(doc["transitions"]) if t["id"] == "t_forward")
+        doc["transitions"][k]["guard"] = {"op": "frobnicate", "args": []}
+        with pytest.raises(DocumentError) as exc:
+            parse_net(json.dumps(doc))
+        assert exc.value.diagnostics == [f"transitions[{k}].guard.op: unknown operator 'frobnicate'"]
+        transitions = tuple(
+            dataclasses.replace(t, guard=Op("frobnicate", ())) if t.id == "t_forward" else t
+            for t in bundle.net.transitions
+        )
+        with pytest.raises(DefinitionError, match="^transition 't_forward': unknown operator 'frobnicate'$"):
+            validate_net(dataclasses.replace(bundle.net, transitions=transitions))
+
+    @pytest.mark.parametrize(
+        "edit,diagnostic",
+        [
+            (lambda q: q["atoms"][0].__setitem__("relation", "NOPE"), "query 'q_bad' atom 0: unknown relation 'NOPE'"),
+            (lambda q: q["output"].append("zz"), "query 'q_bad': output variable 'zz' is unbound"),
+            (lambda q: q.__setitem__("order_by", [7]), "query 'q_bad': order_by index 7 out of range"),
+        ],
+        ids=["unknown-relation", "unbound-output", "order-by-range"],
+    )
+    def test_query_no_view_binds_is_checked(self, edit, diagnostic):
+        # queries compiled only when a view evaluated them, so a malformed
+        # query that no view binds was accepted and the net ran
+        bundle = build_delayer(250)
+        doc = json.loads(serialize_net(bundle.net, bundle.initial))
+        query = json.loads(json.dumps(doc["queries"][0]))
+        query["name"] = "q_bad"
+        edit(query)
+        doc["queries"].append(query)
+        with pytest.raises(DocumentError) as exc:
+            parse_net(json.dumps(doc))
+        assert exc.value.diagnostics == [f"net: {diagnostic}"]
 
 
 class TestNetRoundTrip:

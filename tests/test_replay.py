@@ -331,6 +331,27 @@ def _altered_binding():
     return net, _mutated(tr, ev.step, binding=binding)
 
 
+def _binding_with_extra_variable():
+    # a variable that no arc binds, in its sorted place
+    net, tr = _parsed_run("throttler")
+    ev = _first(tr, "t_admit")
+    return net, _mutated(tr, ev.step, binding=tuple(sorted(ev.binding + (("zz", 0),))))
+
+
+def _binding_missing_variable():
+    net, tr = _parsed_run("throttler")
+    ev = _first(tr, "t_admit")
+    return net, _mutated(tr, ev.step, binding=ev.binding[1:])
+
+
+def _binding_out_of_order():
+    # the recorded pairs, each right, in reverse order
+    net, tr = _parsed_run("throttler")
+    ev = _first(tr, "t_admit")
+    assert len(ev.binding) > 1
+    return net, _mutated(tr, ev.step, binding=ev.binding[::-1])
+
+
 def _consumed_token_of_wrong_type():
     # the capacity token recorded as a str: it does not compare with the
     # int tokens of its pool, so the marking does not hold it
@@ -358,6 +379,9 @@ def _guard_false():
         _consumed_pair_dropped,
         _consumed_pair_added,
         _altered_binding,
+        _binding_with_extra_variable,
+        _binding_missing_variable,
+        _binding_out_of_order,
         _consumed_token_of_wrong_type,
         _guard_false,
     ],
