@@ -178,6 +178,9 @@ def cmd_run(args, out) -> int:
 
 
 def parse_check(spec: str):
+    """The check that ``spec`` names, as a function of a trace.  A
+    malformed spec raises ValueError, as does the check when it names a
+    relation or column that the trace lacks."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "delay" and len(parts) == 4:
@@ -199,10 +202,10 @@ def parse_check(spec: str):
             elif state == "nonempty":
                 non_empty.append(rel)
             else:
-                raise UsageError(f"bad final clause {clause!r} (want rel=empty|nonempty)")
+                raise ValueError(f"bad final clause {clause!r} (want rel=empty|nonempty)")
         expectation = InstanceExpectation(empty=tuple(empty), non_empty=tuple(non_empty))
         return lambda tr: assert_final_instance(tr, expectation)
-    raise UsageError(f"unknown check {spec!r}")
+    raise ValueError("unknown check")
 
 
 def cmd_validate(args, out) -> int:
@@ -211,10 +214,12 @@ def cmd_validate(args, out) -> int:
     except OSError as e:
         print(f"cannot read {args.trace}: {e}", file=sys.stderr)
         return EXIT_USAGE
-    checks = [(spec, parse_check(spec)) for spec in args.check]
     verdicts: list[Verdict] = []
-    for spec, fn in checks:
-        verdicts.append(fn(trace))
+    for spec in args.check:
+        try:
+            verdicts.append(parse_check(spec)(trace))
+        except ValueError as e:
+            raise UsageError(f"--check {spec!r}: {e}") from None
     report_path = Path(args.report) if args.report else Path(args.trace).with_suffix("").with_suffix("")
     if not args.report:
         report_path = Path(str(report_path) + REPORT_SUFFIX)
@@ -233,9 +238,7 @@ def cmd_validate(args, out) -> int:
 def cmd_scenario(args, out) -> int:
     name = args.name
     if name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        print(f"unknown scenario {name!r}; available: {known}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}")
     outcome = SCENARIOS[name].execute(_seed(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -38,10 +38,10 @@ Semantics in brief:
   copies, each by bisection on its rank; the new tokens enter the
   memories and are built on as above.  A transition catches up when a
   step next asks about it.
-* Snapshots are color-checked: ``initial_snapshot``, ``run``, ``fire``,
+* Snapshots are checked: ``initial_snapshot``, ``run``, ``fire``,
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
   naming the place and the token when a token does not fit its place's
-  color, so the values of one pool always compare with each other.  The
+  color (so a pool's values compare) or was created after the clock.  The
   snapshots given to the others must also hold, on each view place,
   exactly the tokens of its query's rows, because firings patch a view
   from row deltas or evaluate it again only when a relation it reads
@@ -241,7 +241,7 @@ def _require_compliant(net: Net, snapshot: Snapshot) -> None:
     bad = check_compliance(snapshot.instance)
     if bad:
         raise DefinitionError(f"initial instance violates constraints: {bad[0].message}")
-    check_marking(net, snapshot.marking)
+    check_marking(net, snapshot.marking, snapshot.clock)
     check_views(net, snapshot)
 
 

@@ -43,12 +43,12 @@ piece.  No float is involved, so the answer is exact at every clock value.
 The engine asks every guard question through these two queries, so runs,
 ``fire`` and replay agree on where a guard holds.
 
-``validate_time_usage`` guarantees the shape the solver needs: ``now()``
-and ``age()`` occur only under ``+``, ``-``, comparisons, ``and``, ``or``
-and ``not``, and never inside a db pattern.  The values are checked when a
-guard is solved: a time-independent operand of a time-dependent
-comparison must be an integer (a bool counts as 0 or 1), or the solver
-raises ``EvalError``, whether or not the guard holds at the clock.
+``net.validate_net`` guarantees the shape the solver needs: ``now()`` and
+``age()`` occur only under the ``TIME_OPERATORS`` and never inside a db
+pattern.  The values are checked when a guard is solved: a
+time-independent operand of a time-dependent comparison must be an
+integer (a bool counts as 0 or 1), or the solver raises ``EvalError``,
+whether or not the guard holds at the clock.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ _ARITH = {
 }
 # the operators an ``Op`` node may name
 OPERATORS = frozenset({"and", "or", "not", "tuple", *_CMP, *_ARITH})
+# the operators under which the truth solver takes now() and age()
+TIME_OPERATORS = frozenset({"+", "-", "and", "or", "not", *_CMP})
 
 
 def compiled(e):
@@ -354,49 +356,12 @@ def _unbound_age(var: str) -> EvalError:
     return EvalError(f"age() of variable {var!r} not bound by a normal place")
 
 
-def variables(e) -> set[str]:
-    """All Var names appearing in an expression (Age vars included)."""
-    out: set[str] = set()
-    _walk_vars(e, out)
-    return out
-
-
-def _walk_vars(e, out: set[str]) -> None:
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Age):
-        out.add(e.var)
-    elif isinstance(e, Op):
-        for a in e.args:
-            _walk_vars(a, out)
-    elif isinstance(e, (DbCount, DbMergeText)):
-        for t in e.terms:
-            _walk_vars(t, out)
-
-
 def depends_on_time(e) -> bool:
     if isinstance(e, (Now, Age)):
         return True
     if isinstance(e, Op):
         return any(depends_on_time(a) for a in e.args)
     return False
-
-
-_TIME_SAFE_OPS = {"+", "-", "and", "or", "not"} | set(_CMP)
-
-
-def validate_time_usage(e, where: str) -> None:
-    """Reject now()/age() under operators that would make flip-time solving
-    inexact (multiplication, min/max, tuple building, count patterns)."""
-    if isinstance(e, Op):
-        if depends_on_time(e) and e.op not in _TIME_SAFE_OPS:
-            raise DefinitionError(f"{where}: now()/age() not allowed under {e.op!r}")
-        for a in e.args:
-            validate_time_usage(a, where)
-    elif isinstance(e, (DbCount, DbMergeText)):
-        for t in e.terms:
-            if depends_on_time(t):
-                raise DefinitionError(f"{where}: now()/age() not allowed inside db patterns")
 
 
 # ---------------------------------------------------------------------------

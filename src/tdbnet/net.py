@@ -28,15 +28,15 @@ from .exprs import (
     DefinitionError,
     Op,
     OPERATORS,
+    Param,
+    TIME_OPERATORS,
     TRUE,
     Var,
     Wild,
     depends_on_time,
     pattern_vars,
-    validate_time_usage,
-    variables,
 )
-from .persistence import Action, Instance, Query, Schema, check_compliance, check_query, copied_relation, eval_query
+from .persistence import Action, Instance, Query, Schema, check_action, check_compliance, check_query, copied_relation, eval_query
 from .values import ColorType, conforms
 
 
@@ -367,20 +367,20 @@ def initial_snapshot(
     return Snapshot(instance, Marking({**wrapped, **views}), clock)
 
 
-def check_marking(net: Net, marking: Marking, clock: Optional[int] = None) -> None:
-    """Raise DefinitionError unless every token lies on a place of the net
-    and fits that place's color, and, given a clock, was not created after
-    it (its age would start out negative)."""
+def check_marking(net: Net, marking: Marking, clock: int) -> None:
+    """Raise DefinitionError unless every token lies on a place of the net,
+    fits that place's color and was not created after the clock (its age
+    would start out negative)."""
     for pid in marking.place_ids():
         _check_pool(net, pid, marking.tokens(pid), clock)
 
 
-def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: Optional[int]) -> None:
+def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: int) -> None:
     color = net.place(pid).color
     for tok in tokens:
         if not conforms(tok.value, color):
             raise DefinitionError(f"place {pid!r}: token {tok!r} does not fit its color")
-        if clock is not None and tok.created_at > clock:
+        if tok.created_at > clock:
             raise DefinitionError(f"place {pid!r}: token {tok!r} is created after the snapshot clock {clock}")
 
 
@@ -388,14 +388,22 @@ def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: Optional[int
 # static validation
 
 def validate_net(net: Net) -> None:
-    """Check structural sanity: references resolve, variables are bound,
-    age() only touches normal-place variables, time usage is affine, output
-    and rollback arcs produce only on normal places, rollback arcs only
-    appear on transitions that write the database, and every operator is
-    one that expressions evaluate.  Every query is checked against the
-    schema, whether or not a view binds it."""
+    """Check a net before it runs; the first fault raises a DefinitionError.
+    Every query and action is checked against the schema, whether or not a
+    view binds or a transition calls it; a view binds a parameterless query
+    of its colour's width; arcs read known places and never produce on a
+    view place; rollback arcs need actions; calls pass the action's arity.
+    Each inscription (guard, arc, arc condition, action argument) is
+    checked in one walk: its variables are bound by input arcs, age() reads
+    one bound by a normal place, its operators are known, and each count or
+    merge_text fits a relation of the schema, with pattern terms that are
+    constants, parameters, wildcards or bound variables.  In guards and
+    action arguments, which the truth solver takes, now() and age() occur
+    only under the TIME_OPERATORS and never inside a db pattern."""
     for query in net.queries:
         check_query(net.schema, query)
+    for action in net.actions:
+        check_action(net.schema, action)
     for place in net.places:
         if place.kind == "view":
             query = net.query(place.query)
@@ -429,26 +437,57 @@ def validate_net(net: Net) -> None:
                 if place.kind == "normal":
                     normal_bound.add(v)
 
-        def need(vs: set[str], where: str) -> None:
-            for v in sorted(vs):
-                if v not in bound:
+        def check(e, where: str, timed: Optional[str] = None) -> None:
+            """Raise the first fault of ``e`` in tree order; ``timed``
+            prefixes the solver's shape errors in a guard or argument."""
+            kind = type(e)
+            if kind is Var or kind is Age:
+                name = e.name if kind is Var else e.var
+                if name not in bound:
                     raise DefinitionError(
-                        f"transition {t.id!r}: variable {v!r} in {where} is not bound by any input arc"
+                        f"transition {t.id!r}: variable {name!r} in {where} is not bound by any input arc"
                     )
+                if kind is Age and name not in normal_bound:
+                    raise DefinitionError(
+                        f"transition {t.id!r}: age({name!r}) needs a variable bound by a normal place"
+                    )
+            elif kind is Op:
+                if timed and e.op not in TIME_OPERATORS and depends_on_time(e):
+                    raise DefinitionError(f"{timed}: now()/age() not allowed under {e.op!r}")
+                if e.op not in OPERATORS:
+                    raise DefinitionError(f"transition {t.id!r}: unknown operator {e.op!r}")
+                for a in e.args:
+                    check(a, where, timed)
+            elif kind is DbCount or kind is DbMergeText:
+                at = f"transition {t.id!r}: {'count' if kind is DbCount else 'merge_text'}() in {where}"
+                try:
+                    rel = net.schema.relation(e.relation)
+                except DefinitionError as err:
+                    raise DefinitionError(f"{at}: {err}") from None
+                if len(e.terms) != rel.arity:
+                    raise DefinitionError(
+                        f"{at}: pattern arity {len(e.terms)} does not match relation {rel.name!r} arity {rel.arity}"
+                    )
+                for term in e.terms:
+                    if type(term) not in (Var, Const, Param, Wild):
+                        if timed and depends_on_time(term):
+                            raise DefinitionError(f"{timed}: now()/age() not allowed inside db patterns")
+                        raise DefinitionError(f"{at}: not a pattern term: {term!r}")
+                    check(term, where)
+                if kind is DbMergeText:
+                    for col in (e.order_col, e.text_col):
+                        if type(col) is not int or not 0 <= col < rel.arity:
+                            raise DefinitionError(f"{at}: column {col!r} is out of range for relation {rel.name!r}")
 
-        need(variables(t.guard), "guard")
-        validate_time_usage(t.guard, f"transition {t.id!r} guard")
-        _check_expr(t.guard, normal_bound, t.id)
+        check(t.guard, "guard", f"transition {t.id!r} guard")
         for arc in t.outputs + t.rollbacks:
             if resolve(arc.place).kind == "view":
                 raise DefinitionError(
                     f"transition {t.id!r}: arc to view place {arc.place!r}, whose tokens are its query's rows"
                 )
-            need(variables(arc.expr), f"arc to {arc.place!r}")
+            check(arc.expr, f"arc to {arc.place!r}")
             if arc.when is not None:
-                need(variables(arc.when), f"arc condition on {arc.place!r}")
-                _check_expr(arc.when, normal_bound, t.id)
-            _check_expr(arc.expr, normal_bound, t.id)
+                check(arc.when, f"arc condition on {arc.place!r}")
         if t.rollbacks and not t.actions:
             raise DefinitionError(
                 f"transition {t.id!r}: rollback arcs without database actions can never fire them"
@@ -460,21 +499,4 @@ def validate_net(net: Net) -> None:
                     f"transition {t.id!r}: action {call.action!r} takes {len(action.params)} args"
                 )
             for a in call.args:
-                need(variables(a), f"action {call.action!r} argument")
-                validate_time_usage(a, f"transition {t.id!r} action argument")
-                _check_expr(a, normal_bound, t.id)
-
-
-def _check_expr(e, normal_bound: set[str], tid: str) -> None:
-    """Every ``age()`` in ``e`` reads a variable bound by a normal place,
-    and every operator is one that expressions evaluate."""
-    if isinstance(e, Age):
-        if e.var not in normal_bound:
-            raise DefinitionError(
-                f"transition {tid!r}: age({e.var!r}) needs a variable bound by a normal place"
-            )
-    elif isinstance(e, Op):
-        if e.op not in OPERATORS:
-            raise DefinitionError(f"transition {tid!r}: unknown operator {e.op!r}")
-        for a in e.args:
-            _check_expr(a, normal_bound, tid)
+                check(a, f"action {call.action!r} argument", f"transition {t.id!r} action argument")

@@ -571,7 +571,10 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
     consts: list = [None]
     picks = []
     for tmpl in action.adds + action.dels:
-        rel = schema.relation(tmpl.relation)
+        try:
+            rel = schema.relation(tmpl.relation)
+        except DefinitionError as e:
+            raise DefinitionError(f"action {action.name!r}: {e}") from None
         if len(tmpl.terms) != rel.arity:
             raise DefinitionError(
                 f"action {action.name!r}: template for {tmpl.relation!r} has wrong arity"
@@ -604,6 +607,12 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
         key = tuple(idx[pos] if pos in kidx else npar for pos in range(max(kidx) + 1))
         adds.append((rel, _picker(tuple(idx)), _picker(key), kidx))
     return _arg_check("action", action.name, action.params), tuple(consts), dels, tuple(adds)
+
+
+def check_action(schema: Schema, action: Action) -> None:
+    """Check ``action`` against ``schema`` and keep its plan, as its first
+    firing would; a DefinitionError names the action."""
+    _plan(schema, action, _compile_action)
 
 
 def apply_action_delta(
@@ -703,7 +712,7 @@ def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
     DefinitionError when a relation the action touches holds duplicate
     keys, since actions need a compliant instance."""
     schema = instance.schema
-    _plan(schema, action, _compile_action)
+    check_action(schema, action)
     touched = dict.fromkeys(t.relation for t in action.dels + action.adds)
     bad = check_compliance(instance, Schema(tuple(schema.relation(n) for n in touched)))
     if bad:

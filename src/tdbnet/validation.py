@@ -171,12 +171,11 @@ def check_order(
     schema = trace.final.instance.schema
     rel = schema.relation(output_relation)
     names = [c.name for c in rel.columns]
+    for column in (ord_column, seq_column):
+        if isinstance(column, str) and column not in names:
+            raise ValueError(f"relation {output_relation!r} has no column {column!r}")
     oi = names.index(ord_column) if isinstance(ord_column, str) else ord_column
-    si = (
-        names.index(seq_column)
-        if isinstance(seq_column, str)
-        else seq_column
-    )
+    si = names.index(seq_column) if isinstance(seq_column, str) else seq_column
     last: dict[object, object] = {}
     for values, at in row_inserts(trace, output_relation):
         key = values[si] if si is not None else None

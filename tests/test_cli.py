@@ -11,8 +11,9 @@ import pytest
 import tdbnet
 from tdbnet import cli
 from tdbnet.engine import run
-from tdbnet.formats import serialize_trace
+from tdbnet.formats import parse_trace, serialize_trace
 from tdbnet.patterns import build_throttler, with_workload
+from tdbnet.scenarios import SCENARIOS
 from tdbnet.workloads import parse_workload
 
 
@@ -43,6 +44,26 @@ def test_unknown_check_is_a_usage_error(tmp_path, capsys):
     _run(tmp_path)
     assert cli.main(["validate", str(tmp_path / "t.trace.jsonl"), "--check", "speed:1"]) == cli.EXIT_USAGE
     assert "unknown check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec,reason",
+    [
+        ("rate:out_log:five:1000", "invalid literal for int() with base 10: 'five'"),
+        ("order:out_log:nope", "relation 'out_log' has no column 'nope'"),
+        ("rate:NOPE:5:1000", "unknown relation 'NOPE'"),
+        ("delay:in_log:out_log:-1", "d must be >= 0"),
+        ("rate:out_log:5:0", "bucket must be > 0"),
+    ],
+    ids=["int-field", "unknown-column", "unknown-relation", "negative-delay", "zero-bucket"],
+)
+def test_a_malformed_check_is_a_usage_error(tmp_path, capsys, spec, reason):
+    # each printed a traceback
+    _run(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["validate", str(tmp_path / "t.trace.jsonl"), "--check", spec]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --check {spec!r}: {reason}\n"
+    assert not (tmp_path / "t.report.json").exists()
 
 
 def test_validate_without_a_check_is_a_usage_error(tmp_path, capsys):
@@ -106,3 +127,21 @@ def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
             assert err == ""
         # the files are written before anything is printed
         assert trace.exists() and (tmp_path / f"t{unbuffered}.report.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_runs_and_writes_its_files(tmp_path, capsys, name):
+    assert cli.main(["scenario", name, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert f"scenario {name}: ok" in capsys.readouterr().out
+    report = json.loads((tmp_path / f"{name}.report.json").read_text(encoding="utf-8"))
+    assert report["all_pass"] is True
+    labels = [label for label, _ in SCENARIOS[name].execute(None).traces]
+    assert sorted(p.name for p in tmp_path.glob("*.trace.jsonl")) == sorted(f"{name}-{label}.trace.jsonl" for label in labels)
+    for label in labels:
+        parse_trace((tmp_path / f"{name}-{label}.trace.jsonl").read_text(encoding="utf-8"))
+
+
+def test_an_unknown_scenario_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["scenario", "nope", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: unknown scenario 'nope'; available: ")
+    assert list(tmp_path.iterdir()) == []

@@ -871,13 +871,23 @@ def _future_token_doc(net):
     parse_net(json.dumps(doc))
 
 
+def _future_token(net):
+    # built by hand: initial_snapshot rejects it
+    return Snapshot(Instance.empty(net.schema), Marking({"p": [Token(1, 3), Token(2, 6)]}), 3)
+
+
 @pytest.mark.parametrize(
     "entry,error,where",
     [
         (lambda net: initial_snapshot(net, tokens={"p": [Token(1, 3), Token(2, 6)]}, clock=3), DefinitionError, ""),
         (_future_token_doc, DocumentError, "initial_instance: "),
+        (lambda net: run(net, _future_token(net)), DefinitionError, ""),
+        (lambda net: fire(net, _future_token(net), "t", {"x": 2}, at=8), DefinitionError, ""),
+        (lambda net: enabled(net, _future_token(net)), DefinitionError, ""),
+        (lambda net: advance_clock(net, _future_token(net)), DefinitionError, ""),
+        (lambda net: _replay_snapshot(net, _future_token(net)), DefinitionError, ""),
     ],
-    ids=["initial_snapshot", "parse_net"],
+    ids=["initial_snapshot", "parse_net", "run", "fire", "enabled", "advance_clock", "replay"],
 )
 def test_token_created_after_the_clock_is_rejected(entry, error, where):
     # its age would start out negative

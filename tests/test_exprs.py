@@ -15,7 +15,6 @@ from tdbnet.exprs import (
     Const,
     DbCount,
     DbMergeText,
-    DefinitionError,
     EvalError,
     Now,
     Op,
@@ -28,8 +27,6 @@ from tdbnet.exprs import (
     guard_truth,
     match_pattern,
     pattern_vars,
-    validate_time_usage,
-    variables,
 )
 from tdbnet.persistence import Column, Instance, Relation, Schema
 from tdbnet.values import INT, TEXT
@@ -107,12 +104,6 @@ def test_db_merge_text_orders_by_ordinal():
     assert eval_expr(sep, {"s": 1}, instance=inst) == "a|b"
 
 
-def test_variables_walks_all_nodes():
-    e = Op("and", (Op(">", (Var("x"), Const(1))), Op("<", (Age("m"), Var("y")))))
-    assert variables(e) == {"x", "y", "m"}
-    assert variables(DbCount("msgs", (Var("s"), Wild(), Wild()))) == {"s"}
-
-
 class TestMatchPattern:
     def test_tuple_pattern_binds(self):
         env = match_pattern((Var("a"), Var("b")), (1, "x"), {})
@@ -174,22 +165,6 @@ def test_depends_on_time():
     assert depends_on_time(Now())
     assert depends_on_time(Op("+", (Const(1), Age("m"))))
     assert not depends_on_time(Op(">", (Var("x"), Const(5))))
-
-
-def test_time_usage_rejects_multiplication():
-    with pytest.raises(DefinitionError):
-        validate_time_usage(Op("*", (Now(), Const(2))), "here")
-    with pytest.raises(DefinitionError):
-        validate_time_usage(Op("min", (Age("m"), Const(5))), "here")
-    # additive and comparison use stays legal
-    validate_time_usage(Op(">=", (Op("-", (Now(), Var("cr"))), Const(100))), "here")
-    # and multiplication of time-free operands is fine
-    validate_time_usage(Op("*", (Var("x"), Const(2))), "here")
-
-
-def test_time_usage_rejects_time_inside_db_patterns():
-    with pytest.raises(DefinitionError):
-        validate_time_usage(DbCount("msgs", (Now(), Wild(), Wild())), "here")
 
 
 def test_and_or_raise_errors_of_every_argument():

@@ -1,0 +1,217 @@
+"""Static validation: ``validate_net`` rejects each malformed net with one
+located message, the same through ``parse_net``, and accepts well-formed
+inscriptions."""
+
+from dataclasses import replace
+
+import pytest
+
+from tdbnet.exprs import Age, Const, DbCount, DbMergeText, DefinitionError, Now, Op, Param, Var, Wild
+from tdbnet.formats import DocumentError, parse_net, serialize_net
+from tdbnet.net import (
+    ActionCall,
+    InputArc,
+    Marking,
+    Net,
+    OutputArc,
+    Place,
+    Snapshot,
+    Transition,
+    validate_net,
+)
+from tdbnet.persistence import Action, Atom, Column, FactTemplate, Instance, Query, Relation, Schema
+from tdbnet.values import INT, TEXT, product
+
+R = Relation("R", (Column("a", INT), Column("b", TEXT)), ("a",))
+PUT = Action("put", params=(("a", INT),), adds=(FactTemplate("R", (Param("a"), Const("x"))),))
+Q_R = Query("q_r", atoms=(Atom("R", (Var("a"), Wild())),), output=("a",))
+
+
+def _base() -> Net:
+    """t: p (normal, binds x) and v (a view over R, binds y) -> o, calling
+    put(x).  Each case below makes one fault in it."""
+    t = Transition(
+        "t",
+        inputs=(InputArc("p", Var("x")), InputArc("v", Var("y"))),
+        outputs=(OutputArc("o", Var("x")),),
+        actions=(ActionCall("put", (Var("x"),)),),
+    )
+    return Net(
+        places=(Place("p", INT), Place("v", INT, kind="view", query="q_r"), Place("o", INT)),
+        transitions=(t,),
+        schema=Schema((R,)),
+        queries=(Q_R,),
+        actions=(PUT,),
+    )
+
+
+def _t(**fields):
+    """An edit of the base net's transition ``t``."""
+    return lambda net: replace(net, transitions=(replace(net.transitions[0], **fields),))
+
+
+def _guard(e):
+    return _t(guard=e)
+
+
+def _arc(e, when=None):
+    return _t(outputs=(OutputArc("o", e, when),))
+
+
+def _argument(e):
+    return _t(actions=(ActionCall("put", (e,)),))
+
+
+def _gt0(e):
+    return Op(">", (e, Const(0)))
+
+
+UNBOUND_IN_GUARD = "transition 't': variable 'z' in guard is not bound by any input arc"
+
+CASES = [
+    (
+        "query-unknown-relation",
+        lambda net: replace(net, queries=(*net.queries, Query("q_bad", atoms=(Atom("NOPE", (Var("a"),)),), output=("a",)))),
+        "query 'q_bad' atom 0: unknown relation 'NOPE'",
+    ),
+    (
+        # no transition calls it: every action is checked
+        "action-unknown-relation",
+        lambda net: replace(net, actions=(*net.actions, Action("put2", adds=(FactTemplate("NOPE", (Const(1),)),)))),
+        "action 'put2': unknown relation 'NOPE'",
+    ),
+    (
+        "view-query-parameters",
+        lambda net: replace(net, queries=(replace(Q_R, params=(("k", INT),)),)),
+        "place 'v': view-bound query 'q_r' must be parameterless",
+    ),
+    (
+        "view-query-width",
+        lambda net: replace(net, places=(net.places[0], Place("v", product(INT, TEXT), kind="view", query="q_r"), net.places[2])),
+        "place 'v': query yields 1 columns, color has 2",
+    ),
+    ("unknown-input-place", _t(inputs=(InputArc("nope", Var("x")),)), "transition 't' references unknown place 'nope'"),
+    ("unknown-output-place", _t(outputs=(OutputArc("nope", Var("x")),)), "transition 't' references unknown place 'nope'"),
+    (
+        "arc-to-view-place",
+        _t(outputs=(OutputArc("v", Var("x")),)),
+        "transition 't': arc to view place 'v', whose tokens are its query's rows",
+    ),
+    ("unbound-in-guard", _guard(_gt0(Var("z"))), UNBOUND_IN_GUARD),
+    ("unbound-in-arc", _arc(Var("z")), "transition 't': variable 'z' in arc to 'o' is not bound by any input arc"),
+    (
+        "unbound-in-arc-condition",
+        _arc(Var("x"), _gt0(Var("z"))),
+        "transition 't': variable 'z' in arc condition on 'o' is not bound by any input arc",
+    ),
+    (
+        "unbound-in-action-argument",
+        _argument(Op("+", (Var("x"), Var("z")))),
+        "transition 't': variable 'z' in action 'put' argument is not bound by any input arc",
+    ),
+    ("unbound-age", _guard(Op("<", (Age("z"), Const(5)))), UNBOUND_IN_GUARD),
+    ("unbound-in-count", _guard(_gt0(DbCount("R", (Var("z"), Wild())))), UNBOUND_IN_GUARD),
+    (
+        "unbound-in-merge-text",
+        _arc(DbMergeText("R", (Wild(), Var("z")), 0, 1)),
+        "transition 't': variable 'z' in arc to 'o' is not bound by any input arc",
+    ),
+    (
+        "age-of-view-variable",
+        _guard(Op("<", (Age("y"), Const(5)))),
+        "transition 't': age('y') needs a variable bound by a normal place",
+    ),
+    ("unknown-operator", _guard(Op("frobnicate", ())), "transition 't': unknown operator 'frobnicate'"),
+    ("unknown-operator-in-arc", _arc(Op("pow", (Var("x"), Const(2)))), "transition 't': unknown operator 'pow'"),
+    (
+        "time-under-mul",
+        _guard(Op(">", (Op("*", (Now(), Const(2))), Const(5)))),
+        "transition 't' guard: now()/age() not allowed under '*'",
+    ),
+    ("time-under-min", _guard(Op("min", (Age("x"), Const(5)))), "transition 't' guard: now()/age() not allowed under 'min'"),
+    (
+        "time-under-mul-in-action-argument",
+        _argument(Op("*", (Now(), Const(2)))),
+        "transition 't' action argument: now()/age() not allowed under '*'",
+    ),
+    (
+        "time-in-count",
+        _guard(_gt0(DbCount("R", (Now(), Wild())))),
+        "transition 't' guard: now()/age() not allowed inside db patterns",
+    ),
+    (
+        "time-in-count-in-action-argument",
+        _argument(DbCount("R", (Age("x"), Wild()))),
+        "transition 't' action argument: now()/age() not allowed inside db patterns",
+    ),
+    (
+        "rollback-without-actions",
+        _t(rollbacks=(OutputArc("o", Var("x")),), actions=()),
+        "transition 't': rollback arcs without database actions can never fire them",
+    ),
+    ("unknown-action", _t(actions=(ActionCall("nope", ()),)), "unknown action 'nope'"),
+    ("action-argument-count", _t(actions=(ActionCall("put", ()),)), "transition 't': action 'put' takes 1 args"),
+    (
+        "count-unknown-relation",
+        _guard(_gt0(DbCount("NOPE", (Var("x"),)))),
+        "transition 't': count() in guard: unknown relation 'NOPE'",
+    ),
+    (
+        "count-pattern-arity",
+        _guard(_gt0(DbCount("R", (Var("x"), Var("x"), Wild())))),
+        "transition 't': count() in guard: pattern arity 3 does not match relation 'R' arity 2",
+    ),
+    (
+        "count-operator-term",
+        _arc(DbCount("R", (Op("+", (Var("x"), Const(1))), Wild()))),
+        "transition 't': count() in arc to 'o': not a pattern term: Op(op='+', args=(Var(name='x'), Const(value=1)))",
+    ),
+    (
+        "count-age-term",
+        _arc(Var("x"), _gt0(DbCount("R", (Age("x"), Wild())))),
+        "transition 't': count() in arc condition on 'o': not a pattern term: Age(var='x')",
+    ),
+    (
+        "merge-text-column",
+        _arc(DbMergeText("R", (Wild(), Wild()), 0, 7)),
+        "transition 't': merge_text() in arc to 'o': column 7 is out of range for relation 'R'",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit,message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_one_fault_is_rejected(edit, message):
+    net = edit(_base())
+    with pytest.raises(DefinitionError) as exc:
+        validate_net(net)
+    assert str(exc.value) == message
+    # a document fails where its net is built, except where a codec
+    # rejects the node first
+    document = serialize_net(net, Snapshot(Instance.empty(net.schema), Marking(), 0))
+    with pytest.raises(DocumentError) as exc:
+        parse_net(document)
+    if message.endswith("unknown operator 'frobnicate'"):
+        assert exc.value.diagnostics == ["transitions[0].guard.op: unknown operator 'frobnicate'"]
+    elif message.endswith("unknown operator 'pow'"):
+        assert exc.value.diagnostics == ["transitions[0].outputs[0].expr.op: unknown operator 'pow'"]
+    else:
+        assert exc.value.diagnostics == [f"net: {message}"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda net: net,
+        _guard(Op(">=", (Op("-", (Now(), Var("x"))), Const(100)))),
+        _guard(Op("and", (Op("<", (Age("x"), Const(10))), Op("not", (Op("=", (Now(), Const(3))),))))),
+        _guard(_gt0(Op("*", (Var("x"), Const(2))))),
+        _guard(_gt0(DbCount("R", (Var("x"), Wild())))),
+        _arc(Op("*", (Now(), Const(2)))),
+        _arc(DbMergeText("R", (Var("x"), Const("x")), 1, 0)),
+    ],
+    ids=["base", "additive", "logical", "time-free-mul", "count", "time-under-mul-in-arc", "merge-text"],
+)
+def test_well_formed_inscription_is_accepted(edit):
+    # the solver's shape binds guards and action arguments only, and a
+    # pattern term may be a constant, wildcard or bound variable
+    validate_net(edit(_base()))

@@ -411,9 +411,10 @@ def test_replay_never_enumerates(monkeypatch):
 def test_replay_rejects_event_before_the_clock(timer_net):
     initial = initial_snapshot(timer_net, tokens={"ch2": ["a", "b"]}, clock=100)
     snap, first = fire(timer_net, initial, "Timer", {"m": "a"}, 300, step=0)
-    rewound = Snapshot(snap.instance, snap.marking, 0)
-    final, second = fire(timer_net, rewound, "Timer", {"m": "b"}, 200, step=1)
-    tr = Trace(TraceMeta(timer_net.fingerprint(), "eager", None), initial, (first, second), final)
+    # fire admits no snapshot rewound before its tokens, so the second
+    # event is moved back in time after it is made
+    final, second = fire(timer_net, snap, "Timer", {"m": "b"}, 500, step=1)
+    tr = Trace(TraceMeta(timer_net.fingerprint(), "eager", None), initial, (first, second._replace(time=200)), final)
     with pytest.raises(FiringError, match=r"event 1 at time 200 precedes the clock 300"):
         replay(timer_net, tr)
 
