@@ -12,11 +12,17 @@ Serialization is canonical: equal in-memory values produce identical bytes
 problem raises :class:`DocumentError` carrying path-addressed diagnostics.
 
 Each node kind of a net document is described once, as a codec: a
-``(dump, load)`` pair whose ``load(node, path)`` raises a DocumentError
-located at ``path``.  ``net_to_json`` and ``parse_net`` walk the same
+``(dump, load)`` pair.  ``net_to_json`` and ``parse_net`` walk the same
 section codecs, so a malformed shape anywhere in a document (an object
 where a list belongs, a missing field, a float delay) is a located error.
-The codecs are built from a few primitives:
+``load(node)`` takes no path: what it rejects is a DocumentError whose
+diagnostics are located relative to ``node``, each beginning with the path
+from it to the fault (``": expected a list"`` for the node itself,
+``".facts[3]: ..."`` below it).  The caller that knows where the node
+sits puts its own step in front, so a location is formatted only for a
+fault.  A list or an object is read in one pass; only when an item fails
+are its items read again, one by one, to locate every fault.  The codecs
+are built from a few primitives:
 
 ==================  ========================================================
 ``_STR``, ``_INT``  a string, an integer; ``_VALUE`` a token value
@@ -31,9 +37,15 @@ The codecs are built from a few primitives:
 ==================  ========================================================
 
 The relations of a net document and of a trace header share one codec.
-Value tuples map to JSON arrays, as ``json`` writes any tuple.  Trace
-events are read by the hand-written ``event_from_json``, which runs once
-per event; a trace's header and footer go through codecs.
+Value tuples map to JSON arrays, as ``json`` writes any tuple.  A trace is
+read by one converter per node kind, on the same terms: ``json_to_value``,
+``_token``, ``_fact``, ``_event``, and ``_SNAPSHOT`` for the header's and
+the footer's snapshots.  Each line is scanned by one shared JSON decoder
+and converted at once to its event, so that the decoded record is freed
+as soon as it is read.  A line that is not one JSON value alone, or not a
+well-formed event, is read again in its turn, by ``json.loads`` or by
+``_event`` under its line number, for its diagnostic: the faults are
+reported in the order in which the records are checked.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from itertools import count, repeat
 from typing import Callable, NamedTuple, Optional
 
 from .engine import FiringEvent, Trace, TraceMeta
@@ -108,19 +121,61 @@ def canonical_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
+# locations: a diagnostic is located relative to the node read, and each
+# caller puts its own step in front
+
+
+def _within(step: str, e: DocumentError) -> DocumentError:
+    """``e`` with each of its diagnostics moved below ``step``."""
+    return DocumentError([step + d for d in e.diagnostics])
+
+
+def _located(step: str, load: Callable, node, *args):
+    """``load(node, *args)``, for a node at ``step`` below the one being
+    read."""
+    try:
+        return load(node, *args)
+    except DocumentError as e:
+        raise _within(step, e) from None
+
+
+def _not(step: str, node, what: str) -> DocumentError:
+    return DocumentError([f"{step}: {json.dumps(node)} is not {what}"])
+
+
+def _gather(loads, nodes, steps) -> list:
+    """``[load(x) for load, x in zip(loads, nodes)]``, or one DocumentError
+    with the diagnostics of every node that fails, each below its step."""
+    out, diags = [], []
+    for load, node, step in zip(loads, nodes, steps):
+        try:
+            out.append(load(node))
+        except DocumentError as e:
+            diags.extend(step + d for d in e.diagnostics)
+    if diags:
+        raise DocumentError(diags)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # values
 
+_LEAVES = frozenset((int, str, bool))
 
-def json_to_value(v, path: str):
+
+def json_to_value(v):
     """The value a JSON value stands for: an int, a string or a bool, or a
     list of them as a tuple.  Anything else (a float, null, an object) is
-    a DocumentError located at ``path``."""
+    a DocumentError located at the value, however deep in it the fault
+    sits."""
     t = type(v)
-    if t is list:
-        return tuple([json_to_value(x, path) for x in v])
-    if t is int or t is str or t is bool:
+    if t in _LEAVES:
         return v
-    raise DocumentError([f"{path}: {json.dumps(v)} is not a value (an int, a string, a bool or a list of them)"])
+    if t is list:
+        if _LEAVES.issuperset(map(type, v)):
+            return tuple(v)
+        return tuple([json_to_value(x) for x in v])
+    raise _not("", v, "a value (an int, a string, a bool or a list of them)")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +185,7 @@ def json_to_value(v, path: str):
 @dataclass(frozen=True)
 class _Codec:
     dump: Callable  # in-memory value -> JSON value
-    load: Callable  # (JSON value, path) -> in-memory value, or DocumentError
+    load: Callable  # JSON value -> in-memory value, or a DocumentError located relative to it
     optional: bool = False  # a record may omit the field, which keeps its default
 
 
@@ -139,9 +194,9 @@ def _same(x):
 
 
 def _scalar(kind: type, what: str) -> _Codec:
-    def load(node, path):
+    def load(node):
         if type(node) is not kind:
-            raise DocumentError([f"{path}: {json.dumps(node)} is not {what}"])
+            raise _not("", node, what)
         return node
 
     return _Codec(_same, load)
@@ -152,32 +207,18 @@ _INT = _scalar(int, "an integer")
 _VALUE = _Codec(_same, json_to_value)
 
 
-def _expect(node, kind: type, path: str) -> None:
+def _expect(node, kind: type) -> None:
     if type(node) is not kind:
-        raise DocumentError([f"{path}: expected {'a list' if kind is list else 'an object'}"])
+        raise DocumentError([f": expected {'a list' if kind is list else 'an object'}"])
 
 
-def _collect(items) -> list:
-    """``[load(node, path) for load, node, path in items]``, or one
-    DocumentError with the diagnostics of every item that fails."""
-    out, diags = [], []
-    for load, node, path in items:
-        try:
-            out.append(load(node, path))
-        except DocumentError as e:
-            diags.extend(e.diagnostics)
-    if diags:
-        raise DocumentError(diags)
-    return out
-
-
-def _made(path: str, make, *args, **kwargs):
+def _made(step: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with the DefinitionError (or other
-    ValueError) that it raises located at ``path``."""
+    ValueError) that it raises located at ``step``."""
     try:
         return make(*args, **kwargs)
     except ValueError as e:
-        raise DocumentError([f"{path}: {e}"]) from None
+        raise DocumentError([f"{step}: {e}"]) from None
 
 
 def _optional(codec: _Codec) -> _Codec:
@@ -185,15 +226,22 @@ def _optional(codec: _Codec) -> _Codec:
     that has none) is written as null, and an empty list is read as None."""
     return _Codec(
         lambda x: None if x is None or x == () else codec.dump(x),
-        lambda node, path: None if node is None or node == [] else codec.load(node, path),
+        lambda node: None if node is None or node == [] else codec.load(node),
         optional=True,
     )
 
 
 def _list(item: _Codec) -> _Codec:
-    def load(node, path):
-        _expect(node, list, path)
-        return tuple(_collect((item.load, x, f"{path}[{i}]") for i, x in enumerate(node)))
+    """A list of ``item``, with the diagnostics of every item that fails."""
+    each = item.load
+
+    def load(node):
+        _expect(node, list)
+        try:
+            return tuple([each(x) for x in node])
+        except DocumentError:
+            # read the items again, one by one, to locate every fault
+            return tuple(_gather(repeat(each), node, map("[{}]".format, count())))
 
     return _Codec(lambda xs: [item.dump(x) for x in xs], load)
 
@@ -201,23 +249,29 @@ def _list(item: _Codec) -> _Codec:
 def _items(*codecs: _Codec) -> _Codec:
     """A list of ``len(codecs)`` items, read as a tuple, one codec per
     position."""
+    loads = [c.load for c in codecs]
+    steps = [f"[{i}]" for i in range(len(codecs))]
 
-    def load(node, path):
-        _expect(node, list, path)
+    def load(node):
+        _expect(node, list)
         if len(node) != len(codecs):
-            raise DocumentError([f"{path}: expected a list of length {len(codecs)}, found {len(node)}"])
-        return tuple(_collect((c.load, x, f"{path}[{i}]") for i, (c, x) in enumerate(zip(codecs, node))))
+            raise DocumentError([f": expected a list of length {len(codecs)}, found {len(node)}"])
+        return tuple(_gather(loads, node, steps))
 
     return _Codec(lambda xs: [c.dump(x) for c, x in zip(codecs, xs)], load)
 
 
 def _mapping(codec: _Codec) -> _Codec:
     """An object whose values are ``codec``, read in key order."""
+    each = codec.load
 
-    def load(node, path):
-        _expect(node, dict, path)
+    def load(node):
+        _expect(node, dict)
         keys = sorted(node)
-        return dict(zip(keys, _collect((codec.load, node[k], f"{path}.{k}") for k in keys)))
+        try:
+            return {k: each(node[k]) for k in keys}
+        except DocumentError:
+            return dict(zip(keys, _gather(repeat(each), [node[k] for k in keys], map(".{}".format, keys))))
 
     return _Codec(lambda m: {k: codec.dump(v) for k, v in m.items()}, load)
 
@@ -229,21 +283,21 @@ def _record(make, **codecs) -> _Codec:
     the value; what it rejects is located at the object."""
     spec = [(key, *(c if type(c) is tuple else (key, c))) for key, c in codecs.items()]
 
-    def load(node, path):
-        _expect(node, dict, path)
+    def load(node):
+        _expect(node, dict)
         values, diags = {}, []
         for key, attr, codec in spec:
             if key not in node:
                 if not codec.optional:
-                    diags.append(f"{path}: missing field {key!r}")
+                    diags.append(f": missing field {key!r}")
                 continue
             try:
-                values[attr] = codec.load(node[key], f"{path}.{key}")
+                values[attr] = codec.load(node[key])
             except DocumentError as e:
-                diags.extend(e.diagnostics)
+                diags.extend(f".{key}{d}" for d in e.diagnostics)
         if diags:
             raise DocumentError(diags)
-        return _made(path, make, **values)
+        return _made("", make, **values)
 
     return _Codec(lambda x: {key: codec.dump(getattr(x, attr)) for key, attr, codec in spec}, load)
 
@@ -256,10 +310,10 @@ def _colors(table: dict) -> _Codec:
     """A color stored as its name in ``table``."""
     names = {color: name for name, color in table.items()}
 
-    def load(node, path):
-        name = _STR.load(node, path)
+    def load(node):
+        name = _STR.load(node)
         if name not in table:
-            raise DocumentError([f"{path}: unknown color {name!r}"])
+            raise DocumentError([f": unknown color {name!r}"])
         return table[name]
 
     return _Codec(names.__getitem__, load)
@@ -283,17 +337,17 @@ def _dump_expr(e):
     return {"op": op, "args": _EXPRS[op][1].dump([getattr(e, f.name) for f in fields(e)])}
 
 
-def _load_expr(node, path):
+def _load_expr(node):
     if type(node) is not dict or "op" not in node:
-        raise DocumentError([f"{path}: expected an expression object with 'op'"])
-    op = _STR.load(node["op"], f"{path}.op")
+        raise DocumentError([": expected an expression object with 'op'"])
+    op = _located(".op", _STR.load, node["op"])
     args = node.get("args", [])
     if op not in _EXPRS:
         if op not in OPERATORS:
-            raise DocumentError([f"{path}.op: unknown operator {op!r}"])
-        return Op(op, _TERMS.load(args, f"{path}.args"))
+            raise DocumentError([f".op: unknown operator {op!r}"])
+        return Op(op, _located(".args", _TERMS.load, args))
     make, codec = _EXPRS[op]
-    return make(*codec.load(args, f"{path}.args"))
+    return make(*_located(".args", codec.load, args))
 
 
 _EXPR = _Codec(_dump_expr, _load_expr)
@@ -310,10 +364,21 @@ _EXPRS = {
     "merge_text": (DbMergeText, _items(_STR, _TERMS, _INT, _INT, _STR)),
 }
 _OPS = {make: op for op, (make, _) in _EXPRS.items()}
+
+
+def _load_term(node):
+    term = _EXPR.load(node)
+    if type(term) not in (Var, Const, Wild):
+        raise DocumentError([f".op: {node['op']!r} is not an input pattern term (var, const or wild)"])
+    return term
+
+
 # an input arc's pattern: a term, or a tuple of terms as a list
+_TERM = _Codec(_dump_expr, _load_term)
+_PATTERN_TERMS = _list(_TERM)
 _PATTERN = _Codec(
-    lambda p: _TERMS.dump(p) if type(p) is tuple else _EXPR.dump(p),
-    lambda node, path: _TERMS.load(node, path) if type(node) is list else _EXPR.load(node, path),
+    lambda p: _PATTERN_TERMS.dump(p) if type(p) is tuple else _TERM.dump(p),
+    lambda node: _PATTERN_TERMS.load(node) if type(node) is list else _TERM.load(node),
 )
 
 
@@ -326,23 +391,26 @@ def token_to_json(tok: Token):
     return {"value": value, "at": at}
 
 
-def token_from_json(node, path: str) -> Token:
-    if not isinstance(node, dict) or "value" not in node or type(node.get("at")) is not int:
-        raise DocumentError([f"{path}: expected a token object with a value and an integer at"])
-    return Token(json_to_value(node["value"], path), node["at"])
+# a Token or a FiringEvent built from its fields without the NamedTuple's
+# Python-level __new__
+_new = tuple.__new__
 
 
-def fact_from_json(node, path: str) -> tuple:
-    if not (isinstance(node, list) and len(node) == 3 and isinstance(node[1], list) and type(node[2]) is int):
-        raise DocumentError([f"{path}: expected [relation, values, at] with an integer at"])
-    return node[0], json_to_value(node[1], path), node[2]
+def _token(node) -> Token:
+    if type(node) is not dict or "value" not in node or type(node.get("at")) is not int:
+        raise DocumentError([": expected a token object with a value and an integer at"])
+    return _new(Token, (json_to_value(node["value"]), node["at"]))
 
 
-def _stored_fact(node, path: str) -> tuple:
-    """``fact_from_json`` with its relation's name checked, for an Instance."""
-    fact = fact_from_json(node, path)
-    _STR.load(fact[0], f"{path}[0]")
-    return fact
+def _fact(node) -> tuple:
+    """A stored row ``[relation, values, at]`` as ``(relation, values, at)``."""
+    if not (type(node) is list and len(node) == 3 and type(node[1]) is list and type(node[2]) is int):
+        raise DocumentError([": expected [relation, values, at] with an integer at"])
+    relation, values, at = node
+    values = json_to_value(values)
+    if type(relation) is not str:
+        raise _not("[0]", relation, "a string")
+    return relation, values, at
 
 
 class _Parts(NamedTuple):
@@ -354,8 +422,8 @@ class _Parts(NamedTuple):
     marking: Optional[dict] = None
 
 
-_FACTS = _list(_Codec(_same, _stored_fact))
-_MARKING = _mapping(_list(_Codec(token_to_json, token_from_json)))
+_FACTS = _list(_Codec(_same, _fact))
+_MARKING = _mapping(_list(_Codec(token_to_json, _token)))
 _SNAPSHOT = _record(_Parts, clock=_INT, facts=_FACTS, marking=_MARKING)
 
 
@@ -373,7 +441,7 @@ _RELATIONS = _list(
 # the relations of a net document and of a trace header
 _SCHEMA = _Codec(
     lambda schema: _RELATIONS.dump(schema.relations),
-    lambda node, path: _made(path, Schema, _RELATIONS.load(node, path)),
+    lambda node: _made("", Schema, _RELATIONS.load(node)),
 )
 _PARAMS = _list(_items(_STR, _SCALAR))
 _TEMPLATES = _list(_record(FactTemplate, relation=_STR, terms=_TERMS))
@@ -444,7 +512,7 @@ def serialize_net(net: Net, initial: Snapshot) -> str:
 def _read(doc: dict, **sections: _Codec) -> list:
     """The named sections of a net document, each read by its codec, or one
     DocumentError with the diagnostics of every section that fails."""
-    return _collect((codec.load, doc[key], key) for key, codec in sections.items())
+    return _gather([codec.load for codec in sections.values()], [doc[key] for key in sections], sections)
 
 
 def parse_net(text: str) -> tuple[Net, Snapshot]:
@@ -472,14 +540,6 @@ def parse_net(text: str) -> tuple[Net, Snapshot]:
 # snapshots and traces
 
 
-def _integer(node, key: str, path: str) -> int:
-    """``node[key]``, which must be an int."""
-    value = node[key]
-    if type(value) is not int:
-        raise DocumentError([f"{path}.{key}: {json.dumps(value)} is not an integer"])
-    return value
-
-
 def snapshot_to_json(snap: Snapshot):
     return {
         "clock": snap.clock,
@@ -492,19 +552,13 @@ def snapshot_to_json(snap: Snapshot):
     }
 
 
-def snapshot_from_json(node, schema: Schema, path: str) -> Snapshot:
-    clock, facts, marking = _SNAPSHOT.load(node, path)
-    return _made(path, lambda: Snapshot(Instance.from_facts(schema, facts), Marking(marking), clock))
+def _snapshot(node, schema: Schema) -> Snapshot:
+    clock, facts, marking = _SNAPSHOT.load(node)
+    return _made("", lambda: Snapshot(Instance.from_facts(schema, facts), Marking(marking), clock))
 
 
 def _pairs_to_json(pairs):
     return [[pid, token_to_json(tok)] for pid, tok in pairs]
-
-
-def _pairs_from_json(node, path: str):
-    return tuple(
-        (pid, token_from_json(tok, f"{path}[{i}]")) for i, (pid, tok) in enumerate(node)
-    )
 
 
 def event_to_json(ev: FiringEvent):
@@ -523,31 +577,72 @@ def event_to_json(ev: FiringEvent):
     }
 
 
-def event_from_json(node, path: str) -> FiringEvent:
+_OUTCOMES = ("committed", "rolled_back", "halted")  # as engine._execute records them
+
+
+def _placed(pair) -> tuple:
+    """A consumed or produced ``[place, token]`` as ``(place, Token)``; a
+    malformed token is located at the pair."""
+    place, token = pair
+    if type(place) is not str:
+        raise _not("[0]", place, "a string")
+    return place, _token(token)
+
+
+def _each(load, node, step: str) -> tuple:
+    """The items of an event's list field ``step``, each read by ``load``;
+    the first that fails is located at its index."""
+    out = []
     try:
-        return FiringEvent(
-            step=_integer(node, "step", path),
-            time=_integer(node, "time", path),
-            transition=node["transition"],
-            binding=tuple((k, json_to_value(v, path)) for k, v in node["binding"]),
-            consumed=_pairs_from_json(node["consumed"], f"{path}.consumed"),
-            produced=_pairs_from_json(node["produced"], f"{path}.produced"),
-            added=tuple(fact_from_json(row, f"{path}.added[{i}]") for i, row in enumerate(node["added"])),
-            deleted=tuple(fact_from_json(row, f"{path}.deleted[{i}]") for i, row in enumerate(node["deleted"])),
-            outcome=node["outcome"],
-        )
+        for x in node:
+            out.append(load(x))
+    except DocumentError as e:
+        raise _within(f"{step}[{len(out)}]", e) from None
+    return tuple(out)
+
+
+def _event(node) -> FiringEvent:
+    """An event record as a FiringEvent; the first fault fails it.  A
+    missing key, or a field that does not unpack as a list of pairs, fails
+    with the KeyError, TypeError or ValueError that reading it raised,
+    located at the record."""
+    if type(node) is not dict or node.get("kind") != "event":
+        raise DocumentError([": expected an event record"])
+    try:
+        step = node["step"]
+        if type(step) is not int:
+            raise _not(".step", step, "an integer")
+        time = node["time"]
+        if type(time) is not int:
+            raise _not(".time", time, "an integer")
+        transition = node["transition"]
+        if type(transition) is not str:
+            raise _not(".transition", transition, "a string")
+        binding = []
+        for name, value in node["binding"]:
+            if type(name) is not str:
+                raise _not(f".binding[{len(binding)}][0]", name, "a string")
+            binding.append((name, json_to_value(value)))
+        consumed = _each(_placed, node["consumed"], ".consumed")
+        produced = _each(_placed, node["produced"], ".produced")
+        added = _each(_fact, node["added"], ".added")
+        deleted = _each(_fact, node["deleted"], ".deleted")
+        outcome = node["outcome"]
+        if outcome not in _OUTCOMES:
+            raise _not(".outcome", outcome, "an outcome (committed, rolled_back or halted)")
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError) as e:
-        raise DocumentError([f"{path}: {e}"]) from None
+        raise DocumentError([f": {e}"]) from None
+    return _new(FiringEvent, (step, time, transition, tuple(binding), consumed, produced, added, deleted, outcome))
 
 
 def snapshot_digest(snap: Snapshot) -> str:
-    return _digest(snapshot_to_json(snap))
+    return _digest(canonical_json(snapshot_to_json(snap)))
 
 
-def _digest(snapshot_json) -> str:
-    return hashlib.sha256(canonical_json(snapshot_json).encode()).hexdigest()
+def _digest(snapshot_text: str) -> str:
+    return hashlib.sha256(snapshot_text.encode()).hexdigest()
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -561,26 +656,52 @@ def serialize_trace(trace: Trace) -> str:
     }
     lines = [canonical_json(header)]
     lines.extend(canonical_json(event_to_json(ev)) for ev in trace.events)
-    final = snapshot_to_json(trace.final)
-    footer = {"kind": "footer", "events": len(trace.events), "final": final, "digest": _digest(final)}
-    lines.append(canonical_json(footer))
+    final = canonical_json(snapshot_to_json(trace.final))
+    # the footer's keys in canonical (sorted) order, around the one encoding
+    # of the final snapshot that its digest hashes
+    lines.append(f'{{"digest":"{_digest(final)}","events":{len(trace.events)},"final":{final},"kind":"footer"}}')
     return "\n".join(lines) + "\n"
+
+
+# reads the JSON value at the start of a trace line; json.loads would also
+# match the whitespace around it with a regular expression, twice per line
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _last_record(records: list) -> str:
+    """The last record read, as the message of a later fault names it."""
+    if not records:
+        return "start of file"
+    lineno, node = records[-1]
+    if type(node) is FiringEvent:
+        return f"event at line {lineno}"
+    kind = node.get("kind") if isinstance(node, dict) else None
+    return f"{kind or 'unknown'} at line {lineno}"
 
 
 def parse_trace(text: str) -> Trace:
     records = []
-    last_ok = "start of file"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
         try:
-            records.append((lineno, json.loads(raw)))
-        except json.JSONDecodeError as e:
-            raise DocumentError(
-                [f"line {lineno}: corrupted record ({e.msg}); last complete record: {last_ok}"]
-            ) from None
-        kind = records[-1][1].get("kind") if isinstance(records[-1][1], dict) else None
-        last_ok = f"{kind or 'unknown'} at line {lineno}"
+            node, end = _SCAN(raw, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(raw):
+            # not one JSON value alone on its line: json.loads skips the
+            # whitespace around a value, or says why the line is corrupted
+            if not raw.strip():
+                continue
+            try:
+                node = json.loads(raw)
+            except json.JSONDecodeError as e:
+                raise DocumentError(
+                    [f"line {lineno}: corrupted record ({e.msg}); last complete record: {_last_record(records)}"]
+                ) from None
+        try:
+            node = _event(node)
+        except DocumentError:
+            pass  # not an event record, or a faulty one: read again below, in turn
+        records.append((lineno, node))
     if not records:
         raise DocumentError(["empty trace file"])
     lineno, header = records[0]
@@ -588,19 +709,16 @@ def parse_trace(text: str) -> Trace:
         raise DocumentError([f"line {lineno}: expected header record"])
     _, footer = records[-1]
     if not isinstance(footer, dict) or footer.get("kind") != "footer":
-        raise DocumentError(
-            [f"truncated trace: no footer; last complete record: {last_ok}"]
-        )
+        raise DocumentError([f"truncated trace: no footer; last complete record: {_last_record(records)}"])
     for record, name, key in ((header, "header", "initial"), (footer, "footer", "final")):
         if key not in record:
             raise DocumentError([f"{name}: missing field {key!r}"])
-    schema = _SCHEMA.load(header.get("schema", []), "header.schema")
-    initial = snapshot_from_json(header["initial"], schema, "header.initial")
-    events = []
-    for lineno, node in records[1:-1]:
-        if not isinstance(node, dict) or node.get("kind") != "event":
-            raise DocumentError([f"line {lineno}: expected an event record"])
-        events.append(event_from_json(node, f"line {lineno}"))
+    schema = _located("header.schema", _SCHEMA.load, header.get("schema", []))
+    initial = _located("header.initial", _snapshot, header["initial"], schema)
+    events = [
+        node if type(node) is FiringEvent else _located(f"line {lineno}", _event, node)
+        for lineno, node in records[1:-1]
+    ]
     if footer.get("events") != len(events):
         raise DocumentError(
             [
@@ -608,7 +726,7 @@ def parse_trace(text: str) -> Trace:
                 f"found {len(events)}"
             ]
         )
-    final = snapshot_from_json(footer["final"], schema, "footer.final")
+    final = _located("footer.final", _snapshot, footer["final"], schema)
     if snapshot_digest(final) != footer.get("digest"):
         raise DocumentError(["footer digest does not match the final snapshot"])
     meta = TraceMeta(header.get("net", ""), header.get("policy", "eager"), header.get("seed"))

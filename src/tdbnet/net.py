@@ -34,7 +34,6 @@ from .exprs import (
     Var,
     Wild,
     depends_on_time,
-    pattern_vars,
 )
 from .persistence import Action, Instance, Query, Schema, check_action, check_compliance, check_query, copied_relation, eval_query
 from .values import ColorType, conforms
@@ -392,14 +391,16 @@ def validate_net(net: Net) -> None:
     Every query and action is checked against the schema, whether or not a
     view binds or a transition calls it; a view binds a parameterless query
     of its colour's width; arcs read known places and never produce on a
-    view place; rollback arcs need actions; calls pass the action's arity.
-    Each inscription (guard, arc, arc condition, action argument) is
-    checked in one walk: its variables are bound by input arcs, age() reads
-    one bound by a normal place, its operators are known, and each count or
-    merge_text fits a relation of the schema, with pattern terms that are
-    constants, parameters, wildcards or bound variables.  In guards and
-    action arguments, which the truth solver takes, now() and age() occur
-    only under the TIME_OPERATORS and never inside a db pattern."""
+    view place; rollback arcs need actions; calls pass the action's arity;
+    input-arc patterns are variables, constants and wildcards.  Each
+    inscription (guard, arc, arc condition, action argument) is checked in
+    one walk: its variables are bound by input arcs, age() reads one bound
+    by a normal place, it holds no parameter (a transition has none), its
+    operators are known, and each count or merge_text fits a relation of
+    the schema, with pattern terms that are constants, wildcards or bound
+    variables.  In guards and action arguments, which the truth solver
+    takes, now() and age() occur only under the TIME_OPERATORS and never
+    inside a db pattern."""
     for query in net.queries:
         check_query(net.schema, query)
     for action in net.actions:
@@ -432,10 +433,16 @@ def validate_net(net: Net) -> None:
 
         for arc in t.inputs:
             place = resolve(arc.place)
-            for v in pattern_vars(arc.pattern):
-                bound.add(v)
-                if place.kind == "normal":
-                    normal_bound.add(v)
+            for term in arc.pattern if type(arc.pattern) is tuple else (arc.pattern,):
+                kind = type(term)
+                if kind is Var:
+                    bound.add(term.name)
+                    if place.kind == "normal":
+                        normal_bound.add(term.name)
+                elif kind is not Const and kind is not Wild:
+                    raise DefinitionError(
+                        f"transition {t.id!r}: input arc from {arc.place!r}: not a pattern term: {term!r}"
+                    )
 
         def check(e, where: str, timed: Optional[str] = None) -> None:
             """Raise the first fault of ``e`` in tree order; ``timed``
@@ -451,6 +458,10 @@ def validate_net(net: Net) -> None:
                     raise DefinitionError(
                         f"transition {t.id!r}: age({name!r}) needs a variable bound by a normal place"
                     )
+            elif kind is Param:
+                raise DefinitionError(
+                    f"transition {t.id!r}: parameter {e.name!r} in {where}: a transition has no parameters"
+                )
             elif kind is Op:
                 if timed and e.op not in TIME_OPERATORS and depends_on_time(e):
                     raise DefinitionError(f"{timed}: now()/age() not allowed under {e.op!r}")

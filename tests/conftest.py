@@ -8,8 +8,9 @@ from tdbnet.values import INT, TEXT, product
 
 # ``--hypothesis-profile=ci`` runs the Hypothesis tests that leave their
 # example count to the profile (the generated-net differential in
-# test_scheduler_oracle.py and the store lookup property in
-# test_persistence.py) ten times deeper than the default 100.
+# test_scheduler_oracle.py, the store lookup property in
+# test_persistence.py and the trace decoder differential in
+# test_formats.py) ten times deeper than the default 100.
 settings.register_profile("ci", max_examples=1000)
 
 

@@ -1,11 +1,16 @@
 """Round-trip and diagnostic tests for the net and trace file formats."""
 
+import copy
 import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdbnet.engine import run, replay
+import reference_formats as frozen
+from tdbnet.engine import Trace, run, replay
 from tdbnet.exprs import DefinitionError, Op
 from tdbnet.formats import (
     DocumentError,
@@ -28,7 +33,9 @@ from tdbnet.patterns import (
     build_throttler,
     with_workload,
 )
+from tdbnet.scenarios import halting_bundle
 from tdbnet.validation import Verdict
+from tdbnet.workloads import parse_workload
 
 
 def catalog_bundles():
@@ -251,6 +258,20 @@ class TestNetRoundTrip:
         assert serialize_trace(seeded1) == serialize_trace(seeded2)
 
 
+def _edited_throttler_trace_diagnostics(line, edit) -> list:
+    """The diagnostics of a throttler trace whose record ``line`` is edited
+    in place by ``edit``."""
+    b = build_throttler(5)
+    tr = run(b.net, with_workload(b, [(0, ("a",)), (0, ("b",))]))
+    lines = serialize_trace(tr).splitlines()
+    record = json.loads(lines[line])
+    edit(record)
+    lines[line] = canonical_json(record)
+    with pytest.raises(DocumentError) as exc:
+        parse_trace("\n".join(lines) + "\n")
+    return exc.value.diagnostics
+
+
 class TestTraceRoundTrip:
     def test_empty_trace(self):
         b = build_delayer(100)
@@ -321,15 +342,30 @@ class TestTraceRoundTrip:
     def test_non_integer_time_is_located(self, line, edit, diagnostic):
         # a float time in a trace led to float firing times on replay, as
         # in a net document
-        b = build_throttler(5)
-        tr = run(b.net, with_workload(b, [(0, ("a",)), (0, ("b",))]))
-        lines = serialize_trace(tr).splitlines()
-        record = json.loads(lines[line])
-        edit(record)
-        lines[line] = canonical_json(record)
-        with pytest.raises(DocumentError) as exc:
-            parse_trace("\n".join(lines) + "\n")
-        assert exc.value.diagnostics == [diagnostic]
+        assert _edited_throttler_trace_diagnostics(line, edit) == [diagnostic]
+
+    @pytest.mark.parametrize(
+        "edit,diagnostic",
+        [
+            (lambda r: r.__setitem__("transition", ["t"]), 'line 2.transition: ["t"] is not a string'),
+            (lambda r: r.__setitem__("transition", 5), "line 2.transition: 5 is not a string"),
+            (lambda r: r["binding"][0].__setitem__(0, 5), "line 2.binding[0][0]: 5 is not a string"),
+            (lambda r: r["consumed"][0].__setitem__(0, 5), "line 2.consumed[0][0]: 5 is not a string"),
+            (lambda r: r["produced"][0].__setitem__(0, None), "line 2.produced[0][0]: null is not a string"),
+            (lambda r: r["added"][0].__setitem__(0, 5), "line 2.added[0][0]: 5 is not a string"),
+            (lambda r: r["deleted"][0].__setitem__(0, True), "line 2.deleted[0][0]: true is not a string"),
+            (
+                lambda r: r.__setitem__("outcome", "bogus"),
+                'line 2.outcome: "bogus" is not an outcome (committed, rolled_back or halted)',
+            ),
+        ],
+        ids=["list-transition", "int-transition", "int-binding-name", "int-consumed-place", "null-produced-place",
+             "int-added-relation", "bool-deleted-relation", "unknown-outcome"],
+    )
+    def test_event_name_or_outcome_is_located(self, edit, diagnostic):
+        # each parsed, and replay then died on it with a bare TypeError or
+        # reported a divergence
+        assert _edited_throttler_trace_diagnostics(1, edit) == [diagnostic]
 
     @pytest.mark.parametrize(
         "line,edit,diagnostic",
@@ -379,6 +415,109 @@ class TestTraceRoundTrip:
             parse_trace("\n".join(lines) + "\n")
         assert len(exc.value.diagnostics) == 1
         assert exc.value.diagnostics[0].startswith(diagnostic)
+
+
+def _trace_lines(bundle, arrivals=None) -> tuple:
+    initial = bundle.initial if arrivals is None else with_workload(bundle, arrivals)
+    return tuple(serialize_trace(run(bundle.net, initial)).splitlines())
+
+
+# small catalog traces in which every event field is filled and each
+# outcome occurs: the aggregator's third message arrives after its group's
+# timeout and is rolled back, and the halting net's second write halts
+EDITED_TRACES = (
+    _trace_lines(build_throttler(5), [(0, ("a",)), (0, ("b",))]),
+    _trace_lines(build_resequencer(), parse_workload("resequencer", "perm:3,1,2@0")),
+    _trace_lines(
+        build_aggregator(timeout=100, expiry_grace=50),
+        [(0, (1, 1, 3, "a")), (0, (1, 2, 3, "b")), (130, (1, 3, 3, "c"))],
+    ),
+    _trace_lines(halting_bundle()),
+)
+
+
+def _nodes(node, path=()):
+    """(path, node) for ``node`` and every node below it."""
+    yield path, node
+    if type(node) is dict:
+        for key, child in node.items():
+            yield from _nodes(child, (*path, key))
+    elif type(node) is list:
+        for i, child in enumerate(node):
+            yield from _nodes(child, (*path, i))
+
+
+@st.composite
+def _edited_traces(draw) -> str:
+    """A catalog trace with one edit to one record: a leaf retyped, a key
+    dropped, a list item added or removed, the record's line cut short, or
+    the trace ended after it."""
+    lines = list(draw(st.sampled_from(EDITED_TRACES)))
+    line = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[line])
+    nodes = list(_nodes(record))
+    lists = [node for _, node in nodes if type(node) is list]
+    edit = draw(st.sampled_from(["retype", "drop", "add", "cut", "end"] + (["remove"] if any(lists) else [])))
+    if edit == "cut":
+        lines[line] = lines[line][: draw(st.integers(0, len(lines[line]) - 1))]
+        return "\n".join(lines) + "\n"
+    if edit == "end":
+        return "\n".join(lines[: line + 1]) + "\n"
+    if edit == "retype":
+        path, leaf = draw(st.sampled_from([(p, n) for p, n in nodes if type(n) not in (dict, list)]))
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = draw(st.sampled_from([0.5, None, True, False, [], [leaf], {}, {"value": leaf}]))
+    elif edit == "drop":
+        obj = draw(st.sampled_from([node for _, node in nodes if type(node) is dict and node]))
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif edit == "add":
+        items = draw(st.sampled_from(lists))
+        item = copy.deepcopy(draw(st.sampled_from(items))) if items else 0
+        items.insert(draw(st.integers(0, len(items))), item)
+    else:
+        items = draw(st.sampled_from([node for node in lists if node]))
+        del items[draw(st.integers(0, len(items) - 1))]
+    lines[line] = canonical_json(record)
+    return "\n".join(lines) + "\n"
+
+
+# what the decoder rejects on purpose and the frozen one accepted: an event
+# whose transition, binding variable, place or relation is not a string, or
+# whose outcome is not one that the engine records
+NEW_REJECTIONS = re.compile(
+    r"line \d+\.(transition|binding\[\d+\]\[0\]|(consumed|produced|added|deleted)\[\d+\]\[0\]): .* is not a string"
+    r"|line \d+\.outcome: .* is not an outcome \(committed, rolled_back or halted\)"
+)
+
+
+def _decoded(parse, text):
+    """The trace ``parse`` reads from ``text``, or its diagnostics."""
+    try:
+        return parse(text)
+    except DocumentError as e:
+        return e.diagnostics
+
+
+@settings(deadline=None)
+@given(_edited_traces())
+def test_decoder_agrees_with_the_frozen_one_on_an_edited_record(text):
+    got, want = _decoded(parse_trace, text), _decoded(frozen.parse_trace, text)
+    if isinstance(want, Trace) and not isinstance(got, Trace):
+        assert len(got) == 1 and NEW_REJECTIONS.fullmatch(got[0]), got
+    else:
+        assert got == want
+
+
+def test_decoder_agrees_with_the_frozen_one_on_the_catalog_traces():
+    outcomes = set()
+    for lines in EDITED_TRACES:
+        text = "\n".join(lines) + "\n"
+        trace = parse_trace(text)
+        assert trace == frozen.parse_trace(text)
+        outcomes.update(ev.outcome for ev in trace.events)
+    assert outcomes == {"committed", "rolled_back", "halted"}
 
 
 class TestCanonicalJson:

@@ -176,7 +176,54 @@ CASES = [
         _arc(DbMergeText("R", (Wild(), Wild()), 0, 7)),
         "transition 't': merge_text() in arc to 'o': column 7 is out of range for relation 'R'",
     ),
+    (
+        # the run died at the first match, naming neither transition nor arc
+        "input-pattern-operator",
+        _t(inputs=(InputArc("p", Var("x")), InputArc("v", Op("+", (Var("x"), Const(1)))))),
+        "transition 't': input arc from 'v': not a pattern term: Op(op='+', args=(Var(name='x'), Const(value=1)))",
+    ),
+    (
+        "input-pattern-parameter",
+        _t(inputs=(InputArc("p", Var("x")), InputArc("v", Param("k")))),
+        "transition 't': input arc from 'v': not a pattern term: Param(name='k')",
+    ),
+    # each ran until it was evaluated, and died with a bare EvalError
+    ("parameter-in-guard", _guard(_gt0(Param("k"))), "transition 't': parameter 'k' in guard: a transition has no parameters"),
+    ("parameter-in-arc", _arc(Param("k")), "transition 't': parameter 'k' in arc to 'o': a transition has no parameters"),
+    (
+        "parameter-in-arc-condition",
+        _arc(Var("x"), _gt0(Param("k"))),
+        "transition 't': parameter 'k' in arc condition on 'o': a transition has no parameters",
+    ),
+    (
+        "parameter-in-action-argument",
+        _argument(Param("k")),
+        "transition 't': parameter 'k' in action 'put' argument: a transition has no parameters",
+    ),
+    (
+        "parameter-in-count",
+        _guard(_gt0(DbCount("R", (Param("k"), Wild())))),
+        "transition 't': parameter 'k' in guard: a transition has no parameters",
+    ),
+    (
+        "parameter-in-merge-text",
+        _arc(DbMergeText("R", (Wild(), Param("k")), 0, 1)),
+        "transition 't': parameter 'k' in arc to 'o': a transition has no parameters",
+    ),
 ]
+
+# what a codec of parse_net rejects before the net is built, located at its
+# document path
+LOCATED_BY_CODEC = {
+    "transition 't': unknown operator 'frobnicate'": "transitions[0].guard.op: unknown operator 'frobnicate'",
+    "transition 't': unknown operator 'pow'": "transitions[0].outputs[0].expr.op: unknown operator 'pow'",
+    "transition 't': input arc from 'v': not a pattern term: Op(op='+', args=(Var(name='x'), Const(value=1)))": (
+        "transitions[0].inputs[1].pattern.op: '+' is not an input pattern term (var, const or wild)"
+    ),
+    "transition 't': input arc from 'v': not a pattern term: Param(name='k')": (
+        "transitions[0].inputs[1].pattern.op: 'param' is not an input pattern term (var, const or wild)"
+    ),
+}
 
 
 @pytest.mark.parametrize("edit,message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
@@ -190,12 +237,7 @@ def test_one_fault_is_rejected(edit, message):
     document = serialize_net(net, Snapshot(Instance.empty(net.schema), Marking(), 0))
     with pytest.raises(DocumentError) as exc:
         parse_net(document)
-    if message.endswith("unknown operator 'frobnicate'"):
-        assert exc.value.diagnostics == ["transitions[0].guard.op: unknown operator 'frobnicate'"]
-    elif message.endswith("unknown operator 'pow'"):
-        assert exc.value.diagnostics == ["transitions[0].outputs[0].expr.op: unknown operator 'pow'"]
-    else:
-        assert exc.value.diagnostics == [f"net: {message}"]
+    assert exc.value.diagnostics == [LOCATED_BY_CODEC.get(message, f"net: {message}")]
 
 
 @pytest.mark.parametrize(
