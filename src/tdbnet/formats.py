@@ -578,6 +578,7 @@ def event_to_json(ev: FiringEvent):
 
 
 _OUTCOMES = ("committed", "rolled_back", "halted")  # as engine._execute records them
+_LIST_FIELDS = ("binding", "consumed", "produced", "added", "deleted")
 
 
 def _placed(pair) -> tuple:
@@ -630,6 +631,11 @@ def _event(node) -> FiringEvent:
         outcome = node["outcome"]
         if outcome not in _OUTCOMES:
             raise _not(".outcome", outcome, "an outcome (committed, rolled_back or halted)")
+        # a string or an object iterates too, so its items may all read;
+        # checked last, a fault found above keeps its own message
+        for key in _LIST_FIELDS:
+            if type(node[key]) is not list:
+                raise _not(f".{key}", node[key], "a list")
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -681,7 +687,10 @@ def _last_record(records: list) -> str:
 
 def parse_trace(text: str) -> Trace:
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # serialize_trace ends each record with "\n" alone; str.splitlines would
+    # also split a text value at U+2028, U+2029 or U+0085, which
+    # canonical_json writes raw
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         try:
             node, end = _SCAN(raw, 0)
         except (StopIteration, ValueError):

@@ -504,7 +504,10 @@ def validate_net(net: Net) -> None:
                 f"transition {t.id!r}: rollback arcs without database actions can never fire them"
             )
         for call in t.actions:
-            action = net.action(call.action)
+            try:
+                action = net.action(call.action)
+            except DefinitionError as err:
+                raise DefinitionError(f"transition {t.id!r}: {err}") from None
             if len(call.args) != len(action.params):
                 raise DefinitionError(
                     f"transition {t.id!r}: action {call.action!r} takes {len(action.params)} args"

@@ -16,11 +16,11 @@ spinning while the close is pending.
 from __future__ import annotations
 
 from ..exprs import Const, DbCount, DbMergeText, Now, Op, Param, Var, Wild
-from ..net import ActionCall, InputArc, Net, OutputArc, Place, Transition, initial_snapshot
-from ..persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema
+from ..net import ActionCall, InputArc, OutputArc, Place, Transition
+from ..persistence import Action, Atom, Column, FactTemplate, Query, Relation
 from ..values import INT, TEXT, TS, product
 
-from .base import IoPlaces, PatternBundle, feed_parts, feed_relations
+from .base import PatternBundle, message_bundle
 
 COMBINERS = ("concat_in_ord_order",)
 
@@ -43,9 +43,6 @@ def build_aggregator(
     if correlation_field == total_field or reserved.intersection((correlation_field, total_field)):
         raise ValueError("field names must be distinct and not shadow built-in fields")
 
-    fields = ((correlation_field, INT), ("ord", INT), (total_field, INT), ("body", TEXT))
-    inbox, in_log = feed_relations(fields)
-    q_inbox, take, v_inbox, inject = feed_parts(fields, "ch_in", token_tail=(Const(0),))
     c, t = Var(correlation_field), Var(total_field)
 
     aseqs = Relation(
@@ -166,14 +163,11 @@ def build_aggregator(
         ),
     )
 
-    msg_color = product(
-        INT, INT, INT, INT, TEXT, INT,
-        labels=("mid", correlation_field, "ord", total_field, "body", "tries"),
-    )
-    net = Net(
+    return message_bundle(
+        "aggregator",
+        ((correlation_field, INT), ("ord", INT), (total_field, INT), ("body", TEXT)),
+        "ch_in",
         places=(
-            v_inbox,
-            Place("ch_in", msg_color),
             Place(
                 "v_groups",
                 product(INT, INT, TS, labels=("corr", "total", "created")),
@@ -182,17 +176,12 @@ def build_aggregator(
             ),
             Place("ch_out", product(INT, TEXT, INT, labels=("corr", "body", "n"))),
         ),
-        transitions=(inject, store_first, store_more, store_stale, close_done, close_late),
-        schema=Schema((inbox, in_log, aseqs, amsgs, agg_out)),
-        queries=(q_inbox, q_groups),
-        actions=(take, open_group, put_msg, touch_group, close_group),
-    )
-    initial = initial_snapshot(net, facts=(), tokens={}, clock=0)
-    return PatternBundle(
-        name="aggregator",
-        net=net,
-        initial=initial,
-        io=IoPlaces(inputs=("ch_in",), outputs=("ch_out",)),
+        transitions=(store_first, store_more, store_stale, close_done, close_late),
+        relations=(aseqs, amsgs, agg_out),
+        queries=(q_groups,),
+        actions=(open_group, put_msg, touch_group, close_group),
+        tail=(("tries", INT, Const(0)),),
+        outputs=("ch_out",),
         params=(
             ("correlation_field", correlation_field),
             ("total_field", total_field),

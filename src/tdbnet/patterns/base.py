@@ -1,14 +1,29 @@
 """Shared plumbing for the pattern catalog.
 
-Every bundle follows the same conventions:
+Every pattern is built on the same skeleton, assembled by
+``message_bundle``:
 
-* workload messages live in an ``inbox`` relation (message id, arrival time,
-  payload fields); an ``inject`` transition moves each row into the input
-  channel place once the clock reaches its arrival time and records the
-  arrival in ``in_log``;
-* observable results are written to ordinary relations (``out_log`` and
-  friends) so conformance checks can read everything from the persistence
-  layer of the trace.
+* the inbox feed: workload messages live in an ``inbox`` relation (message
+  id, arrival time, payload fields), seen through the ``v_inbox`` view
+  place; an ``inject`` transition (action ``take_inbox``) moves each row
+  into the input channel place once the clock reaches its arrival time and
+  records the arrival in ``in_log``;
+* the input channel place, coloured ``(mid, *fields, *tail)``, which is by
+  construction the token ``inject`` produces;
+* the ``Net``, its initial snapshot at clock 0, and the ``PatternBundle``
+  with the channel as its one input.
+
+A builder declares only what is its own: the payload fields, the input
+channel's id, its places, transitions, relations, queries and actions,
+any seed facts and tokens, extra token components (``tail``), its output
+and exception places, and the parameters it was built with.  Observable
+results are written to ordinary relations (``out_log`` and friends) so
+conformance checks can read everything from the persistence layer of the
+trace.
+
+To add a pattern, write a ``build_*`` function in its own module that
+returns ``message_bundle(...)``, export it from ``patterns/__init__.py``,
+and wire it into the CLI and ``workloads``.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from ..net import (
     Transition,
     initial_snapshot,
 )
-from ..persistence import Action, Atom, Column, FactTemplate, Query, Relation
+from ..persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema
 from ..values import INT, TS, ColorType, product
 
 
@@ -90,54 +105,80 @@ INBOX = "inbox"
 IN_LOG = "in_log"
 
 
-def feed_relations(fields: tuple[tuple[str, ColorType], ...]) -> tuple[Relation, Relation]:
-    inbox = Relation(
-        INBOX,
-        (Column("mid", INT), Column("at", TS)) + tuple(Column(n, c) for n, c in fields),
-        ("mid",),
-    )
-    in_log = Relation(
-        IN_LOG,
-        (Column("mid", INT),) + tuple(Column(n, c) for n, c in fields),
-        ("mid",),
-    )
-    return inbox, in_log
+def message_bundle(
+    name: str,
+    fields: tuple[tuple[str, ColorType], ...],
+    ch_in: str,
+    *,
+    places,
+    transitions,
+    relations,
+    queries=(),
+    actions=(),
+    facts=(),
+    tokens=None,
+    tail=(),
+    outputs,
+    exceptions=(),
+    params=(),
+) -> PatternBundle:
+    """Assemble a pattern around the inbox feed.
 
-
-def feed_parts(fields: tuple[tuple[str, ColorType], ...], ch_in: str, token_tail: tuple = ()):
-    """Query, action, view place, and inject transition for the inbox feed.
-
-    The injected token is (mid, field values..., *token_tail).
+    ``fields`` are the payload fields, ``ch_in`` the input channel and
+    ``tail`` the (label, colour, initial value) of each extra component the
+    ``inject`` transition appends to a message token.  The feed's place,
+    transition, relations, query and action come first in their tuples,
+    followed by the builder's own; ``facts`` and ``tokens`` seed the initial
+    snapshot at clock 0.
     """
-    names = [n for n, _ in fields]
-    colors = [c for _, c in fields]
+    names = tuple(n for n, _ in fields)
+    colors = tuple(c for _, c in fields)
     bad = {"m", "a", "mid", "at"}.intersection(names)
     if bad or len(set(names)) != len(names):
         raise ValueError(f"payload field names must be distinct and avoid {sorted(bad)}")
-    q_inbox = Query(
-        "q_inbox",
-        atoms=(Atom(INBOX, (Var("m"), Var("a")) + tuple(Var(n) for n in names)),),
-        output=("m", "a") + tuple(names),
-    )
+    columns = tuple(Column(n, c) for n, c in fields)
+    values = tuple(Var(n) for n in names)
+    head = (Var("m"), Var("a")) + values
+    row = tuple(Param(n) for n in names)
+    inbox = Relation(INBOX, (Column("mid", INT), Column("at", TS)) + columns, ("mid",))
+    in_log = Relation(IN_LOG, (Column("mid", INT),) + columns, ("mid",))
+    q_inbox = Query("q_inbox", atoms=(Atom(INBOX, head),), output=("m", "a") + names)
     take = Action(
         "take_inbox",
         params=(("m", INT), ("a", TS)) + tuple(fields),
-        dels=(FactTemplate(INBOX, (Param("m"), Param("a")) + tuple(Param(n) for n in names)),),
-        adds=(FactTemplate(IN_LOG, (Param("m"),) + tuple(Param(n) for n in names)),),
+        dels=(FactTemplate(INBOX, (Param("m"), Param("a")) + row),),
+        adds=(FactTemplate(IN_LOG, (Param("m"),) + row),),
     )
-    v_inbox = Place("v_inbox", product(INT, TS, *colors), kind="view", query="q_inbox")
+    # The channel's colour is, by construction, the token inject produces.
+    token = (Var("m"),) + values + tuple(init for _, _, init in tail)
     inject = Transition(
         "inject",
-        inputs=(InputArc("v_inbox", (Var("m"), Var("a")) + tuple(Var(n) for n in names)),),
+        inputs=(InputArc("v_inbox", head),),
         guard=Op(">=", (Now(), Var("a"))),
-        actions=(
-            ActionCall("take_inbox", (Var("m"), Var("a")) + tuple(Var(n) for n in names)),
-        ),
-        outputs=(
-            OutputArc(ch_in, Op("tuple", (Var("m"),) + tuple(Var(n) for n in names) + token_tail)),
-        ),
+        actions=(ActionCall("take_inbox", head),),
+        outputs=(OutputArc(ch_in, Op("tuple", token)),),
     )
-    return q_inbox, take, v_inbox, inject
+    channel = product(
+        INT, *colors, *(c for _, c, _ in tail),
+        labels=("mid", *names, *(label for label, _, _ in tail)),
+    )
+    net = Net(
+        places=(
+            Place("v_inbox", product(INT, TS, *colors), kind="view", query="q_inbox"),
+            Place(ch_in, channel),
+        ) + tuple(places),
+        transitions=(inject,) + tuple(transitions),
+        schema=Schema((inbox, in_log) + tuple(relations)),
+        queries=(q_inbox,) + tuple(queries),
+        actions=(take,) + tuple(actions),
+    )
+    return PatternBundle(
+        name=name,
+        net=net,
+        initial=initial_snapshot(net, facts=facts, tokens=tokens, clock=0),
+        io=IoPlaces(inputs=(ch_in,), outputs=tuple(outputs), exceptions=tuple(exceptions)),
+        params=tuple(params),
+    )
 
 
 def with_workload(bundle: PatternBundle, arrivals) -> Snapshot:

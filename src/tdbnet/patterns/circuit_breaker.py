@@ -14,10 +14,10 @@ the endpoint was exercised.
 from __future__ import annotations
 
 from ..exprs import Age, Const, DbCount, Op, Param, Var
-from ..net import ActionCall, InputArc, Net, OutputArc, Place, Snapshot, Transition, initial_snapshot
-from ..persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema
-from ..values import INT, TEXT, TS, product
-from .base import EndpointStub, IoPlaces, PatternBundle, feed_parts, feed_relations, replace_rows
+from ..net import ActionCall, InputArc, OutputArc, Place, Snapshot, Transition
+from ..persistence import Action, Atom, Column, FactTemplate, Query, Relation
+from ..values import INT, TEXT, product
+from .base import EndpointStub, PatternBundle, message_bundle, replace_rows
 
 EPID = "ep"
 MSG = product(INT, TEXT, labels=("mid", "body"))
@@ -34,9 +34,6 @@ def build_circuit_breaker(
         raise ValueError("threshold must be >= 1")
     if receive_timeout < 0:
         raise ValueError("receive_timeout must be >= 0")
-
-    inbox, in_log = feed_relations((("body", TEXT),))
-    q_inbox, take, v_inbox, inject = feed_parts((("body", TEXT),), "ch_in")
 
     circuits = Relation("circuits", (Column("epid", TEXT), Column("status", TEXT)), ("epid",))
     endpoints = Relation("endpoints", (Column("epid", TEXT), Column("failures", INT)), ("epid",))
@@ -182,10 +179,17 @@ def build_circuit_breaker(
         actions=(ActionCall("set_status", (Var("e"), Var("st"), Const("open"))),),
     )
 
-    net = Net(
+    facts = [
+        ("circuits", (EPID, "closed"), 0),
+        ("endpoints", (EPID, 0), 0),
+        ("calls", (EPID, 0), 0),
+    ]
+    facts.extend(("script", row, 0) for row in endpoint.script_rows())
+    return message_bundle(
+        "circuit_breaker",
+        (("body", TEXT),),
+        "ch_in",
         places=(
-            v_inbox,
-            Place("ch_in", MSG),
             Place("v_circuit", product(TEXT, TEXT, labels=("epid", "status")), kind="view", query="q_circuit"),
             Place("v_endpoint", product(TEXT, INT, labels=("epid", "failures")), kind="view", query="q_endpoint"),
             Place("v_calls", product(TEXT, INT, labels=("epid", "n")), kind="view", query="q_calls"),
@@ -194,23 +198,13 @@ def build_circuit_breaker(
             Place("ch_out", MSG),
             Place("exc", MSG),
         ),
-        transitions=(inject, send_fail, send_wait, reject, receive, receive_late, open_circuit),
-        schema=Schema((inbox, in_log, circuits, endpoints, calls, script, out_log, exc_log, calls_log)),
-        queries=(q_inbox, q_circuit, q_endpoint, q_calls, q_script),
-        actions=(take, count_call, set_failures, set_status, log_out, log_exc),
-    )
-    facts = [
-        ("circuits", (EPID, "closed"), 0),
-        ("endpoints", (EPID, 0), 0),
-        ("calls", (EPID, 0), 0),
-    ]
-    facts.extend(("script", row, 0) for row in endpoint.script_rows())
-    initial = initial_snapshot(net, facts=facts, tokens={}, clock=0)
-    return PatternBundle(
-        name="circuit_breaker",
-        net=net,
-        initial=initial,
-        io=IoPlaces(inputs=("ch_in",), outputs=("ch_out",), exceptions=("exc",)),
+        transitions=(send_fail, send_wait, reject, receive, receive_late, open_circuit),
+        relations=(circuits, endpoints, calls, script, out_log, exc_log, calls_log),
+        queries=(q_circuit, q_endpoint, q_calls, q_script),
+        actions=(count_call, set_failures, set_status, log_out, log_exc),
+        facts=facts,
+        outputs=("ch_out",),
+        exceptions=("exc",),
         params=(
             ("threshold", threshold),
             ("receive_timeout", receive_timeout),

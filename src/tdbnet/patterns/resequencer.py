@@ -11,10 +11,10 @@ of arrival order.
 from __future__ import annotations
 
 from ..exprs import Const, DbCount, Op, Param, Var, Wild
-from ..net import ActionCall, InputArc, Net, OutputArc, Place, Transition, initial_snapshot
-from ..persistence import Action, Atom, Column, FactTemplate, Filter, Query, Relation, Schema
+from ..net import ActionCall, InputArc, OutputArc, Place, Transition
+from ..persistence import Action, Atom, Column, FactTemplate, Filter, Query, Relation
 from ..values import INT, TEXT, product
-from .base import IoPlaces, PatternBundle, feed_parts, feed_relations
+from .base import PatternBundle, message_bundle
 
 
 def build_resequencer(
@@ -25,9 +25,6 @@ def build_resequencer(
     if len(set(custom)) != 3 or reserved.intersection(custom):
         raise ValueError("field names must be distinct and not shadow mid/at/body")
 
-    fields = ((seq_field, INT), (ord_field, INT), (total_field, INT), ("body", TEXT))
-    inbox, in_log = feed_relations(fields)
-    q_inbox, take, v_inbox, inject = feed_parts(fields, "ch_in")
     s, o, t = Var(seq_field), Var(ord_field), Var(total_field)
 
     seqs = Relation(
@@ -105,13 +102,11 @@ def build_resequencer(
         outputs=(OutputArc("ch_out", Op("tuple", (Var("s"), Var("n"), Var("b")))),),
     )
 
-    msg_color = product(
-        INT, INT, INT, INT, TEXT, labels=("mid", seq_field, ord_field, total_field, "body")
-    )
-    net = Net(
+    return message_bundle(
+        "resequencer",
+        ((seq_field, INT), (ord_field, INT), (total_field, INT), ("body", TEXT)),
+        "ch_in",
         places=(
-            v_inbox,
-            Place("ch_in", msg_color),
             Place(
                 "v_emit",
                 product(INT, INT, INT, TEXT, labels=("seq", "total", "next", "body")),
@@ -120,17 +115,11 @@ def build_resequencer(
             ),
             Place("ch_out", product(INT, INT, TEXT, labels=("seq", "ord", "body"))),
         ),
-        transitions=(inject, store_first, store_next, emit),
-        schema=Schema((inbox, in_log, seqs, msgs, out_log)),
-        queries=(q_inbox, q_emit),
-        actions=(take, open_seq, store_msg, advance),
-    )
-    initial = initial_snapshot(net, facts=(), tokens={}, clock=0)
-    return PatternBundle(
-        name="resequencer",
-        net=net,
-        initial=initial,
-        io=IoPlaces(inputs=("ch_in",), outputs=("ch_out",)),
+        transitions=(store_first, store_next, emit),
+        relations=(seqs, msgs, out_log),
+        queries=(q_emit,),
+        actions=(open_seq, store_msg, advance),
+        outputs=("ch_out",),
         params=(
             ("seq_field", seq_field),
             ("ord_field", ord_field),

@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..exprs import Const, Op, Param, Var
-from ..net import ActionCall, InputArc, Net, OutputArc, Place, Transition, initial_snapshot
-from ..persistence import Action, Column, FactTemplate, Relation, Schema
+from ..net import ActionCall, InputArc, OutputArc, Place, Transition
+from ..persistence import Action, Column, FactTemplate, Relation
 from ..values import INT, product
-from .base import IoPlaces, PatternBundle, feed_parts, feed_relations
+from .base import PatternBundle, message_bundle
 
 MSG = product(INT, INT, labels=("mid", "val"))
 
@@ -49,15 +49,11 @@ def build_content_based_router(
     if not conds:
         raise ValueError("need at least one condition")
 
-    inbox, in_log = feed_relations((("val", INT),))
-    q_inbox, take, v_inbox, inject = feed_parts((("val", INT),), "ch_in")
-
-    relations = [inbox, in_log]
-    actions = [take]
-    places = [v_inbox, Place("ch_in", MSG)]
-    transitions = [inject]
+    relations = []
+    actions = []
+    places = []
+    pushes = []
     outputs = []
-    out_ids = []
 
     none_matched = Op("and", tuple(Op("not", (c,)) for c in conds))
     for i, cond in enumerate(conds, start=1):
@@ -70,14 +66,13 @@ def build_content_based_router(
         )
         actions.append(deliver)
         places.extend((Place(f"br_{i}", MSG), Place(f"out_{i}", MSG)))
-        out_ids.append(f"out_{i}")
         if variant == "flawed":
             when = cond
         else:
             earlier = tuple(Op("not", (c,)) for c in conds[:i - 1])
             when = cond if not earlier else Op("and", earlier + (cond,))
         outputs.append(OutputArc(f"br_{i}", Op("tuple", (Var("m"), Var("val"))), when=when))
-        transitions.append(
+        pushes.append(
             Transition(
                 f"push_{i}",
                 inputs=(InputArc(f"br_{i}", (Var("m"), Var("v"))),),
@@ -88,27 +83,20 @@ def build_content_based_router(
 
     places.append(Place("exc", MSG))
     outputs.append(OutputArc("exc", Op("tuple", (Var("m"), Var("val"))), when=none_matched))
-    transitions.insert(
-        1,
-        Transition(
-            "route",
-            inputs=(InputArc("ch_in", (Var("m"), Var("val"))),),
-            outputs=tuple(outputs),
-        ),
+    route = Transition(
+        "route",
+        inputs=(InputArc("ch_in", (Var("m"), Var("val"))),),
+        outputs=tuple(outputs),
     )
-
-    net = Net(
-        places=tuple(places),
-        transitions=tuple(transitions),
-        schema=Schema(tuple(relations)),
-        queries=(q_inbox,),
-        actions=tuple(actions),
-    )
-    initial = initial_snapshot(net, facts=(), tokens={}, clock=0)
-    return PatternBundle(
-        name=f"router_{variant}",
-        net=net,
-        initial=initial,
-        io=IoPlaces(inputs=("ch_in",), outputs=tuple(out_ids), exceptions=("exc",)),
+    return message_bundle(
+        f"router_{variant}",
+        (("val", INT),),
+        "ch_in",
+        places=places,
+        transitions=[route, *pushes],
+        relations=relations,
+        actions=actions,
+        outputs=[f"out_{i}" for i in range(1, len(conds) + 1)],
+        exceptions=("exc",),
         params=(("variant", variant), ("conditions", len(conds))),
     )

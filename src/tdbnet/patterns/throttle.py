@@ -10,18 +10,19 @@ queue behind each other.
 from __future__ import annotations
 
 from ..exprs import Age, Const, Op, Param, Var
-from ..net import ActionCall, InputArc, Net, OutputArc, Place, Transition, initial_snapshot
-from ..persistence import Action, Column, FactTemplate, Relation, Schema
+from ..net import ActionCall, InputArc, OutputArc, Place, Transition
+from ..persistence import Action, Column, FactTemplate, Relation
 from ..values import INT, TEXT, product
-from .base import IoPlaces, PatternBundle, feed_parts, feed_relations
+from .base import PatternBundle, message_bundle
 
+BODY = (("body", TEXT),)
 MSG = product(INT, TEXT, labels=("mid", "body"))
-
-
-def _message_feed(ch_in: str):
-    inbox, in_log = feed_relations((("body", TEXT),))
-    q_inbox, take, v_inbox, inject = feed_parts((("body", TEXT),), ch_in)
-    return inbox, in_log, q_inbox, take, v_inbox, inject
+OUT_LOG = Relation("out_log", (Column("mid", INT), Column("body", TEXT)), ("mid",))
+EMIT_OUT = Action(
+    "emit_out",
+    params=(("m", INT), ("b", TEXT)),
+    adds=(FactTemplate("out_log", (Param("m"), Param("b"))),),
+)
 
 
 def build_throttler(rate: int, *, units_per_second: int = 1000) -> PatternBundle:
@@ -31,14 +32,6 @@ def build_throttler(rate: int, *, units_per_second: int = 1000) -> PatternBundle
     gate = units_per_second // rate
     if gate < 1:
         raise ValueError("rate exceeds clock resolution")
-
-    inbox, in_log, q_inbox, take, v_inbox, inject = _message_feed("ch1")
-    out_log = Relation("out_log", (Column("mid", INT), Column("body", TEXT)), ("mid",))
-    emit = Action(
-        "emit_out",
-        params=(("m", INT), ("b", TEXT)),
-        adds=(FactTemplate("out_log", (Param("m"), Param("b"))),),
-    )
 
     admit = Transition(
         "t_admit",
@@ -58,26 +51,16 @@ def build_throttler(rate: int, *, units_per_second: int = 1000) -> PatternBundle
             OutputArc("cap", Const(0)),
         ),
     )
-
-    net = Net(
-        places=(
-            v_inbox,
-            Place("ch1", MSG),
-            Place("ch2", MSG),
-            Place("ch3", MSG),
-            Place("cap", INT),
-        ),
-        transitions=(inject, admit, release),
-        schema=Schema((inbox, in_log, out_log)),
-        queries=(q_inbox,),
-        actions=(take, emit),
-    )
-    initial = initial_snapshot(net, facts=(), tokens={"cap": [0]}, clock=0)
-    return PatternBundle(
-        name="throttler",
-        net=net,
-        initial=initial,
-        io=IoPlaces(inputs=("ch1",), outputs=("ch3",)),
+    return message_bundle(
+        "throttler",
+        BODY,
+        "ch1",
+        places=(Place("ch2", MSG), Place("ch3", MSG), Place("cap", INT)),
+        transitions=(admit, release),
+        relations=(OUT_LOG,),
+        actions=(EMIT_OUT,),
+        tokens={"cap": [0]},
+        outputs=("ch3",),
         params=(("rate", rate), ("gate", gate)),
     )
 
@@ -86,14 +69,6 @@ def build_delayer(delay: int) -> PatternBundle:
     if delay < 0:
         raise ValueError("delay must be >= 0")
 
-    inbox, in_log, q_inbox, take, v_inbox, inject = _message_feed("ch1")
-    out_log = Relation("out_log", (Column("mid", INT), Column("body", TEXT)), ("mid",))
-    emit = Action(
-        "emit_out",
-        params=(("m", INT), ("b", TEXT)),
-        adds=(FactTemplate("out_log", (Param("m"), Param("b"))),),
-    )
-
     forward = Transition(
         "t_forward",
         inputs=(InputArc("ch1", (Var("m"), Var("b"))),),
@@ -101,19 +76,14 @@ def build_delayer(delay: int) -> PatternBundle:
         actions=(ActionCall("emit_out", (Var("m"), Var("b"))),),
         outputs=(OutputArc("ch3", Op("tuple", (Var("m"), Var("b")))),),
     )
-
-    net = Net(
-        places=(v_inbox, Place("ch1", MSG), Place("ch3", MSG)),
-        transitions=(inject, forward),
-        schema=Schema((inbox, in_log, out_log)),
-        queries=(q_inbox,),
-        actions=(take, emit),
-    )
-    initial = initial_snapshot(net, facts=(), tokens={}, clock=0)
-    return PatternBundle(
-        name="delayer",
-        net=net,
-        initial=initial,
-        io=IoPlaces(inputs=("ch1",), outputs=("ch3",)),
+    return message_bundle(
+        "delayer",
+        BODY,
+        "ch1",
+        places=(Place("ch3", MSG),),
+        transitions=(forward,),
+        relations=(OUT_LOG,),
+        actions=(EMIT_OUT,),
+        outputs=("ch3",),
         params=(("delay", delay),),
     )

@@ -177,7 +177,8 @@ def check_order(
     oi = names.index(ord_column) if isinstance(ord_column, str) else ord_column
     si = names.index(seq_column) if isinstance(seq_column, str) else seq_column
     last: dict[object, object] = {}
-    for values, at in row_inserts(trace, output_relation):
+    inserts = row_inserts(trace, output_relation)
+    for values, at in inserts:
         key = values[si] if si is not None else None
         cur = values[oi]
         prev = last.get(key)
@@ -188,7 +189,7 @@ def check_order(
                 + (f" in sequence {key!r}" if si is not None else ""),
             )
         last[key] = cur
-    return _ok("order", f"{sum(1 for _ in row_inserts(trace, output_relation))} rows ordered")
+    return _ok("order", f"{len(inserts)} rows ordered")
 
 
 # ---------------------------------------------------------------------------

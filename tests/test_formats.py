@@ -249,13 +249,11 @@ class TestNetRoundTrip:
         net2, init2 = parse_net(text)
         assert serialize_net(net2, init2) == text
 
-    def test_reparsed_net_runs_identically(self):
-        bundle = build_delayer(100)
-        net2, init2 = parse_net(serialize_net(bundle.net, bundle.initial))
-        seeded1 = run(bundle.net, with_workload(bundle, [(0, ("x",))]))
-        base2 = with_workload(bundle, [(0, ("x",))])
-        seeded2 = run(net2, init2.__class__(base2.instance, base2.marking, base2.clock))
-        assert serialize_trace(seeded1) == serialize_trace(seeded2)
+    @pytest.mark.parametrize("bundle", catalog_bundles(), ids=lambda b: b.name)
+    def test_reparsed_net_runs_identically(self, bundle):
+        seeded = with_workload(bundle, parse_workload(bundle.name, "steady:3:every:40@0"))
+        net2, init2 = parse_net(serialize_net(bundle.net, seeded))
+        assert serialize_trace(run(net2, init2)) == serialize_trace(run(bundle.net, seeded))
 
 
 def _edited_throttler_trace_diagnostics(line, edit) -> list:
@@ -366,6 +364,49 @@ class TestTraceRoundTrip:
         # each parsed, and replay then died on it with a bare TypeError or
         # reported a divergence
         assert _edited_throttler_trace_diagnostics(1, edit) == [diagnostic]
+
+    @pytest.mark.parametrize(
+        "edit,diagnostic",
+        [
+            (lambda r: r.__setitem__("added", {}), "line 2.added: {} is not a list"),
+            (lambda r: r.__setitem__("added", ""), 'line 2.added: "" is not a list'),
+            (lambda r: r.__setitem__("binding", {"ab": 0}), 'line 2.binding: {"ab": 0} is not a list'),
+            (lambda r: r.__setitem__("consumed", {}), "line 2.consumed: {} is not a list"),
+            (lambda r: r.__setitem__("produced", ""), 'line 2.produced: "" is not a list'),
+            (lambda r: r.__setitem__("deleted", {}), "line 2.deleted: {} is not a list"),
+            # a record that an item or a later field already failed keeps
+            # its message
+            (lambda r: r.__setitem__("added", 5), "line 2: 'int' object is not iterable"),
+            (lambda r: r.__setitem__("binding", "ab"), "line 2: not enough values to unpack (expected 2, got 1)"),
+            (lambda r: r.__setitem__("consumed", {"ab": 0}), "line 2.consumed[0]: expected a token object with a value and an integer at"),
+            (
+                lambda r: (r.__setitem__("added", {}), r.__setitem__("outcome", "bogus")),
+                'line 2.outcome: "bogus" is not an outcome (committed, rolled_back or halted)',
+            ),
+        ],
+        ids=["object-added", "string-added", "object-binding", "object-consumed", "string-produced",
+             "object-deleted", "int-added", "string-binding", "object-consumed-item", "object-added-bad-outcome"],
+    )
+    def test_list_field_that_is_not_a_list_is_located(self, edit, diagnostic):
+        # a string or an object iterates: each parsed as no rows or tokens,
+        # and {"ab": 0} as the binding a = "b"
+        assert _edited_throttler_trace_diagnostics(1, edit) == [diagnostic]
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_line_separator_in_a_text_value_round_trips(self, char):
+        # canonical_json writes these raw, and str.splitlines split the
+        # record at them
+        b = build_throttler(5)
+        text = serialize_trace(run(b.net, with_workload(b, [(0, (f"a{char}b",))])))
+        assert char in text
+        trace = parse_trace(text)
+        assert serialize_trace(trace) == text
+        replay(b.net, trace, verify=True)
+
+    def test_crlf_records_parse(self):
+        b = build_throttler(5)
+        text = serialize_trace(run(b.net, with_workload(b, [(0, ("a",)), (0, ("b",))])))
+        assert serialize_trace(parse_trace(text.replace("\n", "\r\n"))) == text
 
     @pytest.mark.parametrize(
         "line,edit,diagnostic",

@@ -149,7 +149,7 @@ CASES = [
         _t(rollbacks=(OutputArc("o", Var("x")),), actions=()),
         "transition 't': rollback arcs without database actions can never fire them",
     ),
-    ("unknown-action", _t(actions=(ActionCall("nope", ()),)), "unknown action 'nope'"),
+    ("unknown-action", _t(actions=(ActionCall("nope", ()),)), "transition 't': unknown action 'nope'"),
     ("action-argument-count", _t(actions=(ActionCall("put", ()),)), "transition 't': action 'put' takes 1 args"),
     (
         "count-unknown-relation",

@@ -22,6 +22,7 @@ from tdbnet.patterns import (
 )
 from tdbnet.persistence import check_compliance
 from tdbnet.validation import check_delay, check_order, check_rate, row_inserts
+from tdbnet.values import conforms
 from tdbnet.workloads import parse_workload
 
 
@@ -40,6 +41,28 @@ def test_every_bundle_starts_compliant():
     ]
     for b in bundles:
         assert check_compliance(b.initial.instance, b.net.schema) == [], b.name
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        build_throttler(5),
+        build_delayer(250),
+        build_resequencer(),
+        build_aggregator(timeout=100),
+        build_circuit_breaker(5, 30, EndpointStub.healthy()),
+        build_content_based_router(("gt:10", "lt:100")),
+    ],
+    ids=lambda b: b.name,
+)
+def test_inject_produces_the_input_channel_colour(bundle):
+    # a token of another shape would sit in the channel and match no arc
+    tr = run_with(bundle, parse_workload(bundle.name, "burst:2@0"))
+    produced = [pair for ev in tr.events if ev.transition == "inject" for pair in ev.produced]
+    assert len(produced) == 2
+    for place, token in produced:
+        assert place == bundle.io.inputs[0]
+        assert conforms(token.value, bundle.net.place(place).color)
 
 
 class TestResequencer:
