@@ -6,8 +6,13 @@ run ended halted on a constraint violation, 3 validation failure, 4 run
 stopped at ``--max-steps`` events.
 
 `run` executes a catalog pattern (or a net document) under a workload and
-writes a trace file; `validate` replays checks against a stored trace and
-writes a report; `scenario` runs one of the built-in case studies.
+writes a trace file; `validate` runs checks against a stored trace and
+writes a report; `scenario` runs one of the built-in case studies.  Times
+on the command line (workload arrivals, ``--until``) are in clock units,
+of which the throttler's ``--rate`` counts 1000 to the second; ``--seed``
+alone seeds the random policy.  ``build_pattern`` maps ``--pattern`` to
+one catalog builder, and the bundle's name selects the workload's payload
+rule.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .engine import Trace, run
 from .formats import (
@@ -30,6 +34,7 @@ from .formats import (
 )
 from .patterns import (
     EndpointStub,
+    PatternBundle,
     build_aggregator,
     build_circuit_breaker,
     build_content_based_router,
@@ -87,42 +92,24 @@ def parse_endpoint(spec: str) -> EndpointStub:
     return EndpointStub(tuple(steps))
 
 
-def build_pattern(args) -> tuple:
+def build_pattern(args) -> PatternBundle:
+    """The catalog bundle that ``--pattern`` names, built from the options
+    that pattern reads; its ``name`` is the workload kind."""
     name = args.pattern
     if name == "throttler":
-        return build_throttler(args.rate), "throttler"
+        return build_throttler(args.rate)
     if name == "delayer":
-        return build_delayer(args.delay), "delayer"
+        return build_delayer(args.delay)
     if name == "resequencer":
-        return build_resequencer(), "resequencer"
+        return build_resequencer()
     if name == "aggregator":
-        return (
-            build_aggregator(timeout=args.timeout, expiry_grace=args.grace),
-            "aggregator",
-        )
+        return build_aggregator(timeout=args.timeout, expiry_grace=args.grace)
     if name == "circuit-breaker":
-        return (
-            build_circuit_breaker(
-                args.threshold, args.receive_timeout, parse_endpoint(args.endpoint)
-            ),
-            "circuit_breaker",
-        )
+        return build_circuit_breaker(args.threshold, args.receive_timeout, parse_endpoint(args.endpoint))
     if name == "router":
         conditions = tuple(c for c in args.conditions.split(",") if c)
-        return build_content_based_router(conditions, variant=args.variant), "router"
+        return build_content_based_router(conditions, variant=args.variant)
     raise UsageError(f"unknown pattern {name!r}; choose from {', '.join(PATTERNS)}")
-
-
-def _seed(args) -> Optional[int]:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("TDBNET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"TDBNET_SEED must be an integer, got {env!r}") from None
-    return None
 
 
 def _print_summary(trace: Trace, out) -> None:
@@ -135,8 +122,7 @@ def _print_summary(trace: Trace, out) -> None:
 
 
 def cmd_run(args, out) -> int:
-    scale = 1000 if args.time_unit == "s" else 1
-    seed = _seed(args)
+    seed = args.seed
     if args.policy == "random" and seed is None:
         seed = 0
     if args.net:
@@ -150,18 +136,17 @@ def cmd_run(args, out) -> int:
             return EXIT_USAGE
         stem = Path(args.net).name.removesuffix(".tdbnet.json")
     else:
-        bundle, kind = build_pattern(args)
-        arrivals = parse_workloads(kind, args.workload or (), scale)
+        bundle = build_pattern(args)
+        arrivals = parse_workloads(bundle.name, args.workload or ())
         net, snapshot = bundle.net, with_workload(bundle, arrivals)
         stem = args.pattern
-    until = args.until * scale if args.until is not None else None
     trace = run(
         net,
         snapshot,
         policy=args.policy,
         seed=seed,
         max_steps=args.max_steps,
-        until=until,
+        until=args.until,
         check_views=args.check_views,
     )
     path = Path(args.out) if args.out else Path(f"{stem}{TRACE_SUFFIX}")
@@ -239,7 +224,7 @@ def cmd_scenario(args, out) -> int:
     name = args.name
     if name not in SCENARIOS:
         raise UsageError(f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}")
-    outcome = SCENARIOS[name].execute(_seed(args))
+    outcome = SCENARIOS[name].execute(args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for label, trace in outcome.traces:
@@ -275,8 +260,6 @@ def make_parser() -> argparse.ArgumentParser:
     pr.add_argument("--until", type=int)
     pr.add_argument("--max-steps", type=int, default=10_000)
     pr.add_argument("--out")
-    pr.add_argument("--time-unit", choices=("ms", "s"), default="ms",
-                    help="unit of workload/until times; engine runs in ms-equivalent units")
     pr.add_argument("--check-views", action="store_true")
     pr.add_argument("--rate", type=int, default=5)
     pr.add_argument("--delay", type=int, default=250)

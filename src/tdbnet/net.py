@@ -186,9 +186,6 @@ class Marking:
     def place_ids(self) -> list[str]:
         return sorted(pid for pid, toks in self._tokens.items() if toks)
 
-    def size(self) -> int:
-        return sum(len(t) for t in self._tokens.values())
-
     def span(self, pid: str, tok: Token) -> range:
         """The positions of the tokens equal to ``tok`` in place ``pid``'s
         pool, which are adjacent because the pool is sorted."""
@@ -389,25 +386,29 @@ def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: int) -> None
 def validate_net(net: Net) -> None:
     """Check a net before it runs; the first fault raises a DefinitionError.
     Every query and action is checked against the schema, whether or not a
-    view binds or a transition calls it; a view binds a parameterless query
-    of its colour's width; arcs read known places and never produce on a
-    view place; rollback arcs need actions; calls pass the action's arity;
-    input-arc patterns are variables, constants and wildcards.  Each
-    inscription (guard, arc, arc condition, action argument) is checked in
-    one walk: its variables are bound by input arcs, age() reads one bound
-    by a normal place, it holds no parameter (a transition has none), its
-    operators are known, and each count or merge_text fits a relation of
-    the schema, with pattern terms that are constants, wildcards or bound
-    variables.  In guards and action arguments, which the truth solver
-    takes, now() and age() occur only under the TIME_OPERATORS and never
-    inside a db pattern."""
+    view binds or a transition calls it; a view binds a known, parameterless
+    query of its colour's width; arcs read known places and never produce
+    on a view place; rollback arcs need actions; calls pass the action's
+    arity; input-arc patterns are variables, constants and wildcards, and a
+    tuple pattern has one term per component of its place's product
+    colour.  Each inscription (guard, arc, arc condition, action argument)
+    is checked in one walk: its variables are bound by input arcs, age()
+    reads one bound by a normal place, it holds no parameter (a transition
+    has none), its operators are known, and each count or merge_text fits a
+    relation of the schema, with pattern terms that are constants,
+    wildcards or bound variables.  In guards and action arguments, which
+    the truth solver takes, now() and age() occur only under the
+    TIME_OPERATORS and never inside a db pattern."""
     for query in net.queries:
         check_query(net.schema, query)
     for action in net.actions:
         check_action(net.schema, action)
     for place in net.places:
         if place.kind == "view":
-            query = net.query(place.query)
+            try:
+                query = net.query(place.query)
+            except DefinitionError as err:
+                raise DefinitionError(f"place {place.id!r}: {err}") from None
             if query.params:
                 raise DefinitionError(
                     f"place {place.id!r}: view-bound query {query.name!r} must be parameterless"
@@ -433,6 +434,7 @@ def validate_net(net: Net) -> None:
 
         for arc in t.inputs:
             place = resolve(arc.place)
+            at = f"transition {t.id!r}: input arc from {arc.place!r}"
             for term in arc.pattern if type(arc.pattern) is tuple else (arc.pattern,):
                 kind = type(term)
                 if kind is Var:
@@ -440,8 +442,15 @@ def validate_net(net: Net) -> None:
                     if place.kind == "normal":
                         normal_bound.add(term.name)
                 elif kind is not Const and kind is not Wild:
+                    raise DefinitionError(f"{at}: not a pattern term: {term!r}")
+            if type(arc.pattern) is tuple:
+                # a tuple pattern matches only tuples of its width
+                color = place.color
+                width = len(color.components) if color.kind == "product" else None
+                if width != len(arc.pattern):
+                    have = f"a product of {width} components" if width is not None else f"the scalar {color.kind!r}"
                     raise DefinitionError(
-                        f"transition {t.id!r}: input arc from {arc.place!r}: not a pattern term: {term!r}"
+                        f"{at}: {len(arc.pattern)} pattern terms, but the place's color is {have}"
                     )
 
         def check(e, where: str, timed: Optional[str] = None) -> None:

@@ -22,28 +22,14 @@ from ..values import INT, TEXT, TS, product
 
 from .base import PatternBundle, message_bundle
 
-COMBINERS = ("concat_in_ord_order",)
 
-
-def build_aggregator(
-    correlation_field: str = "corr",
-    total_field: str = "total",
-    *,
-    timeout: int,
-    expiry_grace: int = 0,
-    combine: str = "concat_in_ord_order",
-) -> PatternBundle:
-    if combine not in COMBINERS:
-        raise ValueError(f"unknown combine function {combine!r}")
+def build_aggregator(*, timeout: int, expiry_grace: int = 0) -> PatternBundle:
     if timeout < 1:
         raise ValueError("timeout must be >= 1")
     if expiry_grace < 0:
         raise ValueError("expiry_grace must be >= 0")
-    reserved = {"mid", "at", "body", "ord", "m", "a", "b", "o", "r"}
-    if correlation_field == total_field or reserved.intersection((correlation_field, total_field)):
-        raise ValueError("field names must be distinct and not shadow built-in fields")
 
-    c, t = Var(correlation_field), Var(total_field)
+    c, t = Var("corr"), Var("total")
 
     aseqs = Relation(
         "aseqs",
@@ -165,7 +151,7 @@ def build_aggregator(
 
     return message_bundle(
         "aggregator",
-        ((correlation_field, INT), ("ord", INT), (total_field, INT), ("body", TEXT)),
+        (("corr", INT), ("ord", INT), ("total", INT), ("body", TEXT)),
         "ch_in",
         places=(
             Place(
@@ -182,11 +168,4 @@ def build_aggregator(
         actions=(open_group, put_msg, touch_group, close_group),
         tail=(("tries", INT, Const(0)),),
         outputs=("ch_out",),
-        params=(
-            ("correlation_field", correlation_field),
-            ("total_field", total_field),
-            ("timeout", timeout),
-            ("expiry_grace", expiry_grace),
-            ("combine", combine),
-        ),
     )

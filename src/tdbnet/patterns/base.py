@@ -13,17 +13,18 @@ Every pattern is built on the same skeleton, assembled by
 * the ``Net``, its initial snapshot at clock 0, and the ``PatternBundle``
   with the channel as its one input.
 
-A builder declares only what is its own: the payload fields, the input
-channel's id, its places, transitions, relations, queries and actions,
-any seed facts and tokens, extra token components (``tail``), its output
-and exception places, and the parameters it was built with.  Observable
-results are written to ordinary relations (``out_log`` and friends) so
-conformance checks can read everything from the persistence layer of the
-trace.
+A builder declares only what is its own: the pattern's name, the payload
+fields, the input channel's id, its places, transitions, relations, queries
+and actions, any seed facts and tokens, extra token components (``tail``),
+and its output and exception places.  A pattern is its net: the bundle
+keeps no record of the arguments it was built from.  Observable results are
+written to ordinary relations (``out_log`` and friends) so conformance
+checks can read everything from the persistence layer of the trace.
 
 To add a pattern, write a ``build_*`` function in its own module that
 returns ``message_bundle(...)``, export it from ``patterns/__init__.py``,
-and wire it into the CLI and ``workloads``.
+add it to ``cli.build_pattern``, and give ``workloads`` a payload rule
+keyed by the bundle's name.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class PatternBundle:
     net: Net
     initial: Snapshot
     io: IoPlaces
-    params: tuple = ()
 
     @property
     def schema(self):
@@ -120,7 +120,6 @@ def message_bundle(
     tail=(),
     outputs,
     exceptions=(),
-    params=(),
 ) -> PatternBundle:
     """Assemble a pattern around the inbox feed.
 
@@ -177,7 +176,6 @@ def message_bundle(
         net=net,
         initial=initial_snapshot(net, facts=facts, tokens=tokens, clock=0),
         io=IoPlaces(inputs=(ch_in,), outputs=tuple(outputs), exceptions=tuple(exceptions)),
-        params=tuple(params),
     )
 
 

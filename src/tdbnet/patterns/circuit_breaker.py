@@ -23,13 +23,7 @@ EPID = "ep"
 MSG = product(INT, TEXT, labels=("mid", "body"))
 
 
-def build_circuit_breaker(
-    threshold: int,
-    receive_timeout: int,
-    endpoint: EndpointStub,
-    *,
-    reset_on_success: bool = True,
-) -> PatternBundle:
+def build_circuit_breaker(threshold: int, receive_timeout: int, endpoint: EndpointStub) -> PatternBundle:
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if receive_timeout < 0:
@@ -135,9 +129,6 @@ def build_circuit_breaker(
         actions=(ActionCall("log_exc", (Var("m"), Const("circuit_open"))),),
         outputs=(OutputArc("exc", Op("tuple", (Var("m"), Var("b")))),),
     )
-    receive_actions = [ActionCall("log_out", (Var("m"), Var("b")))]
-    if reset_on_success:
-        receive_actions.append(ActionCall("set_failures", (Var("e"), Var("x"), Const(0))))
     receive = Transition(
         "receive",
         inputs=(
@@ -148,7 +139,10 @@ def build_circuit_breaker(
             "and",
             (Op(">=", (Age("m"), Var("d"))), Op("<=", (Var("d"), Const(receive_timeout)))),
         ),
-        actions=tuple(receive_actions),
+        actions=(
+            ActionCall("log_out", (Var("m"), Var("b"))),
+            ActionCall("set_failures", (Var("e"), Var("x"), Const(0))),
+        ),
         outputs=(OutputArc("ch_out", Op("tuple", (Var("m"), Var("b")))),),
     )
     receive_late = Transition(
@@ -205,12 +199,6 @@ def build_circuit_breaker(
         facts=facts,
         outputs=("ch_out",),
         exceptions=("exc",),
-        params=(
-            ("threshold", threshold),
-            ("receive_timeout", receive_timeout),
-            ("endpoint", endpoint.steps),
-            ("reset_on_success", reset_on_success),
-        ),
     )
 
 

@@ -17,15 +17,8 @@ from ..values import INT, TEXT, product
 from .base import PatternBundle, message_bundle
 
 
-def build_resequencer(
-    seq_field: str = "seq", ord_field: str = "ord", total_field: str = "total"
-) -> PatternBundle:
-    reserved = {"mid", "at", "body", "m", "a", "b"}
-    custom = (seq_field, ord_field, total_field)
-    if len(set(custom)) != 3 or reserved.intersection(custom):
-        raise ValueError("field names must be distinct and not shadow mid/at/body")
-
-    s, o, t = Var(seq_field), Var(ord_field), Var(total_field)
+def build_resequencer() -> PatternBundle:
+    s, o, t = Var("seq"), Var("ord"), Var("total")
 
     seqs = Relation(
         "seqs",
@@ -104,7 +97,7 @@ def build_resequencer(
 
     return message_bundle(
         "resequencer",
-        ((seq_field, INT), (ord_field, INT), (total_field, INT), ("body", TEXT)),
+        (("seq", INT), ("ord", INT), ("total", INT), ("body", TEXT)),
         "ch_in",
         places=(
             Place(
@@ -120,9 +113,4 @@ def build_resequencer(
         queries=(q_emit,),
         actions=(open_seq, store_msg, advance),
         outputs=("ch_out",),
-        params=(
-            ("seq_field", seq_field),
-            ("ord_field", ord_field),
-            ("total_field", total_field),
-        ),
     )

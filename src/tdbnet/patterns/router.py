@@ -98,5 +98,4 @@ def build_content_based_router(
         actions=actions,
         outputs=[f"out_{i}" for i in range(1, len(conds) + 1)],
         exceptions=("exc",),
-        params=(("variant", variant), ("conditions", len(conds))),
     )

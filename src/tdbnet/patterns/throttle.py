@@ -2,7 +2,7 @@
 
 The throttler admits a message only while it holds the capacity slot,
 records the emission, and returns the slot after a fixed gate interval, so
-admissions are spaced ``units_per_second // rate`` apart.  The delayer holds
+admissions are spaced ``1000 // rate`` clock units (milliseconds) apart.  The delayer holds
 each message until its age reaches the configured delay; messages do not
 queue behind each other.
 """
@@ -25,11 +25,11 @@ EMIT_OUT = Action(
 )
 
 
-def build_throttler(rate: int, *, units_per_second: int = 1000) -> PatternBundle:
-    """rate = messages admitted per second of model time."""
+def build_throttler(rate: int) -> PatternBundle:
+    """rate = messages admitted per second (1000 clock units) of model time."""
     if rate < 1:
         raise ValueError("rate must be >= 1")
-    gate = units_per_second // rate
+    gate = 1000 // rate
     if gate < 1:
         raise ValueError("rate exceeds clock resolution")
 
@@ -61,7 +61,6 @@ def build_throttler(rate: int, *, units_per_second: int = 1000) -> PatternBundle
         actions=(EMIT_OUT,),
         tokens={"cap": [0]},
         outputs=("ch3",),
-        params=(("rate", rate), ("gate", gate)),
     )
 
 
@@ -85,5 +84,4 @@ def build_delayer(delay: int) -> PatternBundle:
         relations=(OUT_LOG,),
         actions=(EMIT_OUT,),
         outputs=("ch3",),
-        params=(("delay", delay),),
     )

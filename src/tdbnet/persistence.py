@@ -239,9 +239,6 @@ class Instance:
             for values, at in self._rows[rel]:
                 yield rel, values, at
 
-    def total_facts(self) -> int:
-        return sum(len(v) for v in self._rows.values())
-
     def relation_sizes(self) -> dict[str, int]:
         return {rel: len(rows) for rel, rows in sorted(self._rows.items())}
 

@@ -391,28 +391,24 @@ def _scn_halt(seed: Optional[int]) -> ScenarioOutcome:
     return ScenarioOutcome("compliance-halt", results, (("halted", tr),))
 
 
-_CATALOG_RUNS: tuple[tuple[str, Callable[[], PatternBundle], str], ...] = (
-    ("throttler", lambda: build_throttler(5), "burst:20@0"),
-    ("delayer", lambda: build_delayer(250), "steady:4:every:100@0"),
-    ("resequencer", build_resequencer, "perm:4,2,1,3@0"),
-    ("aggregator", lambda: build_aggregator(timeout=100, expiry_grace=50), "perm:2,1,3@0"),
-    (
-        "circuit_breaker",
-        lambda: build_circuit_breaker(2, 30, EndpointStub((("fail", 0), ("respond", 5)))),
-        "steady:6:every:10@0",
-    ),
-    ("router_flawed", lambda: build_content_based_router(("gt:10", "lt:100"), variant="flawed"), "vals:5,50,120@0"),
-    ("router_correct", lambda: build_content_based_router(("gt:10", "lt:100"), variant="correct"), "vals:5,50,120@0"),
+_CATALOG_RUNS: tuple[tuple[Callable[[], PatternBundle], str], ...] = (
+    (lambda: build_throttler(5), "burst:20@0"),
+    (lambda: build_delayer(250), "steady:4:every:100@0"),
+    (build_resequencer, "perm:4,2,1,3@0"),
+    (lambda: build_aggregator(timeout=100, expiry_grace=50), "perm:2,1,3@0"),
+    (lambda: build_circuit_breaker(2, 30, EndpointStub((("fail", 0), ("respond", 5)))), "steady:6:every:10@0"),
+    (lambda: build_content_based_router(("gt:10", "lt:100"), variant="flawed"), "vals:5,50,120@0"),
+    (lambda: build_content_based_router(("gt:10", "lt:100"), variant="correct"), "vals:5,50,120@0"),
 )
 
 
 def _scn_views(seed: Optional[int]) -> ScenarioOutcome:
     results = []
     traces = []
-    for name, make, workload in _CATALOG_RUNS:
+    for make, workload in _CATALOG_RUNS:
         bundle = make()
-        kind = "router" if name.startswith("router") else name
-        arrivals = parse_workload(kind, workload)
+        name = bundle.name
+        arrivals = parse_workload(name, workload)
         try:
             tr = run(bundle.net, with_workload(bundle, arrivals), check_views=True)
             committed = sum(1 for ev in tr.events if ev.outcome == "committed")

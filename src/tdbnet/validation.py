@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .engine import Trace
 
@@ -69,17 +69,10 @@ class InstanceExpectation:
     exact: Mapping[str, frozenset] = field(default_factory=dict)
 
 
-def assert_final_instance(
-    trace: Trace, expected: InstanceExpectation | Callable[[object], bool]
-) -> Verdict:
+def assert_final_instance(trace: Trace, expected: InstanceExpectation) -> Verdict:
     """For halted traces this inspects the frozen intermediate instance,
     which is exactly ``trace.final.instance``."""
     inst = trace.final.instance
-    if callable(expected):
-        if expected(inst):
-            return _ok("final_instance", "predicate holds")
-        return _fail("final_instance", "predicate rejected the final instance")
-
     for rel in expected.empty:
         rows = inst.match_values(rel, None)
         if rows:

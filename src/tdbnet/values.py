@@ -51,12 +51,6 @@ class ColorType:
             return lambda value: type(value) is scalar
         return _tuple_test(tuple(SCALAR_TYPES[c.kind] for c in self.components))
 
-    def field_index(self, name: str) -> int:
-        try:
-            return self.labels.index(name)
-        except ValueError:
-            raise KeyError(f"color has no field named {name!r}") from None
-
 
 INT = ColorType("int")
 TEXT = ColorType("text")

@@ -1,6 +1,6 @@
 """Workload mini-language for feeding pattern bundles.
 
-Specs (times in engine units, scaled by the caller for other units):
+Specs (times in clock units; the throttler's rate counts per 1000 of them):
 
 * ``burst:N@T``          - N messages arriving at T
 * ``steady:N:every:D@T`` - N messages at T, T+D, T+2D, ...
@@ -10,9 +10,10 @@ Specs (times in engine units, scaled by the caller for other units):
 * ``one-match-both``     - single router message satisfying the default
                            pair of conditions (value 50)
 
-Payload fields depend on the pattern family: body text for plain message
-patterns, (value) for the router, (sequence, ordinal, total, body) for the
-stateful patterns.
+The kind is a bundle's name; payload fields depend on the pattern family:
+body text for plain message patterns, (value) for the router variants
+(``router_correct``, ``router_flawed``), (sequence, ordinal, total, body)
+for the stateful patterns.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ def _payload(kind: str, i: int, *, ord_: int | None = None, total: int | None = 
         return (f"m{i:04d}",)
     if kind.startswith("router"):
         return (value if value is not None else 50,)
-    if kind == "resequencer":
-        return (1, ord_ if ord_ is not None else i + 1, total, f"b{ord_ or i + 1:03d}")
-    if kind == "aggregator":
+    if kind in ("resequencer", "aggregator"):
         return (1, ord_ if ord_ is not None else i + 1, total, f"b{ord_ or i + 1:03d}")
     raise WorkloadError(f"no payload rule for pattern kind {kind!r}")
 
@@ -58,7 +57,7 @@ def _ints(raw: str, what: str, *, dashes: bool = False) -> list[int]:
         raise WorkloadError(f"bad {what} list {raw!r}") from None
 
 
-def parse_workload(kind: str, spec: str, scale: int = 1) -> list[tuple[int, tuple]]:
+def parse_workload(kind: str, spec: str) -> list[tuple[int, tuple]]:
     """Arrival list [(at, payload fields)] for one workload spec."""
     spec = spec.strip()
     if spec == "one-match-both":
@@ -69,7 +68,7 @@ def parse_workload(kind: str, spec: str, scale: int = 1) -> list[tuple[int, tupl
     if not sep:
         raise WorkloadError(f"workload {spec!r} needs an @T arrival time")
     try:
-        start = int(rawt) * scale
+        start = int(rawt)
     except ValueError:
         raise WorkloadError(f"bad arrival time in {spec!r}") from None
     if start < 0:
@@ -81,7 +80,7 @@ def parse_workload(kind: str, spec: str, scale: int = 1) -> list[tuple[int, tupl
         return [(start, _payload(kind, i, ord_=i + 1, total=n)) for i in range(n)]
     if parts[0] == "steady" and len(parts) == 4 and parts[2] == "every":
         n = _int(parts[1], "message count")
-        step = _int(parts[3], "interval") * scale
+        step = _int(parts[3], "interval")
         return [
             (start + i * step, _payload(kind, i, ord_=i + 1, total=n)) for i in range(n)
         ]
@@ -101,8 +100,8 @@ def parse_workload(kind: str, spec: str, scale: int = 1) -> list[tuple[int, tupl
     raise WorkloadError(f"unrecognized workload {spec!r}")
 
 
-def parse_workloads(kind: str, specs: Sequence[str], scale: int = 1) -> list[tuple[int, tuple]]:
+def parse_workloads(kind: str, specs: Sequence[str]) -> list[tuple[int, tuple]]:
     arrivals: list[tuple[int, tuple]] = []
     for spec in specs:
-        arrivals.extend(parse_workload(kind, spec, scale))
+        arrivals.extend(parse_workload(kind, spec))
     return arrivals

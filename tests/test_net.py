@@ -86,6 +86,11 @@ CASES = [
         "place 'v': view-bound query 'q_r' must be parameterless",
     ),
     (
+        "view-unknown-query",
+        lambda net: replace(net, places=(net.places[0], Place("v", INT, kind="view", query="nope"), net.places[2])),
+        "place 'v': unknown query 'nope'",
+    ),
+    (
         "view-query-width",
         lambda net: replace(net, places=(net.places[0], Place("v", product(INT, TEXT), kind="view", query="q_r"), net.places[2])),
         "place 'v': query yields 1 columns, color has 2",
@@ -181,6 +186,19 @@ CASES = [
         "input-pattern-operator",
         _t(inputs=(InputArc("p", Var("x")), InputArc("v", Op("+", (Var("x"), Const(1)))))),
         "transition 't': input arc from 'v': not a pattern term: Op(op='+', args=(Var(name='x'), Const(value=1)))",
+    ),
+    (
+        # a tuple never matches a scalar token: the run quiesced silently
+        "input-pattern-wider-than-scalar",
+        _t(inputs=(InputArc("p", (Var("x"), Var("w"))), InputArc("v", Var("y")))),
+        "transition 't': input arc from 'p': 2 pattern terms, but the place's color is the scalar 'int'",
+    ),
+    (
+        "input-pattern-wider-than-product",
+        lambda net: _t(inputs=(InputArc("p", (Var("x"), Var("w"), Wild())), InputArc("v", Var("y"))))(
+            replace(net, places=(Place("p", product(INT, TEXT)), *net.places[1:]))
+        ),
+        "transition 't': input arc from 'p': 3 pattern terms, but the place's color is a product of 2 components",
     ),
     (
         "input-pattern-parameter",

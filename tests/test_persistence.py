@@ -61,7 +61,6 @@ def test_instance_lookup():
     assert inst.rows("MessageSequences") == ()
     with pytest.raises(DefinitionError):
         inst.rows("Nope")
-    assert inst.total_facts() == 2
     assert inst.relation_sizes() == {"Endpoints": 2, "MessageSequences": 0}
 
 

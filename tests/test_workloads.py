@@ -51,11 +51,6 @@ def test_vals_is_router_only():
         parse_workload("throttler", "vals:1,2@0")
 
 
-def test_scale_multiplies_times_not_counts():
-    got = parse_workload("delayer", "steady:2:every:100@50", scale=1000)
-    assert got == [(50000, ("m0000",)), (150000, ("m0001",))]
-
-
 def test_burst_of_zero_is_empty():
     assert parse_workload("delayer", "burst:0@0") == []
 
