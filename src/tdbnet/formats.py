@@ -54,6 +54,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from itertools import count, repeat
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Callable, NamedTuple, Optional
 
 from .engine import FiringEvent, Trace, TraceMeta
@@ -111,13 +112,22 @@ class DocumentError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
-# json.dumps builds a new JSONEncoder on every call that passes options; one
-# shared encoder writes the same bytes without that cost per trace line
+# The canonical form: sorted keys, "," and ":" without spaces, and text
+# written raw, not as \u escapes.  JSONEncoder.encode builds a float
+# formatter and a new C encoder on every call, which cost more than
+# encoding a trace record; the C encoder is built here once and called
+# directly.  Values hold no cycles, so it keeps no markers.  Without the C
+# accelerator, the encoder's own encode writes the same bytes.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+if c_make_encoder is None:
+    canonical_json = _CANONICAL.encode
+else:
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan: as JSONEncoder.iterencode passes them
+    _ENCODE = c_make_encoder(None, _CANONICAL.default, encode_basestring, None, ":", ",", True, False, True)
 
-
-def canonical_json(obj) -> str:
-    return _CANONICAL.encode(obj)
+    def canonical_json(obj) -> str:
+        return "".join(_ENCODE(obj, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +567,6 @@ def _snapshot(node, schema: Schema) -> Snapshot:
     return _made("", lambda: Snapshot(Instance.from_facts(schema, facts), Marking(marking), clock))
 
 
-def _pairs_to_json(pairs):
-    return [[pid, token_to_json(tok)] for pid, tok in pairs]
-
-
 def event_to_json(ev: FiringEvent):
     step, time, transition, binding, consumed, produced, added, deleted, outcome = ev
     return {
@@ -569,8 +575,8 @@ def event_to_json(ev: FiringEvent):
         "time": time,
         "transition": transition,
         "binding": binding,
-        "consumed": _pairs_to_json(consumed),
-        "produced": _pairs_to_json(produced),
+        "consumed": [[pid, {"at": at, "value": value}] for pid, (value, at) in consumed],
+        "produced": [[pid, {"at": at, "value": value}] for pid, (value, at) in produced],
         "added": added,
         "deleted": deleted,
         "outcome": outcome,
@@ -736,7 +742,12 @@ def parse_trace(text: str) -> Trace:
             ]
         )
     final = _located("footer.final", _snapshot, footer["final"], schema)
-    if snapshot_digest(final) != footer.get("digest"):
+    try:
+        digest = snapshot_digest(final)
+    except UnicodeEncodeError as e:
+        # a JSON escape such as "\ud800" reads as a lone surrogate
+        raise DocumentError([f"footer.final: {e.object[e.start : e.end]!r} cannot be encoded as UTF-8 ({e.reason})"]) from None
+    if digest != footer.get("digest"):
         raise DocumentError(["footer digest does not match the final snapshot"])
     meta = TraceMeta(header.get("net", ""), header.get("policy", "eager"), header.get("seed"))
     return Trace(meta, initial, tuple(events), final)

@@ -36,7 +36,7 @@ from .exprs import (
     depends_on_time,
 )
 from .persistence import Action, Instance, Query, Schema, check_action, check_compliance, check_query, copied_relation, eval_query
-from .values import ColorType, conforms
+from .values import ColorType, conforms, encodable
 
 
 class Token(NamedTuple):
@@ -343,7 +343,9 @@ def initial_snapshot(
     normal places; view places are computed.  Bare values are wrapped as
     tokens created at ``clock``.  Facts and tokens are type-checked before
     they are sorted, so a value of no colour (a float, None) fails with a
-    DefinitionError that names it, as does a key that two facts share."""
+    DefinitionError that names it, as does a key that two facts share, and
+    so does text that UTF-8 cannot encode (``encodable``), which no trace
+    could store."""
     instance = Instance.from_facts(net.schema, facts)
     bad = check_compliance(instance)
     if bad:
@@ -351,6 +353,14 @@ def initial_snapshot(
             "initial facts violate schema constraints: "
             + "; ".join(v.message for v in bad[:3])
         )
+    for rel in net.schema.relations:
+        rows = instance.rows(rel.name)
+        for i, column in enumerate(rel.columns):
+            # a column's text is tested at once, and row by row only to
+            # name the row that fails
+            if column.color.kind == "text" and not encodable("".join([values[i] for values, _ in rows])):
+                values = next(values for values, _ in rows if not encodable(values[i]))
+                raise DefinitionError(f"relation {rel.name!r}: row {values!r} holds text that UTF-8 cannot encode")
     wrapped = {
         pid: [t if isinstance(t, Token) else Token(t, clock) for t in toks]
         for pid, toks in (tokens or {}).items()
@@ -359,6 +369,9 @@ def initial_snapshot(
         if net.place(pid).kind == "view":
             raise DefinitionError(f"place {pid!r} is a view place; its marking is derived")
         _check_pool(net, pid, toks, clock)
+        for tok in toks:
+            if not encodable(tok.value):
+                raise DefinitionError(f"place {pid!r}: token {tok!r} holds text that UTF-8 cannot encode")
     views = {place.id: view_tokens(net, place, instance) for place, _, _ in view_places(net)}
     return Snapshot(instance, Marking({**wrapped, **views}), clock)
 
@@ -383,22 +396,31 @@ def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: int) -> None
 # ---------------------------------------------------------------------------
 # static validation
 
+
+def _color_name(color: ColorType) -> str:
+    """``'int'``, or ``product(int, text)``, as a diagnostic names a color."""
+    if color.kind != "product":
+        return repr(color.kind)
+    return f"product({', '.join(c.kind for c in color.components)})"
+
+
 def validate_net(net: Net) -> None:
     """Check a net before it runs; the first fault raises a DefinitionError.
     Every query and action is checked against the schema, whether or not a
     view binds or a transition calls it; a view binds a known, parameterless
     query of its colour's width; arcs read known places and never produce
     on a view place; rollback arcs need actions; calls pass the action's
-    arity; input-arc patterns are variables, constants and wildcards, and a
+    arity; input-arc patterns are variables, constants and wildcards, a
     tuple pattern has one term per component of its place's product
-    colour.  Each inscription (guard, arc, arc condition, action argument)
-    is checked in one walk: its variables are bound by input arcs, age()
-    reads one bound by a normal place, it holds no parameter (a transition
-    has none), its operators are known, and each count or merge_text fits a
-    relation of the schema, with pattern terms that are constants,
-    wildcards or bound variables.  In guards and action arguments, which
-    the truth solver takes, now() and age() occur only under the
-    TIME_OPERATORS and never inside a db pattern."""
+    colour, and a constant fits the colour of what it matches.  Each
+    inscription (guard, arc, arc condition, action argument) is checked in
+    one walk: its variables are bound by input arcs, age() reads one bound
+    by a normal place, it holds no parameter (a transition has none), its
+    operators are known, and each count or merge_text fits a relation of
+    the schema, with pattern terms that are constants, wildcards or bound
+    variables.  In guards and action arguments, which the truth solver
+    takes, now() and age() occur only under the TIME_OPERATORS and never
+    inside a db pattern."""
     for query in net.queries:
         check_query(net.schema, query)
     for action in net.actions:
@@ -435,23 +457,31 @@ def validate_net(net: Net) -> None:
         for arc in t.inputs:
             place = resolve(arc.place)
             at = f"transition {t.id!r}: input arc from {arc.place!r}"
-            for term in arc.pattern if type(arc.pattern) is tuple else (arc.pattern,):
-                kind = type(term)
-                if kind is Var:
-                    bound.add(term.name)
-                    if place.kind == "normal":
-                        normal_bound.add(term.name)
-                elif kind is not Const and kind is not Wild:
-                    raise DefinitionError(f"{at}: not a pattern term: {term!r}")
+            color = place.color
             if type(arc.pattern) is tuple:
                 # a tuple pattern matches only tuples of its width
-                color = place.color
                 width = len(color.components) if color.kind == "product" else None
                 if width != len(arc.pattern):
                     have = f"a product of {width} components" if width is not None else f"the scalar {color.kind!r}"
                     raise DefinitionError(
                         f"{at}: {len(arc.pattern)} pattern terms, but the place's color is {have}"
                     )
+                terms = zip(arc.pattern, color.components)
+            else:
+                terms = ((arc.pattern, color),)
+            for i, (term, fit) in enumerate(terms):
+                kind = type(term)
+                if kind is Var:
+                    bound.add(term.name)
+                    if place.kind == "normal":
+                        normal_bound.add(term.name)
+                elif kind is Const:
+                    # a constant matches only values of its term's color
+                    if not conforms(term.value, fit):
+                        of = f"component {i} of the place's color" if type(arc.pattern) is tuple else "the place's color"
+                        raise DefinitionError(f"{at}: constant {term.value!r} does not fit {of}, {_color_name(fit)}")
+                elif kind is not Wild:
+                    raise DefinitionError(f"{at}: not a pattern term: {term!r}")
 
         def check(e, where: str, timed: Optional[str] = None) -> None:
             """Raise the first fault of ``e`` in tree order; ``timed``

@@ -1,10 +1,11 @@
 """Color types for the values carried by tokens and facts.
 
 A value is an int, a str, a bool, a timestamp (an int counted in engine time
-units), or a flat tuple of those.  Color types describe which values a place
-or a relation column accepts.  Types are exact, so the values of one color
-always compare, and their natural order is the canonical order of a place's
-tokens and of a relation's rows.
+units), or a flat tuple of those.  Text is valid Unicode, which UTF-8 can
+encode: a lone surrogate is not (``encodable``).  Color types describe
+which values a place or a relation column accepts.  Types are exact, so the
+values of one color always compare, and their natural order is the
+canonical order of a place's tokens and of a relation's rows.
 """
 
 from __future__ import annotations
@@ -75,3 +76,17 @@ def conforms(value: object, color: ColorType) -> bool:
     value."""
     return color.fits(value)
 
+
+def encodable(value: object) -> bool:
+    """True unless ``value`` holds text that UTF-8 cannot encode, which is
+    text with a lone surrogate, as a JSON escape such as ``"\\ud800"`` reads.
+    ASCII text is passed without encoding it."""
+    if type(value) is tuple:
+        return all(map(encodable, value))
+    if type(value) is not str or value.isascii():
+        return True
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        return False
+    return True

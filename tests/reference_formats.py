@@ -1,21 +1,25 @@
-"""The trace decoder as it was before each record was read without paths:
-the differential oracle for ``tdbnet.formats.parse_trace``.
+"""The trace decoder as it was before each record was read without paths,
+and the trace writer as it was before each record was written through one
+prepared JSON encoder: the differential oracles for
+``tdbnet.formats.parse_trace`` and ``serialize_trace``.
 
 Frozen copies of ``parse_trace``, ``event_from_json`` and the snapshot and
 schema codecs they used, which passed a path string down to every node and
-formatted it for every token and row.  Only the package's value classes,
-``DocumentError`` and ``snapshot_digest`` (the encoding whose hash a footer
-stores) are shared, so the decoder is checked against code it does not
-share.
+formatted it for every token and row; and of ``serialize_trace`` with the
+record builders it used, which wrote each record with
+``JSONEncoder.encode``.  Only the package's value classes and
+``DocumentError`` are shared, so the decoder and the writer are checked
+against code they do not share.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import NamedTuple, Optional
 
 from tdbnet.engine import FiringEvent, Trace, TraceMeta
-from tdbnet.formats import DocumentError, snapshot_digest
+from tdbnet.formats import DocumentError
 from tdbnet.net import Marking, Snapshot, Token
 from tdbnet.persistence import Column, Instance, Relation, Schema
 from tdbnet.values import BOOL, INT, TEXT, TS
@@ -238,3 +242,88 @@ def parse_trace(text: str) -> Trace:
         raise DocumentError(["footer digest does not match the final snapshot"])
     meta = TraceMeta(header.get("net", ""), header.get("policy", "eager"), header.get("seed"))
     return Trace(meta, initial, tuple(events), final)
+
+
+# the writer
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def canonical_json(obj) -> str:
+    return _CANONICAL.encode(obj)
+
+
+_SCALAR_NAMES = {color: name for name, color in _SCALARS.items()}
+
+
+def _schema_to_json(schema: Schema) -> list:
+    return [
+        {
+            "name": rel.name,
+            "columns": [{"name": c.name, "type": _SCALAR_NAMES[c.color]} for c in rel.columns],
+            "key": list(rel.key),
+        }
+        for rel in schema.relations
+    ]
+
+
+def token_to_json(tok: Token):
+    value, at = tok
+    return {"value": value, "at": at}
+
+
+def snapshot_to_json(snap: Snapshot):
+    return {
+        "clock": snap.clock,
+        "facts": list(snap.instance.all_rows()),
+        "marking": {
+            pid: [token_to_json(t) for t in snap.marking.tokens(pid)]
+            for pid in snap.marking.place_ids()
+            if snap.marking.tokens(pid)
+        },
+    }
+
+
+def _pairs_to_json(pairs):
+    return [[pid, token_to_json(tok)] for pid, tok in pairs]
+
+
+def event_to_json(ev: FiringEvent):
+    step, time, transition, binding, consumed, produced, added, deleted, outcome = ev
+    return {
+        "kind": "event",
+        "step": step,
+        "time": time,
+        "transition": transition,
+        "binding": binding,
+        "consumed": _pairs_to_json(consumed),
+        "produced": _pairs_to_json(produced),
+        "added": added,
+        "deleted": deleted,
+        "outcome": outcome,
+    }
+
+
+def snapshot_digest(snap: Snapshot) -> str:
+    return _digest(canonical_json(snapshot_to_json(snap)))
+
+
+def _digest(snapshot_text: str) -> str:
+    return hashlib.sha256(snapshot_text.encode()).hexdigest()
+
+
+def serialize_trace(trace: Trace) -> str:
+    header = {
+        "kind": "header",
+        "net": trace.meta.net_hash,
+        "policy": trace.meta.policy,
+        "seed": trace.meta.seed,
+        "schema": _schema_to_json(trace.initial.instance.schema),
+        "initial": snapshot_to_json(trace.initial),
+    }
+    lines = [canonical_json(header)]
+    lines.extend(canonical_json(event_to_json(ev)) for ev in trace.events)
+    final = canonical_json(snapshot_to_json(trace.final))
+    lines.append(f'{{"digest":"{_digest(final)}","events":{len(trace.events)},"final":{final},"kind":"footer"}}')
+    return "\n".join(lines) + "\n"

@@ -11,8 +11,8 @@ import pytest
 import tdbnet
 from tdbnet import cli
 from tdbnet.engine import run
-from tdbnet.formats import parse_trace, serialize_trace
-from tdbnet.patterns import build_throttler, with_workload
+from tdbnet.formats import parse_trace, serialize_net, serialize_trace
+from tdbnet.patterns import build_delayer, build_throttler, with_workload
 from tdbnet.scenarios import SCENARIOS
 from tdbnet.workloads import parse_workload
 
@@ -100,6 +100,41 @@ def test_a_net_with_a_float_fact_is_a_located_error(tmp_path, capsys, instance, 
     assert code == cli.EXIT_USAGE == 1
     assert err.startswith(f"error: {diagnostic}")
     assert "Traceback" not in err
+
+
+def _edit_fact(doc):
+    doc["initial_instance"]["facts"][1][1][2] = "\ud800"
+
+
+def _edit_token(doc):
+    doc["initial_marking"] = {"ch1": [{"at": 0, "value": [0, "m\ud800"]}]}
+
+
+@pytest.mark.parametrize(
+    "edit,diagnostic",
+    [
+        (_edit_fact, "initial_instance: relation 'inbox': row (1, 0, '\\ud800') holds text that UTF-8 cannot encode"),
+        (
+            _edit_token,
+            "initial_instance: place 'ch1': token Token(value=(0, 'm\\ud800'), created_at=0) "
+            "holds text that UTF-8 cannot encode",
+        ),
+    ],
+    ids=["fact", "token"],
+)
+def test_a_lone_surrogate_in_a_net_is_a_located_error(tmp_path, capsys, edit, diagnostic):
+    # "\ud800" is legal JSON; the run succeeded, and writing its trace died
+    # with a UnicodeEncodeError
+    bundle = build_delayer(250)
+    doc = json.loads(serialize_net(bundle.net, with_workload(bundle, parse_workload("delayer", "burst:3@0"))))
+    edit(doc)
+    path = tmp_path / "sur.tdbnet.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "t.trace.jsonl"
+    code = cli.main(["run", "--net", str(path), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {diagnostic}\n"
+    assert not out.exists()
 
 
 def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_formats as frozen
-from tdbnet.engine import Trace, run, replay
+from tdbnet.engine import FiringEvent, Trace, TraceMeta, run, replay
 from tdbnet.exprs import DefinitionError, Op
 from tdbnet.formats import (
     DocumentError,
@@ -22,7 +22,7 @@ from tdbnet.formats import (
     serialize_report,
     serialize_trace,
 )
-from tdbnet.net import validate_net
+from tdbnet.net import Marking, Snapshot, Token, validate_net
 from tdbnet.patterns import (
     EndpointStub,
     build_aggregator,
@@ -33,8 +33,10 @@ from tdbnet.patterns import (
     build_throttler,
     with_workload,
 )
+from tdbnet.persistence import Column, Instance, Relation, Schema
 from tdbnet.scenarios import halting_bundle
 from tdbnet.validation import Verdict
+from tdbnet.values import BOOL, INT, TEXT, TS
 from tdbnet.workloads import parse_workload
 
 
@@ -314,6 +316,16 @@ class TestTraceRoundTrip:
             parse_trace("\n".join(lines) + "\n")
         assert "line 2" in str(exc.value)
 
+    def test_lone_surrogate_in_the_final_snapshot_is_located(self):
+        # "\ud800" is legal JSON; hashing the snapshot died with a
+        # UnicodeEncodeError
+        def edit(footer):
+            footer["final"]["facts"][0][1][1] = "\ud800"
+
+        assert _edited_throttler_trace_diagnostics(-1, edit) == [
+            "footer.final: '\\ud800' cannot be encoded as UTF-8 (surrogates not allowed)"
+        ]
+
     def test_tampered_footer_digest_detected(self):
         b = build_delayer(100)
         tr = run(b.net, with_workload(b, [(0, ("x",))]))
@@ -561,12 +573,91 @@ def test_decoder_agrees_with_the_frozen_one_on_the_catalog_traces():
     assert outcomes == {"committed", "rolled_back", "halted"}
 
 
+# ints past 2**64 either way, and text with what JSON escapes (quotes,
+# backslashes, control characters), what it writes raw but str.splitlines
+# splits at (U+2028, U+2029, U+0085), and characters beyond the BMP
+INTS = st.one_of(st.integers(-3, 3), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
+TEXTS = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\n\u2028\u2029\u0085\xe9\U0001f600'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+JSON_VALUES = st.recursive(
+    st.one_of(INTS, TEXTS, st.booleans(), st.none(), st.floats()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(TEXTS, children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
 class TestCanonicalJson:
     def test_key_order_and_spacing_are_fixed(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
     def test_non_ascii_preserved(self):
         assert canonical_json({"k": "café"}) == '{"k":"café"}'
+
+    @settings(deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_the_stdlib_encoder(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+# traces of any shape, not runs of a net: the writer reads no net
+SCHEMA = Schema(
+    (
+        Relation("R", (Column("k", INT), Column("t", TEXT)), ("k",)),
+        Relation("S", (Column("t", TEXT), Column("b", BOOL), Column("ts", TS)), ("t",)),
+    )
+)
+ROWS = {"R": st.tuples(INTS, TEXTS), "S": st.tuples(TEXTS, st.booleans(), INTS)}
+POOLS = {"p": TEXTS, "q": INTS, "r": st.tuples(INTS, TEXTS)}
+FACTS = st.lists(st.sampled_from(sorted(ROWS)).flatmap(lambda rel: st.tuples(st.just(rel), ROWS[rel], INTS)), max_size=2)
+PLACED = st.sampled_from(sorted(POOLS)).flatmap(lambda pid: st.tuples(st.just(pid), st.builds(Token, POOLS[pid], INTS)))
+SNAPSHOTS = st.builds(
+    lambda facts, tokens, clock: Snapshot(Instance.from_facts(SCHEMA, facts), Marking(tokens), clock),
+    FACTS,
+    st.fixed_dictionaries({pid: st.lists(st.builds(Token, pool, INTS), max_size=2) for pid, pool in POOLS.items()}),
+    INTS,
+)
+EVENTS = st.builds(
+    FiringEvent,
+    step=INTS,
+    time=INTS,
+    transition=TEXTS,
+    binding=st.lists(st.tuples(TEXTS, st.one_of(INTS, TEXTS, st.booleans(), POOLS["r"])), max_size=2).map(tuple),
+    consumed=st.lists(PLACED, max_size=2).map(tuple),
+    produced=st.lists(PLACED, max_size=2).map(tuple),
+    added=FACTS.map(tuple),
+    deleted=FACTS.map(tuple),
+    outcome=st.sampled_from(("committed", "rolled_back", "halted")),
+)
+TRACES = st.builds(
+    Trace,
+    st.builds(TraceMeta, TEXTS, st.sampled_from(("eager", "random")), st.one_of(st.none(), INTS)),
+    SNAPSHOTS,
+    st.lists(EVENTS, max_size=3).map(tuple),
+    SNAPSHOTS,
+)
+
+
+@settings(deadline=None)
+@given(TRACES)
+def test_writer_agrees_with_the_frozen_one_on_generated_traces(trace):
+    text = serialize_trace(trace)
+    assert text == frozen.serialize_trace(trace)
+    assert serialize_trace(parse_trace(text)) == text
+
+
+def test_writer_agrees_with_the_frozen_one_on_the_catalog_traces():
+    for lines in EDITED_TRACES:
+        trace = parse_trace("\n".join(lines) + "\n")
+        assert serialize_trace(trace) == frozen.serialize_trace(trace)
 
 
 class TestReport:

@@ -201,6 +201,20 @@ CASES = [
         "transition 't': input arc from 'p': 3 pattern terms, but the place's color is a product of 2 components",
     ),
     (
+        # a constant of another color never matches: the run quiesced
+        # silently with the token in place
+        "input-constant-off-color",
+        _t(inputs=(InputArc("p", Var("x")), InputArc("p", Const("a")), InputArc("v", Var("y")))),
+        "transition 't': input arc from 'p': constant 'a' does not fit the place's color, 'int'",
+    ),
+    (
+        "input-constant-off-component-color",
+        lambda net: _t(inputs=(InputArc("p", (Var("x"), Const(1))), InputArc("v", Var("y"))))(
+            replace(net, places=(Place("p", product(INT, TEXT)), *net.places[1:]))
+        ),
+        "transition 't': input arc from 'p': constant 1 does not fit component 1 of the place's color, 'text'",
+    ),
+    (
         "input-pattern-parameter",
         _t(inputs=(InputArc("p", Var("x")), InputArc("v", Param("k")))),
         "transition 't': input arc from 'v': not a pattern term: Param(name='k')",
@@ -268,8 +282,22 @@ def test_one_fault_is_rejected(edit, message):
         _guard(_gt0(DbCount("R", (Var("x"), Wild())))),
         _arc(Op("*", (Now(), Const(2)))),
         _arc(DbMergeText("R", (Var("x"), Const("x")), 1, 0)),
+        _t(inputs=(InputArc("p", Var("x")), InputArc("v", Const(1)))),
+        lambda net: _t(inputs=(InputArc("p", (Var("x"), Const("a"))), InputArc("v", Var("y"))))(
+            replace(net, places=(Place("p", product(INT, TEXT)), *net.places[1:]))
+        ),
     ],
-    ids=["base", "additive", "logical", "time-free-mul", "count", "time-under-mul-in-arc", "merge-text"],
+    ids=[
+        "base",
+        "additive",
+        "logical",
+        "time-free-mul",
+        "count",
+        "time-under-mul-in-arc",
+        "merge-text",
+        "input-constant",
+        "input-constant-component",
+    ],
 )
 def test_well_formed_inscription_is_accepted(edit):
     # the solver's shape binds guards and action arguments only, and a
