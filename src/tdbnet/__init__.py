@@ -3,7 +3,7 @@ over a relational store with an integer clock), a catalog of executable
 integration patterns built on it, and trace-based conformance checks."""
 
 from .engine import FiringEvent, Trace, TraceMeta, advance_clock, enabled, fire, replay, run
-from .net import InputArc, Marking, Net, OutputArc, Place, Snapshot, Token, Transition, initial_snapshot
+from .net import InputArc, Marking, Net, OutputArc, Place, Snapshot, Transition, initial_snapshot
 from .persistence import (
     Action,
     Atom,
@@ -42,7 +42,6 @@ __all__ = [
     "Snapshot",
     "TEXT",
     "TS",
-    "Token",
     "Trace",
     "TraceMeta",
     "Transition",

@@ -40,11 +40,12 @@ Semantics in brief:
   step next asks about it.
 * Snapshots are checked: ``initial_snapshot``, ``run``, ``fire``,
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
-  naming the place and the token when a token does not fit its place's
-  color (so a pool's values compare) or was created after the clock.  The
-  snapshots given to the others must also hold, on each view place,
-  exactly the tokens of its query's rows, because firings patch a view
-  from row deltas or evaluate it again only when a relation it reads
+  naming the place and the entry when an entry is not a token, the exact
+  tuple ``(value, created_at)`` with an int time, or does not fit its
+  place's color (so a pool's values compare) or was created after the
+  clock.  The snapshots given to the others must also hold, on each view
+  place, exactly the tokens of its query's rows, because firings patch a
+  view from row deltas or evaluate it again only when a relation it reads
   changes.
 * ``enabled`` lists (transition, binding) pairs whose input patterns match
   distinct tokens and whose guard holds at the snapshot clock; the earliest
@@ -129,7 +130,6 @@ from .net import (
     Marking,
     Net,
     Snapshot,
-    Token,
     Transition,
     check_marking,
     check_views,
@@ -157,8 +157,8 @@ class FiringEvent(NamedTuple):
     time: int
     transition: str
     binding: tuple  # sorted (var, value) pairs
-    consumed: tuple  # (place_id, Token) pairs, view reads included
-    produced: tuple  # (place_id, Token) pairs
+    consumed: tuple  # (place_id, (value, created_at)) pairs, view reads included
+    produced: tuple  # (place_id, (value, created_at)) pairs
     added: tuple  # (relation, values, at) rows inserted
     deleted: tuple  # (relation, values, at) rows removed
     outcome: str  # committed | rolled_back | halted
@@ -200,7 +200,7 @@ class _Cand:
     def __init__(self, transition: Transition, env: dict, matches: tuple, ages: dict, entries: tuple):
         self.transition = transition
         self.env = env
-        self.matches = matches  # ((place_id, Token, is_view), ...)
+        self.matches = matches  # ((place_id, token, is_view), ...)
         self.ages = ages
         self.entries = entries
         self.key = tuple([e.key for e in entries])
@@ -314,7 +314,7 @@ class _Entry:
 
     __slots__ = ("key", "env", "ages", "copies", "cands", "share")
 
-    def __init__(self, token: Token, env: dict, ages: dict):
+    def __init__(self, token: tuple, env: dict, ages: dict):
         self.key = token
         self.env = env
         self.ages = ages
@@ -859,7 +859,7 @@ def advance_clock(net: Net, snapshot: Snapshot) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # firing
 
-def _produce(net: Net, arcs, cand: _Cand, instance, at: int) -> list[tuple[str, Token]]:
+def _produce(net: Net, arcs, cand: _Cand, instance, at: int) -> list[tuple[str, tuple]]:
     out = []
     for arc in arcs:
         if arc.when is not None:
@@ -872,13 +872,13 @@ def _produce(net: Net, arcs, cand: _Cand, instance, at: int) -> list[tuple[str, 
             raise DefinitionError(
                 f"transition {cand.transition.id!r}: value {value!r} does not fit place {place.id!r}"
             )
-        out.append((place.id, Token(value, at)))
+        out.append((place.id, (value, at)))
     return out
 
 
 def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> tuple[Snapshot, FiringEvent, tuple]:
     """Fire ``cand`` at ``at``: the snapshot after it, its event, and its
-    token delta ``(removed, added)`` of ``(place id, Token)`` pairs.  A
+    token delta ``(removed, added)`` of ``(place id, token)`` pairs.  A
     committed firing removes the tokens it consumed from normal places and
     the tokens its view places lose, and adds the tokens it produced and
     those its view places gain (``refresh_views``); a rolled-back one

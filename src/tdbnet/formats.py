@@ -79,7 +79,6 @@ from .net import (
     OutputArc,
     Place,
     Snapshot,
-    Token,
     Transition,
     initial_snapshot,
     validate_net,
@@ -396,20 +395,20 @@ _PATTERN = _Codec(
 # tokens and facts
 
 
-def token_to_json(tok: Token):
+def token_to_json(tok: tuple):
     value, at = tok
     return {"value": value, "at": at}
 
 
-# a Token or a FiringEvent built from its fields without the NamedTuple's
-# Python-level __new__
+# a FiringEvent built from its fields without the NamedTuple's Python-level
+# __new__
 _new = tuple.__new__
 
 
-def _token(node) -> Token:
+def _token(node) -> tuple:
     if type(node) is not dict or "value" not in node or type(node.get("at")) is not int:
         raise DocumentError([": expected a token object with a value and an integer at"])
-    return _new(Token, (json_to_value(node["value"]), node["at"]))
+    return json_to_value(node["value"]), node["at"]
 
 
 def _fact(node) -> tuple:
@@ -588,7 +587,7 @@ _LIST_FIELDS = ("binding", "consumed", "produced", "added", "deleted")
 
 
 def _placed(pair) -> tuple:
-    """A consumed or produced ``[place, token]`` as ``(place, Token)``; a
+    """A consumed or produced ``[place, token]`` as ``(place, token)``; a
     malformed token is located at the pair."""
     place, token = pair
     if type(place) is not str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, Optional
 
 from .exprs import (
     Age,
@@ -37,15 +37,6 @@ from .exprs import (
 )
 from .persistence import Action, Instance, Query, Schema, check_action, check_compliance, check_query, copied_relation, eval_query
 from .values import ColorType, conforms, encodable
-
-
-class Token(NamedTuple):
-    """A coloured value with its creation time.  A token is a tuple, so
-    equality, hashing and the canonical order (by value, then by creation
-    time) are the tuple's: a token is its own sort and dictionary key."""
-
-    value: object
-    created_at: int = 0
 
 
 @dataclass(frozen=True)
@@ -147,7 +138,7 @@ class Net:
         return cached
 
 
-def _span(pool: tuple[Token, ...], tok: Token) -> range:
+def _span(pool: tuple[tuple, ...], tok: tuple) -> range:
     """The positions of the tokens equal to ``tok`` in a sorted pool, found
     by binary search.  A token whose value does not compare with the pool's
     gets ``range(0)``: no token of another type equals it."""
@@ -159,7 +150,10 @@ def _span(pool: tuple[Token, ...], tok: Token) -> range:
 
 
 class Marking:
-    """Multiset of tokens per place.  A place holds values of one colour,
+    """Multiset of tokens per place.  A token is the exact tuple
+    ``(value, created_at)``, so equality, hashing and the canonical order
+    (by value, then by creation time) are the tuple's: a token is its own
+    sort and dictionary key.  A place holds values of one colour,
     which compare, so each pool is kept in its natural order, the canonical
     one; the constructor rejects a pool whose values do not compare with a
     DefinitionError that names the place.  Whether the values fit the
@@ -167,18 +161,18 @@ class Marking:
 
     __slots__ = ("_tokens",)
 
-    def __init__(self, tokens: Mapping[str, Iterable[Token]] | None = None):
-        self._tokens: dict[str, tuple[Token, ...]] = {}
+    def __init__(self, tokens: Mapping[str, Iterable[tuple]] | None = None):
+        self._tokens: dict[str, tuple[tuple, ...]] = {}
         for pid, toks in (tokens or {}).items():
             try:
                 self._tokens[pid] = tuple(sorted(toks))
             except TypeError as e:
                 raise DefinitionError(f"place {pid!r}: its token values do not compare ({e})") from None
 
-    def tokens(self, pid: str) -> tuple[Token, ...]:
+    def tokens(self, pid: str) -> tuple[tuple, ...]:
         return self._tokens.get(pid, ())
 
-    def holds(self, pid: str, tok: Token, copies: int = 1) -> bool:
+    def holds(self, pid: str, tok: tuple, copies: int = 1) -> bool:
         """Whether place ``pid`` holds at least ``copies`` tokens equal to
         ``tok``."""
         return len(self.span(pid, tok)) >= copies
@@ -186,15 +180,15 @@ class Marking:
     def place_ids(self) -> list[str]:
         return sorted(pid for pid, toks in self._tokens.items() if toks)
 
-    def span(self, pid: str, tok: Token) -> range:
+    def span(self, pid: str, tok: tuple) -> range:
         """The positions of the tokens equal to ``tok`` in place ``pid``'s
         pool, which are adjacent because the pool is sorted."""
         return _span(self.tokens(pid), tok)
 
     def updated(
         self,
-        remove: Iterable[tuple[str, Token]] = (),
-        add: Iterable[tuple[str, Token]] = (),
+        remove: Iterable[tuple[str, tuple]] = (),
+        add: Iterable[tuple[str, tuple]] = (),
     ) -> "Marking":
         """A new marking without ``remove`` (one copy each, ValueError when
         absent) and with ``add``.  Removals and additions find their
@@ -241,15 +235,15 @@ class Snapshot:
         return Snapshot(self.instance, self.marking, clock)
 
 
-def _row_tokens(place: Place, rows: Iterable[tuple]) -> list[Token]:
+def _row_tokens(place: Place, rows: Iterable[tuple]) -> list[tuple]:
     """A view place's tokens for query result rows: the whole row on a
     product-colored place, else its one column, created at 0."""
     if place.color.kind == "product":
-        return [Token(row, 0) for row in rows]
-    return [Token(row[0], 0) for row in rows]
+        return [(row, 0) for row in rows]
+    return [(row[0], 0) for row in rows]
 
 
-def view_tokens(net: Net, place: Place, instance: Instance) -> tuple[Token, ...]:
+def view_tokens(net: Net, place: Place, instance: Instance) -> tuple[tuple, ...]:
     return tuple(_row_tokens(place, eval_query(instance, net.query(place.query))))
 
 
@@ -274,7 +268,7 @@ def view_places(net: Net) -> tuple[tuple[Place, Optional[str], frozenset], ...]:
 
 
 def view_delta(place: Place, relation: str, added, deleted) -> tuple[list, list]:
-    """The ``(place id, Token)`` pairs a view place that copies ``relation``
+    """The ``(place id, token)`` pairs a view place that copies ``relation``
     loses and gains when the ``(relation, values, at)`` rows ``deleted`` and
     ``added`` leave and enter the store.  A view token does not carry the
     row's insertion time, so a row deleted and added again in one firing
@@ -305,7 +299,7 @@ def check_views(net: Net, snapshot: "Snapshot") -> None:
 
 
 def refresh_views(net: Net, instance: Instance, marking: Marking, added, deleted) -> tuple[list, list]:
-    """The ``(place id, Token)`` pairs that the view places of ``marking``
+    """The ``(place id, token)`` pairs that the view places of ``marking``
     lose and gain when the ``(relation, values, at)`` rows ``added`` and
     ``deleted`` turn its instance into ``instance``.
 
@@ -336,16 +330,16 @@ def refresh_views(net: Net, instance: Instance, marking: Marking, added, deleted
 def initial_snapshot(
     net: Net,
     facts: Iterable[tuple] = (),
-    tokens: Mapping[str, Iterable[Token]] | None = None,
+    tokens: Mapping[str, Iterable[tuple]] | None = None,
     clock: int = 0,
 ) -> Snapshot:
-    """Build a snapshot from raw facts (relation, values, at) and tokens for
-    normal places; view places are computed.  Bare values are wrapped as
-    tokens created at ``clock``.  Facts and tokens are type-checked before
-    they are sorted, so a value of no colour (a float, None) fails with a
-    DefinitionError that names it, as does a key that two facts share, and
-    so does text that UTF-8 cannot encode (``encodable``), which no trace
-    could store."""
+    """Build a snapshot from raw facts (relation, values, at) and the
+    ``(value, created_at)`` tokens of normal places; view places are
+    computed.  Facts and tokens are type-checked before they are sorted, so
+    an entry that is not a token (``_check_pool``) or a value of no colour
+    (a float, None) fails with a DefinitionError that names it, as does a
+    key that two facts share, and so does text that UTF-8 cannot encode
+    (``encodable``), which no trace could store."""
     instance = Instance.from_facts(net.schema, facts)
     bad = check_compliance(instance)
     if bad:
@@ -361,19 +355,16 @@ def initial_snapshot(
             if column.color.kind == "text" and not encodable("".join([values[i] for values, _ in rows])):
                 values = next(values for values, _ in rows if not encodable(values[i]))
                 raise DefinitionError(f"relation {rel.name!r}: row {values!r} holds text that UTF-8 cannot encode")
-    wrapped = {
-        pid: [t if isinstance(t, Token) else Token(t, clock) for t in toks]
-        for pid, toks in (tokens or {}).items()
-    }
-    for pid, toks in sorted(wrapped.items()):
+    pools = {pid: list(toks) for pid, toks in (tokens or {}).items()}
+    for pid, toks in sorted(pools.items()):
         if net.place(pid).kind == "view":
             raise DefinitionError(f"place {pid!r} is a view place; its marking is derived")
         _check_pool(net, pid, toks, clock)
         for tok in toks:
-            if not encodable(tok.value):
+            if not encodable(tok[0]):
                 raise DefinitionError(f"place {pid!r}: token {tok!r} holds text that UTF-8 cannot encode")
     views = {place.id: view_tokens(net, place, instance) for place, _, _ in view_places(net)}
-    return Snapshot(instance, Marking({**wrapped, **views}), clock)
+    return Snapshot(instance, Marking({**pools, **views}), clock)
 
 
 def check_marking(net: Net, marking: Marking, clock: int) -> None:
@@ -384,12 +375,18 @@ def check_marking(net: Net, marking: Marking, clock: int) -> None:
         _check_pool(net, pid, marking.tokens(pid), clock)
 
 
-def _check_pool(net: Net, pid: str, tokens: Iterable[Token], clock: int) -> None:
+def _check_pool(net: Net, pid: str, tokens: Iterable[tuple], clock: int) -> None:
+    """A token is an exact 2-tuple with an exact-int creation time; any
+    other entry is rejected, never read as a value, since a product-coloured
+    value is a tuple too."""
     color = net.place(pid).color
     for tok in tokens:
-        if not conforms(tok.value, color):
+        if type(tok) is not tuple or len(tok) != 2 or type(tok[1]) is not int:
+            raise DefinitionError(f"place {pid!r}: entry {tok!r} is not a token (value, created_at) with an int created_at")
+        value, at = tok
+        if not conforms(value, color):
             raise DefinitionError(f"place {pid!r}: token {tok!r} does not fit its color")
-        if tok.created_at > clock:
+        if at > clock:
             raise DefinitionError(f"place {pid!r}: token {tok!r} is created after the snapshot clock {clock}")
 
 
@@ -417,10 +414,11 @@ def validate_net(net: Net) -> None:
     one walk: its variables are bound by input arcs, age() reads one bound
     by a normal place, it holds no parameter (a transition has none), its
     operators are known, and each count or merge_text fits a relation of
-    the schema, with pattern terms that are constants, wildcards or bound
-    variables.  In guards and action arguments, which the truth solver
-    takes, now() and age() occur only under the TIME_OPERATORS and never
-    inside a db pattern."""
+    the schema, with pattern terms that are wildcards, bound variables or
+    constants that fit their column.  No constant holds text that UTF-8
+    cannot encode, which no trace could store.  In guards and action
+    arguments, which the truth solver takes, now() and age() occur only
+    under the TIME_OPERATORS and never inside a db pattern."""
     for query in net.queries:
         check_query(net.schema, query)
     for action in net.actions:
@@ -480,6 +478,8 @@ def validate_net(net: Net) -> None:
                     if not conforms(term.value, fit):
                         of = f"component {i} of the place's color" if type(arc.pattern) is tuple else "the place's color"
                         raise DefinitionError(f"{at}: constant {term.value!r} does not fit {of}, {_color_name(fit)}")
+                    if not encodable(term.value):
+                        raise DefinitionError(f"{at}: constant {term.value!r} holds text that UTF-8 cannot encode")
                 elif kind is not Wild:
                     raise DefinitionError(f"{at}: not a pattern term: {term!r}")
 
@@ -496,6 +496,11 @@ def validate_net(net: Net) -> None:
                 if kind is Age and name not in normal_bound:
                     raise DefinitionError(
                         f"transition {t.id!r}: age({name!r}) needs a variable bound by a normal place"
+                    )
+            elif kind is Const:
+                if not encodable(e.value):
+                    raise DefinitionError(
+                        f"transition {t.id!r}: constant {e.value!r} in {where} holds text that UTF-8 cannot encode"
                     )
             elif kind is Param:
                 raise DefinitionError(
@@ -518,11 +523,16 @@ def validate_net(net: Net) -> None:
                     raise DefinitionError(
                         f"{at}: pattern arity {len(e.terms)} does not match relation {rel.name!r} arity {rel.arity}"
                     )
-                for term in e.terms:
+                for term, column in zip(e.terms, rel.columns):
                     if type(term) not in (Var, Const, Param, Wild):
                         if timed and depends_on_time(term):
                             raise DefinitionError(f"{timed}: now()/age() not allowed inside db patterns")
                         raise DefinitionError(f"{at}: not a pattern term: {term!r}")
+                    if type(term) is Const and not conforms(term.value, column.color):
+                        raise DefinitionError(
+                            f"{at}: constant {term.value!r} does not fit column {column.name!r} of {rel.name!r}, "
+                            f"{_color_name(column.color)}"
+                        )
                     check(term, where)
                 if kind is DbMergeText:
                     for col in (e.order_col, e.text_col):

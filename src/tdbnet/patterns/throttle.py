@@ -59,7 +59,7 @@ def build_throttler(rate: int) -> PatternBundle:
         transitions=(admit, release),
         relations=(OUT_LOG,),
         actions=(EMIT_OUT,),
-        tokens={"cap": [0]},
+        tokens={"cap": [(0, 0)]},
         outputs=("ch3",),
     )
 

@@ -33,7 +33,7 @@ from .exprs import (
     compiled,
     compiled_term,
 )
-from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType
+from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType, encodable
 
 
 @dataclass(frozen=True)
@@ -359,12 +359,19 @@ def _compile_query(schema: Schema, query: Query):
             raise DefinitionError(
                 f"query {query.name!r} atom {i}: arity {len(atom.terms)} != {rel.arity}"
             )
-        for t in atom.terms:
+        for t, column in zip(atom.terms, rel.columns):
             if type(t) is Var:
                 bound.add(t.name)
             elif type(t) is Param and t.name not in param_names:
                 raise DefinitionError(f"query {query.name!r}: unknown parameter {t.name!r}")
-            elif type(t) not in (Const, Wild, Param):
+            elif type(t) is Const:
+                # a constant of another color never matches
+                at = f"query {query.name!r} atom {i}: constant {t.value!r}"
+                if not column.color.fits(t.value):
+                    raise DefinitionError(f"{at} does not fit column {column.name!r}, {column.color.kind!r}")
+                if not encodable(t.value):
+                    raise DefinitionError(f"{at} holds text that UTF-8 cannot encode")
+            elif type(t) not in (Wild, Param):
                 raise DefinitionError(f"query {query.name!r}: bad atom term {t!r}")
     for f in query.filters:
         if f.op not in _FILTER_OPS:
@@ -518,8 +525,9 @@ def _side(side):
 def check_query(schema: Schema, query: Query) -> None:
     """Check ``query`` against ``schema`` and keep its plan, as its first
     evaluation would: a DefinitionError names the query when a relation is
-    unknown, an arity is wrong, a variable or parameter is unbound, or an
-    ``order_by`` index is out of range."""
+    unknown, an arity is wrong, an atom's constant does not fit its column
+    or holds text that UTF-8 cannot encode, a variable or parameter is
+    unbound, or an ``order_by`` index is out of range."""
     _plan(schema, query, _compile_query)
 
 
@@ -590,6 +598,8 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
                     raise DefinitionError(f"action {action.name!r}: unknown parameter {t.name!r}")
                 idx.append(pindex[t.name])
             elif isinstance(t, Const):
+                if not encodable(t.value):
+                    raise DefinitionError(f"action {action.name!r}: constant {t.value!r} holds text that UTF-8 cannot encode")
                 idx.append(npar + len(consts))
                 consts.append(t.value)
             else:

@@ -357,7 +357,7 @@ def halting_bundle() -> PatternBundle:
         schema=Schema((kv,)),
         actions=(add_kv,),
     )
-    initial = initial_snapshot(net, facts=(), tokens={"ch": [1, 1]}, clock=0)
+    initial = initial_snapshot(net, facts=(), tokens={"ch": [(1, 0), (1, 0)]}, clock=0)
     return PatternBundle(
         name="halting", net=net, initial=initial, io=IoPlaces(inputs=("ch",), outputs=())
     )

@@ -63,7 +63,7 @@ class _Cand:
     def __init__(self, transition: Transition, env: dict, matches: tuple, ages: dict):
         self.transition = transition
         self.env = env
-        self.matches = matches  # ((place_id, Token, is_view), ...)
+        self.matches = matches  # ((place_id, token, is_view), ...)
         self.ages = ages
         self._items = None
 
@@ -77,7 +77,7 @@ class _Cand:
 
     def onset_key(self) -> tuple:
         # identity only (dict key / dedup); values are hashable as-is
-        sig = tuple((pid, tok.value, tok.created_at) for pid, tok, _ in self.matches)
+        sig = tuple((pid, tok[0], tok[1]) for pid, tok, _ in self.matches)
         return (self.transition.id, self.binding_items(), sig)
 
 
@@ -125,7 +125,7 @@ def _enumerate_fast(t: Transition, arc, pool, is_view: bool) -> list[_Cand]:
         if tok == prev:  # pool is sorted, duplicates are adjacent
             continue
         prev = tok
-        v = tok.value
+        v = tok[0]
         if single:
             env = {names[0]: v}
             items = ((names[0], v),)
@@ -134,7 +134,7 @@ def _enumerate_fast(t: Transition, arc, pool, is_view: bool) -> list[_Cand]:
                 continue
             env = dict(zip(names, v))
             items = tuple((name, v[idx]) for name, idx in layout)
-        ages = {} if is_view else dict.fromkeys(names, tok.created_at)
+        ages = {} if is_view else dict.fromkeys(names, tok[1])
         cand = _Cand(t, env, ((arc.place, tok, is_view),), ages)
         cand._items = items
         out.append(cand)
@@ -162,7 +162,7 @@ def _enumerate(net: Net, snapshot: Snapshot, t: Transition) -> list[_Cand]:
             for idx, tok in enumerate(pool):
                 if idx in taken:
                     continue
-                env2 = match_pattern(arc.pattern, tok.value, env)
+                env2 = match_pattern(arc.pattern, tok[0], env)
                 if env2 is None:
                     continue
                 used2 = dict(used)
@@ -178,7 +178,7 @@ def _enumerate(net: Net, snapshot: Snapshot, t: Transition) -> list[_Cand]:
         for arc, (pid, tok, is_view) in zip(t.inputs, matches):
             if not is_view:
                 for v in pattern_vars(arc.pattern):
-                    ages[v] = tok.created_at
+                    ages[v] = tok[1]
         cand = _Cand(t, env, tuple(matches), ages)
         key = cand.onset_key()
         if key not in seen:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from tdbnet.engine import FiringEvent, Trace, TraceMeta
 from tdbnet.formats import DocumentError
-from tdbnet.net import Marking, Snapshot, Token
+from tdbnet.net import Marking, Snapshot
 from tdbnet.persistence import Column, Instance, Relation, Schema
 from tdbnet.values import BOOL, INT, TEXT, TS
 
@@ -138,10 +138,10 @@ def _schema(node, path):
 # tokens, facts and snapshots
 
 
-def token_from_json(node, path: str) -> Token:
+def token_from_json(node, path: str) -> tuple:
     if not isinstance(node, dict) or "value" not in node or type(node.get("at")) is not int:
         raise DocumentError([f"{path}: expected a token object with a value and an integer at"])
-    return Token(json_to_value(node["value"], path), node["at"])
+    return json_to_value(node["value"], path), node["at"]
 
 
 def fact_from_json(node, path: str) -> tuple:
@@ -268,7 +268,7 @@ def _schema_to_json(schema: Schema) -> list:
     ]
 
 
-def token_to_json(tok: Token):
+def token_to_json(tok: tuple):
     value, at = tok
     return {"value": value, "at": at}
 

@@ -116,7 +116,7 @@ def _edit_token(doc):
         (_edit_fact, "initial_instance: relation 'inbox': row (1, 0, '\\ud800') holds text that UTF-8 cannot encode"),
         (
             _edit_token,
-            "initial_instance: place 'ch1': token Token(value=(0, 'm\\ud800'), created_at=0) "
+            "initial_instance: place 'ch1': token ((0, 'm\\ud800'), 0) "
             "holds text that UTF-8 cannot encode",
         ),
     ],

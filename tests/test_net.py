@@ -182,6 +182,22 @@ CASES = [
         "transition 't': merge_text() in arc to 'o': column 7 is out of range for relation 'R'",
     ),
     (
+        # a constant of another colour never matches: the count was 0
+        "count-constant-off-column",
+        _guard(_gt0(DbCount("R", (Const("a"), Wild())))),
+        "transition 't': count() in guard: constant 'a' does not fit column 'a' of 'R', 'int'",
+    ),
+    (
+        "merge-text-constant-off-column",
+        _arc(DbMergeText("R", (Wild(), Const(1)), 0, 1)),
+        "transition 't': merge_text() in arc to 'o': constant 1 does not fit column 'b' of 'R', 'text'",
+    ),
+    (
+        "query-constant-off-column",
+        lambda net: replace(net, queries=(*net.queries, Query("q_bad", atoms=(Atom("R", (Const("x"), Wild())),), output=()))),
+        "query 'q_bad' atom 0: constant 'x' does not fit column 'a', 'int'",
+    ),
+    (
         # the run died at the first match, naming neither transition nor arc
         "input-pattern-operator",
         _t(inputs=(InputArc("p", Var("x")), InputArc("v", Op("+", (Var("x"), Const(1)))))),
@@ -258,9 +274,7 @@ LOCATED_BY_CODEC = {
 }
 
 
-@pytest.mark.parametrize("edit,message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_one_fault_is_rejected(edit, message):
-    net = edit(_base())
+def _rejected(net, message):
     with pytest.raises(DefinitionError) as exc:
         validate_net(net)
     assert str(exc.value) == message
@@ -270,6 +284,57 @@ def test_one_fault_is_rejected(edit, message):
     with pytest.raises(DocumentError) as exc:
         parse_net(document)
     assert exc.value.diagnostics == [LOCATED_BY_CODEC.get(message, f"net: {message}")]
+
+
+@pytest.mark.parametrize("edit,message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_one_fault_is_rejected(edit, message):
+    _rejected(edit(_base()), message)
+
+
+@pytest.mark.parametrize(
+    "edit,where",
+    [
+        (_arc(Const("\ud800")), "constant '\\ud800' in arc to 'o'"),
+        (_guard(Op("=", (Var("x"), Const("\ud800")))), "constant '\\ud800' in guard"),
+        (_arc(Var("x"), Op("=", (Const("\ud800"), Const("a")))), "constant '\\ud800' in arc condition on 'o'"),
+        (_argument(Const("\ud800")), "constant '\\ud800' in action 'put' argument"),
+        (_guard(_gt0(DbCount("R", (Wild(), Const("\ud800"))))), "constant '\\ud800' in guard"),
+        (_arc(DbMergeText("R", (Wild(), Const("\ud800")), 0, 1)), "constant '\\ud800' in arc to 'o'"),
+        (
+            lambda net: _t(inputs=(InputArc("p", (Var("x"), Const("\ud800"))), InputArc("v", Var("y"))))(
+                replace(net, places=(Place("p", product(INT, TEXT)), *net.places[1:]))
+            ),
+            "input arc from 'p': constant '\\ud800'",
+        ),
+    ],
+    ids=["arc", "guard", "arc-condition", "action-argument", "count", "merge-text", "input-pattern"],
+)
+def test_a_transition_constant_that_utf8_cannot_encode_is_rejected(edit, where):
+    # the net ran, and writing its trace died with a UnicodeEncodeError
+    _rejected(edit(_base()), f"transition 't': {where} holds text that UTF-8 cannot encode")
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (
+            lambda net: replace(net, actions=(Action("put", params=(("a", INT),), adds=(FactTemplate("R", (Param("a"), Const("\udc00"))),)),)),
+            "action 'put': constant '\\udc00' holds text that UTF-8 cannot encode",
+        ),
+        (
+            lambda net: replace(net, actions=(*net.actions, Action("drop", dels=(FactTemplate("R", (Wild(), Const("\udc00"))),)))),
+            "action 'drop': constant '\\udc00' holds text that UTF-8 cannot encode",
+        ),
+        (
+            lambda net: replace(net, queries=(*net.queries, Query("q_bad", atoms=(Atom("R", (Var("a"), Const("\udc00"))),), output=("a",)))),
+            "query 'q_bad' atom 0: constant '\\udc00' holds text that UTF-8 cannot encode",
+        ),
+    ],
+    ids=["action-addition", "action-deletion", "query-atom"],
+)
+def test_a_template_constant_that_utf8_cannot_encode_is_rejected(edit, message):
+    # an action added the row, and writing the trace died as above
+    _rejected(edit(_base()), message)
 
 
 @pytest.mark.parametrize(

@@ -60,9 +60,9 @@ def test_inject_produces_the_input_channel_colour(bundle):
     tr = run_with(bundle, parse_workload(bundle.name, "burst:2@0"))
     produced = [pair for ev in tr.events if ev.transition == "inject" for pair in ev.produced]
     assert len(produced) == 2
-    for place, token in produced:
+    for place, (value, _) in produced:
         assert place == bundle.io.inputs[0]
-        assert conforms(token.value, bundle.net.place(place).color)
+        assert conforms(value, bundle.net.place(place).color)
 
 
 class TestResequencer:
@@ -131,8 +131,8 @@ class TestThrottler:
         tr = run_with(build_throttler(5), parse_workload("throttler", "burst:1@0"))
         release = [ev for ev in tr.events if ev.transition == "t_release"]
         assert len(release) == 1 and release[0].time == 200
-        out_token = release[0].produced[0][1]
-        assert out_token.created_at == 200
+        _, created_at = release[0].produced[0][1]
+        assert created_at == 200
 
     def test_burst_respects_rate_per_bucket(self):
         tr = run_with(build_throttler(5), parse_workload("throttler", "burst:100@0"))

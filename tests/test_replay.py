@@ -17,7 +17,7 @@ from tdbnet import engine
 from tdbnet.engine import FiringError, Trace, TraceMeta, fire, replay, run
 from tdbnet.exprs import Age, Const, DefinitionError, Op, Var
 from tdbnet.formats import parse_trace, serialize_net, serialize_trace
-from tdbnet.net import InputArc, Net, OutputArc, Place, Snapshot, Token, Transition, initial_snapshot
+from tdbnet.net import InputArc, Net, OutputArc, Place, Snapshot, Transition, initial_snapshot
 from tdbnet.patterns import (
     EndpointStub,
     build_aggregator,
@@ -113,7 +113,7 @@ def _halting():
 
 def _two_arcs():
     net = two_arc_net()
-    tokens = {"p": [1, 1, 2, 2, 3], "p1": [Token(1, 0)], "p2": [Token(1, 3)]}
+    tokens = {"p": [(1, 6), (1, 6), (2, 6), (2, 6), (3, 6)], "p1": [(1, 0)], "p2": [(1, 3)]}
     return net, initial_snapshot(net, tokens=tokens, clock=6)
 
 
@@ -290,23 +290,25 @@ def _absent_token():
     net, tr = _parsed_run("throttler")
     ev = _first(tr, "t_admit")
     (pid, tok), rest = ev.consumed[0], ev.consumed[1:]
-    gone = (pid, Token(tok.value, tok.created_at + 10**6))
+    value, at = tok
+    gone = (pid, (value, at + 10**6))
     return net, _mutated(tr, ev.step, consumed=(gone,) + rest)
 
 
 def _one_copy_consumed_twice():
     net = two_arc_net()
-    tr = run(net, initial_snapshot(net, tokens={"p": [1, 2]}))
+    tr = run(net, initial_snapshot(net, tokens={"p": [(1, 0), (2, 0)]}))
     ev = tr.events[0]
     (pid, tok), _ = ev.consumed
-    return net, _mutated(tr, 0, consumed=((pid, tok), (pid, tok)), binding=(("x", tok.value), ("y", tok.value)))
+    value, _ = tok
+    return net, _mutated(tr, 0, consumed=((pid, tok), (pid, tok)), binding=(("x", value), ("y", value)))
 
 
 def _places_swapped():
     # both tokens are present on both places' pools and satisfy the guard
     # in either order, so only the arc-order check rejects the event
     net = two_arc_net()
-    tr = run(net, initial_snapshot(net, tokens={"p1": [Token(1, 2)], "p2": [Token(1, 3)]}, clock=6))
+    tr = run(net, initial_snapshot(net, tokens={"p1": [(1, 2)], "p2": [(1, 3)]}, clock=6))
     ev = _first(tr, "join")
     first, second = ev.consumed
     return net, _mutated(tr, ev.step, consumed=(second, first))
@@ -359,7 +361,8 @@ def _consumed_token_of_wrong_type():
     ev = _first(tr, "t_admit")
     msg, (pid, tok) = ev.consumed
     binding = tuple((k, str(v) if k == "u" else v) for k, v in ev.binding)
-    wrong = (pid, Token(str(tok.value), tok.created_at))
+    value, at = tok
+    wrong = (pid, (str(value), at))
     return net, _mutated(tr, ev.step, consumed=(msg, wrong), binding=binding)
 
 
@@ -409,7 +412,7 @@ def test_replay_never_enumerates(monkeypatch):
 
 
 def test_replay_rejects_event_before_the_clock(timer_net):
-    initial = initial_snapshot(timer_net, tokens={"ch2": ["a", "b"]}, clock=100)
+    initial = initial_snapshot(timer_net, tokens={"ch2": [("a", 100), ("b", 100)]}, clock=100)
     snap, first = fire(timer_net, initial, "Timer", {"m": "a"}, 300, step=0)
     # fire admits no snapshot rewound before its tokens, so the second
     # event is moved back in time after it is made

@@ -25,14 +25,14 @@ from tdbnet import engine
 from tdbnet.engine import FiringEvent
 from tdbnet.exprs import Age, Const, DbCount, DefinitionError, Now, Op, Param, Var, Wild
 from tdbnet.formats import parse_net, serialize_net, serialize_trace
-from tdbnet.net import ActionCall, InputArc, Net, OutputArc, Place, Snapshot, Token, Transition, initial_snapshot
+from tdbnet.net import ActionCall, InputArc, Net, OutputArc, Place, Snapshot, Transition, initial_snapshot
 from tdbnet.persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema, check_compliance
 from tdbnet.values import INT, product
 
 
 def _timer(request):
     net = request.getfixturevalue("timer_net")
-    return net, initial_snapshot(net, tokens={"ch2": ["a", "b", "b"]})
+    return net, initial_snapshot(net, tokens={"ch2": [("a", 0), ("b", 0), ("b", 0)]})
 
 
 def _trip(request):
@@ -56,7 +56,7 @@ def _tie(request):
         ),
         schema=Schema(()),
     )
-    return net, initial_snapshot(net, tokens={"a_in": [1], "b_in": [2]})
+    return net, initial_snapshot(net, tokens={"a_in": [(1, 0)], "b_in": [(2, 0)]})
 
 
 # a keyed relation that actions write and guards count
@@ -77,7 +77,7 @@ def _lapse(request):
         "t", inputs=(InputArc("p", Var("x")),), guard=lapsing, delay=(3, 3), outputs=(OutputArc("out", Var("x")),)
     )
     net = Net(places=(Place("p", INT), Place("out", INT)), transitions=(t,), schema=Schema(()))
-    return net, initial_snapshot(net, tokens={"p": [Token(1, 3), Token(2, 0)]}, clock=3)
+    return net, initial_snapshot(net, tokens={"p": [(1, 3), (2, 0)]}, clock=3)
 
 
 def _rewrite(request):
@@ -104,7 +104,7 @@ def _rewrite(request):
         schema=Schema((R,)),
         actions=(PUT,),
     )
-    return net, initial_snapshot(net, tokens={"p": [1], "q": [5]})
+    return net, initial_snapshot(net, tokens={"p": [(1, 0)], "q": [(5, 0)]})
 
 
 def _toggle(request):
@@ -138,7 +138,7 @@ def _toggle(request):
         schema=Schema((R,)),
         actions=(PUT, DROP),
     )
-    return net, initial_snapshot(net, tokens={"p": [1], "q": [7], "r": [7]})
+    return net, initial_snapshot(net, tokens={"p": [(1, 0)], "q": [(7, 0)], "r": [(7, 0)]})
 
 
 # Two-arc delay-0 transitions whose arcs bind disjoint variables: the eager
@@ -160,7 +160,7 @@ def _interleave(request):
         outputs=(OutputArc("out", Op("tuple", (Var("a"), Var("m")))),),
     )
     net = Net(places=(Place("p", PAIR), Place("q", INT), Place("out", PAIR)), transitions=(t,), schema=Schema(()))
-    return net, initial_snapshot(net, tokens={"p": [(0, 5), (0, 1), (1, 0), (0, 1)], "q": [2, 1, 1, 3]})
+    return net, initial_snapshot(net, tokens={"p": [((0, 5), 0), ((0, 1), 0), ((1, 0), 0), ((0, 1), 0)], "q": [(2, 0), (1, 0), (1, 0), (3, 0)]})
 
 
 def _twins(request):
@@ -173,7 +173,7 @@ def _twins(request):
         outputs=(OutputArc("out", Op("tuple", (Var("x"), Var("y")))),),
     )
     net = Net(places=(Place("p", INT), Place("out", PAIR)), transitions=(t,), schema=Schema(()))
-    born = [Token(1, 0), Token(1, 0), Token(2, 0), Token(2, 1), Token(3, 0), Token(3, 0), Token(4, 2)]
+    born = [(1, 0), (1, 0), (2, 0), (2, 1), (3, 0), (3, 0), (4, 2)]
     return net, initial_snapshot(net, tokens={"p": born}, clock=2)
 
 
@@ -195,7 +195,7 @@ def _late_count(request):
         schema=Schema((R,)),
         actions=(PUT,),
     )
-    return net, initial_snapshot(net, facts=[("R", (2, 1), 0)], tokens={"p": [0, 1, 2], "q": [5, 6, 7], "s": [0]})
+    return net, initial_snapshot(net, facts=[("R", (2, 1), 0)], tokens={"p": [(0, 0), (1, 0), (2, 0)], "q": [(5, 0), (6, 0), (7, 0)], "s": [(0, 0)]})
 
 
 def _late_now(request):
@@ -209,7 +209,7 @@ def _late_now(request):
         outputs=(OutputArc("q", Var("y")), OutputArc("out", Var("x"))),
     )
     net = Net(places=(Place("p", INT), Place("q", INT), Place("out", INT)), transitions=(t,), schema=Schema(()))
-    return net, initial_snapshot(net, tokens={"p": [1, 2, 4, 1], "q": [1, 2, 3]})
+    return net, initial_snapshot(net, tokens={"p": [(1, 0), (2, 0), (4, 0), (1, 0)], "q": [(1, 0), (2, 0), (3, 0)]})
 
 
 def _source(request):
@@ -260,7 +260,7 @@ def _shared(request):
         ),
         schema=Schema(()),
     )
-    return net, initial_snapshot(net, tokens={"p": [Token(1, 0), Token(1, 3)], "q": list(range(16))}, clock=3)
+    return net, initial_snapshot(net, tokens={"p": [(1, 0), (1, 3)], "q": [(i, 3) for i in range(16)]}, clock=3)
 
 
 NETS = {name: (lambda request, make=make: make()) for name, make in CATALOG.items()}
@@ -345,14 +345,14 @@ def test_a_shared_binding_passes_its_first_between_tokens(request):
         agenda.snap = initial.advanced(clock)
         slot = agenda.slot(t)
         slot.observe(clock)
-        firsts.append([c.matches[0][1].created_at for c in slot.ready])
+        firsts.append([c.matches[0][1][1] for c in slot.ready])
     assert firsts == [[]] * 2 + [[0]] * 4 + [[3]] * 2 + [[0]] * 5
     stages = set()
     for seed in range(12):
         got = engine.run(net, initial, policy="random", seed=seed)
         assert serialize_trace(got) == serialize_trace(ref.run(net, initial, policy="random", seed=seed))
         first = next(ev for ev in got.events if ev.transition == "t")
-        stages.add((first.consumed[0][1].created_at, first.time >= 12))
+        stages.add((first.consumed[0][1][1], first.time >= 12))
     assert stages == {(0, False), (3, False), (0, True)}
 
 
@@ -415,8 +415,8 @@ def test_heaps_stay_bounded_when_a_read_relation_changes_every_step(monkeypatch,
         schema=Schema((R,)),
         actions=(PUT,),
     )
-    born = [Token(i, 19 - i) for i in range(20)]
-    initial = initial_snapshot(net, tokens={"p": born, "q": list(range(puts))}, clock=20)
+    born = [(i, 19 - i) for i in range(20)]
+    initial = initial_snapshot(net, tokens={"p": born, "q": [(i, 20) for i in range(puts)]}, clock=20)
     entries = []
     observe = engine._Slot.observe
 
@@ -467,8 +467,8 @@ def _cases(draw):
     ]
     # exact duplicates, and equal values created at different times
     tokens = {
-        "p": draw(st.lists(st.builds(Token, SMALL, SMALL), max_size=6)),
-        "r": draw(st.lists(st.builds(Token, st.tuples(SMALL, SMALL), SMALL), max_size=6)),
+        "p": draw(st.lists(st.tuples(SMALL, SMALL), max_size=6)),
+        "r": draw(st.lists(st.tuples(st.tuples(SMALL, SMALL), SMALL), max_size=6)),
     }
     rows = draw(st.sets(st.tuples(SMALL, SMALL), max_size=4))
     net = _net(arcs)
@@ -653,7 +653,7 @@ def _nets(draw):
         queries=(Q_R, Q_A),
         actions=(PUT, DROP),
     )
-    token = st.builds(Token, SMALL, st.integers(0, 3))
+    token = st.tuples(SMALL, st.integers(0, 3))
     tokens = {place: draw(st.lists(token, min_size=place == "p", max_size=4)) for place in "pq"}
     rows = draw(st.dictionaries(SMALL, SMALL, max_size=3))
     return net, initial_snapshot(net, facts=[("R", row, 0) for row in sorted(rows.items())], tokens=tokens, clock=3)
