@@ -1,7 +1,9 @@
 """Command line entry point.
 
 Exit codes are a stable contract: 0 completed/all checks passed, 1 usage or
-parse problem, or standard output closed before everything was written, 2
+parse problem, a net that fails while it runs (a ``DefinitionError`` or
+``EvalError``, and no trace is written), or standard output closed before
+everything was written, 2
 run ended halted on a constraint violation, 3 validation failure, 4 run
 stopped at ``--max-steps`` events.
 
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 from .engine import Trace, run
+from .exprs import DefinitionError, EvalError
 from .formats import (
     DocumentError,
     REPORT_SUFFIX,
@@ -310,6 +313,11 @@ def main(argv=None) -> int:
     except (DocumentError, WorkloadError) as e:
         for line in getattr(e, "diagnostics", None) or [str(e)]:
             print(f"error: {line}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DefinitionError, EvalError) as e:
+        # a definition fault that shows only while the net runs, such as an
+        # output arc's value that does not fit its place: no trace is written
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -55,7 +55,15 @@ Semantics in brief:
   output tokens.  The view places then follow the rows the actions added
   and deleted (``refresh_views``), and the tokens they lose and gain join
   the consumed and produced ones in one token delta, which updates the
-  marking and, in ``run``, the agenda.  A constraint violation either
+  marking and, in ``run``, the agenda.  ``run``, ``replay`` and ``fire``
+  fire every transition through its plan, built once per net
+  (``_firing``): its input arcs' binders, its resolved actions with their
+  arguments, its output and rollback arcs with their places' colour
+  tests, and the view places whose query reads a relation that its
+  actions add to or delete from.  A firing refreshes only those views,
+  and a transition whose plan lists none (one without actions, or whose
+  actions write no relation a view reads) does not call
+  ``refresh_views``.  A constraint violation either
   produces tokens along the rollback arcs (outcome ``rolled_back``, instance
   reverted) or, absent rollback arcs, freezes the run at the last committed
   instance (outcome ``halted``).
@@ -115,6 +123,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .exprs import (
     DefinitionError,
+    Op,
     Var,
     eval_expr,
     first_true,
@@ -135,6 +144,7 @@ from .net import (
     check_views,
     refresh_views,
     validate_net,
+    view_places,
 )
 from .persistence import ConstraintViolation, apply_action_delta, check_compliance
 
@@ -146,6 +156,9 @@ class FiringError(ValueError):
 
 class ViewConsistencyError(AssertionError):
     """A view place diverged from its bound query (debug validator)."""
+
+
+_new = tuple.__new__
 
 
 class FiringEvent(NamedTuple):
@@ -274,20 +287,41 @@ def _binder(pattern):
     return bind
 
 
-def _binders(net: Net, t: Transition) -> tuple:
-    """(place id, is_view, bind, names that take the token's age) per input
-    arc of ``t``, in arc order; built once per net."""
-    cached = getattr(net, "_binders", None)
+class _Plan:
+    """What firing one transition needs of its net, worked out once per net
+    (``_firing``).  ``inputs`` holds (place id, is_view, bind, names that
+    take the token's age) per input arc, in arc order; ``calls`` the
+    resolved action of each call with one ``tuple`` node of its argument
+    expressions; ``outputs`` and ``rollbacks`` (condition, expression,
+    place id, the place colour's ``fits``) per arc; and ``views`` the view
+    places, as ``view_places`` lists them, whose query reads a relation that
+    an action's templates add to or delete from: the only views a firing of
+    the transition can change."""
+
+    __slots__ = ("inputs", "calls", "outputs", "rollbacks", "views")
+
+    def __init__(self, net: Net, t: Transition):
+        arcs = []
+        for arc in t.inputs:
+            is_view = net.place(arc.place).kind == "view"
+            names = () if is_view else tuple(pattern_vars(arc.pattern))
+            arcs.append((arc.place, is_view, _binder(arc.pattern), names))
+        self.inputs = tuple(arcs)
+        self.calls = tuple((net.action(call.action), Op("tuple", call.args)) for call in t.actions)
+        self.outputs, self.rollbacks = (
+            tuple((arc.when, arc.expr, arc.place, net.place(arc.place).color.fits) for arc in group)
+            for group in (t.outputs, t.rollbacks)
+        )
+        written = {tmpl.relation for action, _ in self.calls for tmpl in action.adds + action.dels}
+        self.views = tuple(view for view in view_places(net) if not view[2].isdisjoint(written))
+
+
+def _firing(net: Net, t: Transition) -> _Plan:
+    """The plan of ``t``; every transition's is built once per net."""
+    cached = getattr(net, "_plans", None)
     if cached is None:
-        cached = {}
-        for tr in net.transitions:
-            arcs = []
-            for arc in tr.inputs:
-                is_view = net.place(arc.place).kind == "view"
-                names = () if is_view else tuple(pattern_vars(arc.pattern))
-                arcs.append((arc.place, is_view, _binder(arc.pattern), names))
-            cached[tr.id] = tuple(arcs)
-        object.__setattr__(net, "_binders", cached)
+        cached = {tr.id: _Plan(net, tr) for tr in net.transitions}
+        object.__setattr__(net, "_plans", cached)
     return cached[t.id]
 
 
@@ -388,7 +422,7 @@ class _Slot:
         self.t = t
         self.delay = t.delay[0]
         self.reads = relations_read(t.guard)
-        self.arcs = _binders(net, t)
+        self.arcs = _firing(net, t).inputs
         self.pending: dict[str, dict] = {}  # place id -> token -> net change
         self.fresh: Optional[list] = [] if policy else None
         self.wait: list = []
@@ -859,89 +893,72 @@ def advance_clock(net: Net, snapshot: Snapshot) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # firing
 
-def _produce(net: Net, arcs, cand: _Cand, instance, at: int) -> list[tuple[str, tuple]]:
+def _produce(arcs: tuple, cand: _Cand, instance, at: int) -> list[tuple[str, tuple]]:
+    """The ``(place id, token)`` pairs of the plan's ``arcs`` whose
+    condition holds, created at ``at``."""
+    env, ages = cand.env, cand.ages
     out = []
-    for arc in arcs:
-        if arc.when is not None:
-            keep = eval_expr(arc.when, cand.env, instance=instance, now=at, ages=cand.ages)
-            if not keep:
-                continue
-        value = eval_expr(arc.expr, cand.env, instance=instance, now=at, ages=cand.ages)
-        place = net.place(arc.place)
-        if not place.color.fits(value):
-            raise DefinitionError(
-                f"transition {cand.transition.id!r}: value {value!r} does not fit place {place.id!r}"
-            )
-        out.append((place.id, (value, at)))
+    for when, expr, pid, fits in arcs:
+        if when is not None and not eval_expr(when, env, instance=instance, now=at, ages=ages):
+            continue
+        value = eval_expr(expr, env, instance=instance, now=at, ages=ages)
+        if not fits(value):
+            raise DefinitionError(f"transition {cand.transition.id!r}: value {value!r} does not fit place {pid!r}")
+        out.append((pid, (value, at)))
     return out
 
 
 def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> tuple[Snapshot, FiringEvent, tuple]:
-    """Fire ``cand`` at ``at``: the snapshot after it, its event, and its
-    token delta ``(removed, added)`` of ``(place id, token)`` pairs.  A
-    committed firing removes the tokens it consumed from normal places and
-    the tokens its view places lose, and adds the tokens it produced and
-    those its view places gain (``refresh_views``); a rolled-back one
-    removes the consumed tokens and adds those of its rollback arcs, and a
-    halted one changes nothing.  One ``Marking.updated`` call applies the
-    delta, and ``run`` hands the same delta to its agenda."""
+    """Fire ``cand`` at ``at`` through its transition's plan: the snapshot
+    after it, its event, and its token delta ``(removed, added)`` of
+    ``(place id, token)`` pairs.  A committed firing removes the tokens it
+    consumed from normal places and the tokens its view places lose, and
+    adds the tokens it produced and those its view places gain
+    (``refresh_views``, called only for a transition whose plan lists
+    views); a rolled-back one removes the consumed tokens and adds those of
+    its rollback arcs, and a halted one changes nothing.  One
+    ``Marking.updated`` call applies the delta, and ``run`` hands the same
+    delta to its agenda."""
     t = cand.transition
-    consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
+    plan = _firing(net, t)
+    env, ages = cand.env, cand.ages
+    consumed = tuple([(pid, tok) for pid, tok, _ in cand.matches])
     removals = [(pid, tok) for pid, tok, is_view in cand.matches if not is_view]
 
     pre = snapshot.instance
-    calls = []
-    for call in t.actions:
-        action = net.action(call.action)
-        argvals = [
-            eval_expr(a, cand.env, instance=pre, now=at, ages=cand.ages) for a in call.args
-        ]
-        calls.append((action, argvals))
-
+    # every argument is evaluated against the instance before the firing
+    calls = [(action, eval_expr(args, env, instance=pre, now=at, ages=ages)) for action, args in plan.calls]
     work = pre
     added: list[tuple] = []
     deleted: list[tuple] = []
-    violation: Optional[ConstraintViolation] = None
     for action, argvals in calls:
         res = apply_action_delta(work, action, argvals, at)
         if isinstance(res, ConstraintViolation):
-            violation = res
-            break
+            if t.rollbacks:
+                produced = _produce(plan.rollbacks, cand, pre, at)
+                delta = (removals, produced)
+                snap2 = Snapshot(pre, snapshot.marking.updated(*delta), at)
+                outcome = "rolled_back"
+            else:
+                produced = []
+                delta = ((), ())
+                snap2 = Snapshot(pre, snapshot.marking, at)
+                outcome = "halted"
+            event = _new(FiringEvent, (step, at, t.id, cand.binding_items(), consumed, tuple(produced), (), (), outcome))
+            return snap2, event, delta
         work, adds, dels = res
-        added.extend(adds)
-        deleted.extend(dels)
+        added += adds
+        deleted += dels
 
-    if violation is not None:
-        if t.rollbacks:
-            produced = _produce(net, t.rollbacks, cand, pre, at)
-            delta = (removals, produced)
-            snap2 = Snapshot(pre, snapshot.marking.updated(*delta), at)
-            outcome = "rolled_back"
-        else:
-            produced = []
-            delta = ((), ())
-            snap2 = Snapshot(pre, snapshot.marking, at)
-            outcome = "halted"
-        event = FiringEvent(
-            step, at, t.id, cand.binding_items(), consumed, tuple(produced), (), (), outcome
-        )
-        return snap2, event, delta
-
-    produced = _produce(net, t.outputs, cand, pre, at)
-    lose, gain = refresh_views(net, work, snapshot.marking, added, deleted)
-    delta = (removals + lose, produced + gain)
-    marking = snapshot.marking.updated(*delta)
-    snap2 = Snapshot(work, marking, at)
-    event = FiringEvent(
-        step,
-        at,
-        t.id,
-        cand.binding_items(),
-        consumed,
-        tuple(produced),
-        tuple(added),
-        tuple(deleted),
-        "committed",
+    produced = _produce(plan.outputs, cand, pre, at)
+    delta = (removals, produced)
+    if plan.views:
+        lose, gain = refresh_views(net, plan.views, work, snapshot.marking, added, deleted)
+        delta = (removals + lose, produced + gain)
+    snap2 = Snapshot(work, snapshot.marking.updated(*delta), at)
+    event = _new(
+        FiringEvent,
+        (step, at, t.id, cand.binding_items(), consumed, tuple(produced), tuple(added), tuple(deleted), "committed"),
     )
     return snap2, event, delta
 
@@ -1053,14 +1070,16 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
     patterns match, the tokens are present (as many copies as consumed),
     the binding is exactly the recorded one, and the guard holds.  Tokens
     bind through the arcs' binders straight into one binding, by the rule
-    of ``_Slot._bind``, and the candidate keeps the recorded items."""
+    of ``_Slot._bind``.  The candidate is built directly with the fields
+    ``_execute`` reads, and keeps the recorded items."""
     consumed = ev.consumed
-    if len(consumed) != len(t.inputs):
+    arcs = _firing(net, t).inputs
+    if len(consumed) != len(arcs):
         return None
     env: dict = {}
     ages: dict = {}
     matches = []
-    for (place, is_view, bind, names), (pid, tok) in zip(_binders(net, t), consumed):
+    for (place, is_view, bind, names), (pid, tok) in zip(arcs, consumed):
         value, at = tok
         bound = bind(value) if pid == place else None
         if bound is None:
@@ -1082,8 +1101,8 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
         return None
     if guard_flip_time(t.guard, env, instance=snapshot.instance, ages=ages, from_time=ev.time) != ev.time:
         return None
-    cand = _Cand(t, env, tuple(matches), ages, ())
-    cand._items = ev.binding
+    cand = _Cand.__new__(_Cand)
+    cand.transition, cand.env, cand.matches, cand.ages, cand._items = t, env, tuple(matches), ages, ev.binding
     return cand
 
 
@@ -1115,8 +1134,8 @@ def replay(net: Net, trace: Trace, *, verify: bool = True) -> Snapshot:
             raise FiringError(
                 f"replay: event {ev.step} at time {ev.time} precedes the clock {snap.clock}"
             )
-        if ev.time > snap.clock:
-            snap = snap.advanced(ev.time)
+        # no clock advance: binding and firing at ev.time read the
+        # snapshot's instance and marking, never its clock
         match = _recorded_cand(net, snap, t, ev)
         if match is None:
             raise FiringError(

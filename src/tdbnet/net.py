@@ -5,12 +5,13 @@ A snapshot bundles the relational instance, the marking, and the integer
 clock.  View places never store tokens of their own; their marking is the
 bound query evaluated on the current instance.  ``refresh_views`` is the
 one place that knows how views follow rows: from the rows a committed
-firing's actions added and deleted it works out the tokens each view place
-loses and gains.  A view whose query copies one relation loses and gains
-the tokens of exactly those rows, and any other view is evaluated again
-when a relation it reads changed.  The engine applies those pairs with the
-firing's own token changes as one delta, to the marking and to its agenda
-alike.
+firing's actions added and deleted it works out the tokens that each view
+place it is given loses and gains.  A view whose query copies one relation
+loses and gains the tokens of exactly those rows, and any other view is
+evaluated again when a relation it reads changed.  The engine gives it the
+views that the firing transition's actions can change, and applies the
+pairs with the firing's own token changes as one delta, to the marking and
+to its agenda alike.
 """
 
 from __future__ import annotations
@@ -149,6 +150,17 @@ def _span(pool: tuple[tuple, ...], tok: tuple) -> range:
     return range(lo, bisect_right(pool, tok, lo))
 
 
+def _nth(pool: tuple[tuple, ...], tok: tuple, n: int = 1) -> int:
+    """The position of the ``n``-th token equal to ``tok`` in a sorted pool,
+    or -1 when it holds fewer: the equal tokens start where ``tok`` bisects
+    to.  A token whose value does not compare with the pool's is not held."""
+    try:
+        at = bisect_left(pool, tok) + n - 1
+    except TypeError:
+        return -1
+    return at if at < len(pool) and pool[at] == tok else -1
+
+
 class Marking:
     """Multiset of tokens per place.  A token is the exact tuple
     ``(value, created_at)``, so equality, hashing and the canonical order
@@ -175,7 +187,7 @@ class Marking:
     def holds(self, pid: str, tok: tuple, copies: int = 1) -> bool:
         """Whether place ``pid`` holds at least ``copies`` tokens equal to
         ``tok``."""
-        return len(self.span(pid, tok)) >= copies
+        return _nth(self.tokens(pid), tok, copies) >= 0
 
     def place_ids(self) -> list[str]:
         return sorted(pid for pid, toks in self._tokens.items() if toks)
@@ -196,10 +208,10 @@ class Marking:
         new = dict(self._tokens)
         for pid, tok in remove:
             pool = new.get(pid, ())
-            at = _span(pool, tok)
-            if not at:
+            i = _nth(pool, tok)
+            if i < 0:
                 raise ValueError(f"place {pid!r} holds no {tok!r}")
-            new[pid] = pool[: at.start] + pool[at.start + 1 :]
+            new[pid] = pool[:i] + pool[i + 1 :]
         grown: dict[str, list] = {}
         for pid, tok in add:
             if pid not in grown:
@@ -298,10 +310,13 @@ def check_views(net: Net, snapshot: "Snapshot") -> None:
             raise DefinitionError(f"view place {place.id!r}: its tokens are not the {rows}")
 
 
-def refresh_views(net: Net, instance: Instance, marking: Marking, added, deleted) -> tuple[list, list]:
-    """The ``(place id, token)`` pairs that the view places of ``marking``
-    lose and gain when the ``(relation, values, at)`` rows ``added`` and
-    ``deleted`` turn its instance into ``instance``.
+def refresh_views(net: Net, views: tuple, instance: Instance, marking: Marking, added, deleted) -> tuple[list, list]:
+    """The ``(place id, token)`` pairs that the ``views`` (entries of
+    ``view_places``) of ``marking`` lose and gain when the ``(relation,
+    values, at)`` rows ``added`` and ``deleted`` turn its instance into
+    ``instance``.  The caller passes the views that those rows can change;
+    the engine, the views whose query reads a relation that the firing
+    transition's actions write.
 
     A view whose query copies one relation loses and gains the tokens of
     exactly those rows (``view_delta``, skipped when no row of that relation
@@ -311,7 +326,7 @@ def refresh_views(net: Net, instance: Instance, marking: Marking, added, deleted
     """
     changed = {rel for rel, _, _ in added} | {rel for rel, _, _ in deleted}
     lose, gain = [], []
-    for place, source, reads in view_places(net):
+    for place, source, reads in views:
         if source is not None:
             if source in changed:
                 out, into = view_delta(place, source, added, deleted)

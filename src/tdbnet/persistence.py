@@ -110,42 +110,39 @@ class ConstraintViolation:
     message: str
 
 
-class _Top:
-    """Greater than every value: the upper probe of a prefix range."""
-
-    __slots__ = ()
-
-    def __gt__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-
-TOP = _Top()
+# the least step from a value to the next one of its type, whose sum with
+# the value is the upper probe of a prefix range; a value of any other type
+# meets None, so its sum raises TypeError
+_STEP = {int: 1, bool: 1, str: "\0"}
 
 
 def bisect_range(rows: Sequence, pattern: Sequence) -> tuple[int, int, tuple]:
     """``(lo, hi, rest)`` for a pattern (None entries are wildcards) over
     rows of ``(values, at)`` sorted by values.  ``rows[lo:hi]`` are the rows
-    whose leading bound columns equal the pattern's, found by bisection
-    with the probes ``(prefix,)`` and ``(prefix + (TOP,),)``, which compare
-    with whole rows: a row that starts with the prefix lies between them.
-    ``rest`` holds the ``(column, value)`` pairs of the other bound columns,
-    which those rows must still match.  The range is all of ``rows`` when a
+    whose leading bound columns equal the pattern's ``prefix``, found by
+    bisection with two probes that compare with whole rows in C: ``(prefix,)``
+    and the same with the prefix's last value ``x`` replaced by its
+    successor, ``x + 1`` for an ``int`` or ``bool`` and ``x + "\\0"`` for a
+    ``str``.  No value of a column lies strictly between ``x`` and its
+    successor, so a row that starts with the prefix lies between the probes
+    and any other row outside them.  ``rest`` holds the ``(column, value)``
+    pairs of the other bound columns, which those rows must still match.
+    The range is all of ``rows``, and ``rest`` every bound column, when the
+    last value is of another type, which has no such successor, or when a
     bound value does not compare with its column (a ``str`` looked up in an
     ``int`` column): no row equals it, and the scan finds none."""
-    lo, hi, k, n = 0, len(rows), 0, len(pattern)
-    while k < n and pattern[k] is not None:
-        k += 1
+    n, free = len(pattern), pattern.count(None)
+    k = pattern.index(None) if free else n
+    lo, hi = 0, len(rows)
     if k:
         prefix = tuple(pattern[:k])
+        last = prefix[-1]
         try:
             lo = bisect_left(rows, (prefix,))
-            hi = bisect_left(rows, (prefix + (TOP,),), lo)
+            hi = bisect_left(rows, (prefix[:-1] + (last + _STEP.get(type(last)),),), lo)
         except TypeError:
             lo, hi, k = 0, len(rows), 0
-    if k == n:
+    if k + free == n:
         return lo, hi, ()
     return lo, hi, tuple([(i, p) for i, p in enumerate(pattern) if i >= k and p is not None])
 
@@ -351,32 +348,20 @@ def _compile_query(schema: Schema, query: Query):
     bound: set[str] = set()
     param_names = {p[0] for p in query.params}
     for i, atom in enumerate(query.atoms):
-        try:
-            rel = schema.relation(atom.relation)
-        except DefinitionError as e:
-            raise DefinitionError(f"query {query.name!r} atom {i}: {e}") from None
-        if len(atom.terms) != rel.arity:
-            raise DefinitionError(
-                f"query {query.name!r} atom {i}: arity {len(atom.terms)} != {rel.arity}"
-            )
-        for t, column in zip(atom.terms, rel.columns):
+        _check_pattern(schema, f"query {query.name!r} atom {i}", atom.relation, atom.terms)
+        for t in atom.terms:
             if type(t) is Var:
                 bound.add(t.name)
             elif type(t) is Param and t.name not in param_names:
                 raise DefinitionError(f"query {query.name!r}: unknown parameter {t.name!r}")
-            elif type(t) is Const:
-                # a constant of another color never matches
-                at = f"query {query.name!r} atom {i}: constant {t.value!r}"
-                if not column.color.fits(t.value):
-                    raise DefinitionError(f"{at} does not fit column {column.name!r}, {column.color.kind!r}")
-                if not encodable(t.value):
-                    raise DefinitionError(f"{at} holds text that UTF-8 cannot encode")
-            elif type(t) not in (Wild, Param):
+            elif type(t) not in (Wild, Param, Const):
                 raise DefinitionError(f"query {query.name!r}: bad atom term {t!r}")
-    for f in query.filters:
+    for i, f in enumerate(query.filters):
         if f.op not in _FILTER_OPS:
             raise DefinitionError(f"query {query.name!r}: bad filter op {f.op!r}")
         for side in (f.lhs, f.rhs):
+            if type(side) is DbCount:
+                _check_pattern(schema, f"query {query.name!r} filter {i} count", side.relation, side.terms)
             for v in _filter_vars(side):
                 if v not in bound:
                     raise DefinitionError(f"query {query.name!r}: filter uses unbound variable {v!r}")
@@ -391,6 +376,25 @@ def _compile_query(schema: Schema, query: Query):
             if not (0 <= idx < len(query.output)):
                 raise DefinitionError(f"query {query.name!r}: order_by index {idx} out of range")
     return _query_plan(query)
+
+
+def _check_pattern(schema: Schema, at: str, relation: str, terms: tuple) -> None:
+    """Check the pattern of a query atom or of a filter's count, located
+    by ``at``, against its relation: the relation is known, the pattern
+    has its arity, and each constant fits its column (a constant of
+    another color never matches) and holds text that UTF-8 can encode."""
+    try:
+        rel = schema.relation(relation)
+    except DefinitionError as e:
+        raise DefinitionError(f"{at}: {e}") from None
+    if len(terms) != rel.arity:
+        raise DefinitionError(f"{at}: arity {len(terms)} != {rel.arity}")
+    for t, column in zip(terms, rel.columns):
+        if type(t) is Const:
+            if not column.color.fits(t.value):
+                raise DefinitionError(f"{at}: constant {t.value!r} does not fit column {column.name!r}, {column.color.kind!r}")
+            if not encodable(t.value):
+                raise DefinitionError(f"{at}: constant {t.value!r} holds text that UTF-8 cannot encode")
 
 
 def _filter_vars(side) -> list[str]:
@@ -524,10 +528,11 @@ def _side(side):
 
 def check_query(schema: Schema, query: Query) -> None:
     """Check ``query`` against ``schema`` and keep its plan, as its first
-    evaluation would: a DefinitionError names the query when a relation is
-    unknown, an arity is wrong, an atom's constant does not fit its column
-    or holds text that UTF-8 cannot encode, a variable or parameter is
-    unbound, or an ``order_by`` index is out of range."""
+    evaluation would: a DefinitionError names the query when the relation
+    of an atom or of a filter's count is unknown, its pattern's arity is
+    wrong, its constant does not fit its column or holds text that UTF-8
+    cannot encode, a variable or parameter is unbound, or an ``order_by``
+    index is out of range."""
     _plan(schema, query, _compile_query)
 
 
@@ -568,9 +573,10 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
     ``check(args)`` tests the arguments.  Every template term is an index
     into ``ext``, the arguments followed by ``consts`` (None, a wildcard,
     first).  ``dels`` holds ``(relation, pick)`` per deletion and ``adds``
-    ``(relation, pick, pick_key, key positions)`` per addition, where
-    ``pick(ext)`` is the template's values and ``pick_key(ext)`` the
-    pattern of its key columns (see ``bisect_range``)."""
+    ``(relation, pick, lead, pick_key, key positions)`` per addition, where
+    ``pick(ext)`` is the template's values.  ``lead`` is the width of a key
+    whose columns lead the relation's, and 0 for any other key, whose
+    pattern ``pick_key(ext)`` gives (see ``bisect_range``)."""
     npar = len(action.params)
     pindex = {p: i for i, (p, _) in enumerate(action.params)}
     consts: list = [None]
@@ -609,10 +615,10 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
     adds = []
     for rel, idx in picks[: len(action.adds)]:
         kidx = rel.key_indexes()
-        # the pattern of the key columns, up to the last: a key that is a
-        # leading prefix of the columns is looked up by bisection alone
+        lead = len(kidx) if sorted(kidx) == list(range(len(kidx))) else 0
+        # the pattern of the key columns, up to the last
         key = tuple(idx[pos] if pos in kidx else npar for pos in range(max(kidx) + 1))
-        adds.append((rel, _picker(tuple(idx)), _picker(key), kidx))
+        adds.append((rel, _picker(tuple(idx)), lead, _picker(key), kidx))
     return _arg_check("action", action.name, action.params), tuple(consts), dels, tuple(adds)
 
 
@@ -634,12 +640,12 @@ def apply_action_delta(
 
     ``instance`` must be compliant (see check_compliance).  The action is
     compiled once per schema (see ``_compile_action``).  Deletions and key
-    checks look rows up with ``bisect_range`` in a working copy of each
-    touched relation's sorted rows: a template that binds the leading
-    columns, as a key that is a prefix of the columns does, costs a
-    bisection; other bound columns are scanned within the range.  Such a
-    key clashes when its range is not empty, and otherwise the range's
-    start is where the added row goes.
+    checks look rows up in a working copy of each touched relation's
+    sorted rows.  A key whose columns lead the relation's costs one
+    bisection: it clashes when the row at the bisected position starts with
+    it, and otherwise that position is where the added row goes.  Deletions
+    and any other key use ``bisect_range``, which bisects on the leading
+    bound columns and scans the others within the range.
     """
     check, consts, dels, adds = _plan(instance.schema, action, _compile_action)
     check(args)
@@ -668,7 +674,7 @@ def apply_action_delta(
 
     added: list[tuple] = []
     clashes: Optional[dict] = None  # relation -> its first clash, once one occurs
-    for rel, pick, pick_key, kidx in adds:
+    for rel, pick, lead, pick_key, kidx in adds:
         values = pick(ext)
         if tuple(map(type, values)) != rel.types:
             return _type_violation(rel, values, at)
@@ -676,8 +682,13 @@ def apply_action_delta(
         bucket = rows.get(name)
         if bucket is None:
             bucket = rows[name] = list(instance._rows[name])
-        lo, hi, rest = bisect_range(bucket, pick_key(ext))
-        if rest:
+        if lead:
+            key = values[:lead]
+            lo = hi = bisect_left(bucket, (key,))
+            if lo < len(bucket) and bucket[lo][0][:lead] == key:
+                hi += 1
+        else:
+            lo, hi, rest = bisect_range(bucket, pick_key(ext))
             lo = next((i for i in range(lo, hi) if all(bucket[i][0][j] == p for j, p in rest)), hi)
         row = (values, at)
         if lo < hi:
@@ -694,11 +705,11 @@ def apply_action_delta(
                     message=f"duplicate key {k!r} in relation {name!r}",
                 )
             continue
-        if rest:
-            insort(bucket, row)
-        else:
+        if lead:
             # a key that leads the columns bisected to where the row belongs
             bucket.insert(lo, row)
+        else:
+            insort(bucket, row)
         added.append((name, values, at))
     if clashes is not None:
         return next(clash for clash in clashes.values() if clash is not None)

@@ -137,6 +137,22 @@ def test_a_lone_surrogate_in_a_net_is_a_located_error(tmp_path, capsys, edit, di
     assert not out.exists()
 
 
+def test_a_net_that_fails_while_it_runs_is_an_error_line(tmp_path, capsys):
+    # arc values are checked when they are produced: the delayer's document
+    # with t_forward's output arc to its product-coloured ch3 set to the
+    # text "x" passes validation, and its run ended in a traceback
+    bundle = build_delayer(250)
+    doc = json.loads(serialize_net(bundle.net, with_workload(bundle, parse_workload("delayer", "burst:3@0"))))
+    next(t for t in doc["transitions"] if t["id"] == "t_forward")["outputs"][0]["expr"] = {"op": "const", "args": ["x"]}
+    path = tmp_path / "run.tdbnet.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "t.trace.jsonl"
+    code = cli.main(["run", "--net", str(path), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: transition 't_forward': value 'x' does not fit place 'ch3'\n"
+    assert not out.exists()
+
+
 def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
     # as `tdbnet run ... | head -0`: the reader is gone before anything is
     # written; unbuffered, the first print fails, buffered, the last flush

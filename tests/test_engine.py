@@ -24,7 +24,7 @@ from tdbnet.engine import (
 )
 from tdbnet import engine
 from tdbnet import net as net_module
-from tdbnet.exprs import Age, Const, DefinitionError, Now, Op, Param, Var, Wild
+from tdbnet.exprs import Age, Const, DbCount, DefinitionError, Now, Op, Param, Var, Wild
 from tdbnet.formats import DocumentError, parse_net, parse_trace, serialize_net, serialize_trace
 from tdbnet.net import (
     ActionCall,
@@ -758,6 +758,66 @@ def test_copied_views_skip_firings_that_leave_their_relation(monkeypatch):
     assert len(calls) == touched
     replay(bundle.net, parse_trace(serialize_trace(tr)))
     assert len(calls) == 2 * touched
+
+
+CATALOG = [
+    (lambda: build_throttler(5), "burst:50@0"),
+    (lambda: build_delayer(250), "steady:50:every:10@0"),
+    (build_resequencer, _rev(50)),
+    (lambda: build_aggregator(timeout=100), _rev(50)),
+    (lambda: build_circuit_breaker(5, 30, EndpointStub.healthy()), "steady:50:every:1@0"),
+    (lambda: build_content_based_router(("gt:10", "lt:100")), f"vals:{','.join(map(str, range(50)))}@0"),
+]
+CATALOG_IDS = ["throttler", "delayer", "resequencer", "aggregator", "circuit-breaker", "router"]
+
+
+@pytest.mark.parametrize("build", [build for build, _ in CATALOG], ids=CATALOG_IDS)
+def test_a_firing_plan_lists_the_views_its_actions_can_change(build):
+    # the views whose query reads, through an atom or a filter's count, a
+    # relation that one of the transition's action templates adds to or
+    # deletes from, found by brute force
+    net = build().net
+    views = [place for place in net.places if place.kind == "view"]
+    for t in net.transitions:
+        templates = [tmpl for call in t.actions for tmpl in net.action(call.action).adds + net.action(call.action).dels]
+        written = {tmpl.relation for tmpl in templates}
+        want = []
+        for place in views:
+            query = net.query(place.query)
+            reads = [atom.relation for atom in query.atoms]
+            reads += [side.relation for f in query.filters for side in (f.lhs, f.rhs) if type(side) is DbCount]
+            if written.intersection(reads):
+                want.append(place.id)
+        assert [place.id for place, _, _ in engine._firing(net, t).views] == want, t.id
+        if not t.actions:
+            assert want == []
+
+
+def test_a_transition_that_writes_no_view_relation_refreshes_no_view(monkeypatch):
+    # of the throttler's 600 firings at burst:200, only the 200 injects
+    # write a relation a view reads (inbox, under v_inbox): t_admit writes
+    # out_log only, and t_release calls no action
+    bundle = build_throttler(5)
+    initial = with_workload(bundle, parse_workload("throttler", "burst:200@0"))
+    calls = []
+    refresh = engine.refresh_views
+    monkeypatch.setattr(engine, "refresh_views", lambda *a: calls.append(a) or refresh(*a))
+    tr = run(bundle.net, initial)
+    assert len(tr.events) == 600
+    assert len(calls) == sum(ev.transition == "inject" for ev in tr.events) == 200
+    replay(bundle.net, parse_trace(serialize_trace(tr)))
+    assert len(calls) == 400
+
+
+@pytest.mark.parametrize("policy", ["eager", "random"])
+@pytest.mark.parametrize("build,workload", CATALOG, ids=CATALOG_IDS)
+def test_every_catalog_pattern_keeps_its_views_equal_to_their_queries(build, workload, policy):
+    # a firing refreshes only the views its plan lists; check_views
+    # compares every view place with its query after each committed event
+    bundle = build()
+    tr = run(bundle.net, with_workload(bundle, parse_workload(bundle.name, workload)), policy=policy, seed=1, check_views=True)
+    assert sum(ev.outcome == "committed" for ev in tr.events) >= 50
+    assert advance_clock(bundle.net, tr.final) is None
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from tdbnet.net import (
     Transition,
     validate_net,
 )
-from tdbnet.persistence import Action, Atom, Column, FactTemplate, Instance, Query, Relation, Schema
+from tdbnet.persistence import Action, Atom, Column, FactTemplate, Filter, Instance, Query, Relation, Schema
 from tdbnet.values import INT, TEXT, product
 
 R = Relation("R", (Column("a", INT), Column("b", TEXT)), ("a",))
@@ -66,6 +66,11 @@ def _gt0(e):
     return Op(">", (e, Const(0)))
 
 
+def _counted(count):
+    """The view's query ``q_r`` with the filter ``count > 0``."""
+    return replace(Q_R, filters=(Filter(">", count, Const(0)),))
+
+
 UNBOUND_IN_GUARD = "transition 't': variable 'z' in guard is not bound by any input arc"
 
 CASES = [
@@ -73,6 +78,23 @@ CASES = [
         "query-unknown-relation",
         lambda net: replace(net, queries=(*net.queries, Query("q_bad", atoms=(Atom("NOPE", (Var("a"),)),), output=("a",)))),
         "query 'q_bad' atom 0: unknown relation 'NOPE'",
+    ),
+    # a filter's count over the view's query: each passed validation and
+    # failed, naming no query, or counted 0 silently, when evaluated
+    (
+        "query-count-unknown-relation",
+        lambda net: replace(net, queries=(_counted(DbCount("NOPE", (Wild(),))),)),
+        "query 'q_r' filter 0 count: unknown relation 'NOPE'",
+    ),
+    (
+        "query-count-arity",
+        lambda net: replace(net, queries=(_counted(DbCount("R", (Wild(), Wild(), Wild()))),)),
+        "query 'q_r' filter 0 count: arity 3 != 2",
+    ),
+    (
+        "query-count-constant-off-column",
+        lambda net: replace(net, queries=(_counted(DbCount("R", (Const("a"), Wild()))),)),
+        "query 'q_r' filter 0 count: constant 'a' does not fit column 'a', 'int'",
     ),
     (
         # no transition calls it: every action is checked

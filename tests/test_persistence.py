@@ -27,9 +27,11 @@ from tdbnet.persistence import (
     apply_action_delta,
     bisect_range,
     check_compliance,
+    check_query,
     eval_query,
 )
-from tdbnet.values import INT, SCALAR_TYPES, TEXT, ColorType
+from tdbnet.net import Net, Place, validate_net
+from tdbnet.values import BOOL, INT, SCALAR_TYPES, TEXT, ColorType
 
 ENDPOINTS = Relation("Endpoints", (Column("epid", TEXT), Column("nexc", INT)), ("epid",))
 SEQS = Relation(
@@ -128,6 +130,42 @@ def test_lookups_equal_the_full_scan(instance, pattern):
     assert instance.match_rows("T", pattern) == want
     assert instance.match_values("T", pattern) == [values for values, _ in want]
     assert instance.count_matching("T", pattern) == len(want)
+
+
+# values of each column type, among them each type's successor probe of
+# another: "a\0" of "a", 1 of 0, and True (which equals 1) of False
+TYPED = {INT: st.integers(-1, 2), TEXT: st.sampled_from(["", "a", "a\0", "b"]), BOOL: st.booleans()}
+# a value of another type per column: a str in an int or bool column
+FOREIGN = {INT: "a", TEXT: 0, BOOL: "a"}
+
+
+@st.composite
+def typed_lookups(draw):
+    """(instance, pattern) over a relation with an int, a text and a bool
+    column in a drawn order.  Each bound value of the pattern is the
+    smallest, the largest or any value present in its column, any value of
+    its type, or one of another type."""
+    colors = draw(st.permutations([INT, TEXT, BOOL]))
+    rel = Relation("U", tuple(Column(f"c{i}", c) for i, c in enumerate(colors)), ("c0", "c1", "c2"))
+    rows = draw(st.dictionaries(st.tuples(*(TYPED[c] for c in colors)), st.integers(0, 2), max_size=8))
+    pattern = []
+    for i, color in enumerate(colors):
+        present = sorted({values[i] for values in rows})
+        choices = [None, FOREIGN[color], draw(TYPED[color])]
+        if present:
+            choices += [present[0], present[-1], draw(st.sampled_from(present))]
+        pattern.append(draw(st.sampled_from(choices)))
+    return Instance(Schema((rel,)), {"U": list(rows.items())}), tuple(pattern)
+
+
+@settings(deadline=None)
+@given(typed_lookups())
+def test_lookups_on_text_and_bool_columns_equal_the_full_scan(case):
+    # the upper probe of a range is the successor of its last bound value
+    instance, pattern = case
+    want = reference_match_rows(instance, "U", pattern)
+    assert instance.match_rows("U", pattern) == want
+    assert instance.count_matching("U", pattern) == len(want)
 
 
 # rows of T, sorted, with the leading values 0 and 2 at either end
@@ -262,6 +300,29 @@ def test_query_count_filter():
         output=("s", "o"),
     )
     assert eval_query(inst, q) == (("s", 1), ("s", 2))
+
+
+@pytest.mark.parametrize(
+    "count,message",
+    [
+        (DbCount("NOPE", (Wild(),)), "query 'q' filter 0 count: unknown relation 'NOPE'"),
+        (DbCount("R", (Wild(), Wild())), "query 'q' filter 0 count: arity 2 != 1"),
+        (DbCount("R", (Const("a"),)), "query 'q' filter 0 count: constant 'a' does not fit column 'a', 'int'"),
+    ],
+    ids=["unknown-relation", "arity", "constant-off-column"],
+)
+def test_a_filter_count_is_checked_against_the_schema(count, message):
+    # each passed check_query; evaluating the first two failed naming no
+    # query, and the third counted 0 silently
+    schema = Schema((Relation("R", (Column("a", INT),), ("a",)),))
+    q = Query("q", atoms=(Atom("R", (Var("x"),)),), filters=(Filter(">", count, Const(0)),), output=("x",))
+    with pytest.raises(DefinitionError) as exc:
+        check_query(schema, q)
+    assert str(exc.value) == message
+    net = Net(places=(Place("v", INT, kind="view", query="q"),), transitions=(), schema=Schema(schema.relations), queries=(q,))
+    with pytest.raises(DefinitionError) as exc:
+        validate_net(net)
+    assert str(exc.value) == message
 
 
 def test_query_safe_range_enforced():
