@@ -63,7 +63,8 @@ Semantics in brief:
   actions add to or delete from.  A firing refreshes only those views,
   and a transition whose plan lists none (one without actions, or whose
   actions write no relation a view reads) does not call
-  ``refresh_views``.  A constraint violation either
+  ``refresh_views``.  A constraint violation, which is a key clash
+  (a checked action adds only rows of its columns' types), either
   produces tokens along the rollback arcs (outcome ``rolled_back``, instance
   reverted) or, absent rollback arcs, freezes the run at the last committed
   instance (outcome ``halted``).

@@ -36,8 +36,19 @@ from .exprs import (
     Wild,
     depends_on_time,
 )
-from .persistence import Action, Instance, Query, Schema, check_action, check_compliance, check_query, copied_relation, eval_query
-from .values import ColorType, conforms, encodable
+from .persistence import (
+    Action,
+    Instance,
+    Query,
+    Schema,
+    check_action,
+    check_compliance,
+    check_pattern,
+    check_query,
+    copied_relation,
+    eval_query,
+)
+from .values import ColorType, color_name, encodable
 
 
 @dataclass(frozen=True)
@@ -299,15 +310,11 @@ def check_views(net: Net, snapshot: "Snapshot") -> None:
     """Raise DefinitionError unless every view place holds exactly its
     query's rows: firings patch a view from row deltas, or evaluate it again
     only when a relation it reads changes, so it must start out right.  A
-    view that copies a relation is read from its rows, without a query."""
-    for place, source, _ in view_places(net):
-        if source is None:
-            want, rows = view_tokens(net, place, snapshot.instance), f"rows of its query {place.query!r}"
-        else:
-            want = tuple(_row_tokens(place, (values for values, _ in snapshot.instance.rows(source))))
-            rows = f"rows of {source!r}"
-        if snapshot.marking.tokens(place.id) != want:
-            raise DefinitionError(f"view place {place.id!r}: its tokens are not the {rows}")
+    view that copies a relation reads its rows through the query's copy
+    plan (``eval_query``)."""
+    for place, _, _ in view_places(net):
+        if snapshot.marking.tokens(place.id) != view_tokens(net, place, snapshot.instance):
+            raise DefinitionError(f"view place {place.id!r}: its tokens are not the rows of its query {place.query!r}")
 
 
 def refresh_views(net: Net, views: tuple, instance: Instance, marking: Marking, added, deleted) -> tuple[list, list]:
@@ -399,7 +406,7 @@ def _check_pool(net: Net, pid: str, tokens: Iterable[tuple], clock: int) -> None
         if type(tok) is not tuple or len(tok) != 2 or type(tok[1]) is not int:
             raise DefinitionError(f"place {pid!r}: entry {tok!r} is not a token (value, created_at) with an int created_at")
         value, at = tok
-        if not conforms(value, color):
+        if not color.fits(value):
             raise DefinitionError(f"place {pid!r}: token {tok!r} does not fit its color")
         if at > clock:
             raise DefinitionError(f"place {pid!r}: token {tok!r} is created after the snapshot clock {clock}")
@@ -407,13 +414,6 @@ def _check_pool(net: Net, pid: str, tokens: Iterable[tuple], clock: int) -> None
 
 # ---------------------------------------------------------------------------
 # static validation
-
-
-def _color_name(color: ColorType) -> str:
-    """``'int'``, or ``product(int, text)``, as a diagnostic names a color."""
-    if color.kind != "product":
-        return repr(color.kind)
-    return f"product({', '.join(c.kind for c in color.components)})"
 
 
 def validate_net(net: Net) -> None:
@@ -428,12 +428,13 @@ def validate_net(net: Net) -> None:
     inscription (guard, arc, arc condition, action argument) is checked in
     one walk: its variables are bound by input arcs, age() reads one bound
     by a normal place, it holds no parameter (a transition has none), its
-    operators are known, and each count or merge_text fits a relation of
-    the schema, with pattern terms that are wildcards, bound variables or
-    constants that fit their column.  No constant holds text that UTF-8
-    cannot encode, which no trace could store.  In guards and action
-    arguments, which the truth solver takes, now() and age() occur only
-    under the TIME_OPERATORS and never inside a db pattern."""
+    operators are known, and each count or merge_text is a db pattern that
+    ``check_pattern`` accepts, of wildcards, bound variables and constants
+    that fit their column, as are query atoms and action templates.  No
+    constant holds text that UTF-8 cannot encode, which no trace could
+    store.  In guards and action arguments, which the truth solver takes,
+    now() and age() occur only under the TIME_OPERATORS and never inside a
+    db pattern."""
     for query in net.queries:
         check_query(net.schema, query)
     for action in net.actions:
@@ -490,9 +491,9 @@ def validate_net(net: Net) -> None:
                         normal_bound.add(term.name)
                 elif kind is Const:
                     # a constant matches only values of its term's color
-                    if not conforms(term.value, fit):
+                    if not fit.fits(term.value):
                         of = f"component {i} of the place's color" if type(arc.pattern) is tuple else "the place's color"
-                        raise DefinitionError(f"{at}: constant {term.value!r} does not fit {of}, {_color_name(fit)}")
+                        raise DefinitionError(f"{at}: constant {term.value!r} does not fit {of}, {color_name(fit)}")
                     if not encodable(term.value):
                         raise DefinitionError(f"{at}: constant {term.value!r} holds text that UTF-8 cannot encode")
                 elif kind is not Wild:
@@ -529,26 +530,14 @@ def validate_net(net: Net) -> None:
                 for a in e.args:
                     check(a, where, timed)
             elif kind is DbCount or kind is DbMergeText:
-                at = f"transition {t.id!r}: {'count' if kind is DbCount else 'merge_text'}() in {where}"
-                try:
-                    rel = net.schema.relation(e.relation)
-                except DefinitionError as err:
-                    raise DefinitionError(f"{at}: {err}") from None
-                if len(e.terms) != rel.arity:
-                    raise DefinitionError(
-                        f"{at}: pattern arity {len(e.terms)} does not match relation {rel.name!r} arity {rel.arity}"
-                    )
-                for term, column in zip(e.terms, rel.columns):
-                    if type(term) not in (Var, Const, Param, Wild):
-                        if timed and depends_on_time(term):
-                            raise DefinitionError(f"{timed}: now()/age() not allowed inside db patterns")
-                        raise DefinitionError(f"{at}: not a pattern term: {term!r}")
-                    if type(term) is Const and not conforms(term.value, column.color):
-                        raise DefinitionError(
-                            f"{at}: constant {term.value!r} does not fit column {column.name!r} of {rel.name!r}, "
-                            f"{_color_name(column.color)}"
-                        )
+                # each term is walked first, so that an unbound variable, a
+                # parameter or now()/age() is named as anywhere else
+                for term in e.terms:
+                    if timed and depends_on_time(term):
+                        raise DefinitionError(f"{timed}: now()/age() not allowed inside db patterns")
                     check(term, where)
+                at = f"transition {t.id!r}: {'count' if kind is DbCount else 'merge_text'}() in {where}"
+                rel = check_pattern(net.schema, at, e.relation, e.terms, (Var, Const, Wild), {})
                 if kind is DbMergeText:
                     for col in (e.order_col, e.text_col):
                         if type(col) is not int or not 0 <= col < rel.arity:

@@ -5,13 +5,15 @@ parameterized actions.
 Every column has one type, so the values of a column always compare and an
 instance keeps each relation's rows in their natural order.  An Instance
 never mutates; apply_action returns either a new Instance or a
-ConstraintViolation value describing why the change was rejected.
+ConstraintViolation value naming the key that the change would duplicate.
 
 A query or an action is checked against a schema and compiled once per
 schema object, on first use, and the schema keeps the plan: its terms
 become argument indexes, constants, wildcards or variable lookups, and its
 argument types one exact-type test, so that evaluating it interprets no
-template.
+template.  ``check_pattern`` is the one check of what a db pattern may
+hold, whether a query atom, a filter's count, an action template or a
+transition's count or merge_text.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .exprs import (
     compiled,
     compiled_term,
 )
-from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType, encodable
+from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType, color_name, encodable
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,15 @@ class Schema:
 
 @dataclass(frozen=True)
 class ConstraintViolation:
-    """Why an instance (or an attempted change) is not compliant.
+    """Why an instance (or an attempted change) is not compliant: two rows
+    share a key.
 
-    kind is "key" or "type"; witnesses are the offending (values, at) rows.
-    This is a value the engine reacts to, not an exception.
+    kind is "key", the one constraint a row can break once it fits its
+    columns; witnesses are the offending (values, at) rows.  This is a value
+    the engine reacts to (a firing rolls back or halts), not an exception.
+    A row of the wrong type is a DefinitionError instead: the Instance
+    constructor rejects one, and an action that could add one is rejected
+    when it is checked.
     """
 
     relation: str
@@ -184,14 +191,14 @@ class Instance:
 
     Rows are (values, inserted_at) pairs.  The constructor rejects a row
     that does not fit its relation's column types, or whose insertion time
-    is not an int, with a DefinitionError,
-    and apply_action_delta rejects such an addition, so every instance
-    holds values that compare within each column and keeps its rows in
-    their natural order, the canonical one.  Lookups bisect that order on a
-    pattern's leading bound columns and scan the others (see
-    ``bisect_range``).  Counts are cached lazily per object; since instances
-    never change after construction this is safe.  Keys are not checked
-    here: see check_compliance.
+    is not an int, with a DefinitionError, and a checked action adds only
+    rows that fit (``check_pattern``), so every instance holds values that
+    compare within each column and keeps its rows in their natural order,
+    the canonical one.  Lookups bisect that order on a pattern's leading
+    bound columns and scan the others (see ``bisect_range``).  Counts are
+    cached lazily per object; since instances never change after
+    construction this is safe.  Keys are not checked here: see
+    check_compliance.
     """
 
     __slots__ = ("schema", "_rows", "_count_cache")
@@ -204,16 +211,12 @@ class Instance:
             rs = tuple(rs)
             for values, at in rs:
                 if tuple(map(type, values)) != rel.types:
-                    raise DefinitionError(_type_violation(rel, values, at).message)
+                    raise DefinitionError(_type_violation(rel, values))
                 if type(at) is not int:
                     raise DefinitionError(f"relation {name!r}: row {values!r} has insertion time {at!r}, not an int")
             store[name] = tuple(sorted(rs))
         self._rows = store
         self._count_cache: dict = {}
-
-    @classmethod
-    def empty(cls, schema: Schema) -> "Instance":
-        return cls(schema)
 
     @classmethod
     def from_facts(cls, schema: Schema, facts: Iterable[tuple]) -> "Instance":
@@ -248,25 +251,18 @@ class Instance:
             return rows, 0, len(rows), ()
         arity = self.schema.relation(relation).arity
         if len(pattern) != arity:
-            raise DefinitionError(f"pattern arity {len(pattern)} does not match relation {relation!r} arity {arity}")
+            raise DefinitionError(f"a lookup pattern of length {len(pattern)} for relation {relation!r} of arity {arity}")
         return (rows, *bisect_range(rows, pattern))
-
-    def _candidates(self, relation: str, pattern: Optional[Sequence]) -> tuple[tuple, tuple]:
-        """``(rows, rest)``: the rows of a pattern's range (see ``_range``),
-        which every row lookup inspects, and the bound columns left to
-        check."""
-        rows, lo, hi, rest = self._range(relation, pattern)
-        return rows[lo:hi], rest
 
     def match_rows(self, relation: str, pattern: Optional[Sequence]) -> list[tuple]:
         """Rows whose values agree with pattern (None entries are wildcards;
         a pattern of None matches everything), in canonical order.  Only the
         rows whose leading bound columns match are inspected: they form one
         range of the canonical order, found by binary search."""
-        rows, rest = self._candidates(relation, pattern)
+        rows, lo, hi, rest = self._range(relation, pattern)
         if not rest:
-            return list(rows)
-        return [row for row in rows if all(row[0][i] == p for i, p in rest)]
+            return list(rows[lo:hi])
+        return [row for row in rows[lo:hi] if all(row[0][i] == p for i, p in rest)]
 
     def match_values(self, relation: str, pattern: Optional[Sequence]) -> list[tuple]:
         return [values for values, _ in self.match_rows(relation, pattern)]
@@ -346,28 +342,23 @@ def _compile_query(schema: Schema, query: Query):
     """``evaluate(instance, args)`` for a query checked against a schema
     (see ``_query_plan``)."""
     bound: set[str] = set()
-    param_names = {p[0] for p in query.params}
+    params = dict(query.params)
     for i, atom in enumerate(query.atoms):
-        _check_pattern(schema, f"query {query.name!r} atom {i}", atom.relation, atom.terms)
-        for t in atom.terms:
-            if type(t) is Var:
-                bound.add(t.name)
-            elif type(t) is Param and t.name not in param_names:
-                raise DefinitionError(f"query {query.name!r}: unknown parameter {t.name!r}")
-            elif type(t) not in (Wild, Param, Const):
-                raise DefinitionError(f"query {query.name!r}: bad atom term {t!r}")
+        check_pattern(schema, f"query {query.name!r} atom {i}", atom.relation, atom.terms, _QUERY_TERMS, params)
+        bound.update(t.name for t in atom.terms if type(t) is Var)
     for i, f in enumerate(query.filters):
         if f.op not in _FILTER_OPS:
             raise DefinitionError(f"query {query.name!r}: bad filter op {f.op!r}")
         for side in (f.lhs, f.rhs):
+            terms = (side,)
             if type(side) is DbCount:
-                _check_pattern(schema, f"query {query.name!r} filter {i} count", side.relation, side.terms)
-            for v in _filter_vars(side):
-                if v not in bound:
-                    raise DefinitionError(f"query {query.name!r}: filter uses unbound variable {v!r}")
-            for p in _filter_params(side):
-                if p not in param_names:
-                    raise DefinitionError(f"query {query.name!r}: unknown parameter {p!r}")
+                check_pattern(schema, f"query {query.name!r} filter {i} count", side.relation, side.terms, _QUERY_TERMS, params)
+                terms = side.terms
+            for t in terms:
+                if type(t) is Var and t.name not in bound:
+                    raise DefinitionError(f"query {query.name!r}: filter uses unbound variable {t.name!r}")
+                if type(t) is Param and t.name not in params:
+                    raise DefinitionError(f"query {query.name!r}: unknown parameter {t.name!r}")
     for v in query.output:
         if v not in bound:
             raise DefinitionError(f"query {query.name!r}: output variable {v!r} is unbound")
@@ -378,39 +369,54 @@ def _compile_query(schema: Schema, query: Query):
     return _query_plan(query)
 
 
-def _check_pattern(schema: Schema, at: str, relation: str, terms: tuple) -> None:
-    """Check the pattern of a query atom or of a filter's count, located
-    by ``at``, against its relation: the relation is known, the pattern
-    has its arity, and each constant fits its column (a constant of
-    another color never matches) and holds text that UTF-8 can encode."""
+# the terms each kind of db pattern may hold: a query atom or a filter's
+# count, an action's addition and an action's deletion (a transition's
+# count or merge_text passes its own, see ``net.validate_net``)
+_QUERY_TERMS = (Var, Const, Param, Wild)
+_ADD_TERMS = (Param, Const)
+_DEL_TERMS = (Param, Const, Wild)
+
+
+def check_pattern(
+    schema: Schema, at: str, relation: str, terms: tuple, kinds: tuple, params: Mapping[str, ColorType]
+) -> Relation:
+    """The relation of a db pattern, located by ``at``, that holds what it
+    may: the relation is known and the pattern has its arity; each term is
+    one of the node classes ``kinds``; each constant fits its column (a
+    constant of another color never matches, and an added one breaks the
+    column's type) and holds text that UTF-8 can encode; and each parameter
+    is one of ``params`` (name to color), whose values have the column's
+    type.  Every db pattern is checked here: query atoms and filter counts,
+    action additions and deletions, and a transition's count and
+    merge_text, so a checked action never writes a row of the wrong type."""
     try:
         rel = schema.relation(relation)
     except DefinitionError as e:
         raise DefinitionError(f"{at}: {e}") from None
     if len(terms) != rel.arity:
-        raise DefinitionError(f"{at}: arity {len(terms)} != {rel.arity}")
+        raise DefinitionError(f"{at}: pattern arity {len(terms)} does not match relation {rel.name!r} arity {rel.arity}")
     for t, column in zip(terms, rel.columns):
-        if type(t) is Const:
-            if not column.color.fits(t.value):
-                raise DefinitionError(f"{at}: constant {t.value!r} does not fit column {column.name!r}, {column.color.kind!r}")
-            if not encodable(t.value):
-                raise DefinitionError(f"{at}: constant {t.value!r} holds text that UTF-8 cannot encode")
-
-
-def _filter_vars(side) -> list[str]:
-    if isinstance(side, Var):
-        return [side.name]
-    if isinstance(side, DbCount):
-        return [t.name for t in side.terms if isinstance(t, Var)]
-    return []
-
-
-def _filter_params(side) -> list[str]:
-    if isinstance(side, Param):
-        return [side.name]
-    if isinstance(side, DbCount):
-        return [t.name for t in side.terms if isinstance(t, Param)]
-    return []
+        kind = type(t)
+        if kind not in kinds:
+            allowed = ", ".join(k.__name__ for k in kinds)
+            raise DefinitionError(f"{at}: not a pattern term: {t!r} (allowed: {allowed})")
+        if kind is Const:
+            if column.color.fits(t.value):
+                if not encodable(t.value):
+                    raise DefinitionError(f"{at}: constant {t.value!r} holds text that UTF-8 cannot encode")
+                continue
+            misfit = f"constant {t.value!r}"
+        elif kind is Param:
+            color = params.get(t.name)
+            if color is None:
+                raise DefinitionError(f"{at}: unknown parameter {t.name!r}")
+            if SCALAR_TYPES.get(color.kind) is SCALAR_TYPES[column.color.kind]:
+                continue
+            misfit = f"parameter {t.name!r} of color {color_name(color)}"
+        else:
+            continue
+        raise DefinitionError(f"{at}: {misfit} does not fit column {column.name!r} of {rel.name!r}, {color_name(column.color)}")
+    return rel
 
 
 def copied_relation(query: Query) -> Optional[str]:
@@ -528,11 +534,10 @@ def _side(side):
 
 def check_query(schema: Schema, query: Query) -> None:
     """Check ``query`` against ``schema`` and keep its plan, as its first
-    evaluation would: a DefinitionError names the query when the relation
-    of an atom or of a filter's count is unknown, its pattern's arity is
-    wrong, its constant does not fit its column or holds text that UTF-8
-    cannot encode, a variable or parameter is unbound, or an ``order_by``
-    index is out of range."""
+    evaluation would: a DefinitionError names the query, and the atom or
+    filter, when ``check_pattern`` rejects an atom or a filter's count, a
+    variable or parameter is unbound, or an ``order_by`` index is out of
+    range."""
     _plan(schema, query, _compile_query)
 
 
@@ -567,8 +572,8 @@ class Action:
 
 
 def _compile_action(schema: Schema, action: Action) -> tuple:
-    """``(check, consts, dels, adds)`` for an action checked against a
-    schema.
+    """``(check, consts, dels, adds)`` for an action whose templates
+    ``check_pattern`` accepts against a schema.
 
     ``check(args)`` tests the arguments.  Every template term is an index
     into ``ext``, the arguments followed by ``consts`` (None, a wildcard,
@@ -578,39 +583,23 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
     whose columns lead the relation's, and 0 for any other key, whose
     pattern ``pick_key(ext)`` gives (see ``bisect_range``)."""
     npar = len(action.params)
+    params = dict(action.params)
     pindex = {p: i for i, (p, _) in enumerate(action.params)}
     consts: list = [None]
     picks = []
-    for tmpl in action.adds + action.dels:
-        try:
-            rel = schema.relation(tmpl.relation)
-        except DefinitionError as e:
-            raise DefinitionError(f"action {action.name!r}: {e}") from None
-        if len(tmpl.terms) != rel.arity:
-            raise DefinitionError(
-                f"action {action.name!r}: template for {tmpl.relation!r} has wrong arity"
-            )
-        allow_wild = tmpl in action.dels
-        idx = []
-        for t in tmpl.terms:
-            if isinstance(t, Wild):
-                if not allow_wild:
-                    raise DefinitionError(
-                        f"action {action.name!r}: wildcard not allowed in additions"
-                    )
-                idx.append(npar)
-            elif isinstance(t, Param):
-                if t.name not in pindex:
-                    raise DefinitionError(f"action {action.name!r}: unknown parameter {t.name!r}")
-                idx.append(pindex[t.name])
-            elif isinstance(t, Const):
-                if not encodable(t.value):
-                    raise DefinitionError(f"action {action.name!r}: constant {t.value!r} holds text that UTF-8 cannot encode")
-                idx.append(npar + len(consts))
-                consts.append(t.value)
-            else:
-                raise DefinitionError(f"action {action.name!r}: bad template term {t!r}")
-        picks.append((rel, idx))
+    for site, templates, kinds in (("addition", action.adds, _ADD_TERMS), ("deletion", action.dels, _DEL_TERMS)):
+        for i, tmpl in enumerate(templates):
+            rel = check_pattern(schema, f"action {action.name!r} {site} {i}", tmpl.relation, tmpl.terms, kinds, params)
+            idx = []
+            for t in tmpl.terms:
+                if type(t) is Wild:
+                    idx.append(npar)
+                elif type(t) is Param:
+                    idx.append(pindex[t.name])
+                else:
+                    idx.append(npar + len(consts))
+                    consts.append(t.value)
+            picks.append((rel, idx))
     dels = tuple((rel.name, _picker(tuple(idx))) for rel, idx in picks[len(action.adds):])
     adds = []
     for rel, idx in picks[: len(action.adds)]:
@@ -618,13 +607,15 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
         lead = len(kidx) if sorted(kidx) == list(range(len(kidx))) else 0
         # the pattern of the key columns, up to the last
         key = tuple(idx[pos] if pos in kidx else npar for pos in range(max(kidx) + 1))
-        adds.append((rel, _picker(tuple(idx)), lead, _picker(key), kidx))
+        adds.append((rel.name, _picker(tuple(idx)), lead, _picker(key), kidx))
     return _arg_check("action", action.name, action.params), tuple(consts), dels, tuple(adds)
 
 
 def check_action(schema: Schema, action: Action) -> None:
     """Check ``action`` against ``schema`` and keep its plan, as its first
-    firing would; a DefinitionError names the action."""
+    firing would: ``check_pattern`` takes parameters and constants in an
+    addition, and wildcards too in a deletion, and a DefinitionError names
+    the action and the template."""
     _plan(schema, action, _compile_action)
 
 
@@ -634,9 +625,12 @@ def apply_action_delta(
     """Core of apply_action; also reports the net change.
 
     Returns (new_instance, added, deleted) with added/deleted lists of
-    (relation, values, at) rows, or a ConstraintViolation.  A type violation
-    of any addition is reported first; otherwise the first key clash of the
-    first relation added to.
+    (relation, values, at) rows, or the ConstraintViolation of the first
+    key clash of the first relation added to.  A key clash is the only
+    violation: the action's templates are checked when it is compiled
+    (``check_pattern``) and its arguments on every call, so each added row
+    fits its relation's columns, and a DefinitionError names an action
+    that does not fit the schema or arguments of the wrong type.
 
     ``instance`` must be compliant (see check_compliance).  The action is
     compiled once per schema (see ``_compile_action``).  Deletions and key
@@ -674,11 +668,8 @@ def apply_action_delta(
 
     added: list[tuple] = []
     clashes: Optional[dict] = None  # relation -> its first clash, once one occurs
-    for rel, pick, lead, pick_key, kidx in adds:
+    for name, pick, lead, pick_key, kidx in adds:
         values = pick(ext)
-        if tuple(map(type, values)) != rel.types:
-            return _type_violation(rel, values, at)
-        name = rel.name
         bucket = rows.get(name)
         if bucket is None:
             bucket = rows[name] = list(instance._rows[name])
@@ -694,7 +685,7 @@ def apply_action_delta(
         if lo < hi:
             if clashes is None:
                 # reported in order of first addition
-                clashes = dict.fromkeys([add[0].name for add in adds])
+                clashes = dict.fromkeys([add[0] for add in adds])
             if clashes[name] is None:
                 k = tuple([values[i] for i in kidx])
                 clashes[name] = ConstraintViolation(
@@ -725,10 +716,12 @@ def apply_action_delta(
 
 
 def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
-    """Apply an action atomically.  Returns the new Instance, or a
-    ConstraintViolation leaving the original untouched.  Raises
-    DefinitionError when a relation the action touches holds duplicate
-    keys, since actions need a compliant instance."""
+    """Apply an action atomically.  Returns the new Instance, or the
+    ConstraintViolation of a key clash, leaving the original untouched.
+    Raises DefinitionError when the action does not fit the schema (see
+    ``check_pattern``), when an argument has the wrong type, or when a
+    relation the action touches holds duplicate keys, since actions need a
+    compliant instance."""
     schema = instance.schema
     check_action(schema, action)
     touched = dict.fromkeys(t.relation for t in action.dels + action.adds)
@@ -741,15 +734,15 @@ def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
     return res[0]
 
 
-def _type_violation(rel: Relation, values: tuple, ts) -> ConstraintViolation:
-    """The violation of a row whose values do not fit its relation's
-    column types (their count, or the first column whose type differs)."""
+def _type_violation(rel: Relation, values: tuple) -> str:
+    """Why a row's values do not fit its relation's column types (their
+    count, or the first column whose type differs)."""
     if len(values) != rel.arity:
         err = f"arity {len(values)} != {rel.arity}"
     else:
         col, v = next((c, v) for c, v, t in zip(rel.columns, values, rel.types) if type(v) is not t)
         err = f"column {col.name!r} expects {col.color.kind}, got {v!r}"
-    return ConstraintViolation(rel.name, "type", values, ((values, ts),), f"type constraint on {rel.name!r}: {err}")
+    return f"type constraint on {rel.name!r}: {err}"
 
 
 def check_compliance(instance: Instance, schema: Schema | None = None) -> list[ConstraintViolation]:

@@ -83,18 +83,6 @@ class Scenario:
     execute: Callable[[Optional[int]], ScenarioOutcome]
 
 
-def _want(verdict: Verdict) -> Expectation:
-    return Expectation(verdict, True)
-
-
-def _want_fail(verdict: Verdict) -> Expectation:
-    return Expectation(verdict, False)
-
-
-def _verdict(check: str, ok: bool, details: str, measured=()) -> Verdict:
-    return Verdict(check, ok, details, tuple(measured))
-
-
 # ---------------------------------------------------------------------------
 # router
 
@@ -115,8 +103,8 @@ def one_receiver_verdict(trace: Trace, n_conditions: int) -> Verdict:
     if bad:
         mid, hits = bad[0]
         where = f"channels {hits}" if hits else "no channel"
-        return _verdict("one_receiver", False, f"message {mid} reached {where}")
-    return _verdict("one_receiver", True, f"{inst.count_matching('in_log', None)} messages, one channel each")
+        return Verdict("one_receiver", False, f"message {mid} reached {where}")
+    return Verdict("one_receiver", True, f"{inst.count_matching('in_log', None)} messages, one channel each")
 
 
 def _scn_flawed_router(seed: Optional[int]) -> ScenarioOutcome:
@@ -127,14 +115,14 @@ def _scn_flawed_router(seed: Optional[int]) -> ScenarioOutcome:
     correct = build_content_based_router(conditions, variant="correct")
     tr_correct = run(correct.net, with_workload(correct, workload), check_views=True)
     results = (
-        _want(
+        Expectation(
             assert_final_instance(
                 tr_flawed, InstanceExpectation(non_empty=("channel_1", "channel_2"))
             )
         ),
-        _want_fail(one_receiver_verdict(tr_flawed, len(conditions))),
-        _want(one_receiver_verdict(tr_correct, len(conditions))),
-        _want(
+        Expectation(one_receiver_verdict(tr_flawed, len(conditions)), False),
+        Expectation(one_receiver_verdict(tr_correct, len(conditions))),
+        Expectation(
             assert_final_instance(
                 tr_correct,
                 InstanceExpectation(non_empty=("channel_1",), empty=("channel_2",)),
@@ -156,7 +144,7 @@ def _scn_breaker_trip(seed: Optional[int]) -> ScenarioOutcome:
     tr1 = run(bundle.net, first, check_views=True)
     inst = tr1.final.instance
     results = [
-        _want(
+        Expectation(
             assert_final_instance(
                 tr1,
                 InstanceExpectation(
@@ -169,8 +157,8 @@ def _scn_breaker_trip(seed: Optional[int]) -> ScenarioOutcome:
                 ),
             )
         ),
-        _want(
-            _verdict(
+        Expectation(
+            Verdict(
                 "trip_then_reject",
                 inst.match_values("exc_log", (6, None)) == [(6, "circuit_open")],
                 "7th message rejected without an endpoint call",
@@ -181,7 +169,7 @@ def _scn_breaker_trip(seed: Optional[int]) -> ScenarioOutcome:
     resumed = extend_workload(bundle, resumed, [(0, ("late",))])
     tr2 = run(bundle.net, resumed, check_views=True)
     results.append(
-        _want(
+        Expectation(
             assert_final_instance(
                 tr2,
                 InstanceExpectation(
@@ -204,7 +192,7 @@ def _scn_receive_timeout(seed: Optional[int]) -> ScenarioOutcome:
     fast = build_circuit_breaker(5, 30, EndpointStub.respond_after(29))
     tr_fast = run(fast.net, with_workload(fast, [(0, ("x",))]), check_views=True)
     results = (
-        _want(
+        Expectation(
             assert_final_instance(
                 tr_slow,
                 InstanceExpectation(
@@ -216,7 +204,7 @@ def _scn_receive_timeout(seed: Optional[int]) -> ScenarioOutcome:
                 ),
             )
         ),
-        _want(
+        Expectation(
             assert_final_instance(
                 tr_fast,
                 InstanceExpectation(
@@ -244,8 +232,8 @@ def full_buckets_verdict(trace: Trace, rate: int, buckets: int) -> Verdict:
         counts[at // 1000] = counts.get(at // 1000, 0) + 1
     wrong = {k: counts.get(k, 0) for k in range(buckets) if counts.get(k, 0) != rate}
     if wrong:
-        return _verdict("full_buckets", False, f"buckets with count != {rate}: {wrong}")
-    return _verdict("full_buckets", True, f"{buckets} full buckets of exactly {rate}")
+        return Verdict("full_buckets", False, f"buckets with count != {rate}: {wrong}")
+    return Verdict("full_buckets", True, f"{buckets} full buckets of exactly {rate}")
 
 
 def _scn_throttler(seed: Optional[int]) -> ScenarioOutcome:
@@ -253,8 +241,8 @@ def _scn_throttler(seed: Optional[int]) -> ScenarioOutcome:
     arrivals = parse_workload("throttler", "burst:100@0")
     tr = run(bundle.net, with_workload(bundle, arrivals), check_views=True)
     results = (
-        _want(check_rate(tr, "out_log", 5, 1000)),
-        _want(full_buckets_verdict(tr, 5, 20)),
+        Expectation(check_rate(tr, "out_log", 5, 1000)),
+        Expectation(full_buckets_verdict(tr, 5, 20)),
     )
     return ScenarioOutcome("throttler-rate", results, (("throttled", tr),))
 
@@ -267,8 +255,8 @@ def _scn_delayer(seed: Optional[int]) -> ScenarioOutcome:
     )
     tr = run(bundle.net, with_workload(bundle, arrivals), check_views=True)
     results = (
-        _want(check_delay(tr, "in_log", "out_log", d)),
-        _want_fail(check_delay(tr, "in_log", "out_log", d + 1)),
+        Expectation(check_delay(tr, "in_log", "out_log", d)),
+        Expectation(check_delay(tr, "in_log", "out_log", d + 1), False),
     )
     return ScenarioOutcome("delayer-delay", results, (("delayed", tr),))
 
@@ -283,9 +271,9 @@ def _scn_resequencer(seed: Optional[int]) -> ScenarioOutcome:
     tr = run(bundle.net, with_workload(bundle, arrivals), check_views=True)
     emitted = [v for v in tr.final.instance.match_values("out_log", None)]
     results = (
-        _want(check_order(tr, "out_log", "ord", seq_column="seq")),
-        _want(
-            _verdict(
+        Expectation(check_order(tr, "out_log", "ord", seq_column="seq")),
+        Expectation(
+            Verdict(
                 "emitted_all",
                 sorted(v[1] for v in emitted) == [1, 2, 3],
                 f"emitted ordinals {sorted(v[1] for v in emitted)}",
@@ -303,10 +291,10 @@ def aggregator_accounting_verdict(trace: Trace) -> Verdict:
         body = row[4]
         hits = sum(agg[2].count(body) for agg in aggs)
         if hits != 1:
-            return _verdict(
+            return Verdict(
                 "accounting", False, f"body {body!r} appears {hits} times across aggregates"
             )
-    return _verdict(
+    return Verdict(
         "accounting", True, f"{len(inst.match_values('in_log', None))} messages, each aggregated once"
     )
 
@@ -318,21 +306,21 @@ def _scn_aggregator(seed: Optional[int]) -> ScenarioOutcome:
     rolled = [ev for ev in tr.events if ev.outcome == "rolled_back"]
     aggs = sorted(tr.final.instance.match_values("agg_out", None), key=lambda r: r[1])
     results = (
-        _want(
-            _verdict(
+        Expectation(
+            Verdict(
                 "one_rollback",
                 len(rolled) == 1,
                 f"{len(rolled)} rolled_back events (expected 1)",
             )
         ),
-        _want(
-            _verdict(
+        Expectation(
+            Verdict(
                 "partial_then_fresh",
                 [(a[2], a[3]) for a in aggs] == [("ab", 2), ("c", 1)],
                 f"aggregates {[(a[2], a[3]) for a in aggs]}",
             )
         ),
-        _want(aggregator_accounting_verdict(tr)),
+        Expectation(aggregator_accounting_verdict(tr)),
     )
     return ScenarioOutcome("aggregator-timeout-rollback", results, (("rollback", tr),))
 
@@ -368,20 +356,20 @@ def _scn_halt(seed: Optional[int]) -> ScenarioOutcome:
     tr = run(bundle.net, bundle.initial, check_views=True)
     last = tr.events[-1] if tr.events else None
     results = (
-        _want(
-            _verdict(
+        Expectation(
+            Verdict(
                 "halted_outcome",
                 last is not None and last.outcome == "halted",
                 f"last outcome {last.outcome if last else 'none'}",
             )
         ),
-        _want(
+        Expectation(
             assert_final_instance(
                 tr, InstanceExpectation(exact={"kv": frozenset({(1,)})})
             )
         ),
-        _want(
-            _verdict(
+        Expectation(
+            Verdict(
                 "frozen_at_violation",
                 tr.final.clock == last.time and len(tr.events) == 2,
                 f"clock {tr.final.clock}, {len(tr.events)} events",
@@ -413,11 +401,11 @@ def _scn_views(seed: Optional[int]) -> ScenarioOutcome:
             tr = run(bundle.net, with_workload(bundle, arrivals), check_views=True)
             committed = sum(1 for ev in tr.events if ev.outcome == "committed")
             results.append(
-                _want(_verdict(f"views_{name}", True, f"{committed} committed events checked"))
+                Expectation(Verdict(f"views_{name}", True, f"{committed} committed events checked"))
             )
             traces.append((name, tr))
         except AssertionError as e:
-            results.append(_want(_verdict(f"views_{name}", False, str(e))))
+            results.append(Expectation(Verdict(f"views_{name}", False, str(e))))
     return ScenarioOutcome("view-consistency", tuple(results), tuple(traces))
 
 
@@ -426,9 +414,9 @@ def _scn_ks(seed: Optional[int]) -> ScenarioOutcome:
     fair = {0: 0.5, 1: 1.0}
     samples = [rng.randint(0, 1) for _ in range(1000)]
     results = (
-        _want(ks_test(samples, fair, alpha=0.05)),
-        _want(ks_test([0, 0, 0, 0], fair, alpha=0.05)),
-        _want_fail(ks_test([0] * 1000, fair, alpha=0.05)),
+        Expectation(ks_test(samples, fair, alpha=0.05)),
+        Expectation(ks_test([0, 0, 0, 0], fair, alpha=0.05)),
+        Expectation(ks_test([0] * 1000, fair, alpha=0.05), False),
     )
     return ScenarioOutcome("ks-balancer", results)
 
@@ -444,8 +432,8 @@ def _scn_determinism(seed: Optional[int]) -> ScenarioOutcome:
         tr_b = run(bundle.net, snap, policy=policy, seed=s)
         same = serialize_trace(tr_a) == serialize_trace(tr_b)
         results.append(
-            _want(
-                _verdict(
+            Expectation(
+                Verdict(
                     f"determinism_{policy}",
                     same,
                     f"{len(tr_a.events)} events, byte-identical rerun",

@@ -44,9 +44,10 @@ class ColorType:
 
     @cached_property
     def fits(self):
-        """``fits(value)``: whether ``value`` inhabits this color, as
-        ``conforms`` says; compiled once per color into an exact-type test
-        of the value, or of a tuple's items."""
+        """``fits(value)``: whether ``value`` inhabits this color.  Types
+        are exact: a bool is not an int, and no subclass (an ``IntEnum``, a
+        ``str`` subclass) is a value.  Compiled once per color into an
+        exact-type test of the value, or of a tuple's items."""
         if self.kind != "product":
             scalar = SCALAR_TYPES[self.kind]
             return lambda value: type(value) is scalar
@@ -70,11 +71,11 @@ def _tuple_test(types: tuple):
     return lambda value: type(value) is tuple and tuple(map(type, value)) == types
 
 
-def conforms(value: object, color: ColorType) -> bool:
-    """True if ``value`` inhabits ``color``.  Types are exact: a bool is not
-    an int, and no subclass (an ``IntEnum``, a ``str`` subclass) is a
-    value."""
-    return color.fits(value)
+def color_name(color: ColorType) -> str:
+    """``'int'``, or ``product(int, text)``, as a diagnostic names a color."""
+    if color.kind != "product":
+        return repr(color.kind)
+    return f"product({', '.join(c.kind for c in color.components)})"
 
 
 def encodable(value: object) -> bool:

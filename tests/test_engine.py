@@ -322,7 +322,7 @@ def test_copied_view_out_of_step_with_its_relation_is_rejected():
     assert [ev.deleted for ev in run(net, good).events] == [(("R", (1,), 0),)]
     stale = Snapshot(good.instance, Marking({"p": [(1, 0)]}), 0)
     for entry in (run, enabled, advance_clock, lambda net, snap: fire(net, snap, "t", {"x": 1}, at=0)):
-        with pytest.raises(DefinitionError, match="view place 'v': its tokens are not the rows of 'R'"):
+        with pytest.raises(DefinitionError, match="view place 'v': its tokens are not the rows of its query 'q'"):
             entry(net, stale)
 
 
@@ -430,7 +430,7 @@ def _subclassed(kind):
     holds an ``IntEnum`` token or a ``str``-subclass fact."""
     net = replace(_int_place_net(), schema=Schema((Relation("names", (Column("n", TEXT),), ("n",)),)))
     if kind == "token":
-        return net, Snapshot(Instance.empty(net.schema), Marking({"p": [(_Level.LOW, 0)]}), 0)
+        return net, Snapshot(Instance(net.schema), Marking({"p": [(_Level.LOW, 0)]}), 0)
     return net, Snapshot(Instance(net.schema, {"names": [((_Name("a"),), 0)]}), Marking({"p": [(1, 0)]}), 0)
 
 
@@ -725,8 +725,9 @@ def test_order_upkeep_scales_linearly(monkeypatch):
 @pytest.mark.parametrize("n", [200, 400])
 def test_copied_views_follow_row_deltas_without_queries(monkeypatch, n):
     # v_inbox copies the inbox relation, so each inject patches it with the
-    # one row it deletes: neither run nor replay evaluates a query (the
-    # full refresh evaluated q_inbox once per inject)
+    # one row it deletes: neither run nor replay evaluates a query per
+    # firing (the full refresh evaluated q_inbox once per inject), only
+    # once when each checks the views of the snapshot it is given
     bundle = build_delayer(250)
     initial = with_workload(bundle, parse_workload("delayer", f"steady:{n}:every:10@0"))
     calls = []
@@ -735,7 +736,7 @@ def test_copied_views_follow_row_deltas_without_queries(monkeypatch, n):
     tr = run(bundle.net, initial)
     replay(bundle.net, tr)
     assert len(tr.events) == 2 * n
-    assert calls == []
+    assert [query.name for _, query in calls] == ["q_inbox", "q_inbox"]
 
 
 def test_copied_views_skip_firings_that_leave_their_relation(monkeypatch):
@@ -845,18 +846,18 @@ def test_one_marking_update_per_firing(monkeypatch, build, pattern, workload, ca
 def _rows_inspected(monkeypatch, n):
     """Rows the store inspects during an eager resequencer run of the
     reversed permutation n..1, counted where lookups take their candidate
-    rows."""
+    rows: the range that each ``match_rows`` call bisects to."""
     bundle = build_resequencer()
     initial = with_workload(bundle, parse_workload("resequencer", _rev(n)))
     inspected = []
-    candidates = Instance._candidates
+    match_rows = Instance.match_rows
 
     def counted(self, relation, pattern):
-        rows, rest = candidates(self, relation, pattern)
-        inspected.append(len(rows))
-        return rows, rest
+        _, lo, hi, _ = self._range(relation, pattern)
+        inspected.append(hi - lo)
+        return match_rows(self, relation, pattern)
 
-    monkeypatch.setattr(Instance, "_candidates", counted)
+    monkeypatch.setattr(Instance, "match_rows", counted)
     tr = run(bundle.net, initial)
     assert len(tr.events) == 3 * n
     return sum(inspected)
@@ -934,7 +935,7 @@ def _future_token_doc(net):
 
 def _future_token(net):
     # built by hand: initial_snapshot rejects it
-    return Snapshot(Instance.empty(net.schema), Marking({"p": [(1, 3), (2, 6)]}), 3)
+    return Snapshot(Instance(net.schema), Marking({"p": [(1, 3), (2, 6)]}), 3)
 
 
 @pytest.mark.parametrize(
@@ -971,9 +972,9 @@ class _Stamped(NamedTuple):
     "start",
     [
         lambda net, entry: initial_snapshot(net, tokens={"r": [entry]}),
-        lambda net, entry: run(net, Snapshot(Instance.empty(net.schema), Marking({"r": [entry]}), 0)),
-        lambda net, entry: enabled(net, Snapshot(Instance.empty(net.schema), Marking({"r": [entry]}), 0)),
-        lambda net, entry: _replay_snapshot(net, Snapshot(Instance.empty(net.schema), Marking({"r": [entry]}), 0)),
+        lambda net, entry: run(net, Snapshot(Instance(net.schema), Marking({"r": [entry]}), 0)),
+        lambda net, entry: enabled(net, Snapshot(Instance(net.schema), Marking({"r": [entry]}), 0)),
+        lambda net, entry: _replay_snapshot(net, Snapshot(Instance(net.schema), Marking({"r": [entry]}), 0)),
     ],
     ids=["initial_snapshot", "run", "enabled", "replay"],
 )

@@ -89,18 +89,18 @@ CASES = [
     (
         "query-count-arity",
         lambda net: replace(net, queries=(_counted(DbCount("R", (Wild(), Wild(), Wild()))),)),
-        "query 'q_r' filter 0 count: arity 3 != 2",
+        "query 'q_r' filter 0 count: pattern arity 3 does not match relation 'R' arity 2",
     ),
     (
         "query-count-constant-off-column",
         lambda net: replace(net, queries=(_counted(DbCount("R", (Const("a"), Wild()))),)),
-        "query 'q_r' filter 0 count: constant 'a' does not fit column 'a', 'int'",
+        "query 'q_r' filter 0 count: constant 'a' does not fit column 'a' of 'R', 'int'",
     ),
     (
         # no transition calls it: every action is checked
         "action-unknown-relation",
         lambda net: replace(net, actions=(*net.actions, Action("put2", adds=(FactTemplate("NOPE", (Const(1),)),)))),
-        "action 'put2': unknown relation 'NOPE'",
+        "action 'put2' addition 0: unknown relation 'NOPE'",
     ),
     (
         "view-query-parameters",
@@ -191,12 +191,15 @@ CASES = [
     (
         "count-operator-term",
         _arc(DbCount("R", (Op("+", (Var("x"), Const(1))), Wild()))),
-        "transition 't': count() in arc to 'o': not a pattern term: Op(op='+', args=(Var(name='x'), Const(value=1)))",
+        (
+            "transition 't': count() in arc to 'o': not a pattern term: Op(op='+', args=(Var(name='x'), Const(value=1))) "
+            "(allowed: Var, Const, Wild)"
+        ),
     ),
     (
         "count-age-term",
         _arc(Var("x"), _gt0(DbCount("R", (Age("x"), Wild())))),
-        "transition 't': count() in arc condition on 'o': not a pattern term: Age(var='x')",
+        "transition 't': count() in arc condition on 'o': not a pattern term: Age(var='x') (allowed: Var, Const, Wild)",
     ),
     (
         "merge-text-column",
@@ -217,7 +220,7 @@ CASES = [
     (
         "query-constant-off-column",
         lambda net: replace(net, queries=(*net.queries, Query("q_bad", atoms=(Atom("R", (Const("x"), Wild())),), output=()))),
-        "query 'q_bad' atom 0: constant 'x' does not fit column 'a', 'int'",
+        "query 'q_bad' atom 0: constant 'x' does not fit column 'a' of 'R', 'int'",
     ),
     (
         # the run died at the first match, naming neither transition nor arc
@@ -302,7 +305,7 @@ def _rejected(net, message):
     assert str(exc.value) == message
     # a document fails where its net is built, except where a codec
     # rejects the node first
-    document = serialize_net(net, Snapshot(Instance.empty(net.schema), Marking(), 0))
+    document = serialize_net(net, Snapshot(Instance(net.schema), Marking(), 0))
     with pytest.raises(DocumentError) as exc:
         parse_net(document)
     assert exc.value.diagnostics == [LOCATED_BY_CODEC.get(message, f"net: {message}")]
@@ -341,11 +344,11 @@ def test_a_transition_constant_that_utf8_cannot_encode_is_rejected(edit, where):
     [
         (
             lambda net: replace(net, actions=(Action("put", params=(("a", INT),), adds=(FactTemplate("R", (Param("a"), Const("\udc00"))),)),)),
-            "action 'put': constant '\\udc00' holds text that UTF-8 cannot encode",
+            "action 'put' addition 0: constant '\\udc00' holds text that UTF-8 cannot encode",
         ),
         (
             lambda net: replace(net, actions=(*net.actions, Action("drop", dels=(FactTemplate("R", (Wild(), Const("\udc00"))),)))),
-            "action 'drop': constant '\\udc00' holds text that UTF-8 cannot encode",
+            "action 'drop' deletion 0: constant '\\udc00' holds text that UTF-8 cannot encode",
         ),
         (
             lambda net: replace(net, queries=(*net.queries, Query("q_bad", atoms=(Atom("R", (Var("a"), Const("\udc00"))),), output=("a",)))),
@@ -356,6 +359,108 @@ def test_a_transition_constant_that_utf8_cannot_encode_is_rejected(edit, where):
 )
 def test_a_template_constant_that_utf8_cannot_encode_is_rejected(edit, message):
     # an action added the row, and writing the trace died as above
+    _rejected(edit(_base()), message)
+
+
+# every db pattern goes through one check (persistence.check_pattern): the
+# six sites, each with its location and the term it does not allow, and the
+# faults crossed with them; a transition has no parameters, and its walk
+# names a constant's text first
+K_TEXT = (("k", TEXT),)
+SITES = {
+    "query-atom": (
+        lambda rel, terms: lambda net: replace(net, queries=(*net.queries, Query("q_bad", K_TEXT, (Atom(rel, terms),)))),
+        "query 'q_bad' atom 0",
+        Op("+", (Const(1), Const(1))),
+    ),
+    "filter-count": (
+        lambda rel, terms: lambda net: replace(
+            net,
+            queries=(*net.queries, Query("q_bad", K_TEXT, (Atom("R", (Var("a"), Wild())),), (Filter(">", DbCount(rel, terms), Const(0)),))),
+        ),
+        "query 'q_bad' filter 0 count",
+        Now(),
+    ),
+    "action-addition": (
+        lambda rel, terms: lambda net: replace(net, actions=(*net.actions, Action("bad", K_TEXT, adds=(FactTemplate(rel, terms),)))),
+        "action 'bad' addition 0",
+        Wild(),
+    ),
+    "action-deletion": (
+        lambda rel, terms: lambda net: replace(net, actions=(*net.actions, Action("bad", K_TEXT, dels=(FactTemplate(rel, terms),)))),
+        "action 'bad' deletion 0",
+        Var("a"),
+    ),
+    "guard-count": (
+        lambda rel, terms: _guard(_gt0(DbCount(rel, terms))),
+        "transition 't': count() in guard",
+        Op("+", (Var("x"), Const(1))),
+    ),
+    "arc-merge-text": (
+        lambda rel, terms: _arc(DbMergeText(rel, terms, 0, 1)),
+        "transition 't': merge_text() in arc to 'o'",
+        Op("-", (Var("x"), Const(1))),
+    ),
+}
+ALLOWED = {
+    "query-atom": "Var, Const, Param, Wild",
+    "filter-count": "Var, Const, Param, Wild",
+    "action-addition": "Param, Const",
+    "action-deletion": "Param, Const, Wild",
+    "guard-count": "Var, Const, Wild",
+    "arc-merge-text": "Var, Const, Wild",
+}
+IN_TRANSITION = {"guard-count": "guard", "arc-merge-text": "arc to 'o'"}
+
+
+def _pattern_cases():
+    for site, (edit, at, disallowed) in SITES.items():
+        faults = [
+            ("unknown-relation", "NOPE", (Const(1), Const("x")), f"{at}: unknown relation 'NOPE'"),
+            (
+                "arity",
+                "R",
+                (Const(1), Const("x"), Const(2)),
+                f"{at}: pattern arity 3 does not match relation 'R' arity 2",
+            ),
+            (
+                "disallowed-term",
+                "R",
+                (disallowed, Const("x")),
+                f"{at}: not a pattern term: {disallowed!r} (allowed: {ALLOWED[site]})",
+            ),
+            (
+                "constant-off-column",
+                "R",
+                (Const("a"), Const("x")),
+                f"{at}: constant 'a' does not fit column 'a' of 'R', 'int'",
+            ),
+            (
+                "lone-surrogate",
+                "R",
+                (Const(1), Const("\ud800")),
+                f"transition 't': constant '\\ud800' in {IN_TRANSITION[site]} holds text that UTF-8 cannot encode"
+                if site in IN_TRANSITION
+                else f"{at}: constant '\\ud800' holds text that UTF-8 cannot encode",
+            ),
+        ]
+        if site not in IN_TRANSITION:
+            faults.append(
+                (
+                    "parameter-off-column",
+                    "R",
+                    (Param("k"), Const("x")),
+                    f"{at}: parameter 'k' of color 'text' does not fit column 'a' of 'R', 'int'",
+                )
+            )
+        for fault, rel, terms, message in faults:
+            yield pytest.param(edit(rel, terms), message, id=f"{site}-{fault}")
+
+
+@pytest.mark.parametrize("edit,message", list(_pattern_cases()))
+def test_a_db_pattern_fault_is_rejected_where_it_stands(edit, message):
+    # an action constant or parameter off its column passed, and each
+    # firing halted (an addition) or deleted nothing (a deletion)
     _rejected(edit(_base()), message)
 
 

@@ -22,7 +22,6 @@ from tdbnet.patterns import (
 )
 from tdbnet.persistence import check_compliance
 from tdbnet.validation import check_delay, check_order, check_rate, row_inserts
-from tdbnet.values import conforms
 from tdbnet.workloads import parse_workload
 
 
@@ -62,7 +61,7 @@ def test_inject_produces_the_input_channel_colour(bundle):
     assert len(produced) == 2
     for place, (value, _) in produced:
         assert place == bundle.io.inputs[0]
-        assert conforms(value, bundle.net.place(place).color)
+        assert bundle.net.place(place).color.fits(value)
 
 
 class TestResequencer:

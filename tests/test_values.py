@@ -1,31 +1,31 @@
 import pytest
 
-from tdbnet.values import BOOL, INT, TEXT, TS, ColorType, conforms, product
+from tdbnet.values import BOOL, INT, TEXT, TS, ColorType, product
 
 
 def test_scalar_conformance():
-    assert conforms(5, INT)
-    assert conforms(-3, INT)
-    assert not conforms("5", INT)
-    assert conforms("hi", TEXT)
-    assert not conforms(5, TEXT)
-    assert conforms(True, BOOL)
-    assert conforms(1250, TS)
+    assert INT.fits(5)
+    assert INT.fits(-3)
+    assert not INT.fits("5")
+    assert TEXT.fits("hi")
+    assert not TEXT.fits(5)
+    assert BOOL.fits(True)
+    assert TS.fits(1250)
 
 
 def test_bool_is_not_an_int_value():
     # bool is an int subclass in Python; the type system keeps them apart
-    assert not conforms(True, INT)
-    assert not conforms(False, TS)
-    assert not conforms(1, BOOL)
+    assert not INT.fits(True)
+    assert not TS.fits(False)
+    assert not BOOL.fits(1)
 
 
 def test_product_conformance():
     msg = product(INT, TEXT)
-    assert conforms((1, "a"), msg)
-    assert not conforms((1,), msg)
-    assert not conforms(("a", 1), msg)
-    assert not conforms([1, "a"], msg)
+    assert msg.fits((1, "a"))
+    assert not msg.fits((1,))
+    assert not msg.fits(("a", 1))
+    assert not msg.fits([1, "a"])
 
 
 def test_product_labels():
