@@ -1,11 +1,12 @@
 """Command line entry point.
 
 Exit codes are a stable contract: 0 completed/all checks passed, 1 usage or
-parse problem, a net that fails while it runs (a ``DefinitionError`` or
-``EvalError``, and no trace is written), or standard output closed before
-everything was written, 2
-run ended halted on a constraint violation, 3 validation failure, 4 run
-stopped at ``--max-steps`` events.
+parse problem (a net document that ``validate_net`` rejects, such as one
+whose inscription does not type-check, is a located error, and no trace
+is written), a ``DefinitionError`` or ``EvalError`` raised while a net
+runs (no trace is written either), or standard output closed before
+everything was written, 2 run ended halted on a constraint violation, 3
+validation failure, 4 run stopped at ``--max-steps`` events.
 
 `run` executes a catalog pattern (or a net document) under a workload and
 writes a trace file; `validate` runs checks against a stored trace and
@@ -315,8 +316,9 @@ def main(argv=None) -> int:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_USAGE
     except (DefinitionError, EvalError) as e:
-        # a definition fault that shows only while the net runs, such as an
-        # output arc's value that does not fit its place: no trace is written
+        # a definition fault that shows only while the net runs: no trace
+        # is written; a net document is typed before it runs, so no value
+        # that does not fit its place or column ends up here
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -58,12 +58,12 @@ Semantics in brief:
   marking and, in ``run``, the agenda.  ``run``, ``replay`` and ``fire``
   fire every transition through its plan, built once per net
   (``_firing``): its input arcs' binders, its resolved actions with their
-  arguments, its output and rollback arcs with their places' colour
-  tests, and the view places whose query reads a relation that its
-  actions add to or delete from.  A firing refreshes only those views,
-  and a transition whose plan lists none (one without actions, or whose
-  actions write no relation a view reads) does not call
-  ``refresh_views``.  A constraint violation, which is a key clash
+  arguments, its output and rollback arcs, and the view places whose
+  query reads a relation that its actions add to or delete from.  No
+  value's type is tested: ``validate_net`` typed every inscription.  A
+  firing refreshes only those views, and a transition whose plan lists
+  none (one without actions, or whose actions write no relation a view
+  reads) does not call ``refresh_views``.  A constraint violation, which is a key clash
   (a checked action adds only rows of its columns' types), either
   produces tokens along the rollback arcs (outcome ``rolled_back``, instance
   reverted) or, absent rollback arcs, freezes the run at the last committed
@@ -294,10 +294,11 @@ class _Plan:
     take the token's age) per input arc, in arc order; ``calls`` the
     resolved action of each call with one ``tuple`` node of its argument
     expressions; ``outputs`` and ``rollbacks`` (condition, expression,
-    place id, the place colour's ``fits``) per arc; and ``views`` the view
+    place id) per arc; and ``views`` the view
     places, as ``view_places`` lists them, whose query reads a relation that
     an action's templates add to or delete from: the only views a firing of
-    the transition can change."""
+    the transition can change.  It holds no type test: ``validate_net``
+    gave each argument its parameter's colour and each arc its place's."""
 
     __slots__ = ("inputs", "calls", "outputs", "rollbacks", "views")
 
@@ -310,7 +311,7 @@ class _Plan:
         self.inputs = tuple(arcs)
         self.calls = tuple((net.action(call.action), Op("tuple", call.args)) for call in t.actions)
         self.outputs, self.rollbacks = (
-            tuple((arc.when, arc.expr, arc.place, net.place(arc.place).color.fits) for arc in group)
+            tuple((arc.when, arc.expr, arc.place) for arc in group)
             for group in (t.outputs, t.rollbacks)
         )
         written = {tmpl.relation for action, _ in self.calls for tmpl in action.adds + action.dels}
@@ -527,7 +528,7 @@ class _Slot:
     def _lose(self, e: _Entry) -> None:
         """Drop the candidates built on ``e`` that take more copies of its
         token than are left: all of them once none is."""
-        for c in [c for c in map(self.cands.get, e.cands) if not (e.copies and self._fits(c.entries))]:
+        for c in [c for c in map(self.cands.get, e.cands) if not (e.copies and self._enough(c.entries))]:
             del self.cands[c.key]
             del self.order[bisect_left(self.order, c.rank(), key=_Cand.rank)]
             for other in c.entries:
@@ -555,7 +556,7 @@ class _Slot:
         its entries' reverse sets; None when it takes more copies of a token
         than its place holds, or binds a variable two ways: a variable bound
         on two arcs must get equal values, and the later arc sets its age."""
-        if not self._fits(entries):
+        if not self._enough(entries):
             return None
         env: dict = {}
         ages: dict = {}
@@ -571,7 +572,7 @@ class _Slot:
             e.cands.add(c.key)
         return c
 
-    def _fits(self, entries: tuple) -> bool:
+    def _enough(self, entries: tuple) -> bool:
         """Whether a combination takes no more copies of a token than its
         place holds."""
         for group in self.shared:
@@ -896,17 +897,15 @@ def advance_clock(net: Net, snapshot: Snapshot) -> Optional[int]:
 
 def _produce(arcs: tuple, cand: _Cand, instance, at: int) -> list[tuple[str, tuple]]:
     """The ``(place id, token)`` pairs of the plan's ``arcs`` whose
-    condition holds, created at ``at``."""
+    condition holds, created at ``at``.  Each value fits its place
+    untested, since the walk of ``validate_net`` gave the arc its place's
+    colour."""
     env, ages = cand.env, cand.ages
-    out = []
-    for when, expr, pid, fits in arcs:
-        if when is not None and not eval_expr(when, env, instance=instance, now=at, ages=ages):
-            continue
-        value = eval_expr(expr, env, instance=instance, now=at, ages=ages)
-        if not fits(value):
-            raise DefinitionError(f"transition {cand.transition.id!r}: value {value!r} does not fit place {pid!r}")
-        out.append((pid, (value, at)))
-    return out
+    return [
+        (pid, (eval_expr(expr, env, instance=instance, now=at, ages=ages), at))
+        for when, expr, pid in arcs
+        if when is None or eval_expr(when, env, instance=instance, now=at, ages=ages)
+    ]
 
 
 def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> tuple[Snapshot, FiringEvent, tuple]:

@@ -45,10 +45,12 @@ The engine asks every guard question through these two queries, so runs,
 
 ``net.validate_net`` guarantees the shape the solver needs: ``now()`` and
 ``age()`` occur only under the ``TIME_OPERATORS`` and never inside a db
-pattern.  The values are checked when a guard is solved: a
-time-independent operand of a time-dependent comparison must be an
-integer (a bool counts as 0 or 1), or the solver raises ``EvalError``,
-whether or not the guard holds at the clock.
+pattern; and its walk (``persistence.inscription_color``) gives every
+node of a validated net a color, so that no closure meets a value of
+another type.  On a node that no net validated, the values are checked
+when a guard is solved: a time-independent operand of a time-dependent
+comparison must be an integer (a bool counts as 0 or 1), or the solver
+raises ``EvalError``, whether or not the guard holds at the clock.
 """
 
 from __future__ import annotations

@@ -21,34 +21,22 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Mapping, Optional
 
-from .exprs import (
-    Age,
-    Const,
-    DbCount,
-    DbMergeText,
-    DefinitionError,
-    Op,
-    OPERATORS,
-    Param,
-    TIME_OPERATORS,
-    TRUE,
-    Var,
-    Wild,
-    depends_on_time,
-)
+from .exprs import DbCount, DefinitionError, TRUE
 from .persistence import (
     Action,
     Instance,
     Query,
     Schema,
+    Scope,
+    bind_pattern,
     check_action,
     check_compliance,
-    check_pattern,
     check_query,
     copied_relation,
     eval_query,
+    inscription_color,
 )
-from .values import ColorType, color_name, encodable
+from .values import BOOL, ColorType, color_name, encodable
 
 
 @dataclass(frozen=True)
@@ -422,19 +410,19 @@ def validate_net(net: Net) -> None:
     view binds or a transition calls it; a view binds a known, parameterless
     query of its colour's width; arcs read known places and never produce
     on a view place; rollback arcs need actions; calls pass the action's
-    arity; input-arc patterns are variables, constants and wildcards, a
-    tuple pattern has one term per component of its place's product
-    colour, and a constant fits the colour of what it matches.  Each
-    inscription (guard, arc, arc condition, action argument) is checked in
-    one walk: its variables are bound by input arcs, age() reads one bound
-    by a normal place, it holds no parameter (a transition has none), its
-    operators are known, and each count or merge_text is a db pattern that
-    ``check_pattern`` accepts, of wildcards, bound variables and constants
-    that fit their column, as are query atoms and action templates.  No
-    constant holds text that UTF-8 cannot encode, which no trace could
+    arity.  Each transition is typed by one walk
+    (``persistence.inscription_color``): its input-arc patterns bind each
+    variable to the colour of what it matches (``bind_pattern``), and each
+    inscription gets its colour, as the walk's rules give it.  A guard and
+    an arc condition are bools, an output or rollback arc has its place's
+    colour, and an action argument its parameter's.  The walk also rejects
+    an unbound variable, age() of one that no normal place binds, a
+    parameter (a transition has none), an unknown operator or one of the
+    wrong arity, a db pattern that ``check_pattern`` rejects, and a
+    constant that holds text that UTF-8 cannot encode, which no trace could
     store.  In guards and action arguments, which the truth solver takes,
     now() and age() occur only under the TIME_OPERATORS and never inside a
-    db pattern."""
+    db pattern.  So a validated net fires with no test of a value's type."""
     for query in net.queries:
         check_query(net.schema, query)
     for action in net.actions:
@@ -449,121 +437,55 @@ def validate_net(net: Net) -> None:
                 raise DefinitionError(
                     f"place {place.id!r}: view-bound query {query.name!r} must be parameterless"
                 )
-            width = len(query.output)
-            expected = len(place.color.components) if place.color.kind == "product" else 1
-            if width != expected:
+            # a view's tokens are its query's rows, which bind variables
+            # untested: each column has its component's color
+            got = check_query(net.schema, query)
+            want = place.color.components if place.color.kind == "product" else (place.color,)
+            if len(got) != len(want):
                 raise DefinitionError(
-                    f"place {place.id!r}: query yields {width} columns, color has {expected}"
+                    f"place {place.id!r}: query yields {len(got)} columns, color has {len(want)}"
                 )
+            for i, (g, w) in enumerate(zip(got, want)):
+                if g.exact is not w.exact:
+                    raise DefinitionError(
+                        f"place {place.id!r}: query column {i} is of color {color_name(g)}, not {color_name(w)}"
+                    )
 
     for t in net.transitions:
-        bound: set[str] = set()
-        normal_bound: set[str] = set()
+        at = f"transition {t.id!r}"
+        scope = Scope(net.schema, at, "", {}, "input arc", set(), None)
 
         def resolve(pid: str) -> Place:
             try:
                 return net.place(pid)
             except DefinitionError:
-                raise DefinitionError(
-                    f"transition {t.id!r} references unknown place {pid!r}"
-                ) from None
+                raise DefinitionError(f"{at} references unknown place {pid!r}") from None
+
+        def typed(e, where: str, want: ColorType, what: str = "", timed: str = "") -> None:
+            got = inscription_color(e, scope._replace(where=where, timed=timed and f"{at} {timed}"))
+            if got.exact != want.exact:
+                raise DefinitionError(f"{at}: {what or where} is of color {color_name(got)}, not {color_name(want)}")
 
         for arc in t.inputs:
             place = resolve(arc.place)
-            at = f"transition {t.id!r}: input arc from {arc.place!r}"
-            color = place.color
-            if type(arc.pattern) is tuple:
-                # a tuple pattern matches only tuples of its width
-                width = len(color.components) if color.kind == "product" else None
-                if width != len(arc.pattern):
-                    have = f"a product of {width} components" if width is not None else f"the scalar {color.kind!r}"
-                    raise DefinitionError(
-                        f"{at}: {len(arc.pattern)} pattern terms, but the place's color is {have}"
-                    )
-                terms = zip(arc.pattern, color.components)
-            else:
-                terms = ((arc.pattern, color),)
-            for i, (term, fit) in enumerate(terms):
-                kind = type(term)
-                if kind is Var:
-                    bound.add(term.name)
-                    if place.kind == "normal":
-                        normal_bound.add(term.name)
-                elif kind is Const:
-                    # a constant matches only values of its term's color
-                    if not fit.fits(term.value):
-                        of = f"component {i} of the place's color" if type(arc.pattern) is tuple else "the place's color"
-                        raise DefinitionError(f"{at}: constant {term.value!r} does not fit {of}, {color_name(fit)}")
-                    if not encodable(term.value):
-                        raise DefinitionError(f"{at}: constant {term.value!r} holds text that UTF-8 cannot encode")
-                elif kind is not Wild:
-                    raise DefinitionError(f"{at}: not a pattern term: {term!r}")
-
-        def check(e, where: str, timed: Optional[str] = None) -> None:
-            """Raise the first fault of ``e`` in tree order; ``timed``
-            prefixes the solver's shape errors in a guard or argument."""
-            kind = type(e)
-            if kind is Var or kind is Age:
-                name = e.name if kind is Var else e.var
-                if name not in bound:
-                    raise DefinitionError(
-                        f"transition {t.id!r}: variable {name!r} in {where} is not bound by any input arc"
-                    )
-                if kind is Age and name not in normal_bound:
-                    raise DefinitionError(
-                        f"transition {t.id!r}: age({name!r}) needs a variable bound by a normal place"
-                    )
-            elif kind is Const:
-                if not encodable(e.value):
-                    raise DefinitionError(
-                        f"transition {t.id!r}: constant {e.value!r} in {where} holds text that UTF-8 cannot encode"
-                    )
-            elif kind is Param:
-                raise DefinitionError(
-                    f"transition {t.id!r}: parameter {e.name!r} in {where}: a transition has no parameters"
-                )
-            elif kind is Op:
-                if timed and e.op not in TIME_OPERATORS and depends_on_time(e):
-                    raise DefinitionError(f"{timed}: now()/age() not allowed under {e.op!r}")
-                if e.op not in OPERATORS:
-                    raise DefinitionError(f"transition {t.id!r}: unknown operator {e.op!r}")
-                for a in e.args:
-                    check(a, where, timed)
-            elif kind is DbCount or kind is DbMergeText:
-                # each term is walked first, so that an unbound variable, a
-                # parameter or now()/age() is named as anywhere else
-                for term in e.terms:
-                    if timed and depends_on_time(term):
-                        raise DefinitionError(f"{timed}: now()/age() not allowed inside db patterns")
-                    check(term, where)
-                at = f"transition {t.id!r}: {'count' if kind is DbCount else 'merge_text'}() in {where}"
-                rel = check_pattern(net.schema, at, e.relation, e.terms, (Var, Const, Wild), {})
-                if kind is DbMergeText:
-                    for col in (e.order_col, e.text_col):
-                        if type(col) is not int or not 0 <= col < rel.arity:
-                            raise DefinitionError(f"{at}: column {col!r} is out of range for relation {rel.name!r}")
-
-        check(t.guard, "guard", f"transition {t.id!r} guard")
+            bind_pattern(scope, f"{at}: input arc from {arc.place!r}", arc.pattern, place.color, place.kind == "normal")
+        typed(t.guard, "guard", BOOL, timed="guard")
         for arc in t.outputs + t.rollbacks:
-            if resolve(arc.place).kind == "view":
-                raise DefinitionError(
-                    f"transition {t.id!r}: arc to view place {arc.place!r}, whose tokens are its query's rows"
-                )
-            check(arc.expr, f"arc to {arc.place!r}")
+            place = resolve(arc.place)
+            if place.kind == "view":
+                raise DefinitionError(f"{at}: arc to view place {arc.place!r}, whose tokens are its query's rows")
+            typed(arc.expr, f"arc to {arc.place!r}", place.color)
             if arc.when is not None:
-                check(arc.when, f"arc condition on {arc.place!r}")
+                typed(arc.when, f"arc condition on {arc.place!r}", BOOL)
         if t.rollbacks and not t.actions:
-            raise DefinitionError(
-                f"transition {t.id!r}: rollback arcs without database actions can never fire them"
-            )
+            raise DefinitionError(f"{at}: rollback arcs without database actions can never fire them")
         for call in t.actions:
             try:
                 action = net.action(call.action)
             except DefinitionError as err:
-                raise DefinitionError(f"transition {t.id!r}: {err}") from None
+                raise DefinitionError(f"{at}: {err}") from None
             if len(call.args) != len(action.params):
-                raise DefinitionError(
-                    f"transition {t.id!r}: action {call.action!r} takes {len(action.params)} args"
-                )
-            for a in call.args:
-                check(a, f"action {call.action!r} argument", f"transition {t.id!r} action argument")
+                raise DefinitionError(f"{at}: action {call.action!r} takes {len(action.params)} args")
+            where = f"action {call.action!r} argument"
+            for i, (a, (_, color)) in enumerate(zip(call.args, action.params)):
+                typed(a, where, color, f"{where} {i}", timed="action argument")

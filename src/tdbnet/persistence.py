@@ -9,11 +9,15 @@ ConstraintViolation value naming the key that the change would duplicate.
 
 A query or an action is checked against a schema and compiled once per
 schema object, on first use, and the schema keeps the plan: its terms
-become argument indexes, constants, wildcards or variable lookups, and its
-argument types one exact-type test, so that evaluating it interprets no
-template.  ``check_pattern`` is the one check of what a db pattern may
-hold, whether a query atom, a filter's count, an action template or a
-transition's count or merge_text.
+become argument indexes, constants, wildcards or variable lookups, so
+that evaluating it interprets no template.  ``check_pattern`` is the one
+check of what a db pattern may hold, whether a query atom, a filter's
+count, an action template or a transition's count or merge_text.
+``inscription_color`` is the one walk that decides an inscription's color,
+whether a query filter or a transition's guard, arc or action argument,
+with ``bind_pattern`` for the variables an input arc binds.  Arguments are
+type-checked where a caller passes them: by ``eval_query`` and by
+``apply_action``.
 """
 
 from __future__ import annotations
@@ -22,20 +26,26 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exprs import (
     _CMP,
+    OPERATORS,
+    TIME_OPERATORS,
+    Age,
     Const,
     DbCount,
+    DbMergeText,
     DefinitionError,
+    Now,
+    Op,
     Param,
     Var,
     Wild,
     compiled,
-    compiled_term,
+    depends_on_time,
 )
-from .values import SCALAR_KINDS, SCALAR_TYPES, ColorType, color_name, encodable
+from .values import BOOL, INT, SCALAR_KINDS, SCALAR_TYPES, TEXT, ColorType, color_name, color_of, encodable, product
 
 
 @dataclass(frozen=True)
@@ -339,34 +349,35 @@ def _plan(schema: Schema, obj, compile):
 
 
 def _compile_query(schema: Schema, query: Query):
-    """``evaluate(instance, args)`` for a query checked against a schema
-    (see ``_query_plan``)."""
-    bound: set[str] = set()
+    """``(evaluate, colors)`` for a query checked against a schema:
+    ``evaluate(instance, args)`` (see ``_query_plan``) and the colors of
+    its output columns.  A variable takes the color of the column of the
+    first atom that binds it, and each filter is walked as the comparison
+    of its two sides (``inscription_color``)."""
+    variables: dict[str, ColorType] = {}
     params = dict(query.params)
     for i, atom in enumerate(query.atoms):
-        check_pattern(schema, f"query {query.name!r} atom {i}", atom.relation, atom.terms, _QUERY_TERMS, params)
-        bound.update(t.name for t in atom.terms if type(t) is Var)
+        rel = check_pattern(schema, f"query {query.name!r} atom {i}", atom.relation, atom.terms, _QUERY_TERMS, params, variables)
+        for t, column in zip(atom.terms, rel.columns):
+            if type(t) is Var:
+                variables.setdefault(t.name, column.color)
     for i, f in enumerate(query.filters):
         if f.op not in _FILTER_OPS:
             raise DefinitionError(f"query {query.name!r}: bad filter op {f.op!r}")
+        at = f"query {query.name!r} filter {i}"
         for side in (f.lhs, f.rhs):
-            terms = (side,)
-            if type(side) is DbCount:
-                check_pattern(schema, f"query {query.name!r} filter {i} count", side.relation, side.terms, _QUERY_TERMS, params)
-                terms = side.terms
-            for t in terms:
-                if type(t) is Var and t.name not in bound:
-                    raise DefinitionError(f"query {query.name!r}: filter uses unbound variable {t.name!r}")
-                if type(t) is Param and t.name not in params:
-                    raise DefinitionError(f"query {query.name!r}: unknown parameter {t.name!r}")
+            if type(side) not in _FILTER_TERMS:
+                allowed = ", ".join(k.__name__ for k in _FILTER_TERMS)
+                raise DefinitionError(f"{at}: not a filter term: {side!r} (allowed: {allowed})")
+        inscription_color(Op(f.op, (f.lhs, f.rhs)), Scope(schema, at, "", variables, "atom", set(), params))
     for v in query.output:
-        if v not in bound:
+        if v not in variables:
             raise DefinitionError(f"query {query.name!r}: output variable {v!r} is unbound")
     if query.order_by is not None:
         for idx in query.order_by:
             if not (0 <= idx < len(query.output)):
                 raise DefinitionError(f"query {query.name!r}: order_by index {idx} out of range")
-    return _query_plan(query)
+    return _query_plan(query), tuple(variables[v] for v in query.output)
 
 
 # the terms each kind of db pattern may hold: a query atom or a filter's
@@ -375,20 +386,30 @@ def _compile_query(schema: Schema, query: Query):
 _QUERY_TERMS = (Var, Const, Param, Wild)
 _ADD_TERMS = (Param, Const)
 _DEL_TERMS = (Param, Const, Wild)
+_TRANSITION_TERMS = (Var, Const, Wild)
+# what a query filter's side may be
+_FILTER_TERMS = (Var, Const, Param, DbCount)
 
 
 def check_pattern(
-    schema: Schema, at: str, relation: str, terms: tuple, kinds: tuple, params: Mapping[str, ColorType]
+    schema: Schema,
+    at: str,
+    relation: str,
+    terms: tuple,
+    kinds: tuple,
+    params: Mapping[str, ColorType],
+    variables: Mapping[str, ColorType],
 ) -> Relation:
     """The relation of a db pattern, located by ``at``, that holds what it
     may: the relation is known and the pattern has its arity; each term is
     one of the node classes ``kinds``; each constant fits its column (a
     constant of another color never matches, and an added one breaks the
     column's type) and holds text that UTF-8 can encode; and each parameter
-    is one of ``params`` (name to color), whose values have the column's
-    type.  Every db pattern is checked here: query atoms and filter counts,
-    action additions and deletions, and a transition's count and
-    merge_text, so a checked action never writes a row of the wrong type."""
+    is one of ``params`` (name to color), and each variable bound before
+    the pattern one of ``variables``, whose values have the column's type.
+    Every db pattern is checked here: query atoms and filter counts, action
+    additions and deletions, and a transition's count and merge_text, so a
+    checked action never writes a row of the wrong type."""
     try:
         rel = schema.relation(relation)
     except DefinitionError as e:
@@ -406,17 +427,177 @@ def check_pattern(
                     raise DefinitionError(f"{at}: constant {t.value!r} holds text that UTF-8 cannot encode")
                 continue
             misfit = f"constant {t.value!r}"
-        elif kind is Param:
-            color = params.get(t.name)
+        elif kind is Param or kind is Var:
+            color = (params if kind is Param else variables).get(t.name)
             if color is None:
+                if kind is Var:
+                    continue  # the pattern binds it
                 raise DefinitionError(f"{at}: unknown parameter {t.name!r}")
-            if SCALAR_TYPES.get(color.kind) is SCALAR_TYPES[column.color.kind]:
+            if color.exact is column.color.exact:
                 continue
-            misfit = f"parameter {t.name!r} of color {color_name(color)}"
+            misfit = f"{'parameter' if kind is Param else 'variable'} {t.name!r} of color {color_name(color)}"
         else:
             continue
         raise DefinitionError(f"{at}: {misfit} does not fit column {column.name!r} of {rel.name!r}, {color_name(column.color)}")
     return rel
+
+
+class Scope(NamedTuple):
+    """Where an inscription stands and what its walk may read.  ``at`` and
+    ``where`` locate a fault (``transition 't'`` and ``guard``; a query
+    filter has no ``where``); ``variables`` maps each bound variable to its
+    color, bound by a ``binder`` (an input arc, an atom), and ``aged``
+    holds those that age() may read; ``params`` maps the parameters to
+    their colors, and is None where none may stand (a transition has
+    none); ``timed`` prefixes the guard solver's shape faults where the
+    solver takes the inscription (a guard, an action argument)."""
+
+    schema: Schema
+    at: str
+    where: str
+    variables: dict
+    binder: str
+    aged: set
+    params: Optional[Mapping[str, ColorType]]
+    timed: Optional[str] = None
+
+
+# operator -> (least, most) operands; any other takes at least one
+_ARITY = {**dict.fromkeys(_CMP, (2, 2)), "not": (1, 1), "and": (0, None), "or": (0, None)}
+
+
+def inscription_color(e, scope: Scope) -> ColorType:
+    """The color of the inscription ``e``; the first fault, in tree order,
+    is a DefinitionError located by ``scope``.  This walk is the one place
+    where an inscription's type is decided, so that no value's type is
+    tested when a net fires.  Types are exact, as in ``ColorType.fits``:
+    ``ts`` and ``int`` are one exact int, and a bool is not an int.
+
+    * A variable has the color of what binds it (``bind_pattern``, a query
+      atom), a constant the color of its value (``color_of``; it holds text
+      that UTF-8 can encode), and a parameter its declared color.
+    * ``now()``, ``age(x)`` and ``count`` are ints, ``merge_text`` text.
+      A db pattern's terms (a query's variables only) are walked first,
+      then ``check_pattern`` checks it, with the terms a transition or a
+      query may use there.
+    * An operator is known and has its arity: a comparison takes two
+      operands of one color and gives a bool; ``+ - * min max`` take ints
+      and give an int; ``and``, ``or`` and ``not`` take bools; ``tuple``
+      builds the product of its scalar operands.
+    * Under ``scope.timed``, now() and age() occur only under the
+      TIME_OPERATORS and never inside a db pattern."""
+    kind = type(e)
+    at, inside = scope.at, f" in {scope.where}" if scope.where else ""
+    if kind is Var or kind is Age:
+        name = e.name if kind is Var else e.var
+        color = scope.variables.get(name)
+        if color is None:
+            raise DefinitionError(f"{at}: variable {name!r}{inside} is not bound by any {scope.binder}")
+        if kind is Var:
+            return color
+        if name not in scope.aged:
+            raise DefinitionError(f"{at}: age({name!r}) needs a variable bound by a normal place")
+        return INT
+    if kind is Const:
+        color = color_of(e.value)
+        if color is None:
+            raise DefinitionError(f"{at}: constant {e.value!r}{inside} is a value of no color")
+        if not encodable(e.value):
+            raise DefinitionError(f"{at}: constant {e.value!r}{inside} holds text that UTF-8 cannot encode")
+        return color
+    if kind is Param:
+        if scope.params is None:
+            raise DefinitionError(f"{at}: parameter {e.name!r}{inside}: a transition has no parameters")
+        color = scope.params.get(e.name)
+        if color is None:
+            raise DefinitionError(f"{at}: unknown parameter {e.name!r}")
+        return color
+    if kind is Now:
+        return INT
+    if kind is Op:
+        op, args = e.op, e.args
+        if scope.timed and op not in TIME_OPERATORS and depends_on_time(e):
+            raise DefinitionError(f"{scope.timed}: now()/age() not allowed under {op!r}")
+        if op not in OPERATORS:
+            raise DefinitionError(f"{at}: unknown operator {op!r}")
+        least, most = _ARITY.get(op, (1, None))
+        if len(args) < least or (most is not None and len(args) > most):
+            need = least if least == most else f"at least {least}"
+            raise DefinitionError(f"{at}: {op!r}{inside} takes {need} operand{'s' * (least != 1)}, got {len(args)}")
+        colors = [inscription_color(a, scope) for a in args]
+        if op in _CMP:
+            if colors[0].exact != colors[1].exact:
+                raise DefinitionError(f"{at}: {op!r}{inside} compares {color_name(colors[0])} with {color_name(colors[1])}")
+            return BOOL
+        if op == "tuple":
+            bad = next((c for c in colors if c.kind == "product"), None)
+            if bad is not None:
+                raise DefinitionError(f"{at}: 'tuple'{inside} takes scalar operands, not {color_name(bad)}")
+            return product(*colors)
+        want = BOOL if op in ("and", "or", "not") else INT
+        bad = next((c for c in colors if c.exact is not want.exact), None)
+        if bad is not None:
+            raise DefinitionError(f"{at}: {op!r}{inside} takes {want.kind} operands, not {color_name(bad)}")
+        return want
+    if kind is DbCount or kind is DbMergeText:
+        # a transition's terms are walked first, so that an unbound
+        # variable, a parameter or now()/age() is named as anywhere else; a
+        # query's variables only, and check_pattern names the rest
+        for term in e.terms:
+            if scope.timed and depends_on_time(term):
+                raise DefinitionError(f"{scope.timed}: now()/age() not allowed inside db patterns")
+            if type(term) is Var or (scope.params is None and type(term) is not Wild):
+                inscription_color(term, scope)
+        name = "count" if kind is DbCount else "merge_text"
+        where = f"{at}: {name}(){inside}" if inside else f"{at} {name}"
+        kinds = _TRANSITION_TERMS if scope.params is None else _QUERY_TERMS
+        rel = check_pattern(scope.schema, where, e.relation, e.terms, kinds, scope.params or {}, scope.variables)
+        if kind is DbCount:
+            return INT
+        for col in (e.order_col, e.text_col):
+            if type(col) is not int or not 0 <= col < rel.arity:
+                raise DefinitionError(f"{where}: column {col!r} is out of range for relation {rel.name!r}")
+        if type(e.sep) is not str or not encodable(e.sep):
+            raise DefinitionError(f"{where}: separator {e.sep!r} is not text that UTF-8 can encode")
+        return TEXT
+    raise DefinitionError(f"{at}: {e!r}{inside} is not an expression")
+
+
+def bind_pattern(scope: Scope, at: str, pattern, color: ColorType, aged: bool) -> None:
+    """The walk's rule for an input-arc pattern, located by ``at``, on a
+    place of ``color``: a term, or a tuple of one term per component of a
+    product color, each a variable, a constant that fits what it matches
+    (one of another color never matches) and holds text that UTF-8 can
+    encode, or a wildcard.  Each variable takes the color of what it
+    matches, in ``scope.variables``; one bound before must have that color
+    already.  With ``aged`` (a normal place) age() may read them."""
+    if type(pattern) is tuple:
+        # a tuple pattern matches only tuples of its width
+        width = len(color.components) if color.kind == "product" else None
+        if width != len(pattern):
+            have = f"a product of {width} components" if width is not None else f"the scalar {color.kind!r}"
+            raise DefinitionError(f"{at}: {len(pattern)} pattern terms, but the place's color is {have}")
+        terms = zip(pattern, color.components)
+    else:
+        terms = ((pattern, color),)
+    for i, (term, fit) in enumerate(terms):
+        kind = type(term)
+        if kind is Var:
+            prior = scope.variables.setdefault(term.name, fit)
+            if prior.exact != fit.exact:
+                raise DefinitionError(
+                    f"{at}: variable {term.name!r} takes color {color_name(fit)} here and {color_name(prior)} before"
+                )
+            if aged:
+                scope.aged.add(term.name)
+        elif kind is Const:
+            if not fit.fits(term.value):
+                of = f"component {i} of the place's color" if type(pattern) is tuple else "the place's color"
+                raise DefinitionError(f"{at}: constant {term.value!r} does not fit {of}, {color_name(fit)}")
+            if not encodable(term.value):
+                raise DefinitionError(f"{at}: constant {term.value!r} holds text that UTF-8 cannot encode")
+        elif kind is not Wild:
+            raise DefinitionError(f"{at}: not a pattern term: {term!r}")
 
 
 def copied_relation(query: Query) -> Optional[str]:
@@ -442,7 +623,8 @@ def _query_plan(query: Query):
     or a variable an earlier atom bound, read from the environment.  A
     variable no earlier atom bound is free: the atom's rows bind it, and a
     variable free twice in one atom must get equal values.  Filter sides
-    are compiled expressions (see ``exprs.compiled``)."""
+    are compiled expressions (see ``exprs.compiled``) of a variable, a
+    constant, a parameter or a count."""
     check = _arg_check("query", query.name, query.params)
     source = copied_relation(query)
     if source is not None:
@@ -475,7 +657,7 @@ def _query_plan(query: Query):
                 consts.append(t.value)
         bound.update(name for _, name in free)
         atoms.append((atom.relation, _picker(tuple(idx)), tuple(env_slots), tuple(free)))
-    filters = tuple((_CMP[f.op], _side(f.lhs), _side(f.rhs)) for f in query.filters)
+    filters = tuple((_CMP[f.op], compiled(f.lhs), compiled(f.rhs)) for f in query.filters)
     output = _picker(tuple(query.output))
     order = _picker(tuple(query.order_by)) if query.order_by is not None else None
     pnames = tuple(p for p, _ in query.params)
@@ -526,19 +708,14 @@ def _query_plan(query: Query):
     return evaluate
 
 
-def _side(side):
-    """A filter side as a compiled expression: a count, or a term (see
-    ``exprs.compiled_term``)."""
-    return compiled(side) if type(side) is DbCount else compiled_term(side)
-
-
-def check_query(schema: Schema, query: Query) -> None:
+def check_query(schema: Schema, query: Query) -> tuple[ColorType, ...]:
     """Check ``query`` against ``schema`` and keep its plan, as its first
-    evaluation would: a DefinitionError names the query, and the atom or
-    filter, when ``check_pattern`` rejects an atom or a filter's count, a
-    variable or parameter is unbound, or an ``order_by`` index is out of
-    range."""
-    _plan(schema, query, _compile_query)
+    evaluation would, and return the colors of its output columns: a
+    DefinitionError names the query, and the atom or filter, when
+    ``check_pattern`` rejects an atom or a filter's count, a filter does
+    not type-check (``inscription_color``), a variable is unbound, or an
+    ``order_by`` index is out of range."""
+    return _plan(schema, query, _compile_query)[1]
 
 
 def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
@@ -548,7 +725,7 @@ def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
     canonical lexicographic order unless order_by overrides it.  The query
     is compiled once per schema (see ``_query_plan``).
     """
-    return _plan(instance.schema, query, _compile_query)(instance, args)
+    return _plan(instance.schema, query, _compile_query)[0](instance, args)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +749,10 @@ class Action:
 
 
 def _compile_action(schema: Schema, action: Action) -> tuple:
-    """``(check, consts, dels, adds)`` for an action whose templates
+    """``(consts, dels, adds)`` for an action whose templates
     ``check_pattern`` accepts against a schema.
 
-    ``check(args)`` tests the arguments.  Every template term is an index
+    Every template term is an index
     into ``ext``, the arguments followed by ``consts`` (None, a wildcard,
     first).  ``dels`` holds ``(relation, pick)`` per deletion and ``adds``
     ``(relation, pick, lead, pick_key, key positions)`` per addition, where
@@ -589,7 +766,7 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
     picks = []
     for site, templates, kinds in (("addition", action.adds, _ADD_TERMS), ("deletion", action.dels, _DEL_TERMS)):
         for i, tmpl in enumerate(templates):
-            rel = check_pattern(schema, f"action {action.name!r} {site} {i}", tmpl.relation, tmpl.terms, kinds, params)
+            rel = check_pattern(schema, f"action {action.name!r} {site} {i}", tmpl.relation, tmpl.terms, kinds, params, {})
             idx = []
             for t in tmpl.terms:
                 if type(t) is Wild:
@@ -608,7 +785,7 @@ def _compile_action(schema: Schema, action: Action) -> tuple:
         # the pattern of the key columns, up to the last
         key = tuple(idx[pos] if pos in kidx else npar for pos in range(max(kidx) + 1))
         adds.append((rel.name, _picker(tuple(idx)), lead, _picker(key), kidx))
-    return _arg_check("action", action.name, action.params), tuple(consts), dels, tuple(adds)
+    return tuple(consts), dels, tuple(adds)
 
 
 def check_action(schema: Schema, action: Action) -> None:
@@ -628,9 +805,12 @@ def apply_action_delta(
     (relation, values, at) rows, or the ConstraintViolation of the first
     key clash of the first relation added to.  A key clash is the only
     violation: the action's templates are checked when it is compiled
-    (``check_pattern``) and its arguments on every call, so each added row
-    fits its relation's columns, and a DefinitionError names an action
-    that does not fit the schema or arguments of the wrong type.
+    (``check_pattern``), and a DefinitionError names an action that does
+    not fit the schema.  The arguments are not checked here: they must
+    have the parameters' colors, as the engine's do (``validate_net`` types
+    each argument of a call, and binds its variables from admitted
+    tokens, in runs and in replay alike) and as ``apply_action`` checks
+    for its caller's.  So each added row fits its relation's columns.
 
     ``instance`` must be compliant (see check_compliance).  The action is
     compiled once per schema (see ``_compile_action``).  Deletions and key
@@ -641,8 +821,7 @@ def apply_action_delta(
     and any other key use ``bisect_range``, which bisects on the leading
     bound columns and scans the others within the range.
     """
-    check, consts, dels, adds = _plan(instance.schema, action, _compile_action)
-    check(args)
+    consts, dels, adds = _plan(instance.schema, action, _compile_action)
     ext = (*args, *consts)
 
     # working copies of the relations the action touches
@@ -719,11 +898,13 @@ def apply_action(instance: Instance, action: Action, args: Sequence, at: int):
     """Apply an action atomically.  Returns the new Instance, or the
     ConstraintViolation of a key clash, leaving the original untouched.
     Raises DefinitionError when the action does not fit the schema (see
-    ``check_pattern``), when an argument has the wrong type, or when a
+    ``check_pattern``), when the caller's arguments are too few, too many
+    or of the wrong type (the one argument check of an action), or when a
     relation the action touches holds duplicate keys, since actions need a
     compliant instance."""
     schema = instance.schema
     check_action(schema, action)
+    _arg_check("action", action.name, action.params)(args)
     touched = dict.fromkeys(t.relation for t in action.dels + action.adds)
     bad = check_compliance(instance, Schema(tuple(schema.relation(n) for n in touched)))
     if bad:

@@ -43,15 +43,24 @@ class ColorType:
             raise ValueError(f"unknown color kind {self.kind!r}")
 
     @cached_property
+    def exact(self):
+        """The exact Python type of this color's values, or for a product
+        the tuple of its components' types: two colors hold the same values
+        when these are equal, so ``ts`` is ``int`` and labels do not count."""
+        if self.kind != "product":
+            return SCALAR_TYPES[self.kind]
+        return tuple(SCALAR_TYPES[c.kind] for c in self.components)
+
+    @cached_property
     def fits(self):
         """``fits(value)``: whether ``value`` inhabits this color.  Types
         are exact: a bool is not an int, and no subclass (an ``IntEnum``, a
         ``str`` subclass) is a value.  Compiled once per color into an
         exact-type test of the value, or of a tuple's items."""
         if self.kind != "product":
-            scalar = SCALAR_TYPES[self.kind]
+            scalar = self.exact
             return lambda value: type(value) is scalar
-        return _tuple_test(tuple(SCALAR_TYPES[c.kind] for c in self.components))
+        return _tuple_test(self.exact)
 
 
 INT = ColorType("int")
@@ -69,6 +78,19 @@ def _tuple_test(types: tuple):
     """The test for tuples whose items have exactly ``types``, shared by
     every product color of those kinds."""
     return lambda value: type(value) is tuple and tuple(map(type, value)) == types
+
+
+# the color of each scalar type's values
+_COLOR_OF = {int: INT, str: TEXT, bool: BOOL}
+
+
+def color_of(value: object):
+    """The color of ``value``, a scalar or a flat tuple of scalars (an
+    ``int`` is ``INT``, never ``TS``), or None for a value of no color."""
+    if type(value) is not tuple:
+        return _COLOR_OF.get(type(value))
+    components = [_COLOR_OF.get(type(v)) for v in value]
+    return product(*components) if components and None not in components else None
 
 
 def color_name(color: ColorType) -> str:

@@ -137,19 +137,71 @@ def test_a_lone_surrogate_in_a_net_is_a_located_error(tmp_path, capsys, edit, di
     assert not out.exists()
 
 
-def test_a_net_that_fails_while_it_runs_is_an_error_line(tmp_path, capsys):
-    # arc values are checked when they are produced: the delayer's document
-    # with t_forward's output arc to its product-coloured ch3 set to the
-    # text "x" passes validation, and its run ended in a traceback
+def _e(op, *args):
+    return {"op": op, "args": list(args)}
+
+
+M, B, AGE_M = _e("var", "m"), _e("var", "b"), _e("age", "m")
+
+
+def _forward(field, value):
+    """An edit of the delayer document's t_forward: its ``guard``, the
+    ``expr`` of its output arc to ch3, or the ``args`` of its call of
+    emit_out."""
+
+    def edit(t):
+        if field == "guard":
+            t["guard"] = value
+        elif field == "expr":
+            t["outputs"][0]["expr"] = value
+        else:
+            t["actions"][0]["args"] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,diagnostic",
+    [
+        (_forward("expr", _e("tuple", _e("+", _e("const", 1), _e("const", "a")), B)), "'+' in arc to 'ch3' takes int operands, not 'text'"),
+        (_forward("guard", _e("<", B, _e("const", 3))), "'<' in guard compares 'text' with 'int'"),
+        (_forward("expr", _e("const", "x")), "arc to 'ch3' is of color 'text', not product(int, text)"),
+        (_forward("args", [B, M]), "action 'emit_out' argument 0 is of color 'text', not 'int'"),
+        (_forward("expr", _e("tuple", _e("min", _e("const", True), M), B)), "'min' in arc to 'ch3' takes int operands, not 'bool'"),
+        (_forward("guard", _e("const", "yes")), "guard is of color 'text', not 'bool'"),
+        (_forward("guard", _e(">=", AGE_M, _e("const", 250), _e("const", 10**9))), "'>=' in guard takes 2 operands, got 3"),
+        (_forward("guard", _e("not", _e("const", False), _e("const", True))), "'not' in guard takes 1 operand, got 2"),
+        (_forward("guard", _e(">=", AGE_M)), "'>=' in guard takes 2 operands, got 1"),
+        (_forward("guard", _e("not")), "'not' in guard takes 1 operand, got 0"),
+        (_forward("guard", _e(">=", _e("+"), _e("const", 0))), "'+' in guard takes at least 1 operand, got 0"),
+    ],
+    ids=[
+        "operand",
+        "guard",
+        "arc-constant",
+        "call",
+        "min-of-bool",
+        "guard-text",
+        "comparison-of-three",
+        "not-of-two",
+        "comparison-of-one",
+        "not-of-none",
+        "sum-of-none",
+    ],
+)
+def test_an_ill_typed_net_is_a_located_error_line(tmp_path, capsys, edit, diagnostic):
+    # each passed validation: the first two ended in a bare TypeError, the
+    # next three failed at the first firing, and the others ran, reading
+    # the text as true, ignoring an operand, or died with an IndexError
     bundle = build_delayer(250)
     doc = json.loads(serialize_net(bundle.net, with_workload(bundle, parse_workload("delayer", "burst:3@0"))))
-    next(t for t in doc["transitions"] if t["id"] == "t_forward")["outputs"][0]["expr"] = {"op": "const", "args": ["x"]}
+    edit(next(t for t in doc["transitions"] if t["id"] == "t_forward"))
     path = tmp_path / "run.tdbnet.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "t.trace.jsonl"
     code = cli.main(["run", "--net", str(path), "--out", str(out)])
     assert code == cli.EXIT_USAGE
-    assert capsys.readouterr().err == "error: transition 't_forward': value 'x' does not fit place 'ch3'\n"
+    assert capsys.readouterr().err == f"error: net: transition 't_forward': {diagnostic}\n"
     assert not out.exists()
 
 

@@ -24,6 +24,7 @@ from tdbnet.engine import (
 )
 from tdbnet import engine
 from tdbnet import net as net_module
+from tdbnet import persistence
 from tdbnet.exprs import Age, Const, DbCount, DefinitionError, Now, Op, Param, Var, Wild
 from tdbnet.formats import DocumentError, parse_net, parse_trace, serialize_net, serialize_trace
 from tdbnet.net import (
@@ -845,20 +846,31 @@ def test_one_marking_update_per_firing(monkeypatch, build, pattern, workload, ca
 
 def _rows_inspected(monkeypatch, n):
     """Rows the store inspects during an eager resequencer run of the
-    reversed permutation n..1, counted where lookups take their candidate
-    rows: the range that each ``match_rows`` call bisects to."""
+    reversed permutation n..1, counted where every lookup takes its
+    candidate rows: the range ``hi - lo`` of each ``bisect_range`` call, by
+    the query plans, the actions and ``match_rows``.  The range that
+    ``count_matching`` bisects first is not counted: its length is the
+    count, or ``match_rows`` bisects it again and inspects it."""
     bundle = build_resequencer()
     initial = with_workload(bundle, parse_workload("resequencer", _rev(n)))
     inspected = []
-    match_rows = Instance.match_rows
+    bisect_range, count_matching = persistence.bisect_range, Instance.count_matching
 
-    def counted(self, relation, pattern):
-        _, lo, hi, _ = self._range(relation, pattern)
+    def counted(rows, pattern):
+        lo, hi, rest = bisect_range(rows, pattern)
         inspected.append(hi - lo)
-        return match_rows(self, relation, pattern)
+        return lo, hi, rest
 
-    monkeypatch.setattr(Instance, "match_rows", counted)
+    def count(self, relation, pattern):
+        mark = len(inspected)
+        got = count_matching(self, relation, pattern)
+        del inspected[mark : mark + 1]
+        return got
+
+    monkeypatch.setattr(persistence, "bisect_range", counted)
+    monkeypatch.setattr(Instance, "count_matching", count)
     tr = run(bundle.net, initial)
+    monkeypatch.undo()
     assert len(tr.events) == 3 * n
     return sum(inspected)
 
@@ -868,6 +880,7 @@ def test_store_lookups_scale_linearly(monkeypatch):
     # range lookups inspect only the matching rows, so twice the messages
     # cost at most 2.2 times the rows (a full scan per lookup grows as N^2)
     small, large = (_rows_inspected(monkeypatch, n) for n in (150, 300))
+    assert small > 0
     assert large <= 2.2 * small
 
 

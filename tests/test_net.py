@@ -117,6 +117,12 @@ CASES = [
         lambda net: replace(net, places=(net.places[0], Place("v", product(INT, TEXT), kind="view", query="q_r"), net.places[2])),
         "place 'v': query yields 1 columns, color has 2",
     ),
+    (
+        # its tokens, the rows' text, bound y untested
+        "view-query-column-color",
+        lambda net: replace(net, places=(net.places[0], Place("v", TEXT, kind="view", query="q_r"), net.places[2])),
+        "place 'v': query column 0 is of color 'int', not 'text'",
+    ),
     ("unknown-input-place", _t(inputs=(InputArc("nope", Var("x")),)), "transition 't' references unknown place 'nope'"),
     ("unknown-output-place", _t(outputs=(OutputArc("nope", Var("x")),)), "transition 't' references unknown place 'nope'"),
     (
@@ -283,6 +289,83 @@ CASES = [
         _arc(DbMergeText("R", (Wild(), Param("k")), 0, 1)),
         "transition 't': parameter 'k' in arc to 'o': a transition has no parameters",
     ),
+    # operator arity: an extra operand was ignored, a missing one died with
+    # a bare IndexError when evaluated
+    ("comparison-of-three", _guard(Op(">=", (Age("x"), Const(250), Const(10**9)))), "transition 't': '>=' in guard takes 2 operands, got 3"),
+    ("not-of-two", _guard(Op("not", (Const(False), Const(True)))), "transition 't': 'not' in guard takes 1 operand, got 2"),
+    ("comparison-of-one", _guard(Op(">=", (Age("x"),))), "transition 't': '>=' in guard takes 2 operands, got 1"),
+    ("not-of-none", _guard(Op("not", ())), "transition 't': 'not' in guard takes 1 operand, got 0"),
+    ("sum-of-none", _guard(Op(">=", (Op("+", ()), Const(0)))), "transition 't': '+' in guard takes at least 1 operand, got 0"),
+    ("tuple-of-none", _arc(Op("tuple", ())), "transition 't': 'tuple' in arc to 'o' takes at least 1 operand, got 0"),
+    # types: each ended in a bare TypeError, failed at the first firing,
+    # or ran with a wrong value
+    ("sum-of-text", _arc(Op("+", (Const(1), Const("a")))), "transition 't': '+' in arc to 'o' takes int operands, not 'text'"),
+    ("min-of-bool", _arc(Op("min", (Const(True), Var("x")))), "transition 't': 'min' in arc to 'o' takes int operands, not 'bool'"),
+    ("compare-int-with-text", _guard(Op("<", (Var("x"), Const("3")))), "transition 't': '<' in guard compares 'int' with 'text'"),
+    ("and-of-int", _guard(Op("and", (Const(True), Var("x")))), "transition 't': 'and' in guard takes bool operands, not 'int'"),
+    (
+        "tuple-of-tuple",
+        _arc(Op("tuple", (Op("tuple", (Var("x"),)), Var("x")))),
+        "transition 't': 'tuple' in arc to 'o' takes scalar operands, not product(int)",
+    ),
+    ("guard-of-text", _guard(Const("yes")), "transition 't': guard is of color 'text', not 'bool'"),
+    ("condition-of-int", _arc(Var("x"), Var("x")), "transition 't': arc condition on 'o' is of color 'int', not 'bool'"),
+    ("arc-of-text", _arc(Const("x")), "transition 't': arc to 'o' is of color 'text', not 'int'"),
+    ("rollback-of-text", _t(rollbacks=(OutputArc("o", Const("x")),)), "transition 't': arc to 'o' is of color 'text', not 'int'"),
+    ("argument-of-text", _argument(Const("a")), "transition 't': action 'put' argument 0 is of color 'text', not 'int'"),
+    ("arc-of-no-color", _arc(Const(1.5)), "transition 't': constant 1.5 in arc to 'o' is a value of no color"),
+    ("wildcard-expression", _guard(Wild()), "transition 't': Wild() in guard is not an expression"),
+    (
+        "variable-of-two-colors",
+        lambda net: _t(inputs=(InputArc("p", Var("x")), InputArc("v", Var("x"))))(
+            replace(net, places=(Place("p", product(INT, TEXT)), *net.places[1:]))
+        ),
+        "transition 't': input arc from 'v': variable 'x' takes color 'int' here and product(int, text) before",
+    ),
+    (
+        "count-variable-off-column",
+        _guard(_gt0(DbCount("R", (Wild(), Var("x"))))),
+        "transition 't': count() in guard: variable 'x' of color 'int' does not fit column 'b' of 'R', 'text'",
+    ),
+    (
+        "merge-text-separator",
+        _arc(Var("x"), Op("=", (DbMergeText("R", (Wild(), Wild()), 0, 1, "\ud800"), Const("")))),
+        "transition 't': merge_text() in arc condition on 'o': separator '\\ud800' is not text that UTF-8 can encode",
+    ),
+    # a query filter's sides: each passed check_query, and evaluating it
+    # raised a bare TypeError, or an EvalError that named no query
+    (
+        "filter-compares-int-with-text",
+        lambda net: replace(net, queries=(replace(Q_R, filters=(Filter(">", Var("a"), Const("zz")),)),)),
+        "query 'q_r' filter 0: '>' compares 'int' with 'text'",
+    ),
+    (
+        "filter-wildcard",
+        lambda net: replace(net, queries=(replace(Q_R, filters=(Filter(">", Var("a"), Wild()),)),)),
+        "query 'q_r' filter 0: not a filter term: Wild() (allowed: Var, Const, Param, DbCount)",
+    ),
+    (
+        "filter-operator",
+        lambda net: replace(net, queries=(replace(Q_R, filters=(Filter("=", Op("+", (Var("a"), Const(1))), Const(2)),)),)),
+        "query 'q_r' filter 0: not a filter term: Op(op='+', args=(Var(name='a'), Const(value=1))) (allowed: Var, Const, Param, DbCount)",
+    ),
+    (
+        "filter-now",
+        lambda net: replace(net, queries=(replace(Q_R, filters=(Filter("<", Now(), Const(1)),)),)),
+        "query 'q_r' filter 0: not a filter term: Now() (allowed: Var, Const, Param, DbCount)",
+    ),
+    (
+        "filter-unbound-variable",
+        lambda net: replace(net, queries=(replace(Q_R, filters=(Filter("=", Var("z"), Const(1)),)),)),
+        "query 'q_r' filter 0: variable 'z' is not bound by any atom",
+    ),
+    (
+        "query-join-of-two-colors",
+        lambda net: replace(
+            net, queries=(*net.queries, Query("q_bad", atoms=(Atom("R", (Var("a"), Wild())), Atom("R", (Wild(), Var("a")))), output=("a",)))
+        ),
+        "query 'q_bad' atom 1: variable 'a' of color 'int' does not fit column 'b' of 'R', 'text'",
+    ),
 ]
 
 # what a codec of parse_net rejects before the net is built, located at its
@@ -295,6 +378,9 @@ LOCATED_BY_CODEC = {
     ),
     "transition 't': input arc from 'v': not a pattern term: Param(name='k')": (
         "transitions[0].inputs[1].pattern.op: 'param' is not an input pattern term (var, const or wild)"
+    ),
+    "transition 't': constant 1.5 in arc to 'o' is a value of no color": (
+        "transitions[0].outputs[0].expr.args[0]: 1.5 is not a value (an int, a string, a bool or a list of them)"
     ),
 }
 
@@ -473,7 +559,7 @@ def test_a_db_pattern_fault_is_rejected_where_it_stands(edit, message):
         _guard(_gt0(Op("*", (Var("x"), Const(2))))),
         _guard(_gt0(DbCount("R", (Var("x"), Wild())))),
         _arc(Op("*", (Now(), Const(2)))),
-        _arc(DbMergeText("R", (Var("x"), Const("x")), 1, 0)),
+        _arc(Var("x"), Op("!=", (DbMergeText("R", (Var("x"), Const("x")), 1, 0), Const("")))),
         _t(inputs=(InputArc("p", Var("x")), InputArc("v", Const(1)))),
         lambda net: _t(inputs=(InputArc("p", (Var("x"), Const("a"))), InputArc("v", Var("y"))))(
             replace(net, places=(Place("p", product(INT, TEXT)), *net.places[1:]))

@@ -13,21 +13,33 @@ variables), its walk must build the oracle's candidates in the oracle's
 order, and stop at the first that holds.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
 from test_replay import CATALOG, POLICIES, reference_replay
 from tdbnet import engine
 from tdbnet.engine import FiringEvent
-from tdbnet.exprs import Age, Const, DbCount, DefinitionError, Now, Op, Param, Var, Wild
+from tdbnet.exprs import OPERATORS, TRUE, Age, Const, DbCount, DefinitionError, Now, Op, Param, Var, Wild
 from tdbnet.formats import parse_net, serialize_net, serialize_trace
-from tdbnet.net import ActionCall, InputArc, Net, OutputArc, Place, Snapshot, Transition, initial_snapshot
-from tdbnet.persistence import Action, Atom, Column, FactTemplate, Query, Relation, Schema, check_compliance
-from tdbnet.values import INT, product
+from tdbnet.net import (
+    ActionCall,
+    InputArc,
+    Net,
+    OutputArc,
+    Place,
+    Snapshot,
+    Transition,
+    check_marking,
+    initial_snapshot,
+    validate_net,
+)
+from tdbnet.persistence import Action, Atom, Column, FactTemplate, Instance, Query, Relation, Schema, check_compliance
+from tdbnet.values import INT, TEXT, product
 
 
 def _timer(request):
@@ -491,9 +503,15 @@ def test_enumerator_equals_the_oracle(case, data):
     try:
         engine._ensure_valid(net)
     except DefinitionError as e:
-        # a tuple pattern of the wrong width, drawn on purpose, is rejected
-        # before a run; the agenda still enumerates it, to no candidate
-        assert "pattern terms, but the place's color is" in str(e)
+        # a tuple pattern of the wrong width, or a variable that matches a
+        # scalar on one arc and a pair on another, drawn on purpose, is
+        # rejected before a run; the agenda still enumerates it, to no
+        # candidate
+        assert "pattern terms, but the place's color is" in str(e) or re.fullmatch(
+            r"transition 't': input arc from '[prv]': variable '[xyzw]' takes color "
+            r"(product\(int, int\) here and 'int'|'int' here and product\(int, int\)) before",
+            str(e),
+        )
     (t,) = net.transitions
     got = engine.Agenda(net, snap).slot(t).order
     assert [_key(c) for c in got] == _oracle(net, snap, t)
@@ -684,3 +702,97 @@ def test_generated_runs_equal_the_oracle(case):
     net, initial = case
     for policy, seed in [("eager", None)] + [("random", seed) for seed in range(3)]:
         _agree(net, initial, policy, seed, 20)
+
+
+# ---------------------------------------------------------------------------
+# generated inscriptions
+
+KEYED = Relation("K", (Column("a", INT), Column("b", TEXT)), ("a",))
+PUT_TEXT = Action("put", params=(("k", INT), ("v", TEXT)), adds=(FactTemplate("K", (Param("k"), Param("v"))),))
+LEAVES = st.one_of(
+    st.integers(-2, 3).map(Const),
+    st.sampled_from(("", "a", "b")).map(Const),
+    st.booleans().map(Const),
+    st.sampled_from((Var("x"), Var("s"), Now(), Age("x"), Age("s"), DbCount("K", (Wild(), Wild())))),
+)
+# any operator over any number of operands up to three, so that most are
+# of the wrong arity or operand colors
+INSCRIPTIONS = st.recursive(
+    LEAVES,
+    lambda sub: st.builds(Op, st.sampled_from(sorted(OPERATORS)), st.lists(sub, max_size=3).map(tuple)),
+    max_leaves=6,
+)
+# and inscriptions of each color built by the walk's rules, which the guard
+# solver's shape may still reject
+TYPED = {"text": st.one_of(st.sampled_from(("", "a")).map(Const), st.just(Var("s")))}
+TYPED["int"] = st.deferred(
+    lambda: st.one_of(
+        st.integers(-2, 3).map(Const),
+        st.sampled_from((Var("x"), Now(), Age("x"), Age("s"), DbCount("K", (Wild(), Wild())))),
+        st.builds(Op, st.sampled_from(("+", "-", "*", "min", "max")), st.lists(TYPED["int"], min_size=1, max_size=3).map(tuple)),
+    )
+)
+TYPED["bool"] = st.deferred(
+    lambda: st.one_of(
+        st.booleans().map(Const),
+        st.sampled_from(("int", "text", "bool")).flatmap(
+            lambda kind: st.builds(Op, st.sampled_from(("=", "!=", "<", "<=", ">", ">=")), st.tuples(TYPED[kind], TYPED[kind]))
+        ),
+        st.builds(Op, st.sampled_from(("and", "or")), st.lists(TYPED["bool"], max_size=3).map(tuple)),
+        TYPED["bool"].map(lambda e: Op("not", (e,))),
+    )
+)
+
+
+@st.composite
+def _inscribed(draw):
+    """``t`` joins an int token (``x``) with a text token (``s``), and
+    writes an int, a text and a row of K.  One or two of its inscriptions
+    are drawn, at random or of the color they need; each other one fits."""
+    drawn = draw(st.sets(st.sampled_from(("guard", "o", "when", "w", "k", "v")), min_size=1, max_size=2))
+    fits = {"guard": TRUE, "o": Var("x"), "when": None, "w": Var("s"), "k": Var("x"), "v": Var("s")}
+    colors = {"guard": "bool", "o": "int", "when": "bool", "w": "text", "k": "int", "v": "text"}
+    site = {
+        name: draw(st.one_of(INSCRIPTIONS, TYPED[colors[name]])) if name in drawn else e for name, e in fits.items()
+    }
+    t = Transition(
+        "t",
+        inputs=(InputArc("p", Var("x")), InputArc("q", Var("s"))),
+        guard=site["guard"],
+        delay=draw(DELAYS),
+        outputs=(OutputArc("o", site["o"], site["when"]), OutputArc("w", site["w"])),
+        actions=(ActionCall("put", (site["k"], site["v"])),),
+    )
+    net = Net(
+        places=(Place("p", INT), Place("q", TEXT), Place("o", INT), Place("w", TEXT)),
+        transitions=(t,),
+        schema=Schema((KEYED,)),
+        actions=(PUT_TEXT,),
+    )
+    tokens = {"p": [(x, 0) for x in range(draw(st.integers(1, 3)))], "q": [(s, 0) for s in "mnr"]}
+    return net, initial_snapshot(net, tokens=tokens, clock=1)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_inscribed())
+def test_a_generated_inscription_is_rejected_or_runs(case):
+    # over int, text and bool constants, the variables, now(), age(), a
+    # count and every operator at any arity, a net is rejected by
+    # validate_net, or it runs under both policies and replays, and each
+    # token and row it writes fits its place or column: no value's type is
+    # tested as a net fires, so a fault the walk let through would show
+    # here as a TypeError, an EvalError, an IndexError or a misfit
+    net, initial = case
+    try:
+        validate_net(net)
+    except DefinitionError:
+        event("rejected")
+        return
+    event("validated")
+    for policy, seed in (("eager", None), ("random", 1)):
+        trace = engine.run(net, initial, policy=policy, seed=seed, max_steps=8)
+        engine.replay(net, trace)
+        event(f"{policy}: {len(trace.events)} events")
+        final = trace.final
+        check_marking(net, final.marking, final.clock)
+        assert Instance(net.schema, {"K": final.instance.rows("K")}) == final.instance
