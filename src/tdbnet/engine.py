@@ -10,11 +10,12 @@ Semantics in brief:
   arc's token.
 * Every input arc keeps an alpha memory: one entry per distinct token the
   arc accepts, bound by that arc alone through one compiled binder, with
-  the number of copies on its place.  A candidate takes one entry per arc,
-  so no two candidates consume equal tokens arc for arc.  It is built by
-  merging the arcs' bindings, where a variable bound on two arcs must get
-  equal values and the later arc sets its age, and only while each place
-  holds as many copies of a token as it takes.  ``replay`` binds recorded
+  the number of copies on its place, which follows the exact token deltas
+  of the firings and is never recounted from the marking.  A candidate
+  takes one entry per arc, so no two candidates consume equal tokens arc
+  for arc.  It is built by merging the arcs' bindings, where a variable
+  bound on two arcs must get equal values and the later arc sets its age,
+  and only while each place holds as many copies of a token as it takes.  ``replay`` binds recorded
   tokens through the same binders, by the same rule, into one binding.
 * A slot builds its candidates fully or lazily.  A full build binds every
   candidate: first the product of the memories (one candidate that binds
@@ -35,9 +36,10 @@ Semantics in brief:
   changes only the candidates of transitions whose input places changed.
   Each entry keeps the reverse set of the candidates built on it, so a
   token that falls drops only those of its candidates left without enough
-  copies, each by bisection on its rank; the new tokens enter the
-  memories and are built on as above.  A transition catches up when a
-  step next asks about it.
+  copies, each by bisection on its rank, which is set when it is bound;
+  the new tokens enter the memories and are built on as above.  A
+  transition catches up when a step next asks about it, and one with
+  nothing to settle by the clock answers at once.
 * Snapshots are checked: ``initial_snapshot``, ``run``, ``fire``,
   ``replay``, ``enabled`` and ``advance_clock`` raise ``DefinitionError``
   naming the place and the entry when an entry is not a token, the exact
@@ -116,6 +118,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import inf
@@ -137,7 +140,6 @@ from .exprs import (
     window_starts,
 )
 from .net import (
-    Marking,
     Net,
     Snapshot,
     Transition,
@@ -200,14 +202,17 @@ class _Cand:
     """One match of a transition's input arcs to distinct tokens, with the
     truth set of the transition's guard under it.  ``entries`` holds the
     entry it takes on each arc, and ``key`` each arc's token, which is its
-    own key: equal tokens are one key.  Under the eager policy a
+    own key: equal tokens are one key.  ``items`` is its binding as sorted
+    (variable, value) pairs, and ``rank`` its canonical order within a
+    transition: the binding, then each arc's token (the order of the
+    sorted pools); both are set when it is bound.  Under the eager policy a
     candidate also carries the instant its enablement began (``onset``,
     None while its guard does not hold), whether it holds and is due
     (``live``), and a version that its heap entries must match to count.
     Under the random policy ``live`` says that it is pickable now."""
 
     __slots__ = (
-        "transition", "env", "matches", "ages", "entries", "key", "truth", "onset", "live", "ver", "_items", "_rank",
+        "transition", "env", "matches", "ages", "entries", "key", "items", "rank", "truth", "onset", "live", "ver",
         "_window",
     )
 
@@ -218,24 +223,14 @@ class _Cand:
         self.ages = ages
         self.entries = entries
         self.key = tuple([e.key for e in entries])
+        # variable names are distinct, so values are never compared
+        self.items = tuple(sorted(env.items()))
+        self.rank = (self.items, self.key)
         self.truth: tuple = ()
         self.onset: Optional[int] = None
         self.live = False
         self.ver = 0
-        self._items = self._rank = self._window = None
-
-    def binding_items(self) -> tuple:
-        if self._items is None:
-            # variable names are distinct, so values are never compared
-            self._items = tuple(sorted(self.env.items()))
-        return self._items
-
-    def rank(self) -> tuple:
-        """Canonical order within a transition: the binding, then each
-        arc's token (the order of the sorted pools)."""
-        if self._rank is None:
-            self._rank = (self.binding_items(), self.key)
-        return self._rank
+        self._window = None
 
     def holds(self, at: int) -> bool:
         return first_true(self.truth, at) == at
@@ -249,6 +244,10 @@ class _Cand:
             truth = self.truth
             self._window = truth if lo == 0 else intersect(truth, window_starts(truth, lo, hi))
         return self._window
+
+
+# the key by which slots bisect their candidates in canonical order
+_rank = attrgetter("rank")
 
 
 def _require_compliant(net: Net, snapshot: Snapshot) -> None:
@@ -449,13 +448,13 @@ class _Slot:
         self.cands: dict = {}
         self.order: list[_Cand] = []
         self.complete = True
-        # every token is new; _remember counts its copies in the pool
-        self._remember(snapshot.marking, {place: dict.fromkeys(snapshot.marking.tokens(place), 1) for place in places})
+        # every token is new, with as many copies as its pool holds
+        self._remember({place: Counter(snapshot.marking.tokens(place)) for place in places})
         if not self.lazy:
             # every entry is new, so the product of the memories is every
             # candidate: one with no entries for a transition without arcs
             combos = itertools.product(*(index.values() for index in self.index))
-            self.order = sorted(filter(None, map(self._bind, combos)), key=_Cand.rank)
+            self.order = sorted(filter(None, map(self._bind, combos)), key=_rank)
             self._solve(self.order, snapshot.instance)
 
     def sync(self, snapshot: Snapshot) -> None:
@@ -465,17 +464,18 @@ class _Slot:
         new = []
         if self.pending:
             pending, self.pending = self.pending, {}
-            grown = self._remember(snapshot.marking, pending)
+            grown = self._remember(pending)
             if not self.lazy:
                 new = self._extend(grown)
-        stamp = _stamp(snapshot.instance, self.reads)
-        if any(a is not b for a, b in zip(stamp, self.stamp)):
-            self.stamp = stamp
-            self._solve(self.order, snapshot.instance)
+        if self.reads:
+            stamp = _stamp(snapshot.instance, self.reads)
+            if any(a is not b for a, b in zip(stamp, self.stamp)):
+                self.stamp = stamp
+                self._solve(self.order, snapshot.instance)
         if new:
             self._solve(new, snapshot.instance)
             for c in new:
-                insort(self.order, c, key=_Cand.rank)
+                insort(self.order, c, key=_rank)
 
     def _solve(self, cands: list[_Cand], instance) -> None:
         guard = self.t.guard
@@ -489,15 +489,16 @@ class _Slot:
 
     # alpha memories and candidates
 
-    def _remember(self, marking: Marking, pending: dict) -> list[list[_Entry]]:
-        """Bring the alpha memories up to the pending token changes: bind
-        each new token by its arc alone, recount the copies of each token
-        whose count changed, and drop the entries left with none and the
-        candidates left without enough copies.  Returns the entries that
-        grew, per arc."""
+    def _remember(self, pending: dict) -> list[list[_Entry]]:
+        """Bring the alpha memories up to the pending token changes, which
+        are exact net changes of each token's copies: bind each new token by
+        its arc alone, add each change to its entry's copies, and drop the
+        entries left with none and the candidates left without enough
+        copies.  A lazy slot sorts the new entries into its memories.
+        Returns the entries that grew, per arc."""
         grown = []
         for k, (place, _, bind, aged) in enumerate(self.arcs):
-            index, up = self.index[k], []
+            index, up, born = self.index[k], [], []
             for tok, n in pending.get(place, {}).items():
                 e = index.get(tok)
                 if e is None:
@@ -508,10 +509,10 @@ class _Slot:
                     e = index[tok] = _Entry(tok, env, dict.fromkeys(aged, tok[1]))
                     if self.lazy:
                         e.share = (tuple(e.env[name] for name in self.names[k]), tok)
-                        insort(self.mems[k], e, key=_share)
+                        born.append(e)
                 elif not n:
                     continue
-                e.copies = len(marking.span(place, tok))
+                e.copies += n
                 if n > 0:
                     up.append(e)
                     continue
@@ -520,6 +521,12 @@ class _Slot:
                     if self.lazy:
                         del self.mems[k][bisect_left(self.mems[k], e.share, key=_share)]
                 self._lose(e)
+            if len(born) > 1:
+                # one sort for a build, not one insertion per token
+                self.mems[k] += born
+                self.mems[k].sort(key=_share)
+            elif born:
+                insort(self.mems[k], born[0], key=_share)
             grown.append(up)
         if self.lazy and any(grown):
             self.complete = False
@@ -530,7 +537,7 @@ class _Slot:
         token than are left: all of them once none is."""
         for c in [c for c in map(self.cands.get, e.cands) if not (e.copies and self._enough(c.entries))]:
             del self.cands[c.key]
-            del self.order[bisect_left(self.order, c.rank(), key=_Cand.rank)]
+            del self.order[bisect_left(self.order, c.rank, key=_rank)]
             for other in c.entries:
                 other.cands.remove(c.key)
             c.ver += 1
@@ -615,7 +622,7 @@ class _Slot:
         """Finish a candidate the walk bound: solve its truth set, put it in
         order and settle it at the clock."""
         c.truth = guard_truth(self.t.guard, c.env, instance=snapshot.instance, ages=c.ages)
-        insort(self.order, c, key=_Cand.rank)
+        insort(self.order, c, key=_rank)
         self._settle(c, snapshot.clock)
         return c
 
@@ -625,26 +632,28 @@ class _Slot:
         """Bring every candidate's eager state to a step at ``at``.  A
         candidate holds when ``at`` lies in its truth set; its onset is the
         first step of the run of steps at which it held, so a lapse between
-        two steps goes unnoticed."""
+        two steps goes unnoticed.  A slot with no fresh candidate and no
+        heap entry due by ``at`` has nothing to do."""
+        wait, hold, due = self.wait, self.hold, self.due
+        if not (self.fresh or wait and wait[0][0] <= at or hold and hold[0][0] <= at or due and due[0][0] <= at):
+            return
         fresh, self.fresh = self.fresh, []
         for c in fresh:
             if self.cands.get(c.key) is c:
                 self._settle(c, at)
-        for heap in (self.hold, self.wait):
+        for heap in (hold, wait):
             while heap and heap[0][0] <= at:
                 _, _, c, ver = heappop(heap)
                 if ver == c.ver:
                     self._settle(c, at)
-        due = self.due
         while due and due[0][0] <= at:
             _, _, _, c, ver = heappop(due)
             if ver == c.ver:
                 c.live = True
                 self.live += 1
-        heaps = (self.wait, self.hold, self.due)
-        if sum(map(len, heaps)) > 4 * len(self.order) + 64:
+        if len(wait) + len(hold) + len(due) > 4 * len(self.order) + 64:
             # a candidate has at most two entries that count
-            for heap in heaps:
+            for heap in (wait, hold, due):
                 heap[:] = [e for e in heap if e[-1] == e[-2].ver]
                 heapify(heap)
 
@@ -672,38 +681,37 @@ class _Slot:
             c.live = True
             self.live += 1
         else:
-            heappush(self.due, (c.onset + self.delay, c.rank(), n, c, c.ver))
+            heappush(self.due, (c.onset + self.delay, c.rank, n, c, c.ver))
 
     def _pick(self, c: _Cand) -> None:
         """Enter a candidate pickable now in its binding's group; the first
         of the group is its entry in ``ready``."""
         c.live = True
         self.live += 1
-        group = self.groups.setdefault(c.binding_items(), [])
-        i = bisect_left(group, c.rank(), key=_Cand.rank)
+        group = self.groups.setdefault(c.items, [])
+        i = bisect_left(group, c.rank, key=_rank)
         group.insert(i, c)
         if not i:
             if len(group) > 1:
                 # bindings lead the rank, so a new first takes the old one's place
-                self.ready[bisect_left(self.ready, group[1].rank(), key=_Cand.rank)] = c
+                self.ready[bisect_left(self.ready, group[1].rank, key=_rank)] = c
             else:
-                insort(self.ready, c, key=_Cand.rank)
+                insort(self.ready, c, key=_rank)
 
     def _drop(self, c: _Cand) -> None:
         """Take a candidate out of the live ones and out of its group; the
         next of the group moves up when the first leaves."""
         if c.live and self.groups is not None:
-            items = c.binding_items()
-            group = self.groups[items]
-            i = bisect_left(group, c.rank(), key=_Cand.rank)
+            group = self.groups[c.items]
+            i = bisect_left(group, c.rank, key=_rank)
             del group[i]
             if not i:
-                j = bisect_left(self.ready, c.rank(), key=_Cand.rank)
+                j = bisect_left(self.ready, c.rank, key=_rank)
                 if group:
                     self.ready[j] = group[0]
                 else:
                     del self.ready[j]
-                    del self.groups[items]
+                    del self.groups[c.items]
         self.live -= c.live
         c.live = False
 
@@ -870,7 +878,7 @@ def enabled(net: Net, snapshot: Snapshot) -> list[tuple[str, dict, int]]:
     seen = set()
     for t in _transitions_by_id(net):
         for cand in agenda.slot(t).order:
-            key = (t.id, cand.binding_items())
+            key = (t.id, cand.items)
             if cand.holds(clock) and key not in seen:
                 seen.add(key)
                 out.append((t.id, dict(cand.env), clock + t.delay[0]))
@@ -937,14 +945,14 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
             if t.rollbacks:
                 produced = _produce(plan.rollbacks, cand, pre, at)
                 delta = (removals, produced)
-                snap2 = Snapshot(pre, snapshot.marking.updated(*delta), at)
+                snap2 = _new(Snapshot, (pre, snapshot.marking.updated(*delta), at))
                 outcome = "rolled_back"
             else:
                 produced = []
                 delta = ((), ())
-                snap2 = Snapshot(pre, snapshot.marking, at)
+                snap2 = _new(Snapshot, (pre, snapshot.marking, at))
                 outcome = "halted"
-            event = _new(FiringEvent, (step, at, t.id, cand.binding_items(), consumed, tuple(produced), (), (), outcome))
+            event = _new(FiringEvent, (step, at, t.id, cand.items, consumed, tuple(produced), (), (), outcome))
             return snap2, event, delta
         work, adds, dels = res
         added += adds
@@ -955,10 +963,10 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
     if plan.views:
         lose, gain = refresh_views(net, plan.views, work, snapshot.marking, added, deleted)
         delta = (removals + lose, produced + gain)
-    snap2 = Snapshot(work, snapshot.marking.updated(*delta), at)
+    snap2 = _new(Snapshot, (work, snapshot.marking.updated(*delta), at))
     event = _new(
         FiringEvent,
-        (step, at, t.id, cand.binding_items(), consumed, tuple(produced), tuple(added), tuple(deleted), "committed"),
+        (step, at, t.id, cand.items, consumed, tuple(produced), tuple(added), tuple(deleted), "committed"),
     )
     return snap2, event, delta
 
@@ -980,7 +988,7 @@ def fire(
     _require_compliant(net, snapshot)
     items = tuple(sorted(binding.items()))
     cand = next(
-        (c for c in Agenda(net, snapshot).slot(t).order if c.binding_items() == items and c.holds(snapshot.clock)),
+        (c for c in Agenda(net, snapshot).slot(t).order if c.items == items and c.holds(snapshot.clock)),
         None,
     )
     if cand is None:
@@ -1102,7 +1110,7 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
     if guard_flip_time(t.guard, env, instance=snapshot.instance, ages=ages, from_time=ev.time) != ev.time:
         return None
     cand = _Cand.__new__(_Cand)
-    cand.transition, cand.env, cand.matches, cand.ages, cand._items = t, env, tuple(matches), ages, ev.binding
+    cand.transition, cand.env, cand.matches, cand.ages, cand.items = t, env, tuple(matches), ages, ev.binding
     return cand
 
 

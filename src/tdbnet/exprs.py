@@ -316,7 +316,8 @@ def _compile_db(e):
 def _compile_op(e):
     """An operator node: every argument is evaluated, in order, before the
     operator applies (``not`` evaluates its first only), so an error in
-    any argument is raised, and an unknown operator after them."""
+    any argument is raised, and an unknown operator after them.  A ``-``
+    of one operand negates it."""
     op, subs = e.op, tuple(compiled(a) for a in e.args)
     if op in ("and", "or"):
         fold = all if op == "and" else any
@@ -337,6 +338,9 @@ def _compile_op(e):
             raise EvalError(f"unknown operator {op!r}")
 
         return unknown
+    if op == "-" and len(subs) == 1:
+        (a,) = subs
+        return lambda env, inst, now, ages, args: -a(env, inst, now, ages, args)
     if len(subs) == 2:
         a, b = subs
         return lambda env, inst, now, ages, args: fn(a(env, inst, now, ages, args), b(env, inst, now, ages, args))
@@ -473,6 +477,12 @@ def _time_int(v) -> int:
     return int(v)
 
 
+def _terms(e) -> tuple:
+    """The operands of a ``+`` or ``-`` node, where a ``-`` of one operand
+    is 0 minus it."""
+    return (Const(0), *e.args) if e.op == "-" and len(e.args) == 1 else e.args
+
+
 def _linear(e):
     """Closure (env, instance, ages, args) -> (k, c) with e == k*now + c,
     for an operand with no time-dependent truth value inside."""
@@ -495,7 +505,7 @@ def _linear(e):
         value = compiled(e)
         return lambda env, inst, ages, args: (0, _time_int(value(env, inst, 0, ages, args)))
     if t is Op and e.op in ("+", "-"):
-        subs = tuple(_linear(a) for a in e.args)
+        subs = tuple(_linear(a) for a in _terms(e))
         sign = 1 if e.op == "+" else -1
 
         def chain(env, inst, ages, args):
@@ -532,7 +542,7 @@ def _pieces(e):
             return ((s, 0, 1), (_complement(s), 0, 0))
 
         return split
-    subs = tuple(_pieces(a) for a in e.args)
+    subs = tuple(_pieces(a) for a in _terms(e))
     sign = 1 if e.op == "+" else -1
 
     def combine(env, inst, ages, args):

@@ -16,10 +16,10 @@ to its agenda alike.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .exprs import DbCount, DefinitionError, TRUE
 from .persistence import (
@@ -138,17 +138,6 @@ class Net:
         return cached
 
 
-def _span(pool: tuple[tuple, ...], tok: tuple) -> range:
-    """The positions of the tokens equal to ``tok`` in a sorted pool, found
-    by binary search.  A token whose value does not compare with the pool's
-    gets ``range(0)``: no token of another type equals it."""
-    try:
-        lo = bisect_left(pool, tok)
-    except TypeError:
-        return range(0)
-    return range(lo, bisect_right(pool, tok, lo))
-
-
 def _nth(pool: tuple[tuple, ...], tok: tuple, n: int = 1) -> int:
     """The position of the ``n``-th token equal to ``tok`` in a sorted pool,
     or -1 when it holds fewer: the equal tokens start where ``tok`` bisects
@@ -191,11 +180,6 @@ class Marking:
     def place_ids(self) -> list[str]:
         return sorted(pid for pid, toks in self._tokens.items() if toks)
 
-    def span(self, pid: str, tok: tuple) -> range:
-        """The positions of the tokens equal to ``tok`` in place ``pid``'s
-        pool, which are adjacent because the pool is sorted."""
-        return _span(self.tokens(pid), tok)
-
     def updated(
         self,
         remove: Iterable[tuple[str, tuple]] = (),
@@ -234,8 +218,11 @@ class Marking:
         return f"Marking({parts or 'empty'})"
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
+    """The instance, the marking and the clock.  A snapshot is a tuple, so
+    it is immutable, equal by its fields and cheap to build: the engine
+    builds one per firing with ``tuple.__new__``."""
+
     instance: Instance
     marking: Marking
     clock: int = 0

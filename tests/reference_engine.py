@@ -72,6 +72,10 @@ class _Cand:
             self._items = tuple(sorted(self.env.items(), key=lambda kv: kv[0]))
         return self._items
 
+    # the engine's ``_execute``, which fires these candidates, reads the
+    # binding as an attribute
+    items = property(binding_items)
+
     def bkey(self) -> tuple:
         return tuple((k, value_key(v)) for k, v in self.binding_items())
 

@@ -97,6 +97,8 @@ def eval_expr(
         vals = [eval_expr(a, env, instance=instance, now=now, ages=ages, args=args) for a in e.args]
         if e.op in _CMP:
             return _CMP[e.op](vals[0], vals[1])
+        if e.op == "-" and len(vals) == 1:
+            return -vals[0]
         if e.op in _ARITH:
             out = vals[0]
             for v in vals[1:]:

@@ -267,6 +267,43 @@ def test_time_dependent_truth_values_as_operands():
         guard_truth(Op("=", (fresh, Const("yes"))), {}, ages=ages)
 
 
+def _neg(e):
+    return Op("-", (e,))
+
+
+# One-operand minus, computed by hand; the compiled evaluator, the frozen
+# interpreter and the truth solver each must give these values.
+@pytest.mark.parametrize(
+    "e,now,ages,value",
+    [
+        (_neg(Const(3)), 0, None, -3),
+        (_neg(Now()), 7, None, -7),
+        (_neg(Age("m")), 12, {"m": 10}, -2),  # age 2
+        (_neg(_neg(Const(3))), 0, None, 3),
+    ],
+)
+def test_unary_minus_negates(e, now, ages, value):
+    assert eval_expr(e, {}, now=now, ages=ages) == value
+    assert frozen.eval_expr(e, {}, now=now, ages=ages) == value
+
+
+@pytest.mark.parametrize(
+    "guard,ages,truth",
+    [
+        # -now >= 5 while now <= -5
+        (Op(">=", (_neg(Now()), Const(5))), None, ((-INF, -5),)),
+        # -(now - 10) >= -5 while now <= 15
+        (Op(">=", (_neg(Age("m")), Const(-5))), {"m": 10}, ((-INF, 15),)),
+        # -3 >= now while now <= -3
+        (Op(">=", (_neg(Const(3)), Now())), None, ((-INF, -3),)),
+        # -(now + (now >= 3)) >= -5: now <= 5 before 3, now + 1 <= 5 from 3 on
+        (Op(">=", (_neg(Op("+", (Now(), Op(">=", (Now(), Const(3)))))), Const(-5))), None, ((-INF, 4),)),
+    ],
+)
+def test_unary_minus_negates_in_truth_sets(guard, ages, truth):
+    assert guard_truth(guard, {}, ages=ages) == truth
+
+
 def test_unsolvable_time_dependence_raises():
     with pytest.raises(EvalError, match="cannot be solved under '\\*'"):
         guard_truth(Op(">=", (Op("*", (Now(), Const(2))), Const(7))), {})

@@ -51,7 +51,7 @@ def reference_replay(net, trace, *, verify=True):
         for cand in sorted(reference_engine._enumerate(net, snap, t), key=reference_engine._Cand.bkey):
             consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
             if (
-                cand.binding_items() == ev.binding
+                cand.items == ev.binding
                 and consumed == ev.consumed
                 and reference_engine._guard_true(net, snap, cand, ev.time)
             ):

@@ -13,6 +13,7 @@ variables), its walk must build the oracle's candidates in the oracle's
 order, and stop at the first that holds.
 """
 
+import random
 import re
 from dataclasses import replace
 
@@ -489,7 +490,7 @@ def _cases(draw):
 
 
 def _key(cand):
-    return (cand.transition.id, cand.binding_items(), cand.matches, cand.ages)
+    return (cand.transition.id, cand.items, cand.matches, cand.ages)
 
 
 def _oracle(net, snap, t):
@@ -517,7 +518,7 @@ def test_enumerator_equals_the_oracle(case, data):
     assert [_key(c) for c in got] == _oracle(net, snap, t)
     for cand in got:
         consumed = tuple((pid, tok) for pid, tok, _ in cand.matches)
-        ev = FiringEvent(0, snap.clock, t.id, cand.binding_items(), consumed, (), (), (), "committed")
+        ev = FiringEvent(0, snap.clock, t.id, cand.items, consumed, (), (), (), "committed")
         assert _key(engine._recorded_cand(net, snap, t, ev)) == _key(cand)
     # the agenda reaches the same candidates from a delta: some tokens
     # produced into a snapshot without them, or consumed from this one
@@ -702,6 +703,76 @@ def test_generated_runs_equal_the_oracle(case):
     net, initial = case
     for policy, seed in [("eager", None)] + [("random", seed) for seed in range(3)]:
         _agree(net, initial, policy, seed, 20)
+
+
+def _check_memories(agenda):
+    """Every alpha-memory entry of every slot counts the copies of its token
+    on the arc's place, as of the slot's last catch-up: with the changes
+    still pending, the marking's count.  No entry is left with none, every
+    token present then that the arc accepts has an entry, and a lazy slot's
+    memory holds the same entries, sorted by their share of the rank."""
+    marking = agenda.snap.marking
+    for slot in agenda.slots.values():
+        for k, ((place, _, bind, _), index) in enumerate(zip(slot.arcs, slot.index)):
+            pool, pending = marking.tokens(place), slot.pending.get(place, {})
+            for tok, e in index.items():
+                assert e.key == tok and e.copies > 0
+                assert e.copies + pending.get(tok, 0) == pool.count(tok)
+            for tok in set(pool):
+                if pool.count(tok) > pending.get(tok, 0) and bind(tok[0]) is not None:
+                    assert tok in index
+            if slot.lazy:
+                assert slot.mems[k] == sorted(index.values(), key=engine._share)
+
+
+def _stepped_run(net, initial, policy, seed, max_steps):
+    """The events of ``engine.run``, stepped here to check the alpha
+    memories after every step."""
+    agenda = engine.Agenda(net, initial, policy)
+    rng = random.Random(seed)
+    events = []
+    _check_memories(agenda)
+    while len(events) < max_steps:
+        move = agenda.eager_step(None) if policy == "eager" else agenda.random_step(rng, None)
+        if move is None:
+            break
+        kind, payload = move
+        if kind == "advance":
+            agenda.snap = agenda.snap.advanced(payload)
+        else:
+            snap, ev, (removed, added) = engine._execute(net, agenda.snap, *payload, len(events))
+            agenda.commit(snap, removed, added)
+            events.append(ev)
+        _check_memories(agenda)
+        if events and events[-1].outcome == "halted":
+            break
+    return events
+
+
+@st.composite
+def _shared_nets(draw):
+    """A generated net with one more transition, ``s``, whose two arcs take
+    from ``p`` (disjoint variables, which the eager policy walks lazily, or
+    one variable on both, which takes two equal tokens) and which puts one
+    token back, on a marking where ``p`` holds a token twice."""
+    net, initial = draw(_nets())
+    second = draw(st.sampled_from((Var("y"), Var("x"))))
+    s = Transition("s", inputs=(InputArc("p", Var("x")), InputArc("p", second)), outputs=(OutputArc("p", Var("x")),))
+    twin = draw(st.sampled_from(initial.marking.tokens("p")))
+    marking = initial.marking.updated(add=[("p", twin)])
+    return replace(net, transitions=(*net.transitions, s)), Snapshot(initial.instance, marking, initial.clock)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(_nets(), _shared_nets()))
+def test_alpha_memories_count_the_marking_after_every_step(case):
+    # copies follow the token deltas that commit hands the slots, and are
+    # never recounted from the marking, so they must stay equal to it: on
+    # duplicate tokens and on two arcs that draw from one place
+    net, initial = case
+    for policy, seed in (("eager", None), ("random", 0), ("random", 1)):
+        events = _stepped_run(net, initial, policy, seed, 20)
+        assert events == list(engine.run(net, initial, policy=policy, seed=seed, max_steps=20).events)
 
 
 # ---------------------------------------------------------------------------
