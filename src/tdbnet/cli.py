@@ -258,7 +258,7 @@ def make_parser() -> argparse.ArgumentParser:
     src.add_argument("--pattern", choices=PATTERNS)
     src.add_argument("--net", help="a .tdbnet.json document")
     pr.add_argument("--workload", action="append", default=[],
-                    help="burst:N@T | steady:N:every:D@T | perm:3,1,2@T | vals:50,120@T | one-match-both")
+                    help="burst:N@T | steady:N:every:D@T | perm:3,1,2@T | vals:50,120@T")
     pr.add_argument("--policy", choices=("eager", "random"), default="eager")
     pr.add_argument("--seed", type=int)
     pr.add_argument("--until", type=int)

@@ -21,9 +21,10 @@ closure runs, never when it is built: an unbound variable, parameter or
 age, ``count()`` or ``merge_text()`` without an instance, an unknown
 operator (after its arguments), and ``not an expression`` for anything
 that is not a node.  ``and`` and ``or`` evaluate every argument, so an
-error in any conjunct is raised.  The terms of a db pattern compile the
-same way (``compiled_pattern``), and the persistence layer compiles its
-queries' patterns and filters and its actions' templates from them.
+error in any conjunct is raised.  ``count`` and ``merge_text`` resolve
+their db patterns through ``compiled_pattern``.  The persistence layer
+compiles only its queries' filters here (``compiled``); it resolves atoms
+and action templates through its own index tuples (``_picker``).
 
 Guards are also compiled, once per node and cached on it as ``_truth``,
 into truth-set solvers.  ``guard_truth`` returns the set of integer
@@ -35,10 +36,10 @@ time-independent subterms (variables, constants, ``count``,
 once per query.  It reduces each time-dependent comparison to
 ``k*now + c <op> 0`` with integer ``k`` and ``c``, solves it with integer
 floor division, and combines the results by interval intersection
-(``and``), union (``or``) and complement (``not``).  A time-dependent
-truth value used as a number (``(age(m) < 10) = True``) is 1 on its truth
-set and 0 elsewhere, as in Python, so such a comparison is solved piece by
-piece.  No float is involved, so the answer is exact at every clock value.
+(``and``), union (``or``) and complement (``not``).  A comparison of a
+time-dependent truth value (``(age(m) < 10) = True``) is solved piece by
+piece, the truth value being 1 on its truth set and 0 elsewhere, as in
+Python.  No float is involved, so the answer is exact at every clock value.
 ``guard_flip_time`` is the first point of the truth set from a given time.
 The engine asks every guard question through these two queries, so runs,
 ``fire`` and replay agree on where a guard holds.
@@ -47,10 +48,12 @@ The engine asks every guard question through these two queries, so runs,
 ``age()`` occur only under the ``TIME_OPERATORS`` and never inside a db
 pattern; and its walk (``persistence.inscription_color``) gives every
 node of a validated net a color, so that no closure meets a value of
-another type.  On a node that no net validated, the values are checked
-when a guard is solved: a time-independent operand of a time-dependent
-comparison must be an integer (a bool counts as 0 or 1), or the solver
-raises ``EvalError``, whether or not the guard holds at the clock.
+another type.  On a node that no net validated, the shapes and values
+are checked when a guard is solved, whether or not it holds at the clock:
+a time-dependent truth value under ``+`` or ``-``, a time-dependent number
+used as a truth value, and a time-independent operand of a time-dependent
+comparison that is not an integer (a bool counts as 0 or 1) each raise
+``EvalError``.
 """
 
 from __future__ import annotations
@@ -263,25 +266,14 @@ def _compile(e):
     return _fails(EvalError, f"not an expression: {e!r}")
 
 
-def compiled_term(term):
-    """The closure of a pattern or template term, called as an
-    expression's: a constant, variable or parameter compiles as an
-    expression, a wildcard to None, and anything else to a closure that
-    raises ``EvalError``."""
-    t = type(term)
-    if t is Const or t is Var or t is Param:
-        return compiled(term)
-    if t is Wild:
-        return lambda env, inst, now, ages, args: None
-    return _fails(EvalError, f"not a pattern term: {term!r}")
-
-
 def compiled_pattern(terms):
-    """``fn(env, args)`` -> the tuple of ``terms`` resolved as by
-    ``compiled_term``; constants and wildcards are placed once, here."""
+    """``fn(env, args)`` -> the tuple of ``terms`` resolved: a constant is
+    its value and a wildcard None, both placed once, here; a variable or a
+    parameter is evaluated, and any other term raises ``EvalError``."""
     terms = tuple(terms)
     base = [term.value if type(term) is Const else None for term in terms]
-    slots = tuple((i, compiled_term(term)) for i, term in enumerate(terms) if type(term) not in (Const, Wild))
+    slots = tuple((i, compiled(t) if type(t) in (Var, Param) else _fails(EvalError, f"not a pattern term: {t!r}"))
+                  for i, t in enumerate(terms) if type(t) not in (Const, Wild))
 
     def pattern(env, args):
         out = base.copy()
@@ -485,7 +477,7 @@ def _terms(e) -> tuple:
 
 def _linear(e):
     """Closure (env, instance, ages, args) -> (k, c) with e == k*now + c,
-    for an operand with no time-dependent truth value inside."""
+    for an operand that is not a time-dependent truth value."""
     t = type(e)
     if t is Now:
         return lambda env, inst, ages, args: (1, 0)
@@ -505,6 +497,9 @@ def _linear(e):
         value = compiled(e)
         return lambda env, inst, ages, args: (0, _time_int(value(env, inst, 0, ages, args)))
     if t is Op and e.op in ("+", "-"):
+        bad = next((a for a in e.args if _stepped(a)), None)
+        if bad is not None:
+            raise EvalError(f"{e.op!r} takes numbers, not the time-dependent truth value {bad!r}")
         subs = tuple(_linear(a) for a in _terms(e))
         sign = 1 if e.op == "+" else -1
 
@@ -520,11 +515,9 @@ def _linear(e):
 
 
 def _stepped(e) -> bool:
-    """Whether a time-dependent operand has a truth value inside, so that
-    it is a step function of now rather than an affine one."""
-    if type(e) is not Op or not depends_on_time(e):
-        return False
-    return e.op in _TRUTH_OPS or (e.op in ("+", "-") and any(_stepped(a) for a in e.args))
+    """Whether an operand is a time-dependent truth value, so that it is a
+    step function of now rather than an affine one."""
+    return type(e) is Op and e.op in _TRUTH_OPS and depends_on_time(e)
 
 
 def _pieces(e):
@@ -534,40 +527,22 @@ def _pieces(e):
     if not _stepped(e):
         form = _linear(e)
         return lambda env, inst, ages, args: ((ALWAYS, *form(env, inst, ages, args)),)
-    if e.op in _TRUTH_OPS:
-        truth = _truth(e)
+    truth = _truth(e)
 
-        def split(env, inst, ages, args):
-            s = truth(env, inst, ages, args)
-            return ((s, 0, 1), (_complement(s), 0, 0))
+    def split(env, inst, ages, args):
+        s = truth(env, inst, ages, args)
+        return ((s, 0, 1), (_complement(s), 0, 0))
 
-        return split
-    subs = tuple(_pieces(a) for a in _terms(e))
-    sign = 1 if e.op == "+" else -1
-
-    def combine(env, inst, ages, args):
-        out = subs[0](env, inst, ages, args)
-        for sub in subs[1:]:
-            rhs = sub(env, inst, ages, args)
-            out = tuple(
-                (s, k + sign * k2, c + sign * c2)
-                for s1, k, c in out
-                for s2, k2, c2 in rhs
-                for s in (intersect(s1, s2),)
-                if s
-            )
-        return out
-
-    return combine
+    return split
 
 
-def _compile_truth(e):
+def _compile_truth(e, under):
     if not depends_on_time(e):
         value = compiled(e)
         return lambda env, inst, ages, args: ALWAYS if value(env, inst, 0, ages, args) else NEVER
     op = e.op if type(e) is Op else None
     if op in ("and", "or"):
-        subs = tuple(_truth(a) for a in e.args)
+        subs = tuple(_truth(a, repr(op)) for a in e.args)
         if op == "and":
 
             def conj(env, inst, ages, args):
@@ -581,7 +556,7 @@ def _compile_truth(e):
             iv for s in [sub(env, inst, ages, args) for sub in subs] for iv in s
         )
     if op == "not":
-        sub = _truth(e.args[0])
+        sub = _truth(e.args[0], repr(op))
         return lambda env, inst, ages, args: _complement(sub(env, inst, ages, args))
     if op in _CMP:
         solve = _SOLVE[op]
@@ -607,17 +582,14 @@ def _compile_truth(e):
             )
 
         return compare_pieces
-    # a time-dependent number used as a truth value: true where it is nonzero
-    value = _pieces(e)
-    return lambda env, inst, ages, args: _normalize(
-        iv for s, k, c in value(env, inst, ages, args) for iv in intersect(s, _SOLVE["!="](k, c))
-    )
+    raise EvalError(f"{under} takes truth values, not the time-dependent number {e!r}")
 
 
-def _truth(e):
+def _truth(e, under="a guard"):
+    """``e``'s truth-set solver, cached on the node; ``under`` names what takes it."""
     fn = getattr(e, "_truth", None)
     if fn is None:
-        fn = _compile_truth(e)
+        fn = _compile_truth(e, under)
         if type(e) in _NODES:
             object.__setattr__(e, "_truth", fn)
     return fn

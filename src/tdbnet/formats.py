@@ -39,12 +39,13 @@ are built from a few primitives:
 The relations of a net document and of a trace header share one codec.
 Value tuples map to JSON arrays, as ``json`` writes any tuple.  A trace is
 read by one converter per node kind, on the same terms: ``json_to_value``,
-``_token``, ``_fact``, ``_event``, and ``_SNAPSHOT`` for the header's and
-the footer's snapshots.  Each line is scanned by one shared JSON decoder
-and converted at once to its event, so that the decoded record is freed
-as soon as it is read.  A line that is not one JSON value alone, or not a
-well-formed event, is read again in its turn, by ``json.loads`` or by
-``_event`` under its line number, for its diagnostic: the faults are
+``_token``, ``_fact``, ``_event``, ``_SNAPSHOT`` for the header's and the
+footer's snapshots, and ``_META`` for the header's net hash, policy and
+seed, which it also writes.  Each line is scanned by one shared JSON
+decoder and converted at once to its event, so that the decoded record is
+freed as soon as it is read.  A line that is not one JSON value alone, or
+not a well-formed event, is read again in its turn, by ``json.loads`` or
+by ``_event`` under its line number, for its diagnostic: the faults are
 reported in the order in which the records are checked.
 """
 
@@ -656,12 +657,26 @@ def _digest(snapshot_text: str) -> str:
     return hashlib.sha256(snapshot_text.encode()).hexdigest()
 
 
+def _policy(node):
+    if node not in ("eager", "random"):
+        raise _not("", node, "a policy (eager or random)")
+    return node
+
+
+def _seed(node):
+    if node is not None and type(node) is not int:
+        raise _not("", node, "an integer or null")
+    return node
+
+
+# the header's fields besides its snapshot, as run records them
+_META = _record(TraceMeta, net=("net_hash", _STR), policy=_Codec(_same, _policy), seed=_Codec(_same, _seed))
+
+
 def serialize_trace(trace: Trace) -> str:
     header = {
         "kind": "header",
-        "net": trace.meta.net_hash,
-        "policy": trace.meta.policy,
-        "seed": trace.meta.seed,
+        **_META.dump(trace.meta),
         "schema": _SCHEMA.dump(trace.initial.instance.schema),
         "initial": snapshot_to_json(trace.initial),
     }
@@ -727,6 +742,7 @@ def parse_trace(text: str) -> Trace:
     for record, name, key in ((header, "header", "initial"), (footer, "footer", "final")):
         if key not in record:
             raise DocumentError([f"{name}: missing field {key!r}"])
+    meta = _located("header", _META.load, header)
     schema = _located("header.schema", _SCHEMA.load, header.get("schema", []))
     initial = _located("header.initial", _snapshot, header["initial"], schema)
     events = [
@@ -748,7 +764,6 @@ def parse_trace(text: str) -> Trace:
         raise DocumentError([f"footer.final: {e.object[e.start : e.end]!r} cannot be encoded as UTF-8 ({e.reason})"]) from None
     if digest != footer.get("digest"):
         raise DocumentError(["footer digest does not match the final snapshot"])
-    meta = TraceMeta(header.get("net", ""), header.get("policy", "eager"), header.get("seed"))
     return Trace(meta, initial, tuple(events), final)
 
 

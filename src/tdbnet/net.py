@@ -174,8 +174,8 @@ class Marking:
 
     def holds(self, pid: str, tok: tuple, copies: int = 1) -> bool:
         """Whether place ``pid`` holds at least ``copies`` tokens equal to
-        ``tok``."""
-        return _nth(self.tokens(pid), tok, copies) >= 0
+        ``tok``; every place holds 0 or fewer."""
+        return copies <= 0 or _nth(self.tokens(pid), tok, copies) >= 0
 
     def place_ids(self) -> list[str]:
         return sorted(pid for pid, toks in self._tokens.items() if toks)

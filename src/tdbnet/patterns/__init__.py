@@ -1,5 +1,5 @@
 from .aggregator import build_aggregator
-from .base import EndpointStub, IoPlaces, PatternBundle, extend_workload, replace_rows, with_workload
+from .base import EndpointStub, PatternBundle, extend_workload, replace_rows, with_workload
 from .circuit_breaker import build_circuit_breaker, manual_close, with_endpoint
 from .resequencer import build_resequencer
 from .router import build_content_based_router, parse_condition
@@ -7,7 +7,6 @@ from .throttle import build_delayer, build_throttler
 
 __all__ = [
     "EndpointStub",
-    "IoPlaces",
     "PatternBundle",
     "build_aggregator",
     "build_circuit_breaker",

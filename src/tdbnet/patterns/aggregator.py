@@ -167,5 +167,4 @@ def build_aggregator(*, timeout: int, expiry_grace: int = 0) -> PatternBundle:
         queries=(q_groups,),
         actions=(open_group, put_msg, touch_group, close_group),
         tail=(("tries", INT, Const(0)),),
-        outputs=("ch_out",),
     )

@@ -10,16 +10,16 @@ Every pattern is built on the same skeleton, assembled by
   records the arrival in ``in_log``;
 * the input channel place, coloured ``(mid, *fields, *tail)``, which is by
   construction the token ``inject`` produces;
-* the ``Net``, its initial snapshot at clock 0, and the ``PatternBundle``
-  with the channel as its one input.
+* the ``Net``, its initial snapshot at clock 0, and the ``PatternBundle``.
 
 A builder declares only what is its own: the pattern's name, the payload
 fields, the input channel's id, its places, transitions, relations, queries
-and actions, any seed facts and tokens, extra token components (``tail``),
-and its output and exception places.  A pattern is its net: the bundle
-keeps no record of the arguments it was built from.  Observable results are
-written to ordinary relations (``out_log`` and friends) so conformance
-checks can read everything from the persistence layer of the trace.
+and actions, any seed facts and tokens, and extra token components
+(``tail``).  A pattern is its net: the bundle keeps no record of the
+arguments it was built from, nor of which places are its outputs.
+Observable results are written to ordinary relations (``out_log`` and
+friends) so conformance checks can read everything from the persistence
+layer of the trace.
 
 To add a pattern, write a ``build_*`` function in its own module that
 returns ``message_bundle(...)``, export it from ``patterns/__init__.py``,
@@ -47,25 +47,12 @@ from ..values import INT, TS, ColorType, product
 
 
 @dataclass(frozen=True)
-class IoPlaces:
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    exceptions: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class PatternBundle:
-    """A ready-to-run net with its initial snapshot and the place ids a
-    caller wires against."""
+    """A ready-to-run net with its initial snapshot."""
 
     name: str
     net: Net
     initial: Snapshot
-    io: IoPlaces
-
-    @property
-    def schema(self):
-        return self.net.schema
 
 
 @dataclass(frozen=True)
@@ -118,8 +105,6 @@ def message_bundle(
     facts=(),
     tokens=None,
     tail=(),
-    outputs,
-    exceptions=(),
 ) -> PatternBundle:
     """Assemble a pattern around the inbox feed.
 
@@ -171,12 +156,7 @@ def message_bundle(
         queries=(q_inbox,) + tuple(queries),
         actions=(take,) + tuple(actions),
     )
-    return PatternBundle(
-        name=name,
-        net=net,
-        initial=initial_snapshot(net, facts=facts, tokens=tokens, clock=0),
-        io=IoPlaces(inputs=(ch_in,), outputs=tuple(outputs), exceptions=tuple(exceptions)),
-    )
+    return PatternBundle(name, net, initial_snapshot(net, facts=facts, tokens=tokens, clock=0))
 
 
 def with_workload(bundle: PatternBundle, arrivals) -> Snapshot:

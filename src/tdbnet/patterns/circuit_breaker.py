@@ -197,8 +197,6 @@ def build_circuit_breaker(threshold: int, receive_timeout: int, endpoint: Endpoi
         queries=(q_circuit, q_endpoint, q_calls, q_script),
         actions=(count_call, set_failures, set_status, log_out, log_exc),
         facts=facts,
-        outputs=("ch_out",),
-        exceptions=("exc",),
     )
 
 

@@ -112,5 +112,4 @@ def build_resequencer() -> PatternBundle:
         relations=(seqs, msgs, out_log),
         queries=(q_emit,),
         actions=(open_seq, store_msg, advance),
-        outputs=("ch_out",),
     )

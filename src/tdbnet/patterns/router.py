@@ -96,6 +96,4 @@ def build_content_based_router(
         transitions=[route, *pushes],
         relations=relations,
         actions=actions,
-        outputs=[f"out_{i}" for i in range(1, len(conds) + 1)],
-        exceptions=("exc",),
     )

@@ -60,7 +60,6 @@ def build_throttler(rate: int) -> PatternBundle:
         relations=(OUT_LOG,),
         actions=(EMIT_OUT,),
         tokens={"cap": [(0, 0)]},
-        outputs=("ch3",),
     )
 
 
@@ -83,5 +82,4 @@ def build_delayer(delay: int) -> PatternBundle:
         transitions=(forward,),
         relations=(OUT_LOG,),
         actions=(EMIT_OUT,),
-        outputs=("ch3",),
     )

@@ -25,7 +25,6 @@ from .net import (
 from .persistence import Action, Column, FactTemplate, Relation, Schema
 from .patterns import (
     EndpointStub,
-    IoPlaces,
     PatternBundle,
     build_aggregator,
     build_circuit_breaker,
@@ -109,7 +108,7 @@ def one_receiver_verdict(trace: Trace, n_conditions: int) -> Verdict:
 
 def _scn_flawed_router(seed: Optional[int]) -> ScenarioOutcome:
     conditions = ("gt:10", "lt:100")
-    workload = parse_workload("router", "one-match-both")
+    workload = parse_workload("router", "vals:50@0")
     flawed = build_content_based_router(conditions, variant="flawed")
     tr_flawed = run(flawed.net, with_workload(flawed, workload), check_views=True)
     correct = build_content_based_router(conditions, variant="correct")
@@ -346,9 +345,7 @@ def halting_bundle() -> PatternBundle:
         actions=(add_kv,),
     )
     initial = initial_snapshot(net, facts=(), tokens={"ch": [(1, 0), (1, 0)]}, clock=0)
-    return PatternBundle(
-        name="halting", net=net, initial=initial, io=IoPlaces(inputs=("ch",), outputs=())
-    )
+    return PatternBundle("halting", net, initial)
 
 
 def _scn_halt(seed: Optional[int]) -> ScenarioOutcome:

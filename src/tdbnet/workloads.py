@@ -7,8 +7,6 @@ Specs (times in clock units; the throttler's rate counts per 1000 of them):
 * ``perm:3,1,2@T``       - one sequence, ordinals in the given order
                            (resequencer/aggregator payloads)
 * ``vals:50,120@T``      - one message per value (router payloads)
-* ``one-match-both``     - single router message satisfying the default
-                           pair of conditions (value 50)
 
 The kind is a bundle's name; payload fields depend on the pattern family:
 body text for plain message patterns, (value) for the router variants
@@ -46,13 +44,9 @@ def _int(raw: str, what: str, minimum: int = 0) -> int:
     return n
 
 
-def _ints(raw: str, what: str, *, dashes: bool = False) -> list[int]:
-    if dashes:
-        parts = [p for chunk in raw.split(",") for p in chunk.split("-") if p]
-    else:
-        parts = [p for p in raw.split(",") if p]
+def _ints(raw: str, what: str) -> list[int]:
     try:
-        return [int(p) for p in parts]
+        return [int(p) for p in raw.split(",") if p]
     except ValueError:
         raise WorkloadError(f"bad {what} list {raw!r}") from None
 
@@ -60,10 +54,6 @@ def _ints(raw: str, what: str, *, dashes: bool = False) -> list[int]:
 def parse_workload(kind: str, spec: str) -> list[tuple[int, tuple]]:
     """Arrival list [(at, payload fields)] for one workload spec."""
     spec = spec.strip()
-    if spec == "one-match-both":
-        if not kind.startswith("router"):
-            raise WorkloadError("one-match-both is a router workload")
-        return [(0, _payload("router", 0, value=50))]
     body, sep, rawt = spec.rpartition("@")
     if not sep:
         raise WorkloadError(f"workload {spec!r} needs an @T arrival time")
@@ -85,7 +75,7 @@ def parse_workload(kind: str, spec: str) -> list[tuple[int, tuple]]:
             (start + i * step, _payload(kind, i, ord_=i + 1, total=n)) for i in range(n)
         ]
     if parts[0] == "perm" and len(parts) == 2:
-        ords = _ints(parts[1], "ordinal", dashes=True)
+        ords = _ints(parts[1], "ordinal")
         if sorted(ords) != list(range(1, len(ords) + 1)):
             raise WorkloadError(f"perm ordinals must be a permutation of 1..n, got {ords}")
         return [

@@ -9,9 +9,9 @@ from tdbnet.values import INT, TEXT, product
 # ``--hypothesis-profile=ci`` runs the Hypothesis tests that leave their
 # example count to the profile (the generated-net differential and the
 # alpha-memory copy counts in test_scheduler_oracle.py, the store lookup
-# property in test_persistence.py, and the trace decoder and writer
-# differentials and the canonical_json property in test_formats.py) ten
-# times deeper than the default 100.
+# and generated-query properties in test_persistence.py, and the trace
+# decoder and writer differentials and the canonical_json property in
+# test_formats.py) ten times deeper than the default 100.
 settings.register_profile("ci", max_examples=1000)
 
 

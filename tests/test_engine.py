@@ -1068,7 +1068,7 @@ def test_token_tuple_order_is_the_value_then_time_order(kind, data):
     probes = data.draw(st.lists(st.sampled_from(toks) | tokens if toks else tokens, max_size=4))
     for probe in probes:
         copies = sum((t[0], t[1]) == (probe[0], probe[1]) for t in pool)
-        assert not copies or marking.holds("p", probe, copies)
+        assert marking.holds("p", probe, copies)
         assert not marking.holds("p", probe, copies + 1)
     # a probe of another type equals no token of the pool
     assert not marking.holds("p", (data.draw(other), 0))
@@ -1077,6 +1077,11 @@ def test_token_tuple_order_is_the_value_then_time_order(kind, data):
     add = data.draw(st.lists(st.tuples(st.just("p"), tokens), max_size=4))
     got = marking.updated(remove=remove, add=add)
     assert got.tokens("p") == reference_updated(marking, remove, add).get("p", ())
+
+
+def test_every_place_holds_zero_copies():
+    assert Marking({}).holds("p", (0, 0), 0)
+    assert Marking({"p": [(0, 0)]}).holds("p", (0, 1), 0)
 
 
 def test_marking_rejects_values_that_do_not_compare():

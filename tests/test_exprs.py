@@ -5,6 +5,8 @@ The compiled evaluator is checked against the frozen interpreter in
 interpreter, so neither is checked against code it shares.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from tdbnet.exprs import (
     Const,
     DbCount,
     DbMergeText,
+    DefinitionError,
     EvalError,
     Now,
     Op,
@@ -28,7 +31,7 @@ from tdbnet.exprs import (
     match_pattern,
     pattern_vars,
 )
-from tdbnet.persistence import Column, Instance, Relation, Schema
+from tdbnet.persistence import Column, Instance, Relation, Schema, Scope, inscription_color
 from tdbnet.values import INT, TEXT
 
 
@@ -207,6 +210,21 @@ def test_truth_solver_is_cached_on_the_node():
 INF = float("inf")
 
 
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
+def _assert_rejected(guard, match):
+    """The solver raises an EvalError that ``match``es on a guard of a
+    shape it does not solve, and the typed walk that validates a net
+    rejects that guard."""
+    with pytest.raises(EvalError, match=match):
+        guard_truth(guard, {}, ages=dict.fromkeys(_AGE_VARS, 0))
+    scope = Scope(Schema(()), "transition 't'", "guard", dict.fromkeys(_AGE_VARS, INT), "input arc", set(_AGE_VARS), None, "guard")
+    with pytest.raises(DefinitionError):
+        inscription_color(guard, scope)
+
+
 def test_truth_sets_of_comparisons_and_connectives():
     ge = Op(">=", (Age("m"), Const(250)))
     assert guard_truth(ge, {}, ages={"m": 100}) == ((350, INF),)
@@ -244,7 +262,9 @@ def test_non_integer_affine_operand():
             guard_truth(g, {"a": a})
     # a bool is the integer 0 or 1, as in Python arithmetic
     assert guard_truth(g, {"a": True}) == ((1, INF),)
-    assert guard_flip_time(Op("+", (Now(), Const(False))), {}, from_time=0) == 1
+    # but a time-dependent number is no truth value
+    number = Op("+", (Now(), Const(False)))
+    _assert_rejected(number, _exactly(f"a guard takes truth values, not the time-dependent number {number!r}"))
 
 
 def test_time_dependent_truth_values_as_operands():
@@ -258,11 +278,12 @@ def test_time_dependent_truth_values_as_operands():
     # equality of two truth values: both true or both false
     assert guard_truth(Op("=", (fresh, late)), {}, ages=ages) == ((5, 9),)
     assert guard_truth(Op("<", (fresh, late)), {}, ages=ages) == ((10, INF),)
-    # a truth value under + is 1 on its truth set and 0 elsewhere
+    # a truth value is no operand of + or -, and a number no truth value
     stepped = Op(">=", (Op("+", (late, Now())), Const(7)))
-    assert guard_truth(stepped, {}) == ((6, INF),)
-    # and a number used as a truth value is true where it is nonzero
-    assert guard_truth(Op("and", (Op("-", (Now(), late)),)), {}) == ((-INF, -1), (1, INF))
+    _assert_rejected(stepped, _exactly(f"'+' takes numbers, not the time-dependent truth value {late!r}"))
+    number = Op("-", (Now(), late))
+    _assert_rejected(Op("and", (number,)), _exactly(f"'and' takes truth values, not the time-dependent number {number!r}"))
+    _assert_rejected(Op("not", (Now(),)), _exactly("'not' takes truth values, not the time-dependent number Now()"))
     with pytest.raises(EvalError, match="integer valued"):
         guard_truth(Op("=", (fresh, Const("yes"))), {}, ages=ages)
 
@@ -296,12 +317,19 @@ def test_unary_minus_negates(e, now, ages, value):
         (Op(">=", (_neg(Age("m")), Const(-5))), {"m": 10}, ((-INF, 15),)),
         # -3 >= now while now <= -3
         (Op(">=", (_neg(Const(3)), Now())), None, ((-INF, -3),)),
-        # -(now + (now >= 3)) >= -5: now <= 5 before 3, now + 1 <= 5 from 3 on
-        (Op(">=", (_neg(Op("+", (Now(), Op(">=", (Now(), Const(3)))))), Const(-5))), None, ((-INF, 4),)),
+        # -(now + (now >= 3)) >= -5: a truth value under +, not solved
+        (
+            Op(">=", (_neg(Op("+", (Now(), Op(">=", (Now(), Const(3)))))), Const(-5))),
+            None,
+            EvalError(f"'+' takes numbers, not the time-dependent truth value {Op('>=', (Now(), Const(3)))!r}"),
+        ),
     ],
 )
 def test_unary_minus_negates_in_truth_sets(guard, ages, truth):
-    assert guard_truth(guard, {}, ages=ages) == truth
+    if isinstance(truth, EvalError):
+        _assert_rejected(guard, _exactly(str(truth)))
+    else:
+        assert guard_truth(guard, {}, ages=ages) == truth
 
 
 def test_unsolvable_time_dependence_raises():
@@ -469,11 +497,23 @@ def test_solver_agrees_with_reference_and_point_evaluation_at_scale(problem):
     assert _holds(g, ages, from_time) == (got == from_time)
 
 
+def _truth_value_under_arithmetic(e) -> bool:
+    """Whether a time-dependent truth value is an operand of + or -."""
+    if not isinstance(e, Op):
+        return False
+    if e.op in ("+", "-") and any(isinstance(a, Op) and a.op not in ("+", "-") and depends_on_time(a) for a in e.args):
+        return True
+    return any(_truth_value_under_arithmetic(a) for a in e.args)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_problems(40, nested=True))
 def test_solver_agrees_with_brute_force_on_nested_truth_values(problem):
     # the reference solver rejects these guards whenever they are false
     g, ages, from_time = problem
+    if _truth_value_under_arithmetic(g):
+        _assert_rejected(g, "^'[+-]' takes numbers, not the time-dependent truth value ")
+        return
     got = guard_flip_time(g, {}, ages=ages, from_time=from_time)
     last = max(from_time, _magnitude(g, ages) + 1)
     assert got == next((u for u in range(from_time, last + 1) if _holds(g, ages, u)), None)

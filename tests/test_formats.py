@@ -429,8 +429,13 @@ class TestTraceRoundTrip:
             (-1, lambda r: [r], "truncated trace: no footer; last complete record: unknown at line 8"),
             (-1, lambda r: {k: v for k, v in r.items() if k != "final"}, "footer: missing field 'final'"),
             (0, lambda r: {**r, "initial": {**r["initial"], "marking": []}}, "header.initial.marking: expected an object"),
+            (0, lambda r: {**r, "net": 5}, "header.net: 5 is not a string"),
+            (0, lambda r: {k: v for k, v in r.items() if k != "net"}, "header: missing field 'net'"),
+            (0, lambda r: {**r, "policy": ["x"]}, 'header.policy: ["x"] is not a policy (eager or random)'),
+            (0, lambda r: {**r, "seed": "abc"}, 'header.seed: "abc" is not an integer or null'),
+            (0, lambda r: {**r, "seed": True}, "header.seed: true is not an integer or null"),
         ],
-        ids=["no-initial", "footer-list", "no-final", "marking-list"],
+        ids=["no-initial", "footer-list", "no-final", "marking-list", "net-int", "no-net", "policy-list", "seed-text", "seed-bool"],
     )
     def test_malformed_header_or_footer_is_located(self, line, edit, diagnostic):
         # each crashed with a KeyError or an AttributeError
@@ -540,10 +545,16 @@ def _edited_traces(draw) -> str:
 
 # what the decoder rejects on purpose and the frozen one accepted: an event
 # whose transition, binding variable, place or relation is not a string, or
-# whose outcome is not one that the engine records
+# whose outcome is not one that the engine records; a header without its net
+# hash, policy or seed, or whose net hash is not a string, policy not one
+# that run takes, or seed neither an integer nor null
 NEW_REJECTIONS = re.compile(
     r"line \d+\.(transition|binding\[\d+\]\[0\]|(consumed|produced|added|deleted)\[\d+\]\[0\]): .* is not a string"
     r"|line \d+\.outcome: .* is not an outcome \(committed, rolled_back or halted\)"
+    r"|header: missing field '(net|policy|seed)'"
+    r"|header\.net: .* is not a string"
+    r"|header\.policy: .* is not a policy \(eager or random\)"
+    r"|header\.seed: .* is not an integer or null"
 )
 
 

@@ -59,8 +59,9 @@ def test_inject_produces_the_input_channel_colour(bundle):
     tr = run_with(bundle, parse_workload(bundle.name, "burst:2@0"))
     produced = [pair for ev in tr.events if ev.transition == "inject" for pair in ev.produced]
     assert len(produced) == 2
+    channel = "ch1" if bundle.name in ("throttler", "delayer") else "ch_in"
     for place, (value, _) in produced:
-        assert place == bundle.io.inputs[0]
+        assert place == channel
         assert bundle.net.place(place).color.fits(value)
 
 
@@ -218,14 +219,14 @@ class TestCircuitBreaker:
 class TestRouter:
     def test_flawed_variant_duplicates_matching_message(self):
         bundle = build_content_based_router(("gt:10", "lt:100"), variant="flawed")
-        tr = run_with(bundle, parse_workload("router", "one-match-both"))
+        tr = run_with(bundle, parse_workload("router", "vals:50@0"))
         inst = tr.final.instance
         assert inst.match_values("channel_1", None) == [(0, 50)]
         assert inst.match_values("channel_2", None) == [(0, 50)]
 
     def test_correct_variant_first_condition_wins(self):
         bundle = build_content_based_router(("gt:10", "lt:100"), variant="correct")
-        tr = run_with(bundle, parse_workload("router", "one-match-both"))
+        tr = run_with(bundle, parse_workload("router", "vals:50@0"))
         inst = tr.final.instance
         assert inst.match_values("channel_1", None) == [(0, 50)]
         assert inst.match_values("channel_2", None) == []

@@ -1,10 +1,12 @@
 """Relational store: schema constraints, query evaluation, atomic actions.
 
-The query-evaluation property at the bottom compares eval_query against a
-brute-force oracle that enumerates every assignment row by row.
+The query-evaluation properties compare eval_query against brute-force
+oracles that enumerate every assignment row by row, on fixed joins and on
+generated queries.
 """
 
 import itertools
+import operator
 from typing import Optional
 
 import pytest
@@ -553,6 +555,103 @@ def test_single_atom_scan_matches_oracle(r_rows):
     inst = Instance(RS, {"R": [(row, 0) for row in r_rows]})
     q = Query("scan", atoms=(Atom("R", (Var("a"), Var("b"))),), output=("a", "b"))
     assert eval_query(inst, q) == brute_force(inst, q)
+
+
+# eval_query against a nested-loop evaluation of generated queries: atoms
+# that repeat a variable, bind columns that are no leading prefix, or only
+# test that a row exists, and count filters
+
+QVALUES = st.integers(0, 2)  # few values, so joins and counts hit
+QCOMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+QOPS = st.sampled_from(sorted(QCOMPARE))
+
+
+@st.composite
+def generated_queries(draw):
+    """A schema of one or two int relations keyed by leading columns, rows
+    for each, a query over it of 1-3 atoms of variables, constants,
+    wildcards and the parameter ``p``, an optional count filter and
+    comparison filter, output variables and an optional ``order_by``, and
+    the query's arguments."""
+    relations = []
+    for r in range(draw(st.integers(1, 2))):
+        names = tuple(f"c{i}" for i in range(draw(st.integers(1, 3))))
+        key = names[: draw(st.integers(1, len(names)))]
+        relations.append(Relation(f"R{r}", tuple(Column(n, INT) for n in names), key))
+    rows = {}
+    for rel in relations:
+        drawn = draw(st.lists(st.tuples(*[QVALUES] * rel.arity), max_size=5))
+        rows[rel.name] = [(values, 0) for values in {v[: len(rel.key)]: v for v in drawn}.values()]
+    params = draw(st.sampled_from([(), (("p", INT),)]))
+    param = [st.just(Param("p"))] if params else []
+
+    def terms(rel, *kinds):
+        return tuple(draw(st.lists(st.one_of(*kinds), min_size=rel.arity, max_size=rel.arity)))
+
+    variables = st.sampled_from(("x", "y", "z")).map(Var)
+    consts, wild = QVALUES.map(Const), st.just(Wild())
+    atoms = tuple(
+        Atom(rel.name, terms(rel, variables, consts, wild, *param))
+        for rel in draw(st.lists(st.sampled_from(relations), min_size=1, max_size=3))
+    )
+    bound = sorted({t.name for atom in atoms for t in atom.terms if type(t) is Var})
+    sides = [consts, *param] + ([st.sampled_from(bound).map(Var)] if bound else [])
+    filters = []
+    if draw(st.booleans()):
+        rel = draw(st.sampled_from(relations))
+        count = DbCount(rel.name, terms(rel, wild, *sides))
+        filters.append(Filter(draw(QOPS), count, draw(st.one_of(*sides))))
+    if draw(st.booleans()):
+        filters.append(Filter(draw(QOPS), draw(st.one_of(*sides)), draw(st.one_of(*sides))))
+    output = tuple(draw(st.permutations(bound))[: draw(st.integers(0, len(bound)))])
+    order_by = None
+    if output and draw(st.booleans()):
+        order_by = tuple(draw(st.lists(st.integers(0, len(output) - 1), unique=True)))
+    query = Query("q", params, atoms, tuple(filters), output, order_by)
+    args = tuple(draw(QVALUES) for _ in params)
+    return Schema(tuple(relations)), rows, query, args
+
+
+def nested_loop(instance, query, args):
+    """The rows of ``query``, by its definition: every choice of one row per
+    atom that agrees with the atoms' terms and passes every filter, its
+    output variables, distinct, in canonical order and then stably sorted
+    by ``order_by``."""
+    argmap = dict(zip((p for p, _ in query.params), args))
+
+    def value(side, env):
+        if type(side) is not DbCount:
+            return resolve_term(side, env, argmap)
+        pattern = [None if type(t) is Wild else resolve_term(t, env, argmap) for t in side.terms]
+        return sum(
+            all(p is None or p == v for p, v in zip(pattern, values))
+            for values in instance.match_values(side.relation, None)
+        )
+
+    def agrees(term, v, env):
+        if type(term) is Var:
+            return env.setdefault(term.name, v) == v
+        return type(term) is Wild or resolve_term(term, env, argmap) == v
+
+    found = set()
+    for choice in itertools.product(*(instance.match_values(atom.relation, None) for atom in query.atoms)):
+        env = {}
+        if all(agrees(t, v, env) for atom, values in zip(query.atoms, choice) for t, v in zip(atom.terms, values)):
+            if all(QCOMPARE[f.op](value(f.lhs, env), value(f.rhs, env)) for f in query.filters):
+                found.add(tuple(env[name] for name in query.output))
+    rows = sorted(found)
+    if query.order_by is not None:
+        rows.sort(key=lambda row: tuple(row[i] for i in query.order_by))
+    return tuple(rows)
+
+
+@settings(deadline=None)
+@given(generated_queries())
+def test_eval_query_equals_a_nested_loop_evaluation(case):
+    schema, rows, query, args = case
+    check_query(schema, query)  # every generated query is well-formed
+    instance = Instance(schema, rows)
+    assert eval_query(instance, query, args) == nested_loop(instance, query, args)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ is no longer enabled.
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -16,7 +17,7 @@ import reference_engine
 from tdbnet import engine
 from tdbnet.engine import FiringError, Trace, TraceMeta, fire, replay, run
 from tdbnet.exprs import Age, Const, DefinitionError, Op, Var
-from tdbnet.formats import parse_trace, serialize_net, serialize_trace
+from tdbnet.formats import canonical_json, parse_trace, serialize_net, serialize_trace
 from tdbnet.net import InputArc, Net, OutputArc, Place, Snapshot, Transition, initial_snapshot
 from tdbnet.patterns import (
     EndpointStub,
@@ -435,3 +436,51 @@ def test_replay_rejects_non_compliant_initial_instance():
     snap = Snapshot(broken, initial.marking, 0)
     with pytest.raises(DefinitionError, match="initial instance violates constraints"):
         replay(net, Trace(TraceMeta(net.fingerprint(), "eager", None), snap, (), snap))
+
+
+def _tampered(name, edit):
+    """A catalog run's trace as parse_trace reads it, and the same trace
+    with ``edit`` applied to its list of JSON records first."""
+    net, initial = CATALOG[name]()
+    text = serialize_trace(run(net, initial))
+    records = [json.loads(line) for line in text.splitlines()]
+    edit(records)
+    return net, parse_trace(text), parse_trace("\n".join(map(canonical_json, records)) + "\n")
+
+
+def _refused_alike(net, trace, error, message):
+    for replayer in (replay, reference_replay):
+        with pytest.raises(error) as got:
+            replayer(net, trace)
+        assert type(got.value) is error and str(got.value) == message
+
+
+def test_replay_refuses_an_unknown_transition():
+    def rename(records):
+        records[1]["transition"] = "t_nope"
+
+    net, _, tr = _tampered("throttler", rename)
+    _refused_alike(net, tr, DefinitionError, "trace names unknown transition 't_nope'")
+
+
+def test_replay_refuses_an_event_that_differs_from_its_recomputation():
+    def retell(records):
+        assert records[1]["transition"] == "inject"
+        (relation, values, at), = records[1]["added"]
+        records[1]["added"] = [[relation, values[:-1] + ["zzz"], at]]
+
+    net, recorded, tr = _tampered("throttler", retell)
+    want, got = recorded.events[0], tr.events[0]
+    assert got != want and got._replace(added=want.added) == want
+    _refused_alike(net, tr, FiringError, f"replay: event 0 diverged: {want!r} != {got!r}")
+
+
+def test_replay_refuses_a_final_snapshot_that_differs():
+    def forget(records):
+        footer = records[-1]
+        footer["final"]["facts"].pop()
+        footer["digest"] = hashlib.sha256(canonical_json(footer["final"]).encode()).hexdigest()
+
+    net, recorded, tr = _tampered("throttler", forget)
+    assert tr.events == recorded.events and tr.final.instance != recorded.final.instance
+    _refused_alike(net, tr, FiringError, "replay: final snapshot diverged from the recorded one")

@@ -29,8 +29,8 @@ def test_perm_payload_carries_sequence_fields():
     ]
 
 
-def test_perm_accepts_dashes():
-    assert parse_workload("aggregator", "perm:2-1@0") == [
+def test_perm_of_two_ordinals():
+    assert parse_workload("aggregator", "perm:2,1@0") == [
         (0, (1, 2, 2, "b002")),
         (0, (1, 1, 2, "b001")),
     ]
@@ -40,10 +40,8 @@ def test_vals_builds_router_messages():
     assert parse_workload("router", "vals:5,50@0") == [(0, (5,)), (0, (50,))]
 
 
-def test_one_match_both_is_router_only():
-    assert parse_workload("router_flawed", "one-match-both") == [(0, (50,))]
-    with pytest.raises(WorkloadError):
-        parse_workload("throttler", "one-match-both")
+def test_vals_of_one_message():
+    assert parse_workload("router_flawed", "vals:50@0") == [(0, (50,))]
 
 
 def test_vals_is_router_only():
@@ -72,6 +70,8 @@ def test_multiple_specs_concatenate():
         ("resequencer", "perm:1,3@0"),  # not a permutation of 1..n
         ("resequencer", "perm:2,2@0"),  # duplicate ordinal
         ("resequencer", "perm:a,b@0"),  # ordinals not integers
+        ("aggregator", "perm:2-1@0"),  # ordinals separated by a dash
+        ("router", "one-match-both"),  # a keyword, not a spec
         ("router", "vals:a@0"),  # values not integers
         ("delayer", "wave:3@0"),  # unknown form
         ("nonsense", "burst:1@0"),  # unknown pattern kind
