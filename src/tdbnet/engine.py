@@ -54,22 +54,23 @@ Semantics in brief:
   firing time of a freshly enabled pair is ``clock + delay_min``.
 * ``fire`` consumes the matched tokens, evaluates action arguments against
   the pre-firing instance, applies the actions atomically, and produces
-  output tokens.  The view places then follow the rows the actions added
-  and deleted (``refresh_views``), and the tokens they lose and gain join
-  the consumed and produced ones in one token delta, which updates the
-  marking and, in ``run``, the agenda.  ``run``, ``replay`` and ``fire``
-  fire every transition through its plan, built once per net
-  (``_firing``): its input arcs' binders, its resolved actions with their
-  arguments, its output and rollback arcs, and the view places whose
-  query reads a relation that its actions add to or delete from.  No
-  value's type is tested: ``validate_net`` typed every inscription.  A
-  firing refreshes only those views, and a transition whose plan lists
-  none (one without actions, or whose actions write no relation a view
-  reads) does not call ``refresh_views``.  A constraint violation, which is a key clash
-  (a checked action adds only rows of its columns' types), either
-  produces tokens along the rollback arcs (outcome ``rolled_back``, instance
-  reverted) or, absent rollback arcs, freezes the run at the last committed
-  instance (outcome ``halted``).
+  output tokens.  ``run``, ``replay`` and ``fire`` fire every transition
+  through its plan, built once per net (``_firing``): its input arcs'
+  binders, its resolved actions with their arguments, its output and
+  rollback arcs, and the view places whose query reads a relation that its
+  actions write, split into copied and evaluated views.  No value's type
+  is tested: ``validate_net`` typed every inscription.  A transition whose
+  plan lists no view does not call ``refresh_views``; for any other, it
+  patches the copied views from the rows the actions added and deleted,
+  evaluates the others again if a relation they read changed, and appends
+  their lost and gained tokens to the firing's lists of the tokens it
+  consumes from normal places and produces.  Those two lists are the
+  token delta, which one ``Marking.updated`` call applies and ``run``
+  hands to its agenda.  A constraint violation, which is a key clash (a
+  checked action adds only rows of its columns' types), either produces
+  tokens along the rollback arcs (outcome ``rolled_back``, instance
+  reverted) or, absent rollback arcs, freezes the run at the last
+  committed instance (outcome ``halted``).
 * ``run`` is a discrete-event loop; every guard question, including
   ``replay``'s, is answered by the guard's exact truth-set solver
   (``guard_truth``, and ``guard_flip_time`` for one instant).
@@ -146,6 +147,7 @@ from .net import (
     check_marking,
     check_views,
     refresh_views,
+    split_views,
     validate_net,
     view_places,
 )
@@ -293,13 +295,15 @@ class _Plan:
     take the token's age) per input arc, in arc order; ``calls`` the
     resolved action of each call with one ``tuple`` node of its argument
     expressions; ``outputs`` and ``rollbacks`` (condition, expression,
-    place id) per arc; and ``views`` the view
-    places, as ``view_places`` lists them, whose query reads a relation that
-    an action's templates add to or delete from: the only views a firing of
-    the transition can change.  It holds no type test: ``validate_net``
-    gave each argument its parameter's colour and each arc its place's."""
+    place id) per arc; and ``views`` the view places, as ``view_places``
+    lists them, whose query reads a relation that an action's templates add
+    to or delete from: the only views a firing of the transition can
+    change.  ``copied`` and ``evaluated`` hold those views split as
+    ``refresh_views`` takes them (``split_views``).  It holds no type test:
+    ``validate_net`` gave each argument its parameter's colour and each arc
+    its place's."""
 
-    __slots__ = ("inputs", "calls", "outputs", "rollbacks", "views")
+    __slots__ = ("inputs", "calls", "outputs", "rollbacks", "views", "copied", "evaluated")
 
     def __init__(self, net: Net, t: Transition):
         arcs = []
@@ -315,6 +319,7 @@ class _Plan:
         )
         written = {tmpl.relation for action, _ in self.calls for tmpl in action.adds + action.dels}
         self.views = tuple(view for view in view_places(net) if not view[2].isdisjoint(written))
+        self.copied, self.evaluated = split_views(self.views)
 
 
 def _firing(net: Net, t: Transition) -> _Plan:
@@ -920,11 +925,11 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
     """Fire ``cand`` at ``at`` through its transition's plan: the snapshot
     after it, its event, and its token delta ``(removed, added)`` of
     ``(place id, token)`` pairs.  A committed firing removes the tokens it
-    consumed from normal places and the tokens its view places lose, and
-    adds the tokens it produced and those its view places gain
-    (``refresh_views``, called only for a transition whose plan lists
-    views); a rolled-back one removes the consumed tokens and adds those of
-    its rollback arcs, and a halted one changes nothing.  One
+    consumed from normal places and adds the tokens it produced; for a
+    transition whose plan lists views, ``refresh_views`` appends to the
+    same two lists the tokens its view places lose and gain.  A
+    rolled-back firing removes the consumed tokens and adds those of its
+    rollback arcs, and a halted one changes nothing.  One
     ``Marking.updated`` call applies the delta, and ``run`` hands the same
     delta to its agenda."""
     t = cand.transition
@@ -959,16 +964,13 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
         deleted += dels
 
     produced = _produce(plan.outputs, cand, pre, at)
-    delta = (removals, produced)
-    if plan.views:
-        lose, gain = refresh_views(net, plan.views, work, snapshot.marking, added, deleted)
-        delta = (removals + lose, produced + gain)
-    snap2 = _new(Snapshot, (work, snapshot.marking.updated(*delta), at))
     event = _new(
         FiringEvent,
         (step, at, t.id, cand.items, consumed, tuple(produced), tuple(added), tuple(deleted), "committed"),
     )
-    return snap2, event, delta
+    if plan.views:
+        refresh_views(net, plan.copied, plan.evaluated, work, snapshot.marking, added, deleted, removals, produced)
+    return _new(Snapshot, (work, snapshot.marking.updated(removals, produced), at)), event, (removals, produced)
 
 
 def fire(
@@ -1076,21 +1078,30 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
     """The candidate an event recorded, or None unless it is enabled at
     ``ev.time``: the tokens lie on the input places in arc order, the
     patterns match, the tokens are present (as many copies as consumed),
-    the binding is exactly the recorded one, and the guard holds.  Tokens
-    bind through the arcs' binders straight into one binding, by the rule
-    of ``_Slot._bind``.  The candidate is built directly with the fields
-    ``_execute`` reads, and keeps the recorded items."""
+    the binding is exactly the recorded one, and the guard holds.  Each
+    arc binds its token through its binder straight into one binding, by
+    the rule of ``_Slot._bind``, and the presence of each distinct pair is
+    tested once; only an event that consumes several tokens counts its
+    copies.  The candidate is built directly with the fields ``_execute``
+    reads, and keeps the recorded items."""
     consumed = ev.consumed
     arcs = _firing(net, t).inputs
     if len(consumed) != len(arcs):
         return None
+    marking = snapshot.marking
+    single = len(consumed) == 1
     env: dict = {}
     ages: dict = {}
     matches = []
-    for (place, is_view, bind, names), (pid, tok) in zip(arcs, consumed):
-        value, at = tok
-        bound = bind(value) if pid == place else None
+    for i, ((place, is_view, bind, names), pair) in enumerate(zip(arcs, consumed)):
+        pid, tok = pair
+        bound = bind(tok[0]) if pid == place else None
         if bound is None:
+            return None
+        if single:
+            if not marking.holds(pid, tok):
+                return None
+        elif consumed.index(pair) == i and not marking.holds(pid, tok, consumed.count(pair)):
             return None
         if not env:
             env = bound
@@ -1100,11 +1111,8 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
                 if prior is not v and prior != v:
                     return None  # no binding can be the recorded one
         for name in names:
-            ages[name] = at
+            ages[name] = tok[1]
         matches.append((pid, tok, is_view))
-    for pair in consumed:
-        if not snapshot.marking.holds(*pair, consumed.count(pair)):
-            return None
     if tuple(sorted(env.items())) != ev.binding:
         return None
     if guard_flip_time(t.guard, env, instance=snapshot.instance, ages=ages, from_time=ev.time) != ev.time:

@@ -40,8 +40,9 @@ The relations of a net document and of a trace header share one codec.
 Value tuples map to JSON arrays, as ``json`` writes any tuple.  A trace is
 read by one converter per node kind, on the same terms: ``json_to_value``,
 ``_token``, ``_fact``, ``_event``, ``_SNAPSHOT`` for the header's and the
-footer's snapshots, and ``_META`` for the header's net hash, policy and
-seed, which it also writes.  Each line is scanned by one shared JSON
+footer's snapshots, ``_META`` for the header's net hash, policy and
+seed, which it also writes, and ``_FOOTER`` for the footer's digest and
+event count.  Each line is scanned by one shared JSON
 decoder and converted at once to its event, so that the decoded record is
 freed as soon as it is read.  A line that is not one JSON value alone, or
 not a well-formed event, is read again in its turn, by ``json.loads`` or
@@ -673,6 +674,15 @@ def _seed(node):
 _META = _record(TraceMeta, net=("net_hash", _STR), policy=_Codec(_same, _policy), seed=_Codec(_same, _seed))
 
 
+class _Footer(NamedTuple):
+    digest: str
+    events: int
+
+
+# the footer's fields besides its snapshot, as serialize_trace writes them
+_FOOTER = _record(_Footer, digest=_STR, events=_INT)
+
+
 def serialize_trace(trace: Trace) -> str:
     header = {
         "kind": "header",
@@ -749,20 +759,16 @@ def parse_trace(text: str) -> Trace:
         node if type(node) is FiringEvent else _located(f"line {lineno}", _event, node)
         for lineno, node in records[1:-1]
     ]
-    if footer.get("events") != len(events):
-        raise DocumentError(
-            [
-                f"truncated trace: footer declares {footer.get('events')} events, "
-                f"found {len(events)}"
-            ]
-        )
+    declared = _located("footer", _FOOTER.load, footer)
+    if declared.events != len(events):
+        raise DocumentError([f"truncated trace: footer declares {declared.events} events, found {len(events)}"])
     final = _located("footer.final", _snapshot, footer["final"], schema)
     try:
         digest = snapshot_digest(final)
     except UnicodeEncodeError as e:
         # a JSON escape such as "\ud800" reads as a lone surrogate
         raise DocumentError([f"footer.final: {e.object[e.start : e.end]!r} cannot be encoded as UTF-8 ({e.reason})"]) from None
-    if digest != footer.get("digest"):
+    if digest != declared.digest:
         raise DocumentError(["footer digest does not match the final snapshot"])
     return Trace(meta, initial, tuple(events), final)
 

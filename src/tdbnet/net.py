@@ -6,17 +6,22 @@ clock.  View places never store tokens of their own; their marking is the
 bound query evaluated on the current instance.  ``refresh_views`` is the
 one place that knows how views follow rows: from the rows a committed
 firing's actions added and deleted it works out the tokens that each view
-place it is given loses and gains.  A view whose query copies one relation
-loses and gains the tokens of exactly those rows, and any other view is
-evaluated again when a relation it reads changed.  The engine gives it the
-views that the firing transition's actions can change, and applies the
-pairs with the firing's own token changes as one delta, to the marking and
-to its agenda alike.
+place it is given loses and gains.  The views come split once per
+transition (``split_views``): a copied view, whose query copies one
+relation, as its place id, that relation and whether a token is the whole
+row; any other, an evaluated view, as its place and the relations it
+reads.  In one pass over the firing's rows ``refresh_views`` finds the
+relations that changed, patches each copied view of one of them from the
+rows alone (``view_delta``), and evaluates again each evaluated view that
+reads one.  It appends the pairs straight to the firing's own lists of
+removed and added tokens, so the engine applies them with the tokens the
+firing consumed and produced as one delta, to the marking and to its
+agenda alike.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -186,8 +191,9 @@ class Marking:
         add: Iterable[tuple[str, tuple]] = (),
     ) -> "Marking":
         """A new marking without ``remove`` (one copy each, ValueError when
-        absent) and with ``add``.  Removals and additions find their
-        position by binary search."""
+        absent) and with ``add``.  Each removal and addition finds its
+        position by binary search and rebuilds its pool once, from the
+        slices on either side of that position."""
         new = dict(self._tokens)
         for pid, tok in remove:
             pool = new.get(pid, ())
@@ -195,13 +201,10 @@ class Marking:
             if i < 0:
                 raise ValueError(f"place {pid!r} holds no {tok!r}")
             new[pid] = pool[:i] + pool[i + 1 :]
-        grown: dict[str, list] = {}
         for pid, tok in add:
-            if pid not in grown:
-                grown[pid] = list(new.get(pid, ()))
-            insort(grown[pid], tok)
-        for pid, pool in grown.items():
-            new[pid] = tuple(pool)
+            pool = new.get(pid, ())
+            i = bisect_right(pool, tok)
+            new[pid] = pool[:i] + (tok,) + pool[i:]
         m = Marking.__new__(Marking)
         m._tokens = new
         return m
@@ -265,20 +268,39 @@ def view_places(net: Net) -> tuple[tuple[Place, Optional[str], frozenset], ...]:
     return cached
 
 
-def view_delta(place: Place, relation: str, added, deleted) -> tuple[list, list]:
-    """The ``(place id, token)`` pairs a view place that copies ``relation``
-    loses and gains when the ``(relation, values, at)`` rows ``deleted`` and
-    ``added`` leave and enter the store.  A view token does not carry the
-    row's insertion time, so a row deleted and added again in one firing
-    changes nothing."""
-    change: dict[tuple, int] = {}
-    for sign, rows in ((-1, deleted), (1, added)):
+def split_views(views: Iterable[tuple]) -> tuple[tuple, tuple]:
+    """``views`` (entries of ``view_places``) as ``refresh_views`` takes
+    them: the copied views, as (place id, copied relation, whether a token
+    is the whole row), and the evaluated ones, as (place, relations read).
+    A view token is the whole row on a product-coloured place, else its one
+    column (``_row_tokens``)."""
+    copied = tuple((place.id, source, place.color.kind == "product") for place, source, _ in views if source is not None)
+    evaluated = tuple((place, reads) for place, source, reads in views if source is None)
+    return copied, evaluated
+
+
+def view_delta(pid: str, relation: str, whole: bool, added, deleted, lose: list, gain: list) -> None:
+    """Append to ``lose`` and ``gain`` the ``(pid, token)`` pairs that a
+    view place that copies ``relation`` loses and gains when the
+    ``(relation, values, at)`` rows ``deleted`` and ``added`` leave and
+    enter the store; ``whole`` says whether a token is the whole row.  A
+    view token does not carry the row's insertion time, so a row deleted
+    and added again in one firing changes nothing."""
+    i, j = len(lose), len(gain)
+    for pairs, rows in ((lose, deleted), (gain, added)):
         for rel, values, _ in rows:
             if rel == relation:
-                change[values] = change.get(values, 0) + sign
-    lose = _row_tokens(place, [values for values, n in change.items() if n < 0])
-    gain = _row_tokens(place, [values for values, n in change.items() if n > 0])
-    return [(place.id, tok) for tok in lose], [(place.id, tok) for tok in gain]
+                pairs.append((pid, (values if whole else values[0], 0)))
+    if len(lose) > i and len(gain) > j:
+        # the rows of a copied relation are distinct, and so are their
+        # tokens: a token both lost and gained cancels out
+        change = dict.fromkeys(lose[i:] + gain[j:], 0)
+        for pair in lose[i:]:
+            change[pair] -= 1
+        for pair in gain[j:]:
+            change[pair] += 1
+        lose[i:] = [pair for pair, n in change.items() if n < 0]
+        gain[j:] = [pair for pair, n in change.items() if n > 0]
 
 
 def check_views(net: Net, snapshot: "Snapshot") -> None:
@@ -292,36 +314,39 @@ def check_views(net: Net, snapshot: "Snapshot") -> None:
             raise DefinitionError(f"view place {place.id!r}: its tokens are not the rows of its query {place.query!r}")
 
 
-def refresh_views(net: Net, views: tuple, instance: Instance, marking: Marking, added, deleted) -> tuple[list, list]:
-    """The ``(place id, token)`` pairs that the ``views`` (entries of
-    ``view_places``) of ``marking`` lose and gain when the ``(relation,
-    values, at)`` rows ``added`` and ``deleted`` turn its instance into
-    ``instance``.  The caller passes the views that those rows can change;
+def refresh_views(
+    net: Net, copied: tuple, evaluated: tuple, instance: Instance, marking: Marking, added, deleted, lose: list, gain: list
+) -> None:
+    """Append to ``lose`` and ``gain`` the ``(place id, token)`` pairs that
+    the views ``copied`` and ``evaluated`` (as ``split_views`` gives them)
+    of ``marking`` lose and gain when the ``(relation, values, at)`` rows
+    ``added`` and ``deleted`` turn its instance into ``instance``.  The caller passes the views that those rows can change;
     the engine, the views whose query reads a relation that the firing
-    transition's actions write.
+    transition's actions write, and its lists of the tokens the firing
+    consumes and produces.
 
-    A view whose query copies one relation loses and gains the tokens of
-    exactly those rows (``view_delta``, skipped when no row of that relation
-    changed).  Any other view is evaluated again, and only when it reads a
-    relation that changed; it loses the tokens of its pool that the new
-    result lacks and gains the others.
+    One pass over the rows finds the relations that changed.  A copied
+    view of one of them loses and gains the tokens of exactly its rows
+    (``view_delta``); an evaluated view that reads one is evaluated again,
+    and loses the tokens of its pool that the new result lacks and gains
+    the others.
     """
-    changed = {rel for rel, _, _ in added} | {rel for rel, _, _ in deleted}
-    lose, gain = [], []
-    for place, source, reads in views:
-        if source is not None:
-            if source in changed:
-                out, into = view_delta(place, source, added, deleted)
-                lose += out
-                gain += into
-        elif not reads.isdisjoint(changed):
+    changed = set()
+    for rows in (deleted, added):
+        for row in rows:
+            changed.add(row[0])
+    for pid, relation, whole in copied:
+        if relation in changed:
+            view_delta(pid, relation, whole, added, deleted, lose, gain)
+    for place, reads in evaluated:
+        if not reads.isdisjoint(changed):
             # a view holds distinct rows; the changes keep the pools'
             # order, not a set's
-            old, new = marking.tokens(place.id), view_tokens(net, place, instance)
+            pid = place.id
+            old, new = marking.tokens(pid), view_tokens(net, place, instance)
             in_old, in_new = set(old), set(new)
-            lose += [(place.id, tok) for tok in old if tok not in in_new]
-            gain += [(place.id, tok) for tok in new if tok not in in_old]
-    return lose, gain
+            lose += [(pid, tok) for tok in old if tok not in in_new]
+            gain += [(pid, tok) for tok in new if tok not in in_old]
 
 
 def initial_snapshot(

@@ -434,11 +434,20 @@ class TestTraceRoundTrip:
             (0, lambda r: {**r, "policy": ["x"]}, 'header.policy: ["x"] is not a policy (eager or random)'),
             (0, lambda r: {**r, "seed": "abc"}, 'header.seed: "abc" is not an integer or null'),
             (0, lambda r: {**r, "seed": True}, "header.seed: true is not an integer or null"),
+            (-1, lambda r: {**r, "events": True}, "footer.events: true is not an integer"),
+            (-1, lambda r: {**r, "events": 6.0}, "footer.events: 6.0 is not an integer"),
+            (-1, lambda r: {k: v for k, v in r.items() if k != "events"}, "footer: missing field 'events'"),
+            (-1, lambda r: {**r, "events": 5}, "truncated trace: footer declares 5 events, found 6"),
+            (-1, lambda r: {**r, "digest": 5}, "footer.digest: 5 is not a string"),
+            (-1, lambda r: {k: v for k, v in r.items() if k != "digest"}, "footer: missing field 'digest'"),
         ],
-        ids=["no-initial", "footer-list", "no-final", "marking-list", "net-int", "no-net", "policy-list", "seed-text", "seed-bool"],
+        ids=["no-initial", "footer-list", "no-final", "marking-list", "net-int", "no-net", "policy-list", "seed-text", "seed-bool",
+             "events-bool", "events-float", "no-events", "events-short", "digest-int", "no-digest"],
     )
     def test_malformed_header_or_footer_is_located(self, line, edit, diagnostic):
-        # each crashed with a KeyError or an AttributeError
+        # each header fault crashed with a KeyError or an AttributeError; a
+        # footer count of true or 6.0 was compared with the events found,
+        # and a missing or non-string digest read as a digest mismatch
         b = build_throttler(5)
         tr = run(b.net, with_workload(b, [(0, ("a",)), (0, ("b",))]))
         lines = serialize_trace(tr).splitlines()
@@ -547,7 +556,9 @@ def _edited_traces(draw) -> str:
 # whose transition, binding variable, place or relation is not a string, or
 # whose outcome is not one that the engine records; a header without its net
 # hash, policy or seed, or whose net hash is not a string, policy not one
-# that run takes, or seed neither an integer nor null
+# that run takes, or seed neither an integer nor null; a footer without its
+# event count or digest, or whose count is not an integer or digest not a
+# string
 NEW_REJECTIONS = re.compile(
     r"line \d+\.(transition|binding\[\d+\]\[0\]|(consumed|produced|added|deleted)\[\d+\]\[0\]): .* is not a string"
     r"|line \d+\.outcome: .* is not an outcome \(committed, rolled_back or halted\)"
@@ -555,6 +566,15 @@ NEW_REJECTIONS = re.compile(
     r"|header\.net: .* is not a string"
     r"|header\.policy: .* is not a policy \(eager or random\)"
     r"|header\.seed: .* is not an integer or null"
+    r"|footer: missing field '(events|digest)'"
+    r"|footer\.events: .* is not an integer"
+    r"|footer\.digest: .* is not a string"
+)
+
+# what the frozen decoder said of a footer whose event count or digest is
+# missing or mistyped, where the decoder names the field
+FROZEN_FOOTER_MISMATCH = re.compile(
+    r"truncated trace: footer declares .* events, found \d+|footer digest does not match the final snapshot"
 )
 
 
@@ -572,6 +592,10 @@ def test_decoder_agrees_with_the_frozen_one_on_an_edited_record(text):
     got, want = _decoded(parse_trace, text), _decoded(frozen.parse_trace, text)
     if isinstance(want, Trace) and not isinstance(got, Trace):
         assert len(got) == 1 and NEW_REJECTIONS.fullmatch(got[0]), got
+    elif isinstance(got, list) and isinstance(want, list) and got != want:
+        assert len(got) == len(want) == 1, (got, want)
+        assert got[0].startswith("footer") and NEW_REJECTIONS.fullmatch(got[0]), got
+        assert FROZEN_FOOTER_MISMATCH.fullmatch(want[0]), want
     else:
         assert got == want
 

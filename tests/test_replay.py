@@ -296,6 +296,24 @@ def _absent_token():
     return net, _mutated(tr, ev.step, consumed=(gone,) + rest)
 
 
+def _absent_single_arc_token():
+    # the token is recorded as created one instant earlier, so its age
+    # still meets the guard and only the presence test rejects it
+    net, tr = _parsed_run("delayer")
+    ev = _first(tr, "t_forward")
+    ((pid, (value, at)),) = ev.consumed
+    return net, _mutated(tr, ev.step, consumed=((pid, (value, at - 1)),))
+
+
+def _view_token_taken_before():
+    # the second inject takes the first one's v_inbox token, whose inbox row
+    # the first one deleted; the binding is the first one's, so only the
+    # presence test rejects it
+    net, tr = _parsed_run("delayer")
+    first, later = [ev for ev in tr.events if ev.transition == "inject"][:2]
+    return net, _mutated(tr, later.step, consumed=first.consumed, binding=first.binding)
+
+
 def _one_copy_consumed_twice():
     net = two_arc_net()
     tr = run(net, initial_snapshot(net, tokens={"p": [(1, 0), (2, 0)]}))
@@ -378,6 +396,8 @@ def _guard_false():
     "mutate",
     [
         _absent_token,
+        _absent_single_arc_token,
+        _view_token_taken_before,
         _one_copy_consumed_twice,
         _places_swapped,
         _consumed_pair_dropped,
