@@ -295,13 +295,15 @@ class _Plan:
     take the token's age) per input arc, in arc order; ``calls`` the
     resolved action of each call with one ``tuple`` node of its argument
     expressions; ``outputs`` and ``rollbacks`` (condition, expression,
-    place id) per arc; and ``views`` the view places, as ``view_places``
-    lists them, whose query reads a relation that an action's templates add
-    to or delete from: the only views a firing of the transition can
-    change.  ``copied`` and ``evaluated`` hold those views split as
-    ``refresh_views`` takes them (``split_views``).  It holds no type test:
-    ``validate_net`` gave each argument its parameter's colour and each arc
-    its place's."""
+    place id) per arc; and ``copied`` and ``evaluated`` the view places
+    whose query reads a relation that an action's templates add to or
+    delete from, the only views a firing of the transition can change,
+    split as ``refresh_views`` takes them (``split_views``).  ``views``
+    keeps the same places as ``view_places`` lists them only for the test
+    that checks which views each transition refreshes; firing reads only
+    the split.
+    It holds no type test: ``validate_net`` gave each argument its
+    parameter's colour and each arc its place's."""
 
     __slots__ = ("inputs", "calls", "outputs", "rollbacks", "views", "copied", "evaluated")
 
@@ -968,7 +970,7 @@ def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> t
         FiringEvent,
         (step, at, t.id, cand.items, consumed, tuple(produced), tuple(added), tuple(deleted), "committed"),
     )
-    if plan.views:
+    if plan.copied or plan.evaluated:
         refresh_views(net, plan.copied, plan.evaluated, work, snapshot.marking, added, deleted, removals, produced)
     return _new(Snapshot, (work, snapshot.marking.updated(removals, produced), at)), event, (removals, produced)
 
@@ -1081,15 +1083,14 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
     the binding is exactly the recorded one, and the guard holds.  Each
     arc binds its token through its binder straight into one binding, by
     the rule of ``_Slot._bind``, and the presence of each distinct pair is
-    tested once; only an event that consumes several tokens counts its
-    copies.  The candidate is built directly with the fields ``_execute``
-    reads, and keeps the recorded items."""
+    tested once, for as many copies as the event consumes.  The candidate
+    is built directly with the fields ``_execute`` reads, and keeps the
+    recorded items."""
     consumed = ev.consumed
     arcs = _firing(net, t).inputs
     if len(consumed) != len(arcs):
         return None
     marking = snapshot.marking
-    single = len(consumed) == 1
     env: dict = {}
     ages: dict = {}
     matches = []
@@ -1098,10 +1099,7 @@ def _recorded_cand(net: Net, snapshot: Snapshot, t: Transition, ev: FiringEvent)
         bound = bind(tok[0]) if pid == place else None
         if bound is None:
             return None
-        if single:
-            if not marking.holds(pid, tok):
-                return None
-        elif consumed.index(pair) == i and not marking.holds(pid, tok, consumed.count(pair)):
+        if consumed.index(pair) == i and not marking.holds(pid, tok, consumed.count(pair)):
             return None
         if not env:
             env = bound

@@ -21,7 +21,7 @@ agenda alike.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -191,9 +191,11 @@ class Marking:
         add: Iterable[tuple[str, tuple]] = (),
     ) -> "Marking":
         """A new marking without ``remove`` (one copy each, ValueError when
-        absent) and with ``add``.  Each removal and addition finds its
-        position by binary search and rebuilds its pool once, from the
-        slices on either side of that position."""
+        absent) and with ``add``.  Each removal finds its position by
+        binary search and rebuilds its pool from the slices on either side
+        of it.  The additions are grouped by place, and each pool they touch
+        is rebuilt once: by the same slicing for one token, else from a
+        list that takes each token by binary search."""
         new = dict(self._tokens)
         for pid, tok in remove:
             pool = new.get(pid, ())
@@ -201,10 +203,24 @@ class Marking:
             if i < 0:
                 raise ValueError(f"place {pid!r} holds no {tok!r}")
             new[pid] = pool[:i] + pool[i + 1 :]
+        grown: dict[str, list] = {}
         for pid, tok in add:
+            toks = grown.get(pid)
+            if toks is None:
+                grown[pid] = [tok]
+            else:
+                toks.append(tok)
+        for pid, toks in grown.items():
             pool = new.get(pid, ())
-            i = bisect_right(pool, tok)
-            new[pid] = pool[:i] + (tok,) + pool[i:]
+            if len(toks) == 1:
+                tok = toks[0]
+                i = bisect_right(pool, tok)
+                new[pid] = pool[:i] + (tok,) + pool[i:]
+            else:
+                pool = list(pool)
+                for tok in toks:
+                    insort(pool, tok)
+                new[pid] = tuple(pool)
         m = Marking.__new__(Marking)
         m._tokens = new
         return m
@@ -236,16 +252,21 @@ class Snapshot(NamedTuple):
         return Snapshot(self.instance, self.marking, clock)
 
 
-def _row_tokens(place: Place, rows: Iterable[tuple]) -> list[tuple]:
-    """A view place's tokens for query result rows: the whole row on a
-    product-colored place, else its one column, created at 0."""
-    if place.color.kind == "product":
-        return [(row, 0) for row in rows]
-    return [(row[0], 0) for row in rows]
+def _whole_rows(place: Place) -> bool:
+    """Whether a view place's token is the whole row, which it is on a
+    product-colored place; else it is the row's one column."""
+    return place.color.kind == "product"
+
+
+def _row_token(whole: bool, row: tuple) -> tuple:
+    """A view place's token for a query result row, created at 0: the whole
+    row if ``whole`` (``_whole_rows``), else its one column."""
+    return (row if whole else row[0], 0)
 
 
 def view_tokens(net: Net, place: Place, instance: Instance) -> tuple[tuple, ...]:
-    return tuple(_row_tokens(place, eval_query(instance, net.query(place.query))))
+    whole = _whole_rows(place)
+    return tuple([_row_token(whole, row) for row in eval_query(instance, net.query(place.query))])
 
 
 def view_places(net: Net) -> tuple[tuple[Place, Optional[str], frozenset], ...]:
@@ -271,10 +292,9 @@ def view_places(net: Net) -> tuple[tuple[Place, Optional[str], frozenset], ...]:
 def split_views(views: Iterable[tuple]) -> tuple[tuple, tuple]:
     """``views`` (entries of ``view_places``) as ``refresh_views`` takes
     them: the copied views, as (place id, copied relation, whether a token
-    is the whole row), and the evaluated ones, as (place, relations read).
-    A view token is the whole row on a product-coloured place, else its one
-    column (``_row_tokens``)."""
-    copied = tuple((place.id, source, place.color.kind == "product") for place, source, _ in views if source is not None)
+    is the whole row, ``_whole_rows``), and the evaluated ones, as (place,
+    relations read)."""
+    copied = tuple((place.id, source, _whole_rows(place)) for place, source, _ in views if source is not None)
     evaluated = tuple((place, reads) for place, source, reads in views if source is None)
     return copied, evaluated
 
@@ -283,14 +303,14 @@ def view_delta(pid: str, relation: str, whole: bool, added, deleted, lose: list,
     """Append to ``lose`` and ``gain`` the ``(pid, token)`` pairs that a
     view place that copies ``relation`` loses and gains when the
     ``(relation, values, at)`` rows ``deleted`` and ``added`` leave and
-    enter the store; ``whole`` says whether a token is the whole row.  A
-    view token does not carry the row's insertion time, so a row deleted
-    and added again in one firing changes nothing."""
+    enter the store; ``whole`` says whether a token is the whole row
+    (``_row_token``).  A view token does not carry the row's insertion
+    time, so a row deleted and added again in one firing changes nothing."""
     i, j = len(lose), len(gain)
     for pairs, rows in ((lose, deleted), (gain, added)):
         for rel, values, _ in rows:
             if rel == relation:
-                pairs.append((pid, (values if whole else values[0], 0)))
+                pairs.append((pid, _row_token(whole, values)))
     if len(lose) > i and len(gain) > j:
         # the rows of a copied relation are distinct, and so are their
         # tokens: a token both lost and gained cancels out
@@ -320,10 +340,11 @@ def refresh_views(
     """Append to ``lose`` and ``gain`` the ``(place id, token)`` pairs that
     the views ``copied`` and ``evaluated`` (as ``split_views`` gives them)
     of ``marking`` lose and gain when the ``(relation, values, at)`` rows
-    ``added`` and ``deleted`` turn its instance into ``instance``.  The caller passes the views that those rows can change;
-    the engine, the views whose query reads a relation that the firing
-    transition's actions write, and its lists of the tokens the firing
-    consumes and produces.
+    ``added`` and ``deleted`` turn its instance into ``instance``.  The
+    caller passes the views that those rows can change; the engine, the
+    views whose query reads a relation that the firing transition's
+    actions write, and its lists of the tokens the firing consumes and
+    produces.
 
     One pass over the rows finds the relations that changed.  A copied
     view of one of them loses and gains the tokens of exactly its rows
