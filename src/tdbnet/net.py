@@ -348,9 +348,9 @@ def refresh_views(
 
     One pass over the rows finds the relations that changed.  A copied
     view of one of them loses and gains the tokens of exactly its rows
-    (``view_delta``); an evaluated view that reads one is evaluated again,
-    and loses the tokens of its pool that the new result lacks and gains
-    the others.
+    (``view_delta``); an evaluated view that reads one is evaluated again
+    and, unless its tokens equal its pool, loses the tokens of its pool
+    that the new result lacks and gains the others.
     """
     changed = set()
     for rows in (deleted, added):
@@ -365,6 +365,8 @@ def refresh_views(
             # order, not a set's
             pid = place.id
             old, new = marking.tokens(pid), view_tokens(net, place, instance)
+            if old == new:
+                continue
             in_old, in_new = set(old), set(new)
             lose += [(pid, tok) for tok in old if tok not in in_new]
             gain += [(pid, tok) for tok in new if tok not in in_old]

@@ -7,12 +7,15 @@ instance keeps each relation's rows in their natural order.  An Instance
 never mutates; apply_action returns either a new Instance or a
 ConstraintViolation value naming the key that the change would duplicate.
 
-A query or an action is checked against a schema and compiled once per
-schema object, on first use, and the schema keeps the plan: its terms
-become argument indexes, constants, wildcards or variable lookups, so
-that evaluating it interprets no template.  ``check_pattern`` is the one
-check of what a db pattern may hold, whether a query atom, a filter's
-count, an action template or a transition's count or merge_text.
+A query or an action is checked against a schema once per schema
+object, on first use, and the schema keeps its plan.  An action's terms
+become argument indexes and constants, so that applying it interprets no
+template; a query becomes a generated function of nested loops, which
+equal queries share (``_shared_plan``) and whose compiled code every
+query of its shape shares (``_query_plan``).  ``check_pattern`` is the
+one check of what a db pattern may hold, whether a query atom, a
+filter's count, an action template or a transition's count or
+merge_text.
 ``inscription_color`` is the one walk that decides an inscription's color,
 whether a query filter or a transition's guard, arc or action argument,
 with ``bind_pattern`` for the variables an input arc binds.  Arguments are
@@ -42,7 +45,6 @@ from .exprs import (
     Param,
     Var,
     Wild,
-    compiled,
     depends_on_time,
 )
 from .values import BOOL, INT, SCALAR_KINDS, SCALAR_TYPES, TEXT, ColorType, color_name, color_of, encodable, product
@@ -128,8 +130,9 @@ class ConstraintViolation:
 
 
 # the least step from a value to the next one of its type, whose sum with
-# the value is the upper probe of a prefix range; a value of any other type
-# meets None, so its sum raises TypeError
+# the value is the upper probe of a prefix range (in ``bisect_range`` and in
+# generated query plans); a value of any other type meets None, so its sum
+# raises TypeError
 _STEP = {int: 1, bool: 1, str: "\0"}
 
 
@@ -334,13 +337,18 @@ class Query:
 
 _FILTER_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
+# the most atoms a query may join: its plan nests a loop per atom, and
+# Python compiles at most 20 nested loops
+_MAX_ATOMS = 16
+
 
 def _plan(schema: Schema, obj, compile):
     """The plan of a query or an action, ``compile(schema, obj)``, made
     once per schema object and kept in the schema's ``_plans`` by the
     identity of ``obj`` (the entry holds ``obj``, so its id is not reused
     while the entry lasts).  Another schema object, even an equal one,
-    checks and compiles ``obj`` again; a schema's plans go with it."""
+    checks ``obj`` again, though equal queries share one plan
+    (``_shared_plan``); a schema's plans go with it."""
     plans = schema._plans
     entry = plans.get(id(obj))
     if entry is None:
@@ -349,15 +357,19 @@ def _plan(schema: Schema, obj, compile):
 
 
 def _compile_query(schema: Schema, query: Query):
-    """``(evaluate, colors)`` for a query checked against a schema:
-    ``evaluate(instance, args)`` (see ``_query_plan``) and the colors of
+    """``(plan, colors)`` for a query checked against a schema:
+    ``plan(instance, args)`` (see ``_query_plan``) and the colors of
     its output columns.  A variable takes the color of the column of the
     first atom that binds it, and each filter is walked as the comparison
     of its two sides (``inscription_color``)."""
+    if len(query.atoms) > _MAX_ATOMS:
+        raise DefinitionError(f"query {query.name!r}: {len(query.atoms)} atoms, more than the {_MAX_ATOMS} a query may join")
     variables: dict[str, ColorType] = {}
     params = dict(query.params)
+    reads: dict[str, tuple] = {}  # the column types of each relation read
     for i, atom in enumerate(query.atoms):
         rel = check_pattern(schema, f"query {query.name!r} atom {i}", atom.relation, atom.terms, _QUERY_TERMS, params, variables)
+        reads[rel.name] = rel.types
         for t, column in zip(atom.terms, rel.columns):
             if type(t) is Var:
                 variables.setdefault(t.name, column.color)
@@ -370,6 +382,9 @@ def _compile_query(schema: Schema, query: Query):
                 allowed = ", ".join(k.__name__ for k in _FILTER_TERMS)
                 raise DefinitionError(f"{at}: not a filter term: {side!r} (allowed: {allowed})")
         inscription_color(Op(f.op, (f.lhs, f.rhs)), Scope(schema, at, "", variables, "atom", set(), params))
+        for side in (f.lhs, f.rhs):
+            if type(side) is DbCount:
+                reads[side.relation] = schema.relation(side.relation).types
     for v in query.output:
         if v not in variables:
             raise DefinitionError(f"query {query.name!r}: output variable {v!r} is unbound")
@@ -377,7 +392,31 @@ def _compile_query(schema: Schema, query: Query):
         for idx in query.order_by:
             if not (0 <= idx < len(query.output)):
                 raise DefinitionError(f"query {query.name!r}: order_by index {idx} out of range")
-    return _query_plan(query), tuple(variables[v] for v in query.output)
+    return _shared_plan(schema, query, tuple(reads.values())), tuple(variables[v] for v in query.output)
+
+
+# the plans of checked queries, by the query and the column types of the
+# relations it reads (see _shared_plan)
+_SHARED_PLANS: dict = {}
+
+
+def _shared_plan(schema: Schema, query: Query, types: tuple):
+    """``_query_plan(schema, query)``, made once for equal queries over
+    relations of equal column types ``types``, so that nets built alike
+    generate each plan once.  Two equal queries that both type-check may
+    differ only where a filter compares two constants, one query's ints
+    and the other's bools of equal value (1 and True), and the comparison
+    holds alike for both."""
+    key = (query, types)
+    try:
+        plan = _SHARED_PLANS.get(key)
+    except TypeError:  # a query that holds a list: not shared
+        return _query_plan(schema, query)
+    if plan is None:
+        if len(_SHARED_PLANS) >= 256:
+            _SHARED_PLANS.clear()
+        plan = _SHARED_PLANS[key] = _query_plan(schema, query)
+    return plan
 
 
 # the terms each kind of db pattern may hold: a query atom or a filter's
@@ -615,97 +654,169 @@ def copied_relation(query: Query) -> Optional[str]:
     return None
 
 
-def _query_plan(query: Query):
-    """The compiled evaluation of a checked query (see ``eval_query``).
+@lru_cache(maxsize=256)
+def _maker(source: str):
+    """The ``make`` function that ``source`` defines, compiled once per
+    source text and shared by every plan of that shape."""
+    scope: dict = {}
+    exec(compile(source, "<query plan>", "exec"), scope)
+    return scope["make"]
 
-    Each atom's terms become sources: an index into ``ext``, the call's
-    arguments followed by the query's constants (None, a wildcard, first),
-    or a variable an earlier atom bound, read from the environment.  A
-    variable no earlier atom bound is free: the atom's rows bind it, and a
-    variable free twice in one atom must get equal values.  Filter sides
-    are compiled expressions (see ``exprs.compiled``) of a variable, a
-    constant, a parameter or a count."""
+
+def _query_plan(schema: Schema, query: Query):
+    """The evaluation ``plan(instance, args)`` of a query checked against
+    ``schema`` (see ``eval_query``).
+
+    A query that copies a relation (``copied_relation``) returns its rows.
+    Any other becomes one generated Python function of nested loops, one
+    per atom in query order.  An atom bisects its relation's rows on its
+    leading bound columns (a parameter, a constant or a variable of an
+    earlier atom), with the step (``_STEP``) of the last one's type; its
+    other bound columns, and a variable it repeats, are equality tests,
+    and an atom that binds no variable stops at its first row.  Each
+    filter is tested where its last variable is bound, and a count in it
+    is the length of a bisected range, or a scan of that range when it
+    binds a column after a wildcard.  The rows are collected in a set and
+    then sorted.
+
+    The source holds only names the generator makes (``V0`` a variable,
+    ``P0`` a parameter, ``R0`` a relation's rows, ``L0``/``H0`` a range):
+    relation names, constants, steps and comparison functions are
+    arguments of ``make``, so no text of a net document is compiled, and
+    queries of one shape share one compiled ``make`` (``_maker``)."""
     check = _arg_check("query", query.name, query.params)
-    source = copied_relation(query)
-    if source is not None:
+    copied = copied_relation(query)
+    if copied is not None:
 
         def copy(instance: Instance, args: Sequence) -> tuple:
             check(args)
-            return tuple([values for values, _ in instance._rows[source]])
+            return tuple([values for values, _ in instance._rows[copied]])
 
         return copy
-    npar = len(query.params)
-    pindex = {p: i for i, (p, _) in enumerate(query.params)}
-    consts: list = [None]
-    bound: set[str] = set()
-    atoms = []
-    for atom in query.atoms:
-        idx, env_slots, free = [], [], []
-        for i, t in enumerate(atom.terms):
+    ns: dict = {"B": bisect_left, "CHECK": check}
+    head = ["CHECK(A)", "S = I._rows", "found = set()", "add = found.add"]
+    if query.params:
+        head.insert(1, "".join(f"P{i}, " for i in range(len(query.params))) + "= A")
+    params = {p: f"P{i}" for i, (p, _) in enumerate(query.params)}
+    variables: dict[str, str] = {}
+    relations: dict[str, str] = {}
+    body: list[str] = []
+    pad = " " * 8  # the indent of the next line of plan's body
+    firsts: list[str] = []  # the indents of the loops that stop at their first match
+
+    def bound(terms) -> list:
+        """The source of each term's value, or None for a wildcard or a
+        variable that no earlier atom binds."""
+        exprs = []
+        for t in terms:
             kind = type(t)
-            if kind is Var and t.name in bound:
-                env_slots.append((i, t.name))
-                idx.append(npar)
-            elif kind is Var or kind is Wild:
-                if kind is Var:
-                    free.append((i, t.name))
-                idx.append(npar)
+            if kind is Const:
+                exprs.append(f"C{len(ns)}")
+                ns[exprs[-1]] = t.value
             elif kind is Param:
-                idx.append(pindex[t.name])
+                exprs.append(params[t.name])
             else:
-                idx.append(npar + len(consts))
-                consts.append(t.value)
-        bound.update(name for _, name in free)
-        atoms.append((atom.relation, _picker(tuple(idx)), tuple(env_slots), tuple(free)))
-    filters = tuple((_CMP[f.op], compiled(f.lhs), compiled(f.rhs)) for f in query.filters)
-    output = _picker(tuple(query.output))
-    order = _picker(tuple(query.order_by)) if query.order_by is not None else None
-    pnames = tuple(p for p, _ in query.params)
-    consts = tuple(consts)
+                exprs.append(variables.get(t.name) if kind is Var else None)
+        return exprs
 
-    def evaluate(instance: Instance, args: Sequence) -> tuple:
-        check(args)
-        ext = (*args, *consts)
-        store = instance._rows
-        envs: list[dict] = [{}]
-        for relation, pick, env_slots, free in atoms:
-            rows, base, found = store[relation], pick(ext), []
-            for env in envs:
-                pattern = base
-                if env_slots:
-                    pattern = list(base)
-                    for i, name in env_slots:
-                        pattern[i] = env[name]
-                lo, hi, rest = bisect_range(rows, pattern)
-                for values, _ in rows[lo:hi]:
-                    if rest and not all(values[i] == p for i, p in rest):
-                        continue
-                    if not free:
-                        found.append(env)
-                        break
-                    env2 = env.copy()
-                    for i, name in free:
-                        if env2.setdefault(name, values[i]) != values[i]:
-                            break
-                    else:
-                        found.append(env2)
-            envs = found
-            if not envs:
-                break
-        argmap = dict(zip(pnames, args))
-        kept = []
-        for env in envs:
-            for cmp, lhs, rhs in filters:
-                if not cmp(lhs(env, instance, 0, None, argmap), rhs(env, instance, 0, None, argmap)):
-                    break
+    def probe(relation: str, exprs: list) -> tuple[str, str, int]:
+        """``(rows, size, k)``: the source of the rows of ``relation`` whose
+        first ``k`` columns equal the leading bound ones of ``exprs``, and
+        of their number.  For ``k`` > 0 it emits their bisection."""
+        r = relations.get(relation)
+        if r is None:
+            r = relations[relation] = f"R{len(relations)}"
+            head.append(f"{r} = S[K{len(ns)}]")
+            ns[f"K{len(ns)}"] = relation
+        k = exprs.index(None) if None in exprs else len(exprs)
+        if not k:
+            return r, f"len({r})", 0
+        site, step = len(body), f"D{len(ns)}"
+        ns[step] = _STEP[schema.relation(relation).types[k - 1]]
+        last = f"{exprs[k - 1]} + {step}"
+        comma = "," if k == 1 else ""
+        body.append(f"{pad}L{site} = B({r}, (({', '.join(exprs[:k])}{comma}),))")
+        body.append(f"{pad}H{site} = B({r}, (({', '.join([*exprs[: k - 1], last])}{comma}),), L{site})")
+        return f"{r}[L{site}:H{site}]", f"H{site} - L{site}", k
+
+    def side(s) -> str:
+        if type(s) is not DbCount:
+            return bound((s,))[0]
+        exprs = bound(s.terms)
+        rows, size, k = probe(s.relation, exprs)
+        rest = [i for i in range(k, len(exprs)) if exprs[i] is not None]
+        if not rest:
+            return size
+        m = f"M{len(body)}"
+        target = ", ".join(f"T{i}" if i in rest else "_" for i in range(len(exprs)))
+        body.append(f"{pad}{m} = 0")
+        body.append(f"{pad}for ({target},), _ in {rows}:")
+        body.append(f"{pad}    if {' and '.join(f'T{i} == {exprs[i]}' for i in rest)}:")
+        body.append(f"{pad}        {m} += 1")
+        return m
+
+    pending = []
+    for f in query.filters:
+        terms = [t for s in (f.lhs, f.rhs) for t in (s.terms if type(s) is DbCount else (s,))]
+        pending.append((f, {t.name for t in terms if type(t) is Var}))
+
+    def test_ready_filters() -> None:
+        """Emit the test of the filters whose variables are all bound."""
+        nonlocal pad, pending
+        ready = [f for f, names in pending if names.issubset(variables)]
+        if ready:
+            pending = [(f, names) for f, names in pending if f not in ready]
+            tests = []
+            for f in ready:
+                fn = f"F{len(ns)}"
+                ns[fn] = _CMP[f.op]
+                tests.append(f"{fn}({side(f.lhs)}, {side(f.rhs)})")
+            body.append(f"{pad}if {' and '.join(tests)}:")
+            pad += "    "
+
+    test_ready_filters()
+    for atom in query.atoms:
+        exprs = bound(atom.terms)
+        rows, size, k = probe(atom.relation, exprs)
+        target, tests, binds = [], [], False
+        for j, (t, e) in enumerate(zip(atom.terms, exprs)):
+            if j < k or (e is None and type(t) is Wild):
+                target.append("_")
+            elif e is None and t.name not in variables:
+                variables[t.name] = f"V{len(variables)}"
+                target.append(variables[t.name])
+                binds = True
             else:
-                kept.append(output(env))
-        rows = sorted(set(kept))
-        if order is not None:
-            rows.sort(key=order)
-        return tuple(rows)
-
-    return evaluate
+                target.append(f"T{j}")
+                tests.append(f"T{j} == {e or variables[t.name]}")
+        if binds or tests:
+            body.append(f"{pad}for ({', '.join(target)},), _ in {rows}:")
+            pad += "    "
+            if tests:
+                body.append(f"{pad}if {' and '.join(tests)}:")
+                pad += "    "
+            if not binds:
+                firsts.append(pad)
+        else:
+            body.append(f"{pad}if {size}:")
+            pad += "    "
+        test_ready_filters()
+    output = [variables[v] for v in query.output]
+    body.append(f"{pad}add(({', '.join(output)}{',' if len(output) == 1 else ''}))")
+    body += [f"{indent}break" for indent in reversed(firsts)]
+    if query.order_by is None:
+        tail = ["return tuple(sorted(found))"]
+    else:
+        ns["ORDER"] = _picker(tuple(query.order_by))
+        tail = ["rows = sorted(found)", "rows.sort(key=ORDER)", "return tuple(rows)"]
+    source = "\n".join(
+        [f"def make({', '.join(ns)}):", "    def plan(I, A):"]
+        + ["        " + line for line in head]
+        + body
+        + ["        " + line for line in tail]
+        + ["    return plan", ""]
+    )
+    return _maker(source)(**ns)
 
 
 def check_query(schema: Schema, query: Query) -> tuple[ColorType, ...]:
@@ -713,8 +824,10 @@ def check_query(schema: Schema, query: Query) -> tuple[ColorType, ...]:
     evaluation would, and return the colors of its output columns: a
     DefinitionError names the query, and the atom or filter, when
     ``check_pattern`` rejects an atom or a filter's count, a filter does
-    not type-check (``inscription_color``), a variable is unbound, or an
-    ``order_by`` index is out of range."""
+    not type-check (``inscription_color``), a variable is unbound, an
+    ``order_by`` index is out of range, or the query joins more than 16
+    atoms.  The check runs once per schema object; equal queries share a
+    plan, and queries of one shape its compiled code (``_shared_plan``)."""
     return _plan(schema, query, _compile_query)[1]
 
 
@@ -722,8 +835,10 @@ def eval_query(instance: Instance, query: Query, args: Sequence = ()) -> tuple:
     """Evaluate a conjunctive query with comparison/count filters.
 
     Returns a tuple of result rows (each a tuple), de-duplicated and in
-    canonical lexicographic order unless order_by overrides it.  The query
-    is compiled once per schema (see ``_query_plan``).
+    canonical lexicographic order, then stably sorted by ``order_by``.  The
+    query is checked once per schema object, and its plan is a generated
+    function shared by equal queries, whose code is compiled once per
+    query shape (see ``_shared_plan`` and ``_query_plan``).
     """
     return _plan(instance.schema, query, _compile_query)[0](instance, args)
 

@@ -844,15 +844,20 @@ def test_one_marking_update_per_firing(monkeypatch, build, pattern, workload, ca
 
 def _rows_inspected(monkeypatch, n):
     """Rows the store inspects during an eager resequencer run of the
-    reversed permutation n..1, counted where every lookup takes its
-    candidate rows: the range ``hi - lo`` of each ``bisect_range`` call, by
-    the query plans, the actions and ``match_rows``.  The range that
-    ``count_matching`` bisects first is not counted: its length is the
-    count, or ``match_rows`` bisects it again and inspects it."""
+    reversed permutation n..1.  An action or ``match_rows`` takes its
+    candidate rows from ``bisect_range``, which counts its range ``hi -
+    lo``; the range that ``count_matching`` bisects first is not counted,
+    since its length is the count, or ``match_rows`` bisects it again and
+    inspects it.  A query plan reads the rows it is evaluated on by
+    iterating a relation or a slice of one, so ``net.eval_query`` is
+    handed an instance whose relations count what those iterations yield;
+    single rows read by index are the plan's bisection probes and are not
+    counted, as a count filter's range is not."""
     bundle = build_resequencer()
     initial = with_workload(bundle, parse_workload("resequencer", _rev(n)))
     inspected = []
     bisect_range, count_matching = persistence.bisect_range, Instance.count_matching
+    eval_query = net_module.eval_query
 
     def counted(rows, pattern):
         lo, hi, rest = bisect_range(rows, pattern)
@@ -865,8 +870,26 @@ def _rows_inspected(monkeypatch, n):
         del inspected[mark : mark + 1]
         return got
 
+    class Counted(tuple):
+        def __iter__(self):
+            inspected.append(len(self))
+            return tuple.__iter__(self)
+
+        def __getitem__(self, index):
+            got = tuple.__getitem__(self, index)
+            if type(index) is slice:
+                inspected.append(len(got))
+            return got
+
+    def evaluated(instance, query, args=()):
+        shadow = Instance.__new__(Instance)
+        shadow.schema, shadow._count_cache = instance.schema, {}
+        shadow._rows = {relation: Counted(rows) for relation, rows in instance._rows.items()}
+        return eval_query(shadow, query, args)
+
     monkeypatch.setattr(persistence, "bisect_range", counted)
     monkeypatch.setattr(Instance, "count_matching", count)
+    monkeypatch.setattr(net_module, "eval_query", evaluated)
     tr = run(bundle.net, initial)
     monkeypatch.undo()
     assert len(tr.events) == 3 * n

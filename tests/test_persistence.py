@@ -5,14 +5,19 @@ oracles that enumerate every assignment row by row, on fixed joins and on
 generated queries.
 """
 
+import io
 import itertools
+import keyword
 import operator
+import re
+import tokenize
 from typing import Optional
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from reference_exprs import resolve_term
+from tdbnet import persistence
 from tdbnet.exprs import Const, DbCount, DefinitionError, Param, Var, Wild
 from tdbnet.persistence import (
     Action,
@@ -559,56 +564,69 @@ def test_single_atom_scan_matches_oracle(r_rows):
 
 # eval_query against a nested-loop evaluation of generated queries: atoms
 # that repeat a variable, bind columns that are no leading prefix, or only
-# test that a row exists, and count filters
+# test that a row exists, and count filters, over int, text and bool
+# columns, so that every color's successor step bounds a range
 
-QVALUES = st.integers(0, 2)  # few values, so joins and counts hit
+# few values per color, so joins and counts hit; "a\0" is the successor
+# of "a", the upper probe of its range
+QVALUES = {INT: st.integers(0, 2), TEXT: st.sampled_from(["", "a", "a\0", "b"]), BOOL: st.booleans()}
+QVARS = {INT: ("x", "y", "z"), TEXT: ("s", "t"), BOOL: ("u", "v")}
+QPARAMS = {INT: "p", TEXT: "q", BOOL: "r"}
 QCOMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 QOPS = st.sampled_from(sorted(QCOMPARE))
 
 
 @st.composite
 def generated_queries(draw):
-    """A schema of one or two int relations keyed by leading columns, rows
-    for each, a query over it of 1-3 atoms of variables, constants,
-    wildcards and the parameter ``p``, an optional count filter and
-    comparison filter, output variables and an optional ``order_by``, and
-    the query's arguments."""
+    """A schema of one or two relations of int, text and bool columns,
+    keyed by leading columns, rows for each, a query over it of 1-3 atoms
+    of variables, constants, wildcards and parameters (``p`` an int, ``q``
+    text, ``r`` a bool), an optional count filter and comparison filter,
+    output variables and an optional ``order_by``, and the query's
+    arguments."""
+    colors = st.sampled_from(list(QVALUES))
     relations = []
     for r in range(draw(st.integers(1, 2))):
-        names = tuple(f"c{i}" for i in range(draw(st.integers(1, 3))))
-        key = names[: draw(st.integers(1, len(names)))]
-        relations.append(Relation(f"R{r}", tuple(Column(n, INT) for n in names), key))
+        columns = tuple(Column(f"c{i}", draw(colors)) for i in range(draw(st.integers(1, 3))))
+        key = tuple(c.name for c in columns[: draw(st.integers(1, len(columns)))])
+        relations.append(Relation(f"R{r}", columns, key))
     rows = {}
     for rel in relations:
-        drawn = draw(st.lists(st.tuples(*[QVALUES] * rel.arity), max_size=5))
+        drawn = draw(st.lists(st.tuples(*[QVALUES[c.color] for c in rel.columns]), max_size=5))
         rows[rel.name] = [(values, 0) for values in {v[: len(rel.key)]: v for v in drawn}.values()]
-    params = draw(st.sampled_from([(), (("p", INT),)]))
-    param = [st.just(Param("p"))] if params else []
+    params = tuple((QPARAMS[color], color) for color in QVALUES if draw(st.booleans()))
+    have = {color: name for name, color in params}
+    wild = st.just(Wild())
 
-    def terms(rel, *kinds):
-        return tuple(draw(st.lists(st.one_of(*kinds), min_size=rel.arity, max_size=rel.arity)))
+    def sides(color, variables=()):
+        """The terms of ``color`` that a filter may compare or count by."""
+        found = [QVALUES[color].map(Const)] + ([st.just(Param(have[color]))] if color in have else [])
+        return found + ([st.sampled_from(variables).map(Var)] if variables else [])
 
-    variables = st.sampled_from(("x", "y", "z")).map(Var)
-    consts, wild = QVALUES.map(Const), st.just(Wild())
+    def terms(rel, term):
+        return tuple(draw(st.one_of(*term(c.color))) for c in rel.columns)
+
     atoms = tuple(
-        Atom(rel.name, terms(rel, variables, consts, wild, *param))
+        Atom(rel.name, terms(rel, lambda color: [st.sampled_from(QVARS[color]).map(Var), wild, *sides(color)]))
         for rel in draw(st.lists(st.sampled_from(relations), min_size=1, max_size=3))
     )
     bound = sorted({t.name for atom in atoms for t in atom.terms if type(t) is Var})
-    sides = [consts, *param] + ([st.sampled_from(bound).map(Var)] if bound else [])
+    of_color = {color: [v for v in bound if v in names] for color, names in QVARS.items()}
     filters = []
     if draw(st.booleans()):
         rel = draw(st.sampled_from(relations))
-        count = DbCount(rel.name, terms(rel, wild, *sides))
-        filters.append(Filter(draw(QOPS), count, draw(st.one_of(*sides))))
+        count = DbCount(rel.name, terms(rel, lambda color: [wild, *sides(color, of_color[color])]))
+        filters.append(Filter(draw(QOPS), count, draw(st.one_of(*sides(INT, of_color[INT])))))
     if draw(st.booleans()):
-        filters.append(Filter(draw(QOPS), draw(st.one_of(*sides)), draw(st.one_of(*sides))))
+        color = draw(colors)
+        compared = st.one_of(*sides(color, of_color[color]))
+        filters.append(Filter(draw(QOPS), draw(compared), draw(compared)))
     output = tuple(draw(st.permutations(bound))[: draw(st.integers(0, len(bound)))])
     order_by = None
     if output and draw(st.booleans()):
         order_by = tuple(draw(st.lists(st.integers(0, len(output) - 1), unique=True)))
     query = Query("q", params, atoms, tuple(filters), output, order_by)
-    args = tuple(draw(QVALUES) for _ in params)
+    args = tuple(draw(QVALUES[color]) for _, color in params)
     return Schema(tuple(relations)), rows, query, args
 
 
@@ -652,6 +670,102 @@ def test_eval_query_equals_a_nested_loop_evaluation(case):
     check_query(schema, query)  # every generated query is well-formed
     instance = Instance(schema, rows)
     assert eval_query(instance, query, args) == nested_loop(instance, query, args)
+
+
+@pytest.mark.parametrize(
+    "color, values, probe",
+    [
+        (INT, (-1, 0, 1, 2), 1),
+        (TEXT, ("", "a", "a\0", "a\0b", "a\1", "b"), "a"),
+        (BOOL, (False, True), False),
+        (BOOL, (False, True), True),
+    ],
+)
+def test_a_bisected_range_ends_below_the_successor(color, values, probe):
+    # the value right after the probe ("a\0" after "a") lies outside the
+    # range of its atom and of its count
+    rel = Relation("E", (Column("k", color), Column("n", INT)), ("k", "n"))
+    instance = Instance(Schema((rel,)), {"E": [((v, n), 0) for v in values for n in (0, 1)]})
+    count = DbCount("E", (Const(probe), Wild()))
+    q = Query("q", atoms=(Atom("E", (Const(probe), Var("n"))),), filters=(Filter("=", count, Const(2)),), output=("n",))
+    assert eval_query(instance, q) == nested_loop(instance, q, ()) == ((0,), (1,))
+
+
+def test_generated_source_holds_no_document_text(monkeypatch):
+    # a relation name, constants and variable names that are Python syntax
+    # reach the plan through its namespace, never through its source
+    name, lines, quote = 'x"]; import os #', "a\nb", '"); import os; ("'
+    rel = Relation(name, (Column("class", TEXT), Column("def", INT)), ("class", "def"))
+    instance = Instance(
+        Schema((rel,)), {name: [(("", 1), 0), ((lines, 2), 0), ((lines, 3), 0), ((quote, 4), 0), (("~", 5), 0)]}
+    )
+    q = Query(
+        "import os",
+        params=(("if", INT),),
+        atoms=(Atom(name, (Var("class"), Var("lambda"))), Atom(name, (Const(lines), Param("if")))),
+        filters=(Filter("<", Var("class"), Const(quote)), Filter("=", DbCount(name, (Var("class"), Wild())), Const(1))),
+        output=("lambda", "class"),
+    )
+    sources = []
+    maker = persistence._maker
+
+    def recorded(source):
+        sources.append(source)
+        return maker(source)
+
+    monkeypatch.setattr(persistence, "_SHARED_PLANS", {})
+    monkeypatch.setattr(persistence, "_maker", recorded)
+    assert eval_query(instance, q, (2,)) == nested_loop(instance, q, (2,)) == ((1, ""),)
+    assert eval_query(instance, q, (4,)) == ()
+    (source,) = sources
+    generated = re.compile(r"[A-Z]+[0-9]*|_rows|make|plan|found|add|rows|key|sort|sorted|tuple|set|len|_")
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        assert tok.type != tokenize.STRING
+        assert tok.type != tokenize.NUMBER or tok.string.isdigit()
+        assert tok.type != tokenize.NAME or keyword.iskeyword(tok.string) or generated.fullmatch(tok.string)
+    assert not any(word in source for word in ("import", "class", "lambda", "os", "\\n"))
+
+
+def test_equal_query_shapes_compile_once(monkeypatch):
+    # two schemas built alike check the query each and share its plan; a
+    # query over another relation with another constant has the same
+    # shape, and a query that holds lists is not shared: one source text,
+    # compiled once
+    compiled = []
+
+    def counted(source, *rest):
+        compiled.append(source)
+        return compile(source, *rest)
+
+    persistence._maker.cache_clear()
+    monkeypatch.setattr(persistence, "_SHARED_PLANS", {})
+    monkeypatch.setattr(persistence, "compile", counted, raising=False)
+
+    def built(relation):
+        return Schema((Relation(relation, (Column("a", INT), Column("b", TEXT)), ("a",)),))
+
+    q = Query("q", atoms=(Atom("r", (Var("a"), Const("x"))),), output=("a",))
+    other = Query("other", atoms=(Atom("u", (Var("c"), Const("y"))),), output=("c",))
+    listed = Query("listed", atoms=[Atom("r", [Var("a"), Const("x")])], output=["a"])
+    cases = [(built("r"), q, "r", "x"), (built("r"), q, "r", "x"), (built("u"), other, "u", "y"), (built("r"), listed, "r", "x")]
+    for schema, query, relation, text in cases:
+        assert eval_query(Instance(schema, {relation: [((1, text), 0), ((2, "z"), 0)]}), query) == ((1,),)
+    assert len(compiled) == 1
+    plans = [schema._plans[id(query)][1][0] for schema, query, _, _ in cases]
+    assert plans[0] is plans[1] and len({id(plan) for plan in plans}) == 3
+    assert len({plan.__code__ for plan in plans}) == 1
+
+
+def test_a_query_joins_at_most_sixteen_atoms():
+    # each atom nests a loop, a repeated variable's test and a filter whose
+    # count scans within it; Python compiles at most 20 nested loops
+    instance = Instance(Schema((Relation("r", (Column("a", INT), Column("b", INT)), ("a", "b")),)), {"r": [((1, 1), 0)]})
+    atoms = tuple(Atom("r", (Var(f"v{i}"), Var(f"v{i}"))) for i in range(17))
+    filters = tuple(Filter("=", DbCount("r", (Wild(), Var(f"v{i}"))), Const(1)) for i in range(17))
+    widest = Query("widest", atoms=atoms[:16], filters=filters[:16], output=("v0", "v15"))
+    assert eval_query(instance, widest) == nested_loop(instance, widest, ()) == ((1, 1),)
+    with pytest.raises(DefinitionError, match="^query 'wider': 17 atoms, more than the 16 a query may join$"):
+        check_query(instance.schema, Query("wider", atoms=atoms, filters=filters, output=("v0",)))
 
 
 # ---------------------------------------------------------------------------
