@@ -56,9 +56,13 @@ Semantics in brief:
   the pre-firing instance, applies the actions atomically, and produces
   output tokens.  ``run``, ``replay`` and ``fire`` fire every transition
   through its plan, built once per net (``_firing``): its input arcs'
-  binders, its resolved actions with their arguments, its output and
-  rollback arcs, and the view places whose query reads a relation that its
-  actions write, split into copied and evaluated views.  No value's type
+  binders, the view places whose query reads a relation that its actions
+  write, split into copied and evaluated views, and its firing, one
+  generated function (``_kernel``) whose code every transition of its
+  shape shares.  The firing evaluates a variable, a constant, ``now()``
+  and a tuple of those inline and any other inscription by ``eval_expr``,
+  and applies each action through the action's own generated update
+  (``apply_action_delta``).  No value's type
   is tested: ``validate_net`` typed every inscription.  A transition whose
   plan lists no view does not call ``refresh_views``; for any other, it
   patches the copied views from the rows the actions added and deleted,
@@ -118,6 +122,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -126,8 +131,12 @@ from math import inf
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional
 
+# the generated firing code (``_kernel``) reads ``eval_expr``,
+# ``refresh_views`` and ``apply_action_delta`` as attributes of this module
 from .exprs import (
+    Const,
     DefinitionError,
+    Now,
     Op,
     Var,
     eval_expr,
@@ -151,7 +160,7 @@ from .net import (
     validate_net,
     view_places,
 )
-from .persistence import ConstraintViolation, apply_action_delta, check_compliance
+from .persistence import ConstraintViolation, _generate, apply_action_delta, check_compliance
 
 
 class FiringError(ValueError):
@@ -289,23 +298,23 @@ def _binder(pattern):
     return bind
 
 
+# the expressions that a firing kernel evaluates inline
+_INLINE = (Var, Const, Now)
+
+
 class _Plan:
     """What firing one transition needs of its net, worked out once per net
     (``_firing``).  ``inputs`` holds (place id, is_view, bind, names that
-    take the token's age) per input arc, in arc order; ``calls`` the
-    resolved action of each call with one ``tuple`` node of its argument
-    expressions; ``outputs`` and ``rollbacks`` (condition, expression,
-    place id) per arc; and ``copied`` and ``evaluated`` the view places
-    whose query reads a relation that an action's templates add to or
-    delete from, the only views a firing of the transition can change,
-    split as ``refresh_views`` takes them (``split_views``).  ``views``
-    keeps the same places as ``view_places`` lists them only for the test
-    that checks which views each transition refreshes; firing reads only
-    the split.
+    take the token's age) per input arc, in arc order; ``copied`` and
+    ``evaluated`` the view places whose query reads a relation that an
+    action's templates add to or delete from, the only views a firing of
+    the transition can change, split as ``refresh_views`` takes them
+    (``split_views``); and ``fire(snapshot, cand, at, step)`` the firing
+    itself, generated code (``_kernel``).
     It holds no type test: ``validate_net`` gave each argument its
     parameter's colour and each arc its place's."""
 
-    __slots__ = ("inputs", "calls", "outputs", "rollbacks", "views", "copied", "evaluated")
+    __slots__ = ("inputs", "copied", "evaluated", "fire")
 
     def __init__(self, net: Net, t: Transition):
         arcs = []
@@ -314,14 +323,117 @@ class _Plan:
             names = () if is_view else tuple(pattern_vars(arc.pattern))
             arcs.append((arc.place, is_view, _binder(arc.pattern), names))
         self.inputs = tuple(arcs)
-        self.calls = tuple((net.action(call.action), Op("tuple", call.args)) for call in t.actions)
-        self.outputs, self.rollbacks = (
-            tuple((arc.when, arc.expr, arc.place) for arc in group)
-            for group in (t.outputs, t.rollbacks)
-        )
-        written = {tmpl.relation for action, _ in self.calls for tmpl in action.adds + action.dels}
-        self.views = tuple(view for view in view_places(net) if not view[2].isdisjoint(written))
-        self.copied, self.evaluated = split_views(self.views)
+        actions = [net.action(call.action) for call in t.actions]
+        written = {tmpl.relation for action in actions for tmpl in action.adds + action.dels}
+        self.copied, self.evaluated = split_views([view for view in view_places(net) if not view[2].isdisjoint(written)])
+        self.fire = _kernel(net, t, actions, self.inputs, self.copied, self.evaluated)
+
+
+def _kernel(net: Net, t: Transition, actions: list, inputs: tuple, copied: tuple, evaluated: tuple):
+    """``fire(snapshot, cand, at, step)`` for ``t``: one generated Python
+    function that fires a candidate of ``t`` as ``_execute`` describes.
+
+    It unpacks the candidate's matches into the consumed pairs and the
+    removals, leaving out the view arcs, then evaluates every call's
+    arguments against the instance before the firing.  A variable, a
+    constant, ``now()`` or a ``tuple`` of those is evaluated inline, any
+    other expression by ``eval_expr``.  It calls ``apply_action_delta``
+    once per action, in order, and on a key clash makes the rolled-back or
+    the halted firing at once.  Otherwise it evaluates the output arcs in
+    order, each condition before its expression, makes the event, calls
+    ``refresh_views`` when the plan lists views, and applies the delta
+    with one ``Marking.updated`` call.  It calls ``eval_expr``,
+    ``apply_action_delta`` and ``refresh_views`` as attributes of this
+    module, looked up at each call.
+
+    As in a query plan (``persistence._query_plan``), the source holds only
+    names the generator makes (``X0`` a variable's value, ``N1`` its name,
+    ``C2`` a constant, ``Q3`` a place id, ``A4`` an action, ``G0`` a call's
+    arguments, ``P0``/``K0`` an arc's place and token): the transition's
+    id, names, constants and nodes are arguments of ``make``, so
+    transitions of one shape share one compiled ``make`` (``_maker``)."""
+    ns: dict = {
+        "E": sys.modules[__name__], "CV": ConstraintViolation, "NEW": _new, "SNAPSHOT": Snapshot,
+        "EVENT": FiringEvent, "TID": t.id, "COMMITTED": "committed", "ROLLEDBACK": "rolled_back", "HALTED": "halted",
+    }
+    head = ["env = cand.env", "pre = snapshot.instance", "marking = snapshot.marking"]
+    body: list[str] = []
+    values: dict[str, str] = {}  # variable -> the local that holds its value
+
+    def arg(prefix: str, value) -> str:
+        name = f"{prefix}{len(ns)}"
+        ns[name] = value
+        return name
+
+    def inline(e) -> Optional[str]:
+        kind = type(e)
+        if kind is Var:
+            if e.name not in values:
+                values[e.name] = f"X{len(values)}"
+                head.append(f"{values[e.name]} = env[{arg('N', e.name)}]")
+            return values[e.name]
+        if kind is Const:
+            return arg("C", e.value)
+        return "at" if kind is Now else None
+
+    def expr(e) -> str:
+        if type(e) in _INLINE:
+            return inline(e)
+        if type(e) is Op and e.op == "tuple" and all(type(a) in _INLINE for a in e.args):
+            return f"({''.join(f'{inline(a)}, ' for a in e.args)})"
+        return f"E.eval_expr({arg('C', e)}, env, instance=pre, now=at, ages=cand.ages)"
+
+    def produce(arcs: tuple, depth: int) -> None:
+        """Emit ``produced``, the (place id, token) pairs of ``arcs`` whose
+        condition holds."""
+        pad = "        " + "    " * depth
+        lead = 0
+        while lead < len(arcs) and arcs[lead].when is None:
+            lead += 1
+        pairs = [f"({arg('Q', arc.place)}, ({expr(arc.expr)}, at))" for arc in arcs[:lead]]
+        body.append(f"{pad}produced = [{', '.join(pairs)}]")
+        for arc in arcs[lead:]:
+            item = f"produced.append(({arg('Q', arc.place)}, ({expr(arc.expr)}, at)))"
+            if arc.when is None:
+                body.append(f"{pad}{item}")
+            else:
+                body.append(f"{pad}if {expr(arc.when)}:")
+                body.append(f"{pad}    {item}")
+
+    if inputs:
+        matched = "".join(f"(P{k}, K{k}, _), " for k in range(len(inputs)))
+        head.append(f"{matched}= cand.matches")
+    pairs = [f"(P{k}, K{k})" for k in range(len(inputs))]
+    head.append(f"consumed = ({''.join(f'{pair}, ' for pair in pairs)})")
+    head.append(f"removals = [{', '.join(pair for pair, arc in zip(pairs, inputs) if not arc[1])}]")
+    # every argument is evaluated against the instance before the firing
+    for i, call in enumerate(t.actions):
+        body.append(f"        G{i} = ({''.join(f'{expr(a)}, ' for a in call.args)})")
+    for i, action in enumerate(actions):
+        body.append(f"        R = E.apply_action_delta({'work' if i else 'pre'}, {arg('A', action)}, G{i}, at)")
+        body.append("        if type(R) is CV:")
+        if t.rollbacks:
+            produce(t.rollbacks, 1)
+            event = "NEW(EVENT, (step, at, TID, cand.items, consumed, tuple(produced), (), (), ROLLEDBACK))"
+            body.append(f"            return NEW(SNAPSHOT, (pre, marking.updated(removals, produced), at)), {event}, (removals, produced)")
+        else:
+            event = "NEW(EVENT, (step, at, TID, cand.items, consumed, (), (), (), HALTED))"
+            body.append(f"            return NEW(SNAPSHOT, (pre, marking, at)), {event}, ((), ())")
+        if i:
+            body.append("        work, R1, R2 = R")
+            body.append("        added += R1")
+            body.append("        deleted += R2")
+        else:
+            body.append("        work, added, deleted = R")
+    produce(t.outputs, 0)
+    rows = "tuple(added), tuple(deleted)" if actions else "(), ()"
+    body.append(f"        event = NEW(EVENT, (step, at, TID, cand.items, consumed, tuple(produced), {rows}, COMMITTED))")
+    if copied or evaluated:
+        views = f"{arg('NET', net)}, {arg('COPIED', copied)}, {arg('EVALUATED', evaluated)}"
+        body.append(f"        E.refresh_views({views}, work, marking, added, deleted, removals, produced)")
+    body.append(f"        return NEW(SNAPSHOT, ({'work' if actions else 'pre'}, marking.updated(removals, produced), at)), event, (removals, produced)")
+    return _generate("fire", "snapshot, cand, at, step", ["        " + line for line in head] + body, ns)
+
 
 
 def _firing(net: Net, t: Transition) -> _Plan:
@@ -910,69 +1022,18 @@ def advance_clock(net: Net, snapshot: Snapshot) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # firing
 
-def _produce(arcs: tuple, cand: _Cand, instance, at: int) -> list[tuple[str, tuple]]:
-    """The ``(place id, token)`` pairs of the plan's ``arcs`` whose
-    condition holds, created at ``at``.  Each value fits its place
-    untested, since the walk of ``validate_net`` gave the arc its place's
-    colour."""
-    env, ages = cand.env, cand.ages
-    return [
-        (pid, (eval_expr(expr, env, instance=instance, now=at, ages=ages), at))
-        for when, expr, pid in arcs
-        if when is None or eval_expr(when, env, instance=instance, now=at, ages=ages)
-    ]
-
-
 def _execute(net: Net, snapshot: Snapshot, cand: _Cand, at: int, step: int) -> tuple[Snapshot, FiringEvent, tuple]:
-    """Fire ``cand`` at ``at`` through its transition's plan: the snapshot
-    after it, its event, and its token delta ``(removed, added)`` of
-    ``(place id, token)`` pairs.  A committed firing removes the tokens it
-    consumed from normal places and adds the tokens it produced; for a
-    transition whose plan lists views, ``refresh_views`` appends to the
-    same two lists the tokens its view places lose and gain.  A
-    rolled-back firing removes the consumed tokens and adds those of its
-    rollback arcs, and a halted one changes nothing.  One
+    """Fire ``cand`` at ``at`` through its transition's plan (``_kernel``):
+    the snapshot after it, its event, and its token delta ``(removed,
+    added)`` of ``(place id, token)`` pairs.  A committed firing removes
+    the tokens it consumed from normal places and adds the tokens it
+    produced; for a transition whose plan lists views, ``refresh_views``
+    appends to the same two lists the tokens its view places lose and
+    gain.  A rolled-back firing removes the consumed tokens and adds those
+    of its rollback arcs, and a halted one changes nothing.  One
     ``Marking.updated`` call applies the delta, and ``run`` hands the same
     delta to its agenda."""
-    t = cand.transition
-    plan = _firing(net, t)
-    env, ages = cand.env, cand.ages
-    consumed = tuple([(pid, tok) for pid, tok, _ in cand.matches])
-    removals = [(pid, tok) for pid, tok, is_view in cand.matches if not is_view]
-
-    pre = snapshot.instance
-    # every argument is evaluated against the instance before the firing
-    calls = [(action, eval_expr(args, env, instance=pre, now=at, ages=ages)) for action, args in plan.calls]
-    work = pre
-    added: list[tuple] = []
-    deleted: list[tuple] = []
-    for action, argvals in calls:
-        res = apply_action_delta(work, action, argvals, at)
-        if isinstance(res, ConstraintViolation):
-            if t.rollbacks:
-                produced = _produce(plan.rollbacks, cand, pre, at)
-                delta = (removals, produced)
-                snap2 = _new(Snapshot, (pre, snapshot.marking.updated(*delta), at))
-                outcome = "rolled_back"
-            else:
-                produced = []
-                delta = ((), ())
-                snap2 = _new(Snapshot, (pre, snapshot.marking, at))
-                outcome = "halted"
-            event = _new(FiringEvent, (step, at, t.id, cand.items, consumed, tuple(produced), (), (), outcome))
-            return snap2, event, delta
-        work, adds, dels = res
-        added += adds
-        deleted += dels
-
-    produced = _produce(plan.outputs, cand, pre, at)
-    event = _new(
-        FiringEvent,
-        (step, at, t.id, cand.items, consumed, tuple(produced), tuple(added), tuple(deleted), "committed"),
-    )
-    if plan.copied or plan.evaluated:
-        refresh_views(net, plan.copied, plan.evaluated, work, snapshot.marking, added, deleted, removals, produced)
-    return _new(Snapshot, (work, snapshot.marking.updated(removals, produced), at)), event, (removals, produced)
+    return _firing(net, cand.transition).fire(snapshot, cand, at, step)
 
 
 def fire(

@@ -23,8 +23,9 @@ operator (after its arguments), and ``not an expression`` for anything
 that is not a node.  ``and`` and ``or`` evaluate every argument, so an
 error in any conjunct is raised.  ``count`` and ``merge_text`` resolve
 their db patterns through ``compiled_pattern``.  The persistence layer
-compiles only its queries' filters here (``compiled``); it resolves atoms
-and action templates through its own index tuples (``_picker``).
+generates the code of its queries and actions itself, and the engine's
+generated firing code calls ``eval_expr`` only for an inscription that is
+not a variable, a constant, ``now()`` or a tuple of those.
 
 Guards are also compiled, once per node and cached on it as ``_truth``,
 into truth-set solvers.  ``guard_truth`` returns the set of integer

@@ -8,11 +8,13 @@ never mutates; apply_action returns either a new Instance or a
 ConstraintViolation value naming the key that the change would duplicate.
 
 A query or an action is checked against a schema once per schema
-object, on first use, and the schema keeps its plan.  An action's terms
-become argument indexes and constants, so that applying it interprets no
-template; a query becomes a generated function of nested loops, which
-equal queries share (``_shared_plan``) and whose compiled code every
-query of its shape shares (``_query_plan``).  ``check_pattern`` is the
+object, on first use, and the schema keeps its plan.  An action becomes a
+generated function that deletes and adds its rows by bisection, whose
+compiled code every action of its shape shares (``_compile_action``), so
+that applying it interprets no template; a query becomes a generated
+function of nested loops, which equal queries share (``_shared_plan``)
+and whose compiled code every query of its shape shares
+(``_query_plan``).  ``check_pattern`` is the
 one check of what a db pattern may hold, whether a query atom, a
 filter's count, an action template or a transition's count or
 merge_text.
@@ -25,7 +27,7 @@ type-checked where a caller passes them: by ``eval_query`` and by
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -131,8 +133,8 @@ class ConstraintViolation:
 
 # the least step from a value to the next one of its type, whose sum with
 # the value is the upper probe of a prefix range (in ``bisect_range`` and in
-# generated query plans); a value of any other type meets None, so its sum
-# raises TypeError
+# generated query plans and action updates); a value of any other type
+# meets None, so its sum raises TypeError
 _STEP = {int: 1, bool: 1, str: "\0"}
 
 
@@ -179,12 +181,19 @@ def _picker(idx: tuple):
     return itemgetter(*idx)
 
 
-@lru_cache(maxsize=1024)
-def _arg_check(what: str, name: str, params: tuple):
+def _arg_check(what: str, name: str, params: Sequence):
     """``check(args)`` for the parameters of a query or an action: it
     raises DefinitionError on a wrong number of arguments, or naming the
-    first argument of a wrong type.  Scalar parameters are checked at once
-    by their exact types, product ones with their color's test."""
+    first argument of a wrong type.  Parameters given as a list, or as
+    lists of a name and a color, check as the tuple of pairs would."""
+    return _arg_checker(what, name, tuple(map(tuple, params)))
+
+
+@lru_cache(maxsize=1024)
+def _arg_checker(what: str, name: str, params: tuple):
+    """``_arg_check`` for a tuple of (name, color) pairs, made once per
+    parameter list.  Scalar parameters are checked at once by their exact
+    types, product ones with their color's test."""
     colors = tuple(color for _, color in params)
     types = tuple(SCALAR_TYPES.get(c.kind, tuple) for c in colors)
     products = tuple(i for i, c in enumerate(colors) if c.kind == "product")
@@ -657,10 +666,33 @@ def copied_relation(query: Query) -> Optional[str]:
 @lru_cache(maxsize=256)
 def _maker(source: str):
     """The ``make`` function that ``source`` defines, compiled once per
-    source text and shared by every plan of that shape."""
+    source text and shared by every query plan, action update and
+    transition firing (``engine._kernel``) of that shape."""
     scope: dict = {}
-    exec(compile(source, "<query plan>", "exec"), scope)
+    exec(compile(source, "<generated>", "exec"), scope)
     return scope["make"]
+
+
+def _generate(name: str, params: str, body: list[str], ns: Mapping):
+    """The function ``name(params)`` whose body is ``body`` (lines indented
+    by eight spaces), made by ``make(**ns)``: each key of ``ns`` is a
+    parameter of ``make``, so the source names what it reads and holds
+    none of it."""
+    source = "\n".join([f"def make({', '.join(ns)}):", f"    def {name}({params}):", *body, f"    return {name}", ""])
+    return _maker(source)(**ns)
+
+
+def _bisection(rows: str, prefix: list, step: str, site) -> tuple[str, str]:
+    """The source that sets ``L<site>`` and ``H<site>`` to the range of the
+    sorted rows ``rows`` whose leading columns equal the values ``prefix``,
+    as ``bisect_range`` finds it: the upper probe adds ``step`` to the
+    last value."""
+    comma = "," if len(prefix) == 1 else ""
+    upper = [*prefix[:-1], f"{prefix[-1]} + {step}"]
+    return (
+        f"L{site} = B({rows}, (({', '.join(prefix)}{comma}),))",
+        f"H{site} = B({rows}, (({', '.join(upper)}{comma}),), L{site})",
+    )
 
 
 def _query_plan(schema: Schema, query: Query):
@@ -733,10 +765,7 @@ def _query_plan(schema: Schema, query: Query):
             return r, f"len({r})", 0
         site, step = len(body), f"D{len(ns)}"
         ns[step] = _STEP[schema.relation(relation).types[k - 1]]
-        last = f"{exprs[k - 1]} + {step}"
-        comma = "," if k == 1 else ""
-        body.append(f"{pad}L{site} = B({r}, (({', '.join(exprs[:k])}{comma}),))")
-        body.append(f"{pad}H{site} = B({r}, (({', '.join([*exprs[: k - 1], last])}{comma}),), L{site})")
+        body.extend(pad + line for line in _bisection(r, exprs[:k], step, site))
         return f"{r}[L{site}:H{site}]", f"H{site} - L{site}", k
 
     def side(s) -> str:
@@ -809,14 +838,7 @@ def _query_plan(schema: Schema, query: Query):
     else:
         ns["ORDER"] = _picker(tuple(query.order_by))
         tail = ["rows = sorted(found)", "rows.sort(key=ORDER)", "return tuple(rows)"]
-    source = "\n".join(
-        [f"def make({', '.join(ns)}):", "    def plan(I, A):"]
-        + ["        " + line for line in head]
-        + body
-        + ["        " + line for line in tail]
-        + ["    return plan", ""]
-    )
-    return _maker(source)(**ns)
+    return _generate("plan", "I, A", ["        " + line for line in head] + body + ["        " + line for line in tail], ns)
 
 
 def check_query(schema: Schema, query: Query) -> tuple[ColorType, ...]:
@@ -863,44 +885,172 @@ class Action:
     dels: tuple = ()
 
 
-def _compile_action(schema: Schema, action: Action) -> tuple:
-    """``(consts, dels, adds)`` for an action whose templates
-    ``check_pattern`` accepts against a schema.
+def _clash(relation: str, key: tuple, witness: tuple, row: tuple) -> ConstraintViolation:
+    """The key clash of ``row``, added to ``relation``, with ``witness``."""
+    return ConstraintViolation(relation, "key", key, (witness, row), f"duplicate key {key!r} in relation {relation!r}")
 
-    Every template term is an index
-    into ``ext``, the arguments followed by ``consts`` (None, a wildcard,
-    first).  ``dels`` holds ``(relation, pick)`` per deletion and ``adds``
-    ``(relation, pick, lead, pick_key, key positions)`` per addition, where
-    ``pick(ext)`` is the template's values.  ``lead`` is the width of a key
-    whose columns lead the relation's, and 0 for any other key, whose
-    pattern ``pick_key(ext)`` gives (see ``bisect_range``)."""
-    npar = len(action.params)
+
+def _compile_action(schema: Schema, action: Action):
+    """``update(instance, args, at)`` for an action whose templates
+    ``check_pattern`` accepts against a schema: one generated Python
+    function that applies the action (see ``apply_action_delta``).
+
+    It takes the relations it touches from the instance's store once.
+    Each deletion bisects its relation's rows on the template's leading
+    bound columns, with the step (``_STEP``) of the last one's type, and
+    tests its other bound columns inline within that range.  Each addition
+    looks its key up: a key whose columns lead the relation's by one
+    bisection, any other by bisecting on its leading key columns and
+    scanning that range; without a clash, the row goes where the lookup
+    put it.  A relation that one template touches becomes a new tuple by
+    slicing its rows; one that several touch is a list until it is done.
+    A clash on the relation added to first returns at once; a clash on
+    another is kept, and the first kept in order of first addition is
+    returned after the additions.
+
+    As in a query plan (``_query_plan``), the source holds only names the
+    generator makes (``P0`` a parameter, ``R0`` a relation's rows, ``K1``
+    its name, ``C2`` a constant, ``D3`` a step, ``V0`` an added row's
+    values, ``W0`` the row, ``L4``/``H4`` a range, ``X1`` a kept clash),
+    so actions of one shape share one compiled ``make`` (``_maker``)."""
     params = dict(action.params)
-    pindex = {p: i for i, (p, _) in enumerate(action.params)}
-    consts: list = [None]
-    picks = []
-    for site, templates, kinds in (("addition", action.adds, _ADD_TERMS), ("deletion", action.dels, _DEL_TERMS)):
-        for i, tmpl in enumerate(templates):
-            rel = check_pattern(schema, f"action {action.name!r} {site} {i}", tmpl.relation, tmpl.terms, kinds, params, {})
-            idx = []
-            for t in tmpl.terms:
-                if type(t) is Wild:
-                    idx.append(npar)
-                elif type(t) is Param:
-                    idx.append(pindex[t.name])
-                else:
-                    idx.append(npar + len(consts))
-                    consts.append(t.value)
-            picks.append((rel, idx))
-    dels = tuple((rel.name, _picker(tuple(idx))) for rel, idx in picks[len(action.adds):])
-    adds = []
-    for rel, idx in picks[: len(action.adds)]:
+    rels = [
+        check_pattern(schema, f"action {action.name!r} {site} {i}", tmpl.relation, tmpl.terms, kinds, params, {})
+        for site, templates, kinds in (("addition", action.adds, _ADD_TERMS), ("deletion", action.dels, _DEL_TERMS))
+        for i, tmpl in enumerate(templates)
+    ]
+    touched = [rel.name for rel in rels]
+    ns: dict = {"B": bisect_left, "CLASH": _clash, "NEW": Instance.__new__, "INSTANCE": Instance}
+    pnames = {p: f"P{i}" for i, (p, _) in enumerate(action.params)}
+    body: list[str] = []
+
+    def line(text: str, depth: int = 0) -> None:
+        body.append("        " + "    " * depth + text)
+
+    def value(t) -> Optional[str]:
+        """The source of a term's value, or None for a wildcard."""
+        if type(t) is Param:
+            return pnames[t.name]
+        if type(t) is Const:
+            ns[f"C{len(ns)}"] = t.value
+            return f"C{len(ns) - 1}"
+        return None
+
+    rows: dict[str, tuple[str, str]] = {}  # relation -> (its rows, its name)
+
+    def relation(rel: Relation) -> tuple[str, str]:
+        got = rows.get(rel.name)
+        if got is None:
+            got = rows[rel.name] = (f"R{len(rows)}", f"K{len(ns)}")
+            ns[got[1]] = rel.name
+            line(f"{got[0]} = list(S[{got[1]}])" if touched.count(rel.name) > 1 else f"{got[0]} = S[{got[1]}]")
+        return got
+
+    def bisect(r: str, rel: Relation, exprs: list) -> tuple[str, int]:
+        """``(site, k)``: emit ``L<site>``/``H<site>``, the range of the rows
+        of ``r`` whose first ``k`` columns equal the leading bound ones of
+        ``exprs``."""
+        site = str(len(body))
+        k = exprs.index(None) if None in exprs else len(exprs)
+        if not k:
+            line(f"L{site} = 0")
+            line(f"H{site} = len({r})")
+            return site, 0
+        step = f"D{len(ns)}"
+        ns[step] = _STEP[rel.types[k - 1]]
+        for text in _bisection(r, exprs[:k], step, site):
+            line(text)
+        return site, k
+
+    if action.params:
+        line("".join(f"{p}, " for p in pnames.values()) + "= A")
+    line("S = I._rows")
+    if action.dels:
+        line("deleted = []")
+    for rel, tmpl in zip(rels[len(action.adds) :], action.dels):
+        r, name = relation(rel)
+        exprs = [value(t) for t in tmpl.terms]
+        site, k = bisect(r, rel, exprs)
+        span = f"{r}[L{site}:H{site}]"
+        rest = [i for i in range(k, len(exprs)) if exprs[i] is not None]
+        if not rest:
+            line(f"deleted += [({name}, V, T) for V, T in {span}]")
+            kept = None
+        else:
+            kept = f"M{site}"
+            line(f"{kept} = []")
+            line(f"for Y in {span}:")
+            line(f"if {' and '.join(f'Y[0][{i}] == {exprs[i]}' for i in rest)}:", 1)
+            line(f"deleted.append(({name}, *Y))", 2)
+            line("else:", 1)
+            line(f"{kept}.append(Y)", 2)
+        if touched.count(rel.name) > 1:
+            line(f"{span} = {kept or '()'}")
+        else:
+            middle = f" + tuple({kept})" if kept else ""
+            line(f"{r} = {r}[:L{site}]{middle} + {r}[H{site}:]")
+
+    ranks: dict[str, int] = {}  # relation -> its place in the order of first addition
+    for rel in rels[: len(action.adds)]:
+        ranks.setdefault(rel.name, len(ranks))
+    if len(ranks) > 1:
+        line(" = ".join(f"X{i}" for i in range(1, len(ranks))) + " = None")
+
+    def clash(rel: Relation, key: str, witness: str, row: str, depth: int) -> None:
+        rank = ranks[rel.name]
+        made = f"CLASH({rows[rel.name][1]}, {key}, {witness}, {row})"
+        if not rank:
+            line(f"return {made}", depth)
+        else:
+            line(f"if X{rank} is None:", depth)
+            line(f"X{rank} = {made}", depth + 1)
+
+    added = []
+    for i, (rel, tmpl) in enumerate(zip(rels, action.adds)):
+        r, name = relation(rel)
+        exprs = [value(t) for t in tmpl.terms]
+        line(f"V{i} = ({''.join(f'{e}, ' for e in exprs)})")
+        line(f"W{i} = (V{i}, at)")
+        added.append(f"({name}, V{i}, at)")
         kidx = rel.key_indexes()
-        lead = len(kidx) if sorted(kidx) == list(range(len(kidx))) else 0
-        # the pattern of the key columns, up to the last
-        key = tuple(idx[pos] if pos in kidx else npar for pos in range(max(kidx) + 1))
-        adds.append((rel.name, _picker(tuple(idx)), lead, _picker(key), kidx))
-    return tuple(consts), dels, tuple(adds)
+        key = f"({''.join(f'{exprs[j]}, ' for j in kidx)})"
+        single = touched.count(rel.name) == 1
+        if sorted(kidx) == list(range(len(kidx))):
+            # the key leads the columns: one bisection finds a clash or the
+            # row's place
+            lead = exprs[: len(kidx)]
+            site = str(len(body))
+            comma = "," if len(lead) == 1 else ""
+            line(f"J{site} = B({r}, (({', '.join(lead)}{comma}),))")
+            first = f"{r}[J{site}][0]"
+            same = f"{first}[0] == {lead[0]}" if len(lead) == 1 else f"{first}[:{len(lead)}] == ({', '.join(lead)})"
+            line(f"if J{site} < len({r}) and {same}:")
+            clash(rel, key, f"{r}[J{site}]", f"W{i}", 1)
+            line("else:")
+        else:
+            pattern = [exprs[p] if p in kidx else None for p in range(max(kidx) + 1)]
+            site, k = bisect(r, rel, pattern)
+            rest = [p for p in range(k, len(pattern)) if pattern[p] is not None]
+            line(f"for Y in {r}[L{site}:H{site}]:")
+            line(f"if {' and '.join(f'Y[0][{p}] == {pattern[p]}' for p in rest)}:", 1)
+            clash(rel, key, "Y", f"W{i}", 2)
+            line("break", 2)
+            line("else:")
+            line(f"J{site} = B({r}, W{i}, L{site}, H{site})", 1)
+        if single:
+            line(f"{r} = {r}[:J{site}] + (W{i},) + {r}[J{site}:]", 1)
+        else:
+            line(f"{r}.insert(J{site}, W{i})", 1)
+    for rank in range(1, len(ranks)):
+        line(f"if X{rank} is not None:")
+        line(f"return X{rank}", 1)
+    store = "".join(f", {name}: {r if touched.count(rel) == 1 else f'tuple({r})'}" for rel, (r, name) in rows.items())
+    line("new = NEW(INSTANCE)")
+    line("new.schema = I.schema")
+    line(f"new._rows = {{**S{store}}}")
+    line("new._count_cache = {}")
+    line(f"return new, [{', '.join(added)}], {'deleted' if action.dels else '[]'}")
+    return _generate("update", "I, A, at", body, ns)
 
 
 def check_action(schema: Schema, action: Action) -> None:
@@ -928,85 +1078,11 @@ def apply_action_delta(
     for its caller's.  So each added row fits its relation's columns.
 
     ``instance`` must be compliant (see check_compliance).  The action is
-    compiled once per schema (see ``_compile_action``).  Deletions and key
-    checks look rows up in a working copy of each touched relation's
-    sorted rows.  A key whose columns lead the relation's costs one
-    bisection: it clashes when the row at the bisected position starts with
-    it, and otherwise that position is where the added row goes.  Deletions
-    and any other key use ``bisect_range``, which bisects on the leading
-    bound columns and scans the others within the range.
+    compiled once per schema into generated code (see ``_compile_action``),
+    which deletes the rows of a bisected range and looks each added key up
+    by bisection.
     """
-    consts, dels, adds = _plan(instance.schema, action, _compile_action)
-    ext = (*args, *consts)
-
-    # working copies of the relations the action touches
-    rows: dict[str, list] = {}
-
-    deleted: list[tuple] = []
-    for relation, pick in dels:
-        bucket = rows.get(relation)
-        if bucket is None:
-            bucket = rows[relation] = list(instance._rows[relation])
-        lo, hi, rest = bisect_range(bucket, pick(ext))
-        if not rest:
-            deleted += [(relation, values, t) for values, t in bucket[lo:hi]]
-            del bucket[lo:hi]
-            continue
-        keep = []
-        for row in bucket[lo:hi]:
-            if any(row[0][i] != p for i, p in rest):
-                keep.append(row)
-            else:
-                deleted.append((relation, *row))
-        bucket[lo:hi] = keep
-
-    added: list[tuple] = []
-    clashes: Optional[dict] = None  # relation -> its first clash, once one occurs
-    for name, pick, lead, pick_key, kidx in adds:
-        values = pick(ext)
-        bucket = rows.get(name)
-        if bucket is None:
-            bucket = rows[name] = list(instance._rows[name])
-        if lead:
-            key = values[:lead]
-            lo = hi = bisect_left(bucket, (key,))
-            if lo < len(bucket) and bucket[lo][0][:lead] == key:
-                hi += 1
-        else:
-            lo, hi, rest = bisect_range(bucket, pick_key(ext))
-            lo = next((i for i in range(lo, hi) if all(bucket[i][0][j] == p for j, p in rest)), hi)
-        row = (values, at)
-        if lo < hi:
-            if clashes is None:
-                # reported in order of first addition
-                clashes = dict.fromkeys([add[0] for add in adds])
-            if clashes[name] is None:
-                k = tuple([values[i] for i in kidx])
-                clashes[name] = ConstraintViolation(
-                    relation=name,
-                    kind="key",
-                    key=k,
-                    witnesses=(bucket[lo], row),
-                    message=f"duplicate key {k!r} in relation {name!r}",
-                )
-            continue
-        if lead:
-            # a key that leads the columns bisected to where the row belongs
-            bucket.insert(lo, row)
-        else:
-            insort(bucket, row)
-        added.append((name, values, at))
-    if clashes is not None:
-        return next(clash for clash in clashes.values() if clash is not None)
-
-    store = dict(instance._rows)
-    for rel_name, bucket in rows.items():
-        store[rel_name] = tuple(bucket)
-    new = Instance.__new__(Instance)
-    new.schema = instance.schema
-    new._rows = store
-    new._count_cache = {}
-    return new, added, deleted
+    return _plan(instance.schema, action, _compile_action)(instance, args, at)
 
 
 def apply_action(instance: Instance, action: Action, args: Sequence, at: int):

@@ -1,18 +1,25 @@
-"""The scheduler as it was before candidate enumeration was unified: the
-differential oracle for ``tdbnet.engine``.
+"""The scheduler and the firing as they were before candidate enumeration
+was unified and firings became generated code: the differential oracle for
+``tdbnet.engine``.
 
 Frozen copies of the full-rescan enumerator (with its single-arc fast path
 and the onset-key deduplication), the canonical sort with its ``value_key``
 fallback (``value_key`` itself is copied here too), ``enabled``, ``advance_clock``, both policies' step functions and
-the run loop.  Firing, validation and view checks are the engine's own
-(``_execute``, ``_ensure_valid``, ``_require_compliant``,
-``_check_view_consistency``), so a difference between ``run`` here and in
-the engine is a difference in which candidate is picked and when.
+the run loop, and of the interpreted firing: ``_execute`` and ``_produce``,
+which evaluate every inscription through ``eval_expr``, and
+``apply_action_delta`` with the ``_compile_action`` it read, which walk
+index tuples over the arguments and constants.  Validation, view checks and
+view maintenance are the engine's own (``_ensure_valid``,
+``_require_compliant``, ``_check_view_consistency``, ``refresh_views``), so
+a difference between ``run`` here and in the engine is a difference in
+which candidate is picked and when, or in what the generated firing and
+action code make of it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Optional
 
 from tdbnet.engine import (
@@ -21,11 +28,14 @@ from tdbnet.engine import (
     TraceMeta,
     _check_view_consistency,
     _ensure_valid,
-    _execute,
     _require_compliant,
 )
 from tdbnet.exprs import (
+    Op,
+    Param,
     Var,
+    Wild,
+    eval_expr,
     first_true,
     guard_flip_time,
     guard_truth,
@@ -34,7 +44,18 @@ from tdbnet.exprs import (
     pattern_vars,
     window_starts,
 )
-from tdbnet.net import Net, Snapshot, Transition
+from tdbnet.net import Net, Snapshot, Transition, refresh_views, split_views, view_places
+from tdbnet.persistence import (
+    _ADD_TERMS,
+    _DEL_TERMS,
+    Action,
+    ConstraintViolation,
+    Instance,
+    Schema,
+    _picker,
+    bisect_range,
+    check_pattern,
+)
 
 
 def value_key(value: object):
@@ -72,8 +93,8 @@ class _Cand:
             self._items = tuple(sorted(self.env.items(), key=lambda kv: kv[0]))
         return self._items
 
-    # the engine's ``_execute``, which fires these candidates, reads the
-    # binding as an attribute
+    # ``_execute``, which fires these candidates, reads the binding as an
+    # attribute
     items = property(binding_items)
 
     def bkey(self) -> tuple:
@@ -423,3 +444,210 @@ def _draw_time(rng: random.Random, truth: tuple, clock: int, delay: tuple) -> in
             return a + r
         r -= b - a + 1
     raise AssertionError("unreachable: r < total count")
+
+
+# ---------------------------------------------------------------------------
+# firing: the interpreted firing and action application, frozen as they
+# were before each transition's firing and each action's update became
+# generated code
+
+
+def _firing(net: Net, t: Transition) -> tuple:
+    """``(calls, outputs, rollbacks, copied, evaluated)`` of ``t``, as the
+    engine's plan held them: the resolved action of each call with one
+    ``tuple`` node of its arguments, (condition, expression, place id) per
+    output and rollback arc, and the views its actions can change, split
+    as ``refresh_views`` takes them.  Kept on the net, per transition."""
+    cached = getattr(net, "_reference_plans", None)
+    if cached is None:
+        cached = {}
+        object.__setattr__(net, "_reference_plans", cached)
+    plan = cached.get(t.id)
+    if plan is None:
+        calls = tuple((net.action(call.action), Op("tuple", call.args)) for call in t.actions)
+        outputs, rollbacks = (tuple((arc.when, arc.expr, arc.place) for arc in group) for group in (t.outputs, t.rollbacks))
+        written = {tmpl.relation for action, _ in calls for tmpl in action.adds + action.dels}
+        views = [view for view in view_places(net) if not view[2].isdisjoint(written)]
+        plan = cached[t.id] = (calls, outputs, rollbacks, *split_views(views))
+    return plan
+
+
+def _produce(arcs: tuple, cand, instance, at: int) -> list[tuple[str, tuple]]:
+    """The ``(place id, token)`` pairs of the plan's ``arcs`` whose
+    condition holds, created at ``at``."""
+    env, ages = cand.env, cand.ages
+    return [
+        (pid, (eval_expr(expr, env, instance=instance, now=at, ages=ages), at))
+        for when, expr, pid in arcs
+        if when is None or eval_expr(when, env, instance=instance, now=at, ages=ages)
+    ]
+
+
+def _execute(net: Net, snapshot: Snapshot, cand, at: int, step: int) -> tuple[Snapshot, FiringEvent, tuple]:
+    """Fire ``cand`` at ``at``: the snapshot after it, its event, and its
+    token delta ``(removed, added)``, as the engine's ``_execute`` does."""
+    t = cand.transition
+    calls, outputs, rollbacks, copied, evaluated = _firing(net, t)
+    env, ages = cand.env, cand.ages
+    consumed = tuple([(pid, tok) for pid, tok, _ in cand.matches])
+    removals = [(pid, tok) for pid, tok, is_view in cand.matches if not is_view]
+
+    pre = snapshot.instance
+    # every argument is evaluated against the instance before the firing
+    calls = [(action, eval_expr(args, env, instance=pre, now=at, ages=ages)) for action, args in calls]
+    work = pre
+    added: list[tuple] = []
+    deleted: list[tuple] = []
+    for action, argvals in calls:
+        res = apply_action_delta(work, action, argvals, at)
+        if isinstance(res, ConstraintViolation):
+            if t.rollbacks:
+                produced = _produce(rollbacks, cand, pre, at)
+                delta = (removals, produced)
+                snap2 = Snapshot(pre, snapshot.marking.updated(*delta), at)
+                outcome = "rolled_back"
+            else:
+                produced = []
+                delta = ((), ())
+                snap2 = Snapshot(pre, snapshot.marking, at)
+                outcome = "halted"
+            event = FiringEvent(step, at, t.id, cand.items, consumed, tuple(produced), (), (), outcome)
+            return snap2, event, delta
+        work, adds, dels = res
+        added += adds
+        deleted += dels
+
+    produced = _produce(outputs, cand, pre, at)
+    event = FiringEvent(step, at, t.id, cand.items, consumed, tuple(produced), tuple(added), tuple(deleted), "committed")
+    if copied or evaluated:
+        refresh_views(net, copied, evaluated, work, snapshot.marking, added, deleted, removals, produced)
+    return Snapshot(work, snapshot.marking.updated(removals, produced), at), event, (removals, produced)
+
+
+# the compiled actions, by the ids of the schema and the action, with both
+_ACTIONS: dict = {}
+
+
+def _compile_action(schema: Schema, action: Action) -> tuple:
+    """``(consts, dels, adds)`` for an action whose templates
+    ``check_pattern`` accepts against a schema.  Every template term is an
+    index into ``ext``, the arguments followed by ``consts`` (None, a
+    wildcard, first).  ``dels`` holds ``(relation, pick)`` per deletion and
+    ``adds`` ``(relation, pick, lead, pick_key, key positions)`` per
+    addition, where ``pick(ext)`` is the template's values.  ``lead`` is
+    the width of a key whose columns lead the relation's, and 0 for any
+    other key, whose pattern ``pick_key(ext)`` gives."""
+    key = (id(schema), id(action))
+    entry = _ACTIONS.get(key)
+    if entry is not None:
+        return entry[2]
+    npar = len(action.params)
+    params = dict(action.params)
+    pindex = {p: i for i, (p, _) in enumerate(action.params)}
+    consts: list = [None]
+    picks = []
+    for site, templates, kinds in (("addition", action.adds, _ADD_TERMS), ("deletion", action.dels, _DEL_TERMS)):
+        for i, tmpl in enumerate(templates):
+            rel = check_pattern(schema, f"action {action.name!r} {site} {i}", tmpl.relation, tmpl.terms, kinds, params, {})
+            idx = []
+            for t in tmpl.terms:
+                if type(t) is Wild:
+                    idx.append(npar)
+                elif type(t) is Param:
+                    idx.append(pindex[t.name])
+                else:
+                    idx.append(npar + len(consts))
+                    consts.append(t.value)
+            picks.append((rel, idx))
+    dels = tuple((rel.name, _picker(tuple(idx))) for rel, idx in picks[len(action.adds) :])
+    adds = []
+    for rel, idx in picks[: len(action.adds)]:
+        kidx = rel.key_indexes()
+        lead = len(kidx) if sorted(kidx) == list(range(len(kidx))) else 0
+        # the pattern of the key columns, up to the last
+        key_pattern = tuple(idx[pos] if pos in kidx else npar for pos in range(max(kidx) + 1))
+        adds.append((rel.name, _picker(tuple(idx)), lead, _picker(key_pattern), kidx))
+    plan = (tuple(consts), dels, tuple(adds))
+    if len(_ACTIONS) >= 4096:
+        _ACTIONS.clear()
+    _ACTIONS[key] = (schema, action, plan)
+    return plan
+
+
+def apply_action_delta(instance: Instance, action: Action, args, at: int):
+    """(new_instance, added, deleted), or the ConstraintViolation of the
+    first key clash of the first relation added to: deletions and key
+    checks look rows up in a working copy of each touched relation's
+    sorted rows, a key whose columns lead the relation's by one bisection
+    and any other through ``bisect_range``."""
+    consts, dels, adds = _compile_action(instance.schema, action)
+    ext = (*args, *consts)
+
+    # working copies of the relations the action touches
+    rows: dict[str, list] = {}
+
+    deleted: list[tuple] = []
+    for relation, pick in dels:
+        bucket = rows.get(relation)
+        if bucket is None:
+            bucket = rows[relation] = list(instance._rows[relation])
+        lo, hi, rest = bisect_range(bucket, pick(ext))
+        if not rest:
+            deleted += [(relation, values, t) for values, t in bucket[lo:hi]]
+            del bucket[lo:hi]
+            continue
+        keep = []
+        for row in bucket[lo:hi]:
+            if any(row[0][i] != p for i, p in rest):
+                keep.append(row)
+            else:
+                deleted.append((relation, *row))
+        bucket[lo:hi] = keep
+
+    added: list[tuple] = []
+    clashes: Optional[dict] = None  # relation -> its first clash, once one occurs
+    for name, pick, lead, pick_key, kidx in adds:
+        values = pick(ext)
+        bucket = rows.get(name)
+        if bucket is None:
+            bucket = rows[name] = list(instance._rows[name])
+        if lead:
+            key = values[:lead]
+            lo = hi = bisect_left(bucket, (key,))
+            if lo < len(bucket) and bucket[lo][0][:lead] == key:
+                hi += 1
+        else:
+            lo, hi, rest = bisect_range(bucket, pick_key(ext))
+            lo = next((i for i in range(lo, hi) if all(bucket[i][0][j] == p for j, p in rest)), hi)
+        row = (values, at)
+        if lo < hi:
+            if clashes is None:
+                # reported in order of first addition
+                clashes = dict.fromkeys([add[0] for add in adds])
+            if clashes[name] is None:
+                k = tuple([values[i] for i in kidx])
+                clashes[name] = ConstraintViolation(
+                    relation=name,
+                    kind="key",
+                    key=k,
+                    witnesses=(bucket[lo], row),
+                    message=f"duplicate key {k!r} in relation {name!r}",
+                )
+            continue
+        if lead:
+            # a key that leads the columns bisected to where the row belongs
+            bucket.insert(lo, row)
+        else:
+            insort(bucket, row)
+        added.append((name, values, at))
+    if clashes is not None:
+        return next(clash for clash in clashes.values() if clash is not None)
+
+    store = dict(instance._rows)
+    for rel_name, bucket in rows.items():
+        store[rel_name] = tuple(bucket)
+    new = Instance.__new__(Instance)
+    new.schema = instance.schema
+    new._rows = store
+    new._count_cache = {}
+    return new, added, deleted

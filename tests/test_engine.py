@@ -788,7 +788,9 @@ def test_a_firing_plan_lists_the_views_its_actions_can_change(build):
             reads += [side.relation for f in query.filters for side in (f.lhs, f.rhs) if type(side) is DbCount]
             if written.intersection(reads):
                 want.append(place.id)
-        assert [place.id for place, _, _ in engine._firing(net, t).views] == want, t.id
+        plan = engine._firing(net, t)
+        got = [pid for pid, _, _ in plan.copied] + [place.id for place, _ in plan.evaluated]
+        assert sorted(got) == sorted(want), t.id
         if not t.actions:
             assert want == []
 
@@ -840,6 +842,59 @@ def test_one_marking_update_per_firing(monkeypatch, build, pattern, workload, ca
     tr = run(bundle.net, initial)
     replay(bundle.net, tr)
     assert len(counted) == 2 * len(tr.events) == calls
+
+
+@pytest.mark.parametrize(
+    "build,pattern,workload,calls",
+    [
+        (lambda: build_delayer(250), "delayer", "steady:200:every:10@0", 0),
+        (lambda: build_throttler(5), "throttler", "burst:200@0", 0),
+        (build_resequencer, "resequencer", _rev(150), 300),
+    ],
+    ids=["delayer", "throttler", "resequencer"],
+)
+def test_a_firing_evaluates_variables_constants_and_their_tuples_inline(monkeypatch, build, pattern, workload, calls):
+    # every action argument and output arc of the delayer and the
+    # throttler is a variable, a constant or a tuple of those, which the
+    # firing code evaluates inline (the interpreted firing made 1,600 and
+    # 2,400 eval_expr calls over the run and its replay); the resequencer's
+    # emit passes n + 1, which eval_expr evaluates, once per emit
+    bundle = build()
+    initial = with_workload(bundle, parse_workload(pattern, workload))
+    counted = []
+    evaluate = engine.eval_expr
+    monkeypatch.setattr(engine, "eval_expr", lambda *a, **kw: counted.append(a[0]) or evaluate(*a, **kw))
+    tr = run(bundle.net, initial)
+    replay(bundle.net, tr)
+    assert len(counted) == calls
+
+
+def test_transitions_of_one_shape_share_their_firing_code():
+    # two transitions that differ only in their ids, places, variable names,
+    # constants and actions generate one firing source, compiled once, and
+    # their two actions, over relations of equal column types, one update;
+    # a transition of another shape has its own
+    rels = tuple(Relation(r, (Column("a", INT), Column("b", TEXT)), ("a",)) for r in ("r", "s"))
+    acts = tuple(Action(f"put_{r.name}", (("x", INT),), adds=(FactTemplate(r.name, (Param("x"), Const(r.name))),)) for r in rels)
+
+    def fwd(tid, src, dst, var, const, action):
+        out = Op("tuple", (Var(var), Const(const)))
+        return Transition(tid, inputs=(InputArc(src, Var(var)),), actions=(ActionCall(action, (Var(var),)),), outputs=(OutputArc(dst, out),))
+
+    other = Transition("other", inputs=(InputArc("c", Var("z")), InputArc("e", Var("w"))), outputs=(OutputArc("d", Op("tuple", (Var("z"), Const("k")))),))
+    net = Net(
+        places=tuple(Place(p, INT) for p in "ace") + tuple(Place(p, product(INT, TEXT)) for p in "bd"),
+        transitions=(fwd("t1", "a", "b", "x", "p", "put_r"), fwd("t2", "c", "d", "y", "q", "put_s"), other),
+        schema=Schema(rels),
+        actions=acts,
+    )
+    tr = run(net, initial_snapshot(net, tokens={"a": [(1, 0)], "c": [(2, 0)]}))
+    assert [ev.produced for ev in tr.events] == [(("b", ((1, "p"), 0)),), (("d", ((2, "q"), 0)),)]
+    first, second, third = (engine._firing(net, t).fire for t in net.transitions)
+    assert first is not second and first.__code__ is second.__code__
+    assert third.__code__ is not first.__code__
+    updates = [persistence._plan(net.schema, act, persistence._compile_action) for act in acts]
+    assert updates[0] is not updates[1] and updates[0].__code__ is updates[1].__code__
 
 
 def _rows_inspected(monkeypatch, n):

@@ -18,7 +18,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from reference_exprs import resolve_term
 from tdbnet import persistence
-from tdbnet.exprs import Const, DbCount, DefinitionError, Param, Var, Wild
+from tdbnet.engine import replay, run
+from tdbnet.exprs import Const, DbCount, DefinitionError, Op, Param, Var, Wild
 from tdbnet.persistence import (
     Action,
     Atom,
@@ -37,8 +38,8 @@ from tdbnet.persistence import (
     check_query,
     eval_query,
 )
-from tdbnet.net import Net, Place, validate_net
-from tdbnet.values import BOOL, INT, SCALAR_TYPES, TEXT, ColorType
+from tdbnet.net import ActionCall, InputArc, Net, OutputArc, Place, Transition, initial_snapshot, validate_net
+from tdbnet.values import BOOL, INT, SCALAR_TYPES, TEXT, ColorType, product
 
 ENDPOINTS = Relation("Endpoints", (Column("epid", TEXT), Column("nexc", INT)), ("epid",))
 SEQS = Relation(
@@ -416,6 +417,20 @@ def test_bad_action_args_rejected():
         apply_action(Instance(SCHEMA), ADD_SEQ, ("seq1", "x", "b"), at=0)
 
 
+def test_parameters_given_as_a_list_check_as_a_tuple():
+    # a list of parameters, even of listed pairs, checks its arguments as
+    # the tuple would, as lists of atoms and templates already work
+    add = Action("add", params=[("s", TEXT), ["o", INT], ("b", TEXT)], adds=ADD_SEQ.adds)
+    out = apply_action(Instance(SCHEMA), add, ("seq1", 2, "b"), at=17)
+    assert out.rows("MessageSequences") == ((("seq1", 2, "b"), 17),)
+    with pytest.raises(DefinitionError, match="^action 'add': argument 'o' has wrong type$"):
+        apply_action(out, add, ("seq1", "x", "b"), at=18)
+    q = Query("q", params=[["s", TEXT]], atoms=(Atom("MessageSequences", (Param("s"), Var("o"), Wild())),), output=("o",))
+    assert eval_query(out, q, ("seq1",)) == ((2,),)
+    with pytest.raises(DefinitionError, match="^query 'q' expects 1 args, got 0$"):
+        eval_query(out, q, ())
+
+
 # ---------------------------------------------------------------------------
 # check_compliance
 
@@ -691,6 +706,31 @@ def test_a_bisected_range_ends_below_the_successor(color, values, probe):
     assert eval_query(instance, q) == nested_loop(instance, q, ()) == ((0,), (1,))
 
 
+def _generated_sources(monkeypatch) -> list:
+    """The sources that ``persistence._maker`` is handed from now on."""
+    sources = []
+    maker = persistence._maker
+
+    def recorded(source):
+        sources.append(source)
+        return maker(source)
+
+    monkeypatch.setattr(persistence, "_maker", recorded)
+    return sources
+
+
+def _holds_only_generated_names(source: str, names: set) -> None:
+    """Every token of ``source`` is a keyword, an upper-case name the
+    generator numbered, one of ``names``, or not a name; no token is a
+    string, and every number is a non-negative integer."""
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        assert tok.type != tokenize.STRING
+        assert tok.type != tokenize.NUMBER or tok.string.isdigit()
+        if tok.type == tokenize.NAME and not keyword.iskeyword(tok.string):
+            assert re.fullmatch(r"[A-Z]+[0-9]*", tok.string) or tok.string in names, tok.string
+    assert not any(word in source for word in ("import", "class", "lambda", "os", "\\n"))
+
+
 def test_generated_source_holds_no_document_text(monkeypatch):
     # a relation name, constants and variable names that are Python syntax
     # reach the plan through its namespace, never through its source
@@ -706,24 +746,66 @@ def test_generated_source_holds_no_document_text(monkeypatch):
         filters=(Filter("<", Var("class"), Const(quote)), Filter("=", DbCount(name, (Var("class"), Wild())), Const(1))),
         output=("lambda", "class"),
     )
-    sources = []
-    maker = persistence._maker
-
-    def recorded(source):
-        sources.append(source)
-        return maker(source)
-
     monkeypatch.setattr(persistence, "_SHARED_PLANS", {})
-    monkeypatch.setattr(persistence, "_maker", recorded)
+    sources = _generated_sources(monkeypatch)
     assert eval_query(instance, q, (2,)) == nested_loop(instance, q, (2,)) == ((1, ""),)
     assert eval_query(instance, q, (4,)) == ()
     (source,) = sources
-    generated = re.compile(r"[A-Z]+[0-9]*|_rows|make|plan|found|add|rows|key|sort|sorted|tuple|set|len|_")
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        assert tok.type != tokenize.STRING
-        assert tok.type != tokenize.NUMBER or tok.string.isdigit()
-        assert tok.type != tokenize.NAME or keyword.iskeyword(tok.string) or generated.fullmatch(tok.string)
-    assert not any(word in source for word in ("import", "class", "lambda", "os", "\\n"))
+    _holds_only_generated_names(source, {"_rows", "make", "plan", "found", "add", "rows", "key", "sort", "sorted", "tuple", "set", "len", "_"})
+
+
+def test_generated_firing_source_holds_no_document_text(monkeypatch):
+    # a transition id, place ids, variable names, an action's and its
+    # parameters' names, relation names and text constants that are Python
+    # syntax reach the generated firing and action code through their
+    # namespaces, never through their source
+    name, lines, quote = 'x"]; import os #', "a\nb", '"); import os; ("'
+    pair = product(TEXT, INT)
+    act = Action(
+        quote,
+        params=(("if", TEXT), ("else", INT)),
+        # a deletion that binds a column after a wildcard, an addition on a
+        # leading key and one on a key that does not lead its columns
+        dels=(FactTemplate(name, (Wild(), Param("else"))),),
+        adds=(FactTemplate(name, (Param("if"), Param("else"))), FactTemplate("import os", (Const(lines), Const(7)))),
+    )
+    rels = (
+        Relation(name, (Column("class", TEXT), Column("def", INT)), ("class",)),
+        Relation("import os", (Column("lambda", TEXT), Column("is", INT)), ("is",)),
+    )
+    t = Transition(
+        't"; import os',
+        inputs=(InputArc(lines, (Var("class"), Var("import"))), InputArc(quote, (Var("os"), Wild()))),
+        actions=(ActionCall(quote, (Var("class"), Var("import"))),),
+        outputs=(
+            OutputArc(lines, Op("tuple", (Const(quote), Var("import")))),
+            OutputArc(quote, Op("tuple", (Var("os"), Op("+", (Var("import"), Const(1))))), when=Op("=", (Var("import"), Const(2)))),
+        ),
+        rollbacks=(OutputArc(quote, Op("tuple", (Const(lines), Var("import")))),),
+    )
+    net = Net(
+        places=(Place(lines, pair), Place(quote, pair), Place("v", pair, kind="view", query="q")),
+        transitions=(t,),
+        schema=Schema(rels),
+        queries=(Query("q", atoms=(Atom(name, (Var("a"), Var("b"))),), output=("a", "b")),),
+        actions=(act,),
+    )
+    initial = initial_snapshot(net, tokens={lines: [(("u", 2), 0), (("w", 2), 0)], quote: [(("o", 0), 0)]}, facts=[(name, ("z", 2), 0)])
+    sources = _generated_sources(monkeypatch)
+    tr = run(net, initial, max_steps=2)
+    replay(net, tr)
+    assert [ev.outcome for ev in tr.events] == ["committed", "rolled_back"]
+    assert tr.events[0].deleted == ((name, ("z", 2), 0),)
+    assert tr.events[0].produced == ((lines, ((quote, 2), 0)), (quote, (("o", 3), 0)))
+    assert sorted(re.search(r"^    def (\w+)\(", source, re.M)[1] for source in sources) == ["fire", "update"]
+    names = {
+        "env", "pre", "marking", "cand", "snapshot", "at", "step", "matches", "consumed", "removals", "produced",
+        "work", "added", "deleted", "event", "items", "ages", "instance", "now", "updated", "append", "eval_expr",
+        "apply_action_delta", "refresh_views", "tuple", "type", "make", "fire", "update", "_rows", "schema",
+        "_count_cache", "new", "len", "list", "insert", "_",
+    }
+    for source in sources:
+        _holds_only_generated_names(source, names)
 
 
 def test_equal_query_shapes_compile_once(monkeypatch):

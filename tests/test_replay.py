@@ -39,7 +39,7 @@ def reference_replay(net, trace, *, verify=True):
     """Replay by enumeration: for each event, take the first candidate of its
     transition, in canonical binding order, whose binding and consumed
     tokens equal the recorded ones and whose guard holds at the event's
-    time."""
+    time, and fire it through the frozen interpreted firing."""
     engine._ensure_valid(net)
     snap = trace.initial
     for ev in trace.events:
@@ -62,7 +62,7 @@ def reference_replay(net, trace, *, verify=True):
             raise FiringError(
                 f"replay: event {ev.step} ({ev.transition!r}) is not enabled under its binding"
             )
-        snap, got, _ = engine._execute(net, snap, match, ev.time, ev.step)
+        snap, got, _ = reference_engine._execute(net, snap, match, ev.time, ev.step)
         if verify and got != ev:
             raise FiringError(f"replay: event {ev.step} diverged: {got!r} != {ev!r}")
     if verify and not (

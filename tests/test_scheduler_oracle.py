@@ -1,5 +1,6 @@
 """The engine's agenda against the frozen full-rescan scheduler in
-``reference_engine``.
+``reference_engine``, and its generated firing and action code against
+the frozen interpreted firing there, which the oracle's runs fire through.
 
 Runs must serialize to the same bytes under the eager policy and five
 random-policy seeds, ``enabled`` and ``advance_clock`` must agree at every
@@ -298,7 +299,9 @@ def _snapshots(net, trace):
 
 
 def _agree(net, initial, policy, seed, max_steps):
-    # the oracle fires through the shared _execute, so only check_views
+    # the oracle fires through its frozen interpreted firing, so the trace
+    # bytes compare the generated firing and action code with it; both
+    # maintain views through the shared refresh_views, so only check_views
     # compares the maintained views with their queries
     got = engine.run(net, initial, policy=policy, seed=seed, max_steps=max_steps, check_views=True)
     want = ref.run(net, initial, policy=policy, seed=seed, max_steps=max_steps)
@@ -638,14 +641,20 @@ def _transitions(draw, tid):
             bound.append(fresh[0])
             normal.append(fresh[0])
     term = st.one_of(st.sampled_from(bound).map(Var), SMALL.map(Const)) if bound else SMALL.map(Const)
-    outputs = tuple(OutputArc(place, draw(term)) for place in draw(st.lists(st.sampled_from("pq"), max_size=2)))
-    actions, rollbacks = (), ()
-    action = draw(st.sampled_from((None, "put", "drop")))
-    if action is not None:
+    # an output arc may hold a condition and a sum, which the firing code
+    # evaluates through eval_expr, where it evaluates a term inline
+    value = st.one_of(term, term.map(lambda e: Op("+", (e, Const(1)))))
+    when = st.one_of(st.none(), term.map(lambda e: Op("<", (e, Const(2)))))
+    outputs = tuple(
+        OutputArc(place, draw(value), when=draw(when)) for place in draw(st.lists(st.sampled_from("pq"), max_size=2))
+    )
+    calls = []
+    for action in draw(st.lists(st.sampled_from(("put", "drop")), max_size=2)):
         args = (draw(term), draw(term)) if action == "put" else (draw(term),)
-        actions = (ActionCall(action, args),)
-        if draw(st.booleans()):
-            rollbacks = (OutputArc("q", Const(2)),)
+        calls.append(ActionCall(action, args))
+    actions, rollbacks = tuple(calls), ()
+    if calls and draw(st.booleans()):
+        rollbacks = (OutputArc("q", Const(2)),)
     return Transition(
         tid,
         inputs=tuple(arcs),
@@ -698,8 +707,9 @@ def test_generated_runs_equal_the_oracle(case):
     # beside two arcs on one place), shared input places, two views over a relation
     # that actions write (a copy, maintained from row deltas, and a
     # projection, evaluated again), guards on now(), age() and count(),
-    # delays whose window can open after the guard lapsed, key collisions
-    # and rollback arcs
+    # delays whose window can open after the guard lapsed, up to two
+    # action calls, conditional output arcs and sums on them, key
+    # collisions and rollback arcs
     net, initial = case
     for policy, seed in [("eager", None)] + [("random", seed) for seed in range(3)]:
         _agree(net, initial, policy, seed, 20)
