@@ -8,36 +8,38 @@ Semantics in brief:
   snapshot.  Per transition it holds the candidates, matches of the input
   arcs to distinct tokens, in canonical order: by binding, then by each
   arc's token.
-* Every input arc keeps an alpha memory: one entry per distinct token the
-  arc accepts, bound by that arc alone through one compiled binder, with
-  the number of copies on its place, which follows the exact token deltas
-  of the firings and is never recounted from the marking.  A candidate
-  takes one entry per arc, so no two candidates consume equal tokens arc
-  for arc.  It is built by merging the arcs' bindings, where a variable
-  bound on two arcs must get equal values and the later arc sets its age,
-  and only while each place holds as many copies of a token as it takes.  ``replay`` binds recorded
-  tokens through the same binders, by the same rule, into one binding.
-* A slot builds its candidates fully or lazily.  A full build binds every
-  candidate: first the product of the memories (one candidate that binds
-  nothing for a transition without input arcs), then the entries that
-  grew on one arc with every entry of the others (a delta join, as TREAT
-  joins on demand).  Under the eager
-  policy, a transition with no least delay and several input arcs that
-  bind disjoint variables builds lazily instead: its memories are sorted
-  by each arc's share of the canonical order, their product is in
-  canonical order, and a step builds candidates only up to the first that
-  holds (LEAPS lazy matching); the walk builds them all only when none
-  holds.  A throttler's admission, which joins each waiting message with
-  the one capacity token, so binds one candidate per return of that token.
+* A candidate takes one distinct token per arc, each bound by its arc
+  alone through one compiled binder, so no two candidates consume equal
+  tokens arc for arc.  A one-arc transition's candidates are its memory,
+  one per distinct token the arc accepts; only a join keeps an alpha
+  memory per arc, an entry per such token.  Each counts the copies on its
+  place, which follow the exact token deltas of the firings and are never
+  recounted from the marking.  A joined candidate merges its entries'
+  bindings, where a variable bound on two arcs must get equal values and
+  the later arc sets its age, and exists only while each place holds as
+  many copies of a token as it takes.  ``replay`` binds recorded tokens
+  by the same rule into one binding.
+* A one-arc slot binds each new token once, into its candidate.  Any other
+  builds fully or lazily.  A full build binds every candidate: first the
+  product of the memories (one candidate that binds nothing for a
+  transition without input arcs), then the entries that grew on one arc
+  with every entry of the others (a delta join, as TREAT joins on
+  demand).  Under the eager policy, a transition with no least delay and
+  several input arcs that bind disjoint variables builds lazily instead:
+  its memories are sorted by each arc's share of the canonical order,
+  their product is in canonical order, and a step builds candidates only
+  up to the first that holds (LEAPS lazy matching); the walk builds them
+  all only when none holds.  A throttler's admission, which joins each
+  waiting message with the one capacity token, so binds one candidate per
+  return of that token.
 * Each candidate keeps its guard's truth set over ``now``, stamped with
   the row tuples of the relations the guard reads through ``count`` and
   ``merge_text``.  A truth set is solved again only when one of those
   relations is replaced; a clock advance solves nothing.  A firing
   changes only the candidates of transitions whose input places changed.
-  Each entry keeps the reverse set of the candidates built on it, so a
-  token that falls drops only those of its candidates left without enough
-  copies, each by bisection on its rank, which is set when it is bound;
-  the new tokens enter the memories and are built on as above.  A
+  A token that falls visits only its candidates, a joined one through the
+  reverse set its entry keeps, and drops those left without enough
+  copies, each by bisection on its rank, which is set when it is bound.  A
   transition catches up when a step next asks about it, and one with
   nothing to settle by the clock answers at once.
 * Snapshots are checked: ``initial_snapshot``, ``run``, ``fire``,
@@ -211,29 +213,31 @@ class Trace:
 
 class _Cand:
     """One match of a transition's input arcs to distinct tokens, with the
-    truth set of the transition's guard under it.  ``entries`` holds the
-    entry it takes on each arc, and ``key`` each arc's token, which is its
-    own key: equal tokens are one key.  ``items`` is its binding as sorted
-    (variable, value) pairs, and ``rank`` its canonical order within a
-    transition: the binding, then each arc's token (the order of the
-    sorted pools); both are set when it is bound.  Under the eager policy a
-    candidate also carries the instant its enablement began (``onset``,
-    None while its guard does not hold), whether it holds and is due
-    (``live``), and a version that its heap entries must match to count.
-    Under the random policy ``live`` says that it is pickable now."""
+    truth set of the transition's guard under it.  ``key`` holds each arc's
+    token, which is its own key: equal tokens are one key.  A joined
+    candidate's ``entries`` holds its entry on each arc; a one-arc one has
+    none and counts its token's ``copies``.  ``items`` is its binding as
+    sorted (variable, value) pairs, and ``rank`` its canonical order within a
+    transition: the binding, then each arc's token (the order of the sorted
+    pools); both are set when it is bound.  Under the eager policy a candidate
+    also carries the instant its enablement began (``onset``, None while its
+    guard does not hold), whether it holds and is due (``live``), and a
+    version that its heap entries must match to count.  Under the random policy
+    ``live`` says that it is pickable now."""
 
     __slots__ = (
         "transition", "env", "matches", "ages", "entries", "key", "items", "rank", "truth", "onset", "live", "ver",
-        "_window",
+        "copies", "_window",
     )
 
-    def __init__(self, transition: Transition, env: dict, matches: tuple, ages: dict, entries: tuple):
+    def __init__(self, transition: Transition, env: dict, matches: tuple, ages: dict, key: tuple, entries: tuple = ()):
         self.transition = transition
         self.env = env
         self.matches = matches  # ((place_id, token, is_view), ...)
         self.ages = ages
         self.entries = entries
-        self.key = tuple([e.key for e in entries])
+        self.key = key
+        self.copies = 0
         # variable names are distinct, so values are never compared
         self.items = tuple(sorted(env.items()))
         self.rank = (self.items, self.key)
@@ -435,7 +439,6 @@ def _kernel(net: Net, t: Transition, actions: list, inputs: tuple, copied: tuple
     return _generate("fire", "snapshot, cand, at, step", ["        " + line for line in head] + body, ns)
 
 
-
 def _firing(net: Net, t: Transition) -> _Plan:
     """The plan of ``t``; every transition's is built once per net."""
     cached = getattr(net, "_plans", None)
@@ -458,13 +461,14 @@ def _stamp(instance, relations: tuple) -> tuple:
 
 
 class _Entry:
-    """One distinct token on an input arc, bound by that arc alone: an entry
-    of the arc's alpha memory.  ``key`` is the token, which is its own key.
-    ``copies`` counts the tokens equal to it on the arc's place, and
-    ``cands`` is its reverse set: the keys of the candidates built on it
-    (keys, not candidates, so that entries and candidates form no reference
-    cycle).  In a lazy slot, ``share`` is the arc's part of ``_Cand.rank``:
-    the values of the arc's variables in name order, then the token."""
+    """One distinct token on an input arc of a join, bound by that arc
+    alone: an entry of the arc's alpha memory (a one-arc slot keeps none).
+    ``key`` is the token, which is its own key.  ``copies`` counts the tokens
+    equal to it on the arc's place, and ``cands`` is its reverse set: the keys
+    of the candidates built on it (keys, not candidates, so that entries and
+    candidates form no reference cycle).  In a lazy slot, ``share`` is the
+    arc's part of ``_Cand.rank``: the values of the arc's variables in name
+    order, then the token."""
 
     __slots__ = ("key", "env", "ages", "copies", "cands", "share")
 
@@ -496,15 +500,15 @@ class _Slot:
     by their tokens (``cands``, keyed by the tuple of each arc's token) from
     step to step.
 
-    Each input arc has an alpha memory (``index``, keyed by the token): an
-    ``_Entry`` per distinct token the arc accepts.  ``pending`` collects
-    the net token changes of the transition's input places since the slot
-    last caught up (``sync``); catching up binds each new token by its arc
-    alone, and drops, through the reverse set of each entry whose token
-    fell, the candidates left without enough copies (``_lose``).  Every
-    candidate is bound through ``_bind``.  ``stamp`` holds the row tuples
-    of the relations the guard reads, as of the last solve; the truth sets
-    are solved again only when one of them is replaced.
+    ``pending`` collects the net token changes of the transition's input
+    places since the slot last caught up (``sync``).  A ``single`` slot (one
+    input arc) keeps no alpha memory: a change touches its token's
+    candidate alone (``_count``).  Any other keeps one per arc (``index``,
+    keyed by the token): an ``_Entry`` per distinct token the arc accepts,
+    and binds through ``_bind``; a token that falls visits the candidates
+    in its entry's reverse set.  Losses go through ``_lose``.  ``stamp``
+    holds the row tuples of the relations the guard reads, as of the last
+    solve; the truth sets are solved again only when one is replaced.
 
     A full slot binds every candidate: the product of its memories at
     first, then on each arc the entries that grew with every entry of the
@@ -563,18 +567,23 @@ class _Slot:
         if self.lazy:
             self.names, self.layout = plan
             self.mems: list[list[_Entry]] = [[] for _ in places]
-        self.index: list[dict] = [{} for _ in places]
+        self.single = len(places) == 1
+        self.index: list[dict] = [] if self.single else [{} for _ in places]
         self.cands: dict = {}
         self.order: list[_Cand] = []
         self.complete = True
         # every token is new, with as many copies as its pool holds
-        self._remember({place: Counter(snapshot.marking.tokens(place)) for place in places})
-        if not self.lazy:
-            # every entry is new, so the product of the memories is every
-            # candidate: one with no entries for a transition without arcs
-            combos = itertools.product(*(index.values() for index in self.index))
-            self.order = sorted(filter(None, map(self._bind, combos)), key=_rank)
-            self._solve(self.order, snapshot.instance)
+        pending = {place: Counter(snapshot.marking.tokens(place)) for place in places}
+        if self.single:
+            self.order = sorted(self._count(pending), key=_rank)
+        else:
+            self._remember(pending)
+            if not self.lazy:
+                # every entry is new, so the product of the memories is every
+                # candidate: one with no entries for a transition without arcs
+                combos = itertools.product(*(index.values() for index in self.index))
+                self.order = sorted(filter(None, map(self._bind, combos)), key=_rank)
+        self._solve(self.order, snapshot.instance)
 
     def sync(self, snapshot: Snapshot) -> None:
         """Catch up with the snapshot: drop the candidates whose tokens are
@@ -583,9 +592,11 @@ class _Slot:
         new = []
         if self.pending:
             pending, self.pending = self.pending, {}
-            grown = self._remember(pending)
-            if not self.lazy:
-                new = self._extend(grown)
+            if self.single:
+                new = self._count(pending)
+            else:
+                grown = self._remember(pending)
+                new = [] if self.lazy else self._extend(grown)
         if self.reads:
             stamp = _stamp(snapshot.instance, self.reads)
             if any(a is not b for a, b in zip(stamp, self.stamp)):
@@ -606,7 +617,31 @@ class _Slot:
                 c.ver += 1
             self.fresh += cands
 
-    # alpha memories and candidates
+    # candidates and alpha memories
+
+    def _count(self, pending: dict) -> list[_Cand]:
+        """Apply the pending token changes to a one-arc slot's candidates,
+        each its token's count of copies, keyed by ``(token,)``: a new
+        token is bound once, by the arc, into a new candidate, which this
+        returns; one whose copies fall goes to ``_lose``."""
+        ((place, is_view, bind, aged),) = self.arcs
+        cands, new, fell = self.cands, [], []
+        for tok, n in pending.get(place, {}).items():
+            key = (tok,)
+            c = cands.get(key)
+            if c is None:
+                # a token the arc rejected is bound again only when another
+                # copy of it arrives
+                if n <= 0 or (env := bind(tok[0])) is None:
+                    continue
+                c = cands[key] = _Cand(self.t, env, ((place, tok, is_view),), dict.fromkeys(aged, tok[1]), key)
+                new.append(c)
+            c.copies += n
+            if n < 0:
+                fell.append(c)
+        if fell:
+            self._lose(fell)
+        return new
 
     def _remember(self, pending: dict) -> list[list[_Entry]]:
         """Bring the alpha memories up to the pending token changes, which
@@ -639,7 +674,7 @@ class _Slot:
                     del index[tok]
                     if self.lazy:
                         del self.mems[k][bisect_left(self.mems[k], e.share, key=_share)]
-                self._lose(e)
+                self._lose([self.cands[key] for key in e.cands])
             if len(born) > 1:
                 # one sort for a build, not one insertion per token
                 self.mems[k] += born
@@ -651,14 +686,18 @@ class _Slot:
             self.complete = False
         return grown
 
-    def _lose(self, e: _Entry) -> None:
-        """Drop the candidates built on ``e`` that take more copies of its
-        token than are left: all of them once none is."""
-        for c in [c for c in map(self.cands.get, e.cands) if not (e.copies and self._enough(c.entries))]:
+    def _lose(self, cands: list) -> None:
+        """Drop, of candidates whose tokens lost copies, those left with
+        none of a token or, joined, taking more copies than a place holds,
+        from ``cands``, ``order``, the reverse sets, heaps and live ones."""
+        for c in cands:
+            entries = c.entries
+            if (all(e.copies for e in entries) and self._enough(entries)) if entries else c.copies > 0:
+                continue
             del self.cands[c.key]
             del self.order[bisect_left(self.order, c.rank, key=_rank)]
-            for other in c.entries:
-                other.cands.remove(c.key)
+            for e in entries:
+                e.cands.remove(c.key)
             c.ver += 1
             self._drop(c)
 
@@ -692,7 +731,8 @@ class _Slot:
                 if prior is not value and prior != value:
                     return None
             ages.update(e.ages)
-        c = _Cand(self.t, env, tuple([(arc[0], e.key, arc[1]) for arc, e in zip(self.arcs, entries)]), ages, entries)
+        matches = tuple([(arc[0], e.key, arc[1]) for arc, e in zip(self.arcs, entries)])
+        c = _Cand(self.t, env, matches, ages, tuple([e.key for e in entries]), entries)
         self.cands[c.key] = c
         for e in entries:
             e.cands.add(c.key)
@@ -869,15 +909,15 @@ class Agenda:
     places and lost by views, and the tokens produced and gained by views.
     It hands each change to the slots of the transitions whose input places
     it touches.  A slot catches up when it is next asked (``slot``), so a
-    transition that no step asks about binds nothing.  Every slot binds from one alpha
-    memory per input arc.  ``policy`` is the run's.  Under "eager", slots
-    also keep the eager policy's onsets and heaps, and the slots of
-    delay-0 transitions whose arcs bind disjoint variables build their
-    candidates lazily, walking their memories only as far as a step asks.
-    Under "random", slots keep the random policy's heaps and ready lists.
-    Every other slot builds its candidates fully; the one-shot agendas of
-    ``enabled``, ``advance_clock`` and ``fire``, whose policy is None,
-    keep no heaps.
+    transition that no step asks about binds nothing.  A one-arc slot's
+    candidates are its memory; a join binds from one alpha memory per input
+    arc.  ``policy`` is the run's.  Under "eager", slots also keep the eager
+    policy's onsets and heaps, and the slots of delay-0 transitions whose arcs
+    bind disjoint variables build their candidates lazily, walking their
+    memories only as far as a step asks.  Under "random", slots keep the random
+    policy's heaps and ready lists.  Every other slot builds its candidates
+    fully; the one-shot agendas of ``enabled``, ``advance_clock`` and
+    ``fire``, whose policy is None, keep no heaps.
     """
 
     def __init__(self, net: Net, snapshot: Snapshot, policy: Optional[str] = None):

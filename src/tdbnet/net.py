@@ -293,10 +293,14 @@ def split_views(views: Iterable[tuple]) -> tuple[tuple, tuple]:
     """``views`` (entries of ``view_places``) as ``refresh_views`` takes
     them: the copied views, as (place id, copied relation, whether a token
     is the whole row, ``_whole_rows``), and the evaluated ones, as (place,
-    relations read)."""
-    copied = tuple((place.id, source, _whole_rows(place)) for place, source, _ in views if source is not None)
-    evaluated = tuple((place, reads) for place, source, reads in views if source is None)
-    return copied, evaluated
+    relations read).  It reads ``views`` once, so any iterable will do."""
+    copied, evaluated = [], []
+    for place, source, reads in views:
+        if source is None:
+            evaluated.append((place, reads))
+        else:
+            copied.append((place.id, source, _whole_rows(place)))
+    return tuple(copied), tuple(evaluated)
 
 
 def view_delta(pid: str, relation: str, whole: bool, added, deleted, lose: list, gain: list) -> None:

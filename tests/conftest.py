@@ -7,11 +7,12 @@ from tdbnet.persistence import Atom, Column, Query, Relation, Schema
 from tdbnet.values import INT, TEXT, product
 
 # ``--hypothesis-profile=ci`` runs the Hypothesis tests that leave their
-# example count to the profile (the generated-net differential and the
-# alpha-memory copy counts in test_scheduler_oracle.py, the store lookup
-# property and the generated queries over int, text and bool columns
-# against a nested-loop evaluation in test_persistence.py, and the trace
-# decoder and writer differentials and the canonical_json property in
+# example count to the profile (the generated-net differential, the
+# alpha-memory copy counts and the one-arc edge cases
+# (test_one_arc_edge_cases_equal_the_oracle) in test_scheduler_oracle.py, the
+# store lookup property and the generated queries over int, text and bool
+# columns against a nested-loop evaluation in test_persistence.py, and the
+# trace decoder and writer differentials and the canonical_json property in
 # test_formats.py) ten times deeper than the default 100.
 settings.register_profile("ci", max_examples=1000)
 

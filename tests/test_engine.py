@@ -567,8 +567,8 @@ def _scheduler_counts(monkeypatch, bundle, kind, spec, policy="eager"):
     """A run of a pattern workload (seed 1 under the random policy), with
     the engine's candidates bound, guard truth sets solved, guards that
     reached ``eval_expr``, ``match_pattern`` calls, the candidates that
-    loss detection visited and the random policy's ``pickable`` asks
-    counted."""
+    loss detection visited (one-arc and joined, which both go through
+    ``_Slot._lose``) and the random policy's ``pickable`` asks counted."""
     counts = dict.fromkeys(("candidates", "solves", "guard_evals", "matches", "losses", "pickable"), 0)
     guards = {id(t.guard) for t in bundle.net.transitions}
     cand, solve, evaluate, match = engine._Cand, engine.guard_truth, engine.eval_expr, engine.match_pattern
@@ -597,9 +597,9 @@ def _scheduler_counts(monkeypatch, bundle, kind, spec, policy="eager"):
         counts["matches"] += 1
         return match(*a, **kw)
 
-    def counted_lose(slot, entry):
-        counts["losses"] += len(entry.cands)
-        return lose(slot, entry)
+    def counted_lose(slot, cands):
+        counts["losses"] += len(cands)
+        return lose(slot, cands)
 
     monkeypatch.setattr(engine, "_Cand", Counted)
     monkeypatch.setattr(engine, "guard_truth", counted_solve)
@@ -691,6 +691,8 @@ def test_guard_solves_scale_linearly(monkeypatch, build, kind, spec, n, policy):
         counts.append(_scheduler_counts(monkeypatch, build(), kind, workload, policy)[1])
     for counter in ("candidates", "solves", "losses") + (("pickable",) if policy == "random" else ()):
         assert counts[1][counter] <= 2.2 * counts[0][counter], counter
+    # every case loses candidates, so the bound on losses measures them
+    assert counts[0]["losses"] > 0 and counts[1]["losses"] > 0
 
 
 def _order_upkeep(monkeypatch, n):
@@ -758,6 +760,15 @@ def test_copied_views_skip_firings_that_leave_their_relation(monkeypatch):
     assert len(calls) == touched
     replay(bundle.net, parse_trace(serialize_trace(tr)))
     assert len(calls) == 2 * touched
+
+
+def test_split_views_reads_a_generator_once():
+    # the resequencer copies msgs into one view and evaluates v_emit again;
+    # walking the argument twice returned no evaluated view for a generator
+    views = net_module.view_places(build_resequencer().net)
+    copied, evaluated = net_module.split_views(view for view in views)
+    assert (copied, evaluated) == net_module.split_views(list(views))
+    assert [place.id for place, _ in evaluated] == ["v_emit"] and copied
 
 
 CATALOG = [

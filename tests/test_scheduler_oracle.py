@@ -11,11 +11,15 @@ each of which replay's ``_recorded_cand`` binds back to itself, and the
 agenda must reach the same candidates from a delta of tokens.  Where the
 eager agenda matches lazily (delay-0 transitions whose arcs bind disjoint
 variables), its walk must build the oracle's candidates in the oracle's
-order, and stop at the first that holds.
+order, and stop at the first that holds.  A one-arc transition keeps its
+candidates as its memory, so the edges of its copy counts (equal tokens, a
+rejected token that returns, a view row deleted and added again, no input
+arcs) are drawn on their own nets too.
 """
 
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 import reference_engine as ref
 from test_replay import CATALOG, POLICIES, reference_replay
+from tdbnet.patterns import build_delayer, build_throttler, with_workload
 from tdbnet import engine
 from tdbnet.engine import FiringEvent
 from tdbnet.exprs import OPERATORS, TRUE, Age, Const, DbCount, DefinitionError, Now, Op, Param, Var, Wild
@@ -42,6 +47,7 @@ from tdbnet.net import (
 )
 from tdbnet.persistence import Action, Atom, Column, FactTemplate, Instance, Query, Relation, Schema, check_compliance
 from tdbnet.values import INT, TEXT, product
+from tdbnet.workloads import parse_workload
 
 
 def _timer(request):
@@ -716,13 +722,28 @@ def test_generated_runs_equal_the_oracle(case):
 
 
 def _check_memories(agenda):
-    """Every alpha-memory entry of every slot counts the copies of its token
-    on the arc's place, as of the slot's last catch-up: with the changes
-    still pending, the marking's count.  No entry is left with none, every
-    token present then that the arc accepts has an entry, and a lazy slot's
-    memory holds the same entries, sorted by their share of the rank."""
+    """Every alpha-memory entry of every joined slot, and every candidate of
+    every one-arc slot, counts the copies of its token on the arc's place,
+    as of the slot's last catch-up: with the changes still pending, the
+    marking's count.  None is left with no copy, every token present then
+    that the arc accepts has one, and a lazy slot's memory holds the same
+    entries, sorted by their share of the rank.  A one-arc slot keeps no
+    alpha memory."""
     marking = agenda.snap.marking
     for slot in agenda.slots.values():
+        if len(slot.arcs) == 1:
+            ((place, _, bind, _),) = slot.arcs
+            pool, pending = marking.tokens(place), slot.pending.get(place, {})
+            assert slot.single and slot.index == []
+            for key, c in slot.cands.items():
+                (tok,) = key
+                assert c.matches[0][1] == tok and c.entries == () and c.copies > 0
+                assert c.copies + pending.get(tok, 0) == pool.count(tok)
+            for tok in set(pool):
+                if pool.count(tok) > pending.get(tok, 0) and bind(tok[0]) is not None:
+                    assert (tok,) in slot.cands
+            continue
+        assert not slot.single
         for k, ((place, _, bind, _), index) in enumerate(zip(slot.arcs, slot.index)):
             pool, pending = marking.tokens(place), slot.pending.get(place, {})
             for tok, e in index.items():
@@ -783,6 +804,152 @@ def test_alpha_memories_count_the_marking_after_every_step(case):
     for policy, seed in (("eager", None), ("random", 0), ("random", 1)):
         events = _stepped_run(net, initial, policy, seed, 20)
         assert events == list(engine.run(net, initial, policy=policy, seed=seed, max_steps=20).events)
+
+
+def _entries_built(monkeypatch, bundle, kind, spec):
+    """An eager run of a pattern workload, and the token of every alpha
+    memory entry that the agenda built."""
+    built = []
+    entry = engine._Entry
+
+    class Counted(entry):
+        __slots__ = ()
+
+        def __init__(self, token, env, ages):
+            built.append(token)
+            super().__init__(token, env, ages)
+
+    monkeypatch.setattr(engine, "_Entry", Counted)
+    return engine.run(bundle.net, with_workload(bundle, parse_workload(kind, spec))), built
+
+
+def test_only_joins_build_alpha_memory_entries(monkeypatch):
+    # every delayer transition has one input arc, so its candidates are its
+    # memory; the throttler's t_admit joins ch1 with cap, the only places it
+    # reads and the only reader of each, and builds one entry per distinct
+    # token that reaches either
+    tr, built = _entries_built(monkeypatch, build_delayer(250), "delayer", "steady:50:every:10@0")
+    assert len(tr.events) == 100 and built == []
+    tr, built = _entries_built(monkeypatch, build_throttler(5), "throttler", "burst:50@0")
+    arrived = [tok for pid in ("ch1", "cap") for tok in tr.initial.marking.tokens(pid)]
+    arrived += [tok for ev in tr.events for pid, tok in ev.produced if pid in ("ch1", "cap")]
+    assert len(tr.events) == 150 and len(built) == len(set(arrived)) == 101
+    assert Counter(built) == Counter(arrived)
+
+
+# ---------------------------------------------------------------------------
+# one-arc edge cases
+
+# deletes a key's row and adds it back, with its value or another
+REDO = Action(
+    "redo",
+    params=(("k", INT), ("v", INT)),
+    dels=(FactTemplate("R", (Param("k"), Wild())),),
+    adds=(FactTemplate("R", (Param("k"), Param("v"))),),
+)
+
+
+@st.composite
+def _one_arc_cases(draw):
+    """(case, net, initial snapshot at clock 3) for one of four edges of a
+    one-arc slot, whose candidates count their tokens' copies:
+
+    * ``twins``: ``t`` consumes equal tokens from ``p`` one at a time, and
+      ``back`` returns each, at once or later, as a token equal to it or not;
+    * ``rejected``: ``t``'s constant pattern rejects some tokens of ``p``,
+      which ``hop`` and ``back`` move to ``q`` and back, equal or not;
+    * ``view``: ``t`` reads a row of the copied view ``v`` and deletes and
+      adds its key's row again in one firing, with its value or another,
+      and ``w`` reads the projection ``u``;
+    * ``source``: ``tick`` has no input arcs and fires while R counts few
+      rows; ``take`` consumes what it emits."""
+    case = draw(st.sampled_from(("twins", "rejected", "view", "source")))
+    delay = draw(DELAYS)
+    later = draw(st.sampled_from(((0, 0), (1, 1))))
+    places = (Place("p", INT), Place("q", INT), Place("out", INT))
+    tokens, rows = {}, {}
+    if case == "twins":
+        value = draw(SMALL)
+        others = draw(st.lists(st.tuples(SMALL, st.integers(0, 3)), max_size=2))
+        tokens = {"p": [(value, 3)] * draw(st.integers(2, 3)) + others}
+        guard = Op(">=", (Age("x"), Const(draw(st.integers(0, 3)))))
+        transitions = (
+            Transition("back", inputs=(InputArc("out", Var("y")),), delay=later, outputs=(OutputArc("p", Var("y")),)),
+            Transition(
+                "t", inputs=(InputArc("p", Var("x")),), guard=guard, delay=delay, outputs=(OutputArc("out", Var("x")),)
+            ),
+        )
+    elif case == "rejected":
+        kept = draw(SMALL)
+        tokens = {"p": draw(st.lists(st.tuples(SMALL, st.integers(0, 3)), min_size=1, max_size=4))}
+        transitions = (
+            Transition("back", inputs=(InputArc("q", Var("y")),), delay=later, outputs=(OutputArc("p", Var("y")),)),
+            Transition(
+                "hop",
+                inputs=(InputArc("p", Var("x")),),
+                guard=Op("!=", (Var("x"), Const(kept))),
+                delay=draw(DELAYS),
+                outputs=(OutputArc("q", Var("x")),),
+            ),
+            Transition(
+                "t", inputs=(InputArc("p", Const(kept)),), delay=delay, outputs=(OutputArc("out", Const(kept)),)
+            ),
+        )
+    elif case == "view":
+        places += (Place("v", PAIR, kind="view", query="q_r"), Place("u", INT, kind="view", query="q_a"))
+        rows = draw(st.dictionaries(SMALL, SMALL, min_size=1, max_size=3))
+        value = draw(st.sampled_from((Var("b"), Op("+", (Var("b"), Const(1))), Const(1))))
+        transitions = (
+            Transition(
+                "t",
+                inputs=(InputArc("v", (Var("a"), Var("b"))),),
+                guard=Op("<", (Var("b"), Const(draw(st.integers(1, 3))))),
+                delay=delay,
+                actions=(ActionCall("redo", (Var("a"), value)),),
+            ),
+            Transition(
+                "w",
+                inputs=(InputArc("u", Var("k")),),
+                guard=Op(">=", (Now(), Const(draw(st.integers(3, 6))))),
+                delay=draw(DELAYS),
+                outputs=(OutputArc("out", Var("k")),),
+            ),
+        )
+    else:
+        transitions = (
+            Transition(
+                "take",
+                inputs=(InputArc("out", Var("x")),),
+                delay=later,
+                guard=Op(">=", (Age("x"), Const(draw(st.integers(0, 2))))),
+            ),
+            Transition(
+                "tick",
+                guard=Op("<", (ROWS, Const(draw(st.integers(1, 3))))),
+                delay=delay,
+                actions=(ActionCall("put", (ROWS, Const(1))),),
+                outputs=(OutputArc("out", ROWS),),
+            ),
+        )
+    net = Net(places=places, transitions=transitions, schema=Schema((R,)), queries=(Q_R, Q_A), actions=(PUT, REDO))
+    facts = [("R", row, 0) for row in sorted(rows.items())]
+    return case, net, initial_snapshot(net, facts=facts, tokens=tokens, clock=3)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_one_arc_cases())
+def test_one_arc_edge_cases_equal_the_oracle(case):
+    # equal tokens consumed one at a time, a rejected token that leaves and
+    # arrives again, a view row deleted and added again in one firing, and
+    # a transition without input arcs: every run equals the oracle's, its
+    # queries at every snapshot too, and the eager run keeps each
+    # candidate's copies equal to the marking after every step
+    name, net, initial = case
+    event(name)
+    for policy, seed in [("eager", None)] + [("random", seed) for seed in range(5)]:
+        got = _agree(net, initial, policy, seed, 20)
+        event(f"{name}: {len(got.events)} events under {policy}")
+    assert _stepped_run(net, initial, "eager", None, 20) == list(engine.run(net, initial, max_steps=20).events)
 
 
 # ---------------------------------------------------------------------------
